@@ -5,7 +5,8 @@ default output format (floats with 17 significant digits, so every double
 round-trips exactly); traces and sweeps are CSV with '.' decimals and '\n'
 newlines so repeated runs diff byte-for-byte.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 non-convergence.
+Exit codes: 0 success, 1 verification failure, 2 bad input, 3 non-convergence
+(steiner only: generator failure or an unconverged run).
 """
 
 from __future__ import annotations

@@ -2,8 +2,14 @@
 
 Implements the SAS solver, the angle-defect area, the omega-circle / B'
 figure in the disk (with A at the center), the tau angle whose double equals
-the triangle area, and the solver for the maximal-area apex angle
-characterized by alpha = beta + gamma.
+the triangle area, and the maximal-area apex angle characterized by
+alpha = beta + gamma.
+
+Everything on the triangle path is a closed form evaluated without
+cancelling subtractions. With u = tanh(b/2) tanh(c/2) the area satisfies
+tan(area/2) = u sin(alpha) / (1 - u cos(alpha)), the maximizing apex angle
+is arccos(u), the base angles come from the atan2 form of the four-part
+formula, and B' is the far root of a quadratic taken through Vieta's sum.
 """
 
 from __future__ import annotations
@@ -19,15 +25,11 @@ from .disk import (
     geodesic_through,
     point_from_polar,
 )
-from .errors import DegenerateInputError, DomainError, SolverError
+from .errors import DegenerateInputError, DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
 # is numerically degenerate.
 ALPHA_EPS = 1e-6
-
-_SCAN_POINTS = 256
-_BISECT_HALF_WIDTH = 1e-14
-_BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -135,14 +137,16 @@ def angle_from_sides(opposite: float, s1: float, s2: float) -> float:
     return _clamped_acos(num / den)
 
 
-def _sas_raw(b: float, c: float, alpha: float) -> tuple[float, float, float]:
-    """Third side and base angles of the SAS triangle, without validation."""
-    half_sin = math.sin(0.5 * alpha)
-    cosh_a_m1 = _coshm1(b - c) + 2.0 * math.sinh(b) * math.sinh(c) * half_sin * half_sin
-    a = _acosh1p(cosh_a_m1)
-    beta = angle_from_sides(b, c, a)
-    gamma = angle_from_sides(c, b, a)
-    return a, beta, gamma
+def _tanh_half_product(b: float, c: float) -> tuple[float, float]:
+    """u = tanh(b/2) tanh(c/2) and 1 - u, the latter without cancellation.
+
+    1 - u = (1 - t_b) + t_b (1 - t_c) with t_x = tanh(x/2) and
+    1 - tanh(x/2) = 2 / (e^x + 1), so 1 - u keeps its relative accuracy even
+    when u rounds to within a few ulps of 1 (both sides near D_MAX).
+    """
+    tb = math.tanh(0.5 * b)
+    tc = math.tanh(0.5 * c)
+    return tb * tc, 2.0 / (math.exp(b) + 1.0) + tb * 2.0 / (math.exp(c) + 1.0)
 
 
 def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
@@ -150,18 +154,39 @@ def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
 
     cosh a = cosh b cosh c - sinh b sinh c cos(alpha), evaluated through the
     equivalent cancellation-free form
-    cosh a - 1 = (cosh(b - c) - 1) + sinh b sinh c (1 - cos(alpha)); the
-    remaining angles follow from the law of cosines, the area from the defect.
+    cosh a - 1 = (cosh(b - c) - 1) + sinh b sinh c (1 - cos(alpha)).
+    The base angles use the four-part formula
+    cot(gamma) sin(alpha) = sinh(b) coth(c) - cosh(b) cos(alpha), written as
+    gamma = atan2(sin(alpha) sinh(c),
+                  sinh(b - c) + 2 cosh(b) sinh(c) sin^2(alpha/2)),
+    and beta likewise with b and c swapped; unlike acos of the law of
+    cosines, this keeps full relative accuracy for angles near 0. The area is
+    the angle defect, but computed from the half-angle formula
+    area = 2 atan2(u sin(alpha), (1 - u) + 2 u sin^2(alpha/2)) with
+    u = tanh(b/2) tanh(c/2) rather than as pi minus the angle sum, which
+    loses every digit once the triangle is small or thin.
     """
     _check_sas_domain(b, c, alpha)
-    a, beta, gamma = _sas_raw(b, c, alpha)
+    half_sin = math.sin(0.5 * alpha)
+    one_minus_cos = 2.0 * half_sin * half_sin
+    sin_alpha = math.sin(alpha)
+    sinh_b = math.sinh(b)
+    sinh_c = math.sinh(c)
+    a = _acosh1p(_coshm1(b - c) + sinh_b * sinh_c * one_minus_cos)
+    beta = math.atan2(
+        sin_alpha * sinh_b, math.sinh(c - b) + math.cosh(c) * sinh_b * one_minus_cos
+    )
+    gamma = math.atan2(
+        sin_alpha * sinh_c, math.sinh(b - c) + math.cosh(b) * sinh_c * one_minus_cos
+    )
     if alpha + beta + gamma >= math.pi:
         raise DomainError(
             "triangle is numerically degenerate: angle defect below roundoff"
         )
+    u, one_minus_u = _tanh_half_product(b, c)
+    area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
     return TriangleSolution(
-        a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
-        area=math.pi - (alpha + beta + gamma),
+        a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma, area=area
     )
 
 
@@ -196,8 +221,14 @@ def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
 def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     """Second intersection of the Euclidean line through the center and B with omega.
 
-    Found from the line-circle quadratic; since omega is orthogonal to the
-    unit circle the two intersection parameters multiply to 1, so the result
+    Points of the line are t * B / |B|; they lie on omega where
+    t^2 - 2 m t + power = 0, with m the projection of omega's center on the
+    line and power = |center|^2 - radius^2. B itself is the root t = |B|, so
+    by Vieta's sum the far root is 2 m - |B|. This needs neither a square
+    root nor the power, which cancels when omega's center lies far out (B
+    near the center, or BC nearly through it); the textbook root
+    m + sqrt(m^2 - power) also cancels as B approaches the boundary. Since
+    omega is orthogonal to the unit circle, power is 1 and the result
     coincides with the inversion of B in the unit circle (checked by tests,
     not used here).
     """
@@ -206,16 +237,12 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
         raise DegenerateInputError("B at the center: the line AB is undefined")
     if abs(abs(B.z - omega.center) - omega.radius) > 1e-9:
         raise DomainError("B does not lie on the given circle")
-    u = B.z / nb
-    m = (u.conjugate() * omega.center).real
-    power = (math.hypot(omega.cx, omega.cy) - omega.radius) * (
-        math.hypot(omega.cx, omega.cy) + omega.radius
-    )
-    disc = m * m - power
-    if disc <= 0.0:
+    direction = B.z / nb
+    m = (direction.conjugate() * omega.center).real
+    t = 2.0 * m - nb  # the root beyond B
+    if t <= nb:
         raise DegenerateInputError("line AB does not meet the circle twice")
-    t = m + math.sqrt(disc)  # the root beyond the unit circle
-    w = t * u
+    w = t * direction
     return (w.real, w.imag)
 
 
@@ -246,43 +273,18 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
 def optimal_alpha(b: float, c: float) -> OptimalTriangle:
     """Apex angle maximizing the area for fixed sides b and c.
 
-    The maximizer is the root of g(alpha) = alpha - beta - gamma, located by a
-    coarse scan for a sign change followed by bisection. Uniqueness is not
-    proved analytically; the grid-search oracle cross-validates it.
+    With u = tanh(b/2) tanh(c/2) the area obeys
+    tan(area/2) = u sin(alpha) / (1 - u cos(alpha)). Its derivative in alpha
+    has the sign of cos(alpha) - u, so the area rises strictly up to
+    alpha* = arccos(u) and falls after it: the maximizer is unique, lies in
+    (0, pi/2), and there area = pi - 2 alpha*, i.e. alpha* = beta + gamma.
+    It is evaluated as alpha* = 2 atan(sqrt((1 - u) / (1 + u))), with 1 - u
+    formed without cancellation, which stays accurate as u approaches 1.
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
         raise DomainError(f"sides must lie in (0, {D_MAX}]")
-
-    def g(alpha: float) -> float:
-        _, beta, gamma = _sas_raw(b, c, alpha)
-        return alpha - beta - gamma
-
-    lo = ALPHA_EPS * (1.0 + 1e-9)
-    hi = math.pi - ALPHA_EPS * (1.0 + 1e-9)
-    xs = [lo + (hi - lo) * k / (_SCAN_POINTS - 1) for k in range(_SCAN_POINTS)]
-    gs = [g(x) for x in xs]
-    bracket = None
-    for k in range(_SCAN_POINTS - 1):
-        if gs[k] == 0.0:
-            bracket = (xs[k], xs[k])
-            break
-        if gs[k] < 0.0 < gs[k + 1]:
-            bracket = (xs[k], xs[k + 1])
-            break
-    if bracket is None:
-        raise SolverError("no sign change of alpha - beta - gamma found")
-    a_lo, a_hi = bracket
-    for _ in range(_BISECT_MAX_ITER):
-        if a_hi - a_lo <= 2.0 * _BISECT_HALF_WIDTH:
-            break
-        mid = 0.5 * (a_lo + a_hi)
-        if g(mid) < 0.0:
-            a_lo = mid
-        else:
-            a_hi = mid
-    alpha_star = 0.5 * (a_lo + a_hi)
-    if abs(g(alpha_star)) >= 1e-12:
-        raise SolverError("bisection failed to drive alpha - beta - gamma to zero")
+    u, one_minus_u = _tanh_half_product(b, c)
+    alpha_star = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
     return OptimalTriangle(alpha_star=alpha_star, solution=solve_sas(b, c, alpha_star))
 
 

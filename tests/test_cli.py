@@ -71,6 +71,14 @@ class TestOptimizeCommand:
         assert certs["alpha_plus_tau_residual"] < 1e-9
         assert report["grid_check"]["gap"] <= 2.0 * report["grid_check"]["grid_step"]
 
+    def test_largest_sides(self):
+        res = run_cli("optimize", "--b", "20", "--c", "20")
+        assert res.returncode == 0, res.stderr
+        certs = json.loads(res.stdout)["certificates"]
+        assert certs["right_angle_residual"] <= 1e-9
+        assert certs["tangency_gap"] <= 1e-9
+        assert certs["alpha_plus_tau_residual"] <= 1e-9
+
     def test_bad_input_exit_2(self):
         assert run_cli("optimize", "--b", "0", "--c", "1").returncode == 2
 

@@ -23,7 +23,11 @@ from hyplobe import (
     solve_sas,
     tau_angle,
 )
-from hyplobe.oracle import euclidean_limit_triangle, grid_search_max_area
+from hyplobe.oracle import (
+    curvature_corrected_side,
+    euclidean_limit_triangle,
+    grid_search_max_area,
+)
 
 # acosh(cosh(1)^2), frozen from a 50-digit mpmath evaluation: the hypotenuse
 # of the right isoceles triangle with legs 1
@@ -59,14 +63,61 @@ class TestSolveSas:
             assert s1.beta == pytest.approx(s2.gamma, abs=1e-13)
 
     def test_angle_defect_consistency(self):
+        # the area comes from the half-angle formula, not from the defect, so
+        # the two agree to a few ulps of pi rather than bit for bit
         for b, c, alpha in random_triangles(3, 100):
             sol = solve_sas(b, c, alpha)
-            assert sol.area == math.pi - (sol.alpha + sol.beta + sol.gamma)
+            assert abs(sol.area - (math.pi - (sol.alpha + sol.beta + sol.gamma))) <= 4e-15
             assert sol.area > 0.0
 
+    def test_matches_high_precision_reference(self):
+        # the reference shares no formula with the solver: side a from the
+        # law of cosines, the base angles from the law of cosines on (a, b, c),
+        # the area as the defect and alpha* as the root of alpha = beta + gamma,
+        # all at 80 digits so that the defect and acos near 0 keep enough
+        mpmath = pytest.importorskip("mpmath")
+
+        def angles(b, c, alpha):
+            a = mpmath.acosh(
+                mpmath.cosh(b) * mpmath.cosh(c) - mpmath.sinh(b) * mpmath.sinh(c) * mpmath.cos(alpha)
+            )
+
+            def opposite(x, y, z):
+                # the angle opposite side x
+                return mpmath.acos(
+                    (mpmath.cosh(y) * mpmath.cosh(z) - mpmath.cosh(x))
+                    / (mpmath.sinh(y) * mpmath.sinh(z))
+                )
+
+            return opposite(b, a, c), opposite(c, a, b)
+
+        rng = np.random.default_rng(30)
+        worst = 0.0
+        with mpmath.workdps(80):
+            for _ in range(500):
+                b, c = np.exp(rng.uniform(math.log(1e-6), math.log(20.0), 2))
+                alpha = rng.uniform(0.01, math.pi - 0.01)
+                sol = solve_sas(float(b), float(c), float(alpha))
+                alpha_star = optimal_alpha(float(b), float(c)).alpha_star
+                mb, mc, ma = mpmath.mpf(b), mpmath.mpf(c), mpmath.mpf(alpha)
+                beta, gamma = angles(mb, mc, ma)
+                area = mpmath.pi - (ma + beta + gamma)
+                ref_star = mpmath.findroot(
+                    lambda x: x - sum(angles(mb, mc, x)), mpmath.mpf(alpha_star)
+                )
+                for got, ref in (
+                    (sol.area, area),
+                    (sol.beta, beta),
+                    (sol.gamma, gamma),
+                    (alpha_star, ref_star),
+                ):
+                    worst = max(worst, float(abs(got - ref) / ref))
+        assert worst <= 1e-14
+
     def test_tiny_triangle_matches_euclidean(self):
-        # the genuine hyperbolic/Euclidean gap scales as sides^2, about
-        # 1.3e-7 relative at sides 1e-3; see the acceptance suite
+        # the side is judged against the curvature-corrected side, whose own
+        # error is O(s^4); the angle only against the flat triangle, where the
+        # genuine hyperbolic/Euclidean gap scales as sides^2
         rng = np.random.default_rng(4)
         for _ in range(100):
             b = rng.uniform(1e-4, 1e-3)
@@ -74,7 +125,7 @@ class TestSolveSas:
             alpha = rng.uniform(0.1, math.pi - 0.1)
             hyp = solve_sas(b, c, alpha)
             euc = euclidean_limit_triangle(b, c, alpha)
-            assert hyp.a == pytest.approx(euc.a, rel=1e-6)
+            assert hyp.a == pytest.approx(curvature_corrected_side(b, c, alpha), rel=1e-8)
             assert hyp.beta == pytest.approx(euc.beta, rel=1e-5)
 
     def test_domain_errors(self):
@@ -156,6 +207,23 @@ class TestConstruction:
             fig = build_figure1(b, c, alpha)
             d = math.hypot(fig.b_prime[0] - fig.omega.cx, fig.b_prime[1] - fig.omega.cy)
             assert d == pytest.approx(fig.omega.radius, abs=1e-10)
+
+    def test_b_prime_near_center_matches_high_precision_reference(self):
+        # B close to the center puts omega's center about 1 / (2|B|) out,
+        # where its power with respect to the center cancels; B' must still
+        # be the inversion of B, and tau the angle at coth(c/2) from 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(1.0, 1e-6, alpha) for alpha in np.linspace(0.1, 3.0, 12)]
+        cases += [(3e-6, 3e-6, math.pi - 1e-3), (1.76e-6, 18.8, 1.570795)]
+        with mpmath.workdps(50):
+            for b, c, alpha in cases:
+                fig = build_figure1(b, c, float(alpha))
+                nb = fig.B.norm()
+                assert nb * math.hypot(*fig.b_prime) == pytest.approx(1.0, rel=1e-14)
+                bp = mpmath.coth(mpmath.mpf(c) / 2)
+                C = mpmath.tanh(mpmath.mpf(b) / 2) * mpmath.expj(mpmath.mpf(float(alpha)))
+                tau = abs(mpmath.arg((C - bp) / -bp))
+                assert fig.tau == pytest.approx(float(tau), rel=1e-13)
 
     def test_b_prime_input_validation(self):
         fig = build_figure1(1.0, 1.0, 1.0)
@@ -239,6 +307,19 @@ class TestCertificates:
             assert abs(cert.acb_angle - math.pi / 2) < 1e-9
             assert cert.tangency_gap < 1e-9
             assert cert.residual < 1e-9
+
+    def test_residuals_vanish_across_the_domain(self):
+        # sides up to D_MAX, where alpha* falls to about 1e-4 and B sits
+        # within 1e-8 of the boundary
+        worst = 0.0
+        for b in np.linspace(0.5, 20.0, 40):
+            for c in np.linspace(0.5, 20.0, 40):
+                a_star = optimal_alpha(float(b), float(c)).alpha_star
+                cert = optimality_certificate(build_figure1(float(b), float(c), a_star))
+                worst = max(
+                    worst, abs(cert.acb_angle - math.pi / 2), cert.tangency_gap, cert.residual
+                )
+        assert worst <= 1e-9
 
     def test_negative_control_off_optimum(self):
         rng = np.random.default_rng(23)
