@@ -74,6 +74,69 @@ def count_local_maxima(b: float, c: float, samples: int) -> int:
     return int(np.sum((interior > areas[:-2]) & (interior > areas[2:])))
 
 
+@dataclass(frozen=True)
+class GridArgmax:
+    arg_hat: float
+    area_hat: float
+    grid_step: float
+
+
+def _grid_argmax(args: np.ndarray, areas: np.ndarray) -> GridArgmax:
+    k = int(np.argmax(areas))
+    return GridArgmax(float(args[k]), float(areas[k]), float(args[1] - args[0]))
+
+
+def _defect_from_sides(a, b, c):
+    """Vectorized area of the triangle with sides a, b, c.
+
+    Pi minus the three angles of the plain law of cosines; adequate for sides
+    of order one.
+    """
+
+    def angle(x, y, z):
+        cos_x = (np.cosh(y) * np.cosh(z) - np.cosh(x)) / (np.sinh(y) * np.sinh(z))
+        return np.arccos(np.clip(cos_x, -1.0, 1.0))
+
+    return math.pi - (angle(a, b, c) + angle(b, c, a) + angle(c, a, b))
+
+
+def grid_search_hinge(s: float, base: float, samples: int) -> GridArgmax:
+    """Argmax over t of the area of the triangle with sides t, s - t and base.
+
+    The grid spans the open interval allowed by the triangle inequality; it
+    witnesses the isosceles optimum t = s / 2 of the polygon hinge move.
+    """
+    if samples < 1000:
+        raise DomainError("grid search needs at least 1000 samples")
+    ts = np.linspace(0.5 * (s - base), 0.5 * (s + base), samples + 2)[1:-1]
+    return _grid_argmax(ts, _defect_from_sides(ts, s - ts, base))
+
+
+def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
+    """Area of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3,
+    |DA| = diag and angle phi at A, as the sum of triangles ABD and BCD;
+    -inf where the cross diagonal BD leaves no triangle BCD.
+    """
+    x = np.cosh(s1) * np.cosh(diag) - np.sinh(s1) * np.sinh(diag) * np.cos(phi)
+    bd = np.arccosh(np.maximum(1.0, x))
+    area = _defect_from_sides(s1, diag, bd) + _defect_from_sides(s2, s3, bd)
+    return np.where((bd > abs(s2 - s3)) & (bd < s2 + s3), area, -np.inf)
+
+
+def grid_search_quadrilateral(
+    s1: float, s2: float, s3: float, diag: float, samples: int
+) -> GridArgmax:
+    """Argmax of quadrilateral_area over phi in (0, pi).
+
+    Witnesses the polygon diagonal move, which solves for the concyclic
+    position instead of searching.
+    """
+    if samples < 1000:
+        raise DomainError("grid search needs at least 1000 samples")
+    phis = np.linspace(0.0, math.pi, samples + 2)[1:-1]
+    return _grid_argmax(phis, quadrilateral_area(s1, s2, s3, diag, phis))
+
+
 def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> float:
     """Length of the geodesic arc p-q as a sum of short chordal distances.
 

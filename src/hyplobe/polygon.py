@@ -17,15 +17,19 @@ the regular polygon of the same perimeter, which witnesses the isoperimetric
 inequality numerically. The per-vertex maximal-area residual
 |alpha - (beta + gamma)| of the hinge triangles is recorded in the trace as a
 diagnostic.
+
+Every step is a formula or a bracketed root: the hinge optimum is the
+isosceles triangle, the diagonal optimum is the root of the cyclic condition
+(equal opposite-angle sums), the circumcircle is a linear least-squares
+Euclidean circle, and regular polygons follow from the right triangles cut
+out by their apothems. Only the random polygon generator uses numpy, and it
+imports it on first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import optimize
 
 from .disk import (
     D_MAX,
@@ -38,7 +42,7 @@ from .disk import (
     step_from,
 )
 from .errors import DomainError, NonConvexError, SolverError
-from .triangle import TriangleSolution, angle_from_sides
+from .triangle import TriangleSolution, _clamped_acos, angle_from_sides
 
 # Minimum area gain for a move to be accepted; below this the improvement is
 # indistinguishable from angle-measurement noise.
@@ -49,6 +53,9 @@ ACCEPT_TOL = 1e-14
 SPREAD_FLOOR = 1e-6
 
 _SIDE_MARGIN = 1e-9
+
+# Bisection width for the diagonal move's angle.
+_PHI_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -189,21 +196,12 @@ def _hinge_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     q = poly.side_lengths[i]
     s = p + q
     chord = hyp_distance(f1, f2)
-    lo = 0.5 * (s - chord)
-    hi = 0.5 * (s + chord)
-    margin = _SIDE_MARGIN * (hi - lo)
-    old = _defect_from_sides(p, q, chord)
-    res = optimize.minimize_scalar(
-        lambda t: -_defect_from_sides(t, s - t, chord),
-        bounds=(lo + margin, hi - margin),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    p_new = float(res.x)
-    gain = -float(res.fun) - old
+    # With the base and p + q fixed, the maximal-area triangle is isosceles.
+    p_new = 0.5 * s
+    gain = _defect_from_sides(p_new, p_new, chord) - _defect_from_sides(p, q, chord)
     if gain <= ACCEPT_TOL:
         return MoveResult(poly, 0.0, False)
-    theta1 = angle_from_sides(s - p_new, p_new, chord)
+    theta1 = angle_from_sides(p_new, p_new, chord)
     side = _side_sign(f1, f2, v)
     v_new = step_from(f1, direction_toward(f1, f2) + side * theta1, p_new)
     updated = _replace_vertices(poly, {i: v_new})
@@ -217,7 +215,8 @@ def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
 
     One degree of freedom remains: the angle phi between the diagonal
     V_{i-1} V_{i+2} and the side V_{i-1} V_i. The quadrilateral area is
-    maximized over phi; at the maximum the four vertices are concyclic.
+    maximal where the four vertices are concyclic, i.e. where its opposite
+    angle sums agree; that root of phi is found by bisection.
     """
     n = poly.n
     if n < 4:
@@ -232,9 +231,35 @@ def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     def quad_area(bd: float) -> float:
         return _defect_from_sides(s1, diag, bd) + _defect_from_sides(s2, s3, bd)
 
+    ch1, sh1 = math.cosh(s1), math.sinh(s1)
+    chd, shd = math.cosh(diag), math.sinh(diag)
+    ch2, sh2 = math.cosh(s2), math.sinh(s2)
+    ch3, sh3 = math.cosh(s3), math.sinh(s3)
+
+    def cosh_bd(phi: float) -> float:
+        return max(1.0, ch1 * chd - sh1 * shd * math.cos(phi))
+
     def bd_of_phi(phi: float) -> float:
-        x = math.cosh(s1) * math.cosh(diag) - math.sinh(s1) * math.sinh(diag) * math.cos(phi)
-        return math.acosh(max(1.0, x))
+        return math.acosh(cosh_bd(phi))
+
+    def cyclic_gap(phi: float) -> float:
+        """(A + C) - (B + D) for the quadrilateral a b c d at angle phi = A.
+
+        B, C and D by the law of cosines in triangles ABD and BCD, written
+        in the precomputed cosh and sinh of the sides: only the sign of the
+        gap steers the bisection, and its root is where the area peaks, so
+        an error in the angles costs area only to second order.
+        """
+        x = cosh_bd(phi)
+        sh_bd = math.sqrt((x - 1.0) * (x + 1.0))
+        angle_b = _clamped_acos((ch1 * x - chd) / (sh1 * sh_bd)) + _clamped_acos(
+            (ch2 * x - ch3) / (sh2 * sh_bd)
+        )
+        angle_c = _clamped_acos((ch2 * ch3 - x) / (sh2 * sh3))
+        angle_d = _clamped_acos((chd * x - ch1) / (shd * sh_bd)) + _clamped_acos(
+            (ch3 * x - ch2) / (sh3 * sh_bd)
+        )
+        return (phi + angle_c) - (angle_b + angle_d)
 
     # Feasible range of the cross diagonal |BD|: both triangles must exist.
     bd_lo = max(abs(s2 - s3), abs(diag - s1))
@@ -244,28 +269,31 @@ def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     margin = _SIDE_MARGIN * (bd_hi - bd_lo)
 
     def phi_of_bd(bd: float) -> float:
-        num = math.cosh(s1) * math.cosh(diag) - math.cosh(bd)
-        den = math.sinh(s1) * math.sinh(diag)
-        return math.acos(min(1.0, max(-1.0, num / den)))
+        return _clamped_acos((ch1 * chd - math.cosh(bd)) / (sh1 * shd))
 
     phi_lo = phi_of_bd(bd_lo + margin)
     phi_hi = phi_of_bd(bd_hi - margin)
     if phi_hi - phi_lo <= 1e-12:
         return MoveResult(poly, 0.0, False)
-    old = quad_area(hyp_distance(b_, d))
-    res = optimize.minimize_scalar(
-        lambda phi: -quad_area(bd_of_phi(phi)),
-        bounds=(phi_lo, phi_hi),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    gain = -float(res.fun) - old
+    gap_lo = cyclic_gap(phi_lo)
+    if (gap_lo > 0.0) == (cyclic_gap(phi_hi) > 0.0):
+        # no concyclic position inside the range: the best one is an endpoint
+        phi_star = max(phi_lo, phi_hi, key=lambda phi: quad_area(bd_of_phi(phi)))
+    else:
+        lo, hi = phi_lo, phi_hi
+        while hi - lo > _PHI_TOL:
+            mid = 0.5 * (lo + hi)
+            if (cyclic_gap(mid) > 0.0) == (gap_lo > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        phi_star = 0.5 * (lo + hi)
+    bd_new = bd_of_phi(phi_star)
+    gain = quad_area(bd_new) - quad_area(hyp_distance(b_, d))
     if gain <= ACCEPT_TOL:
         return MoveResult(poly, 0.0, False)
-    phi_star = float(res.x)
     side_b = _side_sign(a, d, b_)
     b_new = step_from(a, direction_toward(a, d) + side_b * phi_star, s1)
-    bd_new = bd_of_phi(phi_star)
     theta_b = angle_from_sides(s3, s2, bd_new)
     side_c = _side_sign(b_, d, c_)
     c_new = step_from(b_new, direction_toward(b_new, d) + side_c * theta_b, s2)
@@ -363,35 +391,37 @@ class CircumcircleFit:
 
 
 def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
-    """Best-fit hyperbolic circumcircle, minimizing the vertex-radius spread.
+    """Best-fit hyperbolic circumcircle and the spread of the vertex radii.
 
-    Coarse grid around the Euclidean vertex centroid, then Nelder-Mead.
+    Hyperbolic circles are the Euclidean circles inside the disk, so a
+    Euclidean circle is fitted to the vertices by linear least squares:
+    relative to the vertex mean, |v|^2 = 2 k.v + const is linear in the
+    center offset k. The hyperbolic center lies on the ray from the origin
+    through the Euclidean center, at the hyperbolic midpoint of the two
+    points where that ray meets the circle. Radius and spread are the middle
+    and the range of the vertex distances from that center.
     """
-
-    def spread_at(x: float, y: float) -> float:
-        if x * x + y * y >= 1.0:
-            return math.inf
-        c = DiskPoint(x, y)
-        radii = [hyp_distance(c, v) for v in poly.vertices]
-        return max(radii) - min(radii)
-
-    cx = sum(v.x for v in poly.vertices) / poly.n
-    cy = sum(v.y for v in poly.vertices) / poly.n
-    best = (cx, cy)
-    best_val = spread_at(cx, cy)
-    half = 0.2 * (1.0 - math.hypot(cx, cy))
-    for gx in np.linspace(cx - half, cx + half, 9):
-        for gy in np.linspace(cy - half, cy + half, 9):
-            val = spread_at(gx, gy)
-            if val < best_val:
-                best, best_val = (gx, gy), val
-    res = optimize.minimize(
-        lambda u: spread_at(u[0], u[1]),
-        x0=np.array(best),
-        method="Nelder-Mead",
-        options={"xatol": 1e-14, "fatol": 1e-15, "maxiter": 20000, "maxfev": 20000},
-    )
-    center = DiskPoint(float(res.x[0]), float(res.x[1]))
+    n = poly.n
+    mx = sum(v.x for v in poly.vertices) / n
+    my = sum(v.y for v in poly.vertices) / n
+    us = [v.x - mx for v in poly.vertices]
+    vs = [v.y - my for v in poly.vertices]
+    ws = [u * u + v * v for u, v in zip(us, vs)]
+    suu = sum(u * u for u in us)
+    svv = sum(v * v for v in vs)
+    suv = sum(u * v for u, v in zip(us, vs))
+    suw = sum(u * w for u, w in zip(us, ws))
+    svw = sum(v * w for v, w in zip(vs, ws))
+    det = suu * svv - suv * suv
+    kx = 0.5 * (suw * svv - svw * suv) / det
+    ky = 0.5 * (svw * suu - suw * suv) / det
+    cx, cy = mx + kx, my + ky
+    r = math.sqrt(sum(ws) / n + kx * kx + ky * ky)
+    dist = math.hypot(cx, cy)
+    if dist + r >= 1.0:
+        raise DomainError("the vertices' best-fit circle is not inside the disk")
+    h = math.atanh(dist - r) + math.atanh(dist + r)
+    center = point_from_polar(h, math.atan2(cy, cx))
     radii = [hyp_distance(center, v) for v in poly.vertices]
     return CircumcircleFit(
         center=center,
@@ -423,20 +453,27 @@ class RegularPolygonStats:
 def regular_polygon(spec: RegularPolygonSpec) -> RegularPolygonStats:
     """Side, interior angle, perimeter and area of the regular n-gon.
 
-    All derived from the central isoceles triangle with legs R and apex angle
-    2 pi / n; the polygon area is n times that triangle's defect.
+    The apothem cuts the central isosceles triangle (legs R, apex 2 pi / n)
+    into two right triangles, so sinh(side / 2) = sinh(R) sin(pi / n) and the
+    base angle beta satisfies cot(beta) = cosh(R) tan(pi / n). The polygon
+    area is n times the central triangle's area, from the half-angle formula
+    tan(area / 2) = u sin(apex) / ((1 - u) + 2 u sin^2(apex / 2)) with
+    u = tanh^2(R / 2); scaled by cosh^2(R / 2) it reads
+    tan(area / 2) = h sin(apex) / (1 + 2 h sin^2(apex / 2)), h = sinh^2(R / 2).
+    No term cancels, so the area keeps its relative accuracy for any n.
     """
     n, R = spec.n, spec.circumradius
-    apex = 2.0 * math.pi / n
-    cosh_side = math.cosh(R) ** 2 - math.sinh(R) ** 2 * math.cos(apex)
-    side = math.acosh(cosh_side)
-    base_angle = angle_from_sides(R, R, side)
-    interior = 2.0 * base_angle
+    sin_half, cos_half = math.sin(math.pi / n), math.cos(math.pi / n)
+    h = math.sinh(0.5 * R) ** 2
+    side = 2.0 * math.asinh(math.sinh(R) * sin_half)
+    central_area = 2.0 * math.atan2(
+        2.0 * h * sin_half * cos_half, 1.0 + 2.0 * h * sin_half * sin_half
+    )
     return RegularPolygonStats(
         side=side,
-        interior_angle=interior,
+        interior_angle=2.0 * math.atan2(cos_half, math.cosh(R) * sin_half),
         perimeter=n * side,
-        area=n * (math.pi - apex - interior),
+        area=n * central_area,
     )
 
 
@@ -450,24 +487,19 @@ def regular_polygon_vertices(spec: RegularPolygonSpec) -> HyperbolicPolygon:
 
 
 def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygonSpec:
-    """Circumradius of the regular n-gon with the given perimeter (root find)."""
+    """Circumradius of the regular n-gon with the given perimeter.
+
+    Inverts sinh(side / 2) = sinh(R) sin(pi / n) in closed form:
+    R = asinh(sinh(perimeter / 2n) / sin(pi / n)).
+    """
     if perimeter <= 0.0:
         raise DomainError("perimeter must be positive")
-    target = perimeter / n
-
-    def f(R: float) -> float:
-        apex = 2.0 * math.pi / n
-        return math.acosh(
-            math.cosh(R) ** 2 - math.sinh(R) ** 2 * math.cos(apex)
-        ) - target
-
-    lo, hi = 1e-12, 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > D_MAX / 2:
-            raise DomainError("perimeter outside the representable range")
-    R = optimize.brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return RegularPolygonSpec(n=n, circumradius=float(R))
+    half_side = perimeter / (2 * n)
+    # R >= side / 2, so this refuses every out-of-range case before sinh overflows
+    if not half_side <= D_MAX / 2:
+        raise DomainError("perimeter outside the representable range")
+    R = math.asinh(math.sinh(half_side) / math.sin(math.pi / n))
+    return RegularPolygonSpec(n=n, circumradius=R)
 
 
 def circle_geometry(r: float) -> tuple[float, float]:
@@ -498,6 +530,8 @@ def random_convex_polygon(n: int, seed: int, max_attempts: int = 1000) -> Hyperb
     """
     if n < 3:
         raise DomainError("need n >= 3")
+    import numpy as np  # only the generator needs numpy; importing it is slow
+
     rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         radius = rng.uniform(0.5, 1.5)

@@ -235,7 +235,9 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     nb = B.norm()
     if nb <= 1e-12:
         raise DegenerateInputError("B at the center: the line AB is undefined")
-    if abs(abs(B.z - omega.center) - omega.radius) > 1e-9:
+    # rounding in |B - center| grows like eps * radius, and omega's radius
+    # grows without bound as B nears the center or BC nears a diameter
+    if abs(abs(B.z - omega.center) - omega.radius) > 1e-9 * max(1.0, omega.radius):
         raise DomainError("B does not lie on the given circle")
     direction = B.z / nb
     m = (direction.conjugate() * omega.center).real

@@ -156,6 +156,48 @@ class TestVerifyCommand:
         assert "FAIL area-equivalence" in res.stdout
 
 
+class TestImportBudget:
+    """The CLI loads numpy only where a command needs it, and never scipy."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+import hyplobe, hyplobe.cli
+def heavy():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+loaded = [heavy()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = hyplobe.cli.main(argv)
+    assert code == 0, (argv, code)
+    loaded.append(heavy())
+print(json.dumps(loaded))
+"""
+
+    def modules_loaded(self, *argvs):
+        res = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout)
+
+    def test_triangle_and_isoperimetric_load_neither(self):
+        loaded = self.modules_loaded(
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
+            ["isoperimetric", "--perimeter", "7.0"],
+        )
+        assert loaded == [[], [], [], []]  # after the imports, then each command
+
+    def test_no_command_loads_scipy(self, tmp_path):
+        loaded = self.modules_loaded(
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
+            ["optimize", "--b", "1.0", "--c", "1.5"],
+            ["verify", "--samples", "10", "--seed", "0"],
+        )
+        assert all("scipy" not in mods for mods in loaded)
+
+
 class TestTopLevel:
     def test_version(self):
         res = run_cli("--version")

@@ -25,8 +25,9 @@ from hyplobe import (
     steiner_move,
     steiner_optimize,
 )
-from hyplobe.disk import DiskIsometry
-from hyplobe.polygon import circle_radius_for_circumference
+from hyplobe import oracle
+from hyplobe.disk import ORIGIN, DiskIsometry, angle_at_vertex, hyp_distance
+from hyplobe.polygon import _diagonal_move, _hinge_move, circle_radius_for_circumference
 
 
 class TestPolygonConstruction:
@@ -129,6 +130,44 @@ class TestSteinerMove:
                     assert gained > 0.0
                     assert gained == pytest.approx(mv.delta_area, abs=1e-10)
 
+    def test_hinge_move_matches_grid_argmax(self):
+        # the closed form p = q = s / 2 against a 10^5-point grid over p
+        accepted = 0
+        for seed in range(10):
+            poly = random_convex_polygon(6, seed)
+            for i in range(poly.n):
+                f1, f2 = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
+                s = poly.side_lengths[i - 1] + poly.side_lengths[i]
+                grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
+                mv = _hinge_move(poly, i)
+                if not mv.accepted:
+                    continue
+                accepted += 1
+                p_new = mv.polygon.side_lengths[i - 1]
+                assert abs(p_new - grid.arg_hat) <= grid.grid_step
+        assert accepted >= 30
+
+    def test_diagonal_move_reaches_grid_maximum(self):
+        # the bisected concyclic position against a 10^5-point grid over the
+        # angle at V_{i-1}, both scored with the oracle's quadrilateral area
+        accepted = 0
+        for seed in range(10):
+            poly = random_convex_polygon(6, seed)
+            n = poly.n
+            for i in range(n):
+                a, d = poly.vertices[i - 1], poly.vertices[(i + 2) % n]
+                s1, s2, s3 = (poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
+                diag = hyp_distance(a, d)
+                mv = _diagonal_move(poly, i)
+                if not mv.accepted:
+                    continue
+                accepted += 1
+                phi = angle_at_vertex(a, d, mv.polygon.vertices[i])
+                grid = oracle.grid_search_quadrilateral(s1, s2, s3, diag, 100_000)
+                area = float(oracle.quadrilateral_area(s1, s2, s3, diag, phi))
+                assert area >= grid.area_hat - 1e-13
+        assert accepted >= 30
+
     def test_regular_polygon_is_fixed_point(self):
         poly = regular_polygon_vertices(RegularPolygonSpec(8, 0.9))
         for i in range(poly.n):
@@ -191,6 +230,34 @@ class TestCircumcircleFit:
         assert fit.radius == pytest.approx(1.1, abs=1e-8)
         assert fit.center.norm() < 1e-7
 
+    def test_exact_on_moved_regular_polygon(self):
+        rng = np.random.default_rng(17)
+        for n, R in ((5, 0.4), (7, 1.1), (12, 2.0)):
+            for _ in range(5):
+                r = 0.6 * math.sqrt(rng.uniform())
+                t = rng.uniform(0.0, 2 * math.pi)
+                m = DiskIsometry(
+                    DiskPoint(r * math.cos(t), r * math.sin(t)),
+                    rng.uniform(0.0, 2 * math.pi),
+                )
+                poly = regular_polygon_vertices(RegularPolygonSpec(n, R))
+                fit = circumcircle_fit(
+                    HyperbolicPolygon.from_vertices([m(v) for v in poly.vertices])
+                )
+                center = m(ORIGIN)
+                assert abs(fit.center.z - center.z) < 1e-12
+                assert fit.radius == pytest.approx(R, abs=1e-12)
+                assert fit.spread < 1e-12
+
+    def test_refuses_circle_outside_disk(self):
+        # a hyperbolic triangle near the boundary with no circumcircle: its
+        # Euclidean circumcircle has center (0, -3.03) and radius 3.08
+        thin = HyperbolicPolygon.from_vertices(
+            [DiskPoint(-0.95, -0.1), DiskPoint(0.95, -0.1), DiskPoint(0.0, 0.05)]
+        )
+        with pytest.raises(DomainError):
+            circumcircle_fit(thin)
+
     def test_positive_spread_off_circle(self):
         poly = random_convex_polygon(6, 5)
         assert circumcircle_fit(poly).spread > 1e-4
@@ -214,6 +281,46 @@ class TestRegularPolygons:
             spec = regular_polygon_for_perimeter(n, 5.0)
             assert regular_polygon(spec).perimeter == pytest.approx(5.0, abs=1e-12)
 
+    def test_perimeter_matches_high_precision_root(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for n in (3, 4, 7, 8, 96, 1000):
+                for perimeter in (1e-3, 0.5, 5.0, 30.0):
+                    R = regular_polygon_for_perimeter(n, perimeter).circumradius
+                    apex = 2 * mpmath.pi / n
+
+                    def excess(x):
+                        side = mpmath.acosh(
+                            mpmath.cosh(x) ** 2 - mpmath.sinh(x) ** 2 * mpmath.cos(apex)
+                        )
+                        return n * side - perimeter
+
+                    ref = mpmath.findroot(excess, mpmath.mpf(R))
+                    assert abs(R - ref) <= 1e-15 * ref
+
+    def test_matches_high_precision_reference(self):
+        # side and base angle by the law of cosines at 50 digits, area as
+        # (n - 2) pi minus the interior angles; the 1e5-gon has an apex angle
+        # far below ALPHA_EPS
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for R in (1e-3, 0.3, 1.0, 4.0, 10.0):
+                mR = mpmath.mpf(R)
+                for n in [*range(3, 97), 10**3, 10**5]:
+                    stats = regular_polygon(RegularPolygonSpec(n, R))
+                    side = mpmath.acosh(
+                        mpmath.cosh(mR) ** 2
+                        - mpmath.sinh(mR) ** 2 * mpmath.cos(2 * mpmath.pi / n)
+                    )
+                    base = mpmath.acos(
+                        (mpmath.cosh(mR) * mpmath.cosh(side) - mpmath.cosh(mR))
+                        / (mpmath.sinh(mR) * mpmath.sinh(side))
+                    )
+                    area = (n - 2) * mpmath.pi - 2 * n * base
+                    assert abs(stats.area - area) <= 1e-14 * area
+                    assert abs(stats.side - side) <= 1e-14 * side
+                    assert abs(stats.interior_angle - 2 * base) <= 1e-14
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             RegularPolygonSpec(2, 1.0)
@@ -221,6 +328,9 @@ class TestRegularPolygons:
             RegularPolygonSpec(5, 11.0)
         with pytest.raises(DomainError):
             regular_polygon_for_perimeter(4, -1.0)
+        for perimeter in (61.0, 1e9, math.inf):
+            with pytest.raises(DomainError):
+                regular_polygon_for_perimeter(3, perimeter)
 
 
 class TestIsoperimetry:

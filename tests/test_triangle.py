@@ -211,15 +211,23 @@ class TestConstruction:
     def test_b_prime_near_center_matches_high_precision_reference(self):
         # B close to the center puts omega's center about 1 / (2|B|) out,
         # where its power with respect to the center cancels; B' must still
-        # be the inversion of B, and tau the angle at coth(c/2) from 50 digits
+        # be the inversion of B, and tau the angle at coth(c/2) from 50 digits.
+        # The last three have omega radii of 1e8, 2e7 and 1.7e7, where
+        # rounding alone moves |B - center| by more than 1e-9.
         mpmath = pytest.importorskip("mpmath")
         cases = [(1.0, 1e-6, alpha) for alpha in np.linspace(0.1, 3.0, 12)]
         cases += [(3e-6, 3e-6, math.pi - 1e-3), (1.76e-6, 18.8, 1.570795)]
+        cases += [
+            (1.0, 1e-8, 1.5),
+            (1.0, 1e-6, math.pi - 0.05),
+            (0.1415081408154316, 3.903265774395751e-06, 3.126439646976721),
+        ]
         with mpmath.workdps(50):
             for b, c, alpha in cases:
                 fig = build_figure1(b, c, float(alpha))
                 nb = fig.B.norm()
                 assert nb * math.hypot(*fig.b_prime) == pytest.approx(1.0, rel=1e-14)
+                assert 2.0 * fig.tau == pytest.approx(solve_sas(b, c, alpha).area, rel=1e-14)
                 bp = mpmath.coth(mpmath.mpf(c) / 2)
                 C = mpmath.tanh(mpmath.mpf(b) / 2) * mpmath.expj(mpmath.mpf(float(alpha)))
                 tau = abs(mpmath.arg((C - bp) / -bp))
