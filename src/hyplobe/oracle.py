@@ -19,7 +19,7 @@ from .triangle import ALPHA_EPS
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    alpha_hat: float
+    alpha_hat: float  # the argmax: apex angle, hinge side t or diagonal angle phi
     area_hat: float
     grid_step: float
     samples: int
@@ -74,16 +74,14 @@ def count_local_maxima(b: float, c: float, samples: int) -> int:
     return int(np.sum((interior > areas[:-2]) & (interior > areas[2:])))
 
 
-@dataclass(frozen=True)
-class GridArgmax:
-    arg_hat: float
-    area_hat: float
-    grid_step: float
-
-
-def _grid_argmax(args: np.ndarray, areas: np.ndarray) -> GridArgmax:
+def _grid_argmax(args: np.ndarray, areas: np.ndarray) -> GridSearchResult:
     k = int(np.argmax(areas))
-    return GridArgmax(float(args[k]), float(areas[k]), float(args[1] - args[0]))
+    return GridSearchResult(
+        alpha_hat=float(args[k]),
+        area_hat=float(areas[k]),
+        grid_step=float(args[1] - args[0]),
+        samples=len(args),
+    )
 
 
 def _defect_from_sides(a, b, c):
@@ -100,7 +98,7 @@ def _defect_from_sides(a, b, c):
     return math.pi - (angle(a, b, c) + angle(b, c, a) + angle(c, a, b))
 
 
-def grid_search_hinge(s: float, base: float, samples: int) -> GridArgmax:
+def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
     """Argmax over t of the area of the triangle with sides t, s - t and base.
 
     The grid spans the open interval allowed by the triangle inequality; it
@@ -125,7 +123,7 @@ def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
 
 def grid_search_quadrilateral(
     s1: float, s2: float, s3: float, diag: float, samples: int
-) -> GridArgmax:
+) -> GridSearchResult:
     """Argmax of quadrilateral_area over phi in (0, pi).
 
     Witnesses the polygon diagonal move, which solves for the concyclic

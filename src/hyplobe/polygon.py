@@ -42,7 +42,13 @@ from .disk import (
     step_from,
 )
 from .errors import DomainError, NonConvexError, SolverError
-from .triangle import TriangleSolution, _clamped_acos, angle_from_sides
+from .triangle import (
+    TriangleSolution,
+    _acosh1p,
+    _angle_from_coshm1,
+    _coshm1,
+    angle_from_sides,
+)
 
 # Minimum area gain for a move to be accepted; below this the improvement is
 # indistinguishable from angle-measurement noise.
@@ -231,33 +237,41 @@ def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     def quad_area(bd: float) -> float:
         return _defect_from_sides(s1, diag, bd) + _defect_from_sides(s2, s3, bd)
 
-    ch1, sh1 = math.cosh(s1), math.sinh(s1)
-    chd, shd = math.cosh(diag), math.sinh(diag)
-    ch2, sh2 = math.cosh(s2), math.sinh(s2)
-    ch3, sh3 = math.cosh(s3), math.sinh(s3)
+    # The law of cosines at A without cancellation:
+    # cosh|BD| - 1 = (cosh(s1 - diag) - 1) + 2 sinh(s1) sinh(diag) sin^2(phi / 2).
+    # |BD| then stays positive over the whole range below, also where its
+    # lower end is near 0 (every vertex of a near-regular 4-gon, whose
+    # diagonal V_{i-1} V_{i+2} is a side), so every angle below is defined.
+    m_fold = _coshm1(s1 - diag)
+    k = 2.0 * math.sinh(s1) * math.sinh(diag)
 
-    def cosh_bd(phi: float) -> float:
-        return max(1.0, ch1 * chd - sh1 * shd * math.cos(phi))
+    def bd_coshm1(phi: float) -> float:
+        return m_fold + k * math.sin(0.5 * phi) ** 2
 
     def bd_of_phi(phi: float) -> float:
-        return math.acosh(cosh_bd(phi))
+        return _acosh1p(bd_coshm1(phi))
+
+    def phi_of_bd(bd: float) -> float:
+        sin2 = (_coshm1(bd) - m_fold) / k
+        return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, sin2))))
+
+    m1, m2, m3, md = (_coshm1(x) for x in (s1, s2, s3, diag))
+    sh1, sh2, sh3, shd = (math.sinh(x) for x in (s1, s2, s3, diag))
 
     def cyclic_gap(phi: float) -> float:
         """(A + C) - (B + D) for the quadrilateral a b c d at angle phi = A.
 
-        B, C and D by the law of cosines in triangles ABD and BCD, written
-        in the precomputed cosh and sinh of the sides: only the sign of the
-        gap steers the bisection, and its root is where the area peaks, so
-        an error in the angles costs area only to second order.
+        The angles of triangles ABD and BCD come from the cosh - 1 and sinh
+        of their sides; those of the fixed sides are computed once per move.
         """
-        x = cosh_bd(phi)
-        sh_bd = math.sqrt((x - 1.0) * (x + 1.0))
-        angle_b = _clamped_acos((ch1 * x - chd) / (sh1 * sh_bd)) + _clamped_acos(
-            (ch2 * x - ch3) / (sh2 * sh_bd)
+        m = bd_coshm1(phi)
+        sh = math.sqrt(m * (m + 2.0))
+        angle_b = _angle_from_coshm1(md, m1, m, sh1 * sh) + _angle_from_coshm1(
+            m3, m2, m, sh2 * sh
         )
-        angle_c = _clamped_acos((ch2 * ch3 - x) / (sh2 * sh3))
-        angle_d = _clamped_acos((chd * x - ch1) / (shd * sh_bd)) + _clamped_acos(
-            (ch3 * x - ch2) / (sh3 * sh_bd)
+        angle_c = _angle_from_coshm1(m, m2, m3, sh2 * sh3)
+        angle_d = _angle_from_coshm1(m1, md, m, shd * sh) + _angle_from_coshm1(
+            m2, m3, m, sh3 * sh
         )
         return (phi + angle_c) - (angle_b + angle_d)
 
@@ -267,9 +281,6 @@ def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     if bd_hi - bd_lo <= 4.0 * _SIDE_MARGIN:
         return MoveResult(poly, 0.0, False)
     margin = _SIDE_MARGIN * (bd_hi - bd_lo)
-
-    def phi_of_bd(bd: float) -> float:
-        return _clamped_acos((ch1 * chd - math.cosh(bd)) / (sh1 * shd))
 
     phi_lo = phi_of_bd(bd_lo + margin)
     phi_hi = phi_of_bd(bd_hi - margin)
@@ -398,8 +409,9 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     relative to the vertex mean, |v|^2 = 2 k.v + const is linear in the
     center offset k. The hyperbolic center lies on the ray from the origin
     through the Euclidean center, at the hyperbolic midpoint of the two
-    points where that ray meets the circle. Radius and spread are the middle
-    and the range of the vertex distances from that center.
+    points where that ray meets the circle. If the fitted circle leaves the
+    disk, the vertex mean is the center instead. Radius and spread are the
+    middle and the range of the vertex distances from the center.
     """
     n = poly.n
     mx = sum(v.x for v in poly.vertices) / n
@@ -418,10 +430,13 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     cx, cy = mx + kx, my + ky
     r = math.sqrt(sum(ws) / n + kx * kx + ky * ky)
     dist = math.hypot(cx, cy)
-    if dist + r >= 1.0:
-        raise DomainError("the vertices' best-fit circle is not inside the disk")
-    h = math.atanh(dist - r) + math.atanh(dist + r)
-    center = point_from_polar(h, math.atan2(cy, cx))
+    if dist + r < 1.0:
+        h = math.atanh(dist - r) + math.atanh(dist + r)
+        center = point_from_polar(h, math.atan2(cy, cx))
+    else:
+        # no hyperbolic circle fits (the vertices lie nearer a horocycle or a
+        # hypercycle); any center bounds the spread from above
+        center = DiskPoint(mx, my)
     radii = [hyp_distance(center, v) for v in poly.vertices]
     return CircumcircleFit(
         center=center,

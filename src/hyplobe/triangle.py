@@ -129,12 +129,16 @@ def angle_from_sides(opposite: float, s1: float, s2: float) -> float:
     The numerator cosh(s1) cosh(s2) - cosh(opposite) is expanded in
     cosh - 1 terms so tiny triangles keep relative accuracy.
     """
-    m0 = _coshm1(opposite)
-    m1 = _coshm1(s1)
-    m2 = _coshm1(s2)
-    num = m1 + m2 - m0 + m1 * m2
-    den = math.sinh(s1) * math.sinh(s2)
-    return _clamped_acos(num / den)
+    return _angle_from_coshm1(
+        _coshm1(opposite), _coshm1(s1), _coshm1(s2), math.sinh(s1) * math.sinh(s2)
+    )
+
+
+def _angle_from_coshm1(m0: float, m1: float, m2: float, sinh_product: float) -> float:
+    """angle_from_sides on precomputed cosh - 1 of the sides (m0 opposite)
+    and sinh(s1) sinh(s2), for callers that reuse them across many angles.
+    """
+    return _clamped_acos((m1 + m2 - m0 + m1 * m2) / sinh_product)
 
 
 def _tanh_half_product(b: float, c: float) -> tuple[float, float]:

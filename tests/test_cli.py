@@ -115,6 +115,17 @@ class TestSteinerCommand:
             outputs.append((trace.read_bytes(), res.stdout))
         assert outputs[0] == outputs[1]
 
+    def test_unconverged_run_exit_3(self, tmp_path):
+        # seed 72 draws a triangle with no hyperbolic circumcircle; stopped
+        # before any sweep it is still reported, as unconverged
+        out = tmp_path / "report.json"
+        res = run_cli("steiner", "--n", "3", "--seed", "72", "--max-sweeps", "0",
+                      "--trace-csv", str(tmp_path / "t.csv"), "--output", str(out))
+        assert res.returncode == 3
+        report = json.loads(out.read_text())
+        assert report["converged"] is False
+        assert report["concyclicity_spread"] > 0.0
+
     def test_bad_input_exit_2(self, tmp_path):
         res = run_cli("steiner", "--n", "2", "--seed", "0",
                       "--trace-csv", str(tmp_path / "t.csv"))

@@ -26,7 +26,13 @@ from hyplobe import (
     steiner_optimize,
 )
 from hyplobe import oracle
-from hyplobe.disk import ORIGIN, DiskIsometry, angle_at_vertex, hyp_distance
+from hyplobe.disk import (
+    ORIGIN,
+    DiskIsometry,
+    angle_at_vertex,
+    hyp_distance,
+    point_from_polar,
+)
 from hyplobe.polygon import _diagonal_move, _hinge_move, circle_radius_for_circumference
 
 
@@ -144,7 +150,7 @@ class TestSteinerMove:
                     continue
                 accepted += 1
                 p_new = mv.polygon.side_lengths[i - 1]
-                assert abs(p_new - grid.arg_hat) <= grid.grid_step
+                assert abs(p_new - grid.alpha_hat) <= grid.grid_step
         assert accepted >= 30
 
     def test_diagonal_move_reaches_grid_maximum(self):
@@ -174,6 +180,16 @@ class TestSteinerMove:
             mv = steiner_move(poly, i)
             assert not mv.accepted
             assert mv.polygon is poly
+
+    def test_regular_quadrilateral_is_fixed_point(self):
+        # the diagonal V_{i-1} V_{i+2} of a 4-gon is a side, so the cross
+        # diagonal's feasible range starts at about 0
+        for R in (1e-3, 0.1, 0.5, 1.0, 2.0, 3.0):
+            poly = regular_polygon_vertices(RegularPolygonSpec(4, R))
+            for i in range(poly.n):
+                mv = steiner_move(poly, i)
+                assert not mv.accepted
+                assert mv.polygon is poly
 
 
 class TestSteinerOptimize:
@@ -215,6 +231,30 @@ class TestSteinerOptimize:
         with pytest.raises(DomainError):
             steiner_optimize(poly, tol=0.0)
 
+    def test_quadrilaterals_converge(self):
+        for seed in range(5):
+            poly = random_convex_polygon(4, seed)
+            perim = polygon_perimeter(poly)
+            result = steiner_optimize(poly, tol=1e-8)
+            assert result.converged
+            ref = regular_polygon(regular_polygon_for_perimeter(4, perim))
+            assert polygon_area(result.polygon) == pytest.approx(ref.area, abs=1e-9)
+
+    def test_polygon_without_circumcircle_is_reported(self):
+        # the least-squares circle through this triangle leaves the disk
+        # (dist + r ~ 1.06); a run cut short reports it as unconverged
+        tri = HyperbolicPolygon.from_vertices(
+            [
+                point_from_polar(1.725, 0.0),
+                point_from_polar(1.275, math.pi / 6),
+                point_from_polar(1.725, math.pi),
+            ]
+        )
+        result = steiner_optimize(tri, tol=1e-8, max_sweeps=0)
+        assert not result.converged
+        assert 0.1 < result.spread < math.inf
+        assert steiner_optimize(tri, tol=1e-8).converged
+
     def test_deterministic(self):
         r1 = steiner_optimize(random_convex_polygon(6, 7), tol=1e-8)
         r2 = steiner_optimize(random_convex_polygon(6, 7), tol=1e-8)
@@ -249,14 +289,17 @@ class TestCircumcircleFit:
                 assert fit.radius == pytest.approx(R, abs=1e-12)
                 assert fit.spread < 1e-12
 
-    def test_refuses_circle_outside_disk(self):
+    def test_falls_back_to_vertex_mean_outside_disk(self):
         # a hyperbolic triangle near the boundary with no circumcircle: its
         # Euclidean circumcircle has center (0, -3.03) and radius 3.08
         thin = HyperbolicPolygon.from_vertices(
             [DiskPoint(-0.95, -0.1), DiskPoint(0.95, -0.1), DiskPoint(0.0, 0.05)]
         )
-        with pytest.raises(DomainError):
-            circumcircle_fit(thin)
+        fit = circumcircle_fit(thin)
+        assert abs(fit.center.z - complex(0.0, -0.05)) < 1e-15
+        radii = [hyp_distance(fit.center, v) for v in thin.vertices]
+        assert fit.spread == max(radii) - min(radii)
+        assert fit.radius == pytest.approx(0.5 * (max(radii) + min(radii)), abs=1e-15)
 
     def test_positive_spread_off_circle(self):
         poly = random_convex_polygon(6, 5)
