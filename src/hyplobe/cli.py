@@ -155,6 +155,7 @@ def cmd_steiner(args) -> int:
         "sweeps": result.sweeps,
         "converged": result.converged,
         "moves_accepted": len(result.trace),
+        "moves_rejected": result.moves_rejected,
         "initial": {
             "area": area0,
             "perimeter": perim0,

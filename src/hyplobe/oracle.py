@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskPoint, geodesic_through, hyp_distance
+from .disk import DiskPoint, geodesic_through
 from .errors import DomainError
 from .triangle import ALPHA_EPS
 
@@ -138,36 +138,35 @@ def grid_search_quadrilateral(
 def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> float:
     """Length of the geodesic arc p-q as a sum of short chordal distances.
 
-    Subdivides the arc (or diameter segment) into ``segments`` pieces and sums
-    hyp_distance over consecutive samples; converges to the distance from
-    below.
+    Places ``segments + 1`` evenly spaced samples on the arc (or diameter
+    segment) from p to q, in Euclidean arc length, and sums the hyperbolic
+    distances 2 artanh(|u - w| / |1 - conj(u) w|) of consecutive samples,
+    all at once in numpy. Every chord is shorter than its arc, so the sum
+    converges to the distance from below. Raises DomainError if a sample
+    leaves the open disk or a chord's length overflows, as DiskPoint and
+    hyp_distance would.
     """
     if segments < 10_000:
         raise DomainError("use at least 10^4 segments")
     if abs(p.z - q.z) < 1e-15:
         return 0.0
     g = geodesic_through(p, q)
+    k = np.arange(segments + 1)
     if g.is_diameter:
-        pts = [
-            DiskPoint(
-                p.x + (q.x - p.x) * k / segments,
-                p.y + (q.y - p.y) * k / segments,
-            )
-            for k in range(segments + 1)
-        ]
+        z = (p.x + (q.x - p.x) * k / segments) + 1j * (p.y + (q.y - p.y) * k / segments)
     else:
         c = g.circle
         a0 = math.atan2(p.y - c.cy, p.x - c.cx)
         a1 = math.atan2(q.y - c.cy, q.x - c.cx)
         sweep = math.remainder(a1 - a0, math.tau)  # the short way around
-        pts = [
-            DiskPoint(
-                c.cx + c.radius * math.cos(a0 + sweep * k / segments),
-                c.cy + c.radius * math.sin(a0 + sweep * k / segments),
-            )
-            for k in range(segments + 1)
-        ]
-    return sum(hyp_distance(pts[k], pts[k + 1]) for k in range(segments))
+        z = c.center + c.radius * np.exp(1j * (a0 + sweep * k / segments))
+    if not np.all(z.real * z.real + z.imag * z.imag < 1.0):
+        raise DomainError("a sample of the geodesic left the unit disk")
+    u, w = z[:-1], z[1:]
+    t = np.abs(u - w) / np.abs(1.0 - u.conj() * w)
+    if not np.all(t < 1.0):
+        raise DomainError("distance overflow: points too close to the boundary")
+    return float(np.sum(np.log1p(2.0 * t / (1.0 - t))))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,17 @@ inequality numerically. The per-vertex maximal-area residual
 |alpha - (beta + gamma)| of the hinge triangles is recorded in the trace as a
 diagnostic.
 
-Every step is a formula or a bracketed root: the hinge optimum is the
-isosceles triangle, the diagonal optimum is the root of the cyclic condition
-(equal opposite-angle sums), the circumcircle is a linear least-squares
-Euclidean circle, and regular polygons follow from the right triangles cut
-out by their apothems. Only the random polygon generator uses numpy, and it
-imports it on first call.
+Every step is a formula: the hinge optimum is the isosceles triangle; the
+diagonal optimum puts the four vertices on one circle, horocycle or
+hypercycle, where the half-sinhs sinh(dist / 2) of the sides and diagonals
+obey Ptolemy's relations as Euclidean chords do, so the cross diagonal has
+the closed form sinh^2(|BD| / 2) = (ab + cd)(ac + bd) / (ad + bc); the
+circumcircle is a linear least-squares Euclidean circle; and regular polygons
+follow from the right triangles cut out by their apothems. A move is planned
+for both kinds and only the better one is built; building it measures again
+only the sides and angles next to the moved vertices and checks convexity
+only where a vertex moved. Only the random polygon generator uses numpy, and
+it imports it on first call.
 """
 
 from __future__ import annotations
@@ -42,13 +47,7 @@ from .disk import (
     step_from,
 )
 from .errors import DomainError, NonConvexError, SolverError
-from .triangle import (
-    TriangleSolution,
-    _acosh1p,
-    _angle_from_coshm1,
-    _coshm1,
-    angle_from_sides,
-)
+from .triangle import TriangleSolution, angle_from_sides
 
 # Minimum area gain for a move to be accepted; below this the improvement is
 # indistinguishable from angle-measurement noise.
@@ -59,9 +58,6 @@ ACCEPT_TOL = 1e-14
 SPREAD_FLOOR = 1e-6
 
 _SIDE_MARGIN = 1e-9
-
-# Bisection width for the diagonal move's angle.
-_PHI_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -79,34 +75,71 @@ class HyperbolicPolygon:
     @classmethod
     def from_vertices(cls, vertices) -> "HyperbolicPolygon":
         vs = tuple(vertices)
-        n = len(vs)
-        if n < 3:
+        if len(vs) < 3:
             raise DomainError("a polygon needs at least three vertices")
-        shoelace = sum(
-            vs[i].x * vs[(i + 1) % n].y - vs[(i + 1) % n].x * vs[i].y
-            for i in range(n)
-        )
-        if shoelace <= 0.0:
-            raise NonConvexError("vertices must be in counterclockwise order")
+        return _measure(vs)
+
+
+def _measure(
+    vs: tuple[DiskPoint, ...],
+    parent: HyperbolicPolygon | None = None,
+    moved: frozenset[int] = frozenset(),
+) -> HyperbolicPolygon:
+    """Check and measure the polygon with vertices vs.
+
+    With a convex ``parent`` whose vertices differ from vs only at the indices
+    in ``moved``, the parent's sides and angles away from the moved vertices
+    are reused and convexity is checked only where a vertex moved; the result
+    is the same, bit for bit, as a full measurement of vs.
+    """
+    n = len(vs)
+    shoelace = sum(
+        vs[i].x * vs[(i + 1) % n].y - vs[(i + 1) % n].x * vs[i].y for i in range(n)
+    )
+    if shoelace <= 0.0:
+        raise NonConvexError("vertices must be in counterclockwise order")
+    if parent is None:
         _check_convex(vs)
-        sides = tuple(hyp_distance(vs[i], vs[(i + 1) % n]) for i in range(n))
-        angles = tuple(
-            angle_at_vertex(vs[i], vs[i - 1], vs[(i + 1) % n]) for i in range(n)
-        )
-        if sum(angles) >= (n - 2) * math.pi:
-            raise NonConvexError("angle sum too large for a hyperbolic polygon")
-        return cls(vs, sides, angles)
+        edges = vertices = range(n)
+        sides, angles = [0.0] * n, [0.0] * n
+    else:
+        _check_convex(vs, moved)
+        edges = {(k + d) % n for k in moved for d in (-1, 0)}
+        vertices = {(k + d) % n for k in moved for d in (-1, 0, 1)}
+        sides, angles = list(parent.side_lengths), list(parent.interior_angles)
+    for i in edges:
+        sides[i] = hyp_distance(vs[i], vs[(i + 1) % n])
+    for i in vertices:
+        angles[i] = angle_at_vertex(vs[i], vs[i - 1], vs[(i + 1) % n])
+    if sum(angles) >= (n - 2) * math.pi:
+        raise NonConvexError("angle sum too large for a hyperbolic polygon")
+    return HyperbolicPolygon(vs, tuple(sides), tuple(angles))
 
 
-def _check_convex(vs: tuple[DiskPoint, ...]) -> None:
-    """Every vertex must lie strictly on the inner side of every edge geodesic."""
+def _check_convex(
+    vs: tuple[DiskPoint, ...], moved: frozenset[int] | None = None
+) -> None:
+    """Every vertex must lie strictly on the inner side of every edge geodesic.
+
+    With ``moved``, vs is taken to differ from a convex polygon only at those
+    indices. An edge between two unmoved vertices is then checked only for
+    the moved vertices, against one unmoved reference vertex: the other
+    unmoved vertices lay on the reference's side before and still do. The
+    verdict is the full check's.
+    """
     n = len(vs)
     for i in range(n):
+        ends = (i, (i + 1) % n)
+        if moved is None or not moved.isdisjoint(ends):
+            probes = [j for j in range(n) if j not in ends]
+        else:
+            probes = sorted(moved)
+            ref = next((j % n for j in range(i + 2, i + n) if j % n not in moved), None)
+            if ref is not None:
+                probes.append(ref)
         g = geodesic_through(vs[i], vs[(i + 1) % n])
-        signs = []
-        for j in range(n):
-            if j == i or j == (i + 1) % n:
-                continue
+        signs = set()
+        for j in probes:
             p = vs[j]
             if g.is_diameter:
                 d = g.direction
@@ -116,8 +149,8 @@ def _check_convex(vs: tuple[DiskPoint, ...]) -> None:
                 s = (p.x - c.cx) ** 2 + (p.y - c.cy) ** 2 - c.radius**2
             if s == 0.0:
                 raise NonConvexError("vertex lies on the geodesic of another edge")
-            signs.append(s > 0.0)
-        if len(set(signs)) > 1:
+            signs.add(s > 0.0)
+        if len(signs) > 1:
             raise NonConvexError("polygon is not convex")
 
 
@@ -149,13 +182,14 @@ def local_triangle(poly: HyperbolicPolygon, i: int) -> TriangleSolution:
     )
 
 
+def _hinge_residual(poly: HyperbolicPolygon, i: int) -> float:
+    t = local_triangle(poly, i)
+    return abs(t.alpha - (t.beta + t.gamma))
+
+
 def max_optimality_residual(poly: HyperbolicPolygon) -> float:
     """max_i |alpha_i - (beta_i + gamma_i)| over the hinge triangles."""
-    worst = 0.0
-    for i in range(poly.n):
-        t = local_triangle(poly, i)
-        worst = max(worst, abs(t.alpha - (t.beta + t.gamma)))
-    return worst
+    return max(_hinge_residual(poly, i) for i in range(poly.n))
 
 
 def _defect_from_sides(a: float, b: float, c: float) -> float:
@@ -180,21 +214,41 @@ class MoveResult:
     polygon: HyperbolicPolygon
     delta_area: float
     accepted: bool
+    rejected: int = 0  # planned moves refused because the result was not convex
+
+
+# A planned move: its area gain and the new positions of the vertices it moves.
+_Plan = tuple[float, dict[int, DiskPoint]]
 
 
 def _replace_vertices(
     poly: HyperbolicPolygon, updates: dict[int, DiskPoint]
 ) -> HyperbolicPolygon | None:
+    """poly with the given vertices moved, or None if that is not a convex polygon."""
     vs = list(poly.vertices)
     for k, p in updates.items():
         vs[k] = p
     try:
-        return HyperbolicPolygon.from_vertices(vs)
+        return _measure(tuple(vs), poly, frozenset(updates))
     except DomainError:
         return None
 
 
-def _hinge_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
+def _apply_best(poly: HyperbolicPolygon, plans: list[_Plan | None]) -> MoveResult:
+    """Build the planned move with the largest gain, the earliest on ties.
+
+    If the result is not convex, the next planned move is built instead.
+    """
+    rejected = 0
+    for gain, updates in sorted((p for p in plans if p is not None), key=lambda p: -p[0]):
+        updated = _replace_vertices(poly, updates)
+        if updated is not None:
+            return MoveResult(updated, gain, True, rejected)
+        rejected += 1
+    return MoveResult(poly, 0.0, False, rejected)
+
+
+def _plan_hinge(poly: HyperbolicPolygon, i: int) -> _Plan | None:
     """Slide V_i along the locus p + q = const to maximize the hinge area."""
     n = poly.n
     f1, v, f2 = poly.vertices[i - 1], poly.vertices[i], poly.vertices[(i + 1) % n]
@@ -206,27 +260,50 @@ def _hinge_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     p_new = 0.5 * s
     gain = _defect_from_sides(p_new, p_new, chord) - _defect_from_sides(p, q, chord)
     if gain <= ACCEPT_TOL:
-        return MoveResult(poly, 0.0, False)
+        return None
     theta1 = angle_from_sides(p_new, p_new, chord)
     side = _side_sign(f1, f2, v)
-    v_new = step_from(f1, direction_toward(f1, f2) + side * theta1, p_new)
-    updated = _replace_vertices(poly, {i: v_new})
-    if updated is None:
-        return MoveResult(poly, 0.0, False)
-    return MoveResult(updated, gain, True)
+    return gain, {i: step_from(f1, direction_toward(f1, f2) + side * theta1, p_new)}
 
 
-def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
+def _hinge_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
+    return _apply_best(poly, [_plan_hinge(poly, i)])
+
+
+def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> float:
+    """|BD| of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3 and
+    |DA| = diag whose vertices lie on one circle, horocycle or hypercycle.
+
+    On a circle of radius R, a chord subtending the central angle theta has
+    sinh(dist / 2) = sinh(R) sin(theta / 2), so the half-sinhs of the sides
+    and diagonals are the chords of a Euclidean cyclic quadrilateral, with
+    the same central angles. On a hypercycle at distance h from its axis,
+    sinh(dist / 2) = cosh(h) sinh(t / 2) for axis separation t, and the
+    identities behind Ptolemy's theorems hold for sinh as they do for sin;
+    on a horocycle the half-sinh is proportional to arc length, as for
+    collinear points. With a, b, c, d the half-sinhs of s1, s2, s3, diag,
+    Ptolemy's theorems give pq = ac + bd and p / q = (ad + bc) / (ab + cd)
+    for the diagonals p = |AC| and q = |BD|, hence
+    sinh^2(|BD| / 2) = (ab + cd)(ac + bd) / (ad + bc).
+    """
+    a, b, c, d = (math.sinh(0.5 * x) for x in (s1, s2, s3, diag))
+    return 2.0 * math.asinh(math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
+
+
+def _plan_diagonal(poly: HyperbolicPolygon, i: int) -> _Plan | None:
     """Reposition edge V_i V_{i+1} with all side lengths fixed.
 
-    One degree of freedom remains: the angle phi between the diagonal
-    V_{i-1} V_{i+2} and the side V_{i-1} V_i. The quadrilateral area is
-    maximal where the four vertices are concyclic, i.e. where its opposite
-    angle sums agree; that root of phi is found by bisection.
+    Name the quadrilateral A B C D = V_{i-1} V_i V_{i+1} V_{i+2}. One degree
+    of freedom remains, the cross diagonal |BD| (equivalently the angle phi
+    at A between AD and AB). The area is largest where the four vertices lie
+    on one circle, horocycle or hypercycle, i.e. where the opposite angle
+    sums agree, and there |BD| has a closed form (_cyclic_cross_diagonal).
+    Where it falls outside the range in which both triangles ABD and BCD
+    exist, the better end of the range is taken instead.
     """
     n = poly.n
     if n < 4:
-        return MoveResult(poly, 0.0, False)
+        return None
     ia, ib, ic, id_ = i - 1, i, (i + 1) % n, (i + 2) % n
     a, b_, c_, d = (poly.vertices[k] for k in (ia, ib, ic, id_))
     s1 = poly.side_lengths[ia]
@@ -237,93 +314,54 @@ def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     def quad_area(bd: float) -> float:
         return _defect_from_sides(s1, diag, bd) + _defect_from_sides(s2, s3, bd)
 
-    # The law of cosines at A without cancellation:
-    # cosh|BD| - 1 = (cosh(s1 - diag) - 1) + 2 sinh(s1) sinh(diag) sin^2(phi / 2).
-    # |BD| then stays positive over the whole range below, also where its
-    # lower end is near 0 (every vertex of a near-regular 4-gon, whose
-    # diagonal V_{i-1} V_{i+2} is a side), so every angle below is defined.
-    m_fold = _coshm1(s1 - diag)
-    k = 2.0 * math.sinh(s1) * math.sinh(diag)
-
-    def bd_coshm1(phi: float) -> float:
-        return m_fold + k * math.sin(0.5 * phi) ** 2
-
-    def bd_of_phi(phi: float) -> float:
-        return _acosh1p(bd_coshm1(phi))
-
     def phi_of_bd(bd: float) -> float:
-        sin2 = (_coshm1(bd) - m_fold) / k
-        return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, sin2))))
-
-    m1, m2, m3, md = (_coshm1(x) for x in (s1, s2, s3, diag))
-    sh1, sh2, sh3, shd = (math.sinh(x) for x in (s1, s2, s3, diag))
-
-    def cyclic_gap(phi: float) -> float:
-        """(A + C) - (B + D) for the quadrilateral a b c d at angle phi = A.
-
-        The angles of triangles ABD and BCD come from the cosh - 1 and sinh
-        of their sides; those of the fixed sides are computed once per move.
-        """
-        m = bd_coshm1(phi)
-        sh = math.sqrt(m * (m + 2.0))
-        angle_b = _angle_from_coshm1(md, m1, m, sh1 * sh) + _angle_from_coshm1(
-            m3, m2, m, sh2 * sh
+        """Angle at A of the triangle ABD, by the half-angle formula
+        tan^2(phi / 2) = sinh(p - s1) sinh(p - diag) / (sinh(p) sinh(p - bd))
+        with p the half perimeter of ABD; unlike asin or acos it keeps its
+        accuracy near 0 and pi."""
+        return 2.0 * math.atan2(
+            math.sqrt(math.sinh(0.5 * (bd + diag - s1)) * math.sinh(0.5 * (bd + s1 - diag))),
+            math.sqrt(math.sinh(0.5 * (s1 + diag + bd)) * math.sinh(0.5 * (s1 + diag - bd))),
         )
-        angle_c = _angle_from_coshm1(m, m2, m3, sh2 * sh3)
-        angle_d = _angle_from_coshm1(m1, md, m, shd * sh) + _angle_from_coshm1(
-            m2, m3, m, sh3 * sh
-        )
-        return (phi + angle_c) - (angle_b + angle_d)
 
     # Feasible range of the cross diagonal |BD|: both triangles must exist.
     bd_lo = max(abs(s2 - s3), abs(diag - s1))
     bd_hi = min(s2 + s3, diag + s1)
     if bd_hi - bd_lo <= 4.0 * _SIDE_MARGIN:
-        return MoveResult(poly, 0.0, False)
+        return None
     margin = _SIDE_MARGIN * (bd_hi - bd_lo)
-
-    phi_lo = phi_of_bd(bd_lo + margin)
-    phi_hi = phi_of_bd(bd_hi - margin)
-    if phi_hi - phi_lo <= 1e-12:
-        return MoveResult(poly, 0.0, False)
-    gap_lo = cyclic_gap(phi_lo)
-    if (gap_lo > 0.0) == (cyclic_gap(phi_hi) > 0.0):
+    bd_lo += margin
+    bd_hi -= margin
+    if phi_of_bd(bd_hi) - phi_of_bd(bd_lo) <= 1e-12:
+        return None
+    bd_new = _cyclic_cross_diagonal(s1, s2, s3, diag)
+    if not bd_lo < bd_new < bd_hi:
         # no concyclic position inside the range: the best one is an endpoint
-        phi_star = max(phi_lo, phi_hi, key=lambda phi: quad_area(bd_of_phi(phi)))
-    else:
-        lo, hi = phi_lo, phi_hi
-        while hi - lo > _PHI_TOL:
-            mid = 0.5 * (lo + hi)
-            if (cyclic_gap(mid) > 0.0) == (gap_lo > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        phi_star = 0.5 * (lo + hi)
-    bd_new = bd_of_phi(phi_star)
+        bd_new = max(bd_lo, bd_hi, key=quad_area)
     gain = quad_area(bd_new) - quad_area(hyp_distance(b_, d))
     if gain <= ACCEPT_TOL:
-        return MoveResult(poly, 0.0, False)
+        return None
     side_b = _side_sign(a, d, b_)
-    b_new = step_from(a, direction_toward(a, d) + side_b * phi_star, s1)
+    b_new = step_from(a, direction_toward(a, d) + side_b * phi_of_bd(bd_new), s1)
     theta_b = angle_from_sides(s3, s2, bd_new)
     side_c = _side_sign(b_, d, c_)
     c_new = step_from(b_new, direction_toward(b_new, d) + side_c * theta_b, s2)
-    updated = _replace_vertices(poly, {ib: b_new, ic: c_new})
-    if updated is None:
-        return MoveResult(poly, 0.0, False)
-    return MoveResult(updated, gain, True)
+    return gain, {ib: b_new, ic: c_new}
+
+
+def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
+    return _apply_best(poly, [_plan_diagonal(poly, i)])
 
 
 def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     """Best perimeter-preserving local improvement at vertex i.
 
-    Tries the hinge move at V_i and the diagonal move on edge V_i V_{i+1} and
-    applies whichever gains more area; returns the polygon unchanged (with
+    Plans the hinge move at V_i and the diagonal move on edge V_i V_{i+1} and
+    builds whichever gains more area (the hinge move on ties), or the other
+    one if that result is not convex; returns the polygon unchanged (with
     delta_area 0) when neither improves it.
     """
-    hinge = _hinge_move(poly, i)
-    diag = _diagonal_move(poly, i)
-    return hinge if hinge.delta_area >= diag.delta_area else diag
+    return _apply_best(poly, [_plan_hinge(poly, i), _plan_diagonal(poly, i)])
 
 
 @dataclass(frozen=True)
@@ -343,6 +381,7 @@ class SteinerResult:
     converged: bool
     sweeps: int
     spread: float
+    moves_rejected: int  # planned moves refused because the result was not convex
 
 
 def steiner_optimize(
@@ -353,30 +392,42 @@ def steiner_optimize(
     The iteration stops once a full sweep accepts no move; ``converged``
     additionally requires the final vertices to be concyclic, with
     circumradius spread below max(10 * tol, SPREAD_FLOOR). Along the trace
-    the perimeter is conserved and the area never decreases.
+    the perimeter is conserved and the area never decreases. Each trace
+    step's residual is max_optimality_residual of the polygon after the
+    move; only the hinge residuals next to a moved vertex are measured again.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     trace: list[TraceStep] = []
+    residuals: list[float] | None = None
+    moves_rejected = 0
     iteration = 0
     stagnated = False
     sweeps = 0
+    n = poly.n
     for sweep in range(max_sweeps):
         sweeps = sweep + 1
         accepted = 0
-        for i in range(poly.n):
+        for i in range(n):
             before = polygon_area(poly)
             result = steiner_move(poly, i)
+            moves_rejected += result.rejected
             if result.accepted:
+                moved = [k for k in range(n) if result.polygon.vertices[k] != poly.vertices[k]]
                 poly = result.polygon
                 accepted += 1
+                if residuals is None:
+                    residuals = [_hinge_residual(poly, k) for k in range(n)]
+                else:
+                    for k in {(m + d) % n for m in moved for d in (-1, 0, 1)}:
+                        residuals[k] = _hinge_residual(poly, k)
                 trace.append(
                     TraceStep(
                         iteration=iteration,
                         vertex=i,
                         area_before=before,
                         area_after=polygon_area(poly),
-                        residual=max_optimality_residual(poly),
+                        residual=max(residuals),
                         perimeter=polygon_perimeter(poly),
                     )
                 )
@@ -391,6 +442,7 @@ def steiner_optimize(
         converged=stagnated and fit.spread < max(10.0 * tol, SPREAD_FLOOR),
         sweeps=sweeps,
         spread=fit.spread,
+        moves_rejected=moves_rejected,
     )
 
 
@@ -507,6 +559,8 @@ def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygonSpe
     Inverts sinh(side / 2) = sinh(R) sin(pi / n) in closed form:
     R = asinh(sinh(perimeter / 2n) / sin(pi / n)).
     """
+    if n < 3:
+        raise DomainError("a regular polygon needs n >= 3")
     if perimeter <= 0.0:
         raise DomainError("perimeter must be positive")
     half_side = perimeter / (2 * n)

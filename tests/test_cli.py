@@ -115,6 +115,18 @@ class TestSteinerCommand:
             outputs.append((trace.read_bytes(), res.stdout))
         assert outputs[0] == outputs[1]
 
+    def test_reports_rejected_moves(self, tmp_path):
+        # seed 19 plans moves whose result is not convex
+        from hyplobe import random_convex_polygon, steiner_optimize
+
+        res = run_cli("steiner", "--n", "8", "--seed", "19",
+                      "--trace-csv", str(tmp_path / "t.csv"))
+        assert res.returncode == 0
+        report = json.loads(res.stdout)
+        result = steiner_optimize(random_convex_polygon(8, 19))
+        assert report["moves_rejected"] == result.moves_rejected > 0
+        assert report["moves_accepted"] == len(result.trace)
+
     def test_unconverged_run_exit_3(self, tmp_path):
         # seed 72 draws a triangle with no hyperbolic circumcircle; stopped
         # before any sweep it is still reported, as unconverged

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from hyplobe import DiskPoint, DomainError, hyp_distance, optimal_alpha, solve_sas
+from hyplobe import (
+    DiskPoint,
+    DomainError,
+    geodesic_through,
+    hyp_distance,
+    optimal_alpha,
+    solve_sas,
+)
 from hyplobe.oracle import (
     count_local_maxima,
     curvature_corrected_side,
@@ -65,6 +72,59 @@ class TestGeodesicSampling:
         sampled = geodesic_length_by_sampling(p, q, 10_000)
         assert sampled <= direct + 1e-12
         assert direct - sampled < 1e-6
+
+
+def _scalar_chord_sum(p: DiskPoint, q: DiskPoint, segments: int) -> float:
+    """The polyline length one DiskPoint and one hyp_distance at a time."""
+    g = geodesic_through(p, q)
+    if g.is_diameter:
+        pts = [
+            DiskPoint(
+                p.x + (q.x - p.x) * k / segments, p.y + (q.y - p.y) * k / segments
+            )
+            for k in range(segments + 1)
+        ]
+    else:
+        c = g.circle
+        a0 = math.atan2(p.y - c.cy, p.x - c.cx)
+        sweep = math.remainder(math.atan2(q.y - c.cy, q.x - c.cx) - a0, math.tau)
+        pts = [
+            DiskPoint(
+                c.cx + c.radius * math.cos(a0 + sweep * k / segments),
+                c.cy + c.radius * math.sin(a0 + sweep * k / segments),
+            )
+            for k in range(segments + 1)
+        ]
+    return sum(hyp_distance(pts[k], pts[k + 1]) for k in range(segments))
+
+
+class TestGeodesicSamplingReference:
+    def test_matches_scalar_chord_sum(self):
+        rng = np.random.default_rng(52)
+        pairs = []
+        for _ in range(8):
+            x, y = rng.uniform(-0.65, 0.65, (2, 2))
+            pairs.append((DiskPoint(*x), DiskPoint(*y)))  # arcs
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            r = rng.uniform(-0.9, 0.9, 2)
+            pairs.append(  # diameters
+                tuple(DiskPoint(ri * math.cos(t), ri * math.sin(t)) for ri in r)
+            )
+        for p, q in pairs:
+            sampled = geodesic_length_by_sampling(p, q, 10_000)
+            reference = _scalar_chord_sum(p, q, 10_000)
+            assert abs(sampled - reference) <= 1e-12 * reference
+            assert sampled <= hyp_distance(p, q) + 1e-12
+
+    def test_sample_outside_disk_is_refused(self):
+        # both ends are inside, but near the boundary a sample of the arc
+        # rounds onto or past the unit circle
+        p = DiskPoint(-0.995674171030598, 0.09291364343397163)
+        q = DiskPoint(0.9926845952024933, -0.12073646693378298)
+        with pytest.raises(DomainError):
+            _scalar_chord_sum(p, q, 10_000)
+        with pytest.raises(DomainError):
+            geodesic_length_by_sampling(p, q, 10_000)
 
 
 class TestEuclideanLimit:

@@ -30,10 +30,19 @@ from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
     angle_at_vertex,
+    direction_toward,
     hyp_distance,
     point_from_polar,
+    step_from,
 )
-from hyplobe.polygon import _diagonal_move, _hinge_move, circle_radius_for_circumference
+from hyplobe.polygon import (
+    _cyclic_cross_diagonal,
+    _diagonal_move,
+    _hinge_move,
+    _replace_vertices,
+    circle_radius_for_circumference,
+    max_optimality_residual,
+)
 
 
 class TestPolygonConstruction:
@@ -55,6 +64,44 @@ class TestPolygonConstruction:
         ]
         with pytest.raises(NonConvexError):
             HyperbolicPolygon.from_vertices(pts)
+
+    def test_incremental_remeasure_matches_from_vertices(self):
+        # seeded pushes of one vertex, two neighbours or two vertices apart,
+        # from 1e-3 to past the polygon's middle: many leave a reflex vertex
+        # or reverse the orientation
+        rng = np.random.default_rng(23)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            n = int(rng.choice([4, 5, 6, 8]))
+            poly = random_convex_polygon(n, int(rng.integers(0, 2**32)))
+            k = int(rng.integers(0, n))
+            moved = [k]
+            if rng.uniform() < 0.5:  # also its neighbour or the vertex after that
+                moved.append((k + int(rng.integers(1, 3))) % n)
+            updates = {}
+            for j in moved:
+                v = poly.vertices[j]
+                toward = poly.vertices[(j + n // 2) % n]
+                if rng.uniform() < 0.5:  # toward the opposite vertex: reflex
+                    d = rng.uniform(0.05, 1.0) * hyp_distance(v, toward)
+                    theta = direction_toward(v, toward)
+                else:
+                    d = 10.0 ** rng.uniform(-3.0, 0.0)
+                    theta = rng.uniform(0.0, 2.0 * math.pi)
+                updates[j] = step_from(v, theta, d)
+            vs = [updates.get(j, poly.vertices[j]) for j in range(n)]
+            try:
+                full = HyperbolicPolygon.from_vertices(vs)
+            except DomainError:
+                full = None
+            incremental = _replace_vertices(poly, updates)
+            assert (incremental is None) == (full is None)
+            verdicts[full is None] += 1
+            if full is not None:
+                assert incremental.vertices == full.vertices
+                assert incremental.side_lengths == full.side_lengths
+                assert incremental.interior_angles == full.interior_angles
+        assert min(verdicts.values()) >= 100
 
     def test_sides_and_angles_measured(self):
         poly = regular_polygon_vertices(RegularPolygonSpec(5, 1.0))
@@ -154,8 +201,8 @@ class TestSteinerMove:
         assert accepted >= 30
 
     def test_diagonal_move_reaches_grid_maximum(self):
-        # the bisected concyclic position against a 10^5-point grid over the
-        # angle at V_{i-1}, both scored with the oracle's quadrilateral area
+        # the closed-form concyclic position against a 10^5-point grid over
+        # the angle at V_{i-1}, both scored with the oracle's quadrilateral area
         accepted = 0
         for seed in range(10):
             poly = random_convex_polygon(6, seed)
@@ -190,6 +237,114 @@ class TestSteinerMove:
                 mv = steiner_move(poly, i)
                 assert not mv.accepted
                 assert mv.polygon is poly
+
+
+def _hypercycle_point(t: float, h: float) -> DiskPoint:
+    """The point at distance h to the left of the real diameter, above the
+    axis point at signed distance t from the origin."""
+    foot = point_from_polar(abs(t), 0.0 if t >= 0.0 else math.pi)
+    return step_from(foot, 0.5 * math.pi, h)
+
+
+def _horocycle_point(r: float, psi: float) -> DiskPoint:
+    """A point of the horocycle tangent to the unit circle at 1, radius r."""
+    return DiskPoint.from_complex((1.0 - r) + r * complex(math.cos(psi), math.sin(psi)))
+
+
+def _hypercycle_quadrilateral(h: float, spanning: str) -> list[DiskPoint]:
+    """A, B, C, D on a hypercycle, the two ends of side ``spanning`` being
+    the first and last of the four along the curve."""
+    along = [_hypercycle_point(t, h) for t in (-1.5, -0.4, 0.3, 1.6)]
+    k = {"DA": 0, "CD": 1, "BC": 2, "AB": 3}[spanning]
+    return along[k:] + along[:k]
+
+
+# Quadrilaterals A, B, C, D in order on a circle (center inside and outside),
+# a horocycle and hypercycles.
+_CIRCLE = [point_from_polar(1.2, t) for t in (0.1, 1.3, 2.9, 4.4)]
+_CIRCLE_OFF_CENTER = [point_from_polar(1.2, t) for t in (0.1, 0.5, 1.0, 1.6)]
+_HOROCYCLE = [_horocycle_point(0.6, psi) for psi in (-2.5, -1.2, 0.8, 2.2)]
+_HYPERCYCLES = {
+    spanning: _hypercycle_quadrilateral(h, spanning)
+    for spanning, h in (("DA", 0.3), ("AB", 1.0), ("BC", 0.3), ("CD", 1.0))
+}
+
+
+def _quadrilateral_sides(A, B, C, D):
+    return hyp_distance(A, B), hyp_distance(B, C), hyp_distance(C, D), hyp_distance(D, A)
+
+
+class TestCyclicCrossDiagonal:
+    def _regimes(self):
+        yield "circle", _CIRCLE
+        yield "circle", _CIRCLE_OFF_CENTER
+        yield "horocycle", _HOROCYCLE
+        for spanning, quad in _HYPERCYCLES.items():
+            yield "hypercycle", quad
+
+    def test_regimes_are_told_apart_by_half_sinhs(self):
+        for regime, quad in self._regimes():
+            halves = [math.sinh(0.5 * s) for s in _quadrilateral_sides(*quad)]
+            excess = (2.0 * max(halves) - sum(halves)) / sum(halves)
+            if regime == "circle":
+                assert excess < -1e-3
+            elif regime == "horocycle":
+                assert abs(excess) < 1e-14
+            else:
+                assert excess > 1e-3
+        for spanning, quad in _HYPERCYCLES.items():
+            sides = dict(zip(("AB", "BC", "CD", "DA"), _quadrilateral_sides(*quad)))
+            assert max(sides, key=sides.get) == spanning
+
+    def test_exact_on_inscribed_quadrilaterals(self):
+        for _, (A, B, C, D) in self._regimes():
+            bd = _cyclic_cross_diagonal(*_quadrilateral_sides(A, B, C, D))
+            assert abs(bd - hyp_distance(B, D)) <= 1e-14 * bd
+
+    def test_matches_high_precision_root_of_opposite_angle_gap(self):
+        # the opposite angle sums of ABCD agree at the concyclic |BD|;
+        # angles by the law of cosines at 50 digits, root bracketed by the
+        # range in which both triangles ABD and BCD exist
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for _, quad in self._regimes():
+                s1, s2, s3, diag = (mpmath.mpf(s) for s in _quadrilateral_sides(*quad))
+
+                def angle(opposite, x, y):
+                    cos = (mpmath.cosh(x) * mpmath.cosh(y) - mpmath.cosh(opposite)) / (
+                        mpmath.sinh(x) * mpmath.sinh(y)
+                    )
+                    return mpmath.acos(max(-1, min(1, cos)))
+
+                def gap(bd):
+                    a = angle(bd, s1, diag)
+                    c = angle(bd, s2, s3)
+                    b = angle(diag, s1, bd) + angle(s3, s2, bd)
+                    d = angle(s1, diag, bd) + angle(s2, s3, bd)
+                    return (a + c) - (b + d)
+
+                lo = max(abs(s2 - s3), abs(diag - s1))
+                hi = min(s2 + s3, diag + s1)
+                width = hi - lo
+                ref = mpmath.findroot(
+                    gap, (lo + width / 10**6, hi - width / 10**6), solver="anderson"
+                )
+                bd = _cyclic_cross_diagonal(*(float(s) for s in (s1, s2, s3, diag)))
+                assert abs(bd - ref) <= 1e-12 * ref
+
+    def test_reaches_grid_maximum(self):
+        for _, quad in self._regimes():
+            s1, s2, s3, diag = _quadrilateral_sides(*quad)
+            bd = _cyclic_cross_diagonal(s1, s2, s3, diag)
+            # the angle at A of the triangle ABD
+            phi = math.acos(
+                (math.cosh(s1) * math.cosh(diag) - math.cosh(bd))
+                / (math.sinh(s1) * math.sinh(diag))
+            )
+            grid = oracle.grid_search_quadrilateral(s1, s2, s3, diag, 100_000)
+            area = float(oracle.quadrilateral_area(s1, s2, s3, diag, phi))
+            assert area >= grid.area_hat - 1e-13
+            assert abs(phi - grid.alpha_hat) <= 2.0 * grid.grid_step
 
 
 class TestSteinerOptimize:
@@ -254,6 +409,26 @@ class TestSteinerOptimize:
         assert not result.converged
         assert 0.1 < result.spread < math.inf
         assert steiner_optimize(tri, tol=1e-8).converged
+
+    def test_trace_matches_replayed_moves(self):
+        # replaying steiner_move over the same sweeps: every trace residual is
+        # the full recomputation's bit for bit, and the refusals add up; seed
+        # 19 refuses non-convex moves
+        poly = random_convex_polygon(8, 19)
+        result = steiner_optimize(poly, tol=1e-8)
+        steps = iter(result.trace)
+        rejected = 0
+        for it in range(result.sweeps * poly.n):
+            mv = steiner_move(poly, it % poly.n)
+            rejected += mv.rejected
+            if mv.accepted:
+                poly = mv.polygon
+                step = next(steps)
+                assert step.iteration == it
+                assert step.residual == max_optimality_residual(poly)
+        assert next(steps, None) is None
+        assert poly.vertices == result.polygon.vertices
+        assert result.moves_rejected == rejected > 0
 
     def test_deterministic(self):
         r1 = steiner_optimize(random_convex_polygon(6, 7), tol=1e-8)
@@ -374,6 +549,9 @@ class TestRegularPolygons:
         for perimeter in (61.0, 1e9, math.inf):
             with pytest.raises(DomainError):
                 regular_polygon_for_perimeter(3, perimeter)
+        for n in (0, 1, 2, -3):
+            with pytest.raises(DomainError):
+                regular_polygon_for_perimeter(n, 5.0)
 
 
 class TestIsoperimetry:
