@@ -18,4 +18,8 @@ class SolverError(HyplobeError, RuntimeError):
 
 
 class NonConvexError(DomainError):
-    """A polygon is not strictly convex (or not counterclockwise)."""
+    """A polygon is not strictly convex, or its vertices are not counterclockwise.
+
+    Both are hyperbolic notions, decided in the Klein model, where geodesics
+    are straight chords.
+    """

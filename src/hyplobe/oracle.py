@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import DiskPoint, geodesic_through
+from .disk import DiskPoint, direction_toward, geodesic_through
 from .errors import DomainError
 from .triangle import ALPHA_EPS
 
@@ -167,6 +167,27 @@ def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> fl
     if not np.all(t < 1.0):
         raise DomainError("distance overflow: points too close to the boundary")
     return float(np.sum(np.log1p(2.0 * t / (1.0 - t))))
+
+
+def intrinsic_convex_ccw(vertices) -> bool:
+    """Whether the polygon is strictly convex with counterclockwise vertices.
+
+    The defining test, O(n^2) and model-free: every other vertex must lie
+    strictly left of each edge, i.e. its direction from the edge's first
+    vertex must lie strictly between the edge's direction and the reverse.
+    Directions are measured intrinsically with ``direction_toward``, with no
+    Klein map and no area formula.
+    """
+    vs = list(vertices)
+    n = len(vs)
+    for i in range(n):
+        base, ahead = vs[i], direction_toward(vs[i], vs[(i + 1) % n])
+        for j in range(n):
+            if j != i and j != (i + 1) % n:
+                turn = math.remainder(direction_toward(base, vs[j]) - ahead, math.tau)
+                if not 0.0 < turn < math.pi:
+                    return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,14 @@ circumcircle is a linear least-squares Euclidean circle; and regular polygons
 follow from the right triangles cut out by their apothems. A move is planned
 for both kinds and only the better one is built; building it measures again
 only the sides and angles next to the moved vertices and checks convexity
-only where a vertex moved. Only the random polygon generator uses numpy, and
-it imports it on first call.
+only where a vertex moved. Convexity and counterclockwise orientation are
+hyperbolic: one turn test decides both in the Klein model, where geodesics
+are straight. Only the random polygon generator uses numpy, on first call.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -41,7 +43,6 @@ from .disk import (
     DiskPoint,
     angle_at_vertex,
     direction_toward,
-    geodesic_through,
     hyp_distance,
     point_from_polar,
     step_from,
@@ -62,7 +63,8 @@ _SIDE_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class HyperbolicPolygon:
-    """Strictly convex polygon, vertices in counterclockwise order."""
+    """Strictly convex polygon, vertices in counterclockwise order: the
+    hyperbolic orientation, decided in the Klein model (see _check_convex)."""
 
     vertices: tuple[DiskPoint, ...]
     side_lengths: tuple[float, ...]
@@ -93,17 +95,11 @@ def _measure(
     is the same, bit for bit, as a full measurement of vs.
     """
     n = len(vs)
-    shoelace = sum(
-        vs[i].x * vs[(i + 1) % n].y - vs[(i + 1) % n].x * vs[i].y for i in range(n)
-    )
-    if shoelace <= 0.0:
-        raise NonConvexError("vertices must be in counterclockwise order")
+    _check_convex(vs, parent, moved)
     if parent is None:
-        _check_convex(vs)
         edges = vertices = range(n)
         sides, angles = [0.0] * n, [0.0] * n
     else:
-        _check_convex(vs, moved)
         edges = {(k + d) % n for k in moved for d in (-1, 0)}
         vertices = {(k + d) % n for k in moved for d in (-1, 0, 1)}
         sides, angles = list(parent.side_lengths), list(parent.interior_angles)
@@ -116,42 +112,46 @@ def _measure(
     return HyperbolicPolygon(vs, tuple(sides), tuple(angles))
 
 
-def _check_convex(
-    vs: tuple[DiskPoint, ...], moved: frozenset[int] | None = None
-) -> None:
-    """Every vertex must lie strictly on the inner side of every edge geodesic.
+def _klein_turn(a: DiskPoint, b: DiskPoint, c: DiskPoint) -> complex:
+    """(k_c - k_b) conj(k_b - k_a), with k = 2z / (1 + |z|^2) the Klein images.
 
-    With ``moved``, vs is taken to differ from a convex polygon only at those
-    indices. An edge between two unmoved vertices is then checked only for
-    the moved vertices, against one unmoved reference vertex: the other
-    unmoved vertices lay on the reference's side before and still do. The
-    verdict is the full check's.
+    Klein geodesics are straight chords, so a -> b -> c turns left where the
+    imaginary part is positive, and the phase is the exterior angle.
+    """
+    ka, kb, kc = (2.0 * p.z / (1.0 + p.x * p.x + p.y * p.y) for p in (a, b, c))
+    return (kc - kb) * (kb - ka).conjugate()
+
+
+def _check_convex(
+    vs: tuple[DiskPoint, ...],
+    parent: HyperbolicPolygon | None = None,
+    moved: frozenset[int] = frozenset(),
+) -> None:
+    """vs must turn strictly left at every vertex and wind around once.
+
+    With its sides straight in the Klein model, the polygon is strictly
+    convex and counterclockwise exactly when its exterior angles all lie in
+    (0, pi) and sum to 2 pi, not 4 pi or more as a star's do. With a convex
+    ``parent`` that differs from vs only at ``moved``, only the turns at moved
+    vertices and their neighbours are measured, against the parent's, whose
+    turns sum to 2 pi. The verdict is the full check's.
     """
     n = len(vs)
-    for i in range(n):
-        ends = (i, (i + 1) % n)
-        if moved is None or not moved.isdisjoint(ends):
-            probes = [j for j in range(n) if j not in ends]
-        else:
-            probes = sorted(moved)
-            ref = next((j % n for j in range(i + 2, i + n) if j % n not in moved), None)
-            if ref is not None:
-                probes.append(ref)
-        g = geodesic_through(vs[i], vs[(i + 1) % n])
-        signs = set()
-        for j in probes:
-            p = vs[j]
-            if g.is_diameter:
-                d = g.direction
-                s = d.real * p.y - d.imag * p.x
-            else:
-                c = g.circle
-                s = (p.x - c.cx) ** 2 + (p.y - c.cy) ** 2 - c.radius**2
-            if s == 0.0:
-                raise NonConvexError("vertex lies on the geodesic of another edge")
-            signs.add(s > 0.0)
-        if len(signs) > 1:
-            raise NonConvexError("polygon is not convex")
+    if parent is None:
+        at, winding = range(n), 0.0
+    else:
+        at = {(k + d) % n for k in moved for d in (-1, 0, 1)}
+        old = parent.vertices
+        winding = 2.0 * math.pi - sum(
+            cmath.phase(_klein_turn(old[i - 1], old[i], old[(i + 1) % n])) for i in at
+        )
+    for i in at:
+        turn = _klein_turn(vs[i - 1], vs[i], vs[(i + 1) % n])
+        if turn.imag <= 0.0:
+            raise NonConvexError("polygon is not strictly convex and counterclockwise")
+        winding += cmath.phase(turn)
+    if winding > 3.0 * math.pi:
+        raise NonConvexError("polygon winds around more than once")
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
@@ -202,11 +202,8 @@ def _defect_from_sides(a: float, b: float, c: float) -> float:
 
 
 def _side_sign(base: DiskPoint, ref: DiskPoint, probe: DiskPoint) -> float:
-    """+1 if probe is counterclockwise of the direction base->ref, else -1."""
-    delta = math.remainder(
-        direction_toward(base, probe) - direction_toward(base, ref), math.tau
-    )
-    return 1.0 if delta >= 0.0 else -1.0
+    """+1 if probe lies left of the geodesic from base through ref, else -1."""
+    return 1.0 if _klein_turn(base, ref, probe).imag >= 0.0 else -1.0
 
 
 @dataclass(frozen=True)

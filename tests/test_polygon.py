@@ -51,19 +51,32 @@ class TestPolygonConstruction:
             HyperbolicPolygon.from_vertices([DiskPoint(0.1, 0.0), DiskPoint(0.0, 0.1)])
 
     def test_clockwise_rejected(self):
-        pts = [DiskPoint(0.3, 0.0), DiskPoint(0.0, 0.3), DiskPoint(-0.3, 0.0)]
-        with pytest.raises(NonConvexError):
-            HyperbolicPolygon.from_vertices(list(reversed(pts)))
+        # the second triangle is thin: its disk coordinates run clockwise,
+        # but its geodesic sides (straight in the Klein model) counterclockwise
+        for pts in (
+            [DiskPoint(0.3, 0.0), DiskPoint(0.0, 0.3), DiskPoint(-0.3, 0.0)],
+            [
+                DiskPoint(-0.3715, -0.6989),
+                DiskPoint(-0.2607, -0.6252),
+                DiskPoint(0.5413, -0.2888),
+            ],
+        ):
+            HyperbolicPolygon.from_vertices(pts)
+            with pytest.raises(NonConvexError):
+                HyperbolicPolygon.from_vertices(list(reversed(pts)))
 
     def test_nonconvex_rejected(self):
-        pts = [
+        dented = [
             DiskPoint(0.4, 0.0),
             DiskPoint(0.0, 0.4),
             DiskPoint(-0.4, 0.0),
             DiskPoint(0.0, 0.02),  # dents the quadrilateral
         ]
-        with pytest.raises(NonConvexError):
-            HyperbolicPolygon.from_vertices(pts)
+        # every turn of the pentagram is a left turn, but it winds twice
+        pentagram = [point_from_polar(1.0, 4.0 * math.pi * k / 5) for k in range(5)]
+        for pts in (dented, pentagram):
+            with pytest.raises(NonConvexError):
+                HyperbolicPolygon.from_vertices(pts)
 
     def test_incremental_remeasure_matches_from_vertices(self):
         # seeded pushes of one vertex, two neighbours or two vertices apart,
@@ -102,6 +115,44 @@ class TestPolygonConstruction:
                 assert incremental.side_lengths == full.side_lengths
                 assert incremental.interior_angles == full.interior_angles
         assert min(verdicts.values()) >= 100
+
+    def test_verdict_matches_intrinsic_witness(self):
+        # seeded polygons with vertex radii up to 3: angle-sorted (either
+        # direction), unsorted, and stars visiting the sorted vertices with
+        # a stride of 2 or more; counts the draws on which a shoelace over
+        # the disk coordinates gets the orientation of a convex polygon wrong
+        rng = np.random.default_rng(6)
+        verdicts = {True: 0, False: 0}
+        misoriented = 0
+        for k in range(6000):
+            kind = k % 3
+            n = int(rng.choice([5, 7, 8])) if kind == 2 else int(rng.integers(3, 7))
+            thetas = rng.uniform(0.0, 2.0 * math.pi, n)
+            radii = rng.uniform(0.0, 3.0, n)
+            order = np.argsort(thetas)
+            if kind == 0 and rng.uniform() < 0.5:
+                order = order[::-1]
+            elif kind == 1:
+                order = np.arange(n)
+            elif kind == 2:
+                stride = rng.choice([s for s in range(2, n - 1) if math.gcd(s, n) == 1])
+                order = order[np.arange(n) * stride % n]
+            vs = [point_from_polar(float(radii[j]), float(thetas[j])) for j in order]
+            try:
+                HyperbolicPolygon.from_vertices(vs)
+                accepted = True
+            except NonConvexError:
+                accepted = False
+            witness = oracle.intrinsic_convex_ccw(vs)
+            assert accepted == witness
+            verdicts[accepted] += 1
+            shoelace = sum(vs[i - 1].x * v.y - v.x * vs[i - 1].y for i, v in enumerate(vs))
+            if witness != (shoelace > 0.0) and (
+                witness or oracle.intrinsic_convex_ccw(vs[::-1])
+            ):
+                misoriented += 1
+        assert min(verdicts.values()) >= 100
+        assert misoriented >= 20
 
     def test_sides_and_angles_measured(self):
         poly = regular_polygon_vertices(RegularPolygonSpec(5, 1.0))
