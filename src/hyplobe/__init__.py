@@ -5,59 +5,49 @@ maximal-area triangle machinery with its optimality certificates, and a
 perimeter-preserving polygon improver for isoperimetric experiments.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .disk import (
-    D_MAX,
-    ORIGIN,
-    DiskIsometry,
-    DiskPoint,
-    EuclideanCircle,
-    Geodesic,
-    angle_at_vertex,
-    apply_isometry,
-    geodesic_through,
-    hyp_distance,
-    isometry_to_origin,
-    point_from_polar,
-)
-from .errors import (
-    DegenerateInputError,
-    DomainError,
-    HyplobeError,
-    NonConvexError,
-    SolverError,
-)
-from .polygon import (
-    HyperbolicPolygon,
-    RegularPolygonSpec,
-    circle_geometry,
-    circumcircle_fit,
-    isoperimetric_deficit,
-    local_triangle,
-    polygon_area,
-    polygon_perimeter,
-    random_convex_polygon,
-    regular_polygon,
-    regular_polygon_for_perimeter,
-    regular_polygon_vertices,
-    steiner_move,
-    steiner_optimize,
-)
-from .triangle import (
-    ALPHA_EPS,
-    Figure1,
-    TriangleSolution,
-    area_defect,
-    b_prime_point,
-    build_figure1,
-    embed_triangle,
-    omega_circle,
-    optimal_alpha,
-    optimality_certificate,
-    solve_sas,
-    tau_angle,
-)
+# Public names resolve on first use (PEP 562), so each command imports only the
+# modules it runs: `import hyplobe` alone loads no submodule.
+_EXPORTS = {
+    "disk": (
+        "D_MAX", "ORIGIN", "DiskIsometry", "DiskPoint", "EuclideanCircle", "Geodesic",
+        "angle_at_vertex", "apply_isometry", "geodesic_through", "hyp_distance",
+        "isometry_to_origin", "point_from_polar",
+    ),
+    "errors": (
+        "DegenerateInputError", "DomainError", "HyplobeError", "NonConvexError",
+        "SolverError",
+    ),
+    "polygon": (
+        "HyperbolicPolygon", "RegularPolygonSpec", "circle_geometry", "circumcircle_fit",
+        "isoperimetric_deficit", "local_triangle", "polygon_area", "polygon_perimeter",
+        "random_convex_polygon", "regular_polygon", "regular_polygon_for_perimeter",
+        "regular_polygon_vertices", "steiner_move", "steiner_optimize",
+    ),
+    "triangle": (
+        "ALPHA_EPS", "Figure1", "TriangleSolution", "area_defect", "b_prime_point",
+        "build_figure1", "embed_triangle", "omega_circle", "optimal_alpha",
+        "optimality_certificate", "solve_sas", "tau_angle",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "ALPHA_EPS",

@@ -15,11 +15,12 @@ import argparse
 import math
 import sys
 
-from . import __version__, polygon, svgfig, triangle
+from . import __version__
 from .errors import DomainError, HyplobeError
 
-# oracle and verify load numpy, which costs more than the rest of a
-# triangle or isoperimetric run; only optimize and verify import them.
+# Each command imports the modules it runs, and nothing else: numpy costs
+# more than a whole triangle or steiner run, and only optimize (through
+# oracle) and verify load it; triangle, svg and optimize never load polygon.
 
 
 def _fmt_float(x: float) -> str:
@@ -64,7 +65,7 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _solution_dict(sol: triangle.TriangleSolution) -> dict:
+def _solution_dict(sol) -> dict:
     return {
         "a": sol.a, "b": sol.b, "c": sol.c,
         "alpha": sol.alpha, "beta": sol.beta, "gamma": sol.gamma,
@@ -77,9 +78,13 @@ def _circle_dict(c) -> dict:
 
 
 def cmd_triangle(args) -> int:
+    from . import triangle
+
     sol = triangle.solve_sas(args.b, args.c, args.alpha)
     fig = triangle.build_figure1(args.b, args.c, args.alpha)
     if args.format == "svg":
+        from . import svgfig
+
         _write(svgfig.figure1_svg(fig), args.output)
         return 0
     report = {
@@ -103,6 +108,7 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import triangle
     from .oracle import grid_search_max_area
 
     opt = triangle.optimal_alpha(args.b, args.c)
@@ -140,6 +146,8 @@ def _trace_csv(trace) -> str:
 
 
 def cmd_steiner(args) -> int:
+    from . import polygon
+
     poly = polygon.random_convex_polygon(args.n, args.seed)
     area0 = polygon.polygon_area(poly)
     perim0 = polygon.polygon_perimeter(poly)
@@ -174,6 +182,8 @@ def cmd_steiner(args) -> int:
 
 
 def cmd_isoperimetric(args) -> int:
+    from . import polygon
+
     if args.n_min < 3 or args.n_max < args.n_min:
         raise DomainError("need 3 <= n-min <= n-max")
     lines = ["n,area,deficit"]
@@ -236,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steiner", help="perimeter-preserving polygon improvement run")
     p.add_argument("--n", type=int, required=True, help="number of vertices")
-    p.add_argument("--seed", type=int, required=True, help="64-bit seed (PCG64)")
+    p.add_argument("--seed", type=int, required=True,
+                   help="non-negative integer seed (numpy default_rng stream)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-sweeps", type=int, default=500)
     p.add_argument("--trace-csv", default="steiner_trace.csv",

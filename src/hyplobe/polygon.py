@@ -29,7 +29,8 @@ for both kinds and only the better one is built; building it measures again
 only the sides and angles next to the moved vertices and checks convexity
 only where a vertex moved. Convexity and counterclockwise orientation are
 hyperbolic: one turn test decides both in the Klein model, where geodesics
-are straight. Only the random polygon generator uses numpy, on first call.
+are straight. No numpy: the random polygon generator replays numpy's seeded
+stream in pure Python.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .disk import (
     point_from_polar,
     step_from,
 )
+from ._pcg64 import Uniform
 from .errors import DomainError, NonConvexError, SolverError
 from .triangle import TriangleSolution, angle_from_sides
 
@@ -591,24 +593,26 @@ def isoperimetric_deficit(L: float, A: float) -> float:
 def random_convex_polygon(n: int, seed: int, max_attempts: int = 1000) -> HyperbolicPolygon:
     """Seeded random convex polygon: jittered vertices near a hyperbolic circle.
 
-    Randomness comes from numpy's default PCG64 generator initialized with the
-    given 64-bit seed, so results are reproducible across platforms.
+    The seed is a non-negative integer. The draws are those of
+    ``numpy.random.default_rng(seed).uniform``, replayed bit for bit in pure
+    Python, so a seed gives the same polygon on every platform without numpy.
     """
     if n < 3:
         raise DomainError("need n >= 3")
-    import numpy as np  # only the generator needs numpy; importing it is slow
-
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise DomainError("the seed must be a non-negative integer")
+    rng = Uniform(seed)
+    two_pi = 2.0 * math.pi
     for _ in range(max_attempts):
         radius = rng.uniform(0.5, 1.5)
-        thetas = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
-        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * math.pi]]))
-        if gaps.min() < 0.5 * math.pi / n:
+        thetas = sorted(rng.uniform(0.0, two_pi) for _ in range(n))
+        gaps = [b - a for a, b in zip(thetas, thetas[1:] + [thetas[0] + two_pi])]
+        if min(gaps) < 0.5 * math.pi / n:
             continue
-        radii = radius * (1.0 + rng.uniform(-0.15, 0.15, n))
+        radii = [radius * (1.0 + rng.uniform(-0.15, 0.15)) for _ in range(n)]
         try:
             return HyperbolicPolygon.from_vertices(
-                [point_from_polar(float(r), float(t)) for r, t in zip(radii, thetas)]
+                [point_from_polar(r, t) for r, t in zip(radii, thetas)]
             )
         except DomainError:
             continue

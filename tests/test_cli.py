@@ -143,6 +143,12 @@ class TestSteinerCommand:
                       "--trace-csv", str(tmp_path / "t.csv"))
         assert res.returncode == 2
 
+    def test_negative_seed_exit_2(self, tmp_path):
+        res = run_cli("steiner", "--n", "6", "--seed", "-1",
+                      "--trace-csv", str(tmp_path / "t.csv"))
+        assert res.returncode == 2
+        assert res.stderr == "error: the seed must be a non-negative integer\n"
+
 
 class TestIsoperimetricCommand:
     def test_sweep_table(self):
@@ -180,23 +186,29 @@ class TestVerifyCommand:
 
 
 class TestImportBudget:
-    """The CLI loads numpy only where a command needs it, and never scipy."""
+    """Each command loads only the modules it runs: numpy only where a command
+    needs it, polygon only for polygon commands, and never scipy."""
 
     SCRIPT = """
 import contextlib, io, json, sys
-import hyplobe, hyplobe.cli
-def heavy():
-    return [m for m in ("numpy", "scipy") if m in sys.modules]
-loaded = [heavy()]
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m in ("numpy", "scipy") or m.startswith("hyplobe."))
+import hyplobe
+stages = [loaded()]
+import hyplobe.cli
+stages.append(loaded())
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = hyplobe.cli.main(argv)
     assert code == 0, (argv, code)
-    loaded.append(heavy())
-print(json.dumps(loaded))
+    stages.append(loaded())
+print(json.dumps(stages))
 """
 
     def modules_loaded(self, *argvs):
+        """Watched modules loaded after `import hyplobe`, after importing the
+        CLI, then after each command, all in one fresh interpreter."""
         res = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
             capture_output=True, text=True, timeout=120,
@@ -204,13 +216,56 @@ print(json.dumps(loaded))
         assert res.returncode == 0, res.stderr
         return json.loads(res.stdout)
 
+    @staticmethod
+    def heavy(stage):
+        return [m for m in stage if m in ("numpy", "scipy")]
+
+    def test_bare_import_loads_no_submodule(self):
+        assert self.modules_loaded() == [[], ["hyplobe.cli", "hyplobe.errors"]]
+
+    def test_every_public_name_resolves(self):
+        script = """
+import hyplobe
+names = list(hyplobe.__all__)
+star = {}
+exec("from hyplobe import *", star)
+assert sorted(star.keys() - {"__builtins__"}) == sorted(names), "star import"
+assert all(star[n] is getattr(hyplobe, n) for n in names)
+assert set(names) <= set(dir(hyplobe))
+assert hyplobe.DiskPoint is hyplobe.disk.DiskPoint
+assert hyplobe.steiner_optimize is hyplobe.polygon.steiner_optimize
+assert not hasattr(hyplobe, "no_such_name")
+print(len(names), len(set(names)))
+"""
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["43", "43"]
+
     def test_triangle_and_isoperimetric_load_neither(self):
         loaded = self.modules_loaded(
             ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
             ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
             ["isoperimetric", "--perimeter", "7.0"],
         )
-        assert loaded == [[], [], [], []]  # after the imports, then each command
+        # after the imports, then each command
+        assert [self.heavy(stage) for stage in loaded] == [[]] * 5
+
+    def test_triangle_and_optimize_leave_polygon_unloaded(self):
+        loaded = self.modules_loaded(
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
+            ["optimize", "--b", "1.0", "--c", "1.5"],
+        )
+        assert all("hyplobe.polygon" not in stage for stage in loaded)
+        assert "hyplobe.verify" not in loaded[-1]
+
+    def test_steiner_leaves_numpy_unloaded(self, tmp_path):
+        loaded = self.modules_loaded(
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
+        )
+        assert "hyplobe.polygon" in loaded[-1]
+        assert self.heavy(loaded[-1]) == []
 
     def test_no_command_loads_scipy(self, tmp_path):
         loaded = self.modules_loaded(

@@ -11,6 +11,7 @@ from hyplobe import (
     HyperbolicPolygon,
     NonConvexError,
     RegularPolygonSpec,
+    SolverError,
     circle_geometry,
     circumcircle_fit,
     isoperimetric_deficit,
@@ -26,6 +27,7 @@ from hyplobe import (
     steiner_optimize,
 )
 from hyplobe import oracle
+from hyplobe._pcg64 import Uniform
 from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
@@ -652,3 +654,70 @@ class TestRandomPolygon:
     def test_validation(self):
         with pytest.raises(DomainError):
             random_convex_polygon(2, 0)
+
+    def test_negative_seed_refused(self):
+        for seed in (-1, -(2**64)):
+            with pytest.raises(DomainError, match="non-negative"):
+                random_convex_polygon(6, seed)
+
+
+def _numpy_random_convex_polygon(n, seed, max_attempts=1000):
+    """The generator as it was written on numpy.random.default_rng; None on refusal."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        radius = rng.uniform(0.5, 1.5)
+        thetas = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * math.pi]]))
+        if gaps.min() < 0.5 * math.pi / n:
+            continue
+        radii = radius * (1.0 + rng.uniform(-0.15, 0.15, n))
+        try:
+            return HyperbolicPolygon.from_vertices(
+                [point_from_polar(float(r), float(t)) for r, t in zip(radii, thetas)]
+            )
+        except DomainError:
+            continue
+    return None
+
+
+class TestNumpyStreamReplica:
+    """The pure-Python stream replays numpy.random.default_rng bit for bit."""
+
+    BOUNDS = [(0.5, 1.5)] + [(0.0, 2.0 * math.pi)] * 4 + [(-0.15, 0.15)] * 4
+
+    def test_uniform_matches_default_rng(self):
+        rng = np.random.default_rng(2026)
+        seeds = (
+            list(range(200))
+            + rng.integers(0, 2**32, 50, dtype=np.uint64).tolist()
+            + rng.integers(0, 2**64 - 1, 50, dtype=np.uint64, endpoint=True).tolist()
+            # 2**64 + 5 has three 32-bit words, 2**160 + 9 more than the pool's four
+            + [2**32 - 1, 2**64 - 1, 2**64 + 5, 2**160 + 9]
+        )
+        for seed in seeds:
+            ours, theirs = Uniform(seed), np.random.default_rng(seed)
+            for low, high in self.BOUNDS:
+                assert ours.uniform(low, high).hex() == theirs.uniform(low, high).hex(), seed
+
+    def test_rejects_negative_and_non_integer_seeds(self):
+        with pytest.raises(ValueError):
+            Uniform(-1)
+        with pytest.raises(TypeError):
+            Uniform(1.0)
+
+    def test_polygons_match_numpy_generator(self):
+        seeds = list(range(30)) + [2**32 - 1, 2**64 - 1, 2**64 + 5]
+        refused = 0
+        for n in range(3, 17):
+            for seed in seeds:
+                expected = _numpy_random_convex_polygon(n, seed)
+                if expected is None:
+                    refused += 1
+                    with pytest.raises(SolverError):
+                        random_convex_polygon(n, seed)
+                    continue
+                got = random_convex_polygon(n, seed)
+                assert [(v.x.hex(), v.y.hex()) for v in got.vertices] == [
+                    (v.x.hex(), v.y.hex()) for v in expected.vertices
+                ], (n, seed)
+        assert refused > 0  # the refusal path is compared too
