@@ -19,8 +19,8 @@ from . import __version__
 from .errors import DomainError, HyplobeError
 
 # Each command imports the modules it runs, and nothing else: numpy costs
-# more than a whole triangle or steiner run, and only optimize (through
-# oracle) and verify load it; triangle, svg and optimize never load polygon.
+# more than a whole triangle, optimize or steiner run, and only verify loads
+# it; triangle, svg and optimize never load polygon.
 
 
 def _fmt_float(x: float) -> str:

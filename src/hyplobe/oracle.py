@@ -1,16 +1,17 @@
-"""Independent brute-force references used by tests and the verify command.
+"""Independent brute-force references used by tests, the verify command and
+the grid cross-check that ``optimize`` prints.
 
-Nothing here is called from production code paths: these routines re-derive
-quantities by grid search, polyline integration, or Euclidean small-scale
-limits so that the primary implementations can be judged against them.
+No solver or certificate calls them: these routines re-derive quantities by
+grid search, polyline integration, or Euclidean small-scale limits so that
+the primary implementations can be judged against them. The apex-angle grid
+search is pure Python; numpy is imported only inside the functions that work
+on arrays, so ``optimize`` runs without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .disk import DiskPoint, direction_toward, geodesic_through
 from .errors import DomainError
@@ -25,56 +26,96 @@ class GridSearchResult:
     samples: int
 
 
-def _area_grid(b: float, c: float, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized defect area of the SAS triangle over a grid of apex angles.
+def _apex_area(b: float, c: float):
+    """The defect area of the SAS triangle with sides b, c, as a function of
+    the apex angle.
 
-    Written directly against the law of cosines, independent of the scalar
-    solver under test.
+    Uses the triple-product form tan(area / 2) = sinh b sinh c sin alpha /
+    (1 + cosh a + cosh b + cosh c), with each cosh x - 1 written without
+    cancellation: cosh b - 1 = 2 sinh^2(b / 2), and the law of cosines gives
+    cosh a - 1 = 2 sinh^2((b - c) / 2) + 2 sinh b sinh c sin^2(alpha / 2).
+    Every term of the denominator is non-negative, so small and thin
+    triangles keep full relative accuracy; the solver's half-angle form in
+    u = tanh(b / 2) tanh(c / 2) shares none of it.
     """
-    # cosh a - 1 in the cancellation-free form, then cosh a cosh x - cosh y
-    # expanded in (cosh - 1) terms; keeps tiny triangles accurate.
-    mb = 2.0 * math.sinh(0.5 * b) ** 2
-    mc = 2.0 * math.sinh(0.5 * c) ** 2
-    ma = (
-        2.0 * math.sinh(0.5 * (b - c)) ** 2
-        + 2.0 * math.sinh(b) * math.sinh(c) * np.sin(0.5 * alphas) ** 2
+    sinh_bc = math.sinh(b) * math.sinh(c)
+    fixed = 4.0 + 2.0 * (
+        math.sinh(0.5 * b) ** 2 + math.sinh(0.5 * c) ** 2 + math.sinh(0.5 * (b - c)) ** 2
     )
-    a = np.log1p(ma + np.sqrt(ma * (ma + 2.0)))
-    sinh_a = np.sinh(a)
-    cos_beta = (ma + mc - mb + ma * mc) / (sinh_a * math.sinh(c))
-    cos_gamma = (ma + mb - mc + ma * mb) / (sinh_a * math.sinh(b))
-    beta = np.arccos(np.clip(cos_beta, -1.0, 1.0))
-    gamma = np.arccos(np.clip(cos_gamma, -1.0, 1.0))
-    return math.pi - (alphas + beta + gamma)
+
+    def area(alpha: float) -> float:
+        half = math.sin(0.5 * alpha)
+        return 2.0 * math.atan2(sinh_bc * math.sin(alpha), fixed + 2.0 * sinh_bc * half * half)
+
+    return area
+
+
+# the apex-angle grid, a hair inside the solver's (ALPHA_EPS, pi - ALPHA_EPS)
+_ALPHA_LO = ALPHA_EPS * (1.0 + 1e-9)
+_ALPHA_HI = math.pi - _ALPHA_LO
+
+
+def _apex_angles(indices, samples: int) -> list[float]:
+    """The apex angles at ``indices`` of an even grid of ``samples`` from
+    _ALPHA_LO to _ALPHA_HI, bit for bit where ``numpy.linspace`` puts them:
+    k * step + lo, and the last point exactly hi."""
+    step = (_ALPHA_HI - _ALPHA_LO) / (samples - 1)
+    last = samples - 1
+    return [_ALPHA_HI if k == last else k * step + _ALPHA_LO for k in indices]
 
 
 def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
-    """Argmax of the triangle area over an even apex-angle grid."""
+    """Argmax of the triangle area over an even grid of ``samples`` apex angles.
+
+    The area is ``_apex_area``'s triple-product form,
+    tan(area / 2) = sinh b sinh c sin alpha / (4 + m_a + m_b + m_c) with
+    m_x = cosh x - 1 formed without cancellation, accurate to a few ulps over
+    the whole domain and independent of the solver's formulas. The scan
+    runs coarse to fine: with s = isqrt(samples), it evaluates every s-th
+    point and the last one, then every point strictly between the two
+    coarse neighbours of the coarse argmax, about 3 s evaluations in all.
+    Ties resolve to the first (smallest) angle, as ``numpy.argmax`` does.
+
+    The result is exactly the argmax of an exhaustive scan whenever the
+    sampled area rises strictly to a single top (one point or a run of equal
+    values) and then falls strictly: the first maximum then lies strictly
+    between the coarse argmax's neighbours. ``triangle.optimal_alpha`` shows
+    that the true area has that shape, since d/d alpha tan(area / 2) has the
+    sign of cos alpha - u; the accurate area keeps it on the grid, which
+    ``count_local_maxima`` and the tests witness.
+    """
     if samples < 1000:
         raise DomainError("grid search needs at least 1000 samples")
-    lo = ALPHA_EPS * (1.0 + 1e-9)
-    hi = math.pi - ALPHA_EPS * (1.0 + 1e-9)
-    alphas = np.linspace(lo, hi, samples)
-    areas = _area_grid(b, c, alphas)
-    k = int(np.argmax(areas))  # ties resolve to the smaller alpha
+    area = _apex_area(b, c)
+    stride = math.isqrt(samples)
+    coarse = [*range(0, samples - 1, stride), samples - 1]
+    values = list(map(area, _apex_angles(coarse, samples)))
+    j = values.index(max(values))
+    start = coarse[j - 1] + 1 if j > 0 else 0
+    stop = coarse[j + 1] if j + 1 < len(coarse) else samples
+    alphas = _apex_angles(range(start, stop), samples)
+    values = list(map(area, alphas))
+    best = max(values)
     return GridSearchResult(
-        alpha_hat=float(alphas[k]),
-        area_hat=float(areas[k]),
-        grid_step=(hi - lo) / samples,
+        alpha_hat=alphas[values.index(best)],  # the first maximum
+        area_hat=best,
+        grid_step=(_ALPHA_HI - _ALPHA_LO) / samples,
         samples=samples,
     )
 
 
 def count_local_maxima(b: float, c: float, samples: int) -> int:
     """Strict local maxima of the area on the grid (unimodality witness)."""
-    lo = ALPHA_EPS * (1.0 + 1e-9)
-    hi = math.pi - ALPHA_EPS * (1.0 + 1e-9)
-    areas = _area_grid(b, c, np.linspace(lo, hi, samples))
-    interior = areas[1:-1]
-    return int(np.sum((interior > areas[:-2]) & (interior > areas[2:])))
+    area = _apex_area(b, c)
+    areas = list(map(area, _apex_angles(range(samples), samples)))
+    return sum(
+        1 for left, mid, right in zip(areas, areas[1:], areas[2:]) if left < mid > right
+    )
 
 
 def _grid_argmax(args: np.ndarray, areas: np.ndarray) -> GridSearchResult:
+    import numpy as np
+
     k = int(np.argmax(areas))
     return GridSearchResult(
         alpha_hat=float(args[k]),
@@ -90,6 +131,7 @@ def _defect_from_sides(a, b, c):
     Pi minus the three angles of the plain law of cosines; adequate for sides
     of order one.
     """
+    import numpy as np
 
     def angle(x, y, z):
         cos_x = (np.cosh(y) * np.cosh(z) - np.cosh(x)) / (np.sinh(y) * np.sinh(z))
@@ -104,6 +146,8 @@ def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
     The grid spans the open interval allowed by the triangle inequality; it
     witnesses the isosceles optimum t = s / 2 of the polygon hinge move.
     """
+    import numpy as np
+
     if samples < 1000:
         raise DomainError("grid search needs at least 1000 samples")
     ts = np.linspace(0.5 * (s - base), 0.5 * (s + base), samples + 2)[1:-1]
@@ -115,6 +159,8 @@ def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
     |DA| = diag and angle phi at A, as the sum of triangles ABD and BCD;
     -inf where the cross diagonal BD leaves no triangle BCD.
     """
+    import numpy as np
+
     x = np.cosh(s1) * np.cosh(diag) - np.sinh(s1) * np.sinh(diag) * np.cos(phi)
     bd = np.arccosh(np.maximum(1.0, x))
     area = _defect_from_sides(s1, diag, bd) + _defect_from_sides(s2, s3, bd)
@@ -129,6 +175,8 @@ def grid_search_quadrilateral(
     Witnesses the polygon diagonal move, which solves for the concyclic
     position instead of searching.
     """
+    import numpy as np
+
     if samples < 1000:
         raise DomainError("grid search needs at least 1000 samples")
     phis = np.linspace(0.0, math.pi, samples + 2)[1:-1]
@@ -146,6 +194,8 @@ def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> fl
     leaves the open disk or a chord's length overflows, as DiskPoint and
     hyp_distance would.
     """
+    import numpy as np
+
     if segments < 10_000:
         raise DomainError("use at least 10^4 segments")
     if abs(p.z - q.z) < 1e-15:

@@ -79,6 +79,16 @@ class TestOptimizeCommand:
         assert certs["tangency_gap"] <= 1e-9
         assert certs["alpha_plus_tau_residual"] <= 1e-9
 
+    def test_thin_triangle_grid_witness(self):
+        # the law-of-cosines witness lost every digit here and landed on the
+        # grid's last point, 50,000 steps from alpha*
+        res = run_cli(
+            "optimize", "--b", "1.6342918279229495e-05", "--c", "0.000272367714039238"
+        )
+        assert res.returncode == 0, res.stderr
+        grid = json.loads(res.stdout)["grid_check"]
+        assert grid["gap"] <= grid["grid_step"]
+
     def test_bad_input_exit_2(self):
         assert run_cli("optimize", "--b", "0", "--c", "1").returncode == 2
 
@@ -186,8 +196,8 @@ class TestVerifyCommand:
 
 
 class TestImportBudget:
-    """Each command loads only the modules it runs: numpy only where a command
-    needs it, polygon only for polygon commands, and never scipy."""
+    """Each command loads only the modules it runs: numpy only for verify,
+    polygon only for polygon commands, and never scipy."""
 
     SCRIPT = """
 import contextlib, io, json, sys
@@ -265,6 +275,11 @@ print(len(names), len(set(names)))
             ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
         )
         assert "hyplobe.polygon" in loaded[-1]
+        assert self.heavy(loaded[-1]) == []
+
+    def test_optimize_leaves_numpy_unloaded(self):
+        loaded = self.modules_loaded(["optimize", "--b", "0.8", "--c", "1.7"])
+        assert "hyplobe.oracle" in loaded[-1]
         assert self.heavy(loaded[-1]) == []
 
     def test_no_command_loads_scipy(self, tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyplobe import (
+    ALPHA_EPS,
     DiskPoint,
     DomainError,
     geodesic_through,
@@ -13,6 +14,7 @@ from hyplobe import (
     optimal_alpha,
     solve_sas,
 )
+from hyplobe import oracle
 from hyplobe.oracle import (
     count_local_maxima,
     curvature_corrected_side,
@@ -50,6 +52,77 @@ class TestGridSearch:
             b = rng.uniform(0.1, 3.0)
             c = rng.uniform(0.1, 3.0)
             assert count_local_maxima(b, c, 10_000) == 1
+
+    def test_area_matches_high_precision_half_angle(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(53)
+        with mpmath.workdps(50):
+            for _ in range(400):
+                b, c = np.exp(rng.uniform(math.log(1e-6), math.log(20.0), 2))
+                alpha = rng.uniform(0.01, math.pi - 0.01)
+                u = mpmath.tanh(mpmath.mpf(b) / 2) * mpmath.tanh(mpmath.mpf(c) / 2)
+                exact = 2 * mpmath.atan2(
+                    u * mpmath.sin(alpha), 1 - u * mpmath.cos(alpha)
+                )
+                area = oracle._apex_area(float(b), float(c))(float(alpha))
+                assert abs(area - exact) <= 1e-14 * exact, (b, c, alpha)
+
+    def test_argmax_within_one_step_across_domain(self):
+        pairs = [(1e-6, 1e-6), (1e-6, 20.0), (20.0, 20.0)] + _log_uniform_pairs(54, 400)
+        for b, c in pairs:
+            res = grid_search_max_area(b, c, 100_000)
+            gap = abs(res.alpha_hat - optimal_alpha(b, c).alpha_star)
+            assert gap <= res.grid_step, (b, c, gap / res.grid_step)
+
+
+# tiny sides whose sampled area tops out in a tie of two grid points
+TIED_TOP_PAIRS = [
+    (1e-6, 1e-6),
+    (4.844753201912817e-06, 1.6105187168293835e-06),
+    (2.2484863198393345e-06, 3.329651894798128e-06),
+]
+
+
+def _areas_on_linspace(b, c, samples=100_000):
+    """The oracle's area at every point of numpy's grid, in order."""
+    lo = ALPHA_EPS * (1.0 + 1e-9)
+    alphas = np.linspace(lo, math.pi - lo, samples).tolist()
+    area = oracle._apex_area(b, c)
+    return alphas, [area(alpha) for alpha in alphas]
+
+
+def _log_uniform_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(float(x) for x in np.exp(rng.uniform(math.log(1e-6), math.log(20.0), 2)))
+        for _ in range(count)
+    ]
+
+
+class TestCoarseToFinePremise:
+    """The coarse-to-fine scan equals the exhaustive argmax when the sampled
+    area rises strictly to one top run and then falls strictly."""
+
+    def test_equals_exhaustive_first_max(self):
+        pairs = TIED_TOP_PAIRS + [(1e-6, 20.0), (20.0, 1e-6), (20.0, 20.0), (0.8, 1.7)]
+        pairs += _log_uniform_pairs(55, 23)
+        for b, c in pairs:
+            alphas, areas = _areas_on_linspace(b, c)
+            k = areas.index(max(areas))
+            if (b, c) in TIED_TOP_PAIRS:
+                assert areas[k + 1] == areas[k]
+            res = grid_search_max_area(b, c, 100_000)
+            assert (res.alpha_hat, res.area_hat) == (alphas[k], areas[k]), (b, c)
+
+    def test_area_rises_to_one_top_then_falls(self):
+        for b, c in TIED_TOP_PAIRS[:1] + [(20.0, 20.0)] + _log_uniform_pairs(56, 20):
+            _, areas = _areas_on_linspace(b, c)
+            top = areas.index(max(areas))
+            end = top
+            while end + 1 < len(areas) and areas[end + 1] == areas[top]:
+                end += 1
+            assert all(x < y for x, y in zip(areas[:top], areas[1 : top + 1])), (b, c)
+            assert all(x > y for x, y in zip(areas[end:], areas[end + 1 :])), (b, c)
 
 
 class TestGeodesicSampling:
