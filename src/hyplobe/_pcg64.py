@@ -1,10 +1,13 @@
-"""Pure-Python replica of ``numpy.random.default_rng(seed).uniform``.
+"""Pure-Python replica of ``numpy.random.default_rng(entropy)``.
 
-For a non-negative int seed, ``Uniform(seed)`` yields the same doubles as
-numpy's default generator, bit for bit, so seeded polygons do not need numpy:
-SeedSequence hashes the seed's 32-bit words into a 4-word pool, draws a
-128-bit state and increment from it, and PCG64 (setseq-128 with the XSL-RR
-output) turns each 64-bit output x into low + (high - low) (x >> 11) 2^-53.
+For non-negative integer entropy (one int, or a list such as ``[seed, k]``),
+``DefaultRng(entropy)`` draws the same numbers as numpy's default generator,
+bit for bit, so seeded runs do not need numpy. SeedSequence concatenates the
+little-endian 32-bit words of each entropy part, hashes them into a 4-word
+pool and draws a 128-bit state and increment from it; PCG64 (setseq-128 with
+the XSL-RR output) then gives 64-bit outputs x. ``uniform`` turns one output
+into low + (high - low) (x >> 11) 2^-53; ``integers`` draws 32-bit words,
+the low half of an output first and its high half on the next call.
 """
 
 from __future__ import annotations
@@ -37,12 +40,22 @@ def _hasher(hash_const: int, mult: int):
     return hashmix
 
 
-def _seed_pool(seed: int) -> list[int]:
-    """SeedSequence(seed).pool: the seed's little-endian 32-bit words, mixed."""
-    words = [seed & _M32]
-    while seed > _M32:
-        seed >>= 32
-        words.append(seed & _M32)
+def _entropy_words(entropy) -> list[int]:
+    """The little-endian 32-bit words of each entropy part, concatenated; 0 is one word."""
+    parts = entropy if isinstance(entropy, (list, tuple)) else [entropy]
+    words = []
+    for part in map(operator.index, parts):
+        if part < 0:
+            raise ValueError("expected non-negative integer entropy")
+        words.append(part & _M32)
+        while part > _M32:
+            part >>= 32
+            words.append(part & _M32)
+    return words
+
+
+def _seed_pool(words: list[int]) -> list[int]:
+    """SeedSequence(entropy).pool: the entropy words, mixed."""
     hashmix = _hasher(INIT_A, MULT_A)
 
     def mix(x: int, y: int) -> int:
@@ -67,17 +80,16 @@ def _generate_state(pool: list[int]) -> list[int]:
     return [words[i] | words[i + 1] << 32 for i in range(0, len(words), 2)]
 
 
-class Uniform:
-    """The stream of ``numpy.random.default_rng(seed).uniform(low, high)``."""
+class DefaultRng:
+    """The stream of ``numpy.random.default_rng(entropy)``: scalar ``uniform``
+    and ``integers`` draws, in the order numpy makes them."""
 
-    def __init__(self, seed: int) -> None:
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("expected a non-negative integer seed")
-        s = _generate_state(_seed_pool(seed))
+    def __init__(self, entropy) -> None:
+        s = _generate_state(_seed_pool(_entropy_words(entropy)))
         # pcg_setseq_128_srandom_r: step from state 0, add the seed, step again
         self._inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
         self._state = ((self._inc + (s[0] << 64 | s[1])) * PCG64_MULT + self._inc) & _M128
+        self._high_half = None  # numpy's buffered upper 32 bits
 
     def _next64(self) -> int:
         state = self._state = (self._state * PCG64_MULT + self._inc) & _M128
@@ -85,5 +97,34 @@ class Uniform:
         rot = state >> 122
         return (x >> rot | x << (64 - rot)) & _M64
 
+    def _next32(self) -> int:
+        if self._high_half is not None:
+            word, self._high_half = self._high_half, None
+            return word
+        x = self._next64()
+        self._high_half = x >> 32
+        return x & _M32
+
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * ((self._next64() >> 11) * (1.0 / 9007199254740992.0))
+
+    def integers(self, low: int, high: int) -> int:
+        """A draw from low, ..., high - 1, as numpy's 32-bit path makes it.
+
+        A range of 2^32 values takes one word as it is; a smaller one uses
+        Lemire's multiply-shift, rejecting words whose low product half falls
+        below (2^32 - range) mod range. A single value draws nothing.
+        """
+        span = high - low
+        if not 0 < span <= 1 << 32:
+            raise ValueError("integers needs low < high <= low + 2**32")
+        if span == 1:
+            return low
+        if span == 1 << 32:
+            return low + self._next32()
+        m = self._next32() * span
+        if m & _M32 < span:
+            threshold = ((1 << 32) - span) % span
+            while m & _M32 < threshold:
+                m = self._next32() * span
+        return low + (m >> 32)

@@ -18,9 +18,9 @@ import sys
 from . import __version__
 from .errors import DomainError, HyplobeError
 
-# Each command imports the modules it runs, and nothing else: numpy costs
-# more than a whole triangle, optimize or steiner run, and only verify loads
-# it; triangle, svg and optimize never load polygon.
+# Each command imports the modules it runs, and nothing else: triangle, svg
+# and optimize never load polygon, and the whole package needs only the
+# standard library, so no command loads numpy.
 
 
 def _fmt_float(x: float) -> str:
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle/property suite")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    # verify.FAULT_TAU_SIGN, spelled out so that building the parser needs no numpy
+    # verify.FAULT_TAU_SIGN, spelled out so that building the parser loads no verify
     p.add_argument("--inject-fault", choices=["tau-sign"], default=None,
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)

@@ -3,14 +3,15 @@
 Points are Euclidean coordinates strictly inside the unit disk, geodesics are
 diameters or circles orthogonal to the unit circle, and orientation-preserving
 isometries are Mobius maps z -> e^{i phi} (z - a) / (1 - conj(a) z).
-Curvature is fixed at -1. All values are immutable and all operations pure.
+Curvature is fixed at -1. All values are immutable and all operations pure:
+the records are named tuples, compared and hashed by value.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateInputError, DomainError
 
@@ -22,20 +23,17 @@ _COLLINEAR_TOL = 1e-12
 _COINCIDENT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DiskPoint:
+class DiskPoint(namedtuple("DiskPoint", "x y")):
     """A point of the hyperbolic plane in disk coordinates, |p| < 1."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __new__(cls, x: float, y: float) -> "DiskPoint":
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError("disk point coordinates must be finite")
-        if self.x * self.x + self.y * self.y >= 1.0:
-            raise DomainError(
-                f"point ({self.x}, {self.y}) is not strictly inside the unit disk"
-            )
+        if x * x + y * y >= 1.0:
+            raise DomainError(f"point ({x}, {y}) is not strictly inside the unit disk")
+        return tuple.__new__(cls, (x, y))
 
     @property
     def z(self) -> complex:
@@ -52,19 +50,17 @@ class DiskPoint:
 ORIGIN = DiskPoint(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class EuclideanCircle:
+class EuclideanCircle(namedtuple("EuclideanCircle", "cx cy radius")):
     """A circle in the Euclidean plane of the model (center may leave the disk)."""
 
-    cx: float
-    cy: float
-    radius: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
+    def __new__(cls, cx: float, cy: float, radius: float) -> "EuclideanCircle":
+        if not (math.isfinite(radius) and radius > 0.0):
             raise DomainError("circle radius must be positive and finite")
-        if not (math.isfinite(self.cx) and math.isfinite(self.cy)):
+        if not (math.isfinite(cx) and math.isfinite(cy)):
             raise DomainError("circle center must be finite")
+        return tuple.__new__(cls, (cx, cy, radius))
 
     @property
     def center(self) -> complex:
@@ -75,12 +71,14 @@ class EuclideanCircle:
         return self.cx * self.cx + self.cy * self.cy - 1.0 - self.radius * self.radius
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """A hyperbolic line: a diameter, or an arc of a circle orthogonal to the boundary."""
+class Geodesic(namedtuple("Geodesic", "direction circle")):
+    """A hyperbolic line: a diameter, or an arc of a circle orthogonal to the boundary.
 
-    direction: complex | None
-    circle: EuclideanCircle | None
+    ``direction`` is the unit complex direction of a diameter and ``circle``
+    the EuclideanCircle of an arc; the other one is None.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def diameter(cls, direction: complex) -> "Geodesic":
@@ -98,16 +96,14 @@ class Geodesic:
         return self.circle is None
 
 
-@dataclass(frozen=True)
-class DiskIsometry:
+class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
     """Orientation-preserving disk automorphism: z -> e^{i phi} (z - a)/(1 - conj(a) z).
 
-    ``target`` is the point a carried to the origin; ``phi`` is the rotation
-    applied afterwards.
+    ``target`` is the DiskPoint a carried to the origin; ``phi`` is the
+    rotation applied afterwards.
     """
 
-    target: DiskPoint
-    phi: float = 0.0
+    __slots__ = ()
 
     @classmethod
     def identity(cls) -> "DiskIsometry":

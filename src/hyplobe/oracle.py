@@ -3,27 +3,27 @@ the grid cross-check that ``optimize`` prints.
 
 No solver or certificate calls them: these routines re-derive quantities by
 grid search, polyline integration, or Euclidean small-scale limits so that
-the primary implementations can be judged against them. The apex-angle grid
-search is pure Python; numpy is imported only inside the functions that work
-on arrays, so ``optimize`` runs without it.
+the primary implementations can be judged against them. Only the three
+array oracles, ``grid_search_hinge``, ``grid_search_quadrilateral`` and
+``quadrilateral_area``, use numpy, imported inside the function; the rest is
+pure Python, so ``optimize`` and ``verify`` run without numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .disk import DiskPoint, direction_toward, geodesic_through
 from .errors import DomainError
 from .triangle import ALPHA_EPS
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
-    alpha_hat: float  # the argmax: apex angle, hinge side t or diagonal angle phi
-    area_hat: float
-    grid_step: float
-    samples: int
+class GridSearchResult(namedtuple("GridSearchResult", "alpha_hat area_hat grid_step samples")):
+    """alpha_hat is the argmax: apex angle, hinge side t or diagonal angle phi."""
+
+    __slots__ = ()
 
 
 def _apex_area(b: float, c: float):
@@ -113,7 +113,7 @@ def count_local_maxima(b: float, c: float, samples: int) -> int:
     )
 
 
-def _grid_argmax(args: np.ndarray, areas: np.ndarray) -> GridSearchResult:
+def _grid_argmax(args, areas) -> GridSearchResult:
     import numpy as np
 
     k = int(np.argmax(areas))
@@ -143,15 +143,25 @@ def _defect_from_sides(a, b, c):
 def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
     """Argmax over t of the area of the triangle with sides t, s - t and base.
 
-    The grid spans the open interval allowed by the triangle inequality; it
-    witnesses the isosceles optimum t = s / 2 of the polygon hinge move.
+    The grid spans the open interval (lo, hi) = ((s - base) / 2, (s + base) / 2)
+    allowed by the triangle inequality; it witnesses the isosceles optimum
+    t = s / 2 of the polygon hinge move. The area comes from the hyperbolic
+    L'Huilier formula, tan^2(area / 4) = tanh(p / 2) tanh((p - t) / 2)
+    tanh((p - (s - t)) / 2) tanh((p - base) / 2) with p = hi the
+    semi-perimeter. p - t = hi - t, p - (s - t) = t - lo and p - base = lo
+    are formed from the grid's ends, not subtracted from p, so every factor
+    keeps its relative accuracy on tiny polygons.
     """
     import numpy as np
 
     if samples < 1000:
         raise DomainError("grid search needs at least 1000 samples")
-    ts = np.linspace(0.5 * (s - base), 0.5 * (s + base), samples + 2)[1:-1]
-    return _grid_argmax(ts, _defect_from_sides(ts, s - ts, base))
+    lo, hi = 0.5 * (s - base), 0.5 * (s + base)
+    ts = np.linspace(lo, hi, samples + 2)[1:-1]
+    tan2 = math.tanh(0.5 * hi) * math.tanh(0.5 * lo) * np.tanh(0.5 * (hi - ts)) * np.tanh(
+        0.5 * (ts - lo)
+    )
+    return _grid_argmax(ts, 4.0 * np.arctan(np.sqrt(tan2)))
 
 
 def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
@@ -184,39 +194,47 @@ def grid_search_quadrilateral(
 
 
 def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> float:
-    """Length of the geodesic arc p-q as a sum of short chordal distances.
+    """Length of the geodesic arc p-q as a sum of hyperbolic chord lengths.
 
     Places ``segments + 1`` evenly spaced samples on the arc (or diameter
-    segment) from p to q, in Euclidean arc length, and sums the hyperbolic
-    distances 2 artanh(|u - w| / |1 - conj(u) w|) of consecutive samples,
-    all at once in numpy. Every chord is shorter than its arc, so the sum
-    converges to the distance from below. Raises DomainError if a sample
-    leaves the open disk or a chord's length overflows, as DiskPoint and
-    hyp_distance would.
+    segment) from p to q, in Euclidean arc length, and sums with math.fsum
+    the distances d of consecutive samples u, w from
+    sinh(d / 2) = |u - w| / sqrt((1 - |u|^2) (1 - |w|^2)), with each
+    1 - |z|^2 formed as (1 - |z|) (1 + |z|). This shares no formula with
+    ``hyp_distance``'s artanh form. The samples lie on the geodesic, so by
+    additivity the chord lengths sum to the distance exactly, for any number
+    of segments; the two differ only by rounding. Raises DomainError if a
+    sample leaves the open disk, as DiskPoint would.
     """
-    import numpy as np
-
     if segments < 10_000:
         raise DomainError("use at least 10^4 segments")
     if abs(p.z - q.z) < 1e-15:
         return 0.0
     g = geodesic_through(p, q)
-    k = np.arange(segments + 1)
     if g.is_diameter:
-        z = (p.x + (q.x - p.x) * k / segments) + 1j * (p.y + (q.y - p.y) * k / segments)
+        dx, dy = q.x - p.x, q.y - p.y
+        zs = [
+            complex(p.x + dx * k / segments, p.y + dy * k / segments)
+            for k in range(segments + 1)
+        ]
     else:
         c = g.circle
         a0 = math.atan2(p.y - c.cy, p.x - c.cx)
         a1 = math.atan2(q.y - c.cy, q.x - c.cx)
         sweep = math.remainder(a1 - a0, math.tau)  # the short way around
-        z = c.center + c.radius * np.exp(1j * (a0 + sweep * k / segments))
-    if not np.all(z.real * z.real + z.imag * z.imag < 1.0):
+        center, radius = c.center, c.radius
+        zs = [
+            center + cmath.rect(radius, a0 + sweep * k / segments)
+            for k in range(segments + 1)
+        ]
+    gaps = [(1.0 - r) * (1.0 + r) for r in map(abs, zs)]  # 1 - |z|^2
+    if not min(gaps) > 0.0:
         raise DomainError("a sample of the geodesic left the unit disk")
-    u, w = z[:-1], z[1:]
-    t = np.abs(u - w) / np.abs(1.0 - u.conj() * w)
-    if not np.all(t < 1.0):
-        raise DomainError("distance overflow: points too close to the boundary")
-    return float(np.sum(np.log1p(2.0 * t / (1.0 - t))))
+    roots = list(map(math.sqrt, gaps))
+    return 2.0 * math.fsum(
+        math.asinh(abs(u - w) / (ru * rw))
+        for u, w, ru, rw in zip(zs, zs[1:], roots, roots[1:])
+    )
 
 
 def intrinsic_convex_ccw(vertices) -> bool:
@@ -240,12 +258,8 @@ def intrinsic_convex_ccw(vertices) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EuclideanTriangle:
-    a: float
-    beta: float
-    gamma: float
-    area: float
+class EuclideanTriangle(namedtuple("EuclideanTriangle", "a beta gamma area")):
+    __slots__ = ()
 
 
 def euclidean_limit_triangle(b: float, c: float, alpha: float) -> EuclideanTriangle:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .disk import (
     D_MAX,
@@ -48,7 +48,7 @@ from .disk import (
     point_from_polar,
     step_from,
 )
-from ._pcg64 import Uniform
+from ._pcg64 import DefaultRng
 from .errors import DomainError, NonConvexError, SolverError
 from .triangle import TriangleSolution, angle_from_sides
 
@@ -63,14 +63,18 @@ SPREAD_FLOOR = 1e-6
 _SIDE_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class HyperbolicPolygon:
+class HyperbolicPolygon(
+    namedtuple("HyperbolicPolygon", "vertices side_lengths interior_angles")
+):
     """Strictly convex polygon, vertices in counterclockwise order: the
-    hyperbolic orientation, decided in the Klein model (see _check_convex)."""
+    hyperbolic orientation, decided in the Klein model (see _check_convex).
 
-    vertices: tuple[DiskPoint, ...]
-    side_lengths: tuple[float, ...]
-    interior_angles: tuple[float, ...]
+    ``vertices`` is a tuple of DiskPoints; ``side_lengths[i]`` is the side
+    from vertex i to vertex i + 1 and ``interior_angles[i]`` the angle at
+    vertex i, both tuples of floats.
+    """
+
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -208,12 +212,12 @@ def _side_sign(base: DiskPoint, ref: DiskPoint, probe: DiskPoint) -> float:
     return 1.0 if _klein_turn(base, ref, probe).imag >= 0.0 else -1.0
 
 
-@dataclass(frozen=True)
-class MoveResult:
-    polygon: HyperbolicPolygon
-    delta_area: float
-    accepted: bool
-    rejected: int = 0  # planned moves refused because the result was not convex
+class MoveResult(
+    namedtuple("MoveResult", "polygon delta_area accepted rejected", defaults=(0,))
+):
+    """``rejected`` counts planned moves refused because the result was not convex."""
+
+    __slots__ = ()
 
 
 # A planned move: its area gain and the new positions of the vertices it moves.
@@ -363,24 +367,23 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     return _apply_best(poly, [_plan_hinge(poly, i), _plan_diagonal(poly, i)])
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    iteration: int
-    vertex: int
-    area_before: float
-    area_after: float
-    residual: float
-    perimeter: float
+class TraceStep(
+    namedtuple(
+        "TraceStep", "iteration vertex area_before area_after residual perimeter"
+    )
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SteinerResult:
-    polygon: HyperbolicPolygon
-    trace: tuple[TraceStep, ...]
-    converged: bool
-    sweeps: int
-    spread: float
-    moves_rejected: int  # planned moves refused because the result was not convex
+class SteinerResult(
+    namedtuple(
+        "SteinerResult", "polygon trace converged sweeps spread moves_rejected"
+    )
+):
+    """``trace`` is a tuple of TraceSteps; ``moves_rejected`` counts planned
+    moves refused because the result was not convex."""
+
+    __slots__ = ()
 
 
 def steiner_optimize(
@@ -445,11 +448,8 @@ def steiner_optimize(
     )
 
 
-@dataclass(frozen=True)
-class CircumcircleFit:
-    center: DiskPoint
-    radius: float
-    spread: float
+class CircumcircleFit(namedtuple("CircumcircleFit", "center radius spread")):
+    __slots__ = ()
 
 
 def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
@@ -496,24 +496,21 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     )
 
 
-@dataclass(frozen=True)
-class RegularPolygonSpec:
-    n: int
-    circumradius: float
+class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n circumradius")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+    def __new__(cls, n: int, circumradius: float) -> "RegularPolygonSpec":
+        if n < 3:
             raise DomainError("a regular polygon needs n >= 3")
-        if not (0.0 < self.circumradius <= D_MAX / 2):
+        if not (0.0 < circumradius <= D_MAX / 2):
             raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
+        return tuple.__new__(cls, (n, circumradius))
 
 
-@dataclass(frozen=True)
-class RegularPolygonStats:
-    side: float
-    interior_angle: float
-    perimeter: float
-    area: float
+class RegularPolygonStats(
+    namedtuple("RegularPolygonStats", "side interior_angle perimeter area")
+):
+    __slots__ = ()
 
 
 def regular_polygon(spec: RegularPolygonSpec) -> RegularPolygonStats:
@@ -601,7 +598,7 @@ def random_convex_polygon(n: int, seed: int, max_attempts: int = 1000) -> Hyperb
         raise DomainError("need n >= 3")
     if seed < 0:
         raise DomainError("the seed must be a non-negative integer")
-    rng = Uniform(seed)
+    rng = DefaultRng(seed)
     two_pi = 2.0 * math.pi
     for _ in range(max_attempts):
         radius = rng.uniform(0.5, 1.5)

@@ -15,7 +15,7 @@ formula, and B' is the far root of a quadratic taken through Vieta's sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .disk import (
     D_MAX,
@@ -32,51 +32,41 @@ from .errors import DegenerateInputError, DomainError
 ALPHA_EPS = 1e-6
 
 
-@dataclass(frozen=True)
-class TriangleSolution:
+class TriangleSolution(namedtuple("TriangleSolution", "a b c alpha beta gamma area")):
     """Sides and angles of a hyperbolic triangle; side a is opposite alpha."""
 
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-    gamma: float
-    area: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls, a: float, b: float, c: float, alpha: float, beta: float, gamma: float, area: float
+    ) -> "TriangleSolution":
         # b and c are domain-limited by the solver; the derived side a may
         # legitimately exceed D_MAX (up to about 2 * D_MAX).
-        for s in (self.a, self.b, self.c):
+        for s in (a, b, c):
             if not (0.0 < s and math.isfinite(s)):
                 raise DomainError(f"triangle side {s} must be positive and finite")
-        angle_sum = self.alpha + self.beta + self.gamma
-        for ang in (self.alpha, self.beta, self.gamma):
+        angle_sum = alpha + beta + gamma
+        for ang in (alpha, beta, gamma):
             if not (0.0 < ang < math.pi):
                 raise DomainError(f"triangle angle {ang} outside (0, pi)")
         if angle_sum >= math.pi:
             raise DomainError("angle sum must be below pi in the hyperbolic plane")
-        if abs(self.area - (math.pi - angle_sum)) > 1e-14:
+        if abs(area - (math.pi - angle_sum)) > 1e-14:
             raise DomainError("stored area disagrees with the angle defect")
+        return tuple.__new__(cls, (a, b, c, alpha, beta, gamma, area))
 
 
-@dataclass(frozen=True)
-class Figure1:
+class Figure1(namedtuple("Figure1", "A B C omega psi b_prime tau")):
     """The full disk construction for a triangle with apex A at the center.
 
-    ``omega`` is the Euclidean circle containing geodesic BC, ``psi`` the
-    Euclidean circle traced by C as the apex angle varies (center the origin,
-    radius tanh(b/2)), ``b_prime`` the second intersection of line AB with
-    omega, and ``tau`` the Euclidean angle at b_prime in triangle A-b_prime-C.
+    A, B and C are DiskPoints; ``omega`` is the EuclideanCircle containing
+    geodesic BC, ``psi`` the EuclideanCircle traced by C as the apex angle
+    varies (center the origin, radius tanh(b/2)), ``b_prime`` the (x, y)
+    second intersection of line AB with omega, and ``tau`` the Euclidean
+    angle at b_prime in triangle A-b_prime-C.
     """
 
-    A: DiskPoint
-    B: DiskPoint
-    C: DiskPoint
-    omega: EuclideanCircle
-    psi: EuclideanCircle
-    b_prime: tuple[float, float]
-    tau: float
+    __slots__ = ()
 
     @property
     def alpha(self) -> float:
@@ -84,19 +74,16 @@ class Figure1:
         return abs(math.atan2(self.C.y, self.C.x))
 
 
-@dataclass(frozen=True)
-class OptimalTriangle:
-    alpha_star: float
-    solution: TriangleSolution
+class OptimalTriangle(namedtuple("OptimalTriangle", "alpha_star solution")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OptimalityCertificate:
+class OptimalityCertificate(
+    namedtuple("OptimalityCertificate", "acb_angle tangency_gap residual")
+):
     """Three equivalent witnesses that the apex angle is the maximizer."""
 
-    acb_angle: float
-    tangency_gap: float
-    residual: float
+    __slots__ = ()
 
 
 def _check_sas_domain(b: float, c: float, alpha: float) -> None:

@@ -2,33 +2,33 @@
 
 Each check draws its own inputs from a seeded generator, compares the primary
 implementation against an independent reference, and reports pass/fail with a
-measured worst case. The `fault` argument deliberately corrupts one quantity
-so the harness itself can be shown to catch regressions.
+measured worst case. Check k draws from numpy's ``default_rng([seed, k])``
+stream, replayed in pure Python by ``_pcg64.DefaultRng``; the checks make only
+scalar ``uniform`` and ``integers`` draws, so a numpy Generator gives them the
+same inputs. The `fault` argument deliberately corrupts one quantity so the
+harness itself can be shown to catch regressions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from collections import namedtuple
 
 from . import disk, oracle, polygon, triangle
+from ._pcg64 import DefaultRng
+from .errors import DomainError
 
 FAULT_TAU_SIGN = "tau-sign"
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name passed detail")):
+    __slots__ = ()
 
 
-def _random_sides_angles(rng: np.random.Generator, count: int):
-    bs = rng.uniform(0.1, 3.0, count)
-    cs = rng.uniform(0.1, 3.0, count)
-    alphas = rng.uniform(0.05, math.pi - 0.05, count)
+def _random_sides_angles(rng, count: int):
+    bs = [rng.uniform(0.1, 3.0) for _ in range(count)]
+    cs = [rng.uniform(0.1, 3.0) for _ in range(count)]
+    alphas = [rng.uniform(0.05, math.pi - 0.05) for _ in range(count)]
     return bs, cs, alphas
 
 
@@ -131,9 +131,9 @@ def check_metric_oracle(rng, samples: int) -> CheckResult:
     for _ in range(pairs):
         pts = []
         while len(pts) < 2:
-            x, y = rng.uniform(-0.9, 0.9, 2)
+            x, y = rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)
             if math.hypot(x, y) <= 0.9:
-                pts.append(disk.DiskPoint(float(x), float(y)))
+                pts.append(disk.DiskPoint(x, y))
         direct = disk.hyp_distance(pts[0], pts[1])
         sampled = oracle.geodesic_length_by_sampling(pts[0], pts[1], 10_000)
         worst = max(worst, abs(direct - sampled))
@@ -199,6 +199,8 @@ def check_polar_round_trip(rng, samples: int) -> CheckResult:
 
 def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list[CheckResult]:
     """Run every check with independent seeded streams; deterministic per seed."""
+    if seed < 0:
+        raise DomainError("the seed must be a non-negative integer")
     results = []
     checks = [
         ("area-equivalence", lambda r: check_area_equivalence(r, samples, fault)),
@@ -212,6 +214,5 @@ def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list
         ("polar-round-trip", lambda r: check_polar_round_trip(r, samples)),
     ]
     for k, (name, fn) in enumerate(checks):
-        rng = np.random.default_rng([seed, k])
-        results.append(fn(rng))
+        results.append(fn(DefaultRng([seed, k])))
     return results

@@ -194,16 +194,23 @@ class TestVerifyCommand:
         assert res.returncode == 1
         assert "FAIL area-equivalence" in res.stdout
 
+    def test_negative_seed_is_bad_input(self):
+        res = run_cli("verify", "--samples", "10", "--seed", "-1")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ")
+
 
 class TestImportBudget:
-    """Each command loads only the modules it runs: numpy only for verify,
-    polygon only for polygon commands, and never scipy."""
+    """Each command loads only the modules it runs: polygon only for polygon
+    commands, and never numpy, scipy, dataclasses or inspect."""
+
+    HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
 
     SCRIPT = """
 import contextlib, io, json, sys
 def loaded():
     return sorted(m for m in sys.modules
-                  if m in ("numpy", "scipy") or m.startswith("hyplobe."))
+                  if m in HEAVY or m.startswith("hyplobe."))
 import hyplobe
 stages = [loaded()]
 import hyplobe.cli
@@ -220,15 +227,14 @@ print(json.dumps(stages))
         """Watched modules loaded after `import hyplobe`, after importing the
         CLI, then after each command, all in one fresh interpreter."""
         res = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            [sys.executable, "-c", f"HEAVY = {self.HEAVY!r}" + self.SCRIPT, json.dumps(argvs)],
             capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 0, res.stderr
         return json.loads(res.stdout)
 
-    @staticmethod
-    def heavy(stage):
-        return [m for m in stage if m in ("numpy", "scipy")]
+    def heavy(self, stage):
+        return [m for m in stage if m in self.HEAVY]
 
     def test_bare_import_loads_no_submodule(self):
         assert self.modules_loaded() == [[], ["hyplobe.cli", "hyplobe.errors"]]
@@ -281,6 +287,22 @@ print(len(names), len(set(names)))
         loaded = self.modules_loaded(["optimize", "--b", "0.8", "--c", "1.7"])
         assert "hyplobe.oracle" in loaded[-1]
         assert self.heavy(loaded[-1]) == []
+
+    def test_verify_leaves_numpy_unloaded(self):
+        loaded = self.modules_loaded(["verify", "--samples", "10", "--seed", "3"])
+        assert "hyplobe.verify" in loaded[-1]
+        assert self.heavy(loaded[-1]) == []
+
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        loaded = self.modules_loaded(
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
+            ["optimize", "--b", "1.0", "--c", "1.5"],
+            ["isoperimetric", "--perimeter", "7.0"],
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
+            ["verify", "--samples", "10", "--seed", "0"],
+        )
+        assert [self.heavy(stage) for stage in loaded] == [[]] * 8
 
     def test_no_command_loads_scipy(self, tmp_path):
         loaded = self.modules_loaded(

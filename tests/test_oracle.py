@@ -125,6 +125,20 @@ class TestCoarseToFinePremise:
             assert all(x > y for x, y in zip(areas[end:], areas[end + 1 :])), (b, c)
 
 
+class TestHingeSearch:
+    def test_small_hinges_peak_at_isosceles(self):
+        # the L'Huilier area keeps every factor's relative accuracy, so the
+        # argmax stays at t = s / 2 however small or thin the triangle
+        for s, base in [(2.0, 1.0), (2e-3, 1e-3), (2e-5, 1e-5), (2e-9, 1e-9), (2.0, 1e-9)]:
+            res = oracle.grid_search_hinge(s, base, 100_000)
+            assert abs(res.alpha_hat - 0.5 * s) <= res.grid_step, (s, base)
+
+    def test_area_matches_flat_limit(self):
+        # sides 1e-9 are flat to ~1e-18 relative: Heron's equilateral area
+        res = oracle.grid_search_hinge(2e-9, 1e-9, 100_000)
+        assert res.area_hat == pytest.approx(math.sqrt(3.0) / 4.0 * 1e-18, rel=1e-9)
+
+
 class TestGeodesicSampling:
     def test_needs_enough_segments(self):
         with pytest.raises(DomainError):

@@ -27,7 +27,7 @@ from hyplobe import (
     steiner_optimize,
 )
 from hyplobe import oracle
-from hyplobe._pcg64 import Uniform
+from hyplobe._pcg64 import DefaultRng
 from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
@@ -695,15 +695,15 @@ class TestNumpyStreamReplica:
             + [2**32 - 1, 2**64 - 1, 2**64 + 5, 2**160 + 9]
         )
         for seed in seeds:
-            ours, theirs = Uniform(seed), np.random.default_rng(seed)
+            ours, theirs = DefaultRng(seed), np.random.default_rng(seed)
             for low, high in self.BOUNDS:
                 assert ours.uniform(low, high).hex() == theirs.uniform(low, high).hex(), seed
 
     def test_rejects_negative_and_non_integer_seeds(self):
         with pytest.raises(ValueError):
-            Uniform(-1)
+            DefaultRng(-1)
         with pytest.raises(TypeError):
-            Uniform(1.0)
+            DefaultRng(1.0)
 
     def test_polygons_match_numpy_generator(self):
         seeds = list(range(30)) + [2**32 - 1, 2**64 - 1, 2**64 + 5]
