@@ -1,0 +1,169 @@
+"""Regenerate the golden artifacts that tests/test_golden.py compares against.
+
+    python tests/golden/regen.py
+
+Two kinds of artifact live next to this script:
+
+* ``cli/``: the exact bytes of `python -m hyplobe` runs (stdout, and the
+  trace CSV of `steiner`), one fresh process per case;
+* ``triangle_kernels.json``: a SHA-256 over the reprs of ``solve_sas``,
+  ``build_figure1``, ``optimality_certificate`` and ``optimal_alpha`` on
+  4,096 seeded inputs plus edge cases and refusals, with the reprs of the
+  first inputs and of every refusal spelled out, so a mismatch names the
+  first record that differs.
+
+A change that alters an artifact by design reruns this script and commits
+the diff; any other change must leave every file here untouched.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent
+SRC = GOLDEN.parent.parent / "src"
+CLI_DIR = GOLDEN / "cli"
+KERNELS = GOLDEN / "triangle_kernels.json"
+
+# name -> argv after `python -m hyplobe`; a steiner case also writes
+# <name>.trace.csv. The suffix of the name is the stdout's format.
+CLI_CASES = {
+    "triangle_order_one.json": ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
+    "triangle_tiny.json": ["triangle", "--b", "1e-6", "--c", "2e-6", "--alpha", "1.0"],
+    "triangle_near_dmax.json": ["triangle", "--b", "19.5", "--c", "20", "--alpha", "0.7"],
+    "triangle_order_one.svg": [
+        "triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
+    "triangle_obtuse.svg": [
+        "triangle", "--b", "0.8", "--c", "1.5", "--alpha", "2.0", "--format", "svg"],
+    "optimize_order_one.json": ["optimize", "--b", "1.0", "--c", "1.5"],
+    "optimize_tiny.json": ["optimize", "--b", "1e-5", "--c", "3e-5"],
+    "optimize_near_dmax.json": ["optimize", "--b", "18", "--c", "20"],
+    "steiner_n8_seed42.json": ["steiner", "--n", "8", "--seed", "42"],
+    "steiner_n12_seed7.json": ["steiner", "--n", "12", "--seed", "7"],
+    "isoperimetric_p6.csv": ["isoperimetric", "--perimeter", "6.0"],
+    "isoperimetric_p0.5.csv": [
+        "isoperimetric", "--perimeter", "0.5", "--n-min", "3", "--n-max", "24"],
+    "verify_seed0.txt": ["verify", "--samples", "200", "--seed", "0"],
+    "verify_seed1.txt": ["verify", "--samples", "200", "--seed", "1"],
+    "verify_seed2.txt": ["verify", "--samples", "200", "--seed", "2"],
+}
+
+KERNEL_SEED = 11
+KERNEL_RANDOM = 4096
+KERNEL_SPELLED_OUT = 64
+
+
+def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:
+    """Run one case in a fresh interpreter; return {file name: bytes}."""
+    argv = list(CLI_CASES[name])
+    trace = None
+    if argv[0] == "steiner":
+        trace = outdir / (name.rsplit(".", 1)[0] + ".trace.csv")
+        argv += ["--trace-csv", str(trace)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-m", "hyplobe", *argv], capture_output=True, env=env, timeout=300
+    )
+    if res.returncode != 0:
+        raise RuntimeError(f"{name}: exit {res.returncode}: {res.stderr.decode()}")
+    files = {name: res.stdout}
+    if trace is not None:
+        files[trace.name] = trace.read_bytes()
+    return files
+
+
+def kernel_inputs() -> list[tuple[float, float, float]]:
+    """Seeded (b, c, alpha): sides log-uniform on [1e-6, 20], alpha uniform on
+    (0.01, pi - 0.01); then edge cases and inputs every kernel must refuse."""
+    from hyplobe._pcg64 import DefaultRng
+    from hyplobe.disk import D_MAX
+    from hyplobe.triangle import ALPHA_EPS
+
+    rng = DefaultRng(KERNEL_SEED)
+    lo, hi = math.log(1e-6), math.log(D_MAX)
+    inputs = []
+    for _ in range(KERNEL_RANDOM):
+        b = math.exp(rng.uniform(lo, hi))
+        c = math.exp(rng.uniform(lo, hi))
+        inputs.append((b, c, rng.uniform(0.01, math.pi - 0.01)))
+    near_zero = ALPHA_EPS * (1.0 + 1e-9)
+    inputs += [
+        (1.0, 1.0, near_zero), (1.0, 1.0, math.pi - near_zero),
+        (1e-3, 2.0, near_zero), (D_MAX, D_MAX, math.pi - near_zero),
+        (0.5, 0.5, 1.0), (1e-6, 1e-6, 2.0), (7.0, 7.0, 0.3),
+        (D_MAX, D_MAX, 1.0), (D_MAX, D_MAX, 0.5 * math.pi), (D_MAX, 1e-6, 1.0),
+        (1e-6, 1.0, 3e-6),  # near-collinear: omega's radius is ~3e11
+    ]
+    for bad in (0.0, -1.0, 21.0, math.nan, math.inf, -math.inf):
+        inputs += [(bad, 1.0, 1.0), (1.0, bad, 1.0)]
+    inputs += [(1.0, 1.0, 0.0), (1.0, 1.0, math.pi), (1.0, 1.0, math.nan)]
+    inputs.append((1e-6, 1.0, 1.5e-6))  # B, C and the center collinear
+    # sides so small that the defect is below roundoff and B meets C or the axis
+    inputs += [(5e-324, 5e-324, 1.0), (1e-300, 1e-300, 1.0), (5e-324, 1.0, 1.0)]
+    return inputs
+
+
+def _record(fn, *args) -> tuple[str, object]:
+    try:
+        value = fn(*args)
+    except Exception as exc:  # every refusal is part of the record
+        return f"!{type(exc).__name__}: {exc}", None
+    return repr(value), value
+
+
+def kernel_line(b: float, c: float, alpha: float) -> str:
+    """One input and the reprs (or refusals) of the four triangle kernels,
+    with the figure and certificate at alpha and at the optimal alpha."""
+    from hyplobe import triangle
+
+    parts = [f"{b!r} {c!r} {alpha!r}"]
+    sol, _ = _record(triangle.solve_sas, b, c, alpha)
+    parts.append(sol)
+    for apex in (alpha, None):
+        if apex is None:
+            rec, opt = _record(triangle.optimal_alpha, b, c)
+            parts.append(rec)
+            if opt is None:
+                break
+            apex = opt.alpha_star
+        rec, fig = _record(triangle.build_figure1, b, c, apex)
+        parts.append(rec)
+        parts.append("-" if fig is None else _record(triangle.optimality_certificate, fig)[0])
+    return " | ".join(parts)
+
+
+def kernel_golden() -> dict:
+    lines = [kernel_line(*inp) for inp in kernel_inputs()]
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode() + b"\n")
+    return {
+        "seed": KERNEL_SEED,
+        "count": len(lines),
+        "sha256": digest.hexdigest(),
+        "first": lines[:KERNEL_SPELLED_OUT],
+        "refusals": [line for line in lines if " | !" in line],
+    }
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    CLI_DIR.mkdir(exist_ok=True)
+    for old in CLI_DIR.iterdir():
+        old.unlink()
+    for name in CLI_CASES:
+        for fname, data in run_cli_case(name, CLI_DIR).items():
+            (CLI_DIR / fname).write_bytes(data)
+    KERNELS.write_text(json.dumps(kernel_golden(), indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

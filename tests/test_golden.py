@@ -1,0 +1,71 @@
+"""Golden artifacts: CLI outputs byte for byte, triangle kernels repr for repr.
+
+The files under tests/golden/ were written by tests/golden/regen.py. A
+change that alters an artifact by design reruns that script, and the diff
+shows in review; any other change must reproduce every byte.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+
+def test_golden_files_match_the_cases():
+    expected = set(regen.CLI_CASES)
+    expected |= {
+        name.rsplit(".", 1)[0] + ".trace.csv"
+        for name, argv in regen.CLI_CASES.items() if argv[0] == "steiner"
+    }
+    assert {p.name for p in regen.CLI_DIR.iterdir()} == expected
+
+
+@pytest.mark.parametrize("name", sorted(regen.CLI_CASES))
+def test_cli_output_is_byte_identical(name, tmp_path):
+    """Each command's stdout (and steiner's trace CSV) equals the golden bytes.
+
+    The README claims these artifacts are byte-identical on any platform with
+    IEEE-754 doubles; this test checks that claim on the host it runs on only.
+    """
+    for fname, data in regen.run_cli_case(name, tmp_path).items():
+        golden = (regen.CLI_DIR / fname).read_bytes()
+        if data != golden:
+            got, want = data.decode().splitlines(), golden.decode().splitlines()
+            first = next(
+                (i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want))
+            )
+            pytest.fail(
+                f"{fname} differs at line {first + 1}:\n"
+                f"  got:  {got[first] if first < len(got) else '<end>'}\n"
+                f"  want: {want[first] if first < len(want) else '<end>'}"
+            )
+
+
+class TestTriangleKernels:
+    golden = json.loads(regen.KERNELS.read_text(encoding="utf-8"))
+
+    @pytest.fixture(scope="class")
+    def current(self):
+        return regen.kernel_golden()
+
+    def test_inputs_are_the_golden_inputs(self, current):
+        assert current["seed"] == self.golden["seed"]
+        assert current["count"] == self.golden["count"]
+
+    def test_first_records_match(self, current):
+        for got, want in zip(current["first"], self.golden["first"]):
+            assert got == want
+
+    def test_refusals_match_with_their_messages(self, current):
+        assert len(current["refusals"]) == len(self.golden["refusals"])
+        for got, want in zip(current["refusals"], self.golden["refusals"]):
+            assert got == want
+
+    def test_digest_of_every_record_matches(self, current):
+        assert current["sha256"] == self.golden["sha256"]
