@@ -141,28 +141,38 @@ def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     return math.log1p(2.0 * t / (1.0 - t))
 
 
+def _orthogonal_circle(
+    px: float, py: float, qx: float, qy: float
+) -> tuple[float, float, float] | None:
+    """(cx, cy, radius) of the circle through p and q orthogonal to the unit
+    circle, or None when p, q and the origin are collinear."""
+    if abs(complex(qx - px, qy - py)) <= _COINCIDENT_TOL:
+        raise DegenerateInputError("cannot build a geodesic through coincident points")
+    cross = px * qy - py * qx
+    if abs(cross) <= _COLLINEAR_TOL * max(math.hypot(px, py), math.hypot(qx, qy)):
+        return None
+    # Orthogonality to the unit circle means the power of the origin is 1,
+    # which linearizes to 2 c.p = 1 + |p|^2 and likewise for q.
+    rp = 0.5 * (1.0 + px * px + py * py)
+    rq = 0.5 * (1.0 + qx * qx + qy * qy)
+    cx = (rp * qy - rq * py) / cross
+    cy = (px * rq - qx * rp) / cross
+    r2 = cx * cx + cy * cy - 1.0
+    if r2 <= 0.0:
+        raise DegenerateInputError("orthogonal-circle construction collapsed")
+    return cx, cy, math.sqrt(r2)
+
+
 def geodesic_through(p: DiskPoint, q: DiskPoint) -> Geodesic:
     """The hyperbolic line through two distinct points.
 
     Returns the diameter when p, q, origin are collinear, otherwise the unique
     Euclidean circle through p and q orthogonal to the unit circle.
     """
-    chord = q.z - p.z
-    if abs(chord) <= _COINCIDENT_TOL:
-        raise DegenerateInputError("cannot build a geodesic through coincident points")
-    cross = p.x * q.y - p.y * q.x
-    if abs(cross) <= _COLLINEAR_TOL * max(p.norm(), q.norm()):
-        return Geodesic.diameter(chord)
-    # Orthogonality to the unit circle means the power of the origin is 1,
-    # which linearizes to 2 c.p = 1 + |p|^2 and likewise for q.
-    rp = 0.5 * (1.0 + p.x * p.x + p.y * p.y)
-    rq = 0.5 * (1.0 + q.x * q.x + q.y * q.y)
-    cx = (rp * q.y - rq * p.y) / cross
-    cy = (p.x * rq - q.x * rp) / cross
-    r2 = cx * cx + cy * cy - 1.0
-    if r2 <= 0.0:
-        raise DegenerateInputError("orthogonal-circle construction collapsed")
-    return Geodesic.arc(EuclideanCircle(cx, cy, math.sqrt(r2)))
+    circle = _orthogonal_circle(*p, *q)
+    if circle is None:
+        return Geodesic.diameter(q.z - p.z)
+    return Geodesic.arc(EuclideanCircle(*circle))
 
 
 def isometry_to_origin(p: DiskPoint) -> DiskIsometry:

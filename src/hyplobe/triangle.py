@@ -10,6 +10,13 @@ cancelling subtractions. With u = tanh(b/2) tanh(c/2) the area satisfies
 tan(area/2) = u sin(alpha) / (1 - u cos(alpha)), the maximizing apex angle
 is arccos(u), the base angles come from the atan2 form of the four-part
 formula, and B' is the far root of a quadratic taken through Vieta's sum.
+
+The kernels solve_sas, build_figure1, optimal_alpha and
+optimality_certificate compute on plain floats and validate once: each
+record is built once, in its final form, and no value is computed twice.
+The public primitives (embed_triangle, omega_circle, b_prime_point,
+tau_angle, and disk.geodesic_through) wrap the same float helpers, so both
+paths evaluate the same formulas and return bit-identical results.
 """
 
 from __future__ import annotations
@@ -17,14 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .disk import (
-    D_MAX,
-    ORIGIN,
-    DiskPoint,
-    EuclideanCircle,
-    geodesic_through,
-    point_from_polar,
-)
+from .disk import D_MAX, ORIGIN, DiskPoint, EuclideanCircle, _orthogonal_circle
 from .errors import DegenerateInputError, DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
@@ -42,18 +42,25 @@ class TriangleSolution(namedtuple("TriangleSolution", "a b c alpha beta gamma ar
     ) -> "TriangleSolution":
         # b and c are domain-limited by the solver; the derived side a may
         # legitimately exceed D_MAX (up to about 2 * D_MAX).
-        for s in (a, b, c):
-            if not (0.0 < s and math.isfinite(s)):
-                raise DomainError(f"triangle side {s} must be positive and finite")
-        angle_sum = alpha + beta + gamma
-        for ang in (alpha, beta, gamma):
-            if not (0.0 < ang < math.pi):
-                raise DomainError(f"triangle angle {ang} outside (0, pi)")
-        if angle_sum >= math.pi:
-            raise DomainError("angle sum must be below pi in the hyperbolic plane")
-        if abs(area - (math.pi - angle_sum)) > 1e-14:
-            raise DomainError("stored area disagrees with the angle defect")
+        _check_solution((a, b, c), (alpha, beta, gamma), alpha + beta + gamma, area)
         return tuple.__new__(cls, (a, b, c, alpha, beta, gamma, area))
+
+
+def _check_solution(
+    sides: tuple[float, ...], angles: tuple[float, ...], angle_sum: float, area: float
+) -> None:
+    """TriangleSolution's checks on the given sides and angles, the angle sum
+    and the stored area."""
+    for s in sides:
+        if not (0.0 < s and math.isfinite(s)):
+            raise DomainError(f"triangle side {s} must be positive and finite")
+    for ang in angles:
+        if not (0.0 < ang < math.pi):
+            raise DomainError(f"triangle angle {ang} outside (0, pi)")
+    if angle_sum >= math.pi:
+        raise DomainError("angle sum must be below pi in the hyperbolic plane")
+    if abs(area - (math.pi - angle_sum)) > 1e-14:
+        raise DomainError("stored area disagrees with the angle defect")
 
 
 class Figure1(namedtuple("Figure1", "A B C omega psi b_prime tau")):
@@ -154,6 +161,11 @@ def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     loses every digit once the triangle is small or thin.
     """
     _check_sas_domain(b, c, alpha)
+    return _sas(b, c, alpha, *_tanh_half_product(b, c))
+
+
+def _sas(b: float, c: float, alpha: float, u: float, one_minus_u: float) -> TriangleSolution:
+    """solve_sas inside its domain, given u = tanh(b/2) tanh(c/2) and 1 - u."""
     half_sin = math.sin(0.5 * alpha)
     one_minus_cos = 2.0 * half_sin * half_sin
     sin_alpha = math.sin(alpha)
@@ -166,15 +178,16 @@ def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     gamma = math.atan2(
         sin_alpha * sinh_c, math.sinh(b - c) + math.cosh(b) * sinh_c * one_minus_cos
     )
-    if alpha + beta + gamma >= math.pi:
+    angle_sum = alpha + beta + gamma
+    if angle_sum >= math.pi:
         raise DomainError(
             "triangle is numerically degenerate: angle defect below roundoff"
         )
-    u, one_minus_u = _tanh_half_product(b, c)
     area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
-    return TriangleSolution(
-        a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma, area=area
-    )
+    # TriangleSolution's checks, less those of b, c and alpha, which
+    # _check_sas_domain has made
+    _check_solution((a,), (beta, gamma), angle_sum, area)
+    return tuple.__new__(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
 
 
 def area_defect(alpha: float, beta: float, gamma: float) -> float:
@@ -188,21 +201,50 @@ def area_defect(alpha: float, beta: float, gamma: float) -> float:
     return math.pi - s
 
 
+def _embed(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, float]:
+    """B, C and tanh(b/2) for sides already checked by _check_sas_domain."""
+    # point_from_polar(c, 0) and point_from_polar(b, alpha), whose distance
+    # checks the SAS domain implies; r cos 0 and r sin 0 are exactly r and 0
+    B = DiskPoint(math.tanh(0.5 * c), 0.0)
+    rb = math.tanh(0.5 * b)
+    return B, DiskPoint(rb * math.cos(alpha), rb * math.sin(alpha)), rb
+
+
 def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
     """Place the triangle with A at the center, B on the positive x-axis."""
     _check_sas_domain(b, c, alpha)
-    return ORIGIN, point_from_polar(c, 0.0), point_from_polar(b, alpha)
+    B, C, _ = _embed(b, c, alpha)
+    return ORIGIN, B, C
 
 
 def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
     """The Euclidean circle containing the geodesic BC (A at the center)."""
-    g = geodesic_through(B, C)
-    if g.is_diameter:
+    circle = _orthogonal_circle(*B, *C)
+    if circle is None:
         raise DegenerateInputError(
             "B, C and the center are collinear: the triangle is degenerate"
         )
-    assert g.circle is not None
-    return g.circle
+    return EuclideanCircle(*circle)
+
+
+def _far_root(bx: float, by: float, cx: float, cy: float, radius: float) -> tuple[float, float]:
+    """b_prime_point for B = (bx, by) and omega of center (cx, cy)."""
+    nb = math.hypot(bx, by)
+    if nb <= 1e-12:
+        raise DegenerateInputError("B at the center: the line AB is undefined")
+    bz = complex(bx, by)
+    center = complex(cx, cy)
+    # rounding in |B - center| grows like eps * radius, and omega's radius
+    # grows without bound as B nears the center or BC nears a diameter
+    if abs(abs(bz - center) - radius) > 1e-9 * max(1.0, radius):
+        raise DomainError("B does not lie on the given circle")
+    direction = bz / nb
+    m = (direction.conjugate() * center).real
+    t = 2.0 * m - nb  # the root beyond B
+    if t <= nb:
+        raise DegenerateInputError("line AB does not meet the circle twice")
+    w = t * direction
+    return (w.real, w.imag)
 
 
 def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
@@ -219,44 +261,30 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     coincides with the inversion of B in the unit circle (checked by tests,
     not used here).
     """
-    nb = B.norm()
-    if nb <= 1e-12:
-        raise DegenerateInputError("B at the center: the line AB is undefined")
-    # rounding in |B - center| grows like eps * radius, and omega's radius
-    # grows without bound as B nears the center or BC nears a diameter
-    if abs(abs(B.z - omega.center) - omega.radius) > 1e-9 * max(1.0, omega.radius):
-        raise DomainError("B does not lie on the given circle")
-    direction = B.z / nb
-    m = (direction.conjugate() * omega.center).real
-    t = 2.0 * m - nb  # the root beyond B
-    if t <= nb:
-        raise DegenerateInputError("line AB does not meet the circle twice")
-    w = t * direction
-    return (w.real, w.imag)
+    return _far_root(*B, *omega)
 
 
-def _euclidean_angle(vertex: complex, p: complex, q: complex) -> float:
-    v1 = p - vertex
-    v2 = q - vertex
-    cross = v1.real * v2.imag - v1.imag * v2.real
-    dot = v1.real * v2.real + v1.imag * v2.imag
-    return abs(math.atan2(cross, dot))
+def _euclidean_angle(vx: float, vy: float, px: float, py: float, qx: float, qy: float) -> float:
+    """Unsigned Euclidean angle at (vx, vy) between the rays to (px, py) and (qx, qy)."""
+    x1, y1 = px - vx, py - vy
+    x2, y2 = qx - vx, qy - vy
+    return abs(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2))
 
 
 def tau_angle(fig: Figure1) -> float:
     """Euclidean angle at B' in the Euclidean triangle A-B'-C."""
-    bp = complex(*fig.b_prime)
-    return _euclidean_angle(bp, fig.A.z, fig.C.z)
+    return _euclidean_angle(*fig.b_prime, *fig.A, *fig.C)
 
 
 def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     """Assemble the whole construction for the triangle (b, c, alpha)."""
-    A, B, C = embed_triangle(b, c, alpha)
+    _check_sas_domain(b, c, alpha)
+    B, C, rb = _embed(b, c, alpha)
     omega = omega_circle(B, C)
-    psi = EuclideanCircle(0.0, 0.0, math.tanh(0.5 * b))
-    bp = b_prime_point(B, omega)
-    tau = _euclidean_angle(complex(*bp), A.z, C.z)
-    return Figure1(A=A, B=B, C=C, omega=omega, psi=psi, b_prime=bp, tau=tau)
+    psi = EuclideanCircle(0.0, 0.0, rb)
+    bx, by = _far_root(*B, *omega)
+    tau = _euclidean_angle(bx, by, *ORIGIN, *C)
+    return Figure1._make((ORIGIN, B, C, omega, psi, (bx, by), tau))
 
 
 def optimal_alpha(b: float, c: float) -> OptimalTriangle:
@@ -274,7 +302,8 @@ def optimal_alpha(b: float, c: float) -> OptimalTriangle:
         raise DomainError(f"sides must lie in (0, {D_MAX}]")
     u, one_minus_u = _tanh_half_product(b, c)
     alpha_star = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
-    return OptimalTriangle(alpha_star=alpha_star, solution=solve_sas(b, c, alpha_star))
+    _check_sas_domain(b, c, alpha_star)
+    return OptimalTriangle._make((alpha_star, _sas(b, c, alpha_star, u, one_minus_u)))
 
 
 def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
@@ -284,13 +313,13 @@ def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
     B'C is tangent to psi, and alpha + tau = pi/2; all three residuals
     vanish together.
     """
-    bp = complex(*fig.b_prime)
-    acb = _euclidean_angle(fig.C.z, fig.A.z, bp)
-    chord = fig.C.z - bp
+    bx, by = fig.b_prime
+    cx, cy = fig.C
+    hx, hy = cx - bx, cy - by
     # distance from the origin to the line through b_prime and C
-    dist = abs(bp.real * chord.imag - bp.imag * chord.real) / abs(chord)
-    return OptimalityCertificate(
-        acb_angle=acb,
-        tangency_gap=abs(dist - fig.psi.radius),
-        residual=abs(fig.alpha + fig.tau - 0.5 * math.pi),
-    )
+    dist = abs(bx * hy - by * hx) / abs(complex(hx, hy))
+    return OptimalityCertificate._make((
+        _euclidean_angle(cx, cy, *fig.A, bx, by),
+        abs(dist - fig.psi.radius),
+        abs(fig.alpha + fig.tau - 0.5 * math.pi),
+    ))

@@ -16,10 +16,12 @@ from hyplobe import (
     b_prime_point,
     build_figure1,
     embed_triangle,
+    geodesic_through,
     hyp_distance,
     omega_circle,
     optimal_alpha,
     optimality_certificate,
+    point_from_polar,
     solve_sas,
     tau_angle,
 )
@@ -257,6 +259,18 @@ class TestConstruction:
             assert sol.area == pytest.approx(2.0 * fig.tau, abs=1e-11)
             assert tau_angle(fig) == fig.tau
 
+    def test_primitives_rebuild_the_figure_bit_for_bit(self):
+        # build_figure1 and the public primitives share their float helpers
+        for b, c, alpha in [*random_triangles(12, 200), (1e-6, 1.0, 3e-6), (20.0, 20.0, 1.0)]:
+            fig = build_figure1(b, c, alpha)
+            A, B, C = embed_triangle(b, c, alpha)
+            assert (A, B, C) == (fig.A, fig.B, fig.C)
+            assert (B, C) == (point_from_polar(c, 0.0), point_from_polar(b, alpha))
+            assert fig.psi.radius == point_from_polar(b, 0.0).x
+            assert omega_circle(B, C) == fig.omega == geodesic_through(B, C).circle
+            assert b_prime_point(B, fig.omega) == fig.b_prime
+            assert tau_angle(fig) == fig.tau
+
     def test_psi_passes_through_c(self):
         for b, c, alpha in random_triangles(10, 50):
             fig = build_figure1(b, c, alpha)
@@ -298,6 +312,12 @@ class TestOptimalAlpha:
         assert optimal_alpha(1e-3, 1e-3).alpha_star == pytest.approx(
             math.pi / 2, abs=1e-3
         )
+
+    def test_solution_is_solve_sas_at_the_maximizer(self):
+        for b, c, _ in [*random_triangles(13, 200), (20.0, 20.0, 1.0), (1e-6, 20.0, 1.0)]:
+            opt = optimal_alpha(b, c)
+            assert opt.solution == solve_sas(b, c, opt.alpha_star)
+            assert TriangleSolution(*opt.solution) == opt.solution  # passes every check
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
