@@ -99,7 +99,7 @@ def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
     return GridSearchResult(
         alpha_hat=alphas[values.index(best)],  # the first maximum
         area_hat=best,
-        grid_step=(_ALPHA_HI - _ALPHA_LO) / samples,
+        grid_step=(_ALPHA_HI - _ALPHA_LO) / (samples - 1),  # the spacing of the grid
         samples=samples,
     )
 

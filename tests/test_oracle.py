@@ -29,6 +29,15 @@ class TestGridSearch:
         with pytest.raises(DomainError):
             grid_search_max_area(1.0, 1.0, 999)
 
+    def test_grid_step_is_the_spacing_of_the_grid(self):
+        # the grid runs from lo to pi - lo in samples - 1 steps
+        for samples in (1000, 10_000, 100_000):
+            res = grid_search_max_area(0.9, 1.4, samples)
+            lo = ALPHA_EPS * (1.0 + 1e-9)
+            assert res.grid_step * (samples - 1) == pytest.approx(math.pi - 2.0 * lo, rel=1e-15)
+            steps = (res.alpha_hat - lo) / res.grid_step
+            assert abs(steps - round(steps)) < 1e-6
+
     def test_tiny_sides_peak_near_right_angle(self):
         res = grid_search_max_area(1e-3, 1e-3, 10_000)
         assert abs(res.alpha_hat - math.pi / 2) <= 2.0 * res.grid_step + 1e-3
