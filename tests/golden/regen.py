@@ -10,7 +10,12 @@ Two kinds of artifact live next to this script:
   ``build_figure1``, ``optimality_certificate`` and ``optimal_alpha`` on
   4,096 seeded inputs plus edge cases and refusals, with the reprs of the
   first inputs and of every refusal spelled out, so a mismatch names the
-  first record that differs.
+  first record that differs;
+* ``polygon_kernels.json``: the same form for the polygon path: the seeded
+  ``random_convex_polygon`` (n = 3-16, seeds 0-11), ``from_vertices``,
+  ``steiner_move`` at every vertex, ``circumcircle_fit``,
+  ``local_triangle``, ``max_optimality_residual`` and ``steiner_optimize``,
+  plus the polygons ``from_vertices`` must refuse.
 
 A change that alters an artifact by design reruns this script and commits
 the diff; any other change must leave every file here untouched.
@@ -30,6 +35,7 @@ GOLDEN = Path(__file__).resolve().parent
 SRC = GOLDEN.parent.parent / "src"
 CLI_DIR = GOLDEN / "cli"
 KERNELS = GOLDEN / "triangle_kernels.json"
+POLYGON_KERNELS = GOLDEN / "polygon_kernels.json"
 
 # name -> argv after `python -m hyplobe`; a steiner case also writes
 # <name>.trace.csv. The suffix of the name is the stdout's format.
@@ -57,6 +63,17 @@ CLI_CASES = {
 KERNEL_SEED = 11
 KERNEL_RANDOM = 4096
 KERNEL_SPELLED_OUT = 64
+
+POLYGON_SIZES = range(3, 17)
+POLYGON_SEEDS = range(12)
+# steiner_optimize runs on every polygon up to POLYGON_OPTIMIZED_N: to the end
+# on seed 0 up to POLYGON_FULL_N and on POLYGON_REJECTING, whose run refuses
+# non-convex moves, and for POLYGON_SWEEPS sweeps on the others, which keeps
+# the whole set near 3 s
+POLYGON_OPTIMIZED_N = 12
+POLYGON_FULL_N = 8
+POLYGON_SWEEPS = 3
+POLYGON_REJECTING = (8, 19)
 
 
 def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:
@@ -139,18 +156,84 @@ def kernel_line(b: float, c: float, alpha: float) -> str:
     return " | ".join(parts)
 
 
-def kernel_golden() -> dict:
-    lines = [kernel_line(*inp) for inp in kernel_inputs()]
+def _golden(lines: list[str], **head) -> dict:
     digest = hashlib.sha256()
     for line in lines:
         digest.update(line.encode() + b"\n")
     return {
-        "seed": KERNEL_SEED,
+        **head,
         "count": len(lines),
         "sha256": digest.hexdigest(),
         "first": lines[:KERNEL_SPELLED_OUT],
         "refusals": [line for line in lines if " | !" in line],
     }
+
+
+def kernel_golden() -> dict:
+    return _golden([kernel_line(*inp) for inp in kernel_inputs()], seed=KERNEL_SEED)
+
+
+def polygon_refusal_cases() -> dict[str, list]:
+    """Vertex lists from_vertices must refuse; a clockwise case is a triangle
+    it accepts forwards, listed reversed."""
+    from hyplobe.disk import DiskPoint, point_from_polar
+
+    # the second triangle is thin: clockwise in disk coordinates, but
+    # counterclockwise in the Klein model, where its sides are straight
+    clockwise = [
+        [DiskPoint(0.3, 0.0), DiskPoint(0.0, 0.3), DiskPoint(-0.3, 0.0)],
+        [DiskPoint(-0.3715, -0.6989), DiskPoint(-0.2607, -0.6252),
+         DiskPoint(0.5413, -0.2888)],
+    ]
+    return {
+        "two_vertices": [DiskPoint(0.1, 0.0), DiskPoint(0.0, 0.1)],
+        **{f"clockwise_{k}": tri[::-1] for k, tri in enumerate(clockwise)},
+        "dented": [DiskPoint(0.4, 0.0), DiskPoint(0.0, 0.4), DiskPoint(-0.4, 0.0),
+                   DiskPoint(0.0, 0.02)],
+        # every turn is a left turn, but it winds twice
+        "pentagram": [point_from_polar(1.0, 4.0 * math.pi * k / 5) for k in range(5)],
+    }
+
+
+def polygon_lines() -> list[str]:
+    """One line per kernel call: the call, then the repr (or the refusal)."""
+    from hyplobe import polygon
+
+    lines = []
+    for n in POLYGON_SIZES:
+        for seed in POLYGON_SEEDS:
+            rec, poly = _record(polygon.random_convex_polygon, n, seed)
+            lines.append(f"{n} {seed} random_convex_polygon | {rec}")
+            if poly is None:
+                continue
+            calls = [("from_vertices", polygon.HyperbolicPolygon.from_vertices, poly.vertices)]
+            calls += [(f"steiner_move {i}", polygon.steiner_move, poly, i) for i in range(n)]
+            calls += [(f"local_triangle {i}", polygon.local_triangle, poly, i) for i in range(n)]
+            calls += [
+                ("max_optimality_residual", polygon.max_optimality_residual, poly),
+                ("circumcircle_fit", polygon.circumcircle_fit, poly),
+            ]
+            if n <= POLYGON_OPTIMIZED_N:
+                sweeps = 500 if seed == 0 and n <= POLYGON_FULL_N else POLYGON_SWEEPS
+                calls.append((f"steiner_optimize {sweeps}", polygon.steiner_optimize,
+                              poly, 1e-8, sweeps))
+            lines += [f"{n} {seed} {name} | {_record(fn, *args)[0]}" for name, fn, *args in calls]
+    n, seed = POLYGON_REJECTING
+    poly = polygon.random_convex_polygon(n, seed)
+    lines.append(f"{n} {seed} steiner_optimize 500 | {_record(polygon.steiner_optimize, poly)[0]}")
+    for name, vertices in polygon_refusal_cases().items():
+        parts = [f"{name} from_vertices"]
+        if name.startswith("clockwise"):
+            parts.append(_record(polygon.HyperbolicPolygon.from_vertices, vertices[::-1])[0])
+        parts.append(_record(polygon.HyperbolicPolygon.from_vertices, vertices)[0])
+        lines.append(" | ".join(parts))
+    return lines
+
+
+def polygon_golden() -> dict:
+    return _golden(
+        polygon_lines(), sizes=[POLYGON_SIZES[0], POLYGON_SIZES[-1]], seeds=len(POLYGON_SEEDS)
+    )
 
 
 def main() -> int:
@@ -162,6 +245,7 @@ def main() -> int:
         for fname, data in run_cli_case(name, CLI_DIR).items():
             (CLI_DIR / fname).write_bytes(data)
     KERNELS.write_text(json.dumps(kernel_golden(), indent=1) + "\n", encoding="utf-8")
+    POLYGON_KERNELS.write_text(json.dumps(polygon_golden(), indent=1) + "\n", encoding="utf-8")
     return 0
 
 

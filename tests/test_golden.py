@@ -1,4 +1,5 @@
-"""Golden artifacts: CLI outputs byte for byte, triangle kernels repr for repr.
+"""Golden artifacts: CLI outputs byte for byte, triangle and polygon kernels
+repr for repr.
 
 The files under tests/golden/ were written by tests/golden/regen.py. A
 change that alters an artifact by design reruns that script, and the diff
@@ -47,25 +48,44 @@ def test_cli_output_is_byte_identical(name, tmp_path):
             )
 
 
-class TestTriangleKernels:
-    golden = json.loads(regen.KERNELS.read_text(encoding="utf-8"))
+class _KernelGolden:
+    """Compares a kernel golden written by regen.py with a fresh generation."""
+
+    path: Path
+    generate: staticmethod
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(self.path.read_text(encoding="utf-8"))
 
     @pytest.fixture(scope="class")
     def current(self):
-        return regen.kernel_golden()
+        return self.generate()
 
-    def test_inputs_are_the_golden_inputs(self, current):
-        assert current["seed"] == self.golden["seed"]
-        assert current["count"] == self.golden["count"]
+    def test_inputs_are_the_golden_inputs(self, current, golden):
+        def inputs(g):
+            return {k: v for k, v in g.items() if k not in ("sha256", "first", "refusals")}
 
-    def test_first_records_match(self, current):
-        for got, want in zip(current["first"], self.golden["first"]):
+        assert inputs(current) == inputs(golden)
+
+    def test_first_records_match(self, current, golden):
+        for got, want in zip(current["first"], golden["first"]):
             assert got == want
 
-    def test_refusals_match_with_their_messages(self, current):
-        assert len(current["refusals"]) == len(self.golden["refusals"])
-        for got, want in zip(current["refusals"], self.golden["refusals"]):
+    def test_refusals_match_with_their_messages(self, current, golden):
+        assert len(current["refusals"]) == len(golden["refusals"])
+        for got, want in zip(current["refusals"], golden["refusals"]):
             assert got == want
 
-    def test_digest_of_every_record_matches(self, current):
-        assert current["sha256"] == self.golden["sha256"]
+    def test_digest_of_every_record_matches(self, current, golden):
+        assert current["sha256"] == golden["sha256"]
+
+
+class TestTriangleKernels(_KernelGolden):
+    path = regen.KERNELS
+    generate = staticmethod(regen.kernel_golden)
+
+
+class TestPolygonKernels(_KernelGolden):
+    path = regen.POLYGON_KERNELS
+    generate = staticmethod(regen.polygon_golden)
