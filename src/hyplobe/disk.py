@@ -5,6 +5,9 @@ diameters or circles orthogonal to the unit circle, and orientation-preserving
 isometries are Mobius maps z -> e^{i phi} (z - a) / (1 - conj(a) z).
 Curvature is fixed at -1. All values are immutable and all operations pure:
 the records are named tuples, compared and hashed by value.
+
+The point primitives wrap helpers on complex numbers, which the polygon path
+calls directly; they make DiskPoint's checks on every point they form.
 """
 
 from __future__ import annotations
@@ -29,10 +32,7 @@ class DiskPoint(namedtuple("DiskPoint", "x y")):
     __slots__ = ()
 
     def __new__(cls, x: float, y: float) -> "DiskPoint":
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DomainError("disk point coordinates must be finite")
-        if x * x + y * y >= 1.0:
-            raise DomainError(f"point ({x}, {y}) is not strictly inside the unit disk")
+        _check_inside(x, y)
         return tuple.__new__(cls, (x, y))
 
     @property
@@ -45,6 +45,13 @@ class DiskPoint(namedtuple("DiskPoint", "x y")):
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
+
+
+def _check_inside(x: float, y: float) -> None:
+    if not x * x + y * y < 1.0:  # DiskPoint's checks; infinite or NaN coordinates land here
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError("disk point coordinates must be finite")
+        raise DomainError(f"point ({x}, {y}) is not strictly inside the unit disk")
 
 
 ORIGIN = DiskPoint(0.0, 0.0)
@@ -122,6 +129,13 @@ class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
         return DiskIsometry(DiskPoint(b.real, b.imag), -self.phi)
 
 
+def _chart(a: complex, z: complex) -> complex:
+    """z in the chart of a, which translates a to the center; checked as a DiskPoint."""
+    w = (z - a) / (1.0 - a.conjugate() * z)
+    _check_inside(w.real, w.imag)
+    return w
+
+
 def point_from_polar(d: float, theta: float) -> DiskPoint:
     """Point at hyperbolic distance d from the origin in direction theta."""
     if not (0.0 <= d <= D_MAX):
@@ -130,15 +144,19 @@ def point_from_polar(d: float, theta: float) -> DiskPoint:
     return DiskPoint(r * math.cos(theta), r * math.sin(theta))
 
 
+def _distance(p: complex, q: complex) -> float:
+    t = abs(p - q) / abs(1.0 - p.conjugate() * q)
+    if t >= 1.0:
+        raise DomainError("distance overflow: points too close to the boundary")
+    return math.log1p(2.0 * t / (1.0 - t))
+
+
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     """Hyperbolic distance 2 artanh(|p - q| / |1 - conj(p) q|).
 
     Evaluated as log1p(2t/(1-t)) to stay accurate for t near 1.
     """
-    t = abs(p.z - q.z) / abs(1.0 - p.z.conjugate() * q.z)
-    if t >= 1.0:
-        raise DomainError("distance overflow: points too close to the boundary")
-    return math.log1p(2.0 * t / (1.0 - t))
+    return _distance(p.z, q.z)
 
 
 def _orthogonal_circle(
@@ -184,18 +202,27 @@ def apply_isometry(m: DiskIsometry, p: DiskPoint) -> DiskPoint:
     return m(p)
 
 
+def _angle(v: complex, p: complex, q: complex) -> float:
+    u, w = _chart(v, p), _chart(v, q)
+    if abs(u) <= _COINCIDENT_TOL or abs(w) <= _COINCIDENT_TOL:
+        raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
+    return abs(cmath.phase(u * w.conjugate()))
+
+
 def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
     """Unsigned hyperbolic angle at v between the geodesics vp and vq, in [0, pi].
 
     The model is conformal, so after translating v to the center both
     geodesics become straight rays and the angle is read off directly.
     """
-    m = isometry_to_origin(v)
-    u = m(p).z
-    w = m(q).z
-    if abs(u) <= _COINCIDENT_TOL or abs(w) <= _COINCIDENT_TOL:
-        raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
-    return abs(cmath.phase(u * w.conjugate()))
+    return _angle(v.z, p.z, q.z)
+
+
+def _direction(p: complex, q: complex) -> float:
+    w = _chart(p, q)
+    if abs(w) <= _COINCIDENT_TOL:
+        raise DegenerateInputError("direction undefined for coincident points")
+    return cmath.phase(w)
 
 
 def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
@@ -204,12 +231,17 @@ def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
     Directions at p are measured in the chart that translates p to the origin;
     ``step_from`` uses the same chart, so the two compose consistently.
     """
-    w = isometry_to_origin(p)(q).z
-    if abs(w) <= _COINCIDENT_TOL:
-        raise DegenerateInputError("direction undefined for coincident points")
-    return cmath.phase(w)
+    return _direction(p.z, q.z)
+
+
+def _step(a: complex, theta: float, d: float) -> complex:
+    # undo a's chart by -a's; the e^{i 0} of DiskIsometry.inverse can flip a zero's sign
+    b = -a * (1 + 0j)
+    _check_inside(b.real, b.imag)
+    return _chart(b, point_from_polar(d, theta).z)
 
 
 def step_from(p: DiskPoint, theta: float, d: float) -> DiskPoint:
     """Walk hyperbolic distance d from p in direction theta (chart of p)."""
-    return isometry_to_origin(p).inverse()(point_from_polar(d, theta))
+    z = _step(p.z, theta, d)
+    return DiskPoint._make((z.real, z.imag))

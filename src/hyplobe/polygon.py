@@ -31,6 +31,10 @@ only where a vertex moved. Convexity and counterclockwise orientation are
 hyperbolic: one turn test decides both in the Klein model, where geodesics
 are straight. No numpy: the random polygon generator replays numpy's seeded
 stream in pure Python.
+
+Inside, the vertices are complex numbers, kept with their Klein images;
+DiskPoints exist only at the boundary, in the polygons passed in and
+returned. The public functions wrap this core, which makes every check.
 """
 
 from __future__ import annotations
@@ -39,18 +43,10 @@ import cmath
 import math
 from collections import namedtuple
 
-from .disk import (
-    D_MAX,
-    DiskPoint,
-    angle_at_vertex,
-    direction_toward,
-    hyp_distance,
-    point_from_polar,
-    step_from,
-)
+from .disk import D_MAX, DiskPoint, _angle, _direction, _distance, _step, point_from_polar
 from ._pcg64 import DefaultRng
 from .errors import DomainError, NonConvexError, SolverError
-from .triangle import TriangleSolution, angle_from_sides
+from .triangle import TriangleSolution, _angle_from_terms, _check_solution, _side_terms
 
 # Minimum area gain for a move to be accepted; below this the improvement is
 # indistinguishable from angle-measurement noise.
@@ -67,7 +63,7 @@ class HyperbolicPolygon(
     namedtuple("HyperbolicPolygon", "vertices side_lengths interior_angles")
 ):
     """Strictly convex polygon, vertices in counterclockwise order: the
-    hyperbolic orientation, decided in the Klein model (see _check_convex).
+    hyperbolic orientation, decided in the Klein model (see _measure).
 
     ``vertices`` is a tuple of DiskPoints; ``side_lengths[i]`` is the side
     from vertex i to vertex i + 1 and ``interior_angles[i]`` the angle at
@@ -85,79 +81,78 @@ class HyperbolicPolygon(
         vs = tuple(vertices)
         if len(vs) < 3:
             raise DomainError("a polygon needs at least three vertices")
-        return _measure(vs)
+        return cls(vs, *_measure(tuple(v.z for v in vs))[1:3])
 
 
-def _measure(
-    vs: tuple[DiskPoint, ...],
-    parent: HyperbolicPolygon | None = None,
-    moved: frozenset[int] = frozenset(),
-) -> HyperbolicPolygon:
-    """Check and measure the polygon with vertices vs.
+# The core's polygon: complex vertices, and their Klein images (2z / (1 + |z|^2)).
+_Shape = namedtuple("_Shape", "vertices side_lengths interior_angles klein")
 
-    With a convex ``parent`` whose vertices differ from vs only at the indices
-    in ``moved``, the parent's sides and angles away from the moved vertices
-    are reused and convexity is checked only where a vertex moved; the result
-    is the same, bit for bit, as a full measurement of vs.
+
+def _klein(z: complex) -> complex:
+    return 2.0 * z / (1.0 + z.real * z.real + z.imag * z.imag)
+
+
+def _shape(poly: HyperbolicPolygon) -> _Shape:
+    zs = tuple(v.z for v in poly.vertices)
+    return _Shape(zs, poly.side_lengths, poly.interior_angles, tuple(map(_klein, zs)))
+
+
+def _polygon(shape: _Shape) -> HyperbolicPolygon:
+    vs = tuple(DiskPoint._make((z.real, z.imag)) for z in shape.vertices)
+    return HyperbolicPolygon(vs, shape.side_lengths, shape.interior_angles)
+
+
+def _measure(zs: tuple[complex, ...], parent: _Shape | None = None, moved=frozenset()) -> _Shape:
+    """Check and measure the polygon with vertices zs.
+
+    It must turn strictly left at every vertex and wind around once. With
+    its sides straight in the Klein model, the polygon is strictly convex
+    and counterclockwise exactly when its exterior angles all lie in
+    (0, pi) and sum to 2 pi, not 4 pi or more as a star's do.
+
+    With a convex ``parent`` whose vertices differ from zs only at the indices
+    in ``moved``, only the turns at moved vertices and their neighbours are
+    measured, against the parent's, whose turns sum to 2 pi, and the parent's
+    sides and angles away from the moved vertices are reused; the result is
+    the same, bit for bit, as a full measurement of zs.
     """
-    n = len(vs)
-    _check_convex(vs, parent, moved)
+    n = len(zs)
     if parent is None:
-        edges = vertices = range(n)
-        sides, angles = [0.0] * n, [0.0] * n
+        edges = at = range(n)
+        ks, sides, angles, winding = list(map(_klein, zs)), [0.0] * n, [0.0] * n, 0.0
     else:
         edges = {(k + d) % n for k in moved for d in (-1, 0)}
-        vertices = {(k + d) % n for k in moved for d in (-1, 0, 1)}
-        sides, angles = list(parent.side_lengths), list(parent.interior_angles)
-    for i in edges:
-        sides[i] = hyp_distance(vs[i], vs[(i + 1) % n])
-    for i in vertices:
-        angles[i] = angle_at_vertex(vs[i], vs[i - 1], vs[(i + 1) % n])
-    if sum(angles) >= (n - 2) * math.pi:
-        raise NonConvexError("angle sum too large for a hyperbolic polygon")
-    return HyperbolicPolygon(vs, tuple(sides), tuple(angles))
-
-
-def _klein_turn(a: DiskPoint, b: DiskPoint, c: DiskPoint) -> complex:
-    """(k_c - k_b) conj(k_b - k_a), with k = 2z / (1 + |z|^2) the Klein images.
-
-    Klein geodesics are straight chords, so a -> b -> c turns left where the
-    imaginary part is positive, and the phase is the exterior angle.
-    """
-    ka, kb, kc = (2.0 * p.z / (1.0 + p.x * p.x + p.y * p.y) for p in (a, b, c))
-    return (kc - kb) * (kb - ka).conjugate()
-
-
-def _check_convex(
-    vs: tuple[DiskPoint, ...],
-    parent: HyperbolicPolygon | None = None,
-    moved: frozenset[int] = frozenset(),
-) -> None:
-    """vs must turn strictly left at every vertex and wind around once.
-
-    With its sides straight in the Klein model, the polygon is strictly
-    convex and counterclockwise exactly when its exterior angles all lie in
-    (0, pi) and sum to 2 pi, not 4 pi or more as a star's do. With a convex
-    ``parent`` that differs from vs only at ``moved``, only the turns at moved
-    vertices and their neighbours are measured, against the parent's, whose
-    turns sum to 2 pi. The verdict is the full check's.
-    """
-    n = len(vs)
-    if parent is None:
-        at, winding = range(n), 0.0
-    else:
         at = {(k + d) % n for k in moved for d in (-1, 0, 1)}
-        old = parent.vertices
+        old = parent.klein
+        ks, sides, angles = list(old), list(parent.side_lengths), list(parent.interior_angles)
+        for k in moved:
+            ks[k] = _klein(zs[k])
         winding = 2.0 * math.pi - sum(
             cmath.phase(_klein_turn(old[i - 1], old[i], old[(i + 1) % n])) for i in at
         )
     for i in at:
-        turn = _klein_turn(vs[i - 1], vs[i], vs[(i + 1) % n])
+        turn = _klein_turn(ks[i - 1], ks[i], ks[(i + 1) % n])
         if turn.imag <= 0.0:
             raise NonConvexError("polygon is not strictly convex and counterclockwise")
         winding += cmath.phase(turn)
     if winding > 3.0 * math.pi:
         raise NonConvexError("polygon winds around more than once")
+    for i in edges:
+        sides[i] = _distance(zs[i], zs[(i + 1) % n])
+    for i in at:
+        angles[i] = _angle(zs[i], zs[i - 1], zs[(i + 1) % n])
+    if sum(angles) >= (n - 2) * math.pi:
+        raise NonConvexError("angle sum too large for a hyperbolic polygon")
+    return _Shape(zs, tuple(sides), tuple(angles), tuple(ks))
+
+
+def _klein_turn(ka: complex, kb: complex, kc: complex) -> complex:
+    """(kc - kb) conj(kb - ka), for the Klein images of a, b and c.
+
+    Klein geodesics are straight chords, so a -> b -> c turns left where the
+    imaginary part is positive, and the phase is the exterior angle.
+    """
+    return (kc - kb) * (kb - ka).conjugate()
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
@@ -166,49 +161,48 @@ def polygon_perimeter(poly: HyperbolicPolygon) -> float:
 
 def polygon_area(poly: HyperbolicPolygon) -> float:
     """Angle-defect area: (n - 2) pi minus the sum of interior angles."""
-    return (poly.n - 2) * math.pi - sum(poly.interior_angles)
+    return (len(poly.interior_angles) - 2) * math.pi - sum(poly.interior_angles)
+
+
+def _hinge_triangle(shape: _Shape, i: int) -> tuple[float, ...]:
+    """The fields of local_triangle, after TriangleSolution's checks."""
+    zs, sides, angles, _ = shape
+    prev, v, nxt = zs[i - 1], zs[i], zs[(i + 1) % len(zs)]
+    chord = _distance(prev, nxt)
+    alpha, beta, gamma = angles[i], _angle(prev, v, nxt), _angle(nxt, v, prev)
+    angle_sum = alpha + beta + gamma
+    fields = (chord, sides[i], sides[i - 1], alpha, beta, gamma, math.pi - angle_sum)
+    _check_solution(fields[:3], fields[3:6], angle_sum, fields[6])
+    return fields
 
 
 def local_triangle(poly: HyperbolicPolygon, i: int) -> TriangleSolution:
     """The hinge triangle V_{i-1} V_i V_{i+1}, measured with disk primitives."""
-    n = poly.n
-    prev, v, nxt = poly.vertices[i - 1], poly.vertices[i], poly.vertices[(i + 1) % n]
-    chord = hyp_distance(prev, nxt)
-    alpha = poly.interior_angles[i]
-    beta = angle_at_vertex(prev, v, nxt)
-    gamma = angle_at_vertex(nxt, v, prev)
-    return TriangleSolution(
-        a=chord,
-        b=poly.side_lengths[i],
-        c=poly.side_lengths[i - 1],
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        area=math.pi - (alpha + beta + gamma),
-    )
+    return TriangleSolution._make(_hinge_triangle(_shape(poly), i))
 
 
-def _hinge_residual(poly: HyperbolicPolygon, i: int) -> float:
-    t = local_triangle(poly, i)
-    return abs(t.alpha - (t.beta + t.gamma))
+def _hinge_residual(shape: _Shape, i: int) -> float:
+    _, _, _, alpha, beta, gamma, _ = _hinge_triangle(shape, i)
+    return abs(alpha - (beta + gamma))
 
 
 def max_optimality_residual(poly: HyperbolicPolygon) -> float:
     """max_i |alpha_i - (beta_i + gamma_i)| over the hinge triangles."""
-    return max(_hinge_residual(poly, i) for i in range(poly.n))
+    shape = _shape(poly)
+    return max(_hinge_residual(shape, i) for i in range(poly.n))
 
 
-def _defect_from_sides(a: float, b: float, c: float) -> float:
-    """Area of the triangle with the three given sides."""
+def _defect(ta: tuple[float, float], tb: tuple[float, float], tc: tuple[float, float]) -> float:
+    """Area of the triangle whose sides have the _side_terms ta, tb and tc."""
     return math.pi - (
-        angle_from_sides(a, b, c)
-        + angle_from_sides(b, c, a)
-        + angle_from_sides(c, a, b)
+        _angle_from_terms(ta[0], tb, tc)
+        + _angle_from_terms(tb[0], tc, ta)
+        + _angle_from_terms(tc[0], ta, tb)
     )
 
 
-def _side_sign(base: DiskPoint, ref: DiskPoint, probe: DiskPoint) -> float:
-    """+1 if probe lies left of the geodesic from base through ref, else -1."""
+def _side_sign(base: complex, ref: complex, probe: complex) -> float:
+    """+1 if probe lies left of the geodesic from base through ref, else -1 (Klein images)."""
     return 1.0 if _klein_turn(base, ref, probe).imag >= 0.0 else -1.0
 
 
@@ -221,56 +215,67 @@ class MoveResult(
 
 
 # A planned move: its area gain and the new positions of the vertices it moves.
-_Plan = tuple[float, dict[int, DiskPoint]]
+_Plan = tuple[float, dict[int, complex]]
 
 
-def _replace_vertices(
-    poly: HyperbolicPolygon, updates: dict[int, DiskPoint]
-) -> HyperbolicPolygon | None:
-    """poly with the given vertices moved, or None if that is not a convex polygon."""
-    vs = list(poly.vertices)
-    for k, p in updates.items():
-        vs[k] = p
+def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
+    """shape with the given vertices moved, or None if that is not a convex polygon."""
+    zs = list(shape.vertices)
+    for k, z in updates.items():
+        zs[k] = z
     try:
-        return _measure(tuple(vs), poly, frozenset(updates))
+        return _measure(tuple(zs), shape, frozenset(updates))
     except DomainError:
         return None
 
 
-def _apply_best(poly: HyperbolicPolygon, plans: list[_Plan | None]) -> MoveResult:
-    """Build the planned move with the largest gain, the earliest on ties.
+def _replace_vertices(poly: HyperbolicPolygon, updates: dict) -> HyperbolicPolygon | None:
+    shape = _replace(_shape(poly), {k: p.z for k, p in updates.items()})
+    return None if shape is None else _polygon(shape)
 
-    If the result is not convex, the next planned move is built instead.
-    """
+
+def _apply_best(shape: _Shape, i: int, planners) -> tuple[_Shape | None, float, int]:
+    """Plan the moves at vertex i and build the one with the largest gain, the
+    earliest on ties, or the next one if the result is not convex. Returns the
+    new shape (None if none was built), its gain and the planned moves refused."""
     rejected = 0
+    plans = [plan(shape, i) for plan in planners]
     for gain, updates in sorted((p for p in plans if p is not None), key=lambda p: -p[0]):
-        updated = _replace_vertices(poly, updates)
+        updated = _replace(shape, updates)
         if updated is not None:
-            return MoveResult(updated, gain, True, rejected)
+            return updated, gain, rejected
         rejected += 1
-    return MoveResult(poly, 0.0, False, rejected)
+    return None, 0.0, rejected
 
 
-def _plan_hinge(poly: HyperbolicPolygon, i: int) -> _Plan | None:
+def _move(poly: HyperbolicPolygon, i: int, planners) -> MoveResult:
+    updated, gain, rejected = _apply_best(_shape(poly), i, planners)
+    if updated is None:
+        return MoveResult(poly, 0.0, False, rejected)
+    return MoveResult(_polygon(updated), gain, True, rejected)
+
+
+def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
     """Slide V_i along the locus p + q = const to maximize the hinge area."""
-    n = poly.n
-    f1, v, f2 = poly.vertices[i - 1], poly.vertices[i], poly.vertices[(i + 1) % n]
-    p = poly.side_lengths[i - 1]
-    q = poly.side_lengths[i]
+    zs, sides, _, ks = shape
+    n = len(zs)
+    f1, f2 = zs[i - 1], zs[(i + 1) % n]
+    p, q = sides[i - 1], sides[i]
     s = p + q
-    chord = hyp_distance(f1, f2)
+    chord = _side_terms(_distance(f1, f2))
     # With the base and p + q fixed, the maximal-area triangle is isosceles.
     p_new = 0.5 * s
-    gain = _defect_from_sides(p_new, p_new, chord) - _defect_from_sides(p, q, chord)
+    leg = _side_terms(p_new)
+    gain = _defect(leg, leg, chord) - _defect(_side_terms(p), _side_terms(q), chord)
     if gain <= ACCEPT_TOL:
         return None
-    theta1 = angle_from_sides(p_new, p_new, chord)
-    side = _side_sign(f1, f2, v)
-    return gain, {i: step_from(f1, direction_toward(f1, f2) + side * theta1, p_new)}
+    theta1 = _angle_from_terms(leg[0], leg, chord)
+    side = _side_sign(ks[i - 1], ks[(i + 1) % n], ks[i])
+    return gain, {i: _step(f1, _direction(f1, f2) + side * theta1, p_new)}
 
 
 def _hinge_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
-    return _apply_best(poly, [_plan_hinge(poly, i)])
+    return _move(poly, i, (_plan_hinge,))
 
 
 def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> float:
@@ -293,7 +298,7 @@ def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> floa
     return 2.0 * math.asinh(math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
 
 
-def _plan_diagonal(poly: HyperbolicPolygon, i: int) -> _Plan | None:
+def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     """Reposition edge V_i V_{i+1} with all side lengths fixed.
 
     Name the quadrilateral A B C D = V_{i-1} V_i V_{i+1} V_{i+2}. One degree
@@ -304,18 +309,19 @@ def _plan_diagonal(poly: HyperbolicPolygon, i: int) -> _Plan | None:
     Where it falls outside the range in which both triangles ABD and BCD
     exist, the better end of the range is taken instead.
     """
-    n = poly.n
+    zs, sides, _, ks = shape
+    n = len(zs)
     if n < 4:
         return None
     ia, ib, ic, id_ = i - 1, i, (i + 1) % n, (i + 2) % n
-    a, b_, c_, d = (poly.vertices[k] for k in (ia, ib, ic, id_))
-    s1 = poly.side_lengths[ia]
-    s2 = poly.side_lengths[ib]
-    s3 = poly.side_lengths[ic]
-    diag = hyp_distance(a, d)
+    a, b_, d = zs[ia], zs[ib], zs[id_]
+    s1, s2, s3 = sides[ia], sides[ib], sides[ic]
+    diag = _distance(a, d)
+    t1, t2, t3, t_diag = (_side_terms(x) for x in (s1, s2, s3, diag))
 
     def quad_area(bd: float) -> float:
-        return _defect_from_sides(s1, diag, bd) + _defect_from_sides(s2, s3, bd)
+        t_bd = _side_terms(bd)
+        return _defect(t1, t_diag, t_bd) + _defect(t2, t3, t_bd)
 
     def phi_of_bd(bd: float) -> float:
         """Angle at A of the triangle ABD, by the half-angle formula
@@ -341,19 +347,19 @@ def _plan_diagonal(poly: HyperbolicPolygon, i: int) -> _Plan | None:
     if not bd_lo < bd_new < bd_hi:
         # no concyclic position inside the range: the best one is an endpoint
         bd_new = max(bd_lo, bd_hi, key=quad_area)
-    gain = quad_area(bd_new) - quad_area(hyp_distance(b_, d))
+    gain = quad_area(bd_new) - quad_area(_distance(b_, d))
     if gain <= ACCEPT_TOL:
         return None
-    side_b = _side_sign(a, d, b_)
-    b_new = step_from(a, direction_toward(a, d) + side_b * phi_of_bd(bd_new), s1)
-    theta_b = angle_from_sides(s3, s2, bd_new)
-    side_c = _side_sign(b_, d, c_)
-    c_new = step_from(b_new, direction_toward(b_new, d) + side_c * theta_b, s2)
+    side_b = _side_sign(ks[ia], ks[id_], ks[ib])
+    b_new = _step(a, _direction(a, d) + side_b * phi_of_bd(bd_new), s1)
+    theta_b = _angle_from_terms(t3[0], t2, _side_terms(bd_new))
+    side_c = _side_sign(ks[ib], ks[id_], ks[ic])
+    c_new = _step(b_new, _direction(b_new, d) + side_c * theta_b, s2)
     return gain, {ib: b_new, ic: c_new}
 
 
 def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
-    return _apply_best(poly, [_plan_diagonal(poly, i)])
+    return _move(poly, i, (_plan_diagonal,))
 
 
 def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
@@ -364,7 +370,7 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     one if that result is not convex; returns the polygon unchanged (with
     delta_area 0) when neither improves it.
     """
-    return _apply_best(poly, [_plan_hinge(poly, i), _plan_diagonal(poly, i)])
+    return _move(poly, i, (_plan_hinge, _plan_diagonal))
 
 
 class TraceStep(
@@ -407,36 +413,38 @@ def steiner_optimize(
     stagnated = False
     sweeps = 0
     n = poly.n
+    shape = _shape(poly)
     for sweep in range(max_sweeps):
         sweeps = sweep + 1
         accepted = 0
         for i in range(n):
-            before = polygon_area(poly)
-            result = steiner_move(poly, i)
-            moves_rejected += result.rejected
-            if result.accepted:
-                moved = [k for k in range(n) if result.polygon.vertices[k] != poly.vertices[k]]
-                poly = result.polygon
+            before = polygon_area(shape)
+            updated, _, rejected = _apply_best(shape, i, (_plan_hinge, _plan_diagonal))
+            moves_rejected += rejected
+            if updated is not None:
+                moved = [k for k in range(n) if updated.vertices[k] != shape.vertices[k]]
+                shape = updated
                 accepted += 1
                 if residuals is None:
-                    residuals = [_hinge_residual(poly, k) for k in range(n)]
+                    residuals = [_hinge_residual(shape, k) for k in range(n)]
                 else:
                     for k in {(m + d) % n for m in moved for d in (-1, 0, 1)}:
-                        residuals[k] = _hinge_residual(poly, k)
+                        residuals[k] = _hinge_residual(shape, k)
                 trace.append(
                     TraceStep(
                         iteration=iteration,
                         vertex=i,
                         area_before=before,
-                        area_after=polygon_area(poly),
+                        area_after=polygon_area(shape),
                         residual=max(residuals),
-                        perimeter=polygon_perimeter(poly),
+                        perimeter=polygon_perimeter(shape),
                     )
                 )
             iteration += 1
         if accepted == 0:
             stagnated = True
             break
+    poly = _polygon(shape)
     fit = circumcircle_fit(poly)
     return SteinerResult(
         polygon=poly,
@@ -488,7 +496,7 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
         # no hyperbolic circle fits (the vertices lie nearer a horocycle or a
         # hypercycle); any center bounds the spread from above
         center = DiskPoint(mx, my)
-    radii = [hyp_distance(center, v) for v in poly.vertices]
+    radii = [_distance(center.z, v.z) for v in poly.vertices]
     return CircumcircleFit(
         center=center,
         radius=0.5 * (max(radii) + min(radii)),

@@ -102,10 +102,6 @@ def _check_sas_domain(b: float, c: float, alpha: float) -> None:
         )
 
 
-def _clamped_acos(x: float) -> float:
-    return math.acos(min(1.0, max(-1.0, x)))
-
-
 def _coshm1(x: float) -> float:
     """cosh(x) - 1 without cancellation: 2 sinh^2(x/2)."""
     s = math.sinh(0.5 * x)
@@ -117,18 +113,26 @@ def _acosh1p(m: float) -> float:
     return math.log1p(m + math.sqrt(m * (m + 2.0)))
 
 
+def _side_terms(x: float) -> tuple[float, float]:
+    """cosh(x) - 1 and sinh(x): what the law of cosines needs of a side."""
+    return _coshm1(x), math.sinh(x)
+
+
+def _angle_from_terms(m0: float, t1: tuple[float, float], t2: tuple[float, float]) -> float:
+    """angle_from_sides, given cosh - 1 of the opposite side and the
+    _side_terms of the other two."""
+    m1, sinh1 = t1
+    m2, sinh2 = t2
+    return math.acos(min(1.0, max(-1.0, (m1 + m2 - m0 + m1 * m2) / (sinh1 * sinh2))))
+
+
 def angle_from_sides(opposite: float, s1: float, s2: float) -> float:
     """Angle opposite the first side, by the hyperbolic law of cosines.
 
     The numerator cosh(s1) cosh(s2) - cosh(opposite) is expanded in
     cosh - 1 terms so tiny triangles keep relative accuracy.
     """
-    m0 = _coshm1(opposite)
-    m1 = _coshm1(s1)
-    m2 = _coshm1(s2)
-    num = m1 + m2 - m0 + m1 * m2
-    den = math.sinh(s1) * math.sinh(s2)
-    return _clamped_acos(num / den)
+    return _angle_from_terms(_coshm1(opposite), _side_terms(s1), _side_terms(s2))
 
 
 def _tanh_half_product(b: float, c: float) -> tuple[float, float]:

@@ -1,6 +1,8 @@
 """Tests for the disk-model primitives."""
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from hyplobe import (
     isometry_to_origin,
     point_from_polar,
 )
+from hyplobe import disk
+from hyplobe.disk import direction_toward, step_from
 
 LN3 = 1.0986122886681098
 # tanh(1), frozen from a 50-digit mpmath evaluation
@@ -206,3 +210,126 @@ class TestAngleAtVertex:
             assert abs(
                 angle_at_vertex(v, p, q) - angle_at_vertex(m(v), m(p), m(q))
             ) < 1e-9
+
+
+def _bits(compute):
+    """compute() with every float as its hex form, which tells -0.0 from 0.0,
+    or "!" and the class and message of the error it raised."""
+    try:
+        value = compute()
+    except DomainError as exc:
+        return f"!{type(exc).__name__}: {exc}"
+    if isinstance(value, complex):
+        value = (value.real, value.imag)
+    if isinstance(value, tuple):
+        return tuple(v.hex() for v in value)
+    return value.hex()
+
+
+class TestComplexHelpers:
+    """The point primitives wrap the complex helpers the polygon path calls.
+
+    On seeded points up to |z| = 1 - 1e-9 and near-coincident pairs, each
+    primitive equals its helper bit for bit and refuses the same inputs with
+    the same error, and both equal the DiskIsometry composition the
+    primitives were first written as.
+    """
+
+    @pytest.fixture(scope="class")
+    def triples(self):
+        rng = np.random.default_rng(2024)
+
+        def point():
+            r = 1.0 - 10.0 ** rng.uniform(-9.0, 0.0)  # |z| from 0 to 1 - 1e-9
+            t = rng.uniform(-math.pi, math.pi)
+            return DiskPoint(r * math.cos(t), r * math.sin(t))
+
+        def near(p):
+            z = p.z + 10.0 ** rng.uniform(-16.0, -8.0) * cmath.exp(1j * rng.uniform(0.0, 7.0))
+            return DiskPoint(z.real, z.imag) if abs(z) < 1.0 else p
+
+        out = []
+        for k in range(2000):
+            v, p = point(), point()
+            if k % 4 == 0:
+                p = near(v)
+            out.append((v, p, near(p) if k % 4 == 1 else point()))
+        # signed zeros, which the chart maps must carry as the isometries do
+        out += [(ORIGIN, DiskPoint(0.0, 0.5), DiskPoint(-0.0, -0.5)),
+                (DiskPoint(-0.0, 0.5), DiskPoint(0.0, -0.25), ORIGIN)]
+        return out
+
+    @staticmethod
+    def _refusals(results):
+        """How often each refusal occurs, with the numbers in its message as #."""
+        kinds = [re.sub(r"-?\d[\d.e+-]*", "#", r) for r in results if r[0] == "!"]
+        return {k: kinds.count(k) for k in kinds}
+
+    def test_distance(self, triples):
+        def ref(p, q):
+            t = abs(p.z - q.z) / abs(1.0 - p.z.conjugate() * q.z)
+            if t >= 1.0:
+                raise DomainError("distance overflow: points too close to the boundary")
+            return math.log1p(2.0 * t / (1.0 - t))
+
+        wants = []
+        for v, p, _ in triples:
+            wants.append(_bits(lambda: ref(v, p)))
+            assert _bits(lambda: hyp_distance(v, p)) == wants[-1]
+            assert _bits(lambda: disk._distance(v.z, p.z)) == wants[-1]
+        refusals = self._refusals(wants)
+        assert refusals["!DomainError: distance overflow: points too close to the boundary"] >= 10
+
+    def test_angle(self, triples):
+        def ref(v, p, q):
+            m = isometry_to_origin(v)
+            u, w = m(p).z, m(q).z
+            if abs(u) <= 1e-12 or abs(w) <= 1e-12:
+                raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
+            return abs(cmath.phase(u * w.conjugate()))
+
+        wants = []
+        for v, p, q in triples:
+            wants.append(_bits(lambda: ref(v, p, q)))
+            assert _bits(lambda: angle_at_vertex(v, p, q)) == wants[-1]
+            assert _bits(lambda: disk._angle(v.z, p.z, q.z)) == wants[-1]
+        refusals = self._refusals(wants)
+        coincident = "!DegenerateInputError: angle undefined: vertex coincides with an endpoint"
+        assert refusals[coincident] >= 10
+        assert refusals["!DomainError: point (#, #) is not strictly inside the unit disk"] >= 10
+
+    def test_direction(self, triples):
+        def ref(p, q):
+            w = isometry_to_origin(p)(q).z
+            if abs(w) <= 1e-12:
+                raise DegenerateInputError("direction undefined for coincident points")
+            return cmath.phase(w)
+
+        wants = []
+        for p, q, _ in triples:
+            wants.append(_bits(lambda: ref(p, q)))
+            assert _bits(lambda: direction_toward(p, q)) == wants[-1]
+            assert _bits(lambda: disk._direction(p.z, q.z)) == wants[-1]
+        refusals = self._refusals(wants)
+        assert refusals["!DegenerateInputError: direction undefined for coincident points"] >= 10
+        assert refusals["!DomainError: point (#, #) is not strictly inside the unit disk"] >= 10
+
+    def test_step(self, triples):
+        rng = np.random.default_rng(7)
+        cases = []
+        for k, (p, _, _) in enumerate(triples):
+            # outward from p, half the time, so that many steps reach the boundary
+            theta = rng.uniform(-4.0, 4.0) if k % 2 else cmath.phase(p.z) + rng.uniform(-1, 1)
+            d = (-0.1, 20.5, 0.0)[k % 3] if k % 50 == 0 else rng.uniform(0.0, 20.0)
+            cases.append((p, theta, d))
+        # the inverse chart can turn -0.0 into 0.0 here
+        cases += [(DiskPoint(-0.0, 0.0), -0.0, 0.7), (DiskPoint(-0.0, 0.0), -0.0, 0.0)]
+        wants = []
+        for p, theta, d in cases:
+            back = isometry_to_origin(p).inverse()
+            wants.append(_bits(lambda: back(point_from_polar(d, theta))))
+            assert _bits(lambda: step_from(p, theta, d)) == wants[-1]
+            assert _bits(lambda: disk._step(p.z, theta, d)) == wants[-1]
+        refusals = self._refusals(wants)
+        assert refusals["!DomainError: hyperbolic distance # outside [#, #]"] >= 10
+        assert refusals["!DomainError: point (#, #) is not strictly inside the unit disk"] >= 10
