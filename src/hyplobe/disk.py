@@ -163,11 +163,11 @@ def _orthogonal_circle(
     px: float, py: float, qx: float, qy: float
 ) -> tuple[float, float, float] | None:
     """(cx, cy, radius) of the circle through p and q orthogonal to the unit
-    circle, or None when p, q and the origin are collinear."""
+    circle, or None when p, q and the origin are collinear (|sin pOq| <= 1e-12)."""
     if abs(complex(qx - px, qy - py)) <= _COINCIDENT_TOL:
         raise DegenerateInputError("cannot build a geodesic through coincident points")
     cross = px * qy - py * qx
-    if abs(cross) <= _COLLINEAR_TOL * max(math.hypot(px, py), math.hypot(qx, qy)):
+    if abs(cross) <= _COLLINEAR_TOL * math.hypot(px, py) * math.hypot(qx, qy):
         return None
     # Orthogonality to the unit circle means the power of the origin is 1,
     # which linearizes to 2 c.p = 1 + |p|^2 and likewise for q.

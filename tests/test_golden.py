@@ -85,6 +85,22 @@ class TestTriangleKernels(_KernelGolden):
     path = regen.KERNELS
     generate = staticmethod(regen.kernel_golden)
 
+    def test_figure_is_built_wherever_sas_solves(self):
+        from hyplobe.errors import DomainError
+        from hyplobe.triangle import build_figure1, solve_sas
+
+        refused = []
+        for inp in regen.kernel_inputs():
+            try:
+                solve_sas(*inp)
+            except DomainError:
+                continue
+            try:
+                build_figure1(*inp)
+            except DomainError as exc:
+                refused.append((inp, exc))
+        assert refused == []
+
 
 class TestPolygonKernels(_KernelGolden):
     path = regen.POLYGON_KERNELS
