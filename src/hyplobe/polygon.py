@@ -84,7 +84,8 @@ class HyperbolicPolygon(
         return cls(vs, *_measure(tuple(v.z for v in vs))[1:3])
 
 
-# The core's polygon: complex vertices, and their Klein images (2z / (1 + |z|^2)).
+# The core's polygon: complex vertices and their Klein images 2z / (1 + |z|^2). Its
+# other fields are HyperbolicPolygon's, so polygon_area and polygon_perimeter take it.
 _Shape = namedtuple("_Shape", "vertices side_lengths interior_angles klein")
 
 
@@ -261,10 +262,9 @@ def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
     n = len(zs)
     f1, f2 = zs[i - 1], zs[(i + 1) % n]
     p, q = sides[i - 1], sides[i]
-    s = p + q
     chord = _side_terms(_distance(f1, f2))
     # With the base and p + q fixed, the maximal-area triangle is isosceles.
-    p_new = 0.5 * s
+    p_new = 0.5 * (p + q)
     leg = _side_terms(p_new)
     gain = _defect(leg, leg, chord) - _defect(_side_terms(p), _side_terms(q), chord)
     if gain <= ACCEPT_TOL:
