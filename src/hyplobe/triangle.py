@@ -123,7 +123,8 @@ def _angle_from_terms(m0: float, t1: tuple[float, float], t2: tuple[float, float
     _side_terms of the other two."""
     m1, sinh1 = t1
     m2, sinh2 = t2
-    return math.acos(min(1.0, max(-1.0, (m1 + m2 - m0 + m1 * m2) / (sinh1 * sinh2))))
+    c = (m1 + m2 - m0 + m1 * m2) / (sinh1 * sinh2)
+    return math.acos(c if -1.0 <= c <= 1.0 else min(1.0, max(-1.0, c)))
 
 
 def angle_from_sides(opposite: float, s1: float, s2: float) -> float:
