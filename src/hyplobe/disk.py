@@ -54,6 +54,14 @@ def _check_inside(x: float, y: float) -> None:
         raise DomainError(f"point ({x}, {y}) is not strictly inside the unit disk")
 
 
+def _check_circle(cx: float, cy: float, radius: float) -> None:
+    """EuclideanCircle's checks: the radius, then the center."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise DomainError("circle radius must be positive and finite")
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise DomainError("circle center must be finite")
+
+
 ORIGIN = DiskPoint(0.0, 0.0)
 
 
@@ -63,10 +71,7 @@ class EuclideanCircle(namedtuple("EuclideanCircle", "cx cy radius")):
     __slots__ = ()
 
     def __new__(cls, cx: float, cy: float, radius: float) -> "EuclideanCircle":
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise DomainError("circle radius must be positive and finite")
-        if not (math.isfinite(cx) and math.isfinite(cy)):
-            raise DomainError("circle center must be finite")
+        _check_circle(cx, cy, radius)
         return tuple.__new__(cls, (cx, cy, radius))
 
     @property

@@ -14,9 +14,11 @@ formula, and B' is the far root of a quadratic taken through Vieta's sum.
 The kernels solve_sas, build_figure1, optimal_alpha and
 optimality_certificate compute on plain floats and validate once: each
 record is built once, in its final form, and no value is computed twice.
-The public primitives (embed_triangle, omega_circle, b_prime_point,
-tau_angle, and disk.geodesic_through) wrap the same float helpers, so both
-paths evaluate the same formulas and return bit-identical results.
+build_figure1 evaluates the formulas of the public primitives
+(embed_triangle, omega_circle, b_prime_point, tau_angle, and
+disk.geodesic_through) for B on the positive x-axis, with the terms in B's
+exact-zero y-coordinate dropped; a test pins the two paths equal, bit for
+bit and refusal for refusal.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .disk import D_MAX, ORIGIN, DiskPoint, EuclideanCircle, _orthogonal_circle
+from .disk import _COINCIDENT_TOL, _COLLINEAR_TOL, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
+from .disk import _check_circle, _check_inside, _orthogonal_circle
 from .errors import DegenerateInputError, DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
@@ -206,20 +209,14 @@ def area_defect(alpha: float, beta: float, gamma: float) -> float:
     return math.pi - s
 
 
-def _embed(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, float]:
-    """B, C and tanh(b/2) for sides already checked by _check_sas_domain."""
+def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
+    """Place the triangle with A at the center, B on the positive x-axis."""
+    _check_sas_domain(b, c, alpha)
     # point_from_polar(c, 0) and point_from_polar(b, alpha), whose distance
     # checks the SAS domain implies; r cos 0 and r sin 0 are exactly r and 0
     B = DiskPoint(math.tanh(0.5 * c), 0.0)
     rb = math.tanh(0.5 * b)
-    return B, DiskPoint(rb * math.cos(alpha), rb * math.sin(alpha)), rb
-
-
-def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
-    """Place the triangle with A at the center, B on the positive x-axis."""
-    _check_sas_domain(b, c, alpha)
-    B, C, _ = _embed(b, c, alpha)
-    return ORIGIN, B, C
+    return ORIGIN, B, DiskPoint(rb * math.cos(alpha), rb * math.sin(alpha))
 
 
 def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
@@ -232,8 +229,22 @@ def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
     return EuclideanCircle(*circle)
 
 
-def _far_root(bx: float, by: float, cx: float, cy: float, radius: float) -> tuple[float, float]:
-    """b_prime_point for B = (bx, by) and omega of center (cx, cy)."""
+def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
+    """Second intersection of the Euclidean line through the center and B with omega.
+
+    Points of the line are t * B / |B|; they lie on omega where
+    t^2 - 2 m t + power = 0, with m the projection of omega's center on the
+    line and power = |center|^2 - radius^2. B itself is the root t = |B|, so
+    by Vieta's sum the far root is 2 m - |B|. This needs neither a square
+    root nor the power, which cancels when omega's center lies far out (B
+    near the center, or BC nearly through it); the textbook root
+    m + sqrt(m^2 - power) also cancels as B approaches the boundary. Since
+    omega is orthogonal to the unit circle, power is 1 and the result
+    coincides with the inversion of B in the unit circle (checked by tests,
+    not used here).
+    """
+    bx, by = B
+    cx, cy, radius = omega
     nb = math.hypot(bx, by)
     if nb <= 1e-12:
         raise DegenerateInputError("B at the center: the line AB is undefined")
@@ -252,23 +263,6 @@ def _far_root(bx: float, by: float, cx: float, cy: float, radius: float) -> tupl
     return (w.real, w.imag)
 
 
-def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
-    """Second intersection of the Euclidean line through the center and B with omega.
-
-    Points of the line are t * B / |B|; they lie on omega where
-    t^2 - 2 m t + power = 0, with m the projection of omega's center on the
-    line and power = |center|^2 - radius^2. B itself is the root t = |B|, so
-    by Vieta's sum the far root is 2 m - |B|. This needs neither a square
-    root nor the power, which cancels when omega's center lies far out (B
-    near the center, or BC nearly through it); the textbook root
-    m + sqrt(m^2 - power) also cancels as B approaches the boundary. Since
-    omega is orthogonal to the unit circle, power is 1 and the result
-    coincides with the inversion of B in the unit circle (checked by tests,
-    not used here).
-    """
-    return _far_root(*B, *omega)
-
-
 def _euclidean_angle(vx: float, vy: float, px: float, py: float, qx: float, qy: float) -> float:
     """Unsigned Euclidean angle at (vx, vy) between the rays to (px, py) and (qx, qy)."""
     x1, y1 = px - vx, py - vy
@@ -282,14 +276,55 @@ def tau_angle(fig: Figure1) -> float:
 
 
 def build_figure1(b: float, c: float, alpha: float) -> Figure1:
-    """Assemble the whole construction for the triangle (b, c, alpha)."""
+    """Assemble the whole construction for the triangle (b, c, alpha).
+
+    The composition of embed_triangle, omega_circle, b_prime_point and
+    tau_angle for B = (px, 0.0), with every check in the same order, class
+    and message. A product with B's zero y-coordinate is a signed zero, and
+    adding or subtracting one leaves a nonzero value unchanged, so those
+    terms are dropped; the comments say why a zero result is safe as well.
+    """
     _check_sas_domain(b, c, alpha)
-    B, C, rb = _embed(b, c, alpha)
-    omega = omega_circle(B, C)
-    psi = EuclideanCircle(0.0, 0.0, rb)
-    bx, by = _far_root(*B, *omega)
-    tau = _euclidean_angle(bx, by, *ORIGIN, *C)
-    return Figure1._make((ORIGIN, B, C, omega, psi, (bx, by), tau))
+    px = math.tanh(0.5 * c)
+    _check_inside(px, 0.0)
+    rb = math.tanh(0.5 * b)
+    qx = rb * math.cos(alpha)
+    qy = rb * math.sin(alpha)
+    _check_inside(qx, qy)
+    # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is px
+    if abs(complex(qx - px, qy)) <= _COINCIDENT_TOL:
+        raise DegenerateInputError("cannot build a geodesic through coincident points")
+    cross = px * qy  # a zero is collinear whatever its sign
+    if abs(cross) <= _COLLINEAR_TOL * px * math.hypot(qx, qy):
+        raise DegenerateInputError(
+            "B, C and the center are collinear: the triangle is degenerate"
+        )
+    rp = 0.5 * (1.0 + px * px)
+    rq = 0.5 * (1.0 + qx * qx + qy * qy)
+    cx = rp * qy / cross
+    cy = (px * rq - qx * rp) / cross
+    r2 = cx * cx + cy * cy - 1.0
+    if r2 <= 0.0:
+        raise DegenerateInputError("orthogonal-circle construction collapsed")
+    radius = math.sqrt(r2)
+    _check_circle(cx, cy, radius)
+    _check_circle(0.0, 0.0, rb)  # psi
+    # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j
+    if px <= 1e-12:
+        raise DegenerateInputError("B at the center: the line AB is undefined")
+    if abs(abs(complex(px - cx, cy)) - radius) > 1e-9 * max(1.0, radius):
+        raise DomainError("B does not lie on the given circle")
+    t = 2.0 * cx - px
+    if t <= px:
+        raise DegenerateInputError("line AB does not meet the circle twice")
+    # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and
+    # qx - t is nonzero, C being inside the disk and B' outside it
+    tau = abs(math.atan2(-t * qy, -t * (qx - t)))
+    B = tuple.__new__(DiskPoint, (px, 0.0))
+    C = tuple.__new__(DiskPoint, (qx, qy))
+    omega = tuple.__new__(EuclideanCircle, (cx, cy, radius))
+    psi = tuple.__new__(EuclideanCircle, (0.0, 0.0, rb))
+    return tuple.__new__(Figure1, (ORIGIN, B, C, omega, psi, (t, 0.0), tau))
 
 
 def optimal_alpha(b: float, c: float) -> OptimalTriangle:
@@ -308,7 +343,7 @@ def optimal_alpha(b: float, c: float) -> OptimalTriangle:
     u, one_minus_u = _tanh_half_product(b, c)
     alpha_star = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
     _check_sas_domain(b, c, alpha_star)
-    return OptimalTriangle._make((alpha_star, _sas(b, c, alpha_star, u, one_minus_u)))
+    return tuple.__new__(OptimalTriangle, (alpha_star, _sas(b, c, alpha_star, u, one_minus_u)))
 
 
 def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
@@ -323,7 +358,7 @@ def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
     hx, hy = cx - bx, cy - by
     # distance from the origin to the line through b_prime and C
     dist = abs(bx * hy - by * hx) / abs(complex(hx, hy))
-    return OptimalityCertificate._make((
+    return tuple.__new__(OptimalityCertificate, (
         _euclidean_angle(cx, cy, *fig.A, bx, by),
         abs(dist - fig.psi.radius),
         abs(fig.alpha + fig.tau - 0.5 * math.pi),

@@ -2,7 +2,7 @@
 
     python tests/golden/regen.py
 
-Two kinds of artifact live next to this script:
+Three kinds of artifact live next to this script:
 
 * ``cli/``: the exact bytes of `python -m hyplobe` runs (stdout, and the
   trace CSV of `steiner`), one fresh process per case;

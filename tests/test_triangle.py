@@ -1,6 +1,8 @@
 """Tests for the SAS solver, the disk construction and the area maximizer."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,9 @@ from hyplobe import (
     DegenerateInputError,
     DiskPoint,
     DomainError,
+    EuclideanCircle,
+    Figure1,
+    HyplobeError,
     TriangleSolution,
     angle_at_vertex,
     area_defect,
@@ -34,6 +39,15 @@ from hyplobe.oracle import (
 # acosh(cosh(1)^2), frozen from a 50-digit mpmath evaluation: the hypotenuse
 # of the right isoceles triangle with legs 1
 PYTHAGORAS_A = 1.513374006596504
+
+
+def golden_kernel_inputs():
+    """The inputs of the triangle-kernel golden, edge cases and refusals included."""
+    path = Path(__file__).resolve().parent / "golden" / "regen.py"
+    spec = importlib.util.spec_from_file_location("golden_regen", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    return regen.kernel_inputs()
 
 
 def random_triangles(seed, count):
@@ -260,16 +274,56 @@ class TestConstruction:
             assert tau_angle(fig) == fig.tau
 
     def test_primitives_rebuild_the_figure_bit_for_bit(self):
-        # build_figure1 and the public primitives share their float helpers
-        for b, c, alpha in [*random_triangles(12, 200), (1e-6, 1.0, 3e-6), (20.0, 20.0, 1.0)]:
-            fig = build_figure1(b, c, alpha)
+        # build_figure1 evaluates the primitives' formulas for B on the
+        # x-axis, with the terms in B's zero y-coordinate dropped: it must
+        # return what the primitives composed return, in every bit (reprs
+        # tell signed zeros apart), or refuse with the same class and message
+        def composed(b, c, alpha):
             A, B, C = embed_triangle(b, c, alpha)
-            assert (A, B, C) == (fig.A, fig.B, fig.C)
+            omega = omega_circle(B, C)
+            psi = EuclideanCircle(0.0, 0.0, point_from_polar(b, 0.0).x)
+            fig = Figure1(A, B, C, omega, psi, b_prime_point(B, omega), None)
+            return fig._replace(tau=tau_angle(fig))
+
+        def outcome(build, *args):
+            try:
+                fig = build(*args)
+            except HyplobeError as exc:
+                return f"{type(exc).__name__}: {exc}"
+            assert type(fig) is Figure1
+            assert [type(v) for v in fig[:5]] == [DiskPoint] * 3 + [EuclideanCircle] * 2
+            return repr(fig)
+
+        inputs = [*golden_kernel_inputs(), *random_triangles(12, 200)]
+        # B at or next to the center, where later checks refuse
+        inputs += [
+            (b, c, alpha)
+            for b in (1e-20, 1e-6, 1.0)
+            for c in (5e-324, 1e-310, 1e-300, 1e-160, 1e-12, 2e-12)
+            for alpha in (1e-5, 1.0, 3.0)
+        ]
+        for b, c, _ in inputs[:]:
+            try:
+                inputs.append((b, c, optimal_alpha(b, c).alpha_star))
+            except DomainError:
+                pass
+        refusals = set()
+        for b, c, alpha in inputs:
+            got = outcome(build_figure1, b, c, alpha)
+            assert got == outcome(composed, b, c, alpha), (b, c, alpha)
+            if not got.startswith("Figure1("):
+                refusals.add(got)
+                continue
+            fig = build_figure1(b, c, alpha)
+            B, C = fig.B, fig.C
             assert (B, C) == (point_from_polar(c, 0.0), point_from_polar(b, alpha))
-            assert fig.psi.radius == point_from_polar(b, 0.0).x
-            assert omega_circle(B, C) == fig.omega == geodesic_through(B, C).circle
-            assert b_prime_point(B, fig.omega) == fig.b_prime
-            assert tau_angle(fig) == fig.tau
+            assert fig.omega == geodesic_through(B, C).circle
+        assert {r for r in refusals if "sides" not in r and "apex angle" not in r} == {
+            "DegenerateInputError: cannot build a geodesic through coincident points",
+            "DegenerateInputError: B, C and the center are collinear: the triangle is degenerate",
+            "DomainError: circle radius must be positive and finite",
+            "DegenerateInputError: B at the center: the line AB is undefined",
+        }
 
     def test_psi_passes_through_c(self):
         for b, c, alpha in random_triangles(10, 50):
