@@ -11,14 +11,17 @@ tan(area/2) = u sin(alpha) / (1 - u cos(alpha)), the maximizing apex angle
 is arccos(u), the base angles come from the atan2 form of the four-part
 formula, and B' is the far root of a quadratic taken through Vieta's sum.
 
-The kernels solve_sas, build_figure1, optimal_alpha and
-optimality_certificate compute on plain floats and validate once: each
-record is built once, in its final form, and no value is computed twice.
-build_figure1 evaluates the formulas of the public primitives
-(embed_triangle, omega_circle, b_prime_point, tau_angle, and
-disk.geodesic_through) for B on the positive x-axis, with the terms in B's
-exact-zero y-coordinate dropped; a test pins the two paths equal, bit for
-bit and refusal for refusal.
+The four kernels, solve_sas, build_figure1, optimal_alpha and
+optimality_certificate, are straight-line float code: each record is built
+once, in its final form, no value is computed twice, and each check is an
+inline comparison that calls its helper (_check_sas_domain, _check_solution,
+disk._check_inside, disk._check_circle) only on the failing path, so the
+order, class and message of every refusal are the helpers'. solve_sas and
+optimal_alpha share one core, _sas. build_figure1 evaluates the formulas of
+the public primitives (embed_triangle, omega_circle, b_prime_point,
+tau_angle, and disk.geodesic_through) for B on the positive x-axis, with the
+terms in B's exact-zero y-coordinate dropped. Tests pin each kernel to the
+composition it replaces, bit for bit and refusal for refusal.
 """
 
 from __future__ import annotations
@@ -111,11 +114,6 @@ def _coshm1(x: float) -> float:
     return 2.0 * s * s
 
 
-def _acosh1p(m: float) -> float:
-    """acosh(1 + m) for m >= 0, accurate near zero."""
-    return math.log1p(m + math.sqrt(m * (m + 2.0)))
-
-
 def _side_terms(x: float) -> tuple[float, float]:
     """cosh(x) - 1 and sinh(x): what the law of cosines needs of a side."""
     return _coshm1(x), math.sinh(x)
@@ -139,18 +137,6 @@ def angle_from_sides(opposite: float, s1: float, s2: float) -> float:
     return _angle_from_terms(_coshm1(opposite), _side_terms(s1), _side_terms(s2))
 
 
-def _tanh_half_product(b: float, c: float) -> tuple[float, float]:
-    """u = tanh(b/2) tanh(c/2) and 1 - u, the latter without cancellation.
-
-    1 - u = (1 - t_b) + t_b (1 - t_c) with t_x = tanh(x/2) and
-    1 - tanh(x/2) = 2 / (e^x + 1), so 1 - u keeps its relative accuracy even
-    when u rounds to within a few ulps of 1 (both sides near D_MAX).
-    """
-    tb = math.tanh(0.5 * b)
-    tc = math.tanh(0.5 * c)
-    return tb * tc, 2.0 / (math.exp(b) + 1.0) + tb * 2.0 / (math.exp(c) + 1.0)
-
-
 def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     """Solve the triangle with sides b = |AC|, c = |AB| and included angle alpha.
 
@@ -168,18 +154,36 @@ def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     u = tanh(b/2) tanh(c/2) rather than as pi minus the angle sum, which
     loses every digit once the triangle is small or thin.
     """
-    _check_sas_domain(b, c, alpha)
-    return _sas(b, c, alpha, *_tanh_half_product(b, c))
+    return _sas(b, c, alpha, False)
 
 
-def _sas(b: float, c: float, alpha: float, u: float, one_minus_u: float) -> TriangleSolution:
-    """solve_sas inside its domain, given u = tanh(b/2) tanh(c/2) and 1 - u."""
+def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolution:
+    """solve_sas, or with optimal set the solution at optimal_alpha's maximizer.
+
+    u = tanh(b/2) tanh(c/2) and 1 - u = (1 - t_b) + t_b (1 - t_c), with
+    t_x = tanh(x/2) and 1 - tanh(x/2) = 2 / (e^x + 1), so 1 - u keeps its
+    relative accuracy even when u rounds to within a few ulps of 1 (both
+    sides near D_MAX). The checks of _check_sas_domain and _check_solution
+    are inline comparisons that call the helper only to raise.
+    """
+    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
+        _check_sas_domain(b, c, alpha)
+    tb = math.tanh(0.5 * b)
+    u = tb * math.tanh(0.5 * c)
+    one_minus_u = 2.0 / (math.exp(b) + 1.0) + tb * 2.0 / (math.exp(c) + 1.0)
+    if optimal:
+        alpha = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
+    if not (ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
+        _check_sas_domain(b, c, alpha)
     half_sin = math.sin(0.5 * alpha)
     one_minus_cos = 2.0 * half_sin * half_sin
     sin_alpha = math.sin(alpha)
     sinh_b = math.sinh(b)
     sinh_c = math.sinh(c)
-    a = _acosh1p(_coshm1(b - c) + sinh_b * sinh_c * one_minus_cos)
+    # a = acosh(1 + m), m = (cosh(b - c) - 1) + sinh b sinh c (1 - cos(alpha))
+    s = math.sinh(0.5 * (b - c))
+    m = 2.0 * s * s + sinh_b * sinh_c * one_minus_cos
+    a = math.log1p(m + math.sqrt(m * (m + 2.0)))
     beta = math.atan2(
         sin_alpha * sinh_b, math.sinh(c - b) + math.cosh(c) * sinh_b * one_minus_cos
     )
@@ -192,9 +196,13 @@ def _sas(b: float, c: float, alpha: float, u: float, one_minus_u: float) -> Tria
             "triangle is numerically degenerate: angle defect below roundoff"
         )
     area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
-    # TriangleSolution's checks, less those of b, c and alpha, which
-    # _check_sas_domain has made
-    _check_solution((a,), (beta, gamma), angle_sum, area)
+    # TriangleSolution's checks, less those of b, c and alpha, made above, and
+    # of the angle sum, which has just passed a stricter one
+    if not (
+        0.0 < a < math.inf and 0.0 < beta < math.pi and 0.0 < gamma < math.pi
+        and abs(area - (math.pi - angle_sum)) <= 1e-14
+    ):
+        _check_solution((a,), (beta, gamma), angle_sum, area)
     return tuple.__new__(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
 
 
@@ -284,13 +292,16 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     adding or subtracting one leaves a nonzero value unchanged, so those
     terms are dropped; the comments say why a zero result is safe as well.
     """
-    _check_sas_domain(b, c, alpha)
+    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
+        _check_sas_domain(b, c, alpha)
     px = math.tanh(0.5 * c)
-    _check_inside(px, 0.0)
+    if not px * px < 1.0:  # px * px + 0.0 * 0.0, a square being never -0.0
+        _check_inside(px, 0.0)
     rb = math.tanh(0.5 * b)
     qx = rb * math.cos(alpha)
     qy = rb * math.sin(alpha)
-    _check_inside(qx, qy)
+    if not qx * qx + qy * qy < 1.0:
+        _check_inside(qx, qy)
     # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is px
     if abs(complex(qx - px, qy)) <= _COINCIDENT_TOL:
         raise DegenerateInputError("cannot build a geodesic through coincident points")
@@ -307,8 +318,11 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     if r2 <= 0.0:
         raise DegenerateInputError("orthogonal-circle construction collapsed")
     radius = math.sqrt(r2)
-    _check_circle(cx, cy, radius)
-    _check_circle(0.0, 0.0, rb)  # psi
+    # radius > 0 since r2 > 0 or is NaN; a sum is finite only if every term is
+    if not math.isfinite(cx + cy + radius):
+        _check_circle(cx, cy, radius)
+    if not rb > 0.0:  # psi; |rb| < 1
+        _check_circle(0.0, 0.0, rb)
     # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j
     if px <= 1e-12:
         raise DegenerateInputError("B at the center: the line AB is undefined")
@@ -338,12 +352,8 @@ def optimal_alpha(b: float, c: float) -> OptimalTriangle:
     It is evaluated as alpha* = 2 atan(sqrt((1 - u) / (1 + u))), with 1 - u
     formed without cancellation, which stays accurate as u approaches 1.
     """
-    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
-        raise DomainError(f"sides must lie in (0, {D_MAX}]")
-    u, one_minus_u = _tanh_half_product(b, c)
-    alpha_star = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
-    _check_sas_domain(b, c, alpha_star)
-    return tuple.__new__(OptimalTriangle, (alpha_star, _sas(b, c, alpha_star, u, one_minus_u)))
+    sol = _sas(b, c, None, True)
+    return tuple.__new__(OptimalTriangle, (sol[3], sol))
 
 
 def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
@@ -353,13 +363,15 @@ def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
     B'C is tangent to psi, and alpha + tau = pi/2; all three residuals
     vanish together.
     """
-    bx, by = fig.b_prime
-    cx, cy = fig.C
+    (ax, ay), _, (cx, cy), _, (_, _, rb), (bx, by), tau = fig
     hx, hy = cx - bx, cy - by
     # distance from the origin to the line through b_prime and C
     dist = abs(bx * hy - by * hx) / abs(complex(hx, hy))
+    # _euclidean_angle at C between the rays to A and to b_prime
+    x1, y1 = ax - cx, ay - cy
+    x2, y2 = bx - cx, by - cy
     return tuple.__new__(OptimalityCertificate, (
-        _euclidean_angle(cx, cy, *fig.A, bx, by),
-        abs(dist - fig.psi.radius),
-        abs(fig.alpha + fig.tau - 0.5 * math.pi),
+        abs(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)),
+        abs(dist - rb),
+        abs(abs(math.atan2(cy, cx)) + tau - 0.5 * math.pi),  # Figure1.alpha
     ))

@@ -30,6 +30,15 @@ from hyplobe import (
     solve_sas,
     tau_angle,
 )
+from hyplobe.triangle import (
+    D_MAX,
+    OptimalityCertificate,
+    OptimalTriangle,
+    _check_sas_domain,
+    _check_solution,
+    _coshm1,
+    _euclidean_angle,
+)
 from hyplobe.oracle import (
     curvature_corrected_side,
     euclidean_limit_triangle,
@@ -159,6 +168,132 @@ class TestSolveSas:
             TriangleSolution(a=1, b=1, c=1, alpha=1.2, beta=1.2, gamma=1.2, area=0.1)
         with pytest.raises(DomainError):
             TriangleSolution(a=1, b=1, c=1, alpha=0.5, beta=0.5, gamma=0.5, area=1.0)
+
+
+def _composed_sas(b, c, alpha, u, one_minus_u):
+    """The SAS core as a composition of the helpers: _coshm1, acosh(1 + m),
+    then _check_solution."""
+    half_sin = math.sin(0.5 * alpha)
+    one_minus_cos = 2.0 * half_sin * half_sin
+    sin_alpha = math.sin(alpha)
+    sinh_b = math.sinh(b)
+    sinh_c = math.sinh(c)
+    m = _coshm1(b - c) + sinh_b * sinh_c * one_minus_cos
+    a = math.log1p(m + math.sqrt(m * (m + 2.0)))
+    beta = math.atan2(
+        sin_alpha * sinh_b, math.sinh(c - b) + math.cosh(c) * sinh_b * one_minus_cos
+    )
+    gamma = math.atan2(
+        sin_alpha * sinh_c, math.sinh(b - c) + math.cosh(b) * sinh_c * one_minus_cos
+    )
+    angle_sum = alpha + beta + gamma
+    if angle_sum >= math.pi:
+        raise DomainError("triangle is numerically degenerate: angle defect below roundoff")
+    area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
+    _check_solution((a,), (beta, gamma), angle_sum, area)
+    return tuple.__new__(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
+
+
+def _tanh_half_product(b, c):
+    tb = math.tanh(0.5 * b)
+    tc = math.tanh(0.5 * c)
+    return tb * tc, 2.0 / (math.exp(b) + 1.0) + tb * 2.0 / (math.exp(c) + 1.0)
+
+
+def _composed_solve_sas(b, c, alpha):
+    _check_sas_domain(b, c, alpha)
+    return _composed_sas(b, c, alpha, *_tanh_half_product(b, c))
+
+
+def _composed_optimal_alpha(b, c):
+    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
+        raise DomainError(f"sides must lie in (0, {D_MAX}]")
+    u, one_minus_u = _tanh_half_product(b, c)
+    alpha_star = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
+    _check_sas_domain(b, c, alpha_star)
+    return OptimalTriangle(alpha_star, _composed_sas(b, c, alpha_star, u, one_minus_u))
+
+
+def _composed_certificate(fig):
+    bx, by = fig.b_prime
+    cx, cy = fig.C
+    hx, hy = cx - bx, cy - by
+    dist = abs(bx * hy - by * hx) / abs(complex(hx, hy))
+    return OptimalityCertificate(
+        _euclidean_angle(cx, cy, *fig.A, bx, by),
+        abs(dist - fig.psi.radius),
+        abs(fig.alpha + fig.tau - 0.5 * math.pi),
+    )
+
+
+def _outcome(kernel, *args):
+    """The repr of a kernel's result (reprs tell signed zeros apart), or its
+    refusal's class and message."""
+    try:
+        return repr(kernel(*args))
+    except HyplobeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _edge_sweep(seed, count):
+    """Seeded inputs mixing the domain with its edges and beyond: sides <= 0
+    or > D_MAX, apex angles at and past (ALPHA_EPS, pi - ALPHA_EPS), NaN and
+    infinities."""
+    sides = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-12, 20.0, math.nextafter(20.0, 21.0), 25.0]
+    angles = [
+        ALPHA_EPS,
+        math.nextafter(ALPHA_EPS, 1.0),
+        math.pi - ALPHA_EPS,
+        math.nextafter(math.pi - ALPHA_EPS, 0.0),
+        0.0,
+        -0.1,
+        math.pi,
+        math.pi + 0.1,
+    ]
+    odd = [math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        b, c = (float(x) for x in np.exp(rng.uniform(math.log(1e-9), math.log(25.0), 2)))
+        alpha = float(rng.uniform(-0.1, math.pi + 0.1))
+        pick = rng.integers(4)
+        if pick == 1:
+            b = sides[rng.integers(len(sides))]
+        elif pick == 2:
+            alpha = angles[rng.integers(len(angles))]
+        elif pick == 3:
+            which = rng.integers(3)
+            x = odd[rng.integers(3)]
+            b, c, alpha = (x if k == which else v for k, v in enumerate((b, c, alpha)))
+        yield b, c, alpha
+
+
+class TestStraightLineKernels:
+    def test_kernels_match_their_composed_helpers_bit_for_bit(self):
+        # solve_sas, optimal_alpha and optimality_certificate inline the work
+        # of their helpers; they must return what the composition returns, in
+        # every bit, or refuse with the same class and message
+        inputs = [*golden_kernel_inputs(), *_edge_sweep(14, 3000)]
+        # sides at the bottom of the float range, where side a rounds to 0
+        tiny = (5e-324, 1e-310, 1e-160)
+        inputs += [(b, c, alpha) for b in tiny for c in tiny for alpha in (1e-5, 1.0, 3.0)]
+        refusals = set()
+        for b, c, alpha in inputs:
+            got = _outcome(solve_sas, b, c, alpha)
+            assert got == _outcome(_composed_solve_sas, b, c, alpha), (b, c, alpha)
+            opt = _outcome(optimal_alpha, b, c)
+            assert opt == _outcome(_composed_optimal_alpha, b, c), (b, c)
+            refusals.update(r for r in (got, opt) if not r.startswith(("Triangle", "Optimal")))
+            for a in (alpha, *([optimal_alpha(b, c).alpha_star] if opt[0] == "O" else [])):
+                try:
+                    fig = build_figure1(b, c, a)
+                except HyplobeError:
+                    continue
+                assert _outcome(optimality_certificate, fig) == _outcome(
+                    _composed_certificate, fig
+                ), (b, c, a)
+        # every check of the core was reached
+        for message in ("sides must lie", "apex angle", "degenerate", "positive and finite"):
+            assert any(message in r for r in refusals), message
 
 
 class TestAreaDefect:
