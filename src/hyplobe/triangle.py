@@ -237,6 +237,12 @@ def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
     return EuclideanCircle(*circle)
 
 
+# Only |B| = 0 leaves the line AB undefined. The far root, about 1/|B|, is
+# finite for every |B| > 0, but below |B| ~ 1e-154 its square overflows, and
+# tau with it (to a tau of 0); most such figures already fail omega's radius.
+_FAR_ROOT_OVERFLOWS = "B' lies too far out: its products overflow"
+
+
 def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     """Second intersection of the Euclidean line through the center and B with omega.
 
@@ -254,7 +260,7 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     bx, by = B
     cx, cy, radius = omega
     nb = math.hypot(bx, by)
-    if nb <= 1e-12:
+    if nb == 0.0:
         raise DegenerateInputError("B at the center: the line AB is undefined")
     bz = complex(bx, by)
     center = complex(cx, cy)
@@ -267,6 +273,8 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     t = 2.0 * m - nb  # the root beyond B
     if t <= nb:
         raise DegenerateInputError("line AB does not meet the circle twice")
+    if t * t == math.inf:
+        raise DomainError(_FAR_ROOT_OVERFLOWS)
     w = t * direction
     return (w.real, w.imag)
 
@@ -323,14 +331,15 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
         _check_circle(cx, cy, radius)
     if not rb > 0.0:  # psi; |rb| < 1
         _check_circle(0.0, 0.0, rb)
-    # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j
-    if px <= 1e-12:
-        raise DegenerateInputError("B at the center: the line AB is undefined")
+    # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j;
+    # px > 0, since px = 0 fails the collinearity check
     if abs(abs(complex(px - cx, cy)) - radius) > 1e-9 * max(1.0, radius):
         raise DomainError("B does not lie on the given circle")
     t = 2.0 * cx - px
     if t <= px:
         raise DegenerateInputError("line AB does not meet the circle twice")
+    if t * t == math.inf:
+        raise DomainError(_FAR_ROOT_OVERFLOWS)
     # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and
     # qx - t is nonzero, C being inside the disk and B' outside it
     tau = abs(math.atan2(-t * qy, -t * (qx - t)))

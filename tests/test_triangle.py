@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,46 @@ class TestConstruction:
                 tau = abs(mpmath.arg((C - bp) / -bp))
                 assert fig.tau == pytest.approx(float(tau), rel=1e-13)
 
+    def test_b_next_to_the_center_builds_or_refuses_as_a_domain_error(self):
+        # B = (tanh(c/2), 0) is never refused for being near the center: down
+        # to |B| ~ 1e-154 the figure is built and 2 tau is the area to 50
+        # digits; below that B' or omega's radius overflows, a DomainError,
+        # until tanh(c/2) is subnormal and B, C and the center read collinear
+        mpmath = pytest.importorskip("mpmath")
+        cs = [2e-12, *(10.0**-k for k in range(12, 324)), 5e-324]
+        worst = {True: 0.0, False: 0.0}
+        built = 0
+        with mpmath.workdps(50):
+            for b in (1.0, 5.0, 19.0):
+                for c in cs:
+                    for alpha in (1e-3, 1.0, math.pi / 2, 3.0):
+                        try:
+                            fig = build_figure1(b, c, alpha)
+                        except DegenerateInputError as exc:
+                            assert c < 2.0 * sys.float_info.min, (b, c, alpha)
+                            assert "collinear" in str(exc)
+                            continue
+                        except DomainError:
+                            assert c < 1e-150, (b, c, alpha)
+                            continue
+                        built += 1
+                        mb, mc, ma = (mpmath.mpf(x) for x in (b, c, alpha))
+                        u = mpmath.tanh(mb / 2) * mpmath.tanh(mc / 2)
+                        area = 2 * mpmath.atan2(u * mpmath.sin(ma), 1 - u * mpmath.cos(ma))
+                        try:
+                            solve_sas(b, c, alpha)
+                            solved = True
+                        except DomainError:
+                            solved = False
+                        err = float(abs(2.0 * fig.tau - area) / area)
+                        worst[solved] = max(worst[solved], err)
+                        bp = fig.b_prime[0]
+                        assert fig.B.x * bp == pytest.approx(1.0, rel=1e-15)
+        assert built > 1000
+        # where solve_sas solves, and where it refuses the angle sum
+        assert worst[True] <= 4e-16
+        assert worst[False] <= 1e-15
+
     def test_b_prime_input_validation(self):
         fig = build_figure1(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -430,11 +471,11 @@ class TestConstruction:
             return repr(fig)
 
         inputs = [*golden_kernel_inputs(), *random_triangles(12, 200)]
-        # B at or next to the center, where later checks refuse
+        # B next to the center: built down to |B| ~ 1e-154, refused below
         inputs += [
             (b, c, alpha)
             for b in (1e-20, 1e-6, 1.0)
-            for c in (5e-324, 1e-310, 1e-300, 1e-160, 1e-12, 2e-12)
+            for c in (5e-324, 1e-310, 1e-300, 1e-160, 1e-154, 1e-12, 2e-12)
             for alpha in (1e-5, 1.0, 3.0)
         ]
         for b, c, _ in inputs[:]:
@@ -457,7 +498,7 @@ class TestConstruction:
             "DegenerateInputError: cannot build a geodesic through coincident points",
             "DegenerateInputError: B, C and the center are collinear: the triangle is degenerate",
             "DomainError: circle radius must be positive and finite",
-            "DegenerateInputError: B at the center: the line AB is undefined",
+            "DomainError: B' lies too far out: its products overflow",
         }
 
     def test_psi_passes_through_c(self):
