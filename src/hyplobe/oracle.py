@@ -125,19 +125,19 @@ def _grid_argmax(args, areas) -> GridSearchResult:
     )
 
 
-def _defect_from_sides(a, b, c):
-    """Vectorized area of the triangle with sides a, b, c.
-
-    Pi minus the three angles of the plain law of cosines; adequate for sides
-    of order one.
+def _lhuilier(a, b, c):
+    """Vectorized area of the triangle with sides a, b, c, by L'Huilier's
+    formula tan^2(area / 4) = tanh(p / 2) tanh((p - a) / 2) tanh((p - b) / 2)
+    tanh((p - c) / 2), p the semi-perimeter. Each p - side is formed as
+    (the other two sides - side) / 2, not subtracted from p, and clamped at
+    0 where rounding leaves the triangle inequality.
     """
     import numpy as np
 
-    def angle(x, y, z):
-        cos_x = (np.cosh(y) * np.cosh(z) - np.cosh(x)) / (np.sinh(y) * np.sinh(z))
-        return np.arccos(np.clip(cos_x, -1.0, 1.0))
-
-    return math.pi - (angle(a, b, c) + angle(b, c, a) + angle(c, a, b))
+    tan2 = np.tanh(0.25 * (a + b + c))
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        tan2 = tan2 * np.tanh(0.25 * np.maximum(0.0, y + z - x))
+    return 4.0 * np.arctan(np.sqrt(tan2))
 
 
 def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
@@ -168,12 +168,18 @@ def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
     """Area of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3,
     |DA| = diag and angle phi at A, as the sum of triangles ABD and BCD;
     -inf where the cross diagonal BD leaves no triangle BCD.
+
+    BD comes from the law of cosines in its cancellation-free form
+    sinh^2(|BD| / 2) = sinh^2((s1 - diag) / 2) + sinh(s1) sinh(diag) sin^2(phi / 2)
+    and each triangle's area from L'Huilier's formula, so tiny quadrilaterals
+    keep their relative accuracy.
     """
     import numpy as np
 
-    x = np.cosh(s1) * np.cosh(diag) - np.sinh(s1) * np.sinh(diag) * np.cos(phi)
-    bd = np.arccosh(np.maximum(1.0, x))
-    area = _defect_from_sides(s1, diag, bd) + _defect_from_sides(s2, s3, bd)
+    h = math.sinh(0.5 * (s1 - diag))
+    k = np.sin(0.5 * np.asarray(phi))
+    bd = 2.0 * np.arcsinh(np.sqrt(h * h + math.sinh(s1) * math.sinh(diag) * k * k))
+    area = _lhuilier(s1, diag, bd) + _lhuilier(s2, s3, bd)
     return np.where((bd > abs(s2 - s3)) & (bd < s2 + s3), area, -np.inf)
 
 

@@ -148,6 +148,41 @@ class TestHingeSearch:
         assert res.area_hat == pytest.approx(math.sqrt(3.0) / 4.0 * 1e-18, rel=1e-9)
 
 
+class TestQuadrilateralSearch:
+    def test_small_quadrilaterals_peak_at_the_cyclic_angle(self):
+        # the cross diagonal from sinh^2(|BD| / 2) and L'Huilier's areas keep
+        # their relative accuracy, so the argmax stays one grid step from the
+        # concyclic angle phi* (Ptolemy on the half-sinhs, at 50 digits)
+        # however small the quadrilateral, and the area matches phi*'s
+        mpmath = pytest.importorskip("mpmath")
+        for scale in (1e-5, 1e-9):
+            s1, s2, s3, diag = (x * scale for x in (0.9, 1.1, 0.8, 1.6))
+            res = oracle.grid_search_quadrilateral(s1, s2, s3, diag, 100_000)
+            with mpmath.workdps(50):
+                m1, m2, m3, md = (mpmath.mpf(x) for x in (s1, s2, s3, diag))
+                a, b, c, d = (mpmath.sinh(x / 2) for x in (m1, m2, m3, md))
+                ptolemy = (a * b + c * d) * (a * c + b * d) / (a * d + b * c)
+                bd = 2 * mpmath.asinh(mpmath.sqrt(ptolemy))
+                half = mpmath.sqrt(
+                    (mpmath.sinh(bd / 2) ** 2 - mpmath.sinh((m1 - md) / 2) ** 2)
+                    / (mpmath.sinh(m1) * mpmath.sinh(md))
+                )
+                phi_star = float(2 * mpmath.asin(half))
+
+                def area(x, y, z):
+                    p = (x + y + z) / 2
+                    return 4 * mpmath.atan(mpmath.sqrt(
+                        mpmath.tanh(p / 2) * mpmath.tanh((p - x) / 2)
+                        * mpmath.tanh((p - y) / 2) * mpmath.tanh((p - z) / 2)
+                    ))
+
+                best = float(area(m1, md, bd) + area(m2, m3, bd))
+            assert abs(res.alpha_hat - phi_star) <= res.grid_step, scale
+            assert res.area_hat == pytest.approx(best, rel=1e-8), scale
+            # no point of the grid scores above the maximum
+            assert res.area_hat <= best * (1.0 + 1e-12), scale
+
+
 class TestGeodesicSampling:
     def test_needs_enough_segments(self):
         with pytest.raises(DomainError):
