@@ -297,6 +297,88 @@ class TestStraightLineKernels:
             assert any(message in r for r in refusals), message
 
 
+    def test_tiny_triangles_are_accurate_or_refused_as_domain_errors(self):
+        # sides log-uniform on [1e-12, 1e-6]: solve_sas and optimal_alpha are
+        # within 1e-14 of a 100-digit law-of-cosines reference or refuse the
+        # angle sum as a DomainError (a defect below roundoff); build_figure1
+        # is within 1e-14 of the exact construction, compared as points
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(b, c, alpha):
+            ch, sh = mpmath.cosh, mpmath.sinh
+            a = mpmath.acosh(ch(b) * ch(c) - sh(b) * sh(c) * mpmath.cos(alpha))
+
+            def opposite(x, y, z):
+                return mpmath.acos(
+                    (mpmath.cosh(y) * mpmath.cosh(z) - mpmath.cosh(x))
+                    / (mpmath.sinh(y) * mpmath.sinh(z))
+                )
+
+            beta, gamma = opposite(b, a, c), opposite(c, a, b)
+            return a, beta, gamma, mpmath.pi - (alpha + beta + gamma)
+
+        def err(got, ref):
+            return float(abs(got - ref) / abs(ref))
+
+        rng = np.random.default_rng(34)
+        worst = 0.0
+        counts = {"solved": 0, "optimal": 0, "built": 0}
+        with mpmath.workdps(100):
+            for _ in range(1000):
+                b, c = (float(x) for x in np.exp(rng.uniform(math.log(1e-12), math.log(1e-6), 2)))
+                alpha = float(rng.uniform(0.01, math.pi - 0.01))
+                mb, mc, ma = (mpmath.mpf(x) for x in (b, c, alpha))
+                tb, tc = mpmath.tanh(mb / 2), mpmath.tanh(mc / 2)
+                try:
+                    sol = solve_sas(b, c, alpha)
+                    ref = reference(mb, mc, ma)
+                    worst = max(worst, *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref))
+                    counts["solved"] += 1
+                except DomainError:
+                    pass
+                try:
+                    opt = optimal_alpha(b, c)
+                    ref = reference(mb, mc, mpmath.mpf(opt.alpha_star))
+                    sol = opt.solution
+                    worst = max(
+                        worst,
+                        err(opt.alpha_star, mpmath.acos(tb * tc)),
+                        *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref),
+                    )
+                    counts["optimal"] += 1
+                except DomainError:
+                    pass
+                C = tb * mpmath.expj(ma)
+                try:
+                    fig = build_figure1(b, c, alpha)
+                except DegenerateInputError as exc:
+                    # the one refusal that is not a DomainError: an absolute
+                    # guard (disk._COINCIDENT_TOL) calls B and C coincident
+                    # when |BC| <= 1e-12, though the figure is well defined
+                    assert "coincident" in str(exc) and abs(C - tc) <= 1e-12
+                    continue
+                counts["built"] += 1
+                # omega's center from the exact orthogonal-circle formula
+                rp, rq = (1 + tc * tc) / 2, (1 + tb * tb) / 2
+                center = mpmath.mpc(rp * C.imag, tc * rq - C.real * rp) / (tc * C.imag)
+                radius = mpmath.sqrt(abs(center) ** 2 - 1)
+                u = tb * tc
+                area = 2 * mpmath.atan2(u * mpmath.sin(ma), 1 - u * mpmath.cos(ma))
+                for got, ref in (
+                    (fig.B.x, tc),
+                    (complex(*fig.C), C),
+                    (complex(fig.omega.cx, fig.omega.cy), center),
+                    (fig.omega.radius, radius),
+                    (fig.psi.radius, tb),
+                    (fig.b_prime[0], 1 / tc),
+                    (fig.tau, area / 2),
+                ):
+                    worst = max(worst, err(got, ref))
+                assert fig.B.y == 0.0 and fig.b_prime[1] == 0.0
+        assert worst <= 1e-14
+        assert min(counts.values()) >= 100, counts
+
+
 class TestAreaDefect:
     def test_direct_value(self):
         third = math.pi / 3
