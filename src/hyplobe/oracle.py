@@ -177,7 +177,7 @@ def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
     import numpy as np
 
     h = math.sinh(0.5 * (s1 - diag))
-    k = np.sin(0.5 * np.asarray(phi))
+    k = np.sin(0.5 * phi)
     bd = 2.0 * np.arcsinh(np.sqrt(h * h + math.sinh(s1) * math.sinh(diag) * k * k))
     area = _lhuilier(s1, diag, bd) + _lhuilier(s2, s3, bd)
     return np.where((bd > abs(s2 - s3)) & (bd < s2 + s3), area, -np.inf)

@@ -237,12 +237,6 @@ def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
     return EuclideanCircle(*circle)
 
 
-# Only |B| = 0 leaves the line AB undefined. The far root, about 1/|B|, is
-# finite for every |B| > 0, but below |B| ~ 1e-154 its square overflows, and
-# tau with it (to a tau of 0); most such figures already fail omega's radius.
-_FAR_ROOT_OVERFLOWS = "B' lies too far out: its products overflow"
-
-
 def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     """Second intersection of the Euclidean line through the center and B with omega.
 
@@ -273,8 +267,10 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     t = 2.0 * m - nb  # the root beyond B
     if t <= nb:
         raise DegenerateInputError("line AB does not meet the circle twice")
+    # t, about 1/|B|, is finite for every |B| > 0, but below |B| ~ 1e-154 its
+    # square overflows, and tau with it (to a tau of 0)
     if t * t == math.inf:
-        raise DomainError(_FAR_ROOT_OVERFLOWS)
+        raise DomainError("B' lies too far out: its products overflow")
     w = t * direction
     return (w.real, w.imag)
 
@@ -339,7 +335,7 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     if t <= px:
         raise DegenerateInputError("line AB does not meet the circle twice")
     if t * t == math.inf:
-        raise DomainError(_FAR_ROOT_OVERFLOWS)
+        raise DomainError("B' lies too far out: its products overflow")
     # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and
     # qx - t is nonzero, C being inside the disk and B' outside it
     tau = abs(math.atan2(-t * qy, -t * (qx - t)))
