@@ -34,6 +34,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
@@ -48,49 +49,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "ALPHA_EPS",
-    "D_MAX",
-    "ORIGIN",
-    "DegenerateInputError",
-    "DiskIsometry",
-    "DiskPoint",
-    "DomainError",
-    "EuclideanCircle",
-    "Figure1",
-    "Geodesic",
-    "HyperbolicPolygon",
-    "HyplobeError",
-    "NonConvexError",
-    "RegularPolygonSpec",
-    "SolverError",
-    "TriangleSolution",
-    "angle_at_vertex",
-    "apply_isometry",
-    "area_defect",
-    "b_prime_point",
-    "build_figure1",
-    "circle_geometry",
-    "circumcircle_fit",
-    "embed_triangle",
-    "geodesic_through",
-    "hyp_distance",
-    "isometry_to_origin",
-    "isoperimetric_deficit",
-    "local_triangle",
-    "omega_circle",
-    "optimal_alpha",
-    "optimality_certificate",
-    "point_from_polar",
-    "polygon_area",
-    "polygon_perimeter",
-    "random_convex_polygon",
-    "regular_polygon",
-    "regular_polygon_for_perimeter",
-    "regular_polygon_vertices",
-    "solve_sas",
-    "steiner_move",
-    "steiner_optimize",
-    "tau_angle",
-]

@@ -192,10 +192,9 @@ def cmd_isoperimetric(args) -> int:
         stats = polygon.regular_polygon(spec)
         deficit = polygon.isoperimetric_deficit(stats.perimeter, stats.area)
         lines.append(f"{n},{_fmt_float(stats.area)},{_fmt_float(deficit)}")
-    r = polygon.circle_radius_for_circumference(args.perimeter)
-    if r > polygon.D_MAX / 2:
-        raise DomainError("perimeter outside the representable range")
-    circumference, area = polygon.circle_geometry(r)
+    circumference, area = polygon.circle_geometry(
+        polygon.circle_radius_for_circumference(args.perimeter)
+    )
     deficit = polygon.isoperimetric_deficit(circumference, area)
     lines.append(f"circle,{_fmt_float(area)},{_fmt_float(deficit)}")
     _write("\n".join(lines) + "\n", args.output)

@@ -120,21 +120,16 @@ def _side_terms(x: float) -> tuple[float, float]:
 
 
 def _angle_from_terms(m0: float, t1: tuple[float, float], t2: tuple[float, float]) -> float:
-    """angle_from_sides, given cosh - 1 of the opposite side and the
-    _side_terms of the other two."""
-    m1, sinh1 = t1
-    m2, sinh2 = t2
-    c = (m1 + m2 - m0 + m1 * m2) / (sinh1 * sinh2)
-    return math.acos(c if -1.0 <= c <= 1.0 else min(1.0, max(-1.0, c)))
-
-
-def angle_from_sides(opposite: float, s1: float, s2: float) -> float:
-    """Angle opposite the first side, by the hyperbolic law of cosines.
+    """Angle opposite a side by the hyperbolic law of cosines, given cosh - 1
+    of that side and the _side_terms of the other two.
 
     The numerator cosh(s1) cosh(s2) - cosh(opposite) is expanded in
     cosh - 1 terms so tiny triangles keep relative accuracy.
     """
-    return _angle_from_terms(_coshm1(opposite), _side_terms(s1), _side_terms(s2))
+    m1, sinh1 = t1
+    m2, sinh2 = t2
+    c = (m1 + m2 - m0 + m1 * m2) / (sinh1 * sinh2)
+    return math.acos(c if -1.0 <= c <= 1.0 else min(1.0, max(-1.0, c)))
 
 
 def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:

@@ -48,6 +48,7 @@ def check_theorem1_grid(rng, samples: int) -> CheckResult:
     pairs = max(10, samples // 10)
     worst_gap = 0.0
     worst_root = 0.0
+    worst_area = 0.0
     for _ in range(pairs):
         b = rng.uniform(0.1, 3.0)
         c = rng.uniform(0.1, 3.0)
@@ -56,12 +57,14 @@ def check_theorem1_grid(rng, samples: int) -> CheckResult:
         worst_gap = max(worst_gap, abs(opt.alpha_star - grid.alpha_hat) / grid.grid_step)
         sol = opt.solution
         worst_root = max(worst_root, abs(sol.alpha - sol.beta - sol.gamma))
-    ok = worst_gap <= 2.0 and worst_root < 1e-12
+        worst_area = max(worst_area, abs(sol.area - (math.pi - 2.0 * opt.alpha_star)))
+    ok = worst_gap <= 2.0 and worst_root < 1e-12 and worst_area < 1e-12
     return CheckResult(
         "theorem1-grid-cross-check",
         ok,
         f"max gap = {worst_gap:.2f} grid steps over {pairs} pairs, "
-        f"max |alpha - beta - gamma| = {worst_root:.3e}",
+        f"max |alpha - beta - gamma| = {worst_root:.3e}, "
+        f"max |area - (pi - 2 alpha*)| = {worst_area:.3e}",
     )
 
 
@@ -156,14 +159,22 @@ def check_isometry_invariance(rng, samples: int) -> CheckResult:
             disk.DiskPoint(r * math.cos(t), r * math.sin(t)), rng.uniform(0.0, 2.0 * math.pi)
         )
         A2, B2, C2 = m(A), m(B), m(C)
+        angles = (
+            disk.angle_at_vertex(A, B, C), disk.angle_at_vertex(B, A, C),
+            disk.angle_at_vertex(C, A, B),
+        )
+        angles2 = (
+            disk.angle_at_vertex(A2, B2, C2), disk.angle_at_vertex(B2, A2, C2),
+            disk.angle_at_vertex(C2, A2, B2),
+        )
+        # the triangle's area, pi minus its angle sum, must not drift either
         worst = max(
             worst,
             abs(disk.hyp_distance(A, B) - disk.hyp_distance(A2, B2)),
             abs(disk.hyp_distance(A, C) - disk.hyp_distance(A2, C2)),
             abs(disk.hyp_distance(B, C) - disk.hyp_distance(B2, C2)),
-            abs(disk.angle_at_vertex(A, B, C) - disk.angle_at_vertex(A2, B2, C2)),
-            abs(disk.angle_at_vertex(B, A, C) - disk.angle_at_vertex(B2, A2, C2)),
-            abs(disk.angle_at_vertex(C, A, B) - disk.angle_at_vertex(C2, A2, B2)),
+            *(abs(x - y) for x, y in zip(angles, angles2)),
+            abs((math.pi - sum(angles)) - (math.pi - sum(angles2))),
         )
     return CheckResult(
         "isometry-invariance", worst < 1e-10, f"max measurement drift = {worst:.3e}"
@@ -201,18 +212,15 @@ def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list
     """Run every check with independent seeded streams; deterministic per seed."""
     if seed < 0:
         raise DomainError("the seed must be a non-negative integer")
-    results = []
     checks = [
-        ("area-equivalence", lambda r: check_area_equivalence(r, samples, fault)),
-        ("theorem1-grid-cross-check", lambda r: check_theorem1_grid(r, samples)),
-        ("optimality-certificates", lambda r: check_certificates(r, samples)),
-        ("euclidean-limit", lambda r: check_euclidean_limit(r, samples)),
-        ("inversion-identity", lambda r: check_inversion_identity(r, samples)),
-        ("metric-oracle", lambda r: check_metric_oracle(r, samples)),
-        ("isometry-invariance", lambda r: check_isometry_invariance(r, samples)),
-        ("deficit-nonnegativity", lambda r: check_deficit_nonnegative(r, samples)),
-        ("polar-round-trip", lambda r: check_polar_round_trip(r, samples)),
+        lambda r: check_area_equivalence(r, samples, fault),
+        lambda r: check_theorem1_grid(r, samples),
+        lambda r: check_certificates(r, samples),
+        lambda r: check_euclidean_limit(r, samples),
+        lambda r: check_inversion_identity(r, samples),
+        lambda r: check_metric_oracle(r, samples),
+        lambda r: check_isometry_invariance(r, samples),
+        lambda r: check_deficit_nonnegative(r, samples),
+        lambda r: check_polar_round_trip(r, samples),
     ]
-    for k, (name, fn) in enumerate(checks):
-        results.append(fn(DefaultRng([seed, k])))
-    return results
+    return [fn(DefaultRng([seed, k])) for k, fn in enumerate(checks)]

@@ -2,7 +2,10 @@
 
 Each test prints ``ACCEPTANCE <k> <name>: PASS/FAIL (<measurement>)`` before
 asserting, so a plain ``pytest -s tests/test_acceptance.py`` reads as a
-checklist. Tolerances are fixed; measurements are the observed worst cases.
+checklist. Properties 1-5, 8 and 9 run `verify`'s checks, the single
+implementation of each, on fixed seeds and sample counts; 6, 7 and 10 check
+what `verify` does not. Tolerances are fixed; measurements are the observed
+worst cases.
 """
 
 import json
@@ -11,26 +14,10 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from hyplobe import (
-    DiskIsometry,
-    DiskPoint,
-    build_figure1,
-    hyp_distance,
-    isoperimetric_deficit,
-    optimal_alpha,
-    optimality_certificate,
-    solve_sas,
-)
-from hyplobe.disk import angle_at_vertex
-from hyplobe.oracle import (
-    curvature_corrected_side,
-    euclidean_limit_triangle,
-    geodesic_length_by_sampling,
-    grid_search_max_area,
-)
+from hyplobe import isoperimetric_deficit, verify
+from hyplobe._pcg64 import DefaultRng
 from hyplobe.polygon import (
     circle_geometry,
     circle_radius_for_circumference,
@@ -48,142 +35,33 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {num} {name}: {status} ({detail})")
 
 
-def random_point(rng, rmax):
-    while True:
-        x, y = rng.uniform(-rmax, rmax, 2)
-        if math.hypot(x, y) <= rmax:
-            return DiskPoint(float(x), float(y))
+# (k, check, seed, samples, wall-time bound in s or None); checks 2 and 3
+# share seed 2023, so they judge the same 200 (b, c) pairs
+VERIFY_CHECKS = [
+    (1, verify.check_area_equivalence, 101, 1000, 1.0),
+    (2, verify.check_theorem1_grid, 2023, 2000, 30.0),
+    (3, verify.check_certificates, 2023, 2000, None),
+    (4, verify.check_euclidean_limit, 104, 2000, None),
+    (5, verify.check_inversion_identity, 105, 1000, None),
+    (8, verify.check_isometry_invariance, 108, 1000, None),
+    (9, verify.check_metric_oracle, 109, 2000, None),
+]
 
 
-@pytest.fixture(scope="module")
-def side_pairs():
-    """The 200 (b, c) pairs shared by criteria 2 and 3."""
-    rng = np.random.default_rng(2023)
-    return [(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)) for _ in range(200)]
-
-
-@pytest.fixture(scope="module")
-def optimal_for_pairs(side_pairs):
-    return [optimal_alpha(b, c) for b, c in side_pairs]
-
-
-def test_01_area_equivalence_lemma():
-    rng = np.random.default_rng(101)
+@pytest.mark.parametrize(
+    "num, check, seed, samples, max_s",
+    VERIFY_CHECKS,
+    ids=[f"{k:02d}-{check.__name__.removeprefix('check_')}" for k, check, *_ in VERIFY_CHECKS],
+)
+def test_verify_check(num, check, seed, samples, max_s):
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        b = rng.uniform(0.1, 3.0)
-        c = rng.uniform(0.1, 3.0)
-        alpha = rng.uniform(0.05, math.pi - 0.05)
-        sol = solve_sas(b, c, alpha)
-        fig = build_figure1(b, c, alpha)
-        worst = max(worst, abs(sol.area - 2.0 * fig.tau))
+    result = check(DefaultRng(seed), samples)
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-9 and elapsed < 1.0
-    report(1, "area-equivalence", ok, f"max |defect - 2 tau| = {worst:.3e}, {elapsed:.2f} s")
-    assert worst < 1e-9
-    assert elapsed < 1.0
-
-
-def test_02_maximal_area_condition(side_pairs, optimal_for_pairs):
-    start = time.perf_counter()
-    worst_gap = 0.0
-    worst_root = 0.0
-    worst_area = 0.0
-    for (b, c), opt in zip(side_pairs, optimal_for_pairs):
-        grid = grid_search_max_area(b, c, 100_000)
-        worst_gap = max(
-            worst_gap, abs(opt.alpha_star - grid.alpha_hat) / grid.grid_step
-        )
-        sol = opt.solution
-        worst_root = max(worst_root, abs(sol.alpha - sol.beta - sol.gamma))
-        worst_area = max(
-            worst_area, abs(sol.area - (math.pi - 2.0 * opt.alpha_star))
-        )
-    elapsed = time.perf_counter() - start
-    ok = worst_gap <= 2.0 and worst_root < 1e-12 and worst_area < 1e-12 and elapsed < 30.0
-    report(
-        2, "maximal-area-condition", ok,
-        f"max gap = {worst_gap:.2f} grid steps, max |alpha - beta - gamma| = "
-        f"{worst_root:.3e}, max |area - (pi - 2 alpha*)| = {worst_area:.3e}, "
-        f"{elapsed:.1f} s",
-    )
-    assert worst_gap <= 2.0
-    assert worst_root < 1e-12
-    assert worst_area < 1e-12
-    assert elapsed < 30.0
-
-
-def test_03_optimality_certificates(side_pairs, optimal_for_pairs):
-    worst_opt = 0.0
-    min_neg = math.inf
-    for (b, c), opt in zip(side_pairs, optimal_for_pairs):
-        cert = optimality_certificate(build_figure1(b, c, opt.alpha_star))
-        worst_opt = max(
-            worst_opt,
-            abs(cert.acb_angle - math.pi / 2),
-            cert.tangency_gap,
-            cert.residual,
-        )
-        off = optimality_certificate(build_figure1(b, c, 0.5 * opt.alpha_star))
-        min_neg = min(min_neg, abs(off.acb_angle - math.pi / 2))
-    ok = worst_opt < 1e-9 and min_neg > 1e-3
-    report(
-        3, "optimality-certificates", ok,
-        f"max residual at optimum = {worst_opt:.3e}, "
-        f"min off-optimum right-angle gap = {min_neg:.3e}",
-    )
-    assert worst_opt < 1e-9
-    assert min_neg > 1e-3
-
-
-def test_04a_euclidean_limit_alpha():
-    gap = abs(optimal_alpha(1e-3, 1e-3).alpha_star - math.pi / 2)
-    ok = gap < 1e-3
-    report(4, "euclidean-limit-alpha", ok, f"|alpha*(1e-3, 1e-3) - pi/2| = {gap:.3e}")
-    assert gap < 1e-3
-
-
-def test_04b_euclidean_limit_sides():
-    # Expanding cosh a = cosh b cosh c - sinh b sinh c cos alpha to fourth
-    # order gives a^2 = a_E^2 + (b c sin alpha)^2 / 3 + O(s^6). The flat side
-    # a_E therefore misses by (b c sin alpha)^2 / (6 a_E^2) relative, up to
-    # b^2 cos^2(alpha/2) / 6 ~ 1.6e-7 at b = c = 1e-3: that is curvature, not
-    # solver error. The 1e-8 bound applies to the curvature-corrected side,
-    # whose own truncation error is O(s^4) ~ 1e-14; the flat gap is reported.
-    rng = np.random.default_rng(104)
-    worst_flat = 0.0
-    worst = 0.0
-    for _ in range(200):
-        b = rng.uniform(5e-4, 1e-3)
-        c = rng.uniform(5e-4, 1e-3)
-        alpha = rng.uniform(0.1, math.pi - 0.1)
-        a = solve_sas(b, c, alpha).a
-        a_flat = euclidean_limit_triangle(b, c, alpha).a
-        a_ref = curvature_corrected_side(b, c, alpha)
-        worst_flat = max(worst_flat, abs(a - a_flat) / a_flat)
-        worst = max(worst, abs(a - a_ref) / a_ref)
-    ok = worst < 1e-8
-    report(
-        4, "euclidean-limit-sides", ok,
-        f"max relative flat side gap = {worst_flat:.3e}, "
-        f"max relative corrected side residual = {worst:.3e}",
-    )
-    assert worst < 1e-8
-
-
-def test_05_inversion_identity():
-    rng = np.random.default_rng(105)
-    worst = 0.0
-    for _ in range(1000):
-        b = rng.uniform(0.1, 3.0)
-        c = rng.uniform(0.1, 3.0)
-        alpha = rng.uniform(0.05, math.pi - 0.05)
-        fig = build_figure1(b, c, alpha)
-        worst = max(worst, abs(fig.B.norm() * math.hypot(*fig.b_prime) - 1.0))
-    ok = worst < 1e-10
-    report(5, "inversion-identity", ok, f"max | |B| |B'| - 1 | = {worst:.3e}")
-    assert worst < 1e-10
+    in_time = max_s is None or elapsed < max_s
+    detail = result.detail if max_s is None else f"{result.detail}, {elapsed:.2f} s"
+    report(num, result.name, result.passed and in_time, detail)
+    assert result.passed
+    assert in_time
 
 
 def test_06_steiner_run():
@@ -242,54 +120,6 @@ def test_07_regular_polygon_sweep():
     assert decreasing
     assert circle_deficit < 1e-9
     assert rel_gap < 0.002
-
-
-def test_08_isometry_invariance():
-    rng = np.random.default_rng(108)
-    worst = 0.0
-    for _ in range(500):
-        b = rng.uniform(0.1, 3.0)
-        c = rng.uniform(0.1, 3.0)
-        alpha = rng.uniform(0.05, math.pi - 0.05)
-        from hyplobe.triangle import embed_triangle
-
-        A, B, C = embed_triangle(b, c, alpha)
-        m = DiskIsometry(random_point(rng, 0.9), rng.uniform(0.0, 2 * math.pi))
-        A2, B2, C2 = m(A), m(B), m(C)
-        angles = (
-            angle_at_vertex(A, B, C), angle_at_vertex(B, A, C), angle_at_vertex(C, A, B)
-        )
-        angles2 = (
-            angle_at_vertex(A2, B2, C2),
-            angle_at_vertex(B2, A2, C2),
-            angle_at_vertex(C2, A2, B2),
-        )
-        worst = max(
-            worst,
-            abs(hyp_distance(A, B) - hyp_distance(A2, B2)),
-            abs(hyp_distance(A, C) - hyp_distance(A2, C2)),
-            abs(hyp_distance(B, C) - hyp_distance(B2, C2)),
-            max(abs(x - y) for x, y in zip(angles, angles2)),
-            abs((math.pi - sum(angles)) - (math.pi - sum(angles2))),
-        )
-    ok = worst < 1e-10
-    report(8, "isometry-invariance", ok, f"max measurement drift = {worst:.3e}")
-    assert worst < 1e-10
-
-
-def test_09_metric_oracle():
-    rng = np.random.default_rng(109)
-    worst = 0.0
-    for _ in range(50):
-        p = random_point(rng, 0.9)
-        q = random_point(rng, 0.9)
-        worst = max(
-            worst,
-            abs(hyp_distance(p, q) - geodesic_length_by_sampling(p, q, 10_000)),
-        )
-    ok = worst < 1e-6
-    report(9, "metric-oracle", ok, f"max |closed form - polyline| = {worst:.3e}")
-    assert worst < 1e-6
 
 
 def test_10_determinism(tmp_path):
