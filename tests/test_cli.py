@@ -248,6 +248,15 @@ print(len(names), len(set(names)))
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["43", "43"]
 
+    def test_triangle_and_isoperimetric_load_neither(self):
+        loaded = self.modules_loaded(
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
+            ["isoperimetric", "--perimeter", "7.0"],
+        )
+        # after the imports, then each command
+        assert [self.heavy(stage) for stage in loaded] == [[]] * 5
+
     def test_triangle_and_optimize_leave_polygon_unloaded(self):
         loaded = self.modules_loaded(
             ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
@@ -257,22 +266,41 @@ print(len(names), len(set(names)))
         assert all("hyplobe.polygon" not in stage for stage in loaded)
         assert "hyplobe.verify" not in loaded[-1]
 
-    def test_no_command_loads_a_heavy_module(self, tmp_path):
+    def test_steiner_leaves_numpy_unloaded(self, tmp_path):
+        loaded = self.modules_loaded(
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
+        )
+        assert "hyplobe.polygon" in loaded[-1]
+        assert self.heavy(loaded[-1]) == []
+
+    def test_optimize_leaves_numpy_unloaded(self):
+        loaded = self.modules_loaded(["optimize", "--b", "0.8", "--c", "1.7"])
+        assert "hyplobe.oracle" in loaded[-1]
+        assert self.heavy(loaded[-1]) == []
+
+    def test_verify_leaves_numpy_unloaded(self):
+        loaded = self.modules_loaded(["verify", "--samples", "10", "--seed", "3"])
+        assert "hyplobe.verify" in loaded[-1]
+        assert self.heavy(loaded[-1]) == []
+
+    def test_no_command_loads_dataclasses(self, tmp_path):
         loaded = self.modules_loaded(
             ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
             ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
             ["optimize", "--b", "1.0", "--c", "1.5"],
-            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
             ["isoperimetric", "--perimeter", "7.0"],
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
             ["verify", "--samples", "10", "--seed", "0"],
         )
-        # after the imports, then each command
         assert [self.heavy(stage) for stage in loaded] == [[]] * 8
-        # the commands ran: optimize loaded hyplobe.oracle, steiner
-        # hyplobe.polygon and verify hyplobe.verify
-        assert "hyplobe.oracle" in loaded[4]
-        assert "hyplobe.polygon" in loaded[5]
-        assert "hyplobe.verify" in loaded[7]
+
+    def test_no_command_loads_scipy(self, tmp_path):
+        loaded = self.modules_loaded(
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
+            ["optimize", "--b", "1.0", "--c", "1.5"],
+            ["verify", "--samples", "10", "--seed", "0"],
+        )
+        assert all("scipy" not in mods for mods in loaded)
 
 
 class TestTopLevel:
