@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "polygon": (
         "HyperbolicPolygon", "RegularPolygonSpec", "circle_geometry", "circumcircle_fit",
-        "isoperimetric_deficit", "local_triangle", "polygon_area", "polygon_perimeter",
+        "isoperimetric_deficit", "polygon_area", "polygon_perimeter",
         "random_convex_polygon", "regular_polygon", "regular_polygon_for_perimeter",
         "regular_polygon_vertices", "steiner_move", "steiner_optimize",
     ),

@@ -14,9 +14,9 @@ round-robin sweeps:
 Fixed points of the first move are equilateral polygons, fixed points of the
 second are cyclic ones; together the sweeps drive any convex polygon toward
 the regular polygon of the same perimeter, which witnesses the isoperimetric
-inequality numerically. The per-vertex maximal-area residual
-|alpha - (beta + gamma)| of the hinge triangles is recorded in the trace as a
-diagnostic.
+inequality numerically. The trace records the per-vertex residual
+max(|s_{k-1} - s_k|, |BD* - BD|), which both moves drive to zero and which
+vanishes on regular polygons (see _residual).
 
 Every step is a formula: the hinge optimum is the isosceles triangle; the
 diagonal optimum puts the four vertices on one circle, horocycle or
@@ -46,7 +46,7 @@ from collections import namedtuple
 from .disk import D_MAX, DiskPoint, _angle, _direction, _distance, _step, point_from_polar
 from ._pcg64 import DefaultRng
 from .errors import DomainError, NonConvexError, SolverError
-from .triangle import TriangleSolution, _angle_from_terms, _check_solution, _side_terms
+from .triangle import _angle_from_terms, _side_terms
 
 # Minimum area gain for a move to be accepted; below this the improvement is
 # indistinguishable from angle-measurement noise.
@@ -57,6 +57,7 @@ ACCEPT_TOL = 1e-14
 SPREAD_FLOOR = 1e-6
 
 _SIDE_MARGIN = 1e-9
+_MAX_ATTEMPTS = 1000  # draws random_convex_polygon makes before its SolverError
 
 
 class HyperbolicPolygon(
@@ -165,34 +166,6 @@ def polygon_area(poly: HyperbolicPolygon) -> float:
     return (len(poly.interior_angles) - 2) * math.pi - sum(poly.interior_angles)
 
 
-def _hinge_triangle(shape: _Shape, i: int) -> tuple[float, ...]:
-    """The fields of local_triangle, after TriangleSolution's checks."""
-    zs, sides, angles, _ = shape
-    prev, v, nxt = zs[i - 1], zs[i], zs[(i + 1) % len(zs)]
-    chord = _distance(prev, nxt)
-    alpha, beta, gamma = angles[i], _angle(prev, v, nxt), _angle(nxt, v, prev)
-    angle_sum = alpha + beta + gamma
-    fields = (chord, sides[i], sides[i - 1], alpha, beta, gamma, math.pi - angle_sum)
-    _check_solution(fields[:3], fields[3:6], angle_sum, fields[6])
-    return fields
-
-
-def local_triangle(poly: HyperbolicPolygon, i: int) -> TriangleSolution:
-    """The hinge triangle V_{i-1} V_i V_{i+1}, measured with disk primitives."""
-    return TriangleSolution._make(_hinge_triangle(_shape(poly), i))
-
-
-def _hinge_residual(shape: _Shape, i: int) -> float:
-    _, _, _, alpha, beta, gamma, _ = _hinge_triangle(shape, i)
-    return abs(alpha - (beta + gamma))
-
-
-def max_optimality_residual(poly: HyperbolicPolygon) -> float:
-    """max_i |alpha_i - (beta_i + gamma_i)| over the hinge triangles."""
-    shape = _shape(poly)
-    return max(_hinge_residual(shape, i) for i in range(poly.n))
-
-
 def _defect(ta: tuple[float, float], tb: tuple[float, float], tc: tuple[float, float]) -> float:
     """Area of the triangle whose sides have the _side_terms ta, tb and tc."""
     return math.pi - (
@@ -298,6 +271,31 @@ def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> floa
     return 2.0 * math.asinh(math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
 
 
+def _cross_diagonals(shape: _Shape, i: int) -> tuple[float, float, float]:
+    """|AD|, |BD| and the concyclic |BD*| of A B C D = V_{i-1} V_i V_{i+1} V_{i+2}."""
+    zs, sides = shape.vertices, shape.side_lengths
+    n = len(zs)
+    diag = _distance(zs[i - 1], zs[(i + 2) % n])
+    bd_star = _cyclic_cross_diagonal(sides[i - 1], sides[i], sides[(i + 1) % n], diag)
+    return diag, _distance(zs[i], zs[(i + 2) % n]), bd_star
+
+
+def _residual(shape: _Shape, k: int) -> float:
+    """max(|s_{k-1} - s_k|, |BD* - BD|) at V_k, zero where neither move at V_k
+    changes the polygon; a triangle has no diagonal move, so only sides count."""
+    side_gap = abs(shape.side_lengths[k - 1] - shape.side_lengths[k])
+    if len(shape.vertices) == 3:
+        return side_gap
+    _, bd, bd_star = _cross_diagonals(shape, k)
+    return max(side_gap, abs(bd_star - bd))
+
+
+def max_optimality_residual(poly: HyperbolicPolygon) -> float:
+    """The largest per-vertex residual (see _residual); 0 on regular polygons."""
+    shape = _shape(poly)
+    return max(_residual(shape, k) for k in range(poly.n))
+
+
 def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     """Reposition edge V_i V_{i+1} with all side lengths fixed.
 
@@ -314,9 +312,9 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     if n < 4:
         return None
     ia, ib, ic, id_ = i - 1, i, (i + 1) % n, (i + 2) % n
-    a, b_, d = zs[ia], zs[ib], zs[id_]
+    a, d = zs[ia], zs[id_]
     s1, s2, s3 = sides[ia], sides[ib], sides[ic]
-    diag = _distance(a, d)
+    diag, bd_now, bd_new = _cross_diagonals(shape, i)
     t1, t2, t3, t_diag = (_side_terms(x) for x in (s1, s2, s3, diag))
 
     def quad_area(bd: float) -> float:
@@ -343,11 +341,10 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     bd_hi -= margin
     if phi_of_bd(bd_hi) - phi_of_bd(bd_lo) <= 1e-12:
         return None
-    bd_new = _cyclic_cross_diagonal(s1, s2, s3, diag)
     if not bd_lo < bd_new < bd_hi:
         # no concyclic position inside the range: the best one is an endpoint
         bd_new = max(bd_lo, bd_hi, key=quad_area)
-    gain = quad_area(bd_new) - quad_area(_distance(b_, d))
+    gain = quad_area(bd_new) - quad_area(bd_now)
     if gain <= ACCEPT_TOL:
         return None
     side_b = _side_sign(ks[ia], ks[id_], ks[ib])
@@ -401,19 +398,21 @@ def steiner_optimize(
     additionally requires the final vertices to be concyclic, with
     circumradius spread below max(10 * tol, SPREAD_FLOOR). Along the trace
     the perimeter is conserved and the area never decreases. Each trace
-    step's residual is max_optimality_residual of the polygon after the
-    move; only the hinge residuals next to a moved vertex are measured again.
+    step's residual is max_optimality_residual after the move, updated only
+    near moved vertices. tol must be positive and finite, max_sweeps >= 0.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+    if max_sweeps < 0:
+        raise DomainError("max_sweeps must be non-negative")
     trace: list[TraceStep] = []
-    residuals: list[float] | None = None
     moves_rejected = 0
     iteration = 0
     stagnated = False
     sweeps = 0
     n = poly.n
     shape = _shape(poly)
+    residuals = [_residual(shape, k) for k in range(n)]
     for sweep in range(max_sweeps):
         sweeps = sweep + 1
         accepted = 0
@@ -425,11 +424,8 @@ def steiner_optimize(
                 moved = [k for k in range(n) if updated.vertices[k] != shape.vertices[k]]
                 shape = updated
                 accepted += 1
-                if residuals is None:
-                    residuals = [_hinge_residual(shape, k) for k in range(n)]
-                else:
-                    for k in {(m + d) % n for m in moved for d in (-1, 0, 1)}:
-                        residuals[k] = _hinge_residual(shape, k)
+                for k in {(m + d) % n for m in moved for d in (-2, -1, 0, 1)}:
+                    residuals[k] = _residual(shape, k)
                 trace.append(
                     TraceStep(
                         iteration=iteration,
@@ -595,7 +591,7 @@ def isoperimetric_deficit(L: float, A: float) -> float:
     return L * L - 4.0 * math.pi * A - A * A
 
 
-def random_convex_polygon(n: int, seed: int, max_attempts: int = 1000) -> HyperbolicPolygon:
+def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
     """Seeded random convex polygon: jittered vertices near a hyperbolic circle.
 
     The seed is a non-negative integer. The draws are those of
@@ -608,7 +604,7 @@ def random_convex_polygon(n: int, seed: int, max_attempts: int = 1000) -> Hyperb
         raise DomainError("the seed must be a non-negative integer")
     rng = DefaultRng(seed)
     two_pi = 2.0 * math.pi
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         radius = rng.uniform(0.5, 1.5)
         thetas = sorted(rng.uniform(0.0, two_pi) for _ in range(n))
         gaps = [b - a for a, b in zip(thetas, thetas[1:] + [thetas[0] + two_pi])]
@@ -621,4 +617,4 @@ def random_convex_polygon(n: int, seed: int, max_attempts: int = 1000) -> Hyperb
             )
         except DomainError:
             continue
-    raise SolverError(f"no convex polygon found after {max_attempts} attempts")
+    raise SolverError(f"no convex polygon found after {_MAX_ATTEMPTS} attempts")

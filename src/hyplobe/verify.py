@@ -212,6 +212,8 @@ def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list
     """Run every check with independent seeded streams; deterministic per seed."""
     if seed < 0:
         raise DomainError("the seed must be a non-negative integer")
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
     checks = [
         lambda r: check_area_equivalence(r, samples, fault),
         lambda r: check_theorem1_grid(r, samples),

@@ -14,8 +14,8 @@ Three kinds of artifact live next to this script:
 * ``polygon_kernels.json``: the same form for the polygon path: the seeded
   ``random_convex_polygon`` (n = 3-16, seeds 0-11), ``from_vertices``,
   ``steiner_move`` at every vertex, ``circumcircle_fit``,
-  ``local_triangle``, ``max_optimality_residual`` and ``steiner_optimize``,
-  plus the polygons ``from_vertices`` must refuse.
+  ``max_optimality_residual`` and ``steiner_optimize``, plus the polygons
+  ``from_vertices`` must refuse.
 
 A change that alters an artifact by design reruns this script and commits
 the diff; any other change must leave every file here untouched.
@@ -208,7 +208,6 @@ def polygon_lines() -> list[str]:
                 continue
             calls = [("from_vertices", polygon.HyperbolicPolygon.from_vertices, poly.vertices)]
             calls += [(f"steiner_move {i}", polygon.steiner_move, poly, i) for i in range(n)]
-            calls += [(f"local_triangle {i}", polygon.local_triangle, poly, i) for i in range(n)]
             calls += [
                 ("max_optimality_residual", polygon.max_optimality_residual, poly),
                 ("circumcircle_fit", polygon.circumcircle_fit, poly),

@@ -149,6 +149,17 @@ class TestSteinerCommand:
         assert res.returncode == 2
         assert res.stderr == "error: the seed must be a non-negative integer\n"
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--tol", "nan", "tol must be positive and finite"),
+        ("--tol", "inf", "tol must be positive and finite"),
+        ("--max-sweeps", "-1", "max_sweeps must be non-negative"),
+    ])
+    def test_bad_tol_and_sweeps_exit_2(self, tmp_path, option, value, message):
+        res = run_cli("steiner", "--n", "6", "--seed", "3", option, value,
+                      "--trace-csv", str(tmp_path / "t.csv"))
+        assert res.returncode == 2
+        assert res.stderr == f"error: {message}\n"
+
 
 class TestIsoperimetricCommand:
     def test_sweep_table(self):
@@ -188,6 +199,12 @@ class TestVerifyCommand:
         res = run_cli("verify", "--samples", "10", "--seed", "-1")
         assert res.returncode == 2
         assert res.stderr.startswith("error: ")
+
+    def test_no_samples_is_bad_input(self):
+        res = run_cli("verify", "--samples", "0")
+        assert res.returncode == 2
+        assert res.stderr == "error: samples must be at least 1\n"
+        assert res.stdout == ""
 
 
 class TestImportBudget:
@@ -246,7 +263,7 @@ print(len(names), len(set(names)))
         res = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["43", "43"]
+        assert res.stdout.split() == ["42", "42"]
 
     def test_triangle_and_isoperimetric_load_neither(self):
         loaded = self.modules_loaded(

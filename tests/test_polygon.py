@@ -15,7 +15,6 @@ from hyplobe import (
     circle_geometry,
     circumcircle_fit,
     isoperimetric_deficit,
-    local_triangle,
     polygon_area,
     polygon_perimeter,
     random_convex_polygon,
@@ -198,25 +197,6 @@ class TestAreaAndPerimeter:
         poly = regular_polygon_vertices(RegularPolygonSpec(n, R))
         flat = 0.5 * n * R * R * math.sin(2.0 * math.pi / n)
         assert polygon_area(poly) == pytest.approx(flat, rel=1e-5)
-
-
-class TestLocalTriangle:
-    def test_consistent_with_sas(self):
-        poly = random_convex_polygon(6, 99)
-        for i in range(poly.n):
-            t = local_triangle(poly, i)
-            sol = solve_sas(t.b, t.c, t.alpha)
-            assert t.a == pytest.approx(sol.a, abs=1e-12)
-            assert t.beta == pytest.approx(sol.beta, abs=1e-9)
-            assert t.gamma == pytest.approx(sol.gamma, abs=1e-9)
-            assert 0.0 < t.area < polygon_area(poly)
-
-    def test_regular_polygon_is_symmetric(self):
-        poly = regular_polygon_vertices(RegularPolygonSpec(8, 1.0))
-        ts = [local_triangle(poly, i) for i in range(8)]
-        for t in ts:
-            assert t.a == pytest.approx(ts[0].a, abs=1e-12)
-            assert t.beta == pytest.approx(t.gamma, abs=1e-10)
 
 
 class TestSteinerMove:
@@ -436,8 +416,30 @@ class TestSteinerOptimize:
 
     def test_rejects_bad_tol(self):
         poly = random_convex_polygon(5, 1)
-        with pytest.raises(DomainError):
-            steiner_optimize(poly, tol=0.0)
+        for tol in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(DomainError, match="tol"):
+                steiner_optimize(poly, tol=tol)
+
+    def test_rejects_negative_max_sweeps(self):
+        poly = random_convex_polygon(5, 1)
+        for max_sweeps in (-1, -5):
+            with pytest.raises(DomainError, match="max_sweeps"):
+                steiner_optimize(poly, max_sweeps=max_sweeps)
+
+    def test_residual_vanishes_on_regular_polygons(self):
+        for n in (3, 4, 8, 64):
+            for R in (0.1, 1.0, 3.0):
+                poly = regular_polygon_vertices(RegularPolygonSpec(n, R))
+                assert max_optimality_residual(poly) <= 1e-12, (n, R)
+
+    def test_converged_runs_end_near_a_fixed_point(self):
+        # the residual measures what the moves drive to zero: equal sides at
+        # each vertex and concyclic cross diagonals
+        for n in (4, 8, 12):
+            for seed in range(5):
+                result = steiner_optimize(random_convex_polygon(n, seed), tol=1e-8)
+                assert result.converged, (n, seed)
+                assert result.trace[-1].residual <= 1e-5, (n, seed)
 
     def test_quadrilaterals_converge(self):
         for seed in range(5):
@@ -713,7 +715,9 @@ class TestNumpyStreamReplica:
                 expected = _numpy_random_convex_polygon(n, seed)
                 if expected is None:
                     refused += 1
-                    with pytest.raises(SolverError):
+                    with pytest.raises(
+                        SolverError, match="^no convex polygon found after 1000 attempts$"
+                    ):
                         random_convex_polygon(n, seed)
                     continue
                 got = random_convex_polygon(n, seed)

@@ -82,3 +82,9 @@ class TestChecksOnEitherStream:
     def test_run_all_refuses_negative_seed(self):
         with pytest.raises(DomainError):
             verify.run_all(samples=10, seed=-1)
+
+    def test_run_all_refuses_fewer_than_one_sample(self):
+        # with no samples, three checks would pass having checked nothing
+        for samples in (0, -1):
+            with pytest.raises(DomainError, match="samples"):
+                verify.run_all(samples=samples, seed=0)
