@@ -2,8 +2,10 @@
 the grid cross-check that ``optimize`` prints.
 
 No solver or certificate calls them: these routines re-derive quantities by
-grid search, polyline integration, or Euclidean small-scale limits so that
-the primary implementations can be judged against them. Only the three
+grid search, chord sums along the geodesic, or Euclidean small-scale limits
+so that the primary implementations can be judged against them. The metric
+oracle samples each geodesic where it is straight, on its Klein-model chord,
+so a few dozen segments give the distance to about an ulp. Only the three
 array oracles, ``grid_search_hinge``, ``grid_search_quadrilateral`` and
 ``quadrilateral_area``, use numpy, imported inside the function; the rest is
 pure Python, so ``optimize`` and ``verify`` run without numpy.
@@ -11,11 +13,11 @@ pure Python, so ``optimize`` and ``verify`` run without numpy.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections import namedtuple
+from itertools import accumulate, repeat
 
-from .disk import DiskPoint, direction_toward, geodesic_through
+from .disk import D_MAX, DiskPoint, direction_toward
 from .errors import DomainError
 from .triangle import ALPHA_EPS
 
@@ -199,48 +201,63 @@ def grid_search_quadrilateral(
     return _grid_argmax(phis, quadrilateral_area(s1, s2, s3, diag, phis))
 
 
-def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> float:
-    """Length of the geodesic arc p-q as a sum of hyperbolic chord lengths.
+# |z| of a point D_MAX from the centre, with room for a few ulps of rounding:
+# point_from_polar(D_MAX, theta) lands up to one ulp above tanh(D_MAX / 2)
+_R_MAX = math.tanh(0.5 * D_MAX) + 4e-16
 
-    Places ``segments + 1`` evenly spaced samples on the arc (or diameter
-    segment) from p to q, in Euclidean arc length, and sums with math.fsum
-    the distances d of consecutive samples u, w from
-    sinh(d / 2) = |u - w| / sqrt((1 - |u|^2) (1 - |w|^2)), with each
-    1 - |z|^2 formed as (1 - |z|) (1 + |z|). This shares no formula with
-    ``hyp_distance``'s artanh form. The samples lie on the geodesic, so by
-    additivity the chord lengths sum to the distance exactly, for any number
-    of segments; the two differ only by rounding. Raises DomainError if a
-    sample leaves the open disk, as DiskPoint would.
+
+def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> float:
+    """Length of the geodesic p-q as a sum of hyperbolic chord lengths.
+
+    Samples the geodesic where it is a straight chord: in the Klein model,
+    k = 2z / (1 + |z|^2). The ``segments + 1`` samples are evenly spaced on
+    the Klein chord from k_p to k_q, each mapped back to the disk by
+    z = k / (1 + s) with s = sqrt(1 - |k|^2), and the two ends are pinned
+    to p and q. math.fsum adds the distances d of consecutive samples u, w
+    from sinh(d / 2) = |u - w| / sqrt(g_u g_w), with g_z = 1 - |z|^2. No
+    1 - |k|^2 or 1 - |z|^2 is taken by subtraction: a point d from the
+    centre has |k| = tanh d, so the difference would lose about six digits
+    at d = 8 and all of them near d = 19, where |k| rounds to 1. Instead:
+
+    - at the ends, g_z = (1 - |z|) (1 + |z|) and 1 - |k|^2 = (g_z / (2 - g_z))^2;
+    - on the chord, 1 - |k_t|^2 = (1 - t) (1 - |k_p|^2) + t (1 - |k_q|^2)
+      + t (1 - t) |k_q - k_p|^2, an exact identity;
+    - at each sample, g_z = 2 s / (1 + s), taken as 1 / g_z = (1 + 1 / s) / 2.
+
+    So every sample lies inside the disk, and on the geodesic up to
+    rounding. By additivity the chord lengths sum to the distance for any
+    number of segments, and the result shares no formula with
+    ``hyp_distance``'s artanh form. On verify's pairs (|z| <= 0.9) it is
+    within about 1e-15 of a 60-digit mpmath distance; with both ends up to
+    12 from the centre, within about 3e-13 relative. Raises DomainError for
+    fewer than one segment, or for an end more than D_MAX from the centre,
+    where |z| is too close to 1 to carry the distance.
     """
-    if segments < 10_000:
-        raise DomainError("use at least 10^4 segments")
-    if abs(p.z - q.z) < 1e-15:
+    if segments < 1:
+        raise DomainError("use at least one segment")
+    rp, rq = p.norm(), q.norm()
+    if not max(rp, rq) <= _R_MAX:
+        raise DomainError(f"an end lies more than D_MAX = {D_MAX} from the centre")
+    if p == q:
         return 0.0
-    g = geodesic_through(p, q)
-    if g.is_diameter:
-        dx, dy = q.x - p.x, q.y - p.y
-        zs = [
-            complex(p.x + dx * k / segments, p.y + dy * k / segments)
-            for k in range(segments + 1)
-        ]
-    else:
-        c = g.circle
-        a0 = math.atan2(p.y - c.cy, p.x - c.cx)
-        a1 = math.atan2(q.y - c.cy, q.x - c.cx)
-        sweep = math.remainder(a1 - a0, math.tau)  # the short way around
-        center, radius = c.center, c.radius
-        zs = [
-            center + cmath.rect(radius, a0 + sweep * k / segments)
-            for k in range(segments + 1)
-        ]
-    gaps = [(1.0 - r) * (1.0 + r) for r in map(abs, zs)]  # 1 - |z|^2
-    if not min(gaps) > 0.0:
-        raise DomainError("a sample of the geodesic left the unit disk")
-    roots = list(map(math.sqrt, gaps))
-    return 2.0 * math.fsum(
-        math.asinh(abs(u - w) / (ru * rw))
-        for u, w, ru, rw in zip(zs, zs[1:], roots, roots[1:])
-    )
+    gp, gq = (1.0 - rp) * (1.0 + rp), (1.0 - rq) * (1.0 + rq)
+    kp, kq = 2.0 * p.z / (2.0 - gp), 2.0 * q.z / (2.0 - gq)
+    ep, eq = (gp / (2.0 - gp)) ** 2, (gq / (2.0 - gq)) ** 2  # 1 - |k|^2
+    cc = abs(kq - kp) ** 2
+    hp, hd = 0.5 * kp, 0.5 * (kq - kp)
+    sqrt = math.sqrt
+    # t = j / segments up to rounding, summed in C: the samples are most of the cost
+    ts = list(accumulate(repeat(1.0 / segments, segments - 1)))
+    # 1 / sqrt(g) = sqrt((1 + s) / (2 s)), and z = k / (1 + s) = (k / 2) (2 - g)
+    irs = [sqrt(0.5 + 0.5 / sqrt((1.0 - t) * (ep + cc * t) + eq * t)) for t in ts]
+    zs = [(hp + hd * t) * (2.0 - 1.0 / (r * r)) for t, r in zip(ts, irs)]
+    zs.insert(0, p.z)
+    zs.append(q.z)
+    irs.insert(0, 1.0 / sqrt(gp))
+    irs.append(1.0 / sqrt(gq))
+    return 2.0 * math.fsum(map(math.asinh, [
+        abs(u - w) * iu * iw for u, w, iu, iw in zip(zs, zs[1:], irs, irs[1:])
+    ]))
 
 
 def intrinsic_convex_ccw(vertices) -> bool:

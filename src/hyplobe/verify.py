@@ -138,10 +138,10 @@ def check_metric_oracle(rng, samples: int) -> CheckResult:
             if math.hypot(x, y) <= 0.9:
                 pts.append(disk.DiskPoint(x, y))
         direct = disk.hyp_distance(pts[0], pts[1])
-        sampled = oracle.geodesic_length_by_sampling(pts[0], pts[1], 10_000)
+        sampled = oracle.geodesic_length_by_sampling(pts[0], pts[1], 64)
         worst = max(worst, abs(direct - sampled))
     return CheckResult(
-        "metric-oracle", worst < 1e-6, f"max |closed form - polyline| = {worst:.3e}"
+        "metric-oracle", worst < 1e-13, f"max |closed form - polyline| = {worst:.3e}"
     )
 
 

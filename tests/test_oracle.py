@@ -7,11 +7,13 @@ import pytest
 
 from hyplobe import (
     ALPHA_EPS,
+    D_MAX,
     DiskPoint,
     DomainError,
     geodesic_through,
     hyp_distance,
     optimal_alpha,
+    point_from_polar,
     solve_sas,
 )
 from hyplobe import oracle
@@ -183,10 +185,24 @@ class TestQuadrilateralSearch:
             assert res.area_hat <= best * (1.0 + 1e-12), scale
 
 
+def _verify_style_pairs(rng, count):
+    """Pairs drawn as ``verify``'s metric-oracle check draws them, |z| <= 0.9."""
+    pairs = []
+    while len(pairs) < count:
+        pts = []
+        while len(pts) < 2:
+            x, y = rng.uniform(-0.9, 0.9, 2)
+            if math.hypot(x, y) <= 0.9:
+                pts.append(DiskPoint(x, y))
+        pairs.append(tuple(pts))
+    return pairs
+
+
 class TestGeodesicSampling:
     def test_needs_enough_segments(self):
-        with pytest.raises(DomainError):
-            geodesic_length_by_sampling(DiskPoint(0.1, 0.0), DiskPoint(0.5, 0.0), 100)
+        for segments in (0, -1):
+            with pytest.raises(DomainError):
+                geodesic_length_by_sampling(DiskPoint(0.1, 0.0), DiskPoint(0.5, 0.0), segments)
 
     def test_coincident_points(self):
         p = DiskPoint(0.2, 0.3)
@@ -195,14 +211,51 @@ class TestGeodesicSampling:
     def test_diameter_case(self):
         p, q = DiskPoint(-0.4, 0.0), DiskPoint(0.6, 0.0)
         sampled = geodesic_length_by_sampling(p, q, 10_000)
-        assert sampled == pytest.approx(hyp_distance(p, q), abs=1e-8)
+        assert abs(sampled - hyp_distance(p, q)) <= 1e-13
 
     def test_arc_case_converges_from_below(self):
         p, q = DiskPoint(0.5, 0.1), DiskPoint(-0.1, 0.6)
         direct = hyp_distance(p, q)
         sampled = geodesic_length_by_sampling(p, q, 10_000)
-        assert sampled <= direct + 1e-12
-        assert direct - sampled < 1e-6
+        assert abs(sampled - direct) <= 1e-13
+
+    def test_any_number_of_segments_gives_the_same_length(self):
+        # the samples lie on the geodesic, so by additivity the chord sum does
+        # not depend on how many there are
+        for p, q in _verify_style_pairs(np.random.default_rng(17), 50):
+            lengths = [geodesic_length_by_sampling(p, q, n) for n in (1, 8, 64, 10_000)]
+            assert max(lengths) - min(lengths) <= 4e-15, (p, q, lengths)
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def exact(p, q):
+            with mpmath.workdps(60):
+                a, b = mpmath.mpc(p.x, p.y), mpmath.mpc(q.x, q.y)
+                return 2 * mpmath.atanh(abs(a - b) / abs(1 - mpmath.conj(a) * b))
+
+        for p, q in _verify_style_pairs(np.random.default_rng(61), 200):
+            sampled = geodesic_length_by_sampling(p, q, 64)
+            assert abs(sampled - exact(p, q)) <= 4e-15, (p, q)
+        # both ends up to 12 from the centre, where |k| rounds to 1
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            d1, d2, t1, t2 = rng.uniform(0.0, 12.0, 2).tolist() + rng.uniform(0.0, 6.3, 2).tolist()
+            p, q = point_from_polar(d1, t1), point_from_polar(d2, t2)
+            ref = exact(p, q)
+            sampled = geodesic_length_by_sampling(p, q, 64)
+            assert abs(sampled - ref) <= 1e-12 * ref, (p, q)
+
+    def test_domain_ends_at_d_max(self):
+        rng = np.random.default_rng(63)
+        for t1, t2 in rng.uniform(0.0, 2.0 * math.pi, (200, 2)).tolist():
+            p, q = point_from_polar(D_MAX, t1), point_from_polar(D_MAX, t2)
+            assert geodesic_length_by_sampling(p, q, 64) > 0.0
+        beyond = DiskPoint(math.tanh(0.5 * (D_MAX + 0.5)), 0.0)
+        with pytest.raises(DomainError):
+            geodesic_length_by_sampling(DiskPoint(0.1, 0.2), beyond, 64)
+        with pytest.raises(DomainError):
+            geodesic_length_by_sampling(beyond, DiskPoint(0.1, 0.2), 64)
 
 
 def _scalar_chord_sum(p: DiskPoint, q: DiskPoint, segments: int) -> float:
