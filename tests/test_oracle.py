@@ -17,6 +17,7 @@ from hyplobe import (
     solve_sas,
 )
 from hyplobe import oracle
+from hyplobe.disk import step_from
 from hyplobe.oracle import (
     count_local_maxima,
     curvature_corrected_side,
@@ -237,7 +238,8 @@ class TestGeodesicSampling:
         for p, q in _verify_style_pairs(np.random.default_rng(61), 200):
             sampled = geodesic_length_by_sampling(p, q, 64)
             assert abs(sampled - exact(p, q)) <= 4e-15, (p, q)
-        # both ends up to 12 from the centre, where |k| rounds to 1
+        # both ends up to 12 from the centre, where 1 - |k|^2 by subtraction
+        # would lose up to six digits
         rng = np.random.default_rng(62)
         for _ in range(200):
             d1, d2, t1, t2 = rng.uniform(0.0, 12.0, 2).tolist() + rng.uniform(0.0, 6.3, 2).tolist()
@@ -245,6 +247,19 @@ class TestGeodesicSampling:
             ref = exact(p, q)
             sampled = geodesic_length_by_sampling(p, q, 64)
             assert abs(sampled - ref) <= 1e-12 * ref, (p, q)
+        # short geodesics 12 to 19.5 from the centre: the whole Klein chord lies
+        # within 1e-10 of the circle, where 1 - |k|^2 by subtraction keeps at
+        # most six digits and near 19 none
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            d1, t1, d, t = rng.uniform((12.0, 0.0, 0.1, 0.0), (19.5, 6.3, 3.0, 6.3)).tolist()
+            p = point_from_polar(d1, t1)
+            q = step_from(p, t, d)
+            if q.norm() > math.tanh(0.5 * D_MAX):
+                continue
+            ref = exact(p, q)
+            sampled = geodesic_length_by_sampling(p, q, 64)
+            assert abs(sampled - ref) <= 5e-8 * ref, (p, q)
 
     def test_domain_ends_at_d_max(self):
         rng = np.random.default_rng(63)
