@@ -7,7 +7,9 @@ Curvature is fixed at -1. All values are immutable and all operations pure:
 the records are named tuples, compared and hashed by value.
 
 The point primitives wrap helpers on complex numbers, which the polygon path
-calls directly; they make DiskPoint's checks on every point they form.
+calls directly; they make DiskPoint's checks on every point they form. The
+polygon path also takes its cancellation-free law-of-cosines terms
+(_side_terms, _angle_from_terms) from here.
 """
 
 from __future__ import annotations
@@ -156,6 +158,30 @@ def _distance(p: complex, q: complex) -> float:
     return math.log1p(2.0 * t / (1.0 - t))
 
 
+def _coshm1(x: float) -> float:
+    """cosh(x) - 1 without cancellation: 2 sinh^2(x/2)."""
+    s = math.sinh(0.5 * x)
+    return 2.0 * s * s
+
+
+def _side_terms(x: float) -> tuple[float, float]:
+    """cosh(x) - 1 and sinh(x): what the law of cosines needs of a side."""
+    return _coshm1(x), math.sinh(x)
+
+
+def _angle_from_terms(m0: float, t1: tuple[float, float], t2: tuple[float, float]) -> float:
+    """Angle opposite a side by the hyperbolic law of cosines, given cosh - 1
+    of that side and the _side_terms of the other two.
+
+    The numerator cosh(s1) cosh(s2) - cosh(opposite) is expanded in
+    cosh - 1 terms so tiny triangles keep relative accuracy.
+    """
+    m1, sinh1 = t1
+    m2, sinh2 = t2
+    c = (m1 + m2 - m0 + m1 * m2) / (sinh1 * sinh2)
+    return math.acos(c if -1.0 <= c <= 1.0 else min(1.0, max(-1.0, c)))
+
+
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     """Hyperbolic distance 2 artanh(|p - q| / |1 - conj(p) q|).
 
@@ -169,7 +195,7 @@ def _orthogonal_circle(
 ) -> tuple[float, float, float] | None:
     """(cx, cy, radius) of the circle through p and q orthogonal to the unit
     circle, or None when p, q and the origin are collinear (|sin pOq| <= 1e-12)."""
-    if abs(complex(qx - px, qy - py)) <= _COINCIDENT_TOL:
+    if math.hypot(qx - px, qy - py) <= _COINCIDENT_TOL:
         raise DegenerateInputError("cannot build a geodesic through coincident points")
     cross = px * qy - py * qx
     if abs(cross) <= _COLLINEAR_TOL * math.hypot(px, py) * math.hypot(qx, qy):

@@ -43,10 +43,9 @@ import cmath
 import math
 from collections import namedtuple
 
-from .disk import D_MAX, DiskPoint, _angle, _direction, _distance, _step, point_from_polar
-from ._pcg64 import DefaultRng
+from .disk import D_MAX, DiskPoint, _angle, _angle_from_terms, _direction, _distance
+from .disk import _side_terms, _step, point_from_polar
 from .errors import DomainError, NonConvexError, SolverError
-from .triangle import _angle_from_terms, _side_terms
 
 # Minimum area gain for a move to be accepted; below this the improvement is
 # indistinguishable from angle-measurement noise.
@@ -602,6 +601,8 @@ def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
         raise DomainError("need n >= 3")
     if seed < 0:
         raise DomainError("the seed must be a non-negative integer")
+    from ._pcg64 import DefaultRng  # loaded only by the commands that draw
+
     rng = DefaultRng(seed)
     two_pi = 2.0 * math.pi
     for _ in range(_MAX_ATTEMPTS):

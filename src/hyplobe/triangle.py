@@ -22,6 +22,16 @@ the public primitives (embed_triangle, omega_circle, b_prime_point,
 tau_angle, and disk.geodesic_through) for B on the positive x-axis, with the
 terms in B's exact-zero y-coordinate dropped. Tests pin each kernel to the
 composition it replaces, bit for bit and refusal for refusal.
+
+build_figure1's guards measure lengths with math.hypot and bound the
+radius with a conditional, not through complex temporaries and max, so it
+makes no object it does not return. The composition it is pinned to
+(disk._orthogonal_circle and b_prime_point) measures with math.hypot as
+well, so both refuse the same inputs. The kernels build their records
+through _new, a module-level alias of tuple.__new__. optimality_certificate
+alone keeps abs(complex), which is libm's hypot: its value is the output
+tangency_gap, and math.hypot, CPython's own algorithm, differs from libm's
+in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -36,6 +46,10 @@ from .errors import DegenerateInputError, DomainError
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
 # is numerically degenerate.
 ALPHA_EPS = 1e-6
+
+# The kernels build their records through this alias, which saves a lookup
+# of tuple.__new__ per record.
+_new = tuple.__new__
 
 
 class TriangleSolution(namedtuple("TriangleSolution", "a b c alpha beta gamma area")):
@@ -108,30 +122,6 @@ def _check_sas_domain(b: float, c: float, alpha: float) -> None:
         )
 
 
-def _coshm1(x: float) -> float:
-    """cosh(x) - 1 without cancellation: 2 sinh^2(x/2)."""
-    s = math.sinh(0.5 * x)
-    return 2.0 * s * s
-
-
-def _side_terms(x: float) -> tuple[float, float]:
-    """cosh(x) - 1 and sinh(x): what the law of cosines needs of a side."""
-    return _coshm1(x), math.sinh(x)
-
-
-def _angle_from_terms(m0: float, t1: tuple[float, float], t2: tuple[float, float]) -> float:
-    """Angle opposite a side by the hyperbolic law of cosines, given cosh - 1
-    of that side and the _side_terms of the other two.
-
-    The numerator cosh(s1) cosh(s2) - cosh(opposite) is expanded in
-    cosh - 1 terms so tiny triangles keep relative accuracy.
-    """
-    m1, sinh1 = t1
-    m2, sinh2 = t2
-    c = (m1 + m2 - m0 + m1 * m2) / (sinh1 * sinh2)
-    return math.acos(c if -1.0 <= c <= 1.0 else min(1.0, max(-1.0, c)))
-
-
 def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     """Solve the triangle with sides b = |AC|, c = |AB| and included angle alpha.
 
@@ -198,7 +188,7 @@ def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolu
         and abs(area - (math.pi - angle_sum)) <= 1e-14
     ):
         _check_solution((a,), (beta, gamma), angle_sum, area)
-    return tuple.__new__(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
+    return _new(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
 
 
 def area_defect(alpha: float, beta: float, gamma: float) -> float:
@@ -255,7 +245,7 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     center = complex(cx, cy)
     # rounding in |B - center| grows like eps * radius, and omega's radius
     # grows without bound as B nears the center or BC nears a diameter
-    if abs(abs(bz - center) - radius) > 1e-9 * max(1.0, radius):
+    if abs(math.hypot(bx - cx, by - cy) - radius) > 1e-9 * max(1.0, radius):
         raise DomainError("B does not lie on the given circle")
     direction = bz / nb
     m = (direction.conjugate() * center).real
@@ -301,8 +291,9 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     qy = rb * math.sin(alpha)
     if not qx * qx + qy * qy < 1.0:
         _check_inside(qx, qy)
-    # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is px
-    if abs(complex(qx - px, qy)) <= _COINCIDENT_TOL:
+    # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is
+    # px; its coincident-points guard measures with math.hypot, as here
+    if math.hypot(qx - px, qy) <= _COINCIDENT_TOL:
         raise DegenerateInputError("cannot build a geodesic through coincident points")
     cross = px * qy  # a zero is collinear whatever its sign
     if abs(cross) <= _COLLINEAR_TOL * px * math.hypot(qx, qy):
@@ -323,8 +314,9 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     if not rb > 0.0:  # psi; |rb| < 1
         _check_circle(0.0, 0.0, rb)
     # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j;
-    # px > 0, since px = 0 fails the collinearity check
-    if abs(abs(complex(px - cx, cy)) - radius) > 1e-9 * max(1.0, radius):
+    # px > 0, since px = 0 fails the collinearity check. Its on-circle guard
+    # measures with math.hypot too; its max(1.0, radius) is the conditional
+    if abs(math.hypot(px - cx, cy) - radius) > 1e-9 * (radius if radius > 1.0 else 1.0):
         raise DomainError("B does not lie on the given circle")
     t = 2.0 * cx - px
     if t <= px:
@@ -334,11 +326,11 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and
     # qx - t is nonzero, C being inside the disk and B' outside it
     tau = abs(math.atan2(-t * qy, -t * (qx - t)))
-    B = tuple.__new__(DiskPoint, (px, 0.0))
-    C = tuple.__new__(DiskPoint, (qx, qy))
-    omega = tuple.__new__(EuclideanCircle, (cx, cy, radius))
-    psi = tuple.__new__(EuclideanCircle, (0.0, 0.0, rb))
-    return tuple.__new__(Figure1, (ORIGIN, B, C, omega, psi, (t, 0.0), tau))
+    B = _new(DiskPoint, (px, 0.0))
+    C = _new(DiskPoint, (qx, qy))
+    omega = _new(EuclideanCircle, (cx, cy, radius))
+    psi = _new(EuclideanCircle, (0.0, 0.0, rb))
+    return _new(Figure1, (ORIGIN, B, C, omega, psi, (t, 0.0), tau))
 
 
 def optimal_alpha(b: float, c: float) -> OptimalTriangle:
@@ -353,7 +345,7 @@ def optimal_alpha(b: float, c: float) -> OptimalTriangle:
     formed without cancellation, which stays accurate as u approaches 1.
     """
     sol = _sas(b, c, None, True)
-    return tuple.__new__(OptimalTriangle, (sol[3], sol))
+    return _new(OptimalTriangle, (sol[3], sol))
 
 
 def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
@@ -365,12 +357,13 @@ def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
     """
     (ax, ay), _, (cx, cy), _, (_, _, rb), (bx, by), tau = fig
     hx, hy = cx - bx, cy - by
-    # distance from the origin to the line through b_prime and C
+    # distance from the origin to the line through b_prime and C; abs(complex)
+    # is libm's hypot, whose bits tangency_gap reports
     dist = abs(bx * hy - by * hx) / abs(complex(hx, hy))
     # _euclidean_angle at C between the rays to A and to b_prime
     x1, y1 = ax - cx, ay - cy
     x2, y2 = bx - cx, by - cy
-    return tuple.__new__(OptimalityCertificate, (
+    return _new(OptimalityCertificate, (
         abs(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)),
         abs(dist - rb),
         abs(abs(math.atan2(cy, cx)) + tau - 0.5 * math.pi),  # Figure1.alpha

@@ -288,7 +288,12 @@ print(len(names), len(set(names)))
             ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
         )
         assert "hyplobe.polygon" in loaded[-1]
+        assert "hyplobe.triangle" not in loaded[-1]
         assert self.heavy(loaded[-1]) == []
+
+    def test_isoperimetric_loads_neither_triangle_nor_the_rng(self):
+        loaded = self.modules_loaded(["isoperimetric", "--perimeter", "7.0"])
+        assert loaded[-1] == ["hyplobe.cli", "hyplobe.disk", "hyplobe.errors", "hyplobe.polygon"]
 
     def test_optimize_leaves_numpy_unloaded(self):
         loaded = self.modules_loaded(["optimize", "--b", "0.8", "--c", "1.7"])

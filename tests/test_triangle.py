@@ -37,9 +37,9 @@ from hyplobe.triangle import (
     OptimalTriangle,
     _check_sas_domain,
     _check_solution,
-    _coshm1,
     _euclidean_angle,
 )
+from hyplobe.disk import _COINCIDENT_TOL, _coshm1
 from hyplobe.oracle import (
     curvature_corrected_side,
     euclidean_limit_triangle,
@@ -266,6 +266,57 @@ def _edge_sweep(seed, count):
             x = odd[rng.integers(3)]
             b, c, alpha = (x if k == which else v for k, v in enumerate((b, c, alpha)))
         yield b, c, alpha
+
+
+def _composed_figure1(b, c, alpha):
+    """build_figure1 as the composition of the public primitives."""
+    A, B, C = embed_triangle(b, c, alpha)
+    omega = omega_circle(B, C)
+    psi = EuclideanCircle(0.0, 0.0, point_from_polar(b, 0.0).x)
+    fig = Figure1(A, B, C, omega, psi, b_prime_point(B, omega), None)
+    return fig._replace(tau=tau_angle(fig))
+
+
+def _figure_outcome(build, *args):
+    """The repr of a built figure, or its refusal's class and message."""
+    try:
+        fig = build(*args)
+    except HyplobeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    assert type(fig) is Figure1
+    assert [type(v) for v in fig[:5]] == [DiskPoint] * 3 + [EuclideanCircle] * 2
+    return repr(fig)
+
+
+def _coincident_threshold_scans(seed, count, steps):
+    """Apex angles stepped an ulp at a time across the coincident-points
+    threshold, |C - B| = _COINCIDENT_TOL, just above ALPHA_EPS.
+
+    Each scan has sides b and c of 6e-7 to 2e-6 and 2 * steps + 1 consecutive
+    floats centred on the crossing. C - B leaves B at an angle phi to the
+    x-axis: phi = pi/2 in every other scan, the isosceles case b = c, where
+    C - B is nearly vertical; elsewhere phi is drawn, so that both of its
+    components count in |C - B|.
+    """
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        phi = math.pi / 2 if n % 2 else rng.uniform(0.3, 1.3)
+        alpha = ALPHA_EPS * (1.0 + rng.uniform(1e-9, 1e-8))
+        rb = _COINCIDENT_TOL * math.sin(phi) / math.sin(alpha)
+        b = 2.0 * math.atanh(rb)
+        c = b if n % 2 else 2.0 * math.atanh(rb - _COINCIDENT_TOL * math.cos(phi))
+        # the crossing for B and C as rounded: |C - B|^2 = x^2 + (rb sin alpha)^2
+        rb, px = math.tanh(0.5 * b), math.tanh(0.5 * c)
+        for _ in range(2):
+            x = rb * math.cos(alpha) - px
+            alpha = math.asin(math.sqrt(_COINCIDENT_TOL**2 - x * x) / rb)
+        for _ in range(steps):
+            alpha = math.nextafter(alpha, 0.0)
+        scan = []
+        for _ in range(2 * steps + 1):
+            scan.append(alpha)
+            alpha = math.nextafter(alpha, 1.0)
+        yield b, c, scan
 
 
 class TestStraightLineKernels:
@@ -539,22 +590,6 @@ class TestConstruction:
         # x-axis, with the terms in B's zero y-coordinate dropped: it must
         # return what the primitives composed return, in every bit (reprs
         # tell signed zeros apart), or refuse with the same class and message
-        def composed(b, c, alpha):
-            A, B, C = embed_triangle(b, c, alpha)
-            omega = omega_circle(B, C)
-            psi = EuclideanCircle(0.0, 0.0, point_from_polar(b, 0.0).x)
-            fig = Figure1(A, B, C, omega, psi, b_prime_point(B, omega), None)
-            return fig._replace(tau=tau_angle(fig))
-
-        def outcome(build, *args):
-            try:
-                fig = build(*args)
-            except HyplobeError as exc:
-                return f"{type(exc).__name__}: {exc}"
-            assert type(fig) is Figure1
-            assert [type(v) for v in fig[:5]] == [DiskPoint] * 3 + [EuclideanCircle] * 2
-            return repr(fig)
-
         inputs = [*golden_kernel_inputs(), *random_triangles(12, 200)]
         # B next to the center: built down to |B| ~ 1e-154, refused below
         inputs += [
@@ -570,8 +605,8 @@ class TestConstruction:
                 pass
         refusals = set()
         for b, c, alpha in inputs:
-            got = outcome(build_figure1, b, c, alpha)
-            assert got == outcome(composed, b, c, alpha), (b, c, alpha)
+            got = _figure_outcome(build_figure1, b, c, alpha)
+            assert got == _figure_outcome(_composed_figure1, b, c, alpha), (b, c, alpha)
             if not got.startswith("Figure1("):
                 refusals.add(got)
                 continue
@@ -585,6 +620,22 @@ class TestConstruction:
             "DomainError: circle radius must be positive and finite",
             "DomainError: B' lies too far out: its products overflow",
         }
+
+    def test_kernel_and_primitives_agree_at_the_coincident_threshold(self):
+        # build_figure1's coincident-points guard and disk._orthogonal_circle's
+        # must measure |C - B| with the same hypot: stepped across the
+        # threshold, the kernel and the composition give the same figure or
+        # the same refusal at every apex angle
+        coincident = "DegenerateInputError: cannot build a geodesic through coincident points"
+        for b, c, scan in _coincident_threshold_scans(18, 400, 16):
+            seen = set()
+            for alpha in scan:
+                assert alpha > ALPHA_EPS
+                got = _figure_outcome(build_figure1, b, c, alpha)
+                assert got == _figure_outcome(_composed_figure1, b, c, alpha), (b, c, alpha)
+                seen.add(got if got == coincident else got[:8])
+            # every scan crosses the threshold: refused below it, built above
+            assert seen == {coincident, "Figure1("}, (b, c)
 
     def test_psi_passes_through_c(self):
         for b, c, alpha in random_triangles(10, 50):
