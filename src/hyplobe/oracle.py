@@ -5,16 +5,17 @@ No solver or certificate calls them: these routines re-derive quantities by
 grid search, chord sums along the geodesic, or Euclidean small-scale limits
 so that the primary implementations can be judged against them. The metric
 oracle samples each geodesic where it is straight, on its Klein-model chord,
-so a few dozen segments give the distance to about an ulp. Only the three
-array oracles, ``grid_search_hinge``, ``grid_search_quadrilateral`` and
-``quadrilateral_area``, use numpy, imported inside the function; the rest is
-pure Python, so ``optimize`` and ``verify`` run without numpy.
+so a few dozen segments give the distance to about an ulp. The three grid
+searches share one coarse-to-fine scan, ``_scan``, over the points where
+``numpy.linspace`` would put them. Everything here is pure Python and the
+standard library: nothing imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial
 from itertools import accumulate, repeat
 
 from .disk import D_MAX, DiskPoint, direction_toward
@@ -57,13 +58,47 @@ _ALPHA_LO = ALPHA_EPS * (1.0 + 1e-9)
 _ALPHA_HI = math.pi - _ALPHA_LO
 
 
-def _apex_angles(indices, samples: int) -> list[float]:
-    """The apex angles at ``indices`` of an even grid of ``samples`` from
-    _ALPHA_LO to _ALPHA_HI, bit for bit where ``numpy.linspace`` puts them:
-    k * step + lo, and the last point exactly hi."""
-    step = (_ALPHA_HI - _ALPHA_LO) / (samples - 1)
-    last = samples - 1
-    return [_ALPHA_HI if k == last else k * step + _ALPHA_LO for k in indices]
+def _scan(score, points, samples: int, step: float) -> GridSearchResult:
+    """Argmax of ``score`` over the grid points(range(samples)), coarse to
+    fine, with ``step`` as the result's grid_step.
+
+    With s = isqrt(samples), it scores every s-th point and the last one,
+    then every point strictly between the two coarse neighbours of the
+    coarse argmax, about 3 s evaluations in all; where every coarse score is
+    -inf, the whole grid. Ties resolve to the first point, as
+    ``numpy.argmax`` does. The result is exactly an exhaustive scan's
+    whenever the finite part of the sampled score rises strictly to one top
+    (a point or a run of equal values) and then falls strictly, with -inf
+    only at the ends: the first maximum then lies strictly between the
+    coarse argmax's neighbours.
+    """
+    if samples < 1000:
+        raise DomainError("grid search needs at least 1000 samples")
+    coarse = [*range(0, samples - 1, math.isqrt(samples)), samples - 1]
+    values = list(map(score, points(coarse)))
+    best = max(values)
+    if best == -math.inf:  # the finite run lies between two coarse points
+        start, stop = 0, samples
+    else:
+        j = values.index(best)
+        start = coarse[j - 1] + 1 if j > 0 else 0
+        stop = coarse[j + 1] if j + 1 < len(coarse) else samples
+    args = points(range(start, stop))
+    values = list(map(score, args))
+    best = max(values)
+    return GridSearchResult(args[values.index(best)], best, step, samples)
+
+
+def _linspace(lo: float, hi: float, num: int, skip: int):
+    """The step, and points(ks) listing ``numpy.linspace(lo, hi, num)[k + skip]``
+    for k in ks, bit for bit: (k + skip) * step + lo, the last point exactly hi."""
+    step = (hi - lo) / max(num - 1, 1)  # no grid of fewer than two points gets past _scan
+    last = num - 1 - skip
+
+    def points(indices) -> list[float]:
+        return [hi if k == last else (k + skip) * step + lo for k in indices]
+
+    return points, step
 
 
 def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
@@ -72,101 +107,71 @@ def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
     The area is ``_apex_area``'s triple-product form,
     tan(area / 2) = sinh b sinh c sin alpha / (4 + m_a + m_b + m_c) with
     m_x = cosh x - 1 formed without cancellation, accurate to a few ulps over
-    the whole domain and independent of the solver's formulas. The scan
-    runs coarse to fine: with s = isqrt(samples), it evaluates every s-th
-    point and the last one, then every point strictly between the two
-    coarse neighbours of the coarse argmax, about 3 s evaluations in all.
-    Ties resolve to the first (smallest) angle, as ``numpy.argmax`` does.
-
-    The result is exactly the argmax of an exhaustive scan whenever the
-    sampled area rises strictly to a single top (one point or a run of equal
-    values) and then falls strictly: the first maximum then lies strictly
-    between the coarse argmax's neighbours. ``triangle.optimal_alpha`` shows
-    that the true area has that shape, since d/d alpha tan(area / 2) has the
-    sign of cos alpha - u; the accurate area keeps it on the grid, which
-    ``count_local_maxima`` and the tests witness.
+    the whole domain and independent of the solver's formulas.
+    ``triangle.optimal_alpha`` shows that the true area rises to one top and
+    then falls, since d/d alpha tan(area / 2) has the sign of cos alpha - u;
+    the accurate area keeps that shape on the grid, which
+    ``count_local_maxima`` and the tests witness, so ``_scan`` returns the
+    exhaustive argmax.
     """
-    if samples < 1000:
-        raise DomainError("grid search needs at least 1000 samples")
-    area = _apex_area(b, c)
-    stride = math.isqrt(samples)
-    coarse = [*range(0, samples - 1, stride), samples - 1]
-    values = list(map(area, _apex_angles(coarse, samples)))
-    j = values.index(max(values))
-    start = coarse[j - 1] + 1 if j > 0 else 0
-    stop = coarse[j + 1] if j + 1 < len(coarse) else samples
-    alphas = _apex_angles(range(start, stop), samples)
-    values = list(map(area, alphas))
-    best = max(values)
-    return GridSearchResult(
-        alpha_hat=alphas[values.index(best)],  # the first maximum
-        area_hat=best,
-        grid_step=(_ALPHA_HI - _ALPHA_LO) / (samples - 1),  # the spacing of the grid
-        samples=samples,
-    )
+    alpha, step = _linspace(_ALPHA_LO, _ALPHA_HI, samples, 0)
+    return _scan(_apex_area(b, c), alpha, samples, step)
 
 
 def count_local_maxima(b: float, c: float, samples: int) -> int:
     """Strict local maxima of the area on the grid (unimodality witness)."""
-    area = _apex_area(b, c)
-    areas = list(map(area, _apex_angles(range(samples), samples)))
+    alpha, _ = _linspace(_ALPHA_LO, _ALPHA_HI, samples, 0)
+    areas = list(map(_apex_area(b, c), alpha(range(samples))))
     return sum(
         1 for left, mid, right in zip(areas, areas[1:], areas[2:]) if left < mid > right
     )
 
 
-def _grid_argmax(args, areas) -> GridSearchResult:
-    import numpy as np
-
-    k = int(np.argmax(areas))
-    return GridSearchResult(
-        alpha_hat=float(args[k]),
-        area_hat=float(areas[k]),
-        grid_step=float(args[1] - args[0]),
-        samples=len(args),
-    )
-
-
-def _lhuilier(a, b, c):
-    """Vectorized area of the triangle with sides a, b, c, by L'Huilier's
-    formula tan^2(area / 4) = tanh(p / 2) tanh((p - a) / 2) tanh((p - b) / 2)
+def _lhuilier(a: float, b: float, c: float) -> float:
+    """Area of the triangle with sides a, b, c, by L'Huilier's formula
+    tan^2(area / 4) = tanh(p / 2) tanh((p - a) / 2) tanh((p - b) / 2)
     tanh((p - c) / 2), p the semi-perimeter. Each p - side is formed as
     (the other two sides - side) / 2, not subtracted from p, and clamped at
     0 where rounding leaves the triangle inequality.
     """
-    import numpy as np
+    tan2 = (
+        math.tanh(0.25 * (a + b + c)) * math.tanh(0.25 * max(0.0, b + c - a))
+        * math.tanh(0.25 * max(0.0, c + a - b)) * math.tanh(0.25 * max(0.0, a + b - c))
+    )
+    return 4.0 * math.atan(math.sqrt(tan2))
 
-    tan2 = np.tanh(0.25 * (a + b + c))
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        tan2 = tan2 * np.tanh(0.25 * np.maximum(0.0, y + z - x))
-    return 4.0 * np.arctan(np.sqrt(tan2))
+
+def _hinge_area(s: float, base: float):
+    """The area of the triangle with sides t, s - t and base, as a function
+    of t on (lo, hi) = ((s - base) / 2, (s + base) / 2).
+
+    By L'Huilier's formula with p = hi the semi-perimeter, tan^2(area / 4) =
+    tanh(p / 2) tanh((p - t) / 2) tanh((p - (s - t)) / 2) tanh((p - base) / 2).
+    p - t = hi - t, p - (s - t) = t - lo and p - base = lo are formed from
+    the ends, not subtracted from p, so every factor keeps its relative
+    accuracy on tiny polygons.
+    """
+    lo, hi = 0.5 * (s - base), 0.5 * (s + base)
+    fixed = math.tanh(0.5 * hi) * math.tanh(0.5 * lo)
+
+    def area(t: float) -> float:
+        return 4.0 * math.atan(
+            math.sqrt(fixed * math.tanh(0.5 * (hi - t)) * math.tanh(0.5 * (t - lo)))
+        )
+
+    return area
 
 
 def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
-    """Argmax over t of the area of the triangle with sides t, s - t and base.
-
-    The grid spans the open interval (lo, hi) = ((s - base) / 2, (s + base) / 2)
-    allowed by the triangle inequality; it witnesses the isosceles optimum
-    t = s / 2 of the polygon hinge move. The area comes from the hyperbolic
-    L'Huilier formula, tan^2(area / 4) = tanh(p / 2) tanh((p - t) / 2)
-    tanh((p - (s - t)) / 2) tanh((p - base) / 2) with p = hi the
-    semi-perimeter. p - t = hi - t, p - (s - t) = t - lo and p - base = lo
-    are formed from the grid's ends, not subtracted from p, so every factor
-    keeps its relative accuracy on tiny polygons.
-    """
-    import numpy as np
-
-    if samples < 1000:
-        raise DomainError("grid search needs at least 1000 samples")
-    lo, hi = 0.5 * (s - base), 0.5 * (s + base)
-    ts = np.linspace(lo, hi, samples + 2)[1:-1]
-    tan2 = math.tanh(0.5 * hi) * math.tanh(0.5 * lo) * np.tanh(0.5 * (hi - ts)) * np.tanh(
-        0.5 * (ts - lo)
-    )
-    return _grid_argmax(ts, 4.0 * np.arctan(np.sqrt(tan2)))
+    """Argmax of ``_hinge_area`` over ``samples`` interior points of the
+    range (lo, hi) the triangle inequality allows; it witnesses the
+    isosceles optimum t = s / 2 of the polygon hinge move."""
+    t, _ = _linspace(0.5 * (s - base), 0.5 * (s + base), samples + 2, 1)
+    t0, t1 = t((0, 1))
+    return _scan(_hinge_area(s, base), t, samples, t1 - t0)
 
 
-def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
+def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi: float) -> float:
     """Area of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3,
     |DA| = diag and angle phi at A, as the sum of triangles ABD and BCD;
     -inf where the cross diagonal BD leaves no triangle BCD.
@@ -176,29 +181,23 @@ def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi):
     and each triangle's area from L'Huilier's formula, so tiny quadrilaterals
     keep their relative accuracy.
     """
-    import numpy as np
-
     h = math.sinh(0.5 * (s1 - diag))
-    k = np.sin(0.5 * phi)
-    bd = 2.0 * np.arcsinh(np.sqrt(h * h + math.sinh(s1) * math.sinh(diag) * k * k))
-    area = _lhuilier(s1, diag, bd) + _lhuilier(s2, s3, bd)
-    return np.where((bd > abs(s2 - s3)) & (bd < s2 + s3), area, -np.inf)
+    k = math.sin(0.5 * phi)
+    bd = 2.0 * math.asinh(math.sqrt(h * h + math.sinh(s1) * math.sinh(diag) * k * k))
+    if not abs(s2 - s3) < bd < s2 + s3:
+        return -math.inf
+    return _lhuilier(s1, diag, bd) + _lhuilier(s2, s3, bd)
 
 
 def grid_search_quadrilateral(
     s1: float, s2: float, s3: float, diag: float, samples: int
 ) -> GridSearchResult:
-    """Argmax of quadrilateral_area over phi in (0, pi).
-
-    Witnesses the polygon diagonal move, which solves for the concyclic
-    position instead of searching.
-    """
-    import numpy as np
-
-    if samples < 1000:
-        raise DomainError("grid search needs at least 1000 samples")
-    phis = np.linspace(0.0, math.pi, samples + 2)[1:-1]
-    return _grid_argmax(phis, quadrilateral_area(s1, s2, s3, diag, phis))
+    """Argmax of quadrilateral_area over ``samples`` interior points of
+    phi in (0, pi). Witnesses the polygon diagonal move, which solves for
+    the concyclic position instead of searching."""
+    phi, _ = _linspace(0.0, math.pi, samples + 2, 1)
+    phi0, phi1 = phi((0, 1))
+    return _scan(partial(quadrilateral_area, s1, s2, s3, diag), phi, samples, phi1 - phi0)
 
 
 # |z| of a point D_MAX from the centre, with room for a few ulps of rounding:

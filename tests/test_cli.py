@@ -316,6 +316,27 @@ print(len(names), len(set(names)))
         )
         assert [self.heavy(stage) for stage in loaded] == [[]] * 8
 
+    def test_no_module_needs_numpy(self):
+        # numpy set to None in sys.modules makes every import of it fail
+        script = """
+import importlib, pkgutil, sys
+sys.modules["numpy"] = None
+import hyplobe
+names = [m.name for m in pkgutil.iter_modules(hyplobe.__path__) if m.name != "__main__"]
+for name in names:
+    importlib.import_module("hyplobe." + name)
+from hyplobe import oracle
+oracle.grid_search_max_area(1.0, 1.2, 1000)
+oracle.grid_search_hinge(2.0, 1.0, 1000)
+oracle.grid_search_quadrilateral(0.9, 1.1, 0.8, 1.6, 1000)
+oracle.quadrilateral_area(0.9, 1.1, 0.8, 1.6, 1.0)
+print(len(names))
+"""
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) >= 9
+
     def test_no_command_loads_scipy(self, tmp_path):
         loaded = self.modules_loaded(
             ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
