@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steiner", help="perimeter-preserving polygon improvement run")
     p.add_argument("--n", type=int, required=True, help="number of vertices")
     p.add_argument("--seed", type=int, required=True,
-                   help="non-negative integer seed (numpy default_rng stream)")
+                   help="non-negative integer seed (random.Random stream)")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-sweeps", type=int, default=500)
     p.add_argument("--trace-csv", default="steiner_trace.csv",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial
 from itertools import accumulate, repeat
 
 from .disk import D_MAX, DiskPoint, direction_toward
@@ -165,16 +164,23 @@ def _hinge_area(s: float, base: float):
 def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
     """Argmax of ``_hinge_area`` over ``samples`` interior points of the
     range (lo, hi) the triangle inequality allows; it witnesses the
-    isosceles optimum t = s / 2 of the polygon hinge move."""
+    isosceles optimum t = s / 2 of the polygon hinge move. Refuses a base
+    longer than s, which no triangle with sides t and s - t can have."""
+    if base > s:
+        raise DomainError(
+            f"hinge base {base!r} exceeds s = {s!r}: no triangle with sides t, s - t "
+            "and this base meets the triangle inequality"
+        )
     t, _ = _linspace(0.5 * (s - base), 0.5 * (s + base), samples + 2, 1)
     t0, t1 = t((0, 1))
     return _scan(_hinge_area(s, base), t, samples, t1 - t0)
 
 
-def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi: float) -> float:
-    """Area of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3,
-    |DA| = diag and angle phi at A, as the sum of triangles ABD and BCD;
-    -inf where the cross diagonal BD leaves no triangle BCD.
+def _quadrilateral_area(s1: float, s2: float, s3: float, diag: float):
+    """The area of the quadrilateral ABCD with |AB| = s1, |BC| = s2,
+    |CD| = s3 and |DA| = diag, as a function of the angle phi at A; the sum
+    of triangles ABD and BCD, and -inf where the cross diagonal BD leaves no
+    triangle BCD.
 
     BD comes from the law of cosines in its cancellation-free form
     sinh^2(|BD| / 2) = sinh^2((s1 - diag) / 2) + sinh(s1) sinh(diag) sin^2(phi / 2)
@@ -182,11 +188,26 @@ def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi: float)
     keep their relative accuracy.
     """
     h = math.sinh(0.5 * (s1 - diag))
-    k = math.sin(0.5 * phi)
-    bd = 2.0 * math.asinh(math.sqrt(h * h + math.sinh(s1) * math.sinh(diag) * k * k))
-    if not abs(s2 - s3) < bd < s2 + s3:
-        return -math.inf
-    return _lhuilier(s1, diag, bd) + _lhuilier(s2, s3, bd)
+    h2 = h * h
+    sinh_prod = math.sinh(s1) * math.sinh(diag)
+    bd_lo, bd_hi = abs(s2 - s3), s2 + s3
+
+    def area(phi: float) -> float:
+        k = math.sin(0.5 * phi)
+        bd = 2.0 * math.asinh(math.sqrt(h2 + sinh_prod * k * k))
+        if not bd_lo < bd < bd_hi:
+            return -math.inf
+        return _lhuilier(s1, diag, bd) + _lhuilier(s2, s3, bd)
+
+    return area
+
+
+def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi: float) -> float:
+    """Area of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3,
+    |DA| = diag and angle phi at A, as the sum of triangles ABD and BCD;
+    -inf where the cross diagonal BD leaves no triangle BCD. The formulas
+    are ``_quadrilateral_area``'s."""
+    return _quadrilateral_area(s1, s2, s3, diag)(phi)
 
 
 def grid_search_quadrilateral(
@@ -197,7 +218,7 @@ def grid_search_quadrilateral(
     the concyclic position instead of searching."""
     phi, _ = _linspace(0.0, math.pi, samples + 2, 1)
     phi0, phi1 = phi((0, 1))
-    return _scan(partial(quadrilateral_area, s1, s2, s3, diag), phi, samples, phi1 - phi0)
+    return _scan(_quadrilateral_area(s1, s2, s3, diag), phi, samples, phi1 - phi0)
 
 
 # |z| of a point D_MAX from the centre, with room for a few ulps of rounding:

@@ -29,8 +29,8 @@ for both kinds and only the better one is built; building it measures again
 only the sides and angles next to the moved vertices and checks convexity
 only where a vertex moved. Convexity and counterclockwise orientation are
 hyperbolic: one turn test decides both in the Klein model, where geodesics
-are straight. No numpy: the random polygon generator replays numpy's seeded
-stream in pure Python.
+are straight. The random polygon generator draws from the standard
+library's ``random.Random``.
 
 Inside, the vertices are complex numbers, kept with their Klein images;
 DiskPoints exist only at the boundary, in the polygons passed in and
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import namedtuple
 
 from .disk import D_MAX, DiskPoint, _angle, _angle_from_terms, _direction, _distance
@@ -593,17 +594,18 @@ def isoperimetric_deficit(L: float, A: float) -> float:
 def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
     """Seeded random convex polygon: jittered vertices near a hyperbolic circle.
 
-    The seed is a non-negative integer. The draws are those of
-    ``numpy.random.default_rng(seed).uniform``, replayed bit for bit in pure
-    Python, so a seed gives the same polygon on every platform without numpy.
+    The seed is a non-negative integer. The draws are the ``uniform`` draws of
+    ``random.Random(seed)``, whose stream Python keeps the same across versions
+    and platforms, so a seed always gives the same polygon.
     """
     if n < 3:
         raise DomainError("need n >= 3")
     if seed < 0:
         raise DomainError("the seed must be a non-negative integer")
-    from ._pcg64 import DefaultRng  # loaded only by the commands that draw
+    seed = operator.index(seed)  # Random would hash a float seed
+    from random import Random  # loaded only by the commands that draw
 
-    rng = DefaultRng(seed)
+    rng = Random(seed)
     two_pi = 2.0 * math.pi
     for _ in range(_MAX_ATTEMPTS):
         radius = rng.uniform(0.5, 1.5)

@@ -69,11 +69,12 @@ POLYGON_SEEDS = range(12)
 # steiner_optimize runs on every polygon up to POLYGON_OPTIMIZED_N: to the end
 # on seed 0 up to POLYGON_FULL_N and on POLYGON_REJECTING, whose run refuses
 # non-convex moves, and for POLYGON_SWEEPS sweeps on the others, which keeps
-# the whole set near 3 s
+# the whole set near 3 s. POLYGON_REJECTING is n = 8 and the smallest seed
+# >= 0 whose run refuses a move.
 POLYGON_OPTIMIZED_N = 12
 POLYGON_FULL_N = 8
 POLYGON_SWEEPS = 3
-POLYGON_REJECTING = (8, 19)
+POLYGON_REJECTING = (8, 95)
 
 
 def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:
@@ -99,17 +100,18 @@ def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:
 def kernel_inputs() -> list[tuple[float, float, float]]:
     """Seeded (b, c, alpha): sides log-uniform on [1e-6, 20], alpha uniform on
     (0.01, pi - 0.01); then edge cases and inputs every kernel must refuse."""
-    from hyplobe._pcg64 import DefaultRng
+    import numpy as np
+
     from hyplobe.disk import D_MAX
     from hyplobe.triangle import ALPHA_EPS
 
-    rng = DefaultRng(KERNEL_SEED)
+    rng = np.random.default_rng(KERNEL_SEED)
     lo, hi = math.log(1e-6), math.log(D_MAX)
     inputs = []
     for _ in range(KERNEL_RANDOM):
         b = math.exp(rng.uniform(lo, hi))
         c = math.exp(rng.uniform(lo, hi))
-        inputs.append((b, c, rng.uniform(0.01, math.pi - 0.01)))
+        inputs.append((b, c, float(rng.uniform(0.01, math.pi - 0.01))))
     near_zero = ALPHA_EPS * (1.0 + 1e-9)
     inputs += [
         (1.0, 1.0, near_zero), (1.0, 1.0, math.pi - near_zero),

@@ -227,7 +227,7 @@ class TestCoarseToFinePremise:
     def test_quadrilateral_area_rises_to_one_top(self):
         for quad in _quadrilateral_cases():
             _assert_scan_premise(
-                partial(oracle.quadrilateral_area, *quad), 0.0, math.pi,
+                oracle._quadrilateral_area(*quad), 0.0, math.pi,
                 partial(oracle.grid_search_quadrilateral, *quad), quad,
             )
 
@@ -244,6 +244,11 @@ class TestHingeSearch:
         # sides 1e-9 are flat to ~1e-18 relative: Heron's equilateral area
         res = oracle.grid_search_hinge(2e-9, 1e-9, 100_000)
         assert res.area_hat == pytest.approx(math.sqrt(3.0) / 4.0 * 1e-18, rel=1e-9)
+
+    def test_refuses_a_base_longer_than_s(self):
+        # a nearly straight hinge whose measured base rounds above s
+        with pytest.raises(DomainError, match="triangle inequality"):
+            oracle.grid_search_hinge(1.0, 1.0 + 1e-15, 1000)
 
 
 class TestQuadrilateralSearch:
