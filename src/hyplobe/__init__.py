@@ -19,7 +19,6 @@ _EXPORTS = {
     ),
     "errors": (
         "DegenerateInputError", "DomainError", "HyplobeError", "NonConvexError",
-        "SolverError",
     ),
     "polygon": (
         "HyperbolicPolygon", "RegularPolygonSpec", "circle_geometry", "circumcircle_fit",

@@ -6,7 +6,8 @@ round-trips exactly); traces and sweeps are CSV with '.' decimals and '\n'
 newlines so repeated runs diff byte-for-byte.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 non-convergence
-(steiner only: generator failure or an unconverged run).
+(steiner only: the run stopped unconverged); a failed internal output check
+also exits 3.
 """
 
 from __future__ import annotations

@@ -13,10 +13,6 @@ class DegenerateInputError(DomainError):
     """Coincident or collinear inputs that make a construction undefined."""
 
 
-class SolverError(HyplobeError, RuntimeError):
-    """A numerical solver failed to bracket or converge."""
-
-
 class NonConvexError(DomainError):
     """A polygon is not strictly convex, or its vertices are not counterclockwise.
 

@@ -29,8 +29,8 @@ for both kinds and only the better one is built; building it measures again
 only the sides and angles next to the moved vertices and checks convexity
 only where a vertex moved. Convexity and counterclockwise orientation are
 hyperbolic: one turn test decides both in the Klein model, where geodesics
-are straight. The random polygon generator draws from the standard
-library's ``random.Random``.
+are straight, which also lets the random polygon generator put its vertices
+on a Klein ellipse, convex by construction.
 
 Inside, the vertices are complex numbers, kept with their Klein images;
 DiskPoints exist only at the boundary, in the polygons passed in and
@@ -46,7 +46,7 @@ from collections import namedtuple
 
 from .disk import D_MAX, DiskPoint, _angle, _angle_from_terms, _direction, _distance
 from .disk import _side_terms, _step, point_from_polar
-from .errors import DomainError, NonConvexError, SolverError
+from .errors import DomainError, NonConvexError
 
 # Minimum area gain for a move to be accepted; below this the improvement is
 # indistinguishable from angle-measurement noise.
@@ -57,7 +57,6 @@ ACCEPT_TOL = 1e-14
 SPREAD_FLOOR = 1e-6
 
 _SIDE_MARGIN = 1e-9
-_MAX_ATTEMPTS = 1000  # draws random_convex_polygon makes before its SolverError
 
 
 class HyperbolicPolygon(
@@ -592,11 +591,14 @@ def isoperimetric_deficit(L: float, A: float) -> float:
 
 
 def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
-    """Seeded random convex polygon: jittered vertices near a hyperbolic circle.
+    """Seeded random convex polygon: n vertices on an ellipse in the Klein model.
 
-    The seed is a non-negative integer. The draws are the ``uniform`` draws of
-    ``random.Random(seed)``, whose stream Python keeps the same across versions
-    and platforms, so a seed always gives the same polygon.
+    Klein convexity is Euclidean, and distinct points of an ellipse in
+    parameter order are a convex counterclockwise polygon, so no draw is
+    refused. The parameter gaps are exponential spacings above pi / (2n).
+    The seed is a non-negative integer; every number is drawn through
+    ``random()`` of ``random.Random(seed)``, whose stream Python keeps the
+    same across versions and platforms, so a seed always gives the same polygon.
     """
     if n < 3:
         raise DomainError("need n >= 3")
@@ -606,18 +608,17 @@ def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
     from random import Random  # loaded only by the commands that draw
 
     rng = Random(seed)
-    two_pi = 2.0 * math.pi
-    for _ in range(_MAX_ATTEMPTS):
-        radius = rng.uniform(0.5, 1.5)
-        thetas = sorted(rng.uniform(0.0, two_pi) for _ in range(n))
-        gaps = [b - a for a, b in zip(thetas, thetas[1:] + [thetas[0] + two_pi])]
-        if min(gaps) < 0.5 * math.pi / n:
-            continue
-        radii = [radius * (1.0 + rng.uniform(-0.15, 0.15)) for _ in range(n)]
-        try:
-            return HyperbolicPolygon.from_vertices(
-                [point_from_polar(r, t) for r, t in zip(radii, thetas)]
-            )
-        except DomainError:
-            continue
-    raise SolverError(f"no convex polygon found after {_MAX_ATTEMPTS} attempts")
+    rho = math.tanh(rng.uniform(0.5, 1.5))  # Klein radius of a hyperbolic radius
+    q = rng.uniform(0.7, 1.0)  # axis ratio
+    axis = cmath.rect(rho, rng.uniform(0.0, 2.0 * math.pi))
+    floor = 0.5 * math.pi / n
+    ws = [-math.log(1.0 - rng.random()) for _ in range(n)]
+    scale = (2.0 * math.pi - n * floor) / sum(ws)
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    vertices = []
+    for w in ws:  # one vertex per gap, mapped from Klein to the disk
+        k = axis * complex(math.cos(t), q * math.sin(t))
+        r = abs(k)
+        vertices.append(DiskPoint.from_complex(k / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))))
+        t += floor + scale * w
+    return HyperbolicPolygon.from_vertices(vertices)
