@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Subcommands: triangle, optimize, steiner, isoperimetric, verify. JSON is the
-default output format (floats with 17 significant digits, so every double
-round-trips exactly); traces and sweeps are CSV with '.' decimals and '\n'
-newlines so repeated runs diff byte-for-byte.
+Subcommands: triangle, optimize, steiner, isoperimetric, verify. Reports are
+JSON from the standard library's json (triangle can write an SVG instead);
+traces and sweeps are CSV with '.' decimals and '\n' newlines. Every float is
+printed as its repr, the shortest string that parses back to the same double,
+so repeated runs diff byte-for-byte.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input, 3 non-convergence
-(steiner only: the run stopped unconverged); a failed internal output check
-also exits 3.
+Exit codes: 0 success, 1 verification failure, 2 bad input or an output path
+that cannot be written, 3 non-convergence (steiner only: the run stopped
+unconverged); a non-finite value in the output also exits 3.
 """
 
 from __future__ import annotations
@@ -27,55 +28,28 @@ from .errors import DomainError, HyplobeError
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise HyplobeError(f"non-finite value {x} in output (internal bug)")
-    return format(x, ".17g")
-
-
-def _to_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f'{inner}"{k}": {_to_json(v, indent + 1)}' for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ",\n".join(f"{inner}{_to_json(v, indent + 1)}" for v in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value)}")
+    return repr(x)
 
 
 def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _solution_dict(sol) -> dict:
-    return {
-        "a": sol.a, "b": sol.b, "c": sol.c,
-        "alpha": sol.alpha, "beta": sol.beta, "gamma": sol.gamma,
-        "area": sol.area,
-    }
+def _write_json(report: dict, path: str | None) -> None:
+    import json  # only the JSON-writing commands load it
 
-
-def _circle_dict(c) -> dict:
-    return {"cx": c.cx, "cy": c.cy, "radius": c.radius}
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise HyplobeError(f"non-finite value in output (internal bug): {exc}") from None
+    _write(text + "\n", path)
 
 
 def cmd_triangle(args) -> int:
@@ -90,21 +64,13 @@ def cmd_triangle(args) -> int:
         return 0
     report = {
         "inputs": {"b": args.b, "c": args.c, "alpha": args.alpha},
-        "solution": _solution_dict(sol),
-        "figure": {
-            "A": [fig.A.x, fig.A.y],
-            "B": [fig.B.x, fig.B.y],
-            "C": [fig.C.x, fig.C.y],
-            "omega": _circle_dict(fig.omega),
-            "psi": _circle_dict(fig.psi),
-            "b_prime": [fig.b_prime[0], fig.b_prime[1]],
-            "tau": fig.tau,
-        },
+        "solution": sol._asdict(),
+        "figure": {**fig._asdict(), "omega": fig.omega._asdict(), "psi": fig.psi._asdict()},
         "area_defect": sol.area,
         "area_two_tau": 2.0 * fig.tau,
         "defect_minus_two_tau": sol.area - 2.0 * fig.tau,
     }
-    _write(_to_json(report) + "\n", args.output)
+    _write_json(report, args.output)
     return 0
 
 
@@ -120,7 +86,7 @@ def cmd_optimize(args) -> int:
     report = {
         "inputs": {"b": args.b, "c": args.c},
         "alpha_star": opt.alpha_star,
-        "solution": _solution_dict(opt.solution),
+        "solution": opt.solution._asdict(),
         "certificates": {
             "right_angle_residual": abs(cert.acb_angle - math.pi / 2),
             "tangency_gap": cert.tangency_gap,
@@ -132,7 +98,7 @@ def cmd_optimize(args) -> int:
             "gap": abs(grid.alpha_hat - opt.alpha_star),
         },
     }
-    _write(_to_json(report) + "\n", args.output)
+    _write_json(report, args.output)
     return 0
 
 
@@ -176,9 +142,9 @@ def cmd_steiner(args) -> int:
             "deficit": polygon.isoperimetric_deficit(perim1, area1),
         },
         "concyclicity_spread": result.spread,
-        "vertices": [[v.x, v.y] for v in result.polygon.vertices],
+        "vertices": result.polygon.vertices,
     }
-    _write(_to_json(report) + "\n", args.output)
+    _write_json(report, args.output)
     return 0 if result.converged else 3
 
 
@@ -240,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximal-area apex angle for two fixed sides")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_optimize)
 
@@ -252,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sweeps", type=int, default=500)
     p.add_argument("--trace-csv", default="steiner_trace.csv",
                    help="path for the per-move CSV trace")
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_steiner)
 
@@ -260,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=96)
     p.add_argument("--perimeter", type=float, required=True)
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_isoperimetric)
 

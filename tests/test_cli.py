@@ -1,7 +1,11 @@
-"""End-to-end tests of the command-line interface (subprocess level)."""
+"""End-to-end tests of the command-line interface: subprocess level, and in
+process where a test patches a fault into a library call."""
 
+import ast
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -18,6 +22,16 @@ def run_cli(*args, cwd=None):
     )
 
 
+def numbers(value):
+    """Every number (and bool) in a report, in document order; records and
+    lists are both sequences."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return [value]
+    return [x for v in value for x in numbers(v)]
+
+
 class TestTriangleCommand:
     def test_json_report(self):
         res = run_cli("triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9")
@@ -31,10 +45,33 @@ class TestTriangleCommand:
         assert report["figure"]["tau"] > 0.0
 
     def test_floats_round_trip_exactly(self):
+        # every float printed parses back to the double the library computes
+        from hyplobe import triangle
+        from hyplobe.oracle import grid_search_max_area
+
         res = run_cli("triangle", "--b", "1.0", "--c", "1.0", "--alpha", "1.5")
-        a = json.loads(res.stdout)["solution"]["a"]
-        # 17 significant digits: parsing the emitted text recovers the double
-        assert float(repr(a)) == a
+        sol = triangle.solve_sas(1.0, 1.0, 1.5)
+        fig = triangle.build_figure1(1.0, 1.0, 1.5)
+        expected = [1.0, 1.0, 1.5, sol, fig, sol.area, 2.0 * fig.tau, sol.area - 2.0 * fig.tau]
+        assert numbers(json.loads(res.stdout)) == numbers(expected)
+
+        res = run_cli("optimize", "--b", "0.8", "--c", "1.7")
+        opt = triangle.optimal_alpha(0.8, 1.7)
+        cert = triangle.optimality_certificate(triangle.build_figure1(0.8, 1.7, opt.alpha_star))
+        grid = grid_search_max_area(0.8, 1.7, 100_000)
+        expected = [
+            0.8, 1.7, opt.alpha_star, opt.solution,
+            abs(cert.acb_angle - math.pi / 2), cert.tangency_gap, cert.residual,
+            grid.alpha_hat, grid.grid_step, abs(grid.alpha_hat - opt.alpha_star),
+        ]
+        assert numbers(json.loads(res.stdout)) == numbers(expected)
+
+    def test_whole_number_floats_stay_floats(self):
+        # "b": 1.0, not "b": 1
+        res = run_cli("triangle", "--b", "1", "--c", "2", "--alpha", "1")
+        report = json.loads(res.stdout)
+        assert report["inputs"] == {"b": 1.0, "c": 2.0, "alpha": 1.0}
+        assert all(type(x) is float for x in numbers(report))
 
     def test_bad_input_exit_2(self):
         res = run_cli("triangle", "--b", "1.0", "--c", "1.0", "--alpha", "3.5")
@@ -152,6 +189,15 @@ class TestSteinerCommand:
         assert report["converged"] is False
         assert report["concyclicity_spread"] > 1e-3
 
+    def test_counts_are_ints_and_measures_floats(self, tmp_path):
+        res = run_cli("steiner", "--n", "6", "--seed", "3",
+                      "--trace-csv", str(tmp_path / "t.csv"))
+        report = json.loads(res.stdout)
+        counts = ("n", "seed", "max_sweeps", "sweeps", "moves_accepted", "moves_rejected")
+        assert all(type(report.pop(key)) is int for key in counts)
+        assert report.pop("converged") is True
+        assert all(type(x) is float for x in numbers(report))
+
     def test_bad_input_exit_2(self, tmp_path):
         res = run_cli("steiner", "--n", "2", "--seed", "0",
                       "--trace-csv", str(tmp_path / "t.csv"))
@@ -221,38 +267,86 @@ class TestVerifyCommand:
         assert res.stdout == ""
 
 
+class TestOutputFailures:
+    """An output path that cannot be written is bad input (exit 2); a
+    non-finite value in the output is an internal fault (exit 3)."""
+
+    MISSING = f"error: cannot write {{}}: {os.strerror(errno.ENOENT)}\n"
+
+    def test_unwritable_report_exit_2(self, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        res = run_cli("triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9",
+                      "--output", str(path))
+        assert res.returncode == 2
+        assert res.stderr == self.MISSING.format(path)
+
+    def test_unwritable_trace_exit_2(self, tmp_path):
+        path = tmp_path / "missing" / "t.csv"
+        res = run_cli("steiner", "--n", "6", "--seed", "3", "--trace-csv", str(path))
+        assert res.returncode == 2
+        assert res.stderr == self.MISSING.format(path)
+        assert res.stdout == ""
+
+    def test_non_finite_json_exit_3(self, monkeypatch, capsys):
+        from hyplobe import cli, triangle
+
+        solve_sas = triangle.solve_sas
+        monkeypatch.setattr(
+            triangle, "solve_sas", lambda *args: solve_sas(*args)._replace(area=math.nan)
+        )
+        assert cli.main(["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: non-finite value")
+
+    def test_non_finite_csv_exit_3(self, monkeypatch, capsys):
+        from hyplobe import cli, polygon
+
+        regular_polygon = polygon.regular_polygon
+        monkeypatch.setattr(
+            polygon, "regular_polygon", lambda spec: regular_polygon(spec)._replace(area=math.nan)
+        )
+        assert cli.main(["isoperimetric", "--perimeter", "6.0", "--n-max", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: non-finite value nan")
+
+
 class TestImportBudget:
     """Each command loads only the modules it runs: polygon only for polygon
-    commands, and never numpy, scipy, dataclasses or inspect."""
+    commands, json only for JSON reports, and never numpy, scipy,
+    dataclasses or inspect."""
 
     HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
 
+    # the harness itself loads no json: argvs go in as a literal, stages
+    # come out as a repr
     SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 def loaded():
     return sorted(m for m in sys.modules
-                  if m in HEAVY or m.startswith("hyplobe."))
+                  if m in HEAVY or m == "json" or m.startswith("hyplobe."))
 import hyplobe
 stages = [loaded()]
 import hyplobe.cli
 stages.append(loaded())
-for argv in json.loads(sys.argv[1]):
+for argv in ARGVS:
     with contextlib.redirect_stdout(io.StringIO()):
         code = hyplobe.cli.main(argv)
     assert code == 0, (argv, code)
     stages.append(loaded())
-print(json.dumps(stages))
+print(repr(stages))
 """
 
     def modules_loaded(self, *argvs):
         """Watched modules loaded after `import hyplobe`, after importing the
         CLI, then after each command, all in one fresh interpreter."""
+        script = f"HEAVY = {self.HEAVY!r}\nARGVS = {list(argvs)!r}" + self.SCRIPT
         res = subprocess.run(
-            [sys.executable, "-c", f"HEAVY = {self.HEAVY!r}" + self.SCRIPT, json.dumps(argvs)],
-            capture_output=True, text=True, timeout=120,
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
         )
         assert res.returncode == 0, res.stderr
-        return json.loads(res.stdout)
+        return ast.literal_eval(res.stdout)
 
     def heavy(self, stage):
         return [m for m in stage if m in self.HEAVY]
@@ -278,6 +372,18 @@ print(len(names), len(set(names)))
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["41", "41"]
+
+    @pytest.mark.parametrize("argv, loads_json", [
+        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"], True),
+        (["optimize", "--b", "1.0", "--c", "1.5"], True),
+        (["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"], True),
+        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"], False),
+        (["isoperimetric", "--perimeter", "7.0"], False),
+        (["verify", "--samples", "10", "--seed", "0"], False),
+    ], ids=["triangle", "optimize", "steiner", "svg", "isoperimetric", "verify"])
+    def test_only_json_reports_load_json(self, argv, loads_json):
+        loaded = self.modules_loaded(argv)
+        assert ["json" in stage for stage in loaded] == [False, False, loads_json]
 
     def test_triangle_and_isoperimetric_load_neither(self):
         loaded = self.modules_loaded(
