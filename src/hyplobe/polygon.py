@@ -174,11 +174,6 @@ def _defect(ta: tuple[float, float], tb: tuple[float, float], tc: tuple[float, f
     )
 
 
-def _side_sign(base: complex, ref: complex, probe: complex) -> float:
-    """+1 if probe lies left of the geodesic from base through ref, else -1 (Klein images)."""
-    return 1.0 if _klein_turn(base, ref, probe).imag >= 0.0 else -1.0
-
-
 class MoveResult(
     namedtuple("MoveResult", "polygon delta_area accepted rejected", defaults=(0,))
 ):
@@ -230,7 +225,7 @@ def _move(poly: HyperbolicPolygon, i: int, planners) -> MoveResult:
 
 def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
     """Slide V_i along the locus p + q = const to maximize the hinge area."""
-    zs, sides, _, ks = shape
+    zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
     f1, f2 = zs[i - 1], zs[(i + 1) % n]
     p, q = sides[i - 1], sides[i]
@@ -242,8 +237,7 @@ def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
     if gain <= ACCEPT_TOL:
         return None
     theta1 = _angle_from_terms(leg[0], leg, chord)
-    side = _side_sign(ks[i - 1], ks[(i + 1) % n], ks[i])
-    return gain, {i: _step(f1, _direction(f1, f2) + side * theta1, p_new)}
+    return gain, {i: _step(f1, _direction(f1, f2) - theta1, p_new)}
 
 
 def _hinge_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
@@ -306,7 +300,7 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     Where it falls outside the range in which both triangles ABD and BCD
     exist, the better end of the range is taken instead.
     """
-    zs, sides, _, ks = shape
+    zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
     if n < 4:
         return None
@@ -346,11 +340,9 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     gain = quad_area(bd_new) - quad_area(bd_now)
     if gain <= ACCEPT_TOL:
         return None
-    side_b = _side_sign(ks[ia], ks[id_], ks[ib])
-    b_new = _step(a, _direction(a, d) + side_b * phi_of_bd(bd_new), s1)
+    b_new = _step(a, _direction(a, d) - phi_of_bd(bd_new), s1)
     theta_b = _angle_from_terms(t3[0], t2, _side_terms(bd_new))
-    side_c = _side_sign(ks[ib], ks[id_], ks[ic])
-    c_new = _step(b_new, _direction(b_new, d) + side_c * theta_b, s2)
+    c_new = _step(b_new, _direction(b_new, d) - theta_b, s2)
     return gain, {ib: b_new, ic: c_new}
 
 
