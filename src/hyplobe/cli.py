@@ -7,8 +7,8 @@ printed as its repr, the shortest string that parses back to the same double,
 so repeated runs diff byte-for-byte.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or an output path
-that cannot be written, 3 non-convergence (steiner only: the run stopped
-unconverged); a non-finite value in the output also exits 3.
+that cannot be written, 3 non-convergence (steiner only: the final residual
+is above tol times the mean side); a non-finite output value also exits 3.
 """
 
 from __future__ import annotations
@@ -140,6 +140,7 @@ def cmd_steiner(args) -> int:
             "area": area1,
             "perimeter": perim1,
             "deficit": polygon.isoperimetric_deficit(perim1, area1),
+            "residual": polygon.max_optimality_residual(result.polygon),
         },
         "concyclicity_spread": result.spread,
         "vertices": result.polygon.vertices,
@@ -213,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of vertices")
     p.add_argument("--seed", type=int, required=True,
                    help="non-negative integer seed (random.Random stream)")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="converged once every residual <= tol * perimeter / n")
     p.add_argument("--max-sweeps", type=int, default=500)
     p.add_argument("--trace-csv", default="steiner_trace.csv",
                    help="path for the per-move CSV trace")

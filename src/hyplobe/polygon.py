@@ -14,9 +14,11 @@ round-robin sweeps:
 Fixed points of the first move are equilateral polygons, fixed points of the
 second are cyclic ones; together the sweeps drive any convex polygon toward
 the regular polygon of the same perimeter, which witnesses the isoperimetric
-inequality numerically. The trace records the per-vertex residual
-max(|s_{k-1} - s_k|, |BD* - BD|), which both moves drive to zero and which
-vanishes on regular polygons (see _residual).
+inequality numerically. The per-vertex residual max(|s_{k-1} - s_k|,
+|BD* - BD|) is both moves' first-order step and vanishes on regular polygons
+(see _residual). It decides everything: a move is planned only where its step
+exceeds STEP_TOL relative, and a run stops, converged, once the largest
+residual is at most tol times the mean side.
 
 Every step is a formula: the hinge optimum is the isosceles triangle; the
 diagonal optimum puts the four vertices on one circle, horocycle or
@@ -48,13 +50,9 @@ from .disk import D_MAX, DiskPoint, _angle, _angle_from_terms, _direction, _dist
 from .disk import _side_terms, _step, point_from_polar
 from .errors import DomainError, NonConvexError
 
-# Minimum area gain for a move to be accepted; below this the improvement is
-# indistinguishable from angle-measurement noise.
-ACCEPT_TOL = 1e-14
-
-# Best concyclicity certifiable by the coordinate ascent in doubles: vertex
-# error scales like the square root of the residual area gap (~1e-14).
-SPREAD_FLOOR = 1e-6
+# Smallest first-order step, relative to the quantity it changes, for which a
+# move is planned: a smaller one moves the vertices by roundoff only.
+STEP_TOL = 1e-13
 
 _SIDE_MARGIN = 1e-9
 
@@ -229,13 +227,13 @@ def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
     n = len(zs)
     f1, f2 = zs[i - 1], zs[(i + 1) % n]
     p, q = sides[i - 1], sides[i]
+    if abs(p - q) <= STEP_TOL * (p + q):
+        return None
     chord = _side_terms(_distance(f1, f2))
     # With the base and p + q fixed, the maximal-area triangle is isosceles.
     p_new = 0.5 * (p + q)
     leg = _side_terms(p_new)
     gain = _defect(leg, leg, chord) - _defect(_side_terms(p), _side_terms(q), chord)
-    if gain <= ACCEPT_TOL:
-        return None
     theta1 = _angle_from_terms(leg[0], leg, chord)
     return gain, {i: _step(f1, _direction(f1, f2) - theta1, p_new)}
 
@@ -337,9 +335,9 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     if not bd_lo < bd_new < bd_hi:
         # no concyclic position inside the range: the best one is an endpoint
         bd_new = max(bd_lo, bd_hi, key=quad_area)
-    gain = quad_area(bd_new) - quad_area(bd_now)
-    if gain <= ACCEPT_TOL:
+    if abs(bd_new - bd_now) <= STEP_TOL * bd_now:
         return None
+    gain = quad_area(bd_new) - quad_area(bd_now)
     b_new = _step(a, _direction(a, d) - phi_of_bd(bd_new), s1)
     theta_b = _angle_from_terms(t3[0], t2, _side_terms(bd_new))
     c_new = _step(b_new, _direction(b_new, d) - theta_b, s2)
@@ -356,7 +354,9 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     Plans the hinge move at V_i and the diagonal move on edge V_i V_{i+1} and
     builds whichever gains more area (the hinge move on ties), or the other
     one if that result is not convex; returns the polygon unchanged (with
-    delta_area 0) when neither improves it.
+    delta_area 0) when neither is built. A move is planned only where its
+    first-order step, |p - q| against p + q or |BD_new - BD| against BD,
+    exceeds STEP_TOL; near a fixed point delta_area is roundoff, of either sign.
     """
     return _move(poly, i, (_plan_hinge, _plan_diagonal))
 
@@ -383,14 +383,14 @@ class SteinerResult(
 def steiner_optimize(
     poly: HyperbolicPolygon, tol: float = 1e-8, max_sweeps: int = 500
 ) -> SteinerResult:
-    """Round-robin sweeps of steiner_move until no move improves the area.
+    """Round-robin sweeps of steiner_move until the residual is below tol.
 
-    The iteration stops once a full sweep accepts no move; ``converged``
-    additionally requires the final vertices to be concyclic, with
-    circumradius spread below max(10 * tol, SPREAD_FLOOR). Along the trace
-    the perimeter is conserved and the area never decreases. Each trace
-    step's residual is max_optimality_residual after the move, updated only
-    near moved vertices. tol must be positive and finite, max_sweeps >= 0.
+    A run stops after a sweep that accepts no move, or once
+    max_optimality_residual is at most tol * perimeter / n; ``converged``
+    is exactly that last test. Along the trace the perimeter is conserved
+    and the area does not decrease beyond roundoff. Each trace step's
+    residual is max_optimality_residual after the move, updated only near
+    moved vertices. tol must be positive and finite, max_sweeps >= 0.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
@@ -399,11 +399,11 @@ def steiner_optimize(
     trace: list[TraceStep] = []
     moves_rejected = 0
     iteration = 0
-    stagnated = False
     sweeps = 0
     n = poly.n
     shape = _shape(poly)
     residuals = [_residual(shape, k) for k in range(n)]
+    bound = tol * polygon_perimeter(shape) / n
     for sweep in range(max_sweeps):
         sweeps = sweep + 1
         accepted = 0
@@ -428,15 +428,14 @@ def steiner_optimize(
                     )
                 )
             iteration += 1
-        if accepted == 0:
-            stagnated = True
+        if accepted == 0 or max(residuals) <= bound:
             break
     poly = _polygon(shape)
     fit = circumcircle_fit(poly)
     return SteinerResult(
         polygon=poly,
         trace=tuple(trace),
-        converged=stagnated and fit.spread < max(10.0 * tol, SPREAD_FLOOR),
+        converged=max(residuals) <= bound,
         sweeps=sweeps,
         spread=fit.spread,
         moves_rejected=moves_rejected,
@@ -471,18 +470,18 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     suw = sum(u * w for u, w in zip(us, ws))
     svw = sum(v * w for v, w in zip(vs, ws))
     det = suu * svv - suv * suv
-    kx = 0.5 * (suw * svv - svw * suv) / det
-    ky = 0.5 * (svw * suu - suw * suv) / det
-    cx, cy = mx + kx, my + ky
-    r = math.sqrt(sum(ws) / n + kx * kx + ky * ky)
-    dist = math.hypot(cx, cy)
-    if dist + r < 1.0:
-        h = math.atanh(dist - r) + math.atanh(dist + r)
-        center = point_from_polar(h, math.atan2(cy, cx))
-    else:
-        # no hyperbolic circle fits (the vertices lie nearer a horocycle or a
-        # hypercycle); any center bounds the spread from above
-        center = DiskPoint(mx, my)
+    # where no hyperbolic circle fits (the vertices lie on a Euclidean line, or
+    # nearer a horocycle or a hypercycle) any center bounds the spread from above
+    center = DiskPoint(mx, my)
+    if det > 0.0:
+        kx = 0.5 * (suw * svv - svw * suv) / det
+        ky = 0.5 * (svw * suu - suw * suv) / det
+        cx, cy = mx + kx, my + ky
+        r = math.sqrt(sum(ws) / n + kx * kx + ky * ky)
+        dist = math.hypot(cx, cy)
+        if dist + r < 1.0:
+            h = math.atanh(dist - r) + math.atanh(dist + r)
+            center = point_from_polar(h, math.atan2(cy, cx))
     radii = [_distance(center.z, v.z) for v in poly.vertices]
     return CircumcircleFit(
         center=center,

@@ -166,10 +166,11 @@ class TestSteinerCommand:
         assert report["moves_accepted"] == len(result.trace)
 
     def test_unconverged_run_exit_3(self, tmp_path):
-        # seed 70 is the smallest seed >= 0 whose triangle has no hyperbolic
+        # stopped before any sweep, the triangle's sides are still unequal,
+        # so its residual is far above tol times the mean side. Seed 70 is
+        # also the smallest seed >= 0 whose triangle has no hyperbolic
         # circumcircle: its Euclidean circumcircle leaves the disk, so
-        # circumcircle_fit centres on the vertex mean and the spread is
-        # large. Stopped before any sweep, the run has not stagnated either
+        # circumcircle_fit centres on the vertex mean and the spread is large
         from hyplobe import random_convex_polygon
 
         def has_circumcircle(seed):
@@ -187,6 +188,8 @@ class TestSteinerCommand:
         assert res.returncode == 3
         report = json.loads(out.read_text())
         assert report["converged"] is False
+        mean_side = report["final"]["perimeter"] / report["n"]
+        assert report["final"]["residual"] > report["tol"] * mean_side
         assert report["concyclicity_spread"] > 1e-3
 
     def test_counts_are_ints_and_measures_floats(self, tmp_path):

@@ -455,11 +455,34 @@ class TestSteinerOptimize:
     def test_converged_runs_end_near_a_fixed_point(self):
         # the residual measures what the moves drive to zero: equal sides at
         # each vertex and concyclic cross diagonals
-        for n in (4, 8, 12):
-            for seed in range(5):
-                result = steiner_optimize(random_convex_polygon(n, seed), tol=1e-8)
-                assert result.converged, (n, seed)
-                assert result.trace[-1].residual <= 1e-5, (n, seed)
+        cases = [(n, seed) for n in (4, 8, 12) for seed in range(5)] + [(16, 0), (16, 1)]
+        for n, seed in cases:
+            poly = random_convex_polygon(n, seed)
+            result = steiner_optimize(poly, tol=1e-8)
+            assert result.converged, (n, seed)
+            bound = 1e-8 * polygon_perimeter(poly) / n
+            assert max_optimality_residual(result.polygon) <= bound, (n, seed)
+
+    def test_converged_is_the_residual_test(self):
+        # converged says exactly whether the final residual is within tol
+        # times the mean side, whichever way the run stopped; the last tol
+        # is below what doubles reach, so that run stops on a sweep that
+        # accepts nothing and is unconverged
+        for n, seed in ((3, 2), (6, 5), (9, 1)):
+            poly = random_convex_polygon(n, seed)
+            mean_side = polygon_perimeter(poly) / n
+            stops = []
+            for tol in (1e-2, 1e-6, 1e-8, 1e-14):
+                for max_sweeps in (0, 2, 500):
+                    result = steiner_optimize(poly, tol=tol, max_sweeps=max_sweeps)
+                    residual = max_optimality_residual(result.polygon)
+                    assert result.converged == (residual <= tol * mean_side), (n, seed, tol)
+                    if result.trace:
+                        assert result.trace[-1].residual == residual
+                stops.append(result.sweeps)
+            # a tighter tol runs longer: tol bounds the residual
+            assert stops == sorted(set(stops)), (n, seed, stops)
+            assert not result.converged
 
     def test_quadrilaterals_converge(self):
         for seed in range(5):
@@ -484,6 +507,19 @@ class TestSteinerOptimize:
         assert not result.converged
         assert 0.1 < result.spread < math.inf
         assert steiner_optimize(tri, tol=1e-8).converged
+
+    def test_euclidean_collinear_triangle_is_reported(self):
+        # convex in the Klein model, but its vertices lie on one Euclidean
+        # line, where the least-squares circle is singular
+        tri = HyperbolicPolygon.from_vertices(
+            [DiskPoint(0.1, 0.5), DiskPoint(0.0, 0.5), DiskPoint(-0.1, 0.5)]
+        )
+        fit = circumcircle_fit(tri)
+        assert fit.center == DiskPoint(0.0, 0.5)
+        assert 0.1 < fit.spread < math.inf
+        result = steiner_optimize(tri, max_sweeps=0)
+        assert not result.converged
+        assert result.spread == fit.spread
 
     def test_trapped_hexagon_is_reported_unconverged(self):
         # an equilateral hexagon with interior angles (2.949, 2.949, 0.274)
