@@ -454,8 +454,9 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     relative to the vertex mean, |v|^2 = 2 k.v + const is linear in the
     center offset k. The hyperbolic center lies on the ray from the origin
     through the Euclidean center, at the hyperbolic midpoint of the two
-    points where that ray meets the circle. If the fitted circle leaves the
-    disk, the vertex mean is the center instead. Radius and spread are the
+    points where that ray meets the circle. If the vertices lie on one
+    Euclidean line (det <= 0) or the fitted circle leaves the disk, the
+    vertex mean is the center instead. Radius and spread are the
     middle and the range of the vertex distances from the center.
     """
     n = poly.n
@@ -470,8 +471,8 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     suw = sum(u * w for u, w in zip(us, ws))
     svw = sum(v * w for v, w in zip(vs, ws))
     det = suu * svv - suv * suv
-    # where no hyperbolic circle fits (the vertices lie on a Euclidean line, or
-    # nearer a horocycle or a hypercycle) any center bounds the spread from above
+    # no hyperbolic circle fits (the vertices lie on a line, or nearer a
+    # horocycle or a hypercycle); any center bounds the spread from above
     center = DiskPoint(mx, my)
     if det > 0.0:
         kx = 0.5 * (suw * svv - svw * suv) / det
