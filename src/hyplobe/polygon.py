@@ -172,9 +172,7 @@ def _defect(ta: tuple[float, float], tb: tuple[float, float], tc: tuple[float, f
     )
 
 
-class MoveResult(
-    namedtuple("MoveResult", "polygon delta_area accepted rejected", defaults=(0,))
-):
+class MoveResult(namedtuple("MoveResult", "polygon delta_area accepted rejected")):
     """``rejected`` counts planned moves refused because the result was not convex."""
 
     __slots__ = ()
@@ -195,30 +193,19 @@ def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
         return None
 
 
-def _replace_vertices(poly: HyperbolicPolygon, updates: dict) -> HyperbolicPolygon | None:
-    shape = _replace(_shape(poly), {k: p.z for k, p in updates.items()})
-    return None if shape is None else _polygon(shape)
-
-
-def _apply_best(shape: _Shape, i: int, planners) -> tuple[_Shape | None, float, int]:
-    """Plan the moves at vertex i and build the one with the largest gain, the
-    earliest on ties, or the next one if the result is not convex. Returns the
-    new shape (None if none was built), its gain and the planned moves refused."""
+def _apply_best(shape: _Shape, i: int) -> tuple[_Shape | None, float, int, dict[int, complex]]:
+    """The Steiner step at vertex i: plan the hinge move at V_i and the diagonal
+    move on edge V_i V_{i+1}, and build the one that gains more, the hinge move
+    on ties, or the other if that is not convex. Returns the new shape (None if
+    none was built), its gain, the moves refused and the moved vertices' new positions."""
     rejected = 0
-    plans = [plan(shape, i) for plan in planners]
+    plans = (_plan_hinge(shape, i), _plan_diagonal(shape, i))
     for gain, updates in sorted((p for p in plans if p is not None), key=lambda p: -p[0]):
         updated = _replace(shape, updates)
         if updated is not None:
-            return updated, gain, rejected
+            return updated, gain, rejected, updates
         rejected += 1
-    return None, 0.0, rejected
-
-
-def _move(poly: HyperbolicPolygon, i: int, planners) -> MoveResult:
-    updated, gain, rejected = _apply_best(_shape(poly), i, planners)
-    if updated is None:
-        return MoveResult(poly, 0.0, False, rejected)
-    return MoveResult(_polygon(updated), gain, True, rejected)
+    return None, 0.0, rejected, {}
 
 
 def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
@@ -236,10 +223,6 @@ def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
     gain = _defect(leg, leg, chord) - _defect(_side_terms(p), _side_terms(q), chord)
     theta1 = _angle_from_terms(leg[0], leg, chord)
     return gain, {i: _step(f1, _direction(f1, f2) - theta1, p_new)}
-
-
-def _hinge_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
-    return _move(poly, i, (_plan_hinge,))
 
 
 def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> float:
@@ -344,12 +327,8 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     return gain, {ib: b_new, ic: c_new}
 
 
-def _diagonal_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
-    return _move(poly, i, (_plan_diagonal,))
-
-
 def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
-    """Best perimeter-preserving local improvement at vertex i.
+    """One Steiner step at vertex i, the one steiner_optimize takes.
 
     Plans the hinge move at V_i and the diagonal move on edge V_i V_{i+1} and
     builds whichever gains more area (the hinge move on ties), or the other
@@ -358,7 +337,10 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     first-order step, |p - q| against p + q or |BD_new - BD| against BD,
     exceeds STEP_TOL; near a fixed point delta_area is roundoff, of either sign.
     """
-    return _move(poly, i, (_plan_hinge, _plan_diagonal))
+    updated, gain, rejected, _ = _apply_best(_shape(poly), i)
+    if updated is None:
+        return MoveResult(poly, 0.0, False, rejected)
+    return MoveResult(_polygon(updated), gain, True, rejected)
 
 
 class TraceStep(
@@ -387,10 +369,11 @@ def steiner_optimize(
 
     A run stops after a sweep that accepts no move, or once
     max_optimality_residual is at most tol * perimeter / n; ``converged``
-    is exactly that last test. Along the trace the perimeter is conserved
-    and the area does not decrease beyond roundoff. Each trace step's
-    residual is max_optimality_residual after the move, updated only near
-    moved vertices. tol must be positive and finite, max_sweeps >= 0.
+    is exactly that test. Along the trace the perimeter is conserved and
+    the area does not decrease beyond roundoff. Each trace step's residual
+    is max_optimality_residual after the move, updated only near the
+    vertices the step moved. tol must be positive and finite, max_sweeps
+    an integer >= 0.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
@@ -398,36 +381,29 @@ def steiner_optimize(
         raise DomainError("max_sweeps must be non-negative")
     trace: list[TraceStep] = []
     moves_rejected = 0
-    iteration = 0
     sweeps = 0
     n = poly.n
     shape = _shape(poly)
+    area = polygon_area(shape)
     residuals = [_residual(shape, k) for k in range(n)]
     bound = tol * polygon_perimeter(shape) / n
     for sweep in range(max_sweeps):
         sweeps = sweep + 1
         accepted = 0
         for i in range(n):
-            before = polygon_area(shape)
-            updated, _, rejected = _apply_best(shape, i, (_plan_hinge, _plan_diagonal))
+            updated, _, rejected, moved = _apply_best(shape, i)
             moves_rejected += rejected
-            if updated is not None:
-                moved = [k for k in range(n) if updated.vertices[k] != shape.vertices[k]]
-                shape = updated
-                accepted += 1
-                for k in {(m + d) % n for m in moved for d in (-2, -1, 0, 1)}:
-                    residuals[k] = _residual(shape, k)
-                trace.append(
-                    TraceStep(
-                        iteration=iteration,
-                        vertex=i,
-                        area_before=before,
-                        area_after=polygon_area(shape),
-                        residual=max(residuals),
-                        perimeter=polygon_perimeter(shape),
-                    )
-                )
-            iteration += 1
+            if updated is None:
+                continue
+            shape = updated
+            accepted += 1
+            for k in {(m + d) % n for m in moved for d in (-2, -1, 0, 1)}:
+                residuals[k] = _residual(shape, k)
+            before, area = area, polygon_area(shape)
+            trace.append(TraceStep(
+                iteration=sweep * n + i, vertex=i, area_before=before, area_after=area,
+                residual=max(residuals), perimeter=polygon_perimeter(shape),
+            ))
         if accepted == 0 or max(residuals) <= bound:
             break
     poly = _polygon(shape)
@@ -455,9 +431,10 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     center offset k. The hyperbolic center lies on the ray from the origin
     through the Euclidean center, at the hyperbolic midpoint of the two
     points where that ray meets the circle. If the vertices lie on one
-    Euclidean line (det <= 0) or the fitted circle leaves the disk, the
-    vertex mean is the center instead. Radius and spread are the
-    middle and the range of the vertex distances from the center.
+    Euclidean line (det <= 0), the fitted circle leaves the disk or its
+    center lies beyond D_MAX, the vertex mean is the center instead.
+    Radius and spread are the middle and the range of the vertex distances
+    from the center.
     """
     n = poly.n
     mx = sum(v.x for v in poly.vertices) / n
@@ -482,7 +459,8 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
         dist = math.hypot(cx, cy)
         if dist + r < 1.0:
             h = math.atanh(dist - r) + math.atanh(dist + r)
-            center = point_from_polar(h, math.atan2(cy, cx))
+            if h <= D_MAX:
+                center = point_from_polar(h, math.atan2(cy, cx))
     radii = [_distance(center.z, v.z) for v in poly.vertices]
     return CircumcircleFit(
         center=center,

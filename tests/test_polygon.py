@@ -36,9 +36,10 @@ from hyplobe.disk import (
 )
 from hyplobe.polygon import (
     _cyclic_cross_diagonal,
-    _diagonal_move,
-    _hinge_move,
-    _replace_vertices,
+    _plan_diagonal,
+    _plan_hinge,
+    _replace,
+    _shape,
     circle_radius_for_circumference,
     max_optimality_residual,
 )
@@ -106,11 +107,11 @@ class TestPolygonConstruction:
                 full = HyperbolicPolygon.from_vertices(vs)
             except DomainError:
                 full = None
-            incremental = _replace_vertices(poly, updates)
+            incremental = _replace(_shape(poly), {j: p.z for j, p in updates.items()})
             assert (incremental is None) == (full is None)
             verdicts[full is None] += 1
             if full is not None:
-                assert incremental.vertices == full.vertices
+                assert incremental.vertices == tuple(v.z for v in full.vertices)
                 assert incremental.side_lengths == full.side_lengths
                 assert incremental.interior_angles == full.interior_angles
         assert min(verdicts.values()) >= 100
@@ -219,15 +220,17 @@ class TestSteinerMove:
         accepted = 0
         for seed in range(10):
             poly = random_convex_polygon(6, seed)
+            shape = _shape(poly)
             for i in range(poly.n):
                 f1, f2 = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
                 s = poly.side_lengths[i - 1] + poly.side_lengths[i]
                 grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
-                mv = _hinge_move(poly, i)
-                if not mv.accepted:
+                plan = _plan_hinge(shape, i)
+                updated = None if plan is None else _replace(shape, plan[1])
+                if updated is None:
                     continue
                 accepted += 1
-                p_new = mv.polygon.side_lengths[i - 1]
+                p_new = updated.side_lengths[i - 1]
                 assert abs(p_new - grid.alpha_hat) <= grid.grid_step
         assert accepted >= 30
 
@@ -237,16 +240,18 @@ class TestSteinerMove:
         accepted = 0
         for seed in range(10):
             poly = random_convex_polygon(6, seed)
+            shape = _shape(poly)
             n = poly.n
             for i in range(n):
                 a, d = poly.vertices[i - 1], poly.vertices[(i + 2) % n]
                 s1, s2, s3 = (poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
                 diag = hyp_distance(a, d)
-                mv = _diagonal_move(poly, i)
-                if not mv.accepted:
+                plan = _plan_diagonal(shape, i)
+                updated = None if plan is None else _replace(shape, plan[1])
+                if updated is None:
                     continue
                 accepted += 1
-                phi = angle_at_vertex(a, d, mv.polygon.vertices[i])
+                phi = angle_at_vertex(a, d, DiskPoint.from_complex(updated.vertices[i]))
                 grid = oracle.grid_search_quadrilateral(s1, s2, s3, diag, 100_000)
                 area = float(oracle.quadrilateral_area(s1, s2, s3, diag, phi))
                 assert area >= grid.area_hat - 1e-13
@@ -390,6 +395,15 @@ REFUSING_OCTAGON = [
 ]
 
 
+# the vertices of a thin triangle far out, as (x, y) hex pairs; see
+# test_falls_back_to_vertex_mean_beyond_d_max
+FAR_THIN_TRIANGLE = [
+    ("-0x1.628d872e55e1dp-2", "-0x1.e054851d00a41p-1"),
+    ("-0x1.628d82a4ed828p-2", "-0x1.e0548561b4ffap-1"),
+    ("-0x1.628d869b3ca73p-2", "-0x1.e054844ff5765p-1"),
+]
+
+
 TRAPPED_HEXAGON = [
     (0.10320248266824636, 0.21488463940666566),
     (-0.08335807567454992, -0.032561909675262395),
@@ -445,6 +459,11 @@ class TestSteinerOptimize:
         for max_sweeps in (-1, -5):
             with pytest.raises(DomainError, match="max_sweeps"):
                 steiner_optimize(poly, max_sweeps=max_sweeps)
+
+    def test_non_integer_max_sweeps_refused(self):
+        # as for non-integer seeds: a while loop would quietly run 3 sweeps
+        with pytest.raises(TypeError):
+            steiner_optimize(random_convex_polygon(5, 1), max_sweeps=2.5)
 
     def test_residual_vanishes_on_regular_polygons(self):
         for n in (3, 4, 8, 64):
@@ -534,24 +553,32 @@ class TestSteinerOptimize:
         assert polygon_area(result.polygon) < 0.5 * ref.area
 
     def test_trace_matches_replayed_moves(self):
-        # replaying steiner_move over the same sweeps: every trace residual is
-        # the full recomputation's bit for bit, and the refusals add up. The
-        # octagon refuses non-convex moves; it is the one seed 19 drew when
-        # the generator replayed numpy's default_rng stream
+        # replaying steiner_move over the same sweeps: every trace step is the
+        # full recomputation's bit for bit, the areas chain from the input's,
+        # and the refusals add up. The octagon refuses non-convex moves; it is
+        # the one seed 19 drew when the generator replayed numpy's
+        # default_rng stream
         poly = HyperbolicPolygon.from_vertices([
             DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in REFUSING_OCTAGON
         ])
         result = steiner_optimize(poly, tol=1e-8)
+        assert result.trace[0].area_before == polygon_area(poly)
         steps = iter(result.trace)
         rejected = 0
         for it in range(result.sweeps * poly.n):
             mv = steiner_move(poly, it % poly.n)
             rejected += mv.rejected
             if mv.accepted:
-                poly = mv.polygon
                 step = next(steps)
-                assert step.iteration == it
-                assert step.residual == max_optimality_residual(poly)
+                assert step == (
+                    it,
+                    it % poly.n,
+                    polygon_area(poly),
+                    polygon_area(mv.polygon),
+                    max_optimality_residual(mv.polygon),
+                    polygon_perimeter(mv.polygon),
+                )
+                poly = mv.polygon
         assert next(steps, None) is None
         assert poly.vertices == result.polygon.vertices
         assert result.moves_rejected == rejected > 0
@@ -601,6 +628,23 @@ class TestCircumcircleFit:
         radii = [hyp_distance(fit.center, v) for v in thin.vertices]
         assert fit.spread == max(radii) - min(radii)
         assert fit.radius == pytest.approx(0.5 * (max(radii) + min(radii)), abs=1e-15)
+
+    def test_falls_back_to_vertex_mean_beyond_d_max(self):
+        # a valid thin triangle 17.6-18.3 from the centre whose least-squares
+        # circle is centred 20.4 from it, past D_MAX
+        thin = HyperbolicPolygon.from_vertices([
+            DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in FAR_THIN_TRIANGLE
+        ])
+        fit = circumcircle_fit(thin)
+        mean = sum(v.z for v in thin.vertices) / 3
+        assert abs(fit.center.z - mean) < 1e-15
+        radii = [hyp_distance(fit.center, v) for v in thin.vertices]
+        assert fit.spread == max(radii) - min(radii)
+        assert fit.spread == pytest.approx(0.545, abs=1e-3)
+        result = steiner_optimize(thin, max_sweeps=0)
+        assert not result.converged
+        assert result.spread == fit.spread
+        assert steiner_optimize(thin).converged
 
     def test_positive_spread_off_circle(self):
         poly = random_convex_polygon(6, 5)
