@@ -76,10 +76,6 @@ class EuclideanCircle(namedtuple("EuclideanCircle", "cx cy radius")):
         _check_circle(cx, cy, radius)
         return tuple.__new__(cls, (cx, cy, radius))
 
-    @property
-    def center(self) -> complex:
-        return complex(self.cx, self.cy)
-
     def orthogonality_residual(self) -> float:
         """|center|^2 - 1 - radius^2; zero iff orthogonal to the unit circle."""
         return self.cx * self.cx + self.cy * self.cy - 1.0 - self.radius * self.radius
@@ -118,10 +114,6 @@ class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def identity(cls) -> "DiskIsometry":
-        return cls(ORIGIN, 0.0)
 
     def __call__(self, p: DiskPoint) -> DiskPoint:
         a = self.target.z
@@ -266,10 +258,9 @@ def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
 
 
 def _step(a: complex, theta: float, d: float) -> complex:
-    # undo a's chart by -a's; the e^{i 0} of DiskIsometry.inverse can flip a zero's sign
-    b = -a * (1 + 0j)
-    _check_inside(b.real, b.imag)
-    return _chart(b, point_from_polar(d, theta).z)
+    # undo a's chart by -a's; the e^{i 0} of DiskIsometry.inverse can flip a zero's
+    # sign. -a has a's modulus, and every caller passes a point inside the disk.
+    return _chart(-a * (1 + 0j), point_from_polar(d, theta).z)
 
 
 def step_from(p: DiskPoint, theta: float, d: float) -> DiskPoint:

@@ -278,8 +278,10 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     at A between AD and AB). The area is largest where the four vertices lie
     on one circle, horocycle or hypercycle, i.e. where the opposite angle
     sums agree, and there |BD| has a closed form (_cyclic_cross_diagonal).
-    Where it falls outside the range in which both triangles ABD and BCD
-    exist, the better end of the range is taken instead.
+    No end of the range in which both triangles ABD and BCD exist is ever
+    the target: at either end one triangle degenerates, and its area grows
+    as the square root of the distance from that end, so the area rises
+    into the range with infinite slope and its maximum lies inside.
     """
     zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
@@ -305,19 +307,11 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
             math.sqrt(math.sinh(0.5 * (s1 + diag + bd)) * math.sinh(0.5 * (s1 + diag - bd))),
         )
 
-    # Feasible range of the cross diagonal |BD|: both triangles must exist.
-    bd_lo = max(abs(s2 - s3), abs(diag - s1))
-    bd_hi = min(s2 + s3, diag + s1)
-    if bd_hi - bd_lo <= 4.0 * _SIDE_MARGIN:
+    # Both triangles must exist, with room to spare: s1 + diag is the rounding
+    # scale of phi_of_bd's sinh arguments, and the margin keeps them positive.
+    margin = _SIDE_MARGIN * (s1 + diag)
+    if not max(abs(s2 - s3), abs(diag - s1)) + margin < bd_new < min(s2 + s3, diag + s1) - margin:
         return None
-    margin = _SIDE_MARGIN * (bd_hi - bd_lo)
-    bd_lo += margin
-    bd_hi -= margin
-    if phi_of_bd(bd_hi) - phi_of_bd(bd_lo) <= 1e-12:
-        return None
-    if not bd_lo < bd_new < bd_hi:
-        # no concyclic position inside the range: the best one is an endpoint
-        bd_new = max(bd_lo, bd_hi, key=quad_area)
     if abs(bd_new - bd_now) <= STEP_TOL * bd_now:
         return None
     gain = quad_area(bd_new) - quad_area(bd_now)

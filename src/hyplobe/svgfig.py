@@ -57,13 +57,13 @@ class _Canvas:
             f'{_fmt(p2[0])} {_fmt(p2[1])}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
 
-    def dot(self, x: float, y: float, label: str, dx: float = 10.0, dy: float = -10.0) -> None:
+    def dot(self, x: float, y: float, label: str) -> None:
         px, py = self.to_px(x, y)
         self.elements.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="#000"/>'
         )
         self.elements.append(
-            f'<text x="{_fmt(px + dx)}" y="{_fmt(py + dy)}" '
+            f'<text x="{_fmt(px + 10.0)}" y="{_fmt(py - 10.0)}" '
             f'font-family="serif" font-size="28">{label}</text>'
         )
 

@@ -15,13 +15,15 @@ The four kernels, solve_sas, build_figure1, optimal_alpha and
 optimality_certificate, are straight-line float code: each record is built
 once, in its final form, no value is computed twice, and each check is an
 inline comparison that calls its helper (_check_sas_domain, _check_solution,
-disk._check_inside, disk._check_circle) only on the failing path, so the
-order, class and message of every refusal are the helpers'. solve_sas and
-optimal_alpha share one core, _sas. build_figure1 evaluates the formulas of
-the public primitives (embed_triangle, omega_circle, b_prime_point,
-tau_angle, and disk.geodesic_through) for B on the positive x-axis, with the
-terms in B's exact-zero y-coordinate dropped. Tests pin each kernel to the
-composition it replaces, bit for bit and refusal for refusal.
+disk._check_circle) only on the failing path, so the order, class and
+message of every refusal are the helpers'. solve_sas and optimal_alpha share
+one core, _sas. build_figure1 evaluates the formulas of the public
+primitives (embed_triangle, omega_circle, b_prime_point, tau_angle, and
+disk.geodesic_through) for B on the positive x-axis, with the terms in B's
+exact-zero y-coordinate dropped, and without the three primitive checks no
+domain input can trip (B and C lie within tanh(D_MAX / 2) < 1 of the center;
+see build_figure1). Tests pin each kernel to the composition it replaces,
+bit for bit and refusal for refusal.
 
 build_figure1's guards measure lengths with math.hypot and bound the
 radius with a conditional, not through complex temporaries and max, so it
@@ -40,7 +42,7 @@ import math
 from collections import namedtuple
 
 from .disk import _COINCIDENT_TOL, _COLLINEAR_TOL, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
-from .disk import _check_circle, _check_inside, _orthogonal_circle
+from .disk import _check_circle, _orthogonal_circle
 from .errors import DegenerateInputError, DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
@@ -280,17 +282,20 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     and message. A product with B's zero y-coordinate is a signed zero, and
     adding or subtracting one leaves a nonzero value unchanged, so those
     terms are dropped; the comments say why a zero result is safe as well.
+
+    Three of the primitives' checks are dropped, since no input that passes
+    the domain check trips them. B and C lie inside the disk: px = tanh(c / 2)
+    and rb = tanh(b / 2) are at most tanh(10) < 1, and qx^2 + qy^2 is rb^2
+    within a few ulps. psi's radius rb is positive: it is 0 only for
+    b = 5e-324, which puts C at the center, and the collinearity guard
+    refuses that first.
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
         _check_sas_domain(b, c, alpha)
     px = math.tanh(0.5 * c)
-    if not px * px < 1.0:  # px * px + 0.0 * 0.0, a square being never -0.0
-        _check_inside(px, 0.0)
     rb = math.tanh(0.5 * b)
     qx = rb * math.cos(alpha)
     qy = rb * math.sin(alpha)
-    if not qx * qx + qy * qy < 1.0:
-        _check_inside(qx, qy)
     # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is
     # px; its coincident-points guard measures with math.hypot, as here
     if math.hypot(qx - px, qy) <= _COINCIDENT_TOL:
@@ -311,8 +316,6 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     # radius > 0 since r2 > 0 or is NaN; a sum is finite only if every term is
     if not math.isfinite(cx + cy + radius):
         _check_circle(cx, cy, radius)
-    if not rb > 0.0:  # psi; |rb| < 1
-        _check_circle(0.0, 0.0, rb)
     # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j;
     # px > 0, since px = 0 fails the collinearity check. Its on-circle guard
     # measures with math.hypot too; its max(1.0, radius) is the conditional

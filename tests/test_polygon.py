@@ -1,6 +1,8 @@
 """Tests for polygons, the perimeter-preserving improver and isoperimetry."""
 
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from hyplobe import oracle
 from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
+    _angle,
+    _distance,
     angle_at_vertex,
     direction_toward,
     hyp_distance,
@@ -35,7 +39,9 @@ from hyplobe.disk import (
     step_from,
 )
 from hyplobe.polygon import (
+    _Shape,
     _cyclic_cross_diagonal,
+    _klein,
     _plan_diagonal,
     _plan_hinge,
     _replace,
@@ -273,6 +279,30 @@ class TestSteinerMove:
                 mv = steiner_move(poly, i)
                 assert not mv.accepted
                 assert mv.polygon is poly
+
+    def test_diagonal_move_is_planned_at_any_scale(self):
+        # a jittered quadrilateral of circumradius 1e-10, built as a _Shape
+        # since from_vertices refuses it (its angle sum rounds to 2 pi); the
+        # planner's margin is relative to the sides, so it still plans there
+        jitter = ((1.0, 0.1), (1.1, 1.9), (0.9, 3.0), (1.05, 4.6))
+        zs = tuple(1e-10 * r * cmath.exp(1j * t) for r, t in jitter)
+        n = len(zs)
+        sides = tuple(_distance(zs[k], zs[(k + 1) % n]) for k in range(n))
+        angles = tuple(_angle(zs[k], zs[k - 1], zs[(k + 1) % n]) for k in range(n))
+        shape = _Shape(zs, sides, angles, tuple(map(_klein, zs)))
+        for i in range(n):
+            plan = _plan_diagonal(shape, i)
+            assert plan is not None
+            moved = list(zs)
+            for k, z in plan[1].items():
+                moved[k] = z
+            for k in range(n):
+                side = _distance(moved[k], moved[(k + 1) % n])
+                assert abs(side - sides[k]) <= 4.0 * sys.float_info.epsilon * sides[k]
+            diag = _distance(zs[i - 1], zs[(i + 2) % n])
+            bd_star = _cyclic_cross_diagonal(sides[i - 1], sides[i], sides[(i + 1) % n], diag)
+            bd = _distance(moved[i], moved[(i + 2) % n])
+            assert abs(bd - bd_star) <= 1e-12 * bd_star
 
 
 def _hypercycle_point(t: float, h: float) -> DiskPoint:
@@ -757,6 +787,12 @@ class TestIsoperimetry:
     def test_deficit_validation(self):
         with pytest.raises(DomainError):
             isoperimetric_deficit(-1.0, 1.0)
+        for r in (0.0, -1.0, math.nextafter(10.0, math.inf), math.nan):
+            with pytest.raises(DomainError, match="radius outside"):
+                circle_geometry(r)
+        for L in (0.0, -1.0):
+            with pytest.raises(DomainError, match="circumference must be positive"):
+                circle_radius_for_circumference(L)
 
 
 class TestRandomPolygon:
