@@ -158,8 +158,11 @@ def cmd_isoperimetric(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         spec = polygon.regular_polygon_for_perimeter(n, args.perimeter)
         stats = polygon.regular_polygon(spec)
+        # a non-finite area is an internal fault (exit 3), checked before
+        # isoperimetric_deficit refuses it as input
+        area = _fmt_float(stats.area)
         deficit = polygon.isoperimetric_deficit(stats.perimeter, stats.area)
-        lines.append(f"{n},{_fmt_float(stats.area)},{_fmt_float(deficit)}")
+        lines.append(f"{n},{area},{_fmt_float(deficit)}")
     circumference, area = polygon.circle_geometry(
         polygon.circle_radius_for_circumference(args.perimeter)
     )

@@ -17,8 +17,9 @@ the regular polygon of the same perimeter, which witnesses the isoperimetric
 inequality numerically. The per-vertex residual max(|s_{k-1} - s_k|,
 |BD* - BD|) is both moves' first-order step and vanishes on regular polygons
 (see _residual). It decides everything: a move is planned only where its step
-exceeds STEP_TOL relative, and a run stops, converged, once the largest
-residual is at most tol times the mean side.
+exceeds STEP_TOL relative, each step builds the move with the larger step,
+and a run stops, converged, once the largest residual is at most tol times
+the mean side.
 
 Every step is a formula: the hinge optimum is the isosceles triangle; the
 diagonal optimum puts the four vertices on one circle, horocycle or
@@ -26,10 +27,10 @@ hypercycle, where the half-sinhs sinh(dist / 2) of the sides and diagonals
 obey Ptolemy's relations as Euclidean chords do, so the cross diagonal has
 the closed form sinh^2(|BD| / 2) = (ab + cd)(ac + bd) / (ad + bc); the
 circumcircle is a linear least-squares Euclidean circle; and regular polygons
-follow from the right triangles cut out by their apothems. A move is planned
-for both kinds and only the better one is built; building it measures again
-only the sides and angles next to the moved vertices and checks convexity
-only where a vertex moved. Convexity and counterclockwise orientation are
+follow from the right triangles cut out by their apothems. The other move
+is built only if the first is refused; building a move measures again only
+the sides and angles next to the moved vertices and checks convexity only
+where a vertex moved. Convexity and counterclockwise orientation are
 hyperbolic: one turn test decides both in the Klein model, where geodesics
 are straight, which also lets the random polygon generator put its vertices
 on a Klein ellipse, convex by construction.
@@ -163,23 +164,10 @@ def polygon_area(poly: HyperbolicPolygon) -> float:
     return (len(poly.interior_angles) - 2) * math.pi - sum(poly.interior_angles)
 
 
-def _defect(ta: tuple[float, float], tb: tuple[float, float], tc: tuple[float, float]) -> float:
-    """Area of the triangle whose sides have the _side_terms ta, tb and tc."""
-    return math.pi - (
-        _angle_from_terms(ta[0], tb, tc)
-        + _angle_from_terms(tb[0], tc, ta)
-        + _angle_from_terms(tc[0], ta, tb)
-    )
-
-
 class MoveResult(namedtuple("MoveResult", "polygon delta_area accepted rejected")):
     """``rejected`` counts planned moves refused because the result was not convex."""
 
     __slots__ = ()
-
-
-# A planned move: its area gain and the new positions of the vertices it moves.
-_Plan = tuple[float, dict[int, complex]]
 
 
 def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
@@ -193,23 +181,32 @@ def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
         return None
 
 
-def _apply_best(shape: _Shape, i: int) -> tuple[_Shape | None, float, int, dict[int, complex]]:
-    """The Steiner step at vertex i: plan the hinge move at V_i and the diagonal
-    move on edge V_i V_{i+1}, and build the one that gains more, the hinge move
-    on ties, or the other if that is not convex. Returns the new shape (None if
-    none was built), its gain, the moves refused and the moved vertices' new positions."""
+def _apply_best(shape: _Shape, i: int) -> tuple[_Shape | None, int, dict[int, complex]]:
+    """The Steiner step at vertex i (see steiner_move): build the move whose
+    term of _residual is larger, the other only if that one is not planned or
+    not convex. Returns the new shape (None if none was built), the moves
+    refused and the moved vertices' new positions."""
+    moves = [lambda: _hinge_move(shape, i)]
+    if len(shape.vertices) > 3:
+        cross = _cross_diagonals(shape, i)
+        moves.append(lambda: _diagonal_move(shape, i, cross))
+        if abs(cross[2] - cross[1]) > abs(shape.side_lengths[i - 1] - shape.side_lengths[i]):
+            moves.reverse()
     rejected = 0
-    plans = (_plan_hinge(shape, i), _plan_diagonal(shape, i))
-    for gain, updates in sorted((p for p in plans if p is not None), key=lambda p: -p[0]):
+    for move in moves:
+        updates = move()
+        if updates is None:
+            continue
         updated = _replace(shape, updates)
         if updated is not None:
-            return updated, gain, rejected, updates
+            return updated, rejected, updates
         rejected += 1
-    return None, 0.0, rejected, {}
+    return None, rejected, {}
 
 
-def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
-    """Slide V_i along the locus p + q = const to maximize the hinge area."""
+def _hinge_move(shape: _Shape, i: int) -> dict[int, complex] | None:
+    """Slide V_i along the locus p + q = const to maximize the hinge area;
+    the new position of V_i, or None if the step is at most STEP_TOL."""
     zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
     f1, f2 = zs[i - 1], zs[(i + 1) % n]
@@ -220,9 +217,8 @@ def _plan_hinge(shape: _Shape, i: int) -> _Plan | None:
     # With the base and p + q fixed, the maximal-area triangle is isosceles.
     p_new = 0.5 * (p + q)
     leg = _side_terms(p_new)
-    gain = _defect(leg, leg, chord) - _defect(_side_terms(p), _side_terms(q), chord)
     theta1 = _angle_from_terms(leg[0], leg, chord)
-    return gain, {i: _step(f1, _direction(f1, f2) - theta1, p_new)}
+    return {i: _step(f1, _direction(f1, f2) - theta1, p_new)}
 
 
 def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> float:
@@ -270,8 +266,12 @@ def max_optimality_residual(poly: HyperbolicPolygon) -> float:
     return max(_residual(shape, k) for k in range(poly.n))
 
 
-def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
-    """Reposition edge V_i V_{i+1} with all side lengths fixed.
+def _diagonal_move(
+    shape: _Shape, i: int, cross: tuple[float, float, float]
+) -> dict[int, complex] | None:
+    """Reposition edge V_i V_{i+1} with all side lengths fixed, given the
+    _cross_diagonals at V_i of a polygon with n >= 4; the new positions of
+    V_i and V_{i+1}, or None if the move is not planned.
 
     Name the quadrilateral A B C D = V_{i-1} V_i V_{i+1} V_{i+2}. One degree
     of freedom remains, the cross diagonal |BD| (equivalently the angle phi
@@ -285,56 +285,47 @@ def _plan_diagonal(shape: _Shape, i: int) -> _Plan | None:
     """
     zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
-    if n < 4:
-        return None
     ia, ib, ic, id_ = i - 1, i, (i + 1) % n, (i + 2) % n
     a, d = zs[ia], zs[id_]
     s1, s2, s3 = sides[ia], sides[ib], sides[ic]
-    diag, bd_now, bd_new = _cross_diagonals(shape, i)
-    t1, t2, t3, t_diag = (_side_terms(x) for x in (s1, s2, s3, diag))
-
-    def quad_area(bd: float) -> float:
-        t_bd = _side_terms(bd)
-        return _defect(t1, t_diag, t_bd) + _defect(t2, t3, t_bd)
-
-    def phi_of_bd(bd: float) -> float:
-        """Angle at A of the triangle ABD, by the half-angle formula
-        tan^2(phi / 2) = sinh(p - s1) sinh(p - diag) / (sinh(p) sinh(p - bd))
-        with p the half perimeter of ABD; unlike asin or acos it keeps its
-        accuracy near 0 and pi."""
-        return 2.0 * math.atan2(
-            math.sqrt(math.sinh(0.5 * (bd + diag - s1)) * math.sinh(0.5 * (bd + s1 - diag))),
-            math.sqrt(math.sinh(0.5 * (s1 + diag + bd)) * math.sinh(0.5 * (s1 + diag - bd))),
-        )
-
+    diag, bd_now, bd_new = cross
     # Both triangles must exist, with room to spare: s1 + diag is the rounding
-    # scale of phi_of_bd's sinh arguments, and the margin keeps them positive.
+    # scale of the sinh arguments below, and the margin keeps them positive.
     margin = _SIDE_MARGIN * (s1 + diag)
     if not max(abs(s2 - s3), abs(diag - s1)) + margin < bd_new < min(s2 + s3, diag + s1) - margin:
         return None
     if abs(bd_new - bd_now) <= STEP_TOL * bd_now:
         return None
-    gain = quad_area(bd_new) - quad_area(bd_now)
-    b_new = _step(a, _direction(a, d) - phi_of_bd(bd_new), s1)
-    theta_b = _angle_from_terms(t3[0], t2, _side_terms(bd_new))
+    # The angle phi at A of the triangle ABD, by the half-angle formula
+    # tan^2(phi / 2) = sinh(p - s1) sinh(p - diag) / (sinh(p) sinh(p - bd))
+    # with p the half perimeter of ABD; unlike asin or acos it keeps its
+    # accuracy near 0 and pi.
+    phi = 2.0 * math.atan2(
+        math.sqrt(math.sinh(0.5 * (bd_new + diag - s1)) * math.sinh(0.5 * (bd_new + s1 - diag))),
+        math.sqrt(math.sinh(0.5 * (s1 + diag + bd_new)) * math.sinh(0.5 * (s1 + diag - bd_new))),
+    )
+    b_new = _step(a, _direction(a, d) - phi, s1)
+    theta_b = _angle_from_terms(_side_terms(s3)[0], _side_terms(s2), _side_terms(bd_new))
     c_new = _step(b_new, _direction(b_new, d) - theta_b, s2)
-    return gain, {ib: b_new, ic: c_new}
+    return {ib: b_new, ic: c_new}
 
 
 def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     """One Steiner step at vertex i, the one steiner_optimize takes.
 
-    Plans the hinge move at V_i and the diagonal move on edge V_i V_{i+1} and
-    builds whichever gains more area (the hinge move on ties), or the other
-    one if that result is not convex; returns the polygon unchanged (with
-    delta_area 0) when neither is built. A move is planned only where its
-    first-order step, |p - q| against p + q or |BD_new - BD| against BD,
-    exceeds STEP_TOL; near a fixed point delta_area is roundoff, of either sign.
+    Builds the move with the larger first-order step: the hinge move at V_i,
+    whose step is |p - q| for the sides p and q at V_i, or the diagonal move
+    on edge V_i V_{i+1}, whose step is |BD* - BD| (the hinge move on ties).
+    The other move is built only if the first is not planned or its result
+    is not convex; the polygon comes back unchanged (with delta_area 0) when
+    neither is built. A move is planned only where its step, against p + q
+    or BD, exceeds STEP_TOL. delta_area is polygon_area after the move minus
+    polygon_area before it; near a fixed point it is roundoff, of either sign.
     """
-    updated, gain, rejected, _ = _apply_best(_shape(poly), i)
+    updated, rejected, _ = _apply_best(_shape(poly), i)
     if updated is None:
         return MoveResult(poly, 0.0, False, rejected)
-    return MoveResult(_polygon(updated), gain, True, rejected)
+    return MoveResult(_polygon(updated), polygon_area(updated) - polygon_area(poly), True, rejected)
 
 
 class TraceStep(
@@ -385,7 +376,7 @@ def steiner_optimize(
         sweeps = sweep + 1
         accepted = 0
         for i in range(n):
-            updated, _, rejected, moved = _apply_best(shape, i)
+            updated, rejected, moved = _apply_best(shape, i)
             moves_rejected += rejected
             if updated is None:
                 continue
@@ -542,15 +533,19 @@ def circle_geometry(r: float) -> tuple[float, float]:
 
 
 def circle_radius_for_circumference(L: float) -> float:
-    if L <= 0.0:
-        raise DomainError("circumference must be positive")
-    return math.asinh(L / (2.0 * math.pi))
+    """Radius of the hyperbolic circle of circumference L, at most D_MAX / 2."""
+    if not 0.0 < L < math.inf:
+        raise DomainError("circumference must be positive and finite")
+    r = math.asinh(L / (2.0 * math.pi))
+    if r > D_MAX / 2:
+        raise DomainError(f"radius outside (0, {D_MAX / 2}]")
+    return r
 
 
 def isoperimetric_deficit(L: float, A: float) -> float:
     """L^2 - 4 pi A - A^2; nonnegative for admissible figures, zero for circles."""
-    if L <= 0.0 or A <= 0.0:
-        raise DomainError("perimeter and area must be positive")
+    if not (0.0 < L < math.inf and 0.0 < A < math.inf):
+        raise DomainError("perimeter and area must be positive and finite")
     return L * L - 4.0 * math.pi * A - A * A
 
 

@@ -74,7 +74,7 @@ POLYGON_SEEDS = range(12)
 POLYGON_OPTIMIZED_N = 12
 POLYGON_FULL_N = 8
 POLYGON_SWEEPS = 3
-POLYGON_REJECTING = (8, 119)
+POLYGON_REJECTING = (8, 390)
 
 
 def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
@@ -40,10 +41,11 @@ from hyplobe.disk import (
 )
 from hyplobe.polygon import (
     _Shape,
+    _cross_diagonals,
     _cyclic_cross_diagonal,
+    _diagonal_move,
+    _hinge_move,
     _klein,
-    _plan_diagonal,
-    _plan_hinge,
     _replace,
     _shape,
     circle_radius_for_circumference,
@@ -231,8 +233,8 @@ class TestSteinerMove:
                 f1, f2 = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
                 s = poly.side_lengths[i - 1] + poly.side_lengths[i]
                 grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
-                plan = _plan_hinge(shape, i)
-                updated = None if plan is None else _replace(shape, plan[1])
+                updates = _hinge_move(shape, i)
+                updated = None if updates is None else _replace(shape, updates)
                 if updated is None:
                     continue
                 accepted += 1
@@ -252,8 +254,8 @@ class TestSteinerMove:
                 a, d = poly.vertices[i - 1], poly.vertices[(i + 2) % n]
                 s1, s2, s3 = (poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
                 diag = hyp_distance(a, d)
-                plan = _plan_diagonal(shape, i)
-                updated = None if plan is None else _replace(shape, plan[1])
+                updates = _diagonal_move(shape, i, _cross_diagonals(shape, i))
+                updated = None if updates is None else _replace(shape, updates)
                 if updated is None:
                     continue
                 accepted += 1
@@ -280,6 +282,30 @@ class TestSteinerMove:
                 assert not mv.accepted
                 assert mv.polygon is poly
 
+    def test_builds_the_move_with_the_larger_step(self):
+        # the hinge move at V_i (it moves V_i) when |p - q| >= |BD* - BD|,
+        # else the diagonal move (it moves V_i and V_{i+1}); the other one
+        # only when the first is refused. Two sweeps from each polygon
+        built = {1: 0, 2: 0}
+        for n in (6, 8):
+            for seed in range(10):
+                poly = random_convex_polygon(n, seed)
+                for step in range(2 * n):
+                    i = step % n
+                    shape = _shape(poly)
+                    _, bd, bd_star = _cross_diagonals(shape, i)
+                    side_gap = abs(shape.side_lengths[i - 1] - shape.side_lengths[i])
+                    hinge, diagonal = {i}, {i, (i + 1) % n}
+                    first, second = (hinge, diagonal) if side_gap >= abs(bd_star - bd) else (
+                        diagonal, hinge)
+                    mv = steiner_move(poly, i)
+                    moved = {k for k in range(n) if mv.polygon.vertices[k] != poly.vertices[k]}
+                    assert mv.accepted, (n, seed, step)
+                    assert moved == (first if mv.rejected == 0 else second), (n, seed, step)
+                    built[len(moved)] += 1
+                    poly = mv.polygon
+        assert min(built.values()) >= 20
+
     def test_diagonal_move_is_planned_at_any_scale(self):
         # a jittered quadrilateral of circumradius 1e-10, built as a _Shape
         # since from_vertices refuses it (its angle sum rounds to 2 pi); the
@@ -291,10 +317,10 @@ class TestSteinerMove:
         angles = tuple(_angle(zs[k], zs[k - 1], zs[(k + 1) % n]) for k in range(n))
         shape = _Shape(zs, sides, angles, tuple(map(_klein, zs)))
         for i in range(n):
-            plan = _plan_diagonal(shape, i)
-            assert plan is not None
+            updates = _diagonal_move(shape, i, _cross_diagonals(shape, i))
+            assert updates is not None
             moved = list(zs)
-            for k, z in plan[1].items():
+            for k, z in updates.items():
                 moved[k] = z
             for k in range(n):
                 side = _distance(moved[k], moved[(k + 1) % n])
@@ -504,13 +530,34 @@ class TestSteinerOptimize:
     def test_converged_runs_end_near_a_fixed_point(self):
         # the residual measures what the moves drive to zero: equal sides at
         # each vertex and concyclic cross diagonals
-        cases = [(n, seed) for n in (4, 8, 12) for seed in range(5)] + [(16, 0), (16, 1)]
+        # n = 6 and 8 are the steiner command's sizes in the benchmark
+        cases = [(n, seed) for n in (4, 12) for seed in range(5)] + [(16, 0), (16, 1)]
+        cases += [(n, seed) for n in (6, 8) for seed in range(40)]
         for n, seed in cases:
             poly = random_convex_polygon(n, seed)
             result = steiner_optimize(poly, tol=1e-8)
             assert result.converged, (n, seed)
             bound = 1e-8 * polygon_perimeter(poly) / n
             assert max_optimality_residual(result.polygon) <= bound, (n, seed)
+
+    def test_jittered_octagon_converges_at_every_scale(self):
+        # the regular octagon's vertices pushed to radii R (1 + u), with u
+        # uniform on [-0.15, 0.15] from random.Random(1): the run converges
+        # from R = 1 down to 1e-6, and no smaller copy takes more sweeps: the
+        # step reads only lengths, not the angle-defect area, whose rounding
+        # grows as R shrinks
+        rng = random.Random(1)
+        jitter = [rng.uniform(-0.15, 0.15) for _ in range(8)]
+        sweeps = {}
+        for R in (1.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            poly = HyperbolicPolygon.from_vertices([
+                point_from_polar(R * (1.0 + u), 2.0 * math.pi * k / 8)
+                for k, u in enumerate(jitter)
+            ])
+            result = steiner_optimize(poly, tol=1e-8)
+            assert result.converged, R
+            sweeps[R] = result.sweeps
+        assert max(sweeps.values()) == sweeps[1.0], sweeps
 
     def test_converged_is_the_residual_test(self):
         # converged says exactly whether the final residual is within tol
@@ -785,13 +832,19 @@ class TestIsoperimetry:
             assert d > 0.0
 
     def test_deficit_validation(self):
-        with pytest.raises(DomainError):
-            isoperimetric_deficit(-1.0, 1.0)
+        for L, A in ((-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                     (1.0, math.inf)):
+            with pytest.raises(DomainError, match="perimeter and area"):
+                isoperimetric_deficit(L, A)
         for r in (0.0, -1.0, math.nextafter(10.0, math.inf), math.nan):
             with pytest.raises(DomainError, match="radius outside"):
                 circle_geometry(r)
-        for L in (0.0, -1.0):
+        for L in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="circumference must be positive"):
+                circle_radius_for_circumference(L)
+        # 2 pi sinh(10) = 69198.18... is the circumference at radius D_MAX / 2
+        for L in (7e4, 1e10):
+            with pytest.raises(DomainError, match="radius outside"):
                 circle_radius_for_circumference(L)
 
 
