@@ -164,8 +164,8 @@ def _hinge_area(s: float, base: float):
 def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
     """Argmax of ``_hinge_area`` over ``samples`` interior points of the
     range (lo, hi) the triangle inequality allows; it witnesses the
-    isosceles optimum t = s / 2 of the polygon hinge move. Refuses a base
-    longer than s, which no triangle with sides t and s - t can have."""
+    isosceles optimum t = s / 2 of the polygon move on a triangle. Refuses
+    a base longer than s, which no triangle with sides t and s - t can have."""
     if base > s:
         raise DomainError(
             f"hinge base {base!r} exceeds s = {s!r}: no triangle with sides t, s - t "
@@ -214,8 +214,8 @@ def grid_search_quadrilateral(
     s1: float, s2: float, s3: float, diag: float, samples: int
 ) -> GridSearchResult:
     """Argmax of quadrilateral_area over ``samples`` interior points of
-    phi in (0, pi). Witnesses the polygon diagonal move, which solves for
-    the concyclic position instead of searching."""
+    phi in (0, pi). Witnesses the polygon move, which solves for the
+    concyclic position instead of searching."""
     phi, _ = _linspace(0.0, math.pi, samples + 2, 1)
     phi0, phi1 = phi((0, 1))
     return _scan(_quadrilateral_area(s1, s2, s3, diag), phi, samples, phi1 - phi0)

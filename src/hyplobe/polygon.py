@@ -1,39 +1,34 @@
 """Convex hyperbolic polygons and perimeter-preserving area improvement.
 
 The improver realizes the Steiner program for polygons: local moves that keep
-the perimeter fixed and never decrease the area. Two moves are used in
-round-robin sweeps:
+the perimeter fixed and never decrease the area. One move is used, in
+round-robin sweeps: the window move at V_i takes the window of three sides
+from A = V_{i-1} to D = V_{i+2} (two sides, V_{i-1} to V_{i+1}, on a
+triangle), keeps A, D and the window's total length, and puts the inner
+vertices where the window's area is largest: sides equal, and the four
+vertices on one circle, horocycle or hypercycle.
 
-* a hinge move that redistributes the two side lengths meeting at a vertex
-  (the vertex slides on the locus p + q = const) to maximize the hinge
-  triangle's area, and
-* a diagonal move that repositions an edge, keeping all side lengths fixed,
-  to maximize the area of the quadrilateral spanned by four consecutive
-  vertices.
+Fixed points of the move are equilateral and cyclic, so the sweeps drive any
+convex polygon toward the regular polygon of the same perimeter, which
+witnesses the isoperimetric inequality numerically. The per-vertex residual
+max(|s_{k-1} - s_k|, |BD* - BD|) measures how far V_k is from such a fixed
+point and vanishes on regular polygons (see _residual). A move is planned
+only where it changes a side or the cross diagonal by more than STEP_TOL
+relative, and a run stops, converged, once the largest residual is at most
+tol times the mean side.
 
-Fixed points of the first move are equilateral polygons, fixed points of the
-second are cyclic ones; together the sweeps drive any convex polygon toward
-the regular polygon of the same perimeter, which witnesses the isoperimetric
-inequality numerically. The per-vertex residual max(|s_{k-1} - s_k|,
-|BD* - BD|) is both moves' first-order step and vanishes on regular polygons
-(see _residual). It decides everything: a move is planned only where its step
-exceeds STEP_TOL relative, each step builds the move with the larger step,
-and a run stops, converged, once the largest residual is at most tol times
-the mean side.
-
-Every step is a formula: the hinge optimum is the isosceles triangle; the
-diagonal optimum puts the four vertices on one circle, horocycle or
-hypercycle, where the half-sinhs sinh(dist / 2) of the sides and diagonals
-obey Ptolemy's relations as Euclidean chords do, so the cross diagonal has
-the closed form sinh^2(|BD| / 2) = (ab + cd)(ac + bd) / (ad + bc); the
-circumcircle is a linear least-squares Euclidean circle; and regular polygons
-follow from the right triangles cut out by their apothems. The other move
-is built only if the first is refused; building a move measures again only
-the sides and angles next to the moved vertices and checks convexity only
-where a vertex moved. Convexity and counterclockwise orientation are
-hyperbolic: one turn test decides both in the Klein model, where geodesics
-are straight, which also lets the random polygon generator put its vertices
-on a Klein ellipse, convex by construction.
+Every step is a formula. On a circle, horocycle or hypercycle the half-sinhs
+sinh(dist / 2) of the sides and diagonals obey Ptolemy's relations as
+Euclidean chords do, so the cross diagonal has a closed form (see
+_cyclic_cross_diagonal); with three equal sides it reduces to
+sinh^2(|BD| / 2) = a (a + d). The circumcircle is a linear least-squares
+Euclidean circle, and regular polygons follow from the right triangles cut
+out by their apothems. Building a move measures again only the sides and
+angles next to the moved vertices and checks convexity only where a vertex
+moved. Convexity and counterclockwise orientation are hyperbolic: one turn
+test decides both in the Klein model, where geodesics are straight, which
+also lets the random polygon generator put its vertices on a Klein ellipse,
+convex by construction.
 
 Inside, the vertices are complex numbers, kept with their Klein images;
 DiskPoints exist only at the boundary, in the polygons passed in and
@@ -47,8 +42,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .disk import D_MAX, DiskPoint, _angle, _angle_from_terms, _direction, _distance
-from .disk import _side_terms, _step, point_from_polar
+from .disk import D_MAX, DiskPoint, _angle, _direction, _distance, _step, point_from_polar
 from .errors import DomainError, NonConvexError
 
 # Smallest first-order step, relative to the quantity it changes, for which a
@@ -181,44 +175,76 @@ def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
         return None
 
 
-def _apply_best(shape: _Shape, i: int) -> tuple[_Shape | None, int, dict[int, complex]]:
-    """The Steiner step at vertex i (see steiner_move): build the move whose
-    term of _residual is larger, the other only if that one is not planned or
-    not convex. Returns the new shape (None if none was built), the moves
-    refused and the moved vertices' new positions."""
-    moves = [lambda: _hinge_move(shape, i)]
-    if len(shape.vertices) > 3:
-        cross = _cross_diagonals(shape, i)
-        moves.append(lambda: _diagonal_move(shape, i, cross))
-        if abs(cross[2] - cross[1]) > abs(shape.side_lengths[i - 1] - shape.side_lengths[i]):
-            moves.reverse()
-    rejected = 0
-    for move in moves:
-        updates = move()
-        if updates is None:
-            continue
-        updated = _replace(shape, updates)
-        if updated is not None:
-            return updated, rejected, updates
-        rejected += 1
-    return None, rejected, {}
+def _steiner_step(shape: _Shape, i: int) -> tuple[_Shape | None, int, dict[int, complex]]:
+    """The Steiner step at vertex i (see steiner_move). Returns the new shape
+    (None if nothing moved), the moves refused as not convex (0 or 1) and the
+    moved vertices' new positions."""
+    updates = _window_move(shape, i)
+    if updates is None:
+        return None, 0, {}
+    updated = _replace(shape, updates)
+    if updated is None:
+        return None, 1, {}
+    return updated, 0, updates
 
 
-def _hinge_move(shape: _Shape, i: int) -> dict[int, complex] | None:
-    """Slide V_i along the locus p + q = const to maximize the hinge area;
-    the new position of V_i, or None if the step is at most STEP_TOL."""
+def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
+    """The largest-area position of the window at V_i; the new positions of
+    its inner vertices, or None if the move is not planned.
+
+    The window is the m = min(3, n - 1) sides from A = V_{i-1} to
+    D = V_{i-1+m}; A, D and the window's total length m s stay fixed. A
+    largest-area position exists inside the range where the window stays a
+    polygon: at any end of that range a triangle degenerates, and its area
+    grows as the square root of the distance from that end, so the area
+    rises into the range with infinite slope. At that maximum no sub-move
+    gains area. Sliding one inner vertex with its two sides' sum fixed gains
+    nothing only where the two sides are equal, so all m sides equal s.
+    Moving the inner vertices with every side fixed gains nothing only where
+    A, B, C, D lie on one circle, horocycle or hypercycle, where the opposite
+    angle sums agree. Exactly one position on the polygon's side of AD meets
+    both conditions. With a = sinh(s / 2) and d = sinh(|AD| / 2), the
+    half-sinh Ptolemy relations (J. E. Valentine, Pacific J. Math. 34, 1970;
+    see _cyclic_cross_diagonal) give sinh^2(|BD| / 2) = a (a + d) for
+    B = V_i. That fixes the triangle ABD, and C = V_{i+1} is B's mirror image
+    in the perpendicular bisector of AD. For m = 2 (a triangle) B is the apex
+    of the isosceles triangle on AD, and D = V_{i+1} gives |BD| = s.
+
+    The move is planned only where a window side differs from s by more than
+    STEP_TOL s, or |BD| from its target by more than STEP_TOL |BD|, and where
+    ABD is a triangle with room to spare (_SIDE_MARGIN).
+    """
     zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
-    f1, f2 = zs[i - 1], zs[(i + 1) % n]
-    p, q = sides[i - 1], sides[i]
-    if abs(p - q) <= STEP_TOL * (p + q):
+    m = min(3, n - 1)
+    window = [sides[(i - 1 + k) % n] for k in range(m)]
+    s = sum(window) / m
+    a, d = zs[i - 1], zs[(i - 1 + m) % n]
+    diag, bd_now = _distance(a, d), _distance(zs[i], d)
+    if m == 2:
+        bd = s
+    else:
+        h = math.sinh(0.5 * s)
+        bd = 2.0 * math.asinh(math.sqrt(h * (h + math.sinh(0.5 * diag))))
+    if abs(bd - bd_now) <= STEP_TOL * bd_now and all(abs(x - s) <= STEP_TOL * s for x in window):
         return None
-    chord = _side_terms(_distance(f1, f2))
-    # With the base and p + q fixed, the maximal-area triangle is isosceles.
-    p_new = 0.5 * (p + q)
-    leg = _side_terms(p_new)
-    theta1 = _angle_from_terms(leg[0], leg, chord)
-    return {i: _step(f1, _direction(f1, f2) - theta1, p_new)}
+    # ABD must be a triangle, with room to spare: s + diag is the rounding
+    # scale of the sinh arguments below, and the margin keeps them positive.
+    margin = _SIDE_MARGIN * (s + diag)
+    if not abs(diag - s) + margin < bd < diag + s - margin:
+        return None
+    # The angle phi at A of the triangle ABD, by the half-angle formula
+    # tan^2(phi / 2) = sinh(p - s) sinh(p - diag) / (sinh(p) sinh(p - bd))
+    # with p the half perimeter of ABD; unlike asin or acos it keeps its
+    # accuracy near 0 and pi.
+    phi = 2.0 * math.atan2(
+        math.sqrt(math.sinh(0.5 * (bd + diag - s)) * math.sinh(0.5 * (bd + s - diag))),
+        math.sqrt(math.sinh(0.5 * (s + diag + bd)) * math.sinh(0.5 * (s + diag - bd))),
+    )
+    updates = {i: _step(a, _direction(a, d) - phi, s)}
+    if m == 3:
+        updates[(i + 1) % n] = _step(d, _direction(d, a) + phi, s)
+    return updates
 
 
 def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> float:
@@ -251,8 +277,8 @@ def _cross_diagonals(shape: _Shape, i: int) -> tuple[float, float, float]:
 
 
 def _residual(shape: _Shape, k: int) -> float:
-    """max(|s_{k-1} - s_k|, |BD* - BD|) at V_k, zero where neither move at V_k
-    changes the polygon; a triangle has no diagonal move, so only sides count."""
+    """max(|s_{k-1} - s_k|, |BD* - BD|) at V_k, zero on regular polygons; a
+    triangle has no cross diagonal, so only sides count."""
     side_gap = abs(shape.side_lengths[k - 1] - shape.side_lengths[k])
     if len(shape.vertices) == 3:
         return side_gap
@@ -266,63 +292,23 @@ def max_optimality_residual(poly: HyperbolicPolygon) -> float:
     return max(_residual(shape, k) for k in range(poly.n))
 
 
-def _diagonal_move(
-    shape: _Shape, i: int, cross: tuple[float, float, float]
-) -> dict[int, complex] | None:
-    """Reposition edge V_i V_{i+1} with all side lengths fixed, given the
-    _cross_diagonals at V_i of a polygon with n >= 4; the new positions of
-    V_i and V_{i+1}, or None if the move is not planned.
-
-    Name the quadrilateral A B C D = V_{i-1} V_i V_{i+1} V_{i+2}. One degree
-    of freedom remains, the cross diagonal |BD| (equivalently the angle phi
-    at A between AD and AB). The area is largest where the four vertices lie
-    on one circle, horocycle or hypercycle, i.e. where the opposite angle
-    sums agree, and there |BD| has a closed form (_cyclic_cross_diagonal).
-    No end of the range in which both triangles ABD and BCD exist is ever
-    the target: at either end one triangle degenerates, and its area grows
-    as the square root of the distance from that end, so the area rises
-    into the range with infinite slope and its maximum lies inside.
-    """
-    zs, sides = shape.vertices, shape.side_lengths
-    n = len(zs)
-    ia, ib, ic, id_ = i - 1, i, (i + 1) % n, (i + 2) % n
-    a, d = zs[ia], zs[id_]
-    s1, s2, s3 = sides[ia], sides[ib], sides[ic]
-    diag, bd_now, bd_new = cross
-    # Both triangles must exist, with room to spare: s1 + diag is the rounding
-    # scale of the sinh arguments below, and the margin keeps them positive.
-    margin = _SIDE_MARGIN * (s1 + diag)
-    if not max(abs(s2 - s3), abs(diag - s1)) + margin < bd_new < min(s2 + s3, diag + s1) - margin:
-        return None
-    if abs(bd_new - bd_now) <= STEP_TOL * bd_now:
-        return None
-    # The angle phi at A of the triangle ABD, by the half-angle formula
-    # tan^2(phi / 2) = sinh(p - s1) sinh(p - diag) / (sinh(p) sinh(p - bd))
-    # with p the half perimeter of ABD; unlike asin or acos it keeps its
-    # accuracy near 0 and pi.
-    phi = 2.0 * math.atan2(
-        math.sqrt(math.sinh(0.5 * (bd_new + diag - s1)) * math.sinh(0.5 * (bd_new + s1 - diag))),
-        math.sqrt(math.sinh(0.5 * (s1 + diag + bd_new)) * math.sinh(0.5 * (s1 + diag - bd_new))),
-    )
-    b_new = _step(a, _direction(a, d) - phi, s1)
-    theta_b = _angle_from_terms(_side_terms(s3)[0], _side_terms(s2), _side_terms(bd_new))
-    c_new = _step(b_new, _direction(b_new, d) - theta_b, s2)
-    return {ib: b_new, ic: c_new}
-
-
 def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
-    """One Steiner step at vertex i, the one steiner_optimize takes.
+    """One Steiner step at vertex i, 0 <= i < n, the one steiner_optimize takes.
 
-    Builds the move with the larger first-order step: the hinge move at V_i,
-    whose step is |p - q| for the sides p and q at V_i, or the diagonal move
-    on edge V_i V_{i+1}, whose step is |BD* - BD| (the hinge move on ties).
-    The other move is built only if the first is not planned or its result
-    is not convex; the polygon comes back unchanged (with delta_area 0) when
-    neither is built. A move is planned only where its step, against p + q
-    or BD, exceeds STEP_TOL. delta_area is polygon_area after the move minus
-    polygon_area before it; near a fixed point it is roundoff, of either sign.
+    Moves the window from V_{i-1} to V_{i+2} (V_{i+1} on a triangle) to its
+    largest-area position with the same ends and total length: equal sides,
+    and the four vertices on one circle, horocycle or hypercycle (see
+    _window_move). That moves V_i and V_{i+1} (V_i alone on a triangle). The
+    polygon comes back unchanged (with delta_area 0) when the move is not
+    planned, because it would change no side or cross diagonal by more than
+    STEP_TOL relative, or when its result is not convex; ``rejected`` counts
+    the latter. delta_area is polygon_area after the move minus polygon_area
+    before it; near a fixed point it is roundoff, of either sign.
     """
-    updated, rejected, _ = _apply_best(_shape(poly), i)
+    i = operator.index(i)
+    if not 0 <= i < poly.n:
+        raise DomainError(f"vertex index {i} outside 0..{poly.n - 1}")
+    updated, rejected, _ = _steiner_step(_shape(poly), i)
     if updated is None:
         return MoveResult(poly, 0.0, False, rejected)
     return MoveResult(_polygon(updated), polygon_area(updated) - polygon_area(poly), True, rejected)
@@ -376,7 +362,7 @@ def steiner_optimize(
         sweeps = sweep + 1
         accepted = 0
         for i in range(n):
-            updated, rejected, moved = _apply_best(shape, i)
+            updated, rejected, moved = _steiner_step(shape, i)
             moves_rejected += rejected
             if updated is None:
                 continue
@@ -458,6 +444,7 @@ class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n circumradius")):
     __slots__ = ()
 
     def __new__(cls, n: int, circumradius: float) -> "RegularPolygonSpec":
+        n = operator.index(n)
         if n < 3:
             raise DomainError("a regular polygon needs n >= 3")
         if not (0.0 < circumradius <= D_MAX / 2):
@@ -513,6 +500,7 @@ def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygonSpe
     Inverts sinh(side / 2) = sinh(R) sin(pi / n) in closed form:
     R = asinh(sinh(perimeter / 2n) / sin(pi / n)).
     """
+    n = operator.index(n)
     if n < 3:
         raise DomainError("a regular polygon needs n >= 3")
     if perimeter <= 0.0:

@@ -152,16 +152,21 @@ class TestSteinerCommand:
             assert abs(float(perimeter) - perim0) < 1e-9
         assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
 
-    def test_reports_rejected_moves(self, tmp_path):
-        # seed 390 is the smallest seed >= 0 whose n = 8 run plans a move
-        # whose result is not convex
-        from hyplobe import random_convex_polygon, steiner_optimize
+    def test_reports_rejected_moves(self, tmp_path, monkeypatch, capsys):
+        # no seeded polygon has been seen to refuse a move, so the command runs
+        # in process on test_polygon's REFUSING_OCTAGON, whose run refuses one
+        from test_polygon import REFUSING_OCTAGON
 
-        res = run_cli("steiner", "--n", "8", "--seed", "390",
-                      "--trace-csv", str(tmp_path / "t.csv"))
-        assert res.returncode == 0
-        report = json.loads(res.stdout)
-        result = steiner_optimize(random_convex_polygon(8, 390))
+        from hyplobe import DiskPoint, HyperbolicPolygon, cli, polygon, steiner_optimize
+
+        octagon = HyperbolicPolygon.from_vertices([
+            DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in REFUSING_OCTAGON
+        ])
+        monkeypatch.setattr(polygon, "random_convex_polygon", lambda n, seed: octagon)
+        argv = ["steiner", "--n", "8", "--seed", "0", "--trace-csv", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        result = steiner_optimize(octagon)
         assert report["moves_rejected"] == result.moves_rejected > 0
         assert report["moves_accepted"] == len(result.trace)
 

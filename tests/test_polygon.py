@@ -41,13 +41,11 @@ from hyplobe.disk import (
 )
 from hyplobe.polygon import (
     _Shape,
-    _cross_diagonals,
     _cyclic_cross_diagonal,
-    _diagonal_move,
-    _hinge_move,
     _klein,
     _replace,
     _shape,
+    _window_move,
     circle_radius_for_circumference,
     max_optimality_residual,
 )
@@ -223,28 +221,34 @@ class TestSteinerMove:
                     assert gained > 0.0
                     assert gained == pytest.approx(mv.delta_area, abs=1e-10)
 
-    def test_hinge_move_matches_grid_argmax(self):
-        # the closed form p = q = s / 2 against a 10^5-point grid over p
+    def test_triangle_window_matches_hinge_grid_argmax(self):
+        # on a triangle the window is the hinge at V_i: the closed form
+        # p = q = s / 2 against a 10^5-point grid over p
         accepted = 0
-        for seed in range(10):
-            poly = random_convex_polygon(6, seed)
+        for seed in range(20):
+            poly = random_convex_polygon(3, seed)
             shape = _shape(poly)
             for i in range(poly.n):
                 f1, f2 = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
                 s = poly.side_lengths[i - 1] + poly.side_lengths[i]
                 grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
-                updates = _hinge_move(shape, i)
+                updates = _window_move(shape, i)
                 updated = None if updates is None else _replace(shape, updates)
                 if updated is None:
                     continue
                 accepted += 1
+                assert set(updates) == {i}
                 p_new = updated.side_lengths[i - 1]
                 assert abs(p_new - grid.alpha_hat) <= grid.grid_step
         assert accepted >= 30
 
-    def test_diagonal_move_reaches_grid_maximum(self):
-        # the closed-form concyclic position against a 10^5-point grid over
-        # the angle at V_{i-1}, both scored with the oracle's quadrilateral area
+    def test_window_move_reaches_grid_maximum(self):
+        # the closed-form position against 10^5-point grids over the angle at
+        # A = V_{i-1}, all scored with the oracle's quadrilateral area: it
+        # reaches the grid maximum of three equal sides s, and no split
+        # (3s u1, 3s u2, 3s (1 - u1 - u2)) of the same total, with u1 and u2
+        # multiples of 1/6 summing to at most 5/6, has a higher grid maximum
+        splits = [(k1 / 6, k2 / 6) for k1 in range(1, 5) for k2 in range(1, 6 - k1)]
         accepted = 0
         for seed in range(10):
             poly = random_convex_polygon(6, seed)
@@ -252,17 +256,24 @@ class TestSteinerMove:
             n = poly.n
             for i in range(n):
                 a, d = poly.vertices[i - 1], poly.vertices[(i + 2) % n]
-                s1, s2, s3 = (poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
+                total = sum(poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
+                s = total / 3
                 diag = hyp_distance(a, d)
-                updates = _diagonal_move(shape, i, _cross_diagonals(shape, i))
+                updates = _window_move(shape, i)
                 updated = None if updates is None else _replace(shape, updates)
                 if updated is None:
                     continue
                 accepted += 1
                 phi = angle_at_vertex(a, d, DiskPoint.from_complex(updated.vertices[i]))
-                grid = oracle.grid_search_quadrilateral(s1, s2, s3, diag, 100_000)
-                area = float(oracle.quadrilateral_area(s1, s2, s3, diag, phi))
+                area = float(oracle.quadrilateral_area(s, s, s, diag, phi))
+                grid = oracle.grid_search_quadrilateral(s, s, s, diag, 100_000)
                 assert area >= grid.area_hat - 1e-13
+                for u1, u2 in splits:
+                    sides = (total * u1, total * u2, total * (1.0 - u1 - u2))
+                    if 2.0 * max(*sides, diag) >= total + diag:
+                        continue  # no quadrilateral has these sides
+                    grid = oracle.grid_search_quadrilateral(*sides, diag, 100_000)
+                    assert grid.area_hat <= area + 1e-13, (seed, i, u1, u2)
         assert accepted >= 30
 
     def test_regular_polygon_is_fixed_point(self):
@@ -282,34 +293,39 @@ class TestSteinerMove:
                 assert not mv.accepted
                 assert mv.polygon is poly
 
-    def test_builds_the_move_with_the_larger_step(self):
-        # the hinge move at V_i (it moves V_i) when |p - q| >= |BD* - BD|,
-        # else the diagonal move (it moves V_i and V_{i+1}); the other one
-        # only when the first is refused. Two sweeps from each polygon
+    def test_every_move_changes_the_window_inner_vertices(self):
+        # the window move at V_i moves V_i and V_{i+1}, and V_i alone on a
+        # triangle; two sweeps from each polygon, every move accepted
         built = {1: 0, 2: 0}
-        for n in (6, 8):
+        for n in (3, 6, 8):
             for seed in range(10):
                 poly = random_convex_polygon(n, seed)
                 for step in range(2 * n):
                     i = step % n
-                    shape = _shape(poly)
-                    _, bd, bd_star = _cross_diagonals(shape, i)
-                    side_gap = abs(shape.side_lengths[i - 1] - shape.side_lengths[i])
-                    hinge, diagonal = {i}, {i, (i + 1) % n}
-                    first, second = (hinge, diagonal) if side_gap >= abs(bd_star - bd) else (
-                        diagonal, hinge)
                     mv = steiner_move(poly, i)
                     moved = {k for k in range(n) if mv.polygon.vertices[k] != poly.vertices[k]}
-                    assert mv.accepted, (n, seed, step)
-                    assert moved == (first if mv.rejected == 0 else second), (n, seed, step)
+                    assert mv.accepted and mv.rejected == 0, (n, seed, step)
+                    assert moved == ({i} if n == 3 else {i, (i + 1) % n}), (n, seed, step)
                     built[len(moved)] += 1
                     poly = mv.polygon
         assert min(built.values()) >= 20
 
-    def test_diagonal_move_is_planned_at_any_scale(self):
+    def test_vertex_index_is_checked(self):
+        poly = random_convex_polygon(5, 0)
+        for i in (5, 6, -1, -5, -6):
+            with pytest.raises(DomainError, match="vertex index"):
+                steiner_move(poly, i)
+        for i in (2.0, 0.5, "1"):
+            with pytest.raises(TypeError):
+                steiner_move(poly, i)
+
+    def test_window_move_is_planned_at_any_scale(self):
         # a jittered quadrilateral of circumradius 1e-10, built as a _Shape
         # since from_vertices refuses it (its angle sum rounds to 2 pi); the
-        # planner's margin is relative to the sides, so it still plans there
+        # move's margin is relative to the sides, so it still plans there.
+        # The moved window's sides equal their mean s to 4.5 ulps (4.25
+        # measured), the side outside the window keeps every bit, and the new
+        # |BD| is Ptolemy's value for sides s, s, s
         jitter = ((1.0, 0.1), (1.1, 1.9), (0.9, 3.0), (1.05, 4.6))
         zs = tuple(1e-10 * r * cmath.exp(1j * t) for r, t in jitter)
         n = len(zs)
@@ -317,16 +333,18 @@ class TestSteinerMove:
         angles = tuple(_angle(zs[k], zs[k - 1], zs[(k + 1) % n]) for k in range(n))
         shape = _Shape(zs, sides, angles, tuple(map(_klein, zs)))
         for i in range(n):
-            updates = _diagonal_move(shape, i, _cross_diagonals(shape, i))
-            assert updates is not None
+            updates = _window_move(shape, i)
+            assert updates is not None and set(updates) == {i, (i + 1) % n}
             moved = list(zs)
             for k, z in updates.items():
                 moved[k] = z
-            for k in range(n):
-                side = _distance(moved[k], moved[(k + 1) % n])
-                assert abs(side - sides[k]) <= 4.0 * sys.float_info.epsilon * sides[k]
+            s = sum(sides[k % n] for k in (i - 1, i, i + 1)) / 3
+            for k in (i - 1, i, i + 1):
+                side = _distance(moved[k % n], moved[(k + 1) % n])
+                assert abs(side - s) <= 4.5 * sys.float_info.epsilon * s
+            assert _distance(moved[(i + 2) % n], moved[i - 1]) == sides[(i + 2) % n]
             diag = _distance(zs[i - 1], zs[(i + 2) % n])
-            bd_star = _cyclic_cross_diagonal(sides[i - 1], sides[i], sides[(i + 1) % n], diag)
+            bd_star = _cyclic_cross_diagonal(s, s, s, diag)
             bd = _distance(moved[i], moved[(i + 2) % n])
             assert abs(bd - bd_star) <= 1e-12 * bd_star
 
@@ -632,9 +650,9 @@ class TestSteinerOptimize:
     def test_trace_matches_replayed_moves(self):
         # replaying steiner_move over the same sweeps: every trace step is the
         # full recomputation's bit for bit, the areas chain from the input's,
-        # and the refusals add up. The octagon refuses non-convex moves; it is
-        # the one seed 19 drew when the generator replayed numpy's
-        # default_rng stream
+        # and the refusals add up. The octagon refuses a non-convex move (one,
+        # in a run of 34 sweeps); it is the one seed 19 drew when the
+        # generator replayed numpy's default_rng stream
         poly = HyperbolicPolygon.from_vertices([
             DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in REFUSING_OCTAGON
         ])
@@ -799,6 +817,12 @@ class TestRegularPolygons:
         for n in (0, 1, 2, -3):
             with pytest.raises(DomainError):
                 regular_polygon_for_perimeter(n, 5.0)
+        # a whole-number float is refused too, as for seeds and max_sweeps
+        for n in (3.5, 4.0):
+            with pytest.raises(TypeError):
+                RegularPolygonSpec(n, 1.0)
+            with pytest.raises(TypeError):
+                regular_polygon_for_perimeter(n, 3.0)
 
 
 class TestIsoperimetry:
@@ -884,7 +908,12 @@ class TestRandomPolygon:
                     assert oracle.intrinsic_convex_ccw(poly.vertices), (n, seed)
 
     def test_steiner_converges_on_seeded_polygons(self):
+        # seeds 0-49, then 50 random 32-bit seeds per size, drawn as the
+        # benchmark's cli-cold workload draws its steiner seeds (n = 6 and 8),
+        # where an unconverged run exits 3 and fails the request
+        rng = np.random.default_rng(20261018)
         for n in (6, 8):
-            for seed in range(50):
+            drawn = rng.integers(0, 2**32, 50).tolist()
+            for seed in [*range(50), *drawn]:
                 result = steiner_optimize(random_convex_polygon(n, seed))
                 assert result.converged, (n, seed)
