@@ -209,11 +209,12 @@ def apply_isometry(m: DiskIsometry, p: DiskPoint) -> DiskPoint:
     return m(p)
 
 
-def _angle(v: complex, p: complex, q: complex) -> float:
+def _turn(v: complex, p: complex, q: complex) -> float:
+    """Signed angle at v from the geodesic vq counterclockwise to vp, in [-pi, pi]."""
     u, w = _chart(v, p), _chart(v, q)
     if abs(u) <= _COINCIDENT_TOL or abs(w) <= _COINCIDENT_TOL:
         raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
-    return abs(cmath.phase(u * w.conjugate()))
+    return cmath.phase(u * w.conjugate())
 
 
 def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
@@ -222,7 +223,7 @@ def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
     The model is conformal, so after translating v to the center both
     geodesics become straight rays and the angle is read off directly.
     """
-    return _angle(v.z, p.z, q.z)
+    return abs(_turn(v.z, p.z, q.z))
 
 
 def _direction(p: complex, q: complex) -> float:

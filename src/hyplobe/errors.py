@@ -16,6 +16,6 @@ class DegenerateInputError(DomainError):
 class NonConvexError(DomainError):
     """A polygon is not strictly convex, or its vertices are not counterclockwise.
 
-    Both are hyperbolic notions, decided in the Klein model, where geodesics
-    are straight chords.
+    Both are hyperbolic notions, decided from the polygon's signed interior
+    angles, each measured in the chart centred at its vertex.
     """

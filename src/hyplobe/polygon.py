@@ -25,14 +25,13 @@ sinh^2(|BD| / 2) = a (a + d). The circumcircle is a linear least-squares
 Euclidean circle, and regular polygons follow from the right triangles cut
 out by their apothems. Building a move measures again only the sides and
 angles next to the moved vertices and checks convexity only where a vertex
-moved. Convexity and counterclockwise orientation are hyperbolic: one turn
-test decides both in the Klein model, where geodesics are straight, which
-also lets the random polygon generator put its vertices on a Klein ellipse,
-convex by construction.
+moved. Convexity and counterclockwise orientation are hyperbolic: both are
+decided from the signed interior angles, each read in the chart centred at
+its vertex, which are the angles the polygon reports (see _measure).
 
-Inside, the vertices are complex numbers, kept with their Klein images;
-DiskPoints exist only at the boundary, in the polygons passed in and
-returned. The public functions wrap this core, which makes every check.
+Inside, the vertices are complex numbers; DiskPoints exist only at the
+boundary, in the polygons passed in and returned. The public functions wrap
+this core, which makes every check.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .disk import D_MAX, DiskPoint, _angle, _direction, _distance, _step, point_from_polar
+from .disk import D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar
 from .errors import DomainError, NonConvexError
 
 # Smallest first-order step, relative to the quantity it changes, for which a
@@ -56,7 +55,7 @@ class HyperbolicPolygon(
     namedtuple("HyperbolicPolygon", "vertices side_lengths interior_angles")
 ):
     """Strictly convex polygon, vertices in counterclockwise order: the
-    hyperbolic orientation, decided in the Klein model (see _measure).
+    hyperbolic orientation, read from the signed interior angles (_measure).
 
     ``vertices`` is a tuple of DiskPoints; ``side_lengths[i]`` is the side
     from vertex i to vertex i + 1 and ``interior_angles[i]`` the angle at
@@ -77,18 +76,12 @@ class HyperbolicPolygon(
         return cls(vs, *_measure(tuple(v.z for v in vs))[1:3])
 
 
-# The core's polygon: complex vertices and their Klein images 2z / (1 + |z|^2). Its
-# other fields are HyperbolicPolygon's, so polygon_area and polygon_perimeter take it.
-_Shape = namedtuple("_Shape", "vertices side_lengths interior_angles klein")
-
-
-def _klein(z: complex) -> complex:
-    return 2.0 * z / (1.0 + z.real * z.real + z.imag * z.imag)
+# The core's polygon: HyperbolicPolygon's fields, with complex vertices.
+_Shape = namedtuple("_Shape", "vertices side_lengths interior_angles")
 
 
 def _shape(poly: HyperbolicPolygon) -> _Shape:
-    zs = tuple(v.z for v in poly.vertices)
-    return _Shape(zs, poly.side_lengths, poly.interior_angles, tuple(map(_klein, zs)))
+    return _Shape(tuple(v.z for v in poly.vertices), poly.side_lengths, poly.interior_angles)
 
 
 def _polygon(shape: _Shape) -> HyperbolicPolygon:
@@ -99,54 +92,63 @@ def _polygon(shape: _Shape) -> HyperbolicPolygon:
 def _measure(zs: tuple[complex, ...], parent: _Shape | None = None, moved=frozenset()) -> _Shape:
     """Check and measure the polygon with vertices zs.
 
-    It must turn strictly left at every vertex and wind around once. With
-    its sides straight in the Klein model, the polygon is strictly convex
-    and counterclockwise exactly when its exterior angles all lie in
-    (0, pi) and sum to 2 pi, not 4 pi or more as a star's do.
+    Each interior angle, the signed _turn(V_k, V_{k-1}, V_{k+1}) read in the
+    chart centred at V_k, must lie in (0, pi). So must the turn at V_0 of
+    each fan triangle V_0 V_k V_{k+1}; these turns sum to the angle at V_0
+    modulo 2 pi, and may not exceed it by more than pi, as a pentagram's
+    exceed it by 2 pi. The fan triangles then lie in disjoint sectors
+    at V_0 and tile a simple polygon, whose true angles, in (0, 2 pi) and
+    equal to the measured ones modulo 2 pi, are the measured ones, below pi.
+    It bounds a locally convex set, convex by the Tietze-Nakajima theorem.
 
-    With a convex ``parent`` whose vertices differ from zs only at the indices
-    in ``moved``, only the turns at moved vertices and their neighbours are
-    measured, against the parent's, whose turns sum to 2 pi, and the parent's
-    sides and angles away from the moved vertices are reused; the result is
-    the same, bit for bit, as a full measurement of zs.
+    With a convex ``parent`` that differs from zs only at ``moved``, one
+    vertex or two adjacent ones, only the sides and angles at and next to
+    them are measured and the parent's reused: the result is a full
+    measurement's, bit for bit. With A and D the vertices around them, the
+    window A ... D must also turn left by less than pi at A and at D. A
+    triangle or quadrilateral that does so everywhere is convex, so the
+    window lies right of AD and the rest, the convex parent's, left of it.
+    Glued along AD they tile a simple polygon, convex as above; and a convex
+    polygon's window is convex. Other moved sets are measured in full.
     """
     n = len(zs)
-    if parent is None:
+    ends = None  # A and D around a moved vertex or two adjacent ones
+    if parent is not None and len(moved) + 2 <= n:
+        for k in moved:
+            if moved <= {k, (k + 1) % n}:
+                ends = (k - 1) % n, (k + len(moved)) % n
+    if ends is None:
         edges = at = range(n)
-        ks, sides, angles, winding = list(map(_klein, zs)), [0.0] * n, [0.0] * n, 0.0
+        sides, angles = [0.0] * n, [0.0] * n
     else:
         edges = {(k + d) % n for k in moved for d in (-1, 0)}
         at = {(k + d) % n for k in moved for d in (-1, 0, 1)}
-        old = parent.klein
-        ks, sides, angles = list(old), list(parent.side_lengths), list(parent.interior_angles)
-        for k in moved:
-            ks[k] = _klein(zs[k])
-        winding = 2.0 * math.pi - sum(
-            cmath.phase(_klein_turn(old[i - 1], old[i], old[(i + 1) % n])) for i in at
-        )
-    for i in at:
-        turn = _klein_turn(ks[i - 1], ks[i], ks[(i + 1) % n])
-        if turn.imag <= 0.0:
-            raise NonConvexError("polygon is not strictly convex and counterclockwise")
-        winding += cmath.phase(turn)
-    if winding > 3.0 * math.pi:
-        raise NonConvexError("polygon winds around more than once")
+        sides, angles = list(parent.side_lengths), list(parent.interior_angles)
     for i in edges:
         sides[i] = _distance(zs[i], zs[(i + 1) % n])
     for i in at:
-        angles[i] = _angle(zs[i], zs[i - 1], zs[(i + 1) % n])
+        angles[i] = _turn(zs[i], zs[i - 1], zs[(i + 1) % n])
+        if not 0.0 < angles[i] < math.pi:
+            raise NonConvexError("polygon is not strictly convex and counterclockwise")
+    if ends is None:  # the fan from V_0
+        turns = [_wide_turn(zs[0], zs[k + 1], zs[k]) for k in range(1, n - 1)]
+        limit = angles[0] + math.pi
+    else:  # the window's turns at its ends
+        a, d = ends
+        turns = [_wide_turn(zs[a], zs[d], zs[(a + 1) % n]), _wide_turn(zs[d], zs[d - 1], zs[a])]
+        limit = math.inf
+    if not all(0.0 < t < math.pi for t in turns) or sum(turns) > limit:
+        raise NonConvexError("polygon winds around more than once")
     if sum(angles) >= (n - 2) * math.pi:
         raise NonConvexError("angle sum too large for a hyperbolic polygon")
-    return _Shape(zs, tuple(sides), tuple(angles), tuple(ks))
+    return _Shape(zs, tuple(sides), tuple(angles))
 
 
-def _klein_turn(ka: complex, kb: complex, kc: complex) -> complex:
-    """(kc - kb) conj(kb - ka), for the Klein images of a, b and c.
-
-    Klein geodesics are straight chords, so a -> b -> c turns left where the
-    imaginary part is positive, and the phase is the exterior angle.
-    """
-    return (kc - kb) * (kb - ka).conjugate()
+def _wide_turn(v: complex, p: complex, q: complex) -> float:
+    """disk._turn(v, p, q) from directions alone, (z - v)(1 - v conj(z)) being z's
+    image in v's chart times |1 - conj(v) z|^2: defined however far p and q lie."""
+    u, w = (p - v) * (1.0 - v * p.conjugate()), (q - v) * (1.0 - v * q.conjugate())
+    return cmath.phase(u * w.conjugate())
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
@@ -267,23 +269,18 @@ def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> floa
     return 2.0 * math.asinh(math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
 
 
-def _cross_diagonals(shape: _Shape, i: int) -> tuple[float, float, float]:
-    """|AD|, |BD| and the concyclic |BD*| of A B C D = V_{i-1} V_i V_{i+1} V_{i+2}."""
+def _residual(shape: _Shape, k: int) -> float:
+    """max(|s_{k-1} - s_k|, |BD* - BD|) at V_k, for A B C D = V_{k-1} V_k V_{k+1}
+    V_{k+2} and BD* the concyclic |BD|; zero on regular polygons. A triangle has
+    no cross diagonal, so only sides count."""
     zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
-    diag = _distance(zs[i - 1], zs[(i + 2) % n])
-    bd_star = _cyclic_cross_diagonal(sides[i - 1], sides[i], sides[(i + 1) % n], diag)
-    return diag, _distance(zs[i], zs[(i + 2) % n]), bd_star
-
-
-def _residual(shape: _Shape, k: int) -> float:
-    """max(|s_{k-1} - s_k|, |BD* - BD|) at V_k, zero on regular polygons; a
-    triangle has no cross diagonal, so only sides count."""
-    side_gap = abs(shape.side_lengths[k - 1] - shape.side_lengths[k])
-    if len(shape.vertices) == 3:
+    side_gap = abs(sides[k - 1] - sides[k])
+    if n == 3:
         return side_gap
-    _, bd, bd_star = _cross_diagonals(shape, k)
-    return max(side_gap, abs(bd_star - bd))
+    diag = _distance(zs[k - 1], zs[(k + 2) % n])
+    bd_star = _cyclic_cross_diagonal(sides[k - 1], sides[k], sides[(k + 1) % n], diag)
+    return max(side_gap, abs(bd_star - _distance(zs[k], zs[(k + 2) % n])))
 
 
 def max_optimality_residual(poly: HyperbolicPolygon) -> float:

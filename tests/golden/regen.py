@@ -191,7 +191,7 @@ def polygon_refusal_cases() -> dict[str, list]:
     from hyplobe.disk import DiskPoint, point_from_polar
 
     # the second triangle is thin: clockwise in disk coordinates, but
-    # counterclockwise in the Klein model, where its sides are straight
+    # counterclockwise hyperbolically, as its interior angles show
     clockwise = [
         [DiskPoint(0.3, 0.0), DiskPoint(0.0, 0.3), DiskPoint(-0.3, 0.0)],
         [DiskPoint(-0.3715, -0.6989), DiskPoint(-0.2607, -0.6252),

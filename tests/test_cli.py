@@ -263,6 +263,20 @@ class TestVerifyCommand:
         assert res.returncode == 1
         assert "FAIL area-equivalence" in res.stdout
 
+    def test_library_fault_is_caught(self, monkeypatch, capsys):
+        # tau's sign flipped in the library itself, not by a switch of verify
+        from hyplobe import cli, triangle
+
+        build_figure1 = triangle.build_figure1
+        monkeypatch.setattr(
+            triangle, "build_figure1",
+            lambda *args: (fig := build_figure1(*args))._replace(tau=-fig.tau),
+        )
+        assert cli.main(["verify", "--samples", "50", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL area-equivalence" in out
+        assert "FAIL optimality-certificates" in out
+
     def test_negative_seed_is_bad_input(self):
         res = run_cli("verify", "--samples", "10", "--seed", "-1")
         assert res.returncode == 2

@@ -292,7 +292,7 @@ class TestComplexHelpers:
         for v, p, q in triples:
             wants.append(_bits(lambda: ref(v, p, q)))
             assert _bits(lambda: angle_at_vertex(v, p, q)) == wants[-1]
-            assert _bits(lambda: disk._angle(v.z, p.z, q.z)) == wants[-1]
+            assert _bits(lambda: abs(disk._turn(v.z, p.z, q.z))) == wants[-1]
         refusals = self._refusals(wants)
         coincident = "!DegenerateInputError: angle undefined: vertex coincides with an endpoint"
         assert refusals[coincident] >= 10

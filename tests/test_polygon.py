@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hyplobe import (
+    DegenerateInputError,
     DiskPoint,
     DomainError,
     HyperbolicPolygon,
@@ -31,8 +32,8 @@ from hyplobe import oracle
 from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
-    _angle,
     _distance,
+    _turn,
     angle_at_vertex,
     direction_toward,
     hyp_distance,
@@ -42,7 +43,6 @@ from hyplobe.disk import (
 from hyplobe.polygon import (
     _Shape,
     _cyclic_cross_diagonal,
-    _klein,
     _replace,
     _shape,
     _window_move,
@@ -58,7 +58,8 @@ class TestPolygonConstruction:
 
     def test_clockwise_rejected(self):
         # the second triangle is thin: its disk coordinates run clockwise,
-        # but its geodesic sides (straight in the Klein model) counterclockwise
+        # but its geodesic sides counterclockwise, as its interior angles,
+        # each read in the chart centred at its vertex, show
         for pts in (
             [DiskPoint(0.3, 0.0), DiskPoint(0.0, 0.3), DiskPoint(-0.3, 0.0)],
             [
@@ -83,6 +84,39 @@ class TestPolygonConstruction:
         for pts in (dented, pentagram):
             with pytest.raises(NonConvexError):
                 HyperbolicPolygon.from_vertices(pts)
+
+    def test_coincident_vertices_refused_as_degenerate(self):
+        # a quadrilateral with one vertex repeated, exactly or 1e-13 away:
+        # the angle at the repeat is undefined, not a turn either way
+        tri = [DiskPoint(0.4, 0.0), DiskPoint(0.0, 0.4), DiskPoint(-0.4, -0.1)]
+        for gap in (0.0, 1e-13):
+            for k, v in enumerate(tri):
+                quad = [*tri[:k + 1], DiskPoint(v.x + gap, v.y), *tri[k + 1:]]
+                with pytest.raises(DegenerateInputError, match="coincides"):
+                    HyperbolicPolygon.from_vertices(quad)
+
+    def test_off_centre_polygons_build(self):
+        # regular polygons carried up to 16 from the centre, their farthest
+        # vertex 19.0 out, inside D_MAX; each angle is read in the chart of
+        # its own vertex, so nothing saturates there. Only the verdict is
+        # checked: these areas lose digits through the distances (ROADMAP
+        # item 9)
+        for n in (8, 64):
+            for R in (0.01, 1.0, 3.0):
+                base = regular_polygon_vertices(RegularPolygonSpec(n, R)).vertices
+                for d in (0.0, 8.0, 12.0, 16.0):
+                    move = DiskIsometry(point_from_polar(d, 0.7), 0.0).inverse()
+                    vs = [move(v) for v in base]
+                    assert HyperbolicPolygon.from_vertices(vs).n == n
+                    assert oracle.intrinsic_convex_ccw(vs), (n, R, d)
+
+    def test_polygons_wider_than_a_chart_build(self):
+        # vertices 19 to 20 from the centre, so opposite ones lie farther
+        # apart than any chart can hold (about 37): the fan from V_0 reads
+        # directions only and accepts them, as it must with every side in range
+        for n, d in ((8, 19.0), (16, 19.5), (64, 20.0)):
+            vs = [point_from_polar(d, 2.0 * math.pi * k / n) for k in range(n)]
+            assert HyperbolicPolygon.from_vertices(vs).n == n
 
     def test_incremental_remeasure_matches_from_vertices(self):
         # seeded pushes of one vertex, two neighbours or two vertices apart,
@@ -330,8 +364,8 @@ class TestSteinerMove:
         zs = tuple(1e-10 * r * cmath.exp(1j * t) for r, t in jitter)
         n = len(zs)
         sides = tuple(_distance(zs[k], zs[(k + 1) % n]) for k in range(n))
-        angles = tuple(_angle(zs[k], zs[k - 1], zs[(k + 1) % n]) for k in range(n))
-        shape = _Shape(zs, sides, angles, tuple(map(_klein, zs)))
+        angles = tuple(_turn(zs[k], zs[k - 1], zs[(k + 1) % n]) for k in range(n))
+        shape = _Shape(zs, sides, angles)
         for i in range(n):
             updates = _window_move(shape, i)
             assert updates is not None and set(updates) == {i, (i + 1) % n}
@@ -898,8 +932,8 @@ class TestRandomPolygon:
 
     def test_every_size_builds(self):
         # convex by construction, with nothing refused; for n <= 32 the
-        # intrinsic witness, which shares nothing with the Klein turn test,
-        # confirms each polygon
+        # intrinsic witness, which tests every vertex against every edge
+        # rather than the interior angles and the fan, confirms each polygon
         for n in range(3, 129):
             for seed in range(10):
                 poly = random_convex_polygon(n, seed)
