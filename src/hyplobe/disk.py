@@ -7,7 +7,9 @@ Curvature is fixed at -1. All values are immutable and all operations pure:
 the records are named tuples, compared and hashed by value.
 
 The point primitives wrap helpers on complex numbers, which the polygon path
-calls directly; they make DiskPoint's checks on every point they form.
+calls directly; they make DiskPoint's checks on every point they form. Angles
+and directions are read off _chart's images unchecked, so they are defined
+for any two distinct points, however far apart.
 """
 
 from __future__ import annotations
@@ -127,10 +129,9 @@ class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
 
 
 def _chart(a: complex, z: complex) -> complex:
-    """z in the chart of a, which translates a to the center; checked as a DiskPoint."""
-    w = (z - a) / (1.0 - a.conjugate() * z)
-    _check_inside(w.real, w.imag)
-    return w
+    """z in the chart of a, which translates a to the center. Unchecked: about
+    37 apart the modulus rounds to 1, but not the direction."""
+    return (z - a) / (1.0 - a.conjugate() * z)
 
 
 def point_from_polar(d: float, theta: float) -> DiskPoint:
@@ -146,12 +147,6 @@ def _distance(p: complex, q: complex) -> float:
     if t >= 1.0:
         raise DomainError("distance overflow: points too close to the boundary")
     return math.log1p(2.0 * t / (1.0 - t))
-
-
-def _coshm1(x: float) -> float:
-    """cosh(x) - 1 without cancellation: 2 sinh^2(x/2)."""
-    s = math.sinh(0.5 * x)
-    return 2.0 * s * s
 
 
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
@@ -221,7 +216,7 @@ def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
     """Unsigned hyperbolic angle at v between the geodesics vp and vq, in [0, pi].
 
     The model is conformal, so after translating v to the center both
-    geodesics become straight rays and the angle is read off directly.
+    geodesics become straight rays; the angle is read off however far p and q lie.
     """
     return abs(_turn(v.z, p.z, q.z))
 
@@ -234,7 +229,7 @@ def _direction(p: complex, q: complex) -> float:
 
 
 def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
-    """Initial direction (radians) of the geodesic from p to q.
+    """Initial direction (radians) of the geodesic from p to any other point q.
 
     Directions at p are measured in the chart that translates p to the origin;
     ``step_from`` uses the same chart, so the two compose consistently.
@@ -245,7 +240,9 @@ def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
 def _step(a: complex, theta: float, d: float) -> complex:
     # undo a's chart by -a's; the e^{i 0} of DiskIsometry.inverse can flip a zero's
     # sign. -a has a's modulus, and every caller passes a point inside the disk.
-    return _chart(-a * (1 + 0j), point_from_polar(d, theta).z)
+    z = _chart(-a * (1 + 0j), point_from_polar(d, theta).z)
+    _check_inside(z.real, z.imag)
+    return z
 
 
 def step_from(p: DiskPoint, theta: float, d: float) -> DiskPoint:

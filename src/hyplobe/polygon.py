@@ -109,7 +109,8 @@ def _measure(zs: tuple[complex, ...], parent: _Shape | None = None, moved=frozen
     triangle or quadrilateral that does so everywhere is convex, so the
     window lies right of AD and the rest, the convex parent's, left of it.
     Glued along AD they tile a simple polygon, convex as above; and a convex
-    polygon's window is convex. Other moved sets are measured in full.
+    polygon's window is convex. Other moved sets are measured in full. Fan
+    and window turns are _turn's, defined however far apart the vertices lie.
     """
     n = len(zs)
     ends = None  # A and D around a moved vertex or two adjacent ones
@@ -131,24 +132,17 @@ def _measure(zs: tuple[complex, ...], parent: _Shape | None = None, moved=frozen
         if not 0.0 < angles[i] < math.pi:
             raise NonConvexError("polygon is not strictly convex and counterclockwise")
     if ends is None:  # the fan from V_0
-        turns = [_wide_turn(zs[0], zs[k + 1], zs[k]) for k in range(1, n - 1)]
+        turns = [_turn(zs[0], zs[k + 1], zs[k]) for k in range(1, n - 1)]
         limit = angles[0] + math.pi
     else:  # the window's turns at its ends
         a, d = ends
-        turns = [_wide_turn(zs[a], zs[d], zs[(a + 1) % n]), _wide_turn(zs[d], zs[d - 1], zs[a])]
+        turns = [_turn(zs[a], zs[d], zs[(a + 1) % n]), _turn(zs[d], zs[d - 1], zs[a])]
         limit = math.inf
     if not all(0.0 < t < math.pi for t in turns) or sum(turns) > limit:
         raise NonConvexError("polygon winds around more than once")
     if sum(angles) >= (n - 2) * math.pi:
         raise NonConvexError("angle sum too large for a hyperbolic polygon")
     return _Shape(zs, tuple(sides), tuple(angles))
-
-
-def _wide_turn(v: complex, p: complex, q: complex) -> float:
-    """disk._turn(v, p, q) from directions alone, (z - v)(1 - v conj(z)) being z's
-    image in v's chart times |1 - conj(v) z|^2: defined however far p and q lie."""
-    u, w = (p - v) * (1.0 - v * p.conjugate()), (q - v) * (1.0 - v * q.conjugate())
-    return cmath.phase(u * w.conjugate())
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
@@ -175,6 +169,13 @@ def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
         return _measure(tuple(zs), shape, frozenset(updates))
     except DomainError:
         return None
+
+
+def _steiner_shape(poly: HyperbolicPolygon) -> _Shape:
+    """_shape(poly), refused if a side exceeds D_MAX: a move walks a window's mean side."""
+    if max(poly.side_lengths) > D_MAX:
+        raise DomainError(f"longest side {max(poly.side_lengths)} exceeds D_MAX = {D_MAX}")
+    return _shape(poly)
 
 
 def _steiner_step(shape: _Shape, i: int) -> tuple[_Shape | None, int, dict[int, complex]]:
@@ -300,12 +301,13 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     planned, because it would change no side or cross diagonal by more than
     STEP_TOL relative, or when its result is not convex; ``rejected`` counts
     the latter. delta_area is polygon_area after the move minus polygon_area
-    before it; near a fixed point it is roundoff, of either sign.
+    before it; near a fixed point it is roundoff, of either sign. A polygon
+    with a side over D_MAX is refused.
     """
     i = operator.index(i)
     if not 0 <= i < poly.n:
         raise DomainError(f"vertex index {i} outside 0..{poly.n - 1}")
-    updated, rejected, _ = _steiner_step(_shape(poly), i)
+    updated, rejected, _ = _steiner_step(_steiner_shape(poly), i)
     if updated is None:
         return MoveResult(poly, 0.0, False, rejected)
     return MoveResult(_polygon(updated), polygon_area(updated) - polygon_area(poly), True, rejected)
@@ -341,7 +343,7 @@ def steiner_optimize(
     the area does not decrease beyond roundoff. Each trace step's residual
     is max_optimality_residual after the move, updated only near the
     vertices the step moved. tol must be positive and finite, max_sweeps
-    an integer >= 0.
+    an integer >= 0, and every side at most D_MAX.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
@@ -351,7 +353,7 @@ def steiner_optimize(
     moves_rejected = 0
     sweeps = 0
     n = poly.n
-    shape = _shape(poly)
+    shape = _steiner_shape(poly)
     area = polygon_area(shape)
     residuals = [_residual(shape, k) for k in range(n)]
     bound = tol * polygon_perimeter(shape) / n

@@ -231,9 +231,13 @@ class TestComplexHelpers:
 
     On seeded points up to |z| = 1 - 1e-9 and near-coincident pairs, each
     primitive equals its helper bit for bit and refuses the same inputs with
-    the same error, and both equal the DiskIsometry composition the
-    primitives were first written as.
+    the same error, and both equal a reference written here: the
+    DiskIsometry composition the primitives were first written as, or for
+    angles and directions its quotient unchecked, since a direction needs
+    no image inside the disk.
     """
+
+    OUTSIDE = "!DomainError: point (#, #) is not strictly inside the unit disk"
 
     @pytest.fixture(scope="class")
     def triples(self):
@@ -280,39 +284,57 @@ class TestComplexHelpers:
         refusals = self._refusals(wants)
         assert refusals["!DomainError: distance overflow: points too close to the boundary"] >= 10
 
+    @staticmethod
+    def _chart(v, p):
+        """p in the chart of v: DiskIsometry's quotient, unchecked."""
+        return (p.z - v.z) / (1 - v.z.conjugate() * p.z)
+
+    def _outside(self, v, *points):
+        """Whether isometry_to_origin(v) refuses a point's image as outside the disk."""
+        m = isometry_to_origin(v)
+        return self.OUTSIDE in self._refusals([_bits(lambda: tuple(m(p).x for p in points))])
+
     def test_angle(self, triples):
         def ref(v, p, q):
-            m = isometry_to_origin(v)
-            u, w = m(p).z, m(q).z
+            u, w = self._chart(v, p), self._chart(v, q)
             if abs(u) <= 1e-12 or abs(w) <= 1e-12:
                 raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
             return abs(cmath.phase(u * w.conjugate()))
 
-        wants = []
+        wants, far = [], 0
         for v, p, q in triples:
             wants.append(_bits(lambda: ref(v, p, q)))
             assert _bits(lambda: angle_at_vertex(v, p, q)) == wants[-1]
             assert _bits(lambda: abs(disk._turn(v.z, p.z, q.z))) == wants[-1]
+            if self._outside(v, p, q) and wants[-1][0] != "!":
+                far += 1
+                assert math.isfinite(angle_at_vertex(v, p, q))
         refusals = self._refusals(wants)
         coincident = "!DegenerateInputError: angle undefined: vertex coincides with an endpoint"
         assert refusals[coincident] >= 10
-        assert refusals["!DomainError: point (#, #) is not strictly inside the unit disk"] >= 10
+        assert set(refusals) == {coincident}
+        assert far >= 10
 
     def test_direction(self, triples):
         def ref(p, q):
-            w = isometry_to_origin(p)(q).z
+            w = self._chart(p, q)
             if abs(w) <= 1e-12:
                 raise DegenerateInputError("direction undefined for coincident points")
             return cmath.phase(w)
 
-        wants = []
+        wants, far = [], 0
         for p, q, _ in triples:
             wants.append(_bits(lambda: ref(p, q)))
             assert _bits(lambda: direction_toward(p, q)) == wants[-1]
             assert _bits(lambda: disk._direction(p.z, q.z)) == wants[-1]
+            if self._outside(p, q):
+                far += 1
+                assert math.isfinite(direction_toward(p, q))
         refusals = self._refusals(wants)
-        assert refusals["!DegenerateInputError: direction undefined for coincident points"] >= 10
-        assert refusals["!DomainError: point (#, #) is not strictly inside the unit disk"] >= 10
+        coincident = "!DegenerateInputError: direction undefined for coincident points"
+        assert refusals[coincident] >= 10
+        assert set(refusals) == {coincident}
+        assert far >= 10
 
     def test_step(self, triples):
         rng = np.random.default_rng(7)
@@ -332,4 +354,4 @@ class TestComplexHelpers:
             assert _bits(lambda: disk._step(p.z, theta, d)) == wants[-1]
         refusals = self._refusals(wants)
         assert refusals["!DomainError: hyperbolic distance # outside [#, #]"] >= 10
-        assert refusals["!DomainError: point (#, #) is not strictly inside the unit disk"] >= 10
+        assert refusals[self.OUTSIDE] >= 10

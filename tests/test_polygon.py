@@ -50,6 +50,17 @@ from hyplobe.polygon import (
     max_optimality_residual,
 )
 
+# a hexagon, as (x, y) hex pairs, with V_3 = V_0; see
+# test_coincident_vertices_refused_as_degenerate
+REPEATING_HEXAGON = [
+    ("0x1.5ce2cdd35d593p-3", "0x1.c1aff716a0474p-2"),
+    ("-0x1.8f6d869f724adp-2", "0x1.278ac04103b45p-3"),
+    ("-0x1.a9824d6194af8p-5", "0x1.2efe9302903c5p-6"),
+    ("0x1.5ce2cdd35d593p-3", "0x1.c1aff716a0474p-2"),
+    ("-0x1.3fe2b3385b2b8p-3", "-0x1.c721e9e2a2620p-5"),
+    ("0x1.61deae9ca427ep-1", "-0x1.82e6ecc73add0p-4"),
+]
+
 
 class TestPolygonConstruction:
     def test_too_few_vertices(self):
@@ -94,6 +105,11 @@ class TestPolygonConstruction:
                 quad = [*tri[:k + 1], DiskPoint(v.x + gap, v.y), *tri[k + 1:]]
                 with pytest.raises(DegenerateInputError, match="coincides"):
                     HyperbolicPolygon.from_vertices(quad)
+        # V_3 repeats V_0 but neither of its neighbours: only the fan from
+        # V_0 meets the repeat, and refuses it as one all the same
+        hexagon = [DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in REPEATING_HEXAGON]
+        with pytest.raises(DegenerateInputError, match="coincides"):
+            HyperbolicPolygon.from_vertices(hexagon)
 
     def test_off_centre_polygons_build(self):
         # regular polygons carried up to 16 from the centre, their farthest
@@ -111,12 +127,14 @@ class TestPolygonConstruction:
                     assert oracle.intrinsic_convex_ccw(vs), (n, R, d)
 
     def test_polygons_wider_than_a_chart_build(self):
-        # vertices 19 to 20 from the centre, so opposite ones lie farther
-        # apart than any chart can hold (about 37): the fan from V_0 reads
-        # directions only and accepts them, as it must with every side in range
+        # vertices 19 to 20 from the centre, so opposite ones lie so far apart
+        # (about 37) that their chart images round onto the unit circle: the
+        # fan from V_0 and the witness read only those images' directions, and
+        # both accept them, as they must with every side in range
         for n, d in ((8, 19.0), (16, 19.5), (64, 20.0)):
             vs = [point_from_polar(d, 2.0 * math.pi * k / n) for k in range(n)]
             assert HyperbolicPolygon.from_vertices(vs).n == n
+            assert oracle.intrinsic_convex_ccw(vs), (n, d)
 
     def test_incremental_remeasure_matches_from_vertices(self):
         # seeded pushes of one vertex, two neighbours or two vertices apart,
@@ -572,6 +590,20 @@ class TestSteinerOptimize:
         # as for non-integer seeds: a while loop would quietly run 3 sweeps
         with pytest.raises(TypeError):
             steiner_optimize(random_convex_polygon(5, 1), max_sweeps=2.5)
+
+    def test_sides_beyond_d_max_refused_before_any_move(self):
+        # a move walks a window's mean side, at most the longest one: the
+        # regular 16-gon 18 from the centre has sides of 32.74, which no
+        # move can walk, while every side of the one 11 out is in range
+        far = [point_from_polar(18.0, 2.0 * math.pi * k / 16) for k in range(16)]
+        poly = HyperbolicPolygon.from_vertices(far)
+        for run in (lambda: steiner_move(poly, 0), lambda: steiner_optimize(poly, max_sweeps=0)):
+            with pytest.raises(DomainError, match=r"longest side 32\.73.* exceeds D_MAX = 20\.0"):
+                run()
+        near = [point_from_polar(11.0, 2.0 * math.pi * k / 16) for k in range(16)]
+        poly = HyperbolicPolygon.from_vertices(near)
+        assert 18.0 < max(poly.side_lengths) < 20.0
+        assert steiner_optimize(poly).converged
 
     def test_residual_vanishes_on_regular_polygons(self):
         for n in (3, 4, 8, 64):

@@ -39,7 +39,7 @@ from hyplobe.triangle import (
     _check_solution,
     _euclidean_angle,
 )
-from hyplobe.disk import _COINCIDENT_TOL, _coshm1
+from hyplobe.disk import _COINCIDENT_TOL
 from hyplobe.oracle import (
     curvature_corrected_side,
     euclidean_limit_triangle,
@@ -172,14 +172,15 @@ class TestSolveSas:
 
 
 def _composed_sas(b, c, alpha, u, one_minus_u):
-    """The SAS core as a composition of the helpers: _coshm1, acosh(1 + m),
-    then _check_solution."""
+    """The SAS core as a composition of its steps: cosh(b - c) - 1 as
+    2 sinh^2((b - c) / 2), acosh(1 + m), then _check_solution."""
     half_sin = math.sin(0.5 * alpha)
     one_minus_cos = 2.0 * half_sin * half_sin
     sin_alpha = math.sin(alpha)
     sinh_b = math.sinh(b)
     sinh_c = math.sinh(c)
-    m = _coshm1(b - c) + sinh_b * sinh_c * one_minus_cos
+    s = math.sinh(0.5 * (b - c))
+    m = 2.0 * s * s + sinh_b * sinh_c * one_minus_cos
     a = math.log1p(m + math.sqrt(m * (m + 2.0)))
     beta = math.atan2(
         sin_alpha * sinh_b, math.sinh(c - b) + math.cosh(c) * sinh_b * one_minus_cos
