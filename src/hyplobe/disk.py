@@ -144,7 +144,7 @@ def point_from_polar(d: float, theta: float) -> DiskPoint:
 
 def _distance(p: complex, q: complex) -> float:
     t = abs(p - q) / abs(1.0 - p.conjugate() * q)
-    if t >= 1.0:
+    if t >= 1.0 - 2.0**-52:  # t's last two doubles below 1 would read as 37.43 or 36.74
         raise DomainError("distance overflow: points too close to the boundary")
     return math.log1p(2.0 * t / (1.0 - t))
 
@@ -157,6 +157,8 @@ def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     other and far from the centre, so with both ends 16-20 from the centre
     the distance is off by up to 1.4e-6 relative (against 80-digit mpmath
     on the same doubles). ROADMAP.md item 9 proposes a cancellation-free form.
+    More than about 35 apart t is one of the last few doubles below 1, so
+    the length can only be 37.43 - ln k; t within two ulps of 1 is refused.
     """
     return _distance(p.z, q.z)
 

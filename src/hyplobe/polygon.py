@@ -171,13 +171,6 @@ def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
         return None
 
 
-def _steiner_shape(poly: HyperbolicPolygon) -> _Shape:
-    """_shape(poly), refused if a side exceeds D_MAX: a move walks a window's mean side."""
-    if max(poly.side_lengths) > D_MAX:
-        raise DomainError(f"longest side {max(poly.side_lengths)} exceeds D_MAX = {D_MAX}")
-    return _shape(poly)
-
-
 def _steiner_step(shape: _Shape, i: int) -> tuple[_Shape | None, int, dict[int, complex]]:
     """The Steiner step at vertex i (see steiner_move). Returns the new shape
     (None if nothing moved), the moves refused as not convex (0 or 1) and the
@@ -215,7 +208,8 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
 
     The move is planned only where a window side differs from s by more than
     STEP_TOL s, or |BD| from its target by more than STEP_TOL |BD|, and where
-    ABD is a triangle with room to spare (_SIDE_MARGIN).
+    ABD is a triangle with room to spare (_SIDE_MARGIN). A planned move
+    whose s exceeds D_MAX, farther than _step walks, is refused.
     """
     zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
@@ -236,6 +230,8 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
     margin = _SIDE_MARGIN * (s + diag)
     if not abs(diag - s) + margin < bd < diag + s - margin:
         return None
+    if s > D_MAX:
+        raise DomainError(f"window mean side {s} exceeds D_MAX = {D_MAX}: no step can walk it")
     # The angle phi at A of the triangle ABD, by the half-angle formula
     # tan^2(phi / 2) = sinh(p - s) sinh(p - diag) / (sinh(p) sinh(p - bd))
     # with p the half perimeter of ABD; unlike asin or acos it keeps its
@@ -301,13 +297,13 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     planned, because it would change no side or cross diagonal by more than
     STEP_TOL relative, or when its result is not convex; ``rejected`` counts
     the latter. delta_area is polygon_area after the move minus polygon_area
-    before it; near a fixed point it is roundoff, of either sign. A polygon
-    with a side over D_MAX is refused.
+    before it; near a fixed point it is roundoff, of either sign. A planned
+    move whose window's mean side exceeds D_MAX raises DomainError.
     """
     i = operator.index(i)
     if not 0 <= i < poly.n:
         raise DomainError(f"vertex index {i} outside 0..{poly.n - 1}")
-    updated, rejected, _ = _steiner_step(_steiner_shape(poly), i)
+    updated, rejected, _ = _steiner_step(_shape(poly), i)
     if updated is None:
         return MoveResult(poly, 0.0, False, rejected)
     return MoveResult(_polygon(updated), polygon_area(updated) - polygon_area(poly), True, rejected)
@@ -343,7 +339,8 @@ def steiner_optimize(
     the area does not decrease beyond roundoff. Each trace step's residual
     is max_optimality_residual after the move, updated only near the
     vertices the step moved. tol must be positive and finite, max_sweeps
-    an integer >= 0, and every side at most D_MAX.
+    an integer >= 0. A planned move whose window's mean side exceeds D_MAX
+    raises DomainError, as in steiner_move.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
@@ -353,7 +350,7 @@ def steiner_optimize(
     moves_rejected = 0
     sweeps = 0
     n = poly.n
-    shape = _steiner_shape(poly)
+    shape = _shape(poly)
     area = polygon_area(shape)
     residuals = [_residual(shape, k) for k in range(n)]
     bound = tol * polygon_perimeter(shape) / n

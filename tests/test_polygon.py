@@ -130,11 +130,25 @@ class TestPolygonConstruction:
         # vertices 19 to 20 from the centre, so opposite ones lie so far apart
         # (about 37) that their chart images round onto the unit circle: the
         # fan from V_0 and the witness read only those images' directions, and
-        # both accept them, as they must with every side in range
+        # both accept them, as they must with every side short of the lengths
+        # _distance refuses
         for n, d in ((8, 19.0), (16, 19.5), (64, 20.0)):
             vs = [point_from_polar(d, 2.0 * math.pi * k / n) for k in range(n)]
             assert HyperbolicPolygon.from_vertices(vs).n == n
             assert oracle.intrinsic_convex_ccw(vs), (n, d)
+
+    def test_sides_at_the_last_doubles_of_t_refused(self):
+        # regular squares 18.6 to 19.3 from the centre have equal sides of 36.5
+        # to 37.9, but t = |p - q| / |1 - conj(p) q| rounds within two ulps of
+        # 1 on at least one, where a side could only read 37.43 or 36.74: each
+        # square is refused, not built with wrong or unequal sides
+        for d in (18.6, 18.8, 19.1, 19.3):
+            vs = [point_from_polar(d, 0.5 * math.pi * k) for k in range(4)]
+            with pytest.raises(DomainError, match="distance overflow"):
+                HyperbolicPolygon.from_vertices(vs)
+        far = [point_from_polar(19.1, 0.5 * math.pi * k) for k in range(2)]
+        with pytest.raises(DomainError, match="distance overflow"):
+            hyp_distance(*far)
 
     def test_incremental_remeasure_matches_from_vertices(self):
         # seeded pushes of one vertex, two neighbours or two vertices apart,
@@ -591,15 +605,20 @@ class TestSteinerOptimize:
         with pytest.raises(TypeError):
             steiner_optimize(random_convex_polygon(5, 1), max_sweeps=2.5)
 
-    def test_sides_beyond_d_max_refused_before_any_move(self):
-        # a move walks a window's mean side, at most the longest one: the
-        # regular 16-gon 18 from the centre has sides of 32.74, which no
-        # move can walk, while every side of the one 11 out is in range
+    def test_moves_beyond_d_max_refused_before_any_step(self):
+        # a move walks its window's mean side: the regular 16-gon 18 from the
+        # centre has sides of 32.74, which no step can walk, while the 11-gon
+        # 10.5 out has its longest side past D_MAX but every window's mean in
+        # range, and converges
         far = [point_from_polar(18.0, 2.0 * math.pi * k / 16) for k in range(16)]
         poly = HyperbolicPolygon.from_vertices(far)
-        for run in (lambda: steiner_move(poly, 0), lambda: steiner_optimize(poly, max_sweeps=0)):
-            with pytest.raises(DomainError, match=r"longest side 32\.73.* exceeds D_MAX = 20\.0"):
+        for run in (lambda: steiner_move(poly, 0), lambda: steiner_optimize(poly)):
+            with pytest.raises(DomainError, match=r"window mean side 32\.73.* exceeds D_MAX = 20\.0"):
                 run()
+        wide = [point_from_polar(10.5, math.pi * k / 10) for k in range(11)]
+        poly = HyperbolicPolygon.from_vertices(wide)
+        assert max(poly.side_lengths) > 20.0
+        assert steiner_optimize(poly).converged
         near = [point_from_polar(11.0, 2.0 * math.pi * k / 16) for k in range(16)]
         poly = HyperbolicPolygon.from_vertices(near)
         assert 18.0 < max(poly.side_lengths) < 20.0

@@ -12,32 +12,79 @@ def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _defined_names(node):
-    """The names a module-level statement binds."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
-    if isinstance(node, (ast.Assign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return []
+def _definitions(body):
+    """(statement, name) for each name the statements bind at module level,
+    also inside module-level if, try and with blocks."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield node, name.id
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            for block in ("body", "orelse", "finalbody"):
+                yield from _definitions(getattr(node, block, []))
+            for handler in getattr(node, "handlers", []):
+                yield from _definitions(handler.body)
+
+
+def _package_module(node, modules):
+    """The package module a `from` import reads from (`.disk` or
+    `hyplobe.disk`), '' for the package itself, or None."""
+    dotted = node.module or ""
+    if node.level == 0:
+        if dotted.partition(".")[0] != "hyplobe":
+            return None
+        dotted = dotted.removeprefix("hyplobe").removeprefix(".")
+    elif node.level > 1:
+        return None
+    return dotted if dotted == "" or dotted in modules else None
+
+
+def _uses(module, tree, modules):
+    """(node, (module, name)) for each Name and Attribute node of a module
+    that reads a name: a bare name reads its own module's, or the one a
+    `from` import of the package brought in under it; an attribute of a
+    package module bound by a `from` import reads that module's name."""
+    imported, aliases = {}, {}  # local name -> (module, name); local name -> module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _package_module(node, modules)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == "" and alias.name in modules:
+                    aliases[local] = alias.name
+                elif source:
+                    imported[local] = (source, alias.name)
+    for node in ast.walk(tree):
+        if not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        if isinstance(node, ast.Name):
+            yield node, imported.get(node.id, (module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                yield node, (aliases[node.value.id], node.attr)
 
 
 def test_every_private_module_name_is_used():
-    # a module-level _name (dunders aside) that no module of the package reads
-    # outside its own definition, as a name or an attribute, is dead code
+    # A module-level _name (dunders aside) that no module of the package reads
+    # outside its own definition is dead code; the tests do not count as
+    # readers. Limits: imports and names are matched by spelling, whatever
+    # their scope, so a local variable or parameter spelt like a module-level
+    # name of its own module counts as a use of it; plain `import`
+    # statements, getattr and strings are not followed.
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    uses = {}  # name -> the Name and Attribute nodes that read it
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append(node)
+    used = {}  # (module, name) -> ids of the nodes that read it
+    for module, tree in trees.items():
+        for node, key in _uses(module, tree, trees):
+            used.setdefault(key, set()).add(id(node))
     dead = []
     for module, tree in trees.items():
-        for statement in tree.body:
+        for statement, name in _definitions(tree.body):
             own = {id(n) for n in ast.walk(statement)}
-            for name in filter(_is_private, _defined_names(statement)):
-                if all(id(n) in own for n in uses.get(name, [])):
-                    dead.append(f"{module}.{name}")
+            if _is_private(name) and not used.get((module, name), set()) - own:
+                dead.append(f"{module}.{name}")
     assert dead == []
