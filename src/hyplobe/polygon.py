@@ -2,32 +2,34 @@
 
 The improver realizes the Steiner program for polygons: local moves that keep
 the perimeter fixed and never decrease the area. One move is used, in
-round-robin sweeps: the window move at V_i takes the window of three sides
-from A = V_{i-1} to D = V_{i+2} (two sides, V_{i-1} to V_{i+1}, on a
-triangle), keeps A, D and the window's total length, and puts the inner
-vertices where the window's area is largest: sides equal, and the four
-vertices on one circle, horocycle or hypercycle.
+round-robin sweeps: the window move at V_i keeps the side from V_{i-2} to
+V_{i-1} and the perimeter, and puts the other n - 2 vertices where the
+polygon's area is largest: the n - 1 sides of the window from A = V_{i-1}
+round to D = V_{i-2} equal, and all n vertices on one circle, horocycle or
+hypercycle (see _window_move).
 
 Fixed points of the move are equilateral and cyclic, so the sweeps drive any
 convex polygon toward the regular polygon of the same perimeter, which
 witnesses the isoperimetric inequality numerically. The per-vertex residual
 max(|s_{k-1} - s_k|, |BD* - BD|) measures how far V_k is from such a fixed
-point and vanishes on regular polygons (see _residual). A move is planned
-only where it changes a side or the cross diagonal by more than STEP_TOL
-relative, and a run stops, converged, once the largest residual is at most
-tol times the mean side.
+point and vanishes on regular polygons (see _max_residual). A move is planned
+only where it changes a side or a distance to D by more than STEP_TOL
+relative, and a run stops, converged, as soon as the largest residual is at
+most tol times the mean side.
 
-Every step is a formula. On a circle, horocycle or hypercycle the half-sinhs
-sinh(dist / 2) of the sides and diagonals obey Ptolemy's relations as
-Euclidean chords do, so the cross diagonal has a closed form (see
-_cyclic_cross_diagonal); with three equal sides it reduces to
-sinh^2(|BD| / 2) = a (a + d). The circumcircle is a linear least-squares
-Euclidean circle, and regular polygons follow from the right triangles cut
-out by their apothems. Building a move measures again only the sides and
-angles next to the moved vertices and checks convexity only where a vertex
-moved. Convexity and counterclockwise orientation are hyperbolic: both are
-decided from the signed interior angles, each read in the chart centred at
-its vertex, which are the angles the polygon reports (see _measure).
+Every step is a formula or a bracketed root. On a circle, horocycle or
+hypercycle the half-sinhs sinh(dist / 2) of the sides and diagonals obey
+Ptolemy's relations as Euclidean chords do, so the cross diagonal has a
+closed form (see _cyclic_cross_diagonal), and so does every distance along a
+chain of equal sides, once one root fixes the chain's curve. The move and
+the residual read the polygon in a chart near its middle (see _centred), so
+a polygon far from the centre converges as one near it does. The
+circumcircle is a linear least-squares Euclidean circle, and regular
+polygons follow from the right triangles cut out by their apothems. Each
+move's polygon is measured again in full. Convexity and counterclockwise
+orientation are hyperbolic: both are decided from the signed interior
+angles, each read in the chart centred at its vertex, which are the angles
+the polygon reports (see _measure).
 
 Inside, the vertices are complex numbers; DiskPoints exist only at the
 boundary, in the polygons passed in and returned. The public functions wrap
@@ -41,14 +43,14 @@ import math
 import operator
 from collections import namedtuple
 
-from .disk import D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar
+from .disk import (
+    D_MAX, DiskPoint, _chart, _check_inside, _direction, _distance, _step, _turn, point_from_polar,
+)
 from .errors import DomainError, NonConvexError
 
 # Smallest first-order step, relative to the quantity it changes, for which a
 # move is planned: a smaller one moves the vertices by roundoff only.
 STEP_TOL = 1e-13
-
-_SIDE_MARGIN = 1e-9
 
 
 class HyperbolicPolygon(
@@ -89,7 +91,7 @@ def _polygon(shape: _Shape) -> HyperbolicPolygon:
     return HyperbolicPolygon(vs, shape.side_lengths, shape.interior_angles)
 
 
-def _measure(zs: tuple[complex, ...], parent: _Shape | None = None, moved=frozenset()) -> _Shape:
+def _measure(zs: tuple[complex, ...]) -> _Shape:
     """Check and measure the polygon with vertices zs.
 
     Each interior angle, the signed _turn(V_k, V_{k-1}, V_{k+1}) read in the
@@ -100,49 +102,21 @@ def _measure(zs: tuple[complex, ...], parent: _Shape | None = None, moved=frozen
     at V_0 and tile a simple polygon, whose true angles, in (0, 2 pi) and
     equal to the measured ones modulo 2 pi, are the measured ones, below pi.
     It bounds a locally convex set, convex by the Tietze-Nakajima theorem.
-
-    With a convex ``parent`` that differs from zs only at ``moved``, one
-    vertex or two adjacent ones, only the sides and angles at and next to
-    them are measured and the parent's reused: the result is a full
-    measurement's, bit for bit. With A and D the vertices around them, the
-    window A ... D must also turn left by less than pi at A and at D. A
-    triangle or quadrilateral that does so everywhere is convex, so the
-    window lies right of AD and the rest, the convex parent's, left of it.
-    Glued along AD they tile a simple polygon, convex as above; and a convex
-    polygon's window is convex. Other moved sets are measured in full. Fan
-    and window turns are _turn's, defined however far apart the vertices lie.
+    Fan turns are _turn's, defined however far apart the vertices lie.
     """
     n = len(zs)
-    ends = None  # A and D around a moved vertex or two adjacent ones
-    if parent is not None and len(moved) + 2 <= n:
-        for k in moved:
-            if moved <= {k, (k + 1) % n}:
-                ends = (k - 1) % n, (k + len(moved)) % n
-    if ends is None:
-        edges = at = range(n)
-        sides, angles = [0.0] * n, [0.0] * n
-    else:
-        edges = {(k + d) % n for k in moved for d in (-1, 0)}
-        at = {(k + d) % n for k in moved for d in (-1, 0, 1)}
-        sides, angles = list(parent.side_lengths), list(parent.interior_angles)
-    for i in edges:
-        sides[i] = _distance(zs[i], zs[(i + 1) % n])
-    for i in at:
-        angles[i] = _turn(zs[i], zs[i - 1], zs[(i + 1) % n])
+    sides = tuple(_distance(zs[i], zs[(i + 1) % n]) for i in range(n))
+    angles = []
+    for i in range(n):
+        angles.append(_turn(zs[i], zs[i - 1], zs[(i + 1) % n]))
         if not 0.0 < angles[i] < math.pi:
             raise NonConvexError("polygon is not strictly convex and counterclockwise")
-    if ends is None:  # the fan from V_0
-        turns = [_turn(zs[0], zs[k + 1], zs[k]) for k in range(1, n - 1)]
-        limit = angles[0] + math.pi
-    else:  # the window's turns at its ends
-        a, d = ends
-        turns = [_turn(zs[a], zs[d], zs[(a + 1) % n]), _turn(zs[d], zs[d - 1], zs[a])]
-        limit = math.inf
-    if not all(0.0 < t < math.pi for t in turns) or sum(turns) > limit:
+    turns = [_turn(zs[0], zs[k + 1], zs[k]) for k in range(1, n - 1)]
+    if not all(0.0 < t < math.pi for t in turns) or sum(turns) > angles[0] + math.pi:
         raise NonConvexError("polygon winds around more than once")
     if sum(angles) >= (n - 2) * math.pi:
         raise NonConvexError("angle sum too large for a hyperbolic polygon")
-    return _Shape(zs, tuple(sides), tuple(angles))
+    return _Shape(zs, sides, tuple(angles))
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
@@ -162,88 +136,125 @@ class MoveResult(namedtuple("MoveResult", "polygon delta_area accepted rejected"
 
 def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
     """shape with the given vertices moved, or None if that is not a convex polygon."""
-    zs = list(shape.vertices)
-    for k, z in updates.items():
-        zs[k] = z
     try:
-        return _measure(tuple(zs), shape, frozenset(updates))
+        return _measure(tuple(updates.get(k, z) for k, z in enumerate(shape.vertices)))
     except DomainError:
         return None
 
 
-def _steiner_step(shape: _Shape, i: int) -> tuple[_Shape | None, int, dict[int, complex]]:
+def _steiner_step(shape: _Shape, i: int) -> tuple[_Shape | None, int]:
     """The Steiner step at vertex i (see steiner_move). Returns the new shape
-    (None if nothing moved), the moves refused as not convex (0 or 1) and the
-    moved vertices' new positions."""
+    (None if nothing moved) and the moves refused as not convex (0 or 1)."""
     updates = _window_move(shape, i)
     if updates is None:
-        return None, 0, {}
+        return None, 0
     updated = _replace(shape, updates)
-    if updated is None:
-        return None, 1, {}
-    return updated, 0, updates
+    return updated, int(updated is None)
 
 
 def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
     """The largest-area position of the window at V_i; the new positions of
     its inner vertices, or None if the move is not planned.
 
-    The window is the m = min(3, n - 1) sides from A = V_{i-1} to
-    D = V_{i-1+m}; A, D and the window's total length m s stay fixed. A
-    largest-area position exists inside the range where the window stays a
-    polygon: at any end of that range a triangle degenerates, and its area
-    grows as the square root of the distance from that end, so the area
-    rises into the range with infinite slope. At that maximum no sub-move
-    gains area. Sliding one inner vertex with its two sides' sum fixed gains
-    nothing only where the two sides are equal, so all m sides equal s.
-    Moving the inner vertices with every side fixed gains nothing only where
-    A, B, C, D lie on one circle, horocycle or hypercycle, where the opposite
-    angle sums agree. Exactly one position on the polygon's side of AD meets
-    both conditions. With a = sinh(s / 2) and d = sinh(|AD| / 2), the
+    The window is the m = n - 1 sides from A = V_{i-1} round to D = V_{i-2},
+    every side but DA; A, D and the window's total length m s stay fixed. A
+    largest-area position exists inside the range where the polygon stays
+    convex: at any end of that range an angle flattens, and the area grows as
+    the square root of the distance from that end, so it rises into the range
+    with infinite slope. At that maximum no sub-move gains area. Sliding one
+    inner vertex with its two sides' sum fixed gains nothing only where the
+    two sides are equal, so all m sides equal s. Moving the middle two of
+    four consecutive vertices with their three sides fixed gains nothing only
+    where the four lie on one circle, horocycle or hypercycle, where the
+    opposite angle sums agree; any three vertices fix that curve, so all n
+    vertices lie on one. With h = sinh(s / 2),
+    rho = sinh(|AD| / 2) / h and V_0 = A, ..., V_m = D along the chain, the
     half-sinh Ptolemy relations (J. E. Valentine, Pacific J. Math. 34, 1970;
-    see _cyclic_cross_diagonal) give sinh^2(|BD| / 2) = a (a + d) for
-    B = V_i. That fixes the triangle ABD, and C = V_{i+1} is B's mirror image
-    in the perpendicular bisector of AD. For m = 2 (a triangle) B is the apex
-    of the isosceles triangle on AD, and D = V_{i+1} gives |BD| = s.
+    see _cyclic_cross_diagonal) give sinh(|V_j V_k| / 2) = h U_{k-j} with
+    U_k = f(k t) / f(t) and f(m t) / f(t) = rho: f = sin and t in
+    (0, pi / m) on a circle (rho < m), f = sinh and t > 0 on a hypercycle
+    (rho > m), and U_k = k on a horocycle (rho = m). The ratio falls on the
+    circle's bracket and rises on the hypercycle's, where
+    sinh(m t) / sinh(t) >= e^{(m - 1) t} bounds t, and the root is bisected to
+    the last bit. Each V_k in turn is walked one side s on from V_{k-1}, on
+    the polygon's side of the line to D, at the angle of the triangle
+    (V_{k-1}, V_k, D) whose sides the chain fixes. So no walk is longer than
+    s, and each aims at D afresh, which keeps one walk's rounding from
+    carrying along the chain. At m = 2 (a triangle) V_1 is the apex of the
+    isosceles triangle on AD; at m = 3, U_2^2 = 1 + rho gives
+    sinh^2(|V_1 D| / 2) = h (h + sinh(|AD| / 2)).
 
-    The move is planned only where a window side differs from s by more than
-    STEP_TOL s, or |BD| from its target by more than STEP_TOL |BD|, and where
-    ABD is a triangle with room to spare (_SIDE_MARGIN). A planned move
-    whose s exceeds D_MAX, farther than _step walks, is refused.
+    The window is measured and walked in _centred's chart. The move is
+    planned only where a window side differs from s by more than STEP_TOL s,
+    or some |V_k D| from its target by more than STEP_TOL |V_k D|. A window
+    whose mean side s exceeds D_MAX, farther than _step walks, is refused.
     """
-    zs, sides = shape.vertices, shape.side_lengths
+    zs, sides, c = _centred(shape.vertices)
     n = len(zs)
-    m = min(3, n - 1)
+    m = n - 1
     window = [sides[(i - 1 + k) % n] for k in range(m)]
     s = sum(window) / m
-    a, d = zs[i - 1], zs[(i - 1 + m) % n]
-    diag, bd_now = _distance(a, d), _distance(zs[i], d)
-    if m == 2:
-        bd = s
-    else:
-        h = math.sinh(0.5 * s)
-        bd = 2.0 * math.asinh(math.sqrt(h * (h + math.sinh(0.5 * diag))))
-    if abs(bd - bd_now) <= STEP_TOL * bd_now and all(abs(x - s) <= STEP_TOL * s for x in window):
-        return None
-    # ABD must be a triangle, with room to spare: s + diag is the rounding
-    # scale of the sinh arguments below, and the margin keeps them positive.
-    margin = _SIDE_MARGIN * (s + diag)
-    if not abs(diag - s) + margin < bd < diag + s - margin:
-        return None
     if s > D_MAX:
         raise DomainError(f"window mean side {s} exceeds D_MAX = {D_MAX}: no step can walk it")
-    # The angle phi at A of the triangle ABD, by the half-angle formula
-    # tan^2(phi / 2) = sinh(p - s) sinh(p - diag) / (sinh(p) sinh(p - bd))
-    # with p the half perimeter of ABD; unlike asin or acos it keeps its
-    # accuracy near 0 and pi.
-    phi = 2.0 * math.atan2(
-        math.sqrt(math.sinh(0.5 * (bd + diag - s)) * math.sinh(0.5 * (bd + s - diag))),
-        math.sqrt(math.sinh(0.5 * (s + diag + bd)) * math.sinh(0.5 * (s + diag - bd))),
-    )
-    updates = {i: _step(a, _direction(a, d) - phi, s)}
-    if m == 3:
-        updates[(i + 1) % n] = _step(d, _direction(d, a) + phi, s)
+    chain = [zs[(i - 1 + k) % n] for k in range(n)]  # A = V_0, ..., V_m = D
+    a, d = chain[0], chain[m]
+    diag = _distance(a, d)
+    h = math.sinh(0.5 * s)
+    ratios = _chain_ratios(m, math.sinh(0.5 * diag) / h)
+    reach = [0.0, s, *(2.0 * math.asinh(h * u) for u in ratios), diag]  # j sides apart
+    if all(abs(x - s) <= STEP_TOL * s for x in window) and all(
+        abs(reach[m - k] - e) <= STEP_TOL * e
+        for k, e in enumerate((_distance(z, d) for z in chain[1:m]), 1)
+    ):
+        return None
+    updates, z = {}, a
+    for k in range(1, m):  # V_k one side on from V_{k-1}, aimed by the triangle with D
+        z = _step(z, _direction(z, d) - _angle(s, reach[m - k + 1], reach[m - k]), s)
+        updates[(i - 1 + k) % n] = back = _chart(-c, z)
+        _check_inside(back.real, back.imag)
     return updates
+
+
+def _centred(zs: tuple[complex, ...]) -> tuple[list[complex], list[float], complex]:
+    """zs in the chart of a point c near their middle, the sides there, and c;
+    a point w of the chart is _chart(-c, w) in the disk. 16-20 from the centre
+    _distance is off by up to 9e-7 relative (ROADMAP item 9); in the chart the
+    vertices lie about a circumradius out. c is the Euclidean vertex mean taken
+    again in its own chart: far out, the vertices crowd to the far side."""
+    c = sum(zs) / len(zs)
+    c = _chart(-c, sum(_chart(c, z) for z in zs) / len(zs))
+    ws = [_chart(c, z) for z in zs]
+    n = len(ws)
+    return ws, [_distance(ws[k], ws[(k + 1) % n]) for k in range(n)], c
+
+
+def _chain_ratios(m: int, rho: float) -> list[float]:
+    """U_2, ..., U_{m-1} for the chain of m equal sides whose ends are rho
+    sides apart in half-sinhs (see _window_move)."""
+    if m <= 2 or rho == m:
+        return [float(k) for k in range(2, m)]
+    rising = rho > m
+    f, hi = (math.sinh, math.log(rho) / (m - 1)) if rising else (math.sin, math.pi / m)
+    lo, t = 0.0, 0.5 * hi
+    while lo < t < hi:
+        if (f(m * t) / f(t) < rho) == rising:
+            lo = t
+        else:
+            hi = t
+        t = 0.5 * (lo + hi)
+    return [f(k * t) / f(t) for k in range(2, m)]
+
+
+def _angle(x: float, y: float, z: float) -> float:
+    """The angle between the sides x and y of the triangle with sides x, y, z,
+    by the half-angle formula tan^2(phi / 2) = sinh(p - x) sinh(p - y) /
+    (sinh(p) sinh(p - z)) with p the half perimeter; unlike asin or acos it
+    keeps its accuracy near 0 and pi. A triangle inequality that fails by
+    roundoff reads as a flat angle, which the convexity check refuses."""
+    return 2.0 * math.atan2(
+        math.sqrt(max(0.0, math.sinh(0.5 * (z + y - x)) * math.sinh(0.5 * (z + x - y)))),
+        math.sqrt(max(0.0, math.sinh(0.5 * (x + y + z)) * math.sinh(0.5 * (x + y - z)))),
+    )
 
 
 def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> float:
@@ -266,61 +277,59 @@ def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> floa
     return 2.0 * math.asinh(math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
 
 
-def _residual(shape: _Shape, k: int) -> float:
-    """max(|s_{k-1} - s_k|, |BD* - BD|) at V_k, for A B C D = V_{k-1} V_k V_{k+1}
-    V_{k+2} and BD* the concyclic |BD|; zero on regular polygons. A triangle has
-    no cross diagonal, so only sides count."""
-    zs, sides = shape.vertices, shape.side_lengths
+def _max_residual(shape: _Shape) -> float:
+    """The largest of max(|s_{k-1} - s_k|, |BD* - BD|) at each V_k, for A B C D =
+    V_{k-1} V_k V_{k+1} V_{k+2} and BD* the concyclic |BD|, read in _centred's
+    chart; zero on regular polygons. A triangle has no cross diagonal, so only
+    sides count."""
+    zs, sides, _ = _centred(shape.vertices)
     n = len(zs)
-    side_gap = abs(sides[k - 1] - sides[k])
+    worst = max(abs(sides[k - 1] - sides[k]) for k in range(n))
     if n == 3:
-        return side_gap
-    diag = _distance(zs[k - 1], zs[(k + 2) % n])
-    bd_star = _cyclic_cross_diagonal(sides[k - 1], sides[k], sides[(k + 1) % n], diag)
-    return max(side_gap, abs(bd_star - _distance(zs[k], zs[(k + 2) % n])))
+        return worst
+    for k in range(n):
+        diag = _distance(zs[k - 1], zs[(k + 2) % n])
+        bd_star = _cyclic_cross_diagonal(sides[k - 1], sides[k], sides[(k + 1) % n], diag)
+        worst = max(worst, abs(bd_star - _distance(zs[k], zs[(k + 2) % n])))
+    return worst
 
 
 def max_optimality_residual(poly: HyperbolicPolygon) -> float:
-    """The largest per-vertex residual (see _residual); 0 on regular polygons."""
-    shape = _shape(poly)
-    return max(_residual(shape, k) for k in range(poly.n))
+    """The largest per-vertex residual (see _max_residual); 0 on regular polygons."""
+    return _max_residual(_shape(poly))
 
 
 def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     """One Steiner step at vertex i, 0 <= i < n, the one steiner_optimize takes.
 
-    Moves the window from V_{i-1} to V_{i+2} (V_{i+1} on a triangle) to its
-    largest-area position with the same ends and total length: equal sides,
-    and the four vertices on one circle, horocycle or hypercycle (see
-    _window_move). That moves V_i and V_{i+1} (V_i alone on a triangle). The
-    polygon comes back unchanged (with delta_area 0) when the move is not
-    planned, because it would change no side or cross diagonal by more than
-    STEP_TOL relative, or when its result is not convex; ``rejected`` counts
-    the latter. delta_area is polygon_area after the move minus polygon_area
-    before it; near a fixed point it is roundoff, of either sign. A planned
-    move whose window's mean side exceeds D_MAX raises DomainError.
+    Keeps V_{i-2}, V_{i-1} and the perimeter, and moves the other n - 2
+    vertices to the largest-area position: the n - 1 sides from V_{i-1} round
+    to V_{i-2} equal, and every vertex on one circle, horocycle or hypercycle
+    (see _window_move). The polygon comes back unchanged (with delta_area 0)
+    when the move is not planned, because it would change no side or
+    distance to V_{i-2} by more than STEP_TOL relative, or when its result is
+    not convex; ``rejected`` counts the latter. delta_area is polygon_area
+    after the move minus polygon_area before it; near a fixed point it is
+    roundoff, of either sign. A window whose mean side exceeds D_MAX raises
+    DomainError.
     """
     i = operator.index(i)
     if not 0 <= i < poly.n:
         raise DomainError(f"vertex index {i} outside 0..{poly.n - 1}")
-    updated, rejected, _ = _steiner_step(_shape(poly), i)
+    updated, rejected = _steiner_step(_shape(poly), i)
     if updated is None:
         return MoveResult(poly, 0.0, False, rejected)
     return MoveResult(_polygon(updated), polygon_area(updated) - polygon_area(poly), True, rejected)
 
 
 class TraceStep(
-    namedtuple(
-        "TraceStep", "iteration vertex area_before area_after residual perimeter"
-    )
+    namedtuple("TraceStep", "iteration vertex area_before area_after residual perimeter")
 ):
     __slots__ = ()
 
 
 class SteinerResult(
-    namedtuple(
-        "SteinerResult", "polygon trace converged sweeps spread moves_rejected"
-    )
+    namedtuple("SteinerResult", "polygon trace converged sweeps spread moves_rejected")
 ):
     """``trace`` is a tuple of TraceSteps; ``moves_rejected`` counts planned
     moves refused because the result was not convex."""
@@ -333,56 +342,45 @@ def steiner_optimize(
 ) -> SteinerResult:
     """Round-robin sweeps of steiner_move until the residual is below tol.
 
-    A run stops after a sweep that accepts no move, or once
-    max_optimality_residual is at most tol * perimeter / n; ``converged``
-    is exactly that test. Along the trace the perimeter is conserved and
-    the area does not decrease beyond roundoff. Each trace step's residual
-    is max_optimality_residual after the move, updated only near the
-    vertices the step moved. tol must be positive and finite, max_sweeps
-    an integer >= 0. A planned move whose window's mean side exceeds D_MAX
-    raises DomainError, as in steiner_move.
+    max_optimality_residual is measured again after every accepted move. A
+    run stops as soon as it is at most tol * perimeter / n, even within a
+    sweep, after a sweep that does not lower it (one that accepts no move,
+    too), or after max_sweeps sweeps of n steps; ``converged`` is exactly
+    the residual test, and ``sweeps`` counts the sweeps begun. Along the
+    trace the perimeter is conserved and the area does not decrease beyond
+    roundoff. tol must be positive and finite, max_sweeps an integer >= 0.
+    A window whose mean side exceeds D_MAX raises DomainError, as in
+    steiner_move.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
     if max_sweeps < 0:
         raise DomainError("max_sweeps must be non-negative")
-    trace: list[TraceStep] = []
-    moves_rejected = 0
-    sweeps = 0
+    trace, moves_rejected, sweeps = [], 0, 0
     n = poly.n
     shape = _shape(poly)
     area = polygon_area(shape)
-    residuals = [_residual(shape, k) for k in range(n)]
+    worst = _max_residual(shape)
     bound = tol * polygon_perimeter(shape) / n
     for sweep in range(max_sweeps):
-        sweeps = sweep + 1
-        accepted = 0
+        sweeps, start = sweep + 1, worst
         for i in range(n):
-            updated, rejected, moved = _steiner_step(shape, i)
+            updated, rejected = _steiner_step(shape, i)
             moves_rejected += rejected
-            if updated is None:
-                continue
-            shape = updated
-            accepted += 1
-            for k in {(m + d) % n for m in moved for d in (-2, -1, 0, 1)}:
-                residuals[k] = _residual(shape, k)
-            before, area = area, polygon_area(shape)
-            trace.append(TraceStep(
-                iteration=sweep * n + i, vertex=i, area_before=before, area_after=area,
-                residual=max(residuals), perimeter=polygon_perimeter(shape),
-            ))
-        if accepted == 0 or max(residuals) <= bound:
+            if updated is not None:
+                shape, worst = updated, _max_residual(updated)
+                before, area = area, polygon_area(shape)
+                trace.append(TraceStep(
+                    iteration=sweep * n + i, vertex=i, area_before=before, area_after=area,
+                    residual=worst, perimeter=polygon_perimeter(shape),
+                ))
+            if worst <= bound:
+                break
+        if not bound < worst < start:
             break
     poly = _polygon(shape)
-    fit = circumcircle_fit(poly)
-    return SteinerResult(
-        polygon=poly,
-        trace=tuple(trace),
-        converged=max(residuals) <= bound,
-        sweeps=sweeps,
-        spread=fit.spread,
-        moves_rejected=moves_rejected,
-    )
+    spread = circumcircle_fit(poly).spread
+    return SteinerResult(poly, tuple(trace), worst <= bound, sweeps, spread, moves_rejected)
 
 
 class CircumcircleFit(namedtuple("CircumcircleFit", "center radius spread")):

@@ -67,24 +67,11 @@ KERNEL_SPELLED_OUT = 64
 POLYGON_SIZES = range(3, 17)
 POLYGON_SEEDS = range(12)
 # steiner_optimize runs on every polygon up to POLYGON_OPTIMIZED_N: to the end
-# on seed 0 up to POLYGON_FULL_N and on POLYGON_REJECTING, whose run refuses
-# a non-convex move, and for POLYGON_SWEEPS sweeps on the others, which keeps
-# the whole set near 3 s. No seeded polygon has been seen to refuse a move, so
-# POLYGON_REJECTING is the octagon REFUSING_OCTAGON of tests/test_polygon.py,
-# as (x, y) hex pairs: its run refuses one move in 34 sweeps.
+# on seed 0 up to POLYGON_FULL_N, and for POLYGON_SWEEPS sweeps on the others,
+# which keeps the whole set near 3 s.
 POLYGON_OPTIMIZED_N = 12
 POLYGON_FULL_N = 8
 POLYGON_SWEEPS = 3
-POLYGON_REJECTING = [
-    ("0x1.6b5e5131bfac7p-2", "0x1.fe92a55d8bfc5p-5"),
-    ("0x1.b0dc146c49b65p-3", "0x1.346db1f4fb676p-2"),
-    ("-0x1.cfd797146d86ap-4", "0x1.46bfd31d45b0ep-2"),
-    ("-0x1.68208ad850f33p-2", "-0x1.a1e912f0d7554p-4"),
-    ("-0x1.fb87a65654672p-4", "-0x1.516d0850f59c6p-2"),
-    ("0x1.151626ef10856p-3", "-0x1.93bdb8df6b362p-2"),
-    ("0x1.dd409bccabeafp-3", "-0x1.57fa4db5a5ae7p-2"),
-    ("0x1.02158c0fa2421p-2", "-0x1.e6d7c5a4738c4p-3"),
-]
 
 
 def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:
@@ -210,7 +197,6 @@ def polygon_refusal_cases() -> dict[str, list]:
 def polygon_lines() -> list[str]:
     """One line per kernel call: the call, then the repr (or the refusal)."""
     from hyplobe import polygon
-    from hyplobe.disk import DiskPoint
 
     lines = []
     for n in POLYGON_SIZES:
@@ -230,10 +216,6 @@ def polygon_lines() -> list[str]:
                 calls.append((f"steiner_optimize {sweeps}", polygon.steiner_optimize,
                               poly, 1e-8, sweeps))
             lines += [f"{n} {seed} {name} | {_record(fn, *args)[0]}" for name, fn, *args in calls]
-    poly = polygon.HyperbolicPolygon.from_vertices([
-        DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in POLYGON_REJECTING
-    ])
-    lines.append(f"rejecting steiner_optimize 500 | {_record(polygon.steiner_optimize, poly)[0]}")
     for name, vertices in polygon_refusal_cases().items():
         parts = [f"{name} from_vertices"]
         if name.startswith("clockwise"):

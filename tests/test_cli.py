@@ -153,21 +153,20 @@ class TestSteinerCommand:
         assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
 
     def test_reports_rejected_moves(self, tmp_path, monkeypatch, capsys):
-        # no seeded polygon has been seen to refuse a move, so the command runs
-        # in process on test_polygon's REFUSING_OCTAGON, whose run refuses one
-        from test_polygon import REFUSING_OCTAGON
+        # no seeded polygon has been seen to refuse a move, so the command
+        # runs in process with its first move patched to a reflex position,
+        # and so does the library run it is checked against
+        from test_polygon import refuse_once
 
-        from hyplobe import DiskPoint, HyperbolicPolygon, cli, polygon, steiner_optimize
+        from hyplobe import cli, random_convex_polygon, steiner_optimize
 
-        octagon = HyperbolicPolygon.from_vertices([
-            DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in REFUSING_OCTAGON
-        ])
-        monkeypatch.setattr(polygon, "random_convex_polygon", lambda n, seed: octagon)
+        refuse_once(monkeypatch)
         argv = ["steiner", "--n", "8", "--seed", "0", "--trace-csv", str(tmp_path / "t.csv")]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        result = steiner_optimize(octagon)
-        assert report["moves_rejected"] == result.moves_rejected > 0
+        refuse_once(monkeypatch)
+        result = steiner_optimize(random_convex_polygon(8, 0))
+        assert report["moves_rejected"] == result.moves_rejected == 1
         assert report["moves_accepted"] == len(result.trace)
 
     def test_unconverged_run_exit_3(self, tmp_path):
@@ -205,6 +204,15 @@ class TestSteinerCommand:
         assert all(type(report.pop(key)) is int for key in counts)
         assert report.pop("converged") is True
         assert all(type(x) is float for x in numbers(report))
+
+    @pytest.mark.parametrize("n", ["24", "32"])
+    def test_defaults_converge_at_moderate_n(self, tmp_path, n):
+        # moderate n converges at the default --tol and --max-sweeps
+        res = run_cli("steiner", "--n", n, "--seed", "0",
+                      "--trace-csv", str(tmp_path / "t.csv"))
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        assert report["converged"] is True and report["moves_rejected"] == 0
 
     def test_bad_input_exit_2(self, tmp_path):
         res = run_cli("steiner", "--n", "2", "--seed", "0",

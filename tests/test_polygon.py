@@ -42,6 +42,7 @@ from hyplobe.disk import (
 )
 from hyplobe.polygon import (
     _Shape,
+    _chain_ratios,
     _cyclic_cross_diagonal,
     _replace,
     _shape,
@@ -149,44 +150,6 @@ class TestPolygonConstruction:
         far = [point_from_polar(19.1, 0.5 * math.pi * k) for k in range(2)]
         with pytest.raises(DomainError, match="distance overflow"):
             hyp_distance(*far)
-
-    def test_incremental_remeasure_matches_from_vertices(self):
-        # seeded pushes of one vertex, two neighbours or two vertices apart,
-        # from 1e-3 to past the polygon's middle: many leave a reflex vertex
-        # or reverse the orientation
-        rng = np.random.default_rng(23)
-        verdicts = {True: 0, False: 0}
-        for _ in range(400):
-            n = int(rng.choice([4, 5, 6, 8]))
-            poly = random_convex_polygon(n, int(rng.integers(0, 2**32)))
-            k = int(rng.integers(0, n))
-            moved = [k]
-            if rng.uniform() < 0.5:  # also its neighbour or the vertex after that
-                moved.append((k + int(rng.integers(1, 3))) % n)
-            updates = {}
-            for j in moved:
-                v = poly.vertices[j]
-                toward = poly.vertices[(j + n // 2) % n]
-                if rng.uniform() < 0.5:  # toward the opposite vertex: reflex
-                    d = rng.uniform(0.05, 1.0) * hyp_distance(v, toward)
-                    theta = direction_toward(v, toward)
-                else:
-                    d = 10.0 ** rng.uniform(-3.0, 0.0)
-                    theta = rng.uniform(0.0, 2.0 * math.pi)
-                updates[j] = step_from(v, theta, d)
-            vs = [updates.get(j, poly.vertices[j]) for j in range(n)]
-            try:
-                full = HyperbolicPolygon.from_vertices(vs)
-            except DomainError:
-                full = None
-            incremental = _replace(_shape(poly), {j: p.z for j, p in updates.items()})
-            assert (incremental is None) == (full is None)
-            verdicts[full is None] += 1
-            if full is not None:
-                assert incremental.vertices == tuple(v.z for v in full.vertices)
-                assert incremental.side_lengths == full.side_lengths
-                assert incremental.interior_angles == full.interior_angles
-        assert min(verdicts.values()) >= 100
 
     def test_verdict_matches_intrinsic_witness(self):
         # seeded polygons with vertex radii up to 3: angle-sorted (either
@@ -309,15 +272,16 @@ class TestSteinerMove:
         assert accepted >= 30
 
     def test_window_move_reaches_grid_maximum(self):
-        # the closed-form position against 10^5-point grids over the angle at
-        # A = V_{i-1}, all scored with the oracle's quadrilateral area: it
+        # on a quadrilateral the window is three sides, from A = V_{i-1} to
+        # D = V_{i+2}: the closed-form position against 10^5-point grids over
+        # the angle at A, all scored with the oracle's quadrilateral area: it
         # reaches the grid maximum of three equal sides s, and no split
         # (3s u1, 3s u2, 3s (1 - u1 - u2)) of the same total, with u1 and u2
         # multiples of 1/6 summing to at most 5/6, has a higher grid maximum
         splits = [(k1 / 6, k2 / 6) for k1 in range(1, 5) for k2 in range(1, 6 - k1)]
         accepted = 0
         for seed in range(10):
-            poly = random_convex_polygon(6, seed)
+            poly = random_convex_polygon(4, seed)
             shape = _shape(poly)
             n = poly.n
             for i in range(n):
@@ -360,21 +324,160 @@ class TestSteinerMove:
                 assert mv.polygon is poly
 
     def test_every_move_changes_the_window_inner_vertices(self):
-        # the window move at V_i moves V_i and V_{i+1}, and V_i alone on a
-        # triangle; two sweeps from each polygon, every move accepted
-        built = {1: 0, 2: 0}
-        for n in (3, 6, 8):
+        # the window move at V_i moves every vertex but V_{i-2} and V_{i-1}:
+        # the n - 2 inner vertices V_i ... V_{i-3}; moves from each polygon
+        # while they are planned, every planned move accepted
+        built = {n: 0 for n in (3, 4, 6, 8, 12)}
+        for n in built:
             for seed in range(10):
                 poly = random_convex_polygon(n, seed)
                 for step in range(2 * n):
                     i = step % n
                     mv = steiner_move(poly, i)
+                    if not mv.accepted:
+                        assert mv.polygon is poly and mv.rejected == 0, (n, seed, step)
+                        assert max_optimality_residual(poly) < 1e-11, (n, seed, step)
+                        continue
                     moved = {k for k in range(n) if mv.polygon.vertices[k] != poly.vertices[k]}
-                    assert mv.accepted and mv.rejected == 0, (n, seed, step)
-                    assert moved == ({i} if n == 3 else {i, (i + 1) % n}), (n, seed, step)
-                    built[len(moved)] += 1
+                    assert mv.rejected == 0, (n, seed, step)
+                    assert moved == {(i + k) % n for k in range(n - 2)}, (n, seed, step)
+                    built[n] += 1
                     poly = mv.polygon
-        assert min(built.values()) >= 20
+        assert min(built.values()) >= 40, built
+
+    @pytest.mark.parametrize("regime, closing", [
+        ("circle", 2.0),
+        ("horocycle", 2.0 * math.asinh(5.0 * math.sinh(0.5))),
+        ("hypercycle", 4.9),
+    ])
+    def test_chain_lies_on_its_curve(self, regime, closing):
+        # a hexagon whose five sides of 1 from A = V_0 to D = V_5 turn
+        # unevenly, and whose side DA is ``closing``: rho = sinh(|AD| / 2) /
+        # sinh(1 / 2) is 2.25 < 5, 5 and 11.0 > 5. After the move at V_1 the
+        # five sides are equal and, in 60-digit arithmetic on the new doubles,
+        # sinh(|A V_k| / 2) = sinh(s / 2) U_k, with U_k = f(k t) / f(t) and
+        # f(5 t) / f(t) = rho: f = sin on a circle, sinh on a hypercycle, and
+        # U_k = k on a horocycle
+        mpmath = pytest.importorskip("mpmath")
+
+        def chain(c):
+            vs = [ORIGIN, step_from(ORIGIN, 0.0, 1.0)]
+            for turn in (1.0, 3.0, 2.0, 1.0):
+                ahead = direction_toward(vs[-1], vs[-2]) + math.pi
+                vs.append(step_from(vs[-1], ahead + c * turn, 1.0))
+            return vs
+
+        lo, hi = 0.0, 0.7  # the ends are 5 apart at c = 0, and 0.53 at 0.7
+        for _ in range(60):
+            c = 0.5 * (lo + hi)
+            lo, hi = (c, hi) if hyp_distance(*chain(c)[::5]) > closing else (lo, c)
+        poly = HyperbolicPolygon.from_vertices(chain(lo))
+        mv = steiner_move(poly, 1)
+        assert mv.accepted and mv.delta_area > 0.0
+        assert mv.polygon.vertices[0] == poly.vertices[0]
+        assert mv.polygon.vertices[5] == poly.vertices[5]
+        with mpmath.workdps(60):
+            zs = [mpmath.mpc(v.x, v.y) for v in mv.polygon.vertices]
+
+            def dist(p, q):
+                return 2 * mpmath.atanh(abs(p - q) / abs(1 - mpmath.conj(p) * q))
+
+            sides = [dist(zs[k], zs[k + 1]) for k in range(5)]
+            s = sum(sides) / 5
+            assert max(abs(x - s) for x in sides) <= 1e-14 * s
+            h = mpmath.sinh(s / 2)
+            rho = mpmath.sinh(dist(zs[0], zs[5]) / 2) / h
+            assert abs(rho - mpmath.sinh(closing / 2) / mpmath.sinh(0.5)) <= 1e-12 * rho
+            if regime == "horocycle":
+                assert abs(rho - 5) <= 1e-13
+                ratios = list(range(6))
+            else:
+                assert (rho < 5) == (regime == "circle")
+                f = mpmath.sin if regime == "circle" else mpmath.sinh
+                end = mpmath.pi / 5 if regime == "circle" else mpmath.log(rho) / 4
+                t = mpmath.findroot(
+                    lambda t: f(5 * t) / f(t) - rho, (end / 10**6, end), solver="anderson"
+                )
+                ratios = [f(k * t) / f(t) for k in range(6)]
+            for k in range(1, 5):
+                want = h * ratios[k]
+                assert abs(mpmath.sinh(dist(zs[0], zs[k]) / 2) - want) <= 1e-13 * want, k
+
+    def test_chain_ratios_meet_at_the_horocycle(self):
+        # U_k = k on the horocycle, rho = m, and the circle's and the
+        # hypercycle's roots tend to it from either side
+        assert _chain_ratios(5, 5.0) == [2.0, 3.0, 4.0]
+        assert _chain_ratios(2, 0.5) == []
+        for rho in (math.nextafter(5.0, 0.0), math.nextafter(5.0, 6.0), 5.0 - 1e-9, 5.0 + 1e-9):
+            for k, u in enumerate(_chain_ratios(5, rho), 2):
+                assert abs(u - k) <= 1e-9 * k, (rho, k)
+
+    def test_no_length_preserving_perturbation_gains_area(self):
+        # after the move at V_i, move the inner vertices by up to 1e-5 in
+        # random directions, then slide the middle one along its angle
+        # bisector until the perimeter is the move's again (bisection to the
+        # last bit). A and D stay put, and the area falls, by 8e-13 relative
+        # at least: about the square of the perturbation, above the area's
+        # rounding. A move whose U_k were 3e-5 relative off would gain
+        rng = random.Random(15)
+
+        def slide(p, theta, d):
+            return step_from(p, theta, d) if d >= 0.0 else step_from(p, theta + math.pi, -d)
+
+        trials = 0
+        for n in (5, 6, 8, 12):
+            for seed in range(3):
+                poly = random_convex_polygon(n, seed)
+                i = rng.randrange(n)
+                best = steiner_move(poly, i).polygon
+                perimeter, area = polygon_perimeter(best), polygon_area(best)
+                inner = [(i + k) % n for k in range(n - 2)]
+                j = inner[len(inner) // 2]
+                for _ in range(10):
+                    vs = list(best.vertices)
+                    for k in inner:
+                        vs[k] = step_from(vs[k], rng.uniform(0.0, 2.0 * math.pi),
+                                          rng.uniform(0.0, 1e-5))
+                    u = cmath.exp(1j * direction_toward(vs[j], vs[j - 1]))
+                    u += cmath.exp(1j * direction_toward(vs[j], vs[(j + 1) % n]))
+                    inward, base = cmath.phase(u), vs[j]
+
+                    def trial(d):
+                        vs[j] = slide(base, inward, d)
+                        return HyperbolicPolygon.from_vertices(vs)
+
+                    lo, hi = -1e-2, 1e-2  # sliding inward shortens the perimeter
+                    while lo < 0.5 * (lo + hi) < hi:
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if polygon_perimeter(trial(mid)) > perimeter else (lo, mid)
+                    moved = trial(lo)
+                    assert abs(polygon_perimeter(moved) - perimeter) <= 1e-14 * perimeter
+                    assert polygon_area(moved) < area, (n, seed, i)
+                    trials += 1
+        assert trials == 120
+
+    def test_flat_triangles_are_refused_not_crashed(self):
+        # triangles with the apex 1e-17 to 1e-9 off the diameter through the
+        # other two: |AD| can round to twice the mean side or above, so the
+        # apex's triangle fails its inequality by roundoff; _angle reads it
+        # as flat, the move lands on AD and is refused as not convex
+        rng = random.Random(3)
+        refused = 0
+        for _ in range(300):
+            a, c = sorted(rng.uniform(-0.9, 0.9) for _ in range(2))
+            if c - a < 0.1:
+                continue
+            apex = DiskPoint(rng.uniform(a, c), 10.0 ** rng.uniform(-17.0, -9.0))
+            try:
+                poly = HyperbolicPolygon.from_vertices([DiskPoint(a, 0.0), DiskPoint(c, 0.0), apex])
+            except NonConvexError:  # its angle sum rounds to pi
+                continue
+            for i in range(3):
+                mv = steiner_move(poly, i)
+                assert mv.accepted != (mv.rejected == 1)
+                refused += mv.rejected
+            assert steiner_optimize(poly).converged
+        assert refused >= 50
 
     def test_vertex_index_is_checked(self):
         poly = random_convex_polygon(5, 0)
@@ -523,16 +626,23 @@ class TestCyclicCrossDiagonal:
             assert abs(phi - grid.alpha_hat) <= 2.0 * grid.grid_step
 
 
-REFUSING_OCTAGON = [
-    ("0x1.6b5e5131bfac7p-2", "0x1.fe92a55d8bfc5p-5"),
-    ("0x1.b0dc146c49b65p-3", "0x1.346db1f4fb676p-2"),
-    ("-0x1.cfd797146d86ap-4", "0x1.46bfd31d45b0ep-2"),
-    ("-0x1.68208ad850f33p-2", "-0x1.a1e912f0d7554p-4"),
-    ("-0x1.fb87a65654672p-4", "-0x1.516d0850f59c6p-2"),
-    ("0x1.151626ef10856p-3", "-0x1.93bdb8df6b362p-2"),
-    ("0x1.dd409bccabeafp-3", "-0x1.57fa4db5a5ae7p-2"),
-    ("0x1.02158c0fa2421p-2", "-0x1.e6d7c5a4738c4p-3"),
-]
+def refuse_once(monkeypatch):
+    """Patch polygon._window_move so that its first call returns a reflex
+    position: V_i reflected through the Euclidean midpoint of V_{i-1} V_{i+1},
+    across that chord. steiner_optimize and steiner_move each make one call
+    per step, so a fresh patch replays a run's refusal."""
+    from hyplobe import polygon
+
+    move, calls = polygon._window_move, []
+
+    def patched(shape, i):
+        calls.append(i)
+        if len(calls) > 1:
+            return move(shape, i)
+        zs = shape.vertices
+        return {i: zs[i - 1] + zs[(i + 1) % len(zs)] - zs[i]}
+
+    monkeypatch.setattr(polygon, "_window_move", patched)
 
 
 # the vertices of a thin triangle far out, as (x, y) hex pairs; see
@@ -624,6 +734,75 @@ class TestSteinerOptimize:
         assert 18.0 < max(poly.side_lengths) < 20.0
         assert steiner_optimize(poly).converged
 
+    def test_large_polygons_converge_without_drift(self):
+        # every move moves n - 2 vertices by walks of one side: the perimeter
+        # drifts by at most 1e-13 relative, and the run ends at the regular
+        # polygon of its perimeter
+        for n, seeds in ((64, range(3)), (128, range(2))):
+            for seed in seeds:
+                poly = random_convex_polygon(n, seed)
+                perimeter = polygon_perimeter(poly)
+                result = steiner_optimize(poly)
+                assert result.converged and result.moves_rejected == 0, (n, seed)
+                for step in result.trace:
+                    assert abs(step.perimeter - perimeter) <= 1e-13 * perimeter, (n, seed)
+                ref = regular_polygon(regular_polygon_for_perimeter(n, perimeter))
+                assert polygon_area(result.polygon) == pytest.approx(ref.area, rel=1e-12)
+
+    def test_move_counts_do_not_regress(self):
+        # counts moves, not seconds: every generator polygon with n = 3-12
+        # and seeds 0-29 converges with no move refused, in at most 30 moves
+        # (28 measured, at n = 3, where a move moves one vertex), and n = 64
+        # in at most 10 (6 measured)
+        most = 0
+        for n in range(3, 13):
+            for seed in range(30):
+                result = steiner_optimize(random_convex_polygon(n, seed))
+                assert result.converged and result.moves_rejected == 0, (n, seed)
+                most = max(most, len(result.trace))
+        assert most <= 30
+        for seed in range(3):
+            result = steiner_optimize(random_convex_polygon(64, seed))
+            assert result.converged and len(result.trace) <= 10, seed
+
+    def test_far_polygons_converge(self):
+        # jittered R = 9 polygons (radii 9 (1 + u), u uniform on [-0.1, 0.1]
+        # from random.Random(0-2)) carried 0-8 from the centre, off any
+        # vertex's ray, their farthest vertex up to 17.7 out. There doubles'
+        # distances are off by more than tol (ROADMAP item 9); read in the
+        # chart near the polygon's middle, each run converges in at most 2
+        # sweeps (2 measured), with no move refused
+        for n in (8, 16):
+            for seed in range(3):
+                rng = random.Random(seed)
+                jitter = [rng.uniform(-0.1, 0.1) for _ in range(n)]
+                for d in (0.0, 2.0, 4.0, 6.0, 8.0):
+                    for direction in (0.3, 1.0, 2.0):
+                        carry = DiskIsometry(point_from_polar(d, direction))
+                        poly = HyperbolicPolygon.from_vertices([
+                            carry(point_from_polar(9.0 * (1.0 + u), 2.0 * math.pi * k / n))
+                            for k, u in enumerate(jitter)
+                        ])
+                        result = steiner_optimize(poly)
+                        assert result.converged and result.moves_rejected == 0, (n, seed, d)
+                        assert result.sweeps <= 2, (n, seed, d, direction)
+
+    def test_run_stops_after_a_sweep_that_does_not_lower_the_residual(self):
+        # at tol = 1e-16, below what doubles reach, every run ends unconverged
+        # within 15 sweeps (15 measured, at n = 3): every sweep but the last
+        # lowered the largest residual, and the last did not
+        for n in (3, 5, 8, 16, 64):
+            for seed in range(3):
+                poly = random_convex_polygon(n, seed)
+                result = steiner_optimize(poly, tol=1e-16)
+                assert not result.converged and result.sweeps <= 15, (n, seed)
+                worst = []  # at the start of each sweep, then at the end
+                for sweep in range(result.sweeps + 1):
+                    before = [s.residual for s in result.trace if s.iteration < sweep * n]
+                    worst.append(before[-1] if before else max_optimality_residual(poly))
+                assert all(b < a for a, b in zip(worst[:-2], worst[1:-1])), (n, seed)
+                assert worst[-1] >= worst[-2], (n, seed)
+
     def test_residual_vanishes_on_regular_polygons(self):
         for n in (3, 4, 8, 64):
             for R in (0.1, 1.0, 3.0):
@@ -665,8 +844,8 @@ class TestSteinerOptimize:
     def test_converged_is_the_residual_test(self):
         # converged says exactly whether the final residual is within tol
         # times the mean side, whichever way the run stopped; the last tol
-        # is below what doubles reach, so that run stops on a sweep that
-        # accepts nothing and is unconverged
+        # is below what doubles reach, so that run stops after a sweep that
+        # does not lower the residual and is unconverged
         for n, seed in ((3, 2), (6, 5), (9, 1)):
             poly = random_convex_polygon(n, seed)
             mean_side = polygon_perimeter(poly) / n
@@ -678,8 +857,9 @@ class TestSteinerOptimize:
                     assert result.converged == (residual <= tol * mean_side), (n, seed, tol)
                     if result.trace:
                         assert result.trace[-1].residual == residual
-                stops.append(result.sweeps)
-            # a tighter tol runs longer: tol bounds the residual
+                stops.append(len(result.trace))
+            # a tighter tol takes more moves: tol bounds the residual, and a
+            # run stops at the first move that meets it, within a sweep
             assert stops == sorted(set(stops)), (n, seed, stops)
             assert not result.converged
 
@@ -720,32 +900,35 @@ class TestSteinerOptimize:
         assert not result.converged
         assert result.spread == fit.spread
 
-    def test_trapped_hexagon_is_reported_unconverged(self):
+    def test_trapped_hexagon_converges_to_the_regular_hexagon(self):
         # an equilateral hexagon with interior angles (2.949, 2.949, 0.274)
-        # twice: the first sweep refuses every planned move as not convex and
-        # accepts none, so the run stops far from the regular hexagon of its
-        # perimeter and must say so
+        # twice, on which every planned move of a window of three sides is
+        # not convex; the window of n - 1 sides reaches the regular hexagon
+        # of its perimeter
         poly = HyperbolicPolygon.from_vertices([DiskPoint(x, y) for x, y in TRAPPED_HEXAGON])
         result = steiner_optimize(poly, tol=1e-8)
-        assert not result.converged
-        assert result.moves_rejected > 0
+        assert result.converged
+        assert result.moves_rejected == 0
+        assert len(result.trace) <= 6
         ref = regular_polygon(regular_polygon_for_perimeter(6, polygon_perimeter(poly)))
-        assert polygon_area(result.polygon) < 0.5 * ref.area
+        assert polygon_area(result.polygon) == pytest.approx(ref.area, rel=1e-13)
+        for side in result.polygon.side_lengths:
+            assert side == pytest.approx(ref.side, rel=1e-8)
 
-    def test_trace_matches_replayed_moves(self):
-        # replaying steiner_move over the same sweeps: every trace step is the
-        # full recomputation's bit for bit, the areas chain from the input's,
-        # and the refusals add up. The octagon refuses a non-convex move (one,
-        # in a run of 34 sweeps); it is the one seed 19 drew when the
-        # generator replayed numpy's default_rng stream
-        poly = HyperbolicPolygon.from_vertices([
-            DiskPoint(float.fromhex(x), float.fromhex(y)) for x, y in REFUSING_OCTAGON
-        ])
+    def test_trace_matches_replayed_moves(self, monkeypatch):
+        # replaying steiner_move up to the last trace step's iteration: every
+        # trace step is the full recomputation's bit for bit, the areas chain
+        # from the input's, and the refusals add up. The first step's move is
+        # patched to a reflex position, which both refuse and count
+        poly = random_convex_polygon(8, 0)
+        refuse_once(monkeypatch)
         result = steiner_optimize(poly, tol=1e-8)
+        assert result.converged
         assert result.trace[0].area_before == polygon_area(poly)
+        refuse_once(monkeypatch)
         steps = iter(result.trace)
         rejected = 0
-        for it in range(result.sweeps * poly.n):
+        for it in range(result.trace[-1].iteration + 1):
             mv = steiner_move(poly, it % poly.n)
             rejected += mv.rejected
             if mv.accepted:
@@ -759,9 +942,11 @@ class TestSteinerOptimize:
                     polygon_perimeter(mv.polygon),
                 )
                 poly = mv.polygon
+            else:
+                assert mv.polygon is poly and mv.delta_area == 0.0
         assert next(steps, None) is None
         assert poly.vertices == result.polygon.vertices
-        assert result.moves_rejected == rejected > 0
+        assert result.moves_rejected == rejected == 1
 
     def test_deterministic(self):
         r1 = steiner_optimize(random_convex_polygon(6, 7), tol=1e-8)
