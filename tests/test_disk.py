@@ -121,6 +121,26 @@ class TestHypDistance:
     def test_triangle_inequality(self, p, q, r):
         assert hyp_distance(p, r) <= hyp_distance(p, q) + hyp_distance(q, r) + 1e-12
 
+    def test_accurate_at_any_distance_from_the_centre(self):
+        # 300 pairs per band of distance of both ends from the centre, against
+        # an 80-digit distance between the same doubles: no term cancels
+        # (2.9e-16 measured)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(32)
+        for lo, hi in ((0.0, 3.0), (3.0, 8.0), (8.0, 12.0), (12.0, 16.0), (16.0, 20.0)):
+            worst = 0.0
+            for _ in range(300):
+                p, q = (point_from_polar(rng.uniform(lo, hi), rng.uniform(0.0, 7.0))
+                        for _ in range(2))
+                with mpmath.workdps(80):
+                    px, py, qx, qy = (mpmath.mpf(x) for x in (*p, *q))
+                    ref = 2 * mpmath.asinh(mpmath.sqrt(
+                        ((px - qx) ** 2 + (py - qy) ** 2)
+                        / ((1 - px * px - py * py) * (1 - qx * qx - qy * qy))
+                    ))
+                    worst = max(worst, float(abs(hyp_distance(p, q) - ref) / ref))
+            assert worst <= 4e-16, (lo, hi, worst)
+
 
 class TestGeodesicThrough:
     def test_through_origin_is_diameter(self):
@@ -200,6 +220,22 @@ class TestAngleAtVertex:
         with pytest.raises(DegenerateInputError):
             angle_at_vertex(v, v, DiskPoint(0.3, 0.0))
 
+    def test_accurate_at_any_distance_from_the_centre(self):
+        # at a vertex 0-19 from the centre, between two points 1 away: within
+        # two ulps of pi of a 60-digit angle on the same doubles (3.8e-16
+        # measured)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(35)
+        for lo, hi in ((0.0, 3.0), (3.0, 8.0), (8.0, 12.0), (12.0, 16.0), (16.0, 19.0)):
+            for _ in range(300):
+                v = point_from_polar(rng.uniform(lo, hi), rng.uniform(0.0, 7.0))
+                p, q = (step_from(v, rng.uniform(-3.0, 3.0), 1.0) for _ in range(2))
+                with mpmath.workdps(60):
+                    a, u, w = (mpmath.mpc(*x) for x in (v, p, q))
+                    u, w = ((x - a) / (1 - mpmath.conj(a) * x) for x in (u, w))
+                    ref = abs(mpmath.arg(u * mpmath.conj(w)))
+                    assert abs(angle_at_vertex(v, p, q) - ref) <= 2 * 4.45e-16, (lo, hi)
+
     def test_conformal_invariance_under_isometry(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
@@ -231,10 +267,10 @@ class TestComplexHelpers:
 
     On seeded points up to |z| = 1 - 1e-9 and near-coincident pairs, each
     primitive equals its helper bit for bit and refuses the same inputs with
-    the same error, and both equal a reference written here: the
-    DiskIsometry composition the primitives were first written as, or for
-    angles and directions its quotient unchecked, since a direction needs
-    no image inside the disk.
+    the same error, and both equal a reference written here: a copy of the
+    distance and chart formulas (see _g and _chart below), read unchecked
+    for angles and directions, since a direction needs no image inside the
+    disk, or the DiskIsometry composition a step was first written as.
     """
 
     OUTSIDE = "!DomainError: point (#, #) is not strictly inside the unit disk"
@@ -269,25 +305,65 @@ class TestComplexHelpers:
         kinds = [re.sub(r"-?\d[\d.e+-]*", "#", r) for r in results if r[0] == "!"]
         return {k: kinds.count(k) for k in kinds}
 
-    def test_distance(self, triples):
-        def ref(p, q):
-            t = abs(p.z - q.z) / abs(1.0 - p.z.conjugate() * q.z)
-            if t >= 1.0 - 2.0**-52:
-                raise DomainError("distance overflow: points too close to the boundary")
-            return math.log1p(2.0 * t / (1.0 - t))
-
-        wants = []
-        for v, p, _ in triples:
-            wants.append(_bits(lambda: ref(v, p)))
-            assert _bits(lambda: hyp_distance(v, p)) == wants[-1]
-            assert _bits(lambda: disk._distance(v.z, p.z)) == wants[-1]
-        refusals = self._refusals(wants)
-        assert refusals["!DomainError: distance overflow: points too close to the boundary"] >= 10
-
     @staticmethod
-    def _chart(v, p):
-        """p in the chart of v: DiskIsometry's quotient, unchecked."""
-        return (p.z - v.z) / (1 - v.z.conjugate() * p.z)
+    def _dot(c, *pairs):
+        """c + sum of x y, from the exact parts hi hi', hi lo', lo hi', lo lo'
+        of each product, hi the top 26 bits of a factor and lo the rest."""
+        parts = [c]
+        for x, y in pairs:
+            xh = 134217729.0 * x - (134217729.0 * x - x)
+            yh = 134217729.0 * y - (134217729.0 * y - y)
+            parts += (xh * yh, xh * (y - yh), (x - xh) * yh, (x - xh) * (y - yh))
+        return math.fsum(parts)
+
+    def _g(self, z):
+        return self._dot(1.0, (z.real, -z.real), (z.imag, -z.imag))
+
+    def test_g(self):
+        # correctly rounded, so within half an ulp of the 60-digit value: on
+        # 20,000 seeded points up to 21 from the centre, the last double
+        # below 1 on both axes and the diagonal, and signed zeros
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(33)
+        last = 1.0 - 2.0**-53
+        diagonal = last / math.sqrt(2.0)
+        zs = [complex(last, 0.0), complex(-0.0, -last), complex(diagonal, diagonal),
+              complex(0.0, 0.0), complex(-0.0, -0.0), complex(-0.0, 0.5)]
+        for _ in range(20000):
+            zs.append(cmath.rect(math.tanh(0.5 * rng.uniform(0.0, 21.0)), rng.uniform(0.0, 7.0)))
+        for z in zs:
+            assert disk._g(z) == self._g(z)
+            with mpmath.workdps(60):
+                ref = 1 - mpmath.mpf(z.real) ** 2 - mpmath.mpf(z.imag) ** 2
+                assert abs(disk._g(z) - ref) <= 2.0**-53 * ref, z
+
+    def test_distance(self, triples):
+        # within 4.5e-16 relative of a 60-digit distance between the same
+        # doubles (3.9e-16 measured)
+        mpmath = pytest.importorskip("mpmath")
+
+        def ref(p, q):
+            return 2.0 * math.asinh(abs(p.z - q.z) / math.sqrt(self._g(p.z) * self._g(q.z)))
+
+        for v, p, _ in triples:
+            want = _bits(lambda: ref(v, p))
+            assert _bits(lambda: hyp_distance(v, p)) == want
+            assert _bits(lambda: disk._distance(v.z, p.z)) == want
+            with mpmath.workdps(60):
+                vx, vy, px, py = (mpmath.mpf(x) for x in (*v, *p))
+                exact = 2 * mpmath.asinh(mpmath.sqrt(
+                    ((vx - px) ** 2 + (vy - py) ** 2)
+                    / ((1 - vx * vx - vy * vy) * (1 - px * px - py * py))
+                ))
+                assert abs(hyp_distance(v, p) - exact) <= 4.5e-16 * exact, (v, p)
+
+    def _chart(self, v, p):
+        """p in the chart of v, unchecked: (p - v) / (1 - conj(v) p), each part
+        of the denominator summed exactly from its products, then rounded."""
+        a, z = v.z, p.z
+        den = complex(self._dot(1.0, (a.real, -z.real), (a.imag, -z.imag)),
+                      self._dot(0.0, (a.imag, z.real), (a.real, -z.imag)))
+        return (z - a) / den
 
     def _outside(self, v, *points):
         """Whether isometry_to_origin(v) refuses a point's image as outside the disk."""
@@ -355,3 +431,20 @@ class TestComplexHelpers:
         refusals = self._refusals(wants)
         assert refusals["!DomainError: hyperbolic distance # outside [#, #]"] >= 10
         assert refusals[self.OUTSIDE] >= 10
+
+    def test_far_steps_end_at_the_rounded_point(self):
+        # a walk of 12-16 from 17-20 out, as the Steiner move takes on far
+        # polygons, ends near its start: _carry, which step_from calls,
+        # returns the image of the same doubles rounded from 50 digits (300
+        # of 300 measured; _chart's quotient, a few ulps off, 63 of 300)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(34)
+        rounded = 0
+        for _ in range(300):
+            p = point_from_polar(rng.uniform(17.0, 20.0), rng.uniform(0.0, 7.0))
+            q = point_from_polar(rng.uniform(12.0, 16.0), rng.uniform(-4.0, 4.0))
+            with mpmath.workdps(50):
+                a, z = mpmath.mpc(*p), mpmath.mpc(*q)
+                want = complex((z + a) / (1 + mpmath.conj(a) * z))
+            rounded += disk._carry(-p.z, q.z) == want
+        assert rounded >= 295

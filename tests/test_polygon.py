@@ -114,42 +114,63 @@ class TestPolygonConstruction:
 
     def test_off_centre_polygons_build(self):
         # regular polygons carried up to 16 from the centre, their farthest
-        # vertex 19.0 out, inside D_MAX; each angle is read in the chart of
-        # its own vertex, so nothing saturates there. Only the verdict is
-        # checked: these areas lose digits through the distances (ROADMAP
-        # item 9)
+        # vertex 19.0 out, inside D_MAX: the perimeter is within 4e-15
+        # relative of a 60-digit one over the same doubles at every offset
+        # (7.9e-16 measured), and for R = 1 and 3 the area within 1e-13
+        # (4.3e-14 measured); at R = 0.01 the angle-defect area cancels
+        # (ROADMAP item 2), so only the verdict is checked there
+        mpmath = pytest.importorskip("mpmath")
         for n in (8, 64):
             for R in (0.01, 1.0, 3.0):
                 base = regular_polygon_vertices(RegularPolygonSpec(n, R)).vertices
                 for d in (0.0, 8.0, 12.0, 16.0):
                     move = DiskIsometry(point_from_polar(d, 0.7), 0.0).inverse()
                     vs = [move(v) for v in base]
-                    assert HyperbolicPolygon.from_vertices(vs).n == n
+                    poly = HyperbolicPolygon.from_vertices(vs)
                     assert oracle.intrinsic_convex_ccw(vs), (n, R, d)
+                    with mpmath.workdps(60):
+                        zs = [mpmath.mpc(*v) for v in vs]
+                        charts = [[(z - a) / (1 - mpmath.conj(a) * z) for z in zs] for a in zs]
+                        perimeter = sum(2 * mpmath.atanh(abs(charts[k - 1][k])) for k in range(n))
+                        area = (n - 2) * mpmath.pi - sum(
+                            abs(mpmath.arg(charts[k][k - 1] * mpmath.conj(charts[k][(k + 1) % n])))
+                            for k in range(n)
+                        )
+                        assert abs(polygon_perimeter(poly) - perimeter) <= 4e-15 * perimeter
+                        if R >= 1.0:
+                            assert abs(polygon_area(poly) - area) <= 1e-13 * area, (n, R, d)
 
     def test_polygons_wider_than_a_chart_build(self):
         # vertices 19 to 20 from the centre, so opposite ones lie so far apart
         # (about 37) that their chart images round onto the unit circle: the
         # fan from V_0 and the witness read only those images' directions, and
-        # both accept them, as they must with every side short of the lengths
-        # _distance refuses
+        # both accept them
         for n, d in ((8, 19.0), (16, 19.5), (64, 20.0)):
             vs = [point_from_polar(d, 2.0 * math.pi * k / n) for k in range(n)]
             assert HyperbolicPolygon.from_vertices(vs).n == n
             assert oracle.intrinsic_convex_ccw(vs), (n, d)
 
-    def test_sides_at_the_last_doubles_of_t_refused(self):
-        # regular squares 18.6 to 19.3 from the centre have equal sides of 36.5
-        # to 37.9, but t = |p - q| / |1 - conj(p) q| rounds within two ulps of
-        # 1 on at least one, where a side could only read 37.43 or 36.74: each
-        # square is refused, not built with wrong or unequal sides
+    def test_sides_far_from_the_centre_are_read(self):
+        # regular squares 18.6 to 19.3 from the centre have sides of 36.5 to
+        # 37.9, where |p - q| / |1 - conj(p) q| is one of the last doubles
+        # below 1; 1 - |z|^2 is read to an ulp, so each square builds with
+        # four equal sides within 1e-15 relative of 60-digit ones over the
+        # same doubles (9.5e-17 measured)
+        mpmath = pytest.importorskip("mpmath")
         for d in (18.6, 18.8, 19.1, 19.3):
             vs = [point_from_polar(d, 0.5 * math.pi * k) for k in range(4)]
-            with pytest.raises(DomainError, match="distance overflow"):
-                HyperbolicPolygon.from_vertices(vs)
+            sides = HyperbolicPolygon.from_vertices(vs).side_lengths
+            assert len(set(sides)) == 1, d
+            with mpmath.workdps(60):
+                for p, q, side in zip(vs, vs[1:] + vs[:1], sides):
+                    px, py, qx, qy = (mpmath.mpf(x) for x in (*p, *q))
+                    ref = 2 * mpmath.asinh(mpmath.sqrt(
+                        ((px - qx) ** 2 + (py - qy) ** 2)
+                        / ((1 - px * px - py * py) * (1 - qx * qx - qy * qy))
+                    ))
+                    assert abs(side - ref) <= 1e-15 * ref, d
         far = [point_from_polar(19.1, 0.5 * math.pi * k) for k in range(2)]
-        with pytest.raises(DomainError, match="distance overflow"):
-            hyp_distance(*far)
+        assert hyp_distance(*far) == pytest.approx(37.5068528, rel=1e-8)
 
     def test_verdict_matches_intrinsic_witness(self):
         # seeded polygons with vertex radii up to 3: angle-sorted (either
@@ -767,16 +788,15 @@ class TestSteinerOptimize:
 
     def test_far_polygons_converge(self):
         # jittered R = 9 polygons (radii 9 (1 + u), u uniform on [-0.1, 0.1]
-        # from random.Random(0-2)) carried 0-8 from the centre, off any
-        # vertex's ray, their farthest vertex up to 17.7 out. There doubles'
-        # distances are off by more than tol (ROADMAP item 9); read in the
-        # chart near the polygon's middle, each run converges in at most 2
-        # sweeps (2 measured), with no move refused
+        # from random.Random(0-2)) carried 0-11 from the centre, off any
+        # vertex's ray, their farthest vertex up to 20.7 out: read in the
+        # disk, each run converges in at most 2 sweeps (2 measured), with no
+        # move refused
         for n in (8, 16):
             for seed in range(3):
                 rng = random.Random(seed)
                 jitter = [rng.uniform(-0.1, 0.1) for _ in range(n)]
-                for d in (0.0, 2.0, 4.0, 6.0, 8.0):
+                for d in (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 11.0):
                     for direction in (0.3, 1.0, 2.0):
                         carry = DiskIsometry(point_from_polar(d, direction))
                         poly = HyperbolicPolygon.from_vertices([
