@@ -26,9 +26,9 @@ angles are read to about an ulp anywhere in the disk, so far polygons
 converge as near ones do. The circumcircle is a linear least-squares
 Euclidean circle, and regular polygons follow from the right triangles cut
 out by their apothems. Each move's polygon is measured again in full.
-Convexity and counterclockwise orientation are hyperbolic: both are decided
-from the signed interior angles, each read in the chart centred at its
-vertex, which are the angles the polygon reports (see _measure).
+Convexity and counterclockwise orientation are hyperbolic, decided from the
+signed interior angles and the turns of the fan from V_0, whose triangles'
+areas sum to the polygon's area (see _measure).
 
 Inside, the vertices are complex numbers; DiskPoints exist only at the
 boundary, in the polygons passed in and returned. The public functions wrap
@@ -77,12 +77,12 @@ class HyperbolicPolygon(
         return cls(vs, *_measure(tuple(v.z for v in vs))[1:3])
 
 
-# The core's polygon: HyperbolicPolygon's fields, with complex vertices.
-_Shape = namedtuple("_Shape", "vertices side_lengths interior_angles")
+# The core's polygon: HyperbolicPolygon's fields, with complex vertices, and its area.
+_Shape = namedtuple("_Shape", "vertices side_lengths interior_angles area")
 
 
 def _shape(poly: HyperbolicPolygon) -> _Shape:
-    return _Shape(tuple(v.z for v in poly.vertices), poly.side_lengths, poly.interior_angles)
+    return _measure(tuple(v.z for v in poly.vertices))
 
 
 def _polygon(shape: _Shape) -> HyperbolicPolygon:
@@ -102,6 +102,11 @@ def _measure(zs: tuple[complex, ...]) -> _Shape:
     equal to the measured ones modulo 2 pi, are the measured ones, below pi.
     It bounds a locally convex set, convex by the Tietze-Nakajima theorem.
     Fan turns are _turn's, defined however far apart the vertices lie.
+    The fan that proves convexity also gives the area: with turn theta and
+    radii r_k = |V_0 V_k|, each fan triangle's is triangle.solve_sas's
+    2 atan2(u sin theta, (1 - u) + 2 u sin^2(theta / 2)), u = t_k t_{k+1},
+    t_k = tanh(r_k / 2), 1 - u = (1 - t_k) + t_k (1 - t_{k+1}) and
+    1 - t_k = 2 / (e^{r_k} + 1): no term cancels at any scale or offset.
     """
     n = len(zs)
     sides = tuple(_distance(zs[i], zs[(i + 1) % n]) for i in range(n))
@@ -113,9 +118,15 @@ def _measure(zs: tuple[complex, ...]) -> _Shape:
     turns = [_turn(zs[0], zs[k + 1], zs[k]) for k in range(1, n - 1)]
     if not all(0.0 < t < math.pi for t in turns) or sum(turns) > angles[0] + math.pi:
         raise NonConvexError("polygon winds around more than once")
-    if sum(angles) >= (n - 2) * math.pi:
-        raise NonConvexError("angle sum too large for a hyperbolic polygon")
-    return _Shape(zs, sides, tuple(angles))
+    radii = [sides[0], *(_distance(zs[0], z) for z in zs[2:-1]), sides[-1]]  # |V_0 V_k|
+    ts = [math.tanh(0.5 * r) for r in radii]
+    es = [2.0 / (math.exp(r) + 1.0) for r in radii]  # 1 - tanh(r / 2)
+    area = math.fsum(
+        2.0 * math.atan2(ts[k] * ts[k + 1] * math.sin(t), es[k] + ts[k] * es[k + 1]
+                         + 2.0 * ts[k] * ts[k + 1] * math.sin(0.5 * t) ** 2)
+        for k, t in enumerate(turns)
+    )
+    return _Shape(zs, sides, tuple(angles), area)
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
@@ -123,8 +134,8 @@ def polygon_perimeter(poly: HyperbolicPolygon) -> float:
 
 
 def polygon_area(poly: HyperbolicPolygon) -> float:
-    """Angle-defect area: (n - 2) pi minus the sum of interior angles."""
-    return (len(poly.interior_angles) - 2) * math.pi - sum(poly.interior_angles)
+    """Sum of the fan triangles' areas (see _measure), to 2e-15 relative."""
+    return _shape(poly).area
 
 
 class MoveResult(namedtuple("MoveResult", "polygon delta_area accepted rejected")):
@@ -299,10 +310,11 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     i = operator.index(i)
     if not 0 <= i < poly.n:
         raise DomainError(f"vertex index {i} outside 0..{poly.n - 1}")
-    updated, rejected = _steiner_step(_shape(poly), i)
+    shape = _shape(poly)
+    updated, rejected = _steiner_step(shape, i)
     if updated is None:
         return MoveResult(poly, 0.0, False, rejected)
-    return MoveResult(_polygon(updated), polygon_area(updated) - polygon_area(poly), True, rejected)
+    return MoveResult(_polygon(updated), updated.area - shape.area, True, rejected)
 
 
 class TraceStep(
@@ -330,8 +342,8 @@ def steiner_optimize(
     sweep, after a sweep that does not lower it (one that accepts no move,
     too), or after max_sweeps sweeps of n steps; ``converged`` is exactly
     the residual test, and ``sweeps`` counts the sweeps begun. Along the
-    trace the perimeter is conserved and the area does not decrease beyond
-    roundoff. tol must be positive and finite, max_sweeps an integer >= 0.
+    trace the perimeter is conserved and the area falls by a few ulps at
+    most. tol must be positive and finite, max_sweeps an integer >= 0.
     A window whose mean side exceeds D_MAX raises DomainError, as in
     steiner_move.
     """
@@ -342,7 +354,6 @@ def steiner_optimize(
     trace, moves_rejected, sweeps = [], 0, 0
     n = poly.n
     shape = _shape(poly)
-    area = polygon_area(shape)
     worst = _max_residual(shape)
     bound = tol * polygon_perimeter(shape) / n
     for sweep in range(max_sweeps):
@@ -351,11 +362,10 @@ def steiner_optimize(
             updated, rejected = _steiner_step(shape, i)
             moves_rejected += rejected
             if updated is not None:
-                shape, worst = updated, _max_residual(updated)
-                before, area = area, polygon_area(shape)
+                before, shape, worst = shape, updated, _max_residual(updated)
                 trace.append(TraceStep(
-                    iteration=sweep * n + i, vertex=i, area_before=before, area_after=area,
-                    residual=worst, perimeter=polygon_perimeter(shape),
+                    iteration=sweep * n + i, vertex=i, area_before=before.area,
+                    area_after=shape.area, residual=worst, perimeter=polygon_perimeter(shape),
                 ))
             if worst <= bound:
                 break

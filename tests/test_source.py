@@ -88,3 +88,17 @@ def test_every_private_module_name_is_used():
             if _is_private(name) and not used.get((module, name), set()) - own:
                 dead.append(f"{module}.{name}")
     assert dead == []
+
+
+def test_polygon_reads_four_private_disk_helpers():
+    # the polygon core measures, walks and aims through these four alone;
+    # the fan area takes its radii from _distance and its turns from _turn
+    tree = ast.parse((PACKAGE / "polygon.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _package_module(node, {"disk"}) == "disk"
+        for alias in node.names
+        if _is_private(alias.name)
+    }
+    assert imported == {"_direction", "_distance", "_step", "_turn"}
