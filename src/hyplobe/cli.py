@@ -116,17 +116,17 @@ def cmd_steiner(args) -> int:
     from . import polygon
 
     poly = polygon.random_convex_polygon(args.n, args.seed)
-    area0 = polygon.polygon_area(poly)
     perim0 = polygon.polygon_perimeter(poly)
-    result = polygon.steiner_optimize(poly, tol=args.tol, max_sweeps=args.max_sweeps)
+    result = polygon.steiner_optimize(poly, tol=args.tol)
     area1 = polygon.polygon_area(result.polygon)
     perim1 = polygon.polygon_perimeter(result.polygon)
+    area0 = result.trace[0].area_before if result.trace else area1
+    regular = polygon.regular_polygon(polygon.regular_polygon_for_perimeter(args.n, perim1))
     _write(_trace_csv(result.trace), args.trace_csv)
     report = {
         "n": args.n,
         "seed": args.seed,
         "tol": args.tol,
-        "max_sweeps": args.max_sweeps,
         "sweeps": result.sweeps,
         "converged": result.converged,
         "moves_accepted": len(result.trace),
@@ -140,9 +140,9 @@ def cmd_steiner(args) -> int:
             "area": area1,
             "perimeter": perim1,
             "deficit": polygon.isoperimetric_deficit(perim1, area1),
-            "residual": polygon.max_optimality_residual(result.polygon),
+            "residual": result.residual,
+            "area_gap_to_regular": regular.area - area1,
         },
-        "concyclicity_spread": result.spread,
         "vertices": result.polygon.vertices,
     }
     _write_json(report, args.output)
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="non-negative integer seed (random.Random stream)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="converged once every residual <= tol * perimeter / n")
-    p.add_argument("--max-sweeps", type=int, default=500)
     p.add_argument("--trace-csv", default="steiner_trace.csv",
                    help="path for the per-move CSV trace")
     p.add_argument("--output", default=None)

@@ -23,9 +23,10 @@ Ptolemy's relations as Euclidean chords do, so the cross diagonal has a
 closed form (see _cyclic_cross_diagonal), and so does every distance along a
 chain of equal sides, once one root fixes the chain's curve. Lengths and
 angles are read to about an ulp anywhere in the disk, so far polygons
-converge as near ones do. The circumcircle is a linear least-squares
-Euclidean circle, and regular polygons follow from the right triangles cut
-out by their apothems. Each move's polygon is measured again in full.
+converge as near ones do. circumcircle_fit, which no run calls, fits a
+linear least-squares Euclidean circle, and regular polygons follow from the
+right triangles cut out by their apothems. Each move's polygon is measured
+again in full.
 Convexity and counterclockwise orientation are hyperbolic, decided from the
 signed interior angles and the turns of the fan from V_0, whose triangles'
 areas sum to the polygon's area (see _measure).
@@ -324,56 +325,55 @@ class TraceStep(
 
 
 class SteinerResult(
-    namedtuple("SteinerResult", "polygon trace converged sweeps spread moves_rejected")
+    namedtuple("SteinerResult", "polygon trace converged sweeps residual moves_rejected")
 ):
-    """``trace`` is a tuple of TraceSteps; ``moves_rejected`` counts planned
-    moves refused because the result was not convex."""
+    """``trace`` is a tuple of TraceSteps, ``residual`` the largest residual
+    the run stopped on, and ``moves_rejected`` counts planned moves refused
+    because the result was not convex."""
 
     __slots__ = ()
 
 
-def steiner_optimize(
-    poly: HyperbolicPolygon, tol: float = 1e-8, max_sweeps: int = 500
-) -> SteinerResult:
+def steiner_optimize(poly: HyperbolicPolygon, tol: float = 1e-8) -> SteinerResult:
     """Round-robin sweeps of steiner_move until the residual is below tol.
 
     max_optimality_residual is measured again after every accepted move. A
     run stops as soon as it is at most tol * perimeter / n, even within a
-    sweep, after a sweep that does not lower it (one that accepts no move,
-    too), or after max_sweeps sweeps of n steps; ``converged`` is exactly
-    the residual test, and ``sweeps`` counts the sweeps begun. Along the
-    trace the perimeter is conserved and the area falls by a few ulps at
-    most. tol must be positive and finite, max_sweeps an integer >= 0.
-    A window whose mean side exceeds D_MAX raises DomainError, as in
-    steiner_move.
+    sweep, or after a sweep that does not lower it (one that accepts no move,
+    too), so every run ends; ``converged`` is exactly the residual test, and
+    ``sweeps`` counts the sweeps begun. After the first move each move
+    divides the residual by n - 1: a move leaves n - 1 equal sides s on one
+    curve and the kept side d, and the next keeps one s and sets the other
+    n - 1 to ((n - 2) s + d) / (n - 1), so s - d becomes -(s - d) / (n - 1).
+    Along the trace the perimeter is conserved and the area falls by a few
+    ulps at most. tol must be positive and finite. A window whose mean side
+    exceeds D_MAX raises DomainError, as in steiner_move.
     """
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
-    if max_sweeps < 0:
-        raise DomainError("max_sweeps must be non-negative")
     trace, moves_rejected, sweeps = [], 0, 0
     n = poly.n
     shape = _shape(poly)
     worst = _max_residual(shape)
     bound = tol * polygon_perimeter(shape) / n
-    for sweep in range(max_sweeps):
-        sweeps, start = sweep + 1, worst
+    while True:
+        start = worst
         for i in range(n):
             updated, rejected = _steiner_step(shape, i)
             moves_rejected += rejected
             if updated is not None:
                 before, shape, worst = shape, updated, _max_residual(updated)
                 trace.append(TraceStep(
-                    iteration=sweep * n + i, vertex=i, area_before=before.area,
+                    iteration=sweeps * n + i, vertex=i, area_before=before.area,
                     area_after=shape.area, residual=worst, perimeter=polygon_perimeter(shape),
                 ))
             if worst <= bound:
                 break
+        sweeps += 1
         if not bound < worst < start:
             break
     poly = _polygon(shape)
-    spread = circumcircle_fit(poly).spread
-    return SteinerResult(poly, tuple(trace), worst <= bound, sweeps, spread, moves_rejected)
+    return SteinerResult(poly, tuple(trace), worst <= bound, sweeps, worst, moves_rejected)
 
 
 class CircumcircleFit(namedtuple("CircumcircleFit", "center radius spread")):

@@ -66,12 +66,8 @@ KERNEL_SPELLED_OUT = 64
 
 POLYGON_SIZES = range(3, 17)
 POLYGON_SEEDS = range(12)
-# steiner_optimize runs on every polygon up to POLYGON_OPTIMIZED_N: to the end
-# on seed 0 up to POLYGON_FULL_N, and for POLYGON_SWEEPS sweeps on the others,
-# which keeps the whole set near 3 s.
+# steiner_optimize runs to the end on every polygon up to POLYGON_OPTIMIZED_N
 POLYGON_OPTIMIZED_N = 12
-POLYGON_FULL_N = 8
-POLYGON_SWEEPS = 3
 
 
 def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:
@@ -212,9 +208,7 @@ def polygon_lines() -> list[str]:
                 ("circumcircle_fit", polygon.circumcircle_fit, poly),
             ]
             if n <= POLYGON_OPTIMIZED_N:
-                sweeps = 500 if seed == 0 and n <= POLYGON_FULL_N else POLYGON_SWEEPS
-                calls.append((f"steiner_optimize {sweeps}", polygon.steiner_optimize,
-                              poly, 1e-8, sweeps))
+                calls.append(("steiner_optimize", polygon.steiner_optimize, poly))
             lines += [f"{n} {seed} {name} | {_record(fn, *args)[0]}" for name, fn, *args in calls]
     for name, vertices in polygon_refusal_cases().items():
         parts = [f"{name} from_vertices"]

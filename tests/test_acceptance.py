@@ -113,25 +113,29 @@ def test_06_steiner_run():
     monotone = all(s.area_after >= s.area_before - 1e-12 for s in result.trace)
     areas = [s.area_after for s in result.trace]
     monotone = monotone and all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
-    deficit1 = isoperimetric_deficit(
-        polygon_perimeter(result.polygon), polygon_area(result.polygon)
-    )
+    perim1, area1 = polygon_perimeter(result.polygon), polygon_area(result.polygon)
+    deficit1 = isoperimetric_deficit(perim1, area1)
+    bound = 1e-8 * perim0 / 8
+    regular = regular_polygon(regular_polygon_for_perimeter(8, perim1)).area
+    gap_ulps = abs(regular - area1) / math.ulp(regular)
     ok = (
         drift < 1e-9
         and monotone
-        and result.spread < 1e-6
+        and result.residual <= bound
+        and gap_ulps <= 16
         and -1e-9 <= deficit1 < deficit0
         and elapsed < 10.0
     )
     report(
         6, "steiner-run", ok,
         f"perimeter drift = {drift:.3e}, monotone = {monotone}, "
-        f"spread = {result.spread:.3e}, deficit {deficit0:.3f} -> {deficit1:.3f}, "
-        f"{elapsed:.2f} s",
+        f"residual = {result.residual:.3e}, gap to A_reg = {gap_ulps:.0f} ulps, "
+        f"deficit {deficit0:.3f} -> {deficit1:.3f}, {elapsed:.2f} s",
     )
     assert drift < 1e-9
     assert monotone
-    assert result.spread < 1e-6
+    assert result.residual <= bound
+    assert gap_ulps <= 16
     assert -1e-9 <= deficit1 < deficit0
     assert elapsed < 10.0
 

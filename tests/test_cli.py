@@ -170,44 +170,59 @@ class TestSteinerCommand:
         assert report["moves_accepted"] == len(result.trace)
 
     def test_unconverged_run_exit_3(self, tmp_path):
-        # stopped before any sweep, the triangle's sides are still unequal,
-        # so its residual is far above tol times the mean side. Seed 70 is
-        # also the smallest seed >= 0 whose triangle has no hyperbolic
-        # circumcircle: its Euclidean circumcircle leaves the disk, so
-        # circumcircle_fit centres on the vertex mean and the spread is large
-        from hyplobe import random_convex_polygon
-
-        def has_circumcircle(seed):
-            (ax, ay), (bx, by), (cx, cy) = random_convex_polygon(3, seed).vertices
-            a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
-            d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-            ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-            uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-            return math.hypot(ux, uy) + math.hypot(ax - ux, ay - uy) < 1.0
-
-        assert all(map(has_circumcircle, range(70))) and not has_circumcircle(70)
-        out = tmp_path / "report.json"
-        res = run_cli("steiner", "--n", "3", "--seed", "70", "--max-sweeps", "0",
-                      "--trace-csv", str(tmp_path / "t.csv"), "--output", str(out))
+        # at a tol below what doubles reach, the run stops after a sweep that
+        # does not lower its residual (16 sweeps here, the most measured),
+        # which stays above tol times the mean side; the report's residual is
+        # the trace's last
+        out, trace = tmp_path / "report.json", tmp_path / "t.csv"
+        res = run_cli("steiner", "--n", "3", "--seed", "70", "--tol", "1e-30",
+                      "--trace-csv", str(trace), "--output", str(out))
         assert res.returncode == 3
         report = json.loads(out.read_text())
-        assert report["converged"] is False
+        assert report["converged"] is False and report["sweeps"] <= 20
         mean_side = report["final"]["perimeter"] / report["n"]
         assert report["final"]["residual"] > report["tol"] * mean_side
-        assert report["concyclicity_spread"] > 1e-3
+        last = trace.read_text().splitlines()[-1]
+        assert float(last.rsplit(",", 1)[1]) == report["final"]["residual"]
+
+    def test_report_measures_each_polygon_once(self, tmp_path, monkeypatch, capsys):
+        # counted in process: the generator's polygon, the run's read of it,
+        # one polygon per move and the final area, so moves + 3 in all; the
+        # input's area is the first step's area before and the residual the
+        # run's, each equal to a fresh measurement
+        from hyplobe import cli, polygon
+
+        calls = []
+        measure = polygon._measure
+        monkeypatch.setattr(polygon, "_measure", lambda zs: calls.append(zs) or measure(zs))
+        argv = ["steiner", "--n", "8", "--seed", "42", "--trace-csv", str(tmp_path / "t.csv")]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["moves_accepted"] == 11 and len(calls) == 11 + 3
+        monkeypatch.undo()
+        poly = polygon.random_convex_polygon(8, 42)
+        final = polygon.steiner_optimize(poly).polygon
+        area = polygon.polygon_area(final)
+        spec = polygon.regular_polygon_for_perimeter(8, polygon.polygon_perimeter(final))
+        regular = polygon.regular_polygon(spec).area
+        assert report["initial"]["area"] == polygon.polygon_area(poly)
+        assert report["final"]["area"] == area
+        assert report["final"]["residual"] == polygon.max_optimality_residual(final)
+        assert report["final"]["area_gap_to_regular"] == regular - area
+        assert abs(regular - area) <= 2 * 8 * math.ulp(regular)
 
     def test_counts_are_ints_and_measures_floats(self, tmp_path):
         res = run_cli("steiner", "--n", "6", "--seed", "3",
                       "--trace-csv", str(tmp_path / "t.csv"))
         report = json.loads(res.stdout)
-        counts = ("n", "seed", "max_sweeps", "sweeps", "moves_accepted", "moves_rejected")
+        counts = ("n", "seed", "sweeps", "moves_accepted", "moves_rejected")
         assert all(type(report.pop(key)) is int for key in counts)
         assert report.pop("converged") is True
         assert all(type(x) is float for x in numbers(report))
 
     @pytest.mark.parametrize("n", ["24", "32"])
     def test_defaults_converge_at_moderate_n(self, tmp_path, n):
-        # moderate n converges at the default --tol and --max-sweeps
+        # moderate n converges at the default --tol
         res = run_cli("steiner", "--n", n, "--seed", "0",
                       "--trace-csv", str(tmp_path / "t.csv"))
         assert res.returncode == 0, res.stderr
@@ -228,13 +243,19 @@ class TestSteinerCommand:
     @pytest.mark.parametrize("option, value, message", [
         ("--tol", "nan", "tol must be positive and finite"),
         ("--tol", "inf", "tol must be positive and finite"),
-        ("--max-sweeps", "-1", "max_sweeps must be non-negative"),
     ])
     def test_bad_tol_and_sweeps_exit_2(self, tmp_path, option, value, message):
         res = run_cli("steiner", "--n", "6", "--seed", "3", option, value,
                       "--trace-csv", str(tmp_path / "t.csv"))
         assert res.returncode == 2
         assert res.stderr == f"error: {message}\n"
+
+    def test_max_sweeps_is_an_unknown_option(self, tmp_path):
+        # a run stops on its residual alone, so there is no sweep cap to set
+        res = run_cli("steiner", "--n", "6", "--seed", "3", "--max-sweeps", "500",
+                      "--trace-csv", str(tmp_path / "t.csv"))
+        assert res.returncode == 2
+        assert "unrecognized arguments: --max-sweeps 500" in res.stderr
 
 
 class TestIsoperimetricCommand:

@@ -8,6 +8,7 @@ shows in review; any other change must reproduce every byte.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,21 @@ def test_cli_output_is_byte_identical(name, tmp_path):
                 f"  got:  {got[first] if first < len(got) else '<end>'}\n"
                 f"  want: {want[first] if first < len(want) else '<end>'}"
             )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, argv in regen.CLI_CASES.items() if argv[0] == "steiner")
+)
+def test_steiner_goldens_end_at_the_regular_area(name):
+    """final.area_gap_to_regular is A_reg - A for the regular polygon of the
+    final perimeter, within 2 n ulps of A_reg (2 and 5 measured)."""
+    from hyplobe.polygon import regular_polygon, regular_polygon_for_perimeter
+
+    report = json.loads((regen.CLI_DIR / name).read_text(encoding="utf-8"))
+    final, n = report["final"], report["n"]
+    regular = regular_polygon(regular_polygon_for_perimeter(n, final["perimeter"])).area
+    assert final["area_gap_to_regular"] == regular - final["area"]
+    assert abs(final["area_gap_to_regular"]) <= 2 * n * math.ulp(regular)
 
 
 class _KernelGolden:

@@ -32,7 +32,7 @@ def _records():
     """One instance of each record class, with its fields in declared order."""
     fig = build_figure1(1.0, 1.2, 0.9)
     poly = random_convex_polygon(5, 3)
-    result = steiner_optimize(poly, max_sweeps=2)
+    result = steiner_optimize(poly)
     spec = RegularPolygonSpec(5, 0.5)
     return {
         fig.B: ("x", "y"),
@@ -48,7 +48,7 @@ def _records():
         result.trace[0]: (
             "iteration", "vertex", "area_before", "area_after", "residual", "perimeter"
         ),
-        result: ("polygon", "trace", "converged", "sweeps", "spread", "moves_rejected"),
+        result: ("polygon", "trace", "converged", "sweeps", "residual", "moves_rejected"),
         circumcircle_fit(poly): ("center", "radius", "spread"),
         spec: ("n", "circumradius"),
         regular_polygon(spec): ("side", "interior_angle", "perimeter", "area"),

@@ -102,3 +102,41 @@ def test_polygon_reads_four_private_disk_helpers():
         if _is_private(alias.name)
     }
     assert imported == {"_direction", "_distance", "_step", "_turn"}
+
+
+def _spelled(node):
+    """The name a Name, Attribute, import alias or string constant spells."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def test_no_run_calls_the_circumcircle_fit():
+    # the fit is kept for callers of the library alone: outside their own
+    # definitions in polygon, circumcircle_fit and CircumcircleFit occur in
+    # no name, attribute, import or string but the package's export table
+    names = {"circumcircle_fit", "CircumcircleFit"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+                found.append((path.stem, "def", node.name))
+                inside |= {id(n) for n in ast.walk(node)}
+        found += [
+            (path.stem, type(node).__name__, _spelled(node))
+            for node in ast.walk(tree)
+            if id(node) not in inside and _spelled(node) in names
+        ]
+    assert sorted(found) == [
+        ("__init__", "Constant", "circumcircle_fit"),
+        ("polygon", "def", "CircumcircleFit"),
+        ("polygon", "def", "circumcircle_fit"),
+    ]
