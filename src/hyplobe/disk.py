@@ -7,9 +7,10 @@ Curvature is fixed at -1. All values are immutable and all operations pure:
 the records are named tuples, compared and hashed by value.
 
 The point primitives wrap helpers on complex numbers, which the polygon path
-calls directly; they make DiskPoint's checks on every point they form. Angles
-and directions are read off _chart's images unchecked, so they are defined
-for any two distinct points, however far apart.
+calls directly; they make DiskPoint's checks on every point they form. There
+a direction is a chart image, which _direction returns and _step walks to, so
+no angle rounds. Angles and directions are read off _chart's images
+unchecked, so they are defined for any two distinct points, however far apart.
 """
 
 from __future__ import annotations
@@ -241,11 +242,11 @@ def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
     return abs(_turn(v.z, p.z, q.z))
 
 
-def _direction(p: complex, q: complex) -> float:
+def _direction(p: complex, q: complex) -> complex:
     w = _chart(p, q)
     if abs(w) <= _COINCIDENT_TOL:
         raise DegenerateInputError("direction undefined for coincident points")
-    return cmath.phase(w)
+    return w
 
 
 def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
@@ -254,17 +255,18 @@ def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
     Directions at p are measured in the chart that translates p to the origin;
     ``step_from`` uses the same chart, so the two compose consistently.
     """
-    return _direction(p.z, q.z)
+    return cmath.phase(_direction(p.z, q.z))
 
 
-def _step(a: complex, theta: float, d: float) -> complex:
+def _step(a: complex, w: complex) -> complex:
+    """The point whose image in the chart of a is w, checked inside the disk."""
     # undo a's chart by -a's, with the signed zeros of DiskIsometry.inverse's e^{i 0}
-    z = _carry(-a * (1 + 0j), point_from_polar(d, theta).z)
+    z = _carry(-a * (1 + 0j), w)
     _check_inside(z.real, z.imag)
     return z
 
 
 def step_from(p: DiskPoint, theta: float, d: float) -> DiskPoint:
     """Walk hyperbolic distance d from p in direction theta (chart of p)."""
-    z = _step(p.z, theta, d)
+    z = _step(p.z, point_from_polar(d, theta).z)
     return DiskPoint._make((z.real, z.imag))

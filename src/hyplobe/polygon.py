@@ -31,9 +31,9 @@ Convexity and counterclockwise orientation are hyperbolic, decided from the
 signed interior angles and the turns of the fan from V_0, whose triangles'
 areas sum to the polygon's area (see _measure).
 
-Inside, the vertices are complex numbers; DiskPoints exist only at the
-boundary, in the polygons passed in and returned. The public functions wrap
-this core, which makes every check.
+Inside, vertices and walk directions are complex numbers, so a quarter turn
+(x, y) -> (-y, x) of the input turns the run bit for bit. DiskPoints exist
+only in the public functions that wrap this core, which makes every check.
 """
 
 from __future__ import annotations
@@ -145,22 +145,16 @@ class MoveResult(namedtuple("MoveResult", "polygon delta_area accepted rejected"
     __slots__ = ()
 
 
-def _replace(shape: _Shape, updates: dict[int, complex]) -> _Shape | None:
-    """shape with the given vertices moved, or None if that is not a convex polygon."""
-    try:
-        return _measure(tuple(updates.get(k, z) for k, z in enumerate(shape.vertices)))
-    except DomainError:
-        return None
-
-
 def _steiner_step(shape: _Shape, i: int) -> tuple[_Shape | None, int]:
     """The Steiner step at vertex i (see steiner_move). Returns the new shape
     (None if nothing moved) and the moves refused as not convex (0 or 1)."""
     updates = _window_move(shape, i)
     if updates is None:
         return None, 0
-    updated = _replace(shape, updates)
-    return updated, int(updated is None)
+    try:
+        return _measure(tuple(updates.get(k, z) for k, z in enumerate(shape.vertices))), 0
+    except DomainError:
+        return None, 1
 
 
 def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
@@ -188,17 +182,18 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
     circle's bracket and rises on the hypercycle's, where
     sinh(m t) / sinh(t) >= e^{(m - 1) t} bounds t, and the root is bisected to
     the last bit. Each V_k in turn is walked one side s on from V_{k-1}, on
-    the polygon's side of the line to D, at the angle of the triangle
-    (V_{k-1}, V_k, D) whose sides the chain fixes. So no walk is longer than
-    s, and each aims at D afresh, which keeps one walk's rounding from
-    carrying along the chain. At m = 2 (a triangle) V_1 is the apex of the
-    isosceles triangle on AD; at m = 3, U_2^2 = 1 + rho gives
-    sinh^2(|V_1 D| / 2) = h (h + sinh(|AD| / 2)).
+    the polygon's side of the line to D: its image in V_{k-1}'s chart is
+    tanh(s / 2) times D's direction there, turned clockwise by the angle of
+    the triangle (V_{k-1}, V_k, D) whose sides the chain fixes, both unit
+    complex numbers (see _unturn). So no walk is longer than s, and each aims at D afresh,
+    which keeps one walk's rounding from carrying along the chain. At m = 2
+    (a triangle) V_1 is the apex of the isosceles triangle on AD; at m = 3,
+    U_2^2 = 1 + rho gives sinh^2(|V_1 D| / 2) = h (h + sinh(|AD| / 2)).
 
     The move is planned only where a window side differs from s by more
     than STEP_TOL s, or some |V_k D| from its target by more than
     STEP_TOL |V_k D|. A window whose mean side s exceeds D_MAX, farther
-    than _step walks, is refused.
+    than step_from walks, is refused.
     """
     zs, sides = shape.vertices, shape.side_lengths
     n = len(zs)
@@ -217,9 +212,10 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
         for k, e in enumerate((_distance(z, d) for z in chain[1:m]), 1)
     ):
         return None
-    updates, z = {}, chain[0]
+    updates, z, t = {}, chain[0], math.tanh(0.5 * s)
     for k in range(1, m):  # V_k one side on from V_{k-1}, aimed by the triangle with D
-        z = _step(z, _direction(z, d) - _angle(s, reach[m - k + 1], reach[m - k]), s)
+        w = _direction(z, d)
+        z = _step(z, t * (w / abs(w)) * _unturn(s, reach[m - k + 1], reach[m - k]))
         updates[(i - 1 + k) % n] = z
     return updates
 
@@ -241,16 +237,18 @@ def _chain_ratios(m: int, rho: float) -> list[float]:
     return [f(k * t) / f(t) for k in range(2, m)]
 
 
-def _angle(x: float, y: float, z: float) -> float:
-    """The angle between the sides x and y of the triangle with sides x, y, z,
-    by the half-angle formula tan^2(phi / 2) = sinh(p - x) sinh(p - y) /
-    (sinh(p) sinh(p - z)) with p the half perimeter; unlike asin or acos it
-    keeps its accuracy near 0 and pi. A triangle inequality that fails by
-    roundoff reads as a flat angle, which the convexity check refuses."""
-    return 2.0 * math.atan2(
-        math.sqrt(max(0.0, math.sinh(0.5 * (z + y - x)) * math.sinh(0.5 * (z + x - y)))),
+def _unturn(x: float, y: float, z: float) -> complex:
+    """e^{-i phi} = c^2, phi the angle between the sides x and y of the triangle
+    with sides x, y, z, by the half-angle formula: c = (X - i Y) / |X - i Y|,
+    X^2 = sinh(p) sinh(p - z), Y^2 = sinh(p - x) sinh(p - y), p the half
+    perimeter, accurate near 0 and pi as asin and acos are not. A triangle
+    inequality that fails by roundoff reads as flat, which convexity refuses."""
+    c = complex(
         math.sqrt(max(0.0, math.sinh(0.5 * (x + y + z)) * math.sinh(0.5 * (x + y - z)))),
+        -math.sqrt(max(0.0, math.sinh(0.5 * (z + y - x)) * math.sinh(0.5 * (z + x - y)))),
     )
+    c /= abs(c)
+    return c * c
 
 
 def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> float:

@@ -186,10 +186,10 @@ class TestSteinerCommand:
         assert float(last.rsplit(",", 1)[1]) == report["final"]["residual"]
 
     def test_report_measures_each_polygon_once(self, tmp_path, monkeypatch, capsys):
-        # counted in process: the generator's polygon, the run's read of it,
-        # one polygon per move and the final area, so moves + 3 in all; the
-        # input's area is the first step's area before and the residual the
-        # run's, each equal to a fresh measurement
+        # counted in process: the generator's polygon, the run's read of it
+        # and one polygon per move, so moves + 2 in all; the input's area is
+        # the first step's area before, the final area the last step's area
+        # after and the residual the run's, each equal to a fresh measurement
         from hyplobe import cli, polygon
 
         calls = []
@@ -198,7 +198,7 @@ class TestSteinerCommand:
         argv = ["steiner", "--n", "8", "--seed", "42", "--trace-csv", str(tmp_path / "t.csv")]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["moves_accepted"] == 11 and len(calls) == 11 + 3
+        assert report["moves_accepted"] == 11 and len(calls) == 11 + 2
         monkeypatch.undo()
         poly = polygon.random_convex_polygon(8, 42)
         final = polygon.steiner_optimize(poly).polygon

@@ -43,8 +43,8 @@ from hyplobe.polygon import (
     _chain_ratios,
     _cyclic_cross_diagonal,
     _measure,
-    _replace,
     _shape,
+    _steiner_step,
     _window_move,
     circle_radius_for_circumference,
     max_optimality_residual,
@@ -319,7 +319,7 @@ class TestSteinerMove:
                 s = poly.side_lengths[i - 1] + poly.side_lengths[i]
                 grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
                 updates = _window_move(shape, i)
-                updated = None if updates is None else _replace(shape, updates)
+                updated = None if updates is None else _steiner_step(shape, i)[0]
                 if updated is None:
                     continue
                 accepted += 1
@@ -347,7 +347,7 @@ class TestSteinerMove:
                 s = total / 3
                 diag = hyp_distance(a, d)
                 updates = _window_move(shape, i)
-                updated = None if updates is None else _replace(shape, updates)
+                updated = None if updates is None else _steiner_step(shape, i)[0]
                 if updated is None:
                     continue
                 accepted += 1
@@ -516,7 +516,7 @@ class TestSteinerMove:
     def test_flat_triangles_are_refused_not_crashed(self):
         # triangles with the apex 1e-17 to 1e-9 off the diameter through the
         # other two: |AD| can round to twice the mean side or above, so the
-        # apex's triangle fails its inequality by roundoff; _angle reads it
+        # apex's triangle fails its inequality by roundoff; _unturn reads it
         # as flat, the move lands on AD and is refused as not convex
         rng = random.Random(3)
         refused = 0
@@ -1047,6 +1047,26 @@ class TestSteinerOptimize:
         r2 = steiner_optimize(random_convex_polygon(6, 7), tol=1e-8)
         assert r1.trace == r2.trace
         assert r1.polygon.vertices == r2.polygon.vertices
+
+    def test_quarter_turned_copy_gives_the_turned_run(self):
+        # (x, y) -> (-y, x) is exact, and under z -> iz the chart, distance
+        # and turn only permute exact terms; the walks aim by chart images and
+        # unit complex numbers, not by an angle, whose phase plus pi / 2
+        # would round, so the run turns with its input bit for bit
+        def turned(vertices):
+            return tuple(DiskPoint(-v.y, v.x) for v in vertices)
+
+        cases = [(n, seed) for n in range(3, 17) for seed in range(20)]
+        cases += [(n, seed) for n in (24, 32, 64) for seed in range(3)]
+        moves = 0
+        for n, seed in cases:
+            poly = random_convex_polygon(n, seed)
+            run = steiner_optimize(poly)
+            copy = steiner_optimize(HyperbolicPolygon.from_vertices(turned(poly.vertices)))
+            assert copy.trace == run.trace, (n, seed)
+            assert copy.polygon.vertices == turned(run.polygon.vertices), (n, seed)
+            moves += len(run.trace)
+        assert moves >= 3000
 
 
 class TestCircumcircleFit:

@@ -92,7 +92,8 @@ def test_every_private_module_name_is_used():
 
 def test_polygon_reads_four_private_disk_helpers():
     # the polygon core measures, walks and aims through these four alone;
-    # the fan area takes its radii from _distance and its turns from _turn
+    # the fan area takes its radii from _distance and its turns from _turn,
+    # and each walk goes to a chart image (_step) aimed by one (_direction)
     tree = ast.parse((PACKAGE / "polygon.py").read_text())
     imported = {
         alias.name
