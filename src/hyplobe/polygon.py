@@ -499,10 +499,12 @@ def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygonSpe
 
 
 def circle_geometry(r: float) -> tuple[float, float]:
-    """(circumference, area) of the hyperbolic circle of radius r."""
+    """(circumference, area) of the hyperbolic circle of radius r; the area
+    2 pi (cosh r - 1) is taken as 4 pi sinh^2(r/2), which does not cancel."""
     if not (0.0 < r <= D_MAX / 2):
         raise DomainError(f"radius outside (0, {D_MAX / 2}]")
-    return 2.0 * math.pi * math.sinh(r), 2.0 * math.pi * (math.cosh(r) - 1.0)
+    s = math.sinh(0.5 * r)
+    return 2.0 * math.pi * math.sinh(r), 4.0 * math.pi * (s * s)
 
 
 def circle_radius_for_circumference(L: float) -> float:

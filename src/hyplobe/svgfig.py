@@ -7,8 +7,6 @@ falls outside the disk so the whole figure stays visible.
 
 from __future__ import annotations
 
-import math
-
 from .triangle import Figure1
 
 
@@ -43,10 +41,9 @@ class _Canvas:
 
     def arc(self, cx: float, cy: float, r: float, x1: float, y1: float,
             x2: float, y2: float, stroke: str) -> None:
-        # Geodesic arcs between interior points always subtend less than pi.
-        a1 = math.atan2(y1 - cy, x1 - cx)
-        a2 = math.atan2(y2 - cy, x2 - cx)
-        sweep_ccw = math.remainder(a2 - a1, math.tau) > 0.0
+        # Geodesic arcs between interior points always subtend less than pi,
+        # so the sign of the cross product of the two radii gives the sense.
+        sweep_ccw = (x1 - cx) * (y2 - cy) - (y1 - cy) * (x2 - cx) > 0.0
         # y-flip inverts the rotation sense in pixel coordinates
         sweep_flag = 0 if sweep_ccw else 1
         p1 = self.to_px(x1, y1)

@@ -20,20 +20,25 @@ message of every refusal are the helpers'. solve_sas and optimal_alpha share
 one core, _sas. build_figure1 evaluates the formulas of the public
 primitives (embed_triangle, omega_circle, b_prime_point, tau_angle, and
 disk.geodesic_through) for B on the positive x-axis, with the terms in B's
-exact-zero y-coordinate dropped, and without the three primitive checks no
-domain input can trip (B and C lie within tanh(D_MAX / 2) < 1 of the center;
-see build_figure1). Tests pin each kernel to the composition it replaces,
-bit for bit and refusal for refusal.
+exact-zero y-coordinate dropped, and without five primitive checks no
+domain input can trip (see build_figure1); the composed primitives, which
+take arbitrary points, keep them. Tests pin each kernel to the composition
+it replaces, bit for bit and refusal for refusal.
 
-build_figure1's guards measure lengths with math.hypot and bound the
-radius with a conditional, not through complex temporaries and max, so it
-makes no object it does not return. The composition it is pinned to
-(disk._orthogonal_circle and b_prime_point) measures with math.hypot as
-well, so both refuse the same inputs. The kernels build their records
-through _new, a module-level alias of tuple.__new__. optimality_certificate
-alone keeps abs(complex), which is libm's hypot: its value is the output
-tangency_gap, and math.hypot, CPython's own algorithm, differs from libm's
-in the last bit on some inputs.
+On the SAS domain, corner probes find refusals of thin or tiny triangles
+only: from _sas when the angle sum reaches pi (the smaller side below
+~1.5e-5) or a underflows (both sides below ~1e-170); from build_figure1
+when |C - B| <= 1e-12 (both below ~2e-11), omega's center overflows (the
+smaller below ~1e-148), px * qy underflows to 0, collinear (below ~3e-306),
+or B' squared overflows (c below ~1e-154). The on-circle guard never fires,
+but comes within 0.71 of its bound.
+
+build_figure1's guards measure with math.hypot and bound the radius with a
+conditional, as disk._orthogonal_circle and b_prime_point measure, so both
+refuse the same inputs, and it makes no object it does not return. Records
+are built through _new, an alias of tuple.__new__. optimality_certificate
+alone keeps abs(complex), libm's hypot, whose bits its output tangency_gap
+reports; math.hypot differs from it in the last bit on some inputs.
 """
 
 from __future__ import annotations
@@ -41,13 +46,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .disk import _COINCIDENT_TOL, _COLLINEAR_TOL, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
+from .disk import _COINCIDENT_TOL, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
 from .disk import _check_circle, _orthogonal_circle
 from .errors import DegenerateInputError, DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
 # is numerically degenerate.
 ALPHA_EPS = 1e-6
+_ALPHA_MAX = math.pi - ALPHA_EPS
 
 # The kernels build their records through this alias, which saves a lookup
 # of tuple.__new__ per record.
@@ -118,7 +124,7 @@ class OptimalityCertificate(
 def _check_sas_domain(b: float, c: float, alpha: float) -> None:
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
         raise DomainError(f"sides must lie in (0, {D_MAX}]")
-    if not (ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
+    if not (ALPHA_EPS < alpha < _ALPHA_MAX):
         raise DomainError(
             f"apex angle {alpha} outside ({ALPHA_EPS}, pi - {ALPHA_EPS})"
         )
@@ -150,8 +156,7 @@ def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolu
     u = tanh(b/2) tanh(c/2) and 1 - u = (1 - t_b) + t_b (1 - t_c), with
     t_x = tanh(x/2) and 1 - tanh(x/2) = 2 / (e^x + 1), so 1 - u keeps its
     relative accuracy even when u rounds to within a few ulps of 1 (both
-    sides near D_MAX). The checks of _check_sas_domain and _check_solution
-    are inline comparisons that call the helper only to raise.
+    sides near D_MAX).
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
         _check_sas_domain(b, c, alpha)
@@ -160,7 +165,7 @@ def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolu
     one_minus_u = 2.0 / (math.exp(b) + 1.0) + tb * 2.0 / (math.exp(c) + 1.0)
     if optimal:
         alpha = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
-    if not (ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
+    if not (ALPHA_EPS < alpha < _ALPHA_MAX):
         _check_sas_domain(b, c, alpha)
     half_sin = math.sin(0.5 * alpha)
     one_minus_cos = 2.0 * half_sin * half_sin
@@ -171,12 +176,10 @@ def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolu
     s = math.sinh(0.5 * (b - c))
     m = 2.0 * s * s + sinh_b * sinh_c * one_minus_cos
     a = math.log1p(m + math.sqrt(m * (m + 2.0)))
-    beta = math.atan2(
-        sin_alpha * sinh_b, math.sinh(c - b) + math.cosh(c) * sinh_b * one_minus_cos
-    )
-    gamma = math.atan2(
-        sin_alpha * sinh_c, math.sinh(b - c) + math.cosh(b) * sinh_c * one_minus_cos
-    )
+    # sinh(b - c) is -sinh(c - b) bit for bit, libm's sinh being odd
+    sinh_cb = math.sinh(c - b)
+    beta = math.atan2(sin_alpha * sinh_b, sinh_cb + math.cosh(c) * sinh_b * one_minus_cos)
+    gamma = math.atan2(sin_alpha * sinh_c, math.cosh(b) * sinh_c * one_minus_cos - sinh_cb)
     angle_sum = alpha + beta + gamma
     if angle_sum >= math.pi:
         raise DomainError(
@@ -283,14 +286,15 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     adding or subtracting one leaves a nonzero value unchanged, so those
     terms are dropped; the comments say why a zero result is safe as well.
 
-    Three of the primitives' checks are dropped, since no input that passes
-    the domain check trips them. B and C lie inside the disk: px = tanh(c / 2)
-    and rb = tanh(b / 2) are at most tanh(10) < 1, and qx^2 + qy^2 is rb^2
-    within a few ulps. psi's radius rb is positive: it is 0 only for
-    b = 5e-324, which puts C at the center, and the collinearity guard
-    refuses that first.
+    Five primitive checks are dropped, as no domain input trips them. B and
+    C lie inside the disk: px and rb are at most tanh(D_MAX / 2) < 1. psi's
+    radius rb is 0 only for b = 5e-324, refused first as collinear. omega's
+    r2 is at least 2.5e-13 (at b, c -> D_MAX, alpha -> ALPHA_EPS). B' lies
+    beyond B: t is 1 / px to a few ulps, so (t - px) / px >= sech^2(D_MAX / 2),
+    about 8.2e-9. The collinearity bound |cross| <= 1e-12 px |C| is tested as
+    cross == 0: a nonzero cross = px rb sin(alpha) is 1e6 times it or more.
     """
-    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
+    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < _ALPHA_MAX):
         _check_sas_domain(b, c, alpha)
     px = math.tanh(0.5 * c)
     rb = math.tanh(0.5 * b)
@@ -301,7 +305,7 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     if math.hypot(qx - px, qy) <= _COINCIDENT_TOL:
         raise DegenerateInputError("cannot build a geodesic through coincident points")
     cross = px * qy  # a zero is collinear whatever its sign
-    if abs(cross) <= _COLLINEAR_TOL * px * math.hypot(qx, qy):
+    if cross == 0.0:
         raise DegenerateInputError(
             "B, C and the center are collinear: the triangle is degenerate"
         )
@@ -309,11 +313,8 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     rq = 0.5 * (1.0 + qx * qx + qy * qy)
     cx = rp * qy / cross
     cy = (px * rq - qx * rp) / cross
-    r2 = cx * cx + cy * cy - 1.0
-    if r2 <= 0.0:
-        raise DegenerateInputError("orthogonal-circle construction collapsed")
-    radius = math.sqrt(r2)
-    # radius > 0 since r2 > 0 or is NaN; a sum is finite only if every term is
+    # r2 is +inf or at least 2.5e-13; a sum is finite only if every term is
+    radius = math.sqrt(cx * cx + cy * cy - 1.0)
     if not math.isfinite(cx + cy + radius):
         _check_circle(cx, cy, radius)
     # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j;
@@ -322,8 +323,6 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     if abs(math.hypot(px - cx, cy) - radius) > 1e-9 * (radius if radius > 1.0 else 1.0):
         raise DomainError("B does not lie on the given circle")
     t = 2.0 * cx - px
-    if t <= px:
-        raise DegenerateInputError("line AB does not meet the circle twice")
     if t * t == math.inf:
         raise DomainError("B' lies too far out: its products overflow")
     # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and

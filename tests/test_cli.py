@@ -274,6 +274,20 @@ class TestIsoperimetricCommand:
         circle_area = float(rows[-1][1])
         assert all(float(r[1]) < circle_area for r in rows[:-1])
 
+    @pytest.mark.parametrize("perimeter", ["1e-8", "1e-12"])
+    def test_tiny_perimeter_keeps_the_circle_on_top(self, perimeter):
+        # 2 pi (cosh r - 1) cancels to 0 at these radii, which the deficit
+        # would refuse with exit 2
+        res = run_cli("isoperimetric", "--n-max", "24", "--perimeter", perimeter)
+        assert res.returncode == 0, res.stderr
+        rows = [line.split(",") for line in res.stdout.splitlines()[1:]]
+        assert rows[-1][0] == "circle"
+        circle_area = float(rows[-1][1])
+        assert all(float(r[1]) < circle_area for r in rows[:-1])
+        # the circle's deficit is zero to a few ulps of L^2
+        L = float(perimeter)
+        assert abs(float(rows[-1][2])) <= 2e-15 * L * L
+
     def test_bad_range_exit_2(self):
         assert run_cli("isoperimetric", "--n-min", "2", "--perimeter", "5").returncode == 2
         assert run_cli("isoperimetric", "--perimeter", "1e9").returncode == 2

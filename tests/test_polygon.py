@@ -1222,6 +1222,19 @@ class TestIsoperimetry:
         assert L == pytest.approx(2.0 * math.pi * 1e-4, rel=1e-8)
         assert A == pytest.approx(math.pi * 1e-8, rel=1e-8)
 
+    def test_circle_area_matches_high_precision_reference(self):
+        # 4 pi sinh^2(r/2) keeps its digits where 2 pi (cosh r - 1) cancels:
+        # that is off by 7.8e-7 relative at L = 1e-4, and 0 at L = 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for L in np.geomspace(1e-12, 6e4, 400):
+                r = circle_radius_for_circumference(float(L))
+                circumference, A = circle_geometry(r)
+                ref = 4 * mpmath.pi * mpmath.sinh(mpmath.mpf(r) / 2) ** 2
+                assert abs(A - ref) <= 1e-15 * ref, L
+                deficit = isoperimetric_deficit(circumference, A)
+                assert abs(deficit) <= 2e-15 * circumference * circumference, L
+
     def test_polygon_deficits_positive_and_decreasing(self):
         perimeter = 7.0
         deficits = []

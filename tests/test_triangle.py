@@ -320,6 +320,28 @@ def _coincident_threshold_scans(seed, count, steps):
         yield b, c, scan
 
 
+def _sas_domain_corners():
+    """Inputs at the SAS domain's corners, where build_figure1's arithmetic is
+    closest to its guards.
+
+    Sides within 1e-9 of D_MAX, each with the other; b from 5e-324 up to
+    D_MAX, with c of 1e-12, 1e-5 and 1; every pair at apex angles a float
+    inside either bound and within a relative 1e-9 to 1e-3 of it.
+    """
+    rel = (1e-9, 1e-7, 1e-5, 1e-3)
+    alphas = [
+        math.nextafter(ALPHA_EPS, 1.0),
+        *(ALPHA_EPS * (1.0 + r) for r in rel),
+        *((math.pi - ALPHA_EPS) * (1.0 - r) for r in rel),
+        math.nextafter(math.pi - ALPHA_EPS, 0.0),
+    ]
+    far = (D_MAX - 1e-9, math.nextafter(D_MAX, 0.0), D_MAX)
+    pairs = [(b, c) for b in far for c in far]
+    rising = [5e-324, 1e-323, 1e-320, *(10.0**k for k in range(-318, 1, 6)), 5.0, D_MAX]
+    pairs += [(b, c) for b in rising for c in (1e-12, 1e-5, 1.0)]
+    return [(b, c, alpha) for b, c in pairs for alpha in alphas]
+
+
 class TestStraightLineKernels:
     def test_kernels_match_their_composed_helpers_bit_for_bit(self):
         # solve_sas, optimal_alpha and optimality_certificate inline the work
@@ -591,7 +613,7 @@ class TestConstruction:
         # x-axis, with the terms in B's zero y-coordinate dropped: it must
         # return what the primitives composed return, in every bit (reprs
         # tell signed zeros apart), or refuse with the same class and message
-        inputs = [*golden_kernel_inputs(), *random_triangles(12, 200)]
+        inputs = [*golden_kernel_inputs(), *random_triangles(12, 200), *_sas_domain_corners()]
         # B next to the center: built down to |B| ~ 1e-154, refused below
         inputs += [
             (b, c, alpha)
@@ -621,6 +643,49 @@ class TestConstruction:
             "DomainError: circle radius must be positive and finite",
             "DomainError: B' lies too far out: its products overflow",
         }
+
+    def test_dropped_guards_keep_their_margins_at_the_domain_corners(self):
+        # build_figure1 drops the primitives' collapsed-construction guard
+        # (r2 <= 0) and their line-meets-circle-twice guard (t <= |B|), and
+        # tests collinearity as cross == 0 in place of a 1e-12 relative
+        # bound: the corners keep r2 and (t - |B|) / |B| well above 0, and
+        # refuse as collinear only at an exact zero
+        inputs = _sas_domain_corners()
+        # the kept on-circle guard, a 1e-9 bound, comes closest to refusing
+        # with b and c in [8, 20] and alpha near either end; the last input
+        # is the closest of 2M such draws, at 0.710 of the bound
+        rng = np.random.default_rng(37)
+        for _ in range(2000):
+            b, c = rng.uniform(8.0, D_MAX, 2)
+            r = 10.0 ** rng.uniform(-9.0, -1.0)
+            near_pi = (math.pi - ALPHA_EPS) * (1.0 - r)
+            alpha = ALPHA_EPS * (1.0 + r) if rng.random() < 0.5 else near_pi
+            inputs.append((b, c, alpha))
+        inputs.append((17.75151285041243, 17.602277432969405, 1.0062372029023055e-06))
+        collinear = "B, C and the center are collinear: the triangle is degenerate"
+        r2_min = gap_min = math.inf
+        on_circle_max = 0.0
+        for b, c, alpha in inputs:
+            _, B, C = embed_triangle(b, c, alpha)
+            cross = B.x * C.y
+            try:
+                fig = build_figure1(b, c, alpha)
+            except DomainError as exc:
+                assert str(exc) != "B does not lie on the given circle", (b, c, alpha)
+                if str(exc) == collinear:
+                    assert cross == 0.0, (b, c, alpha)
+                continue
+            assert cross != 0.0
+            px, (cx, cy, radius), t = B.x, fig.omega, fig.b_prime[0]
+            r2_min = min(r2_min, cx * cx + cy * cy - 1.0)
+            gap_min = min(gap_min, (t - px) / px)
+            on_circle = abs(math.hypot(px - cx, cy) - radius) / (1e-9 * max(1.0, radius))
+            on_circle_max = max(on_circle_max, on_circle)
+        # r2 bottoms out near 2.5e-13 at b, c -> D_MAX and alpha -> ALPHA_EPS;
+        # t is 1 / px to a few ulps, so the gap is at least sech^2(D_MAX / 2)
+        assert r2_min >= 1e-13
+        assert gap_min >= 8e-9
+        assert on_circle_max <= 0.75
 
     def test_kernel_and_primitives_agree_at_the_coincident_threshold(self):
         # build_figure1's coincident-points guard and disk._orthogonal_circle's
