@@ -116,11 +116,9 @@ def cmd_steiner(args) -> int:
     from . import polygon
 
     poly = polygon.random_convex_polygon(args.n, args.seed)
-    perim0 = polygon.polygon_perimeter(poly)
     result = polygon.steiner_optimize(poly, tol=args.tol)
-    area0 = result.trace[0].area_before if result.trace else polygon.polygon_area(poly)
-    area1 = result.trace[-1].area_after if result.trace else area0
-    perim1 = polygon.polygon_perimeter(result.polygon)
+    area0, perim0 = poly.area, polygon.polygon_perimeter(poly)
+    area1, perim1 = result.polygon.area, polygon.polygon_perimeter(result.polygon)
     regular = polygon.regular_polygon(polygon.regular_polygon_for_perimeter(args.n, perim1))
     _write(_trace_csv(result.trace), args.trace_csv)
     report = {

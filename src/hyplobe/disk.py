@@ -226,9 +226,12 @@ def apply_isometry(m: DiskIsometry, p: DiskPoint) -> DiskPoint:
 
 
 def _turn(v: complex, p: complex, q: complex) -> float:
-    """Signed angle at v from the geodesic vq counterclockwise to vp, in [-pi, pi]."""
+    """Signed angle at v from the geodesic vq counterclockwise to vp, in [-pi, pi].
+    Refused as coincident when the nearer endpoint's chart image is at most
+    _COINCIDENT_TOL times the farther one's modulus, a bound relative to the
+    points' scale, so polygons of any size are measured."""
     u, w = _chart(v, p), _chart(v, q)
-    if abs(u) <= _COINCIDENT_TOL or abs(w) <= _COINCIDENT_TOL:
+    if min(abs(u), abs(w)) <= _COINCIDENT_TOL * max(abs(u), abs(w)):
         raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
     return cmath.phase(u * w.conjugate())
 
@@ -244,7 +247,7 @@ def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
 
 def _direction(p: complex, q: complex) -> complex:
     w = _chart(p, q)
-    if abs(w) <= _COINCIDENT_TOL:
+    if w == 0:  # any other image gives its direction to an ulp (see _chart)
         raise DegenerateInputError("direction undefined for coincident points")
     return w
 

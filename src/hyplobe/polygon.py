@@ -12,10 +12,10 @@ Fixed points of the move are equilateral and cyclic, so the sweeps drive any
 convex polygon toward the regular polygon of the same perimeter, which
 witnesses the isoperimetric inequality numerically. The per-vertex residual
 max(|s_{k-1} - s_k|, |BD* - BD|) measures how far V_k is from such a fixed
-point and vanishes on regular polygons (see _max_residual). A move is planned
-only where it changes a side or a distance to D by more than STEP_TOL
-relative, and a run stops, converged, as soon as the largest residual is at
-most tol times the mean side.
+point and vanishes on regular polygons (see max_optimality_residual). A
+move is planned only where it changes a side or a distance to D by more
+than STEP_TOL relative, and a run stops, converged, as soon as the largest
+residual is at most tol times the mean side.
 
 Every step is a formula or a bracketed root. On a circle, horocycle or
 hypercycle the half-sinhs sinh(dist / 2) of the sides and diagonals obey
@@ -25,15 +25,17 @@ chain of equal sides, once one root fixes the chain's curve. Lengths and
 angles are read to about an ulp anywhere in the disk, so far polygons
 converge as near ones do. circumcircle_fit, which no run calls, fits a
 linear least-squares Euclidean circle, and regular polygons follow from the
-right triangles cut out by their apothems. Each move's polygon is measured
-again in full.
+right triangles cut out by their apothems.
 Convexity and counterclockwise orientation are hyperbolic, decided from the
 signed interior angles and the turns of the fan from V_0, whose triangles'
 areas sum to the polygon's area (see _measure).
 
-Inside, vertices and walk directions are complex numbers, so a quarter turn
-(x, y) -> (-y, x) of the input turns the run bit for bit. DiskPoints exist
-only in the public functions that wrap this core, which makes every check.
+A polygon is one record, HyperbolicPolygon, which carries its DiskPoint
+vertices, sides, angles and area. It is measured once, where it is made:
+from_vertices measures a new polygon and _steiner_step each move's, and
+every other function reads the record as it is. Inside, the walks take the
+vertices and their directions as complex numbers, so a quarter turn
+(x, y) -> (-y, x) of the input turns the run bit for bit.
 """
 
 from __future__ import annotations
@@ -54,17 +56,29 @@ STEP_TOL = 1e-13
 
 
 class HyperbolicPolygon(
-    namedtuple("HyperbolicPolygon", "vertices side_lengths interior_angles")
+    namedtuple("HyperbolicPolygon", "vertices side_lengths interior_angles area")
 ):
     """Strictly convex polygon, vertices in counterclockwise order: the
     hyperbolic orientation, read from the signed interior angles (_measure).
 
     ``vertices`` is a tuple of DiskPoints; ``side_lengths[i]`` is the side
     from vertex i to vertex i + 1 and ``interior_angles[i]`` the angle at
-    vertex i, both tuples of floats.
+    vertex i, both tuples of floats, and ``area`` is the sum of the fan
+    triangles' areas, to 2e-15 relative. A polygon is measured once, where
+    it is made: from_vertices measures its vertices, and the constructor
+    measures them again and refuses fields that differ by a bit. _make and
+    _replace are unchecked, as for DiskPoint.
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls, vertices, side_lengths, interior_angles, area: float
+    ) -> "HyperbolicPolygon":
+        poly = cls.from_vertices(vertices)
+        if poly[1:] != (tuple(side_lengths), tuple(interior_angles), area):
+            raise DomainError("sides, angles or area disagree with the vertices")
+        return poly
 
     @property
     def n(self) -> int:
@@ -75,24 +89,11 @@ class HyperbolicPolygon(
         vs = tuple(vertices)
         if len(vs) < 3:
             raise DomainError("a polygon needs at least three vertices")
-        return cls(vs, *_measure(tuple(v.z for v in vs))[1:3])
+        return _measure(vs)
 
 
-# The core's polygon: HyperbolicPolygon's fields, with complex vertices, and its area.
-_Shape = namedtuple("_Shape", "vertices side_lengths interior_angles area")
-
-
-def _shape(poly: HyperbolicPolygon) -> _Shape:
-    return _measure(tuple(v.z for v in poly.vertices))
-
-
-def _polygon(shape: _Shape) -> HyperbolicPolygon:
-    vs = tuple(DiskPoint._make((z.real, z.imag)) for z in shape.vertices)
-    return HyperbolicPolygon(vs, shape.side_lengths, shape.interior_angles)
-
-
-def _measure(zs: tuple[complex, ...]) -> _Shape:
-    """Check and measure the polygon with vertices zs.
+def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
+    """Check and measure the polygon with vertices vs.
 
     Each interior angle, the signed _turn(V_k, V_{k-1}, V_{k+1}) read in the
     chart centred at V_k, must lie in (0, pi). So must the turn at V_0 of
@@ -109,6 +110,7 @@ def _measure(zs: tuple[complex, ...]) -> _Shape:
     t_k = tanh(r_k / 2), 1 - u = (1 - t_k) + t_k (1 - t_{k+1}) and
     1 - t_k = 2 / (e^{r_k} + 1): no term cancels at any scale or offset.
     """
+    zs = [v.z for v in vs]
     n = len(zs)
     sides = tuple(_distance(zs[i], zs[(i + 1) % n]) for i in range(n))
     angles = []
@@ -127,7 +129,7 @@ def _measure(zs: tuple[complex, ...]) -> _Shape:
                          + 2.0 * ts[k] * ts[k + 1] * math.sin(0.5 * t) ** 2)
         for k, t in enumerate(turns)
     )
-    return _Shape(zs, sides, tuple(angles), area)
+    return HyperbolicPolygon._make((vs, sides, tuple(angles), area))
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
@@ -136,28 +138,31 @@ def polygon_perimeter(poly: HyperbolicPolygon) -> float:
 
 def polygon_area(poly: HyperbolicPolygon) -> float:
     """Sum of the fan triangles' areas (see _measure), to 2e-15 relative."""
-    return _shape(poly).area
+    return poly.area
 
 
-class MoveResult(namedtuple("MoveResult", "polygon delta_area accepted rejected")):
+class MoveResult(namedtuple("MoveResult", "polygon accepted rejected")):
     """``rejected`` counts planned moves refused because the result was not convex."""
 
     __slots__ = ()
 
 
-def _steiner_step(shape: _Shape, i: int) -> tuple[_Shape | None, int]:
-    """The Steiner step at vertex i (see steiner_move). Returns the new shape
+def _steiner_step(poly: HyperbolicPolygon, i: int) -> tuple[HyperbolicPolygon | None, int]:
+    """The Steiner step at vertex i (see steiner_move). Returns the new polygon
     (None if nothing moved) and the moves refused as not convex (0 or 1)."""
-    updates = _window_move(shape, i)
+    updates = _window_move(poly, i)
     if updates is None:
         return None, 0
+    vs = list(poly.vertices)
+    for k, z in updates.items():
+        vs[k] = DiskPoint._make((z.real, z.imag))
     try:
-        return _measure(tuple(updates.get(k, z) for k, z in enumerate(shape.vertices))), 0
+        return _measure(tuple(vs)), 0
     except DomainError:
         return None, 1
 
 
-def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
+def _window_move(poly: HyperbolicPolygon, i: int) -> dict[int, complex] | None:
     """The largest-area position of the window at V_i; the new positions of
     its inner vertices, or None if the move is not planned.
 
@@ -195,7 +200,7 @@ def _window_move(shape: _Shape, i: int) -> dict[int, complex] | None:
     STEP_TOL |V_k D|. A window whose mean side s exceeds D_MAX, farther
     than step_from walks, is refused.
     """
-    zs, sides = shape.vertices, shape.side_lengths
+    zs, sides = [v.z for v in poly.vertices], poly.side_lengths
     n = len(zs)
     m = n - 1
     window = [sides[(i - 1 + k) % n] for k in range(m)]
@@ -271,11 +276,11 @@ def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> floa
     return 2.0 * math.asinh(math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
 
 
-def _max_residual(shape: _Shape) -> float:
+def max_optimality_residual(poly: HyperbolicPolygon) -> float:
     """The largest of max(|s_{k-1} - s_k|, |BD* - BD|) at each V_k, for A B C D =
     V_{k-1} V_k V_{k+1} V_{k+2} and BD* the concyclic |BD|; zero on regular
     polygons. A triangle has no cross diagonal, so only sides count."""
-    zs, sides = shape.vertices, shape.side_lengths
+    zs, sides = [v.z for v in poly.vertices], poly.side_lengths
     n = len(zs)
     worst = max(abs(sides[k - 1] - sides[k]) for k in range(n))
     if n == 3:
@@ -287,38 +292,30 @@ def _max_residual(shape: _Shape) -> float:
     return worst
 
 
-def max_optimality_residual(poly: HyperbolicPolygon) -> float:
-    """The largest per-vertex residual (see _max_residual); 0 on regular polygons."""
-    return _max_residual(_shape(poly))
-
-
 def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     """One Steiner step at vertex i, 0 <= i < n, the one steiner_optimize takes.
 
     Keeps V_{i-2}, V_{i-1} and the perimeter, and moves the other n - 2
     vertices to the largest-area position: the n - 1 sides from V_{i-1} round
     to V_{i-2} equal, and every vertex on one circle, horocycle or hypercycle
-    (see _window_move). The polygon comes back unchanged (with delta_area 0)
+    (see _window_move). The input is used as it is, and comes back itself
     when the move is not planned, because it would change no side or
     distance to V_{i-2} by more than STEP_TOL relative, or when its result is
-    not convex; ``rejected`` counts the latter. delta_area is polygon_area
-    after the move minus polygon_area before it; near a fixed point it is
-    roundoff, of either sign. A window whose mean side exceeds D_MAX raises
-    DomainError.
+    not convex; ``rejected`` counts the latter. A planned move's polygon is
+    measured once, and its area less the input's is the move's gain; near a
+    fixed point that is roundoff, of either sign. A window whose mean side
+    exceeds D_MAX raises DomainError.
     """
     i = operator.index(i)
     if not 0 <= i < poly.n:
         raise DomainError(f"vertex index {i} outside 0..{poly.n - 1}")
-    shape = _shape(poly)
-    updated, rejected = _steiner_step(shape, i)
+    updated, rejected = _steiner_step(poly, i)
     if updated is None:
-        return MoveResult(poly, 0.0, False, rejected)
-    return MoveResult(_polygon(updated), updated.area - shape.area, True, rejected)
+        return MoveResult(poly, False, rejected)
+    return MoveResult(updated, True, rejected)
 
 
-class TraceStep(
-    namedtuple("TraceStep", "iteration vertex area_before area_after residual perimeter")
-):
+class TraceStep(namedtuple("TraceStep", "iteration vertex area_after residual perimeter")):
     __slots__ = ()
 
 
@@ -351,26 +348,24 @@ def steiner_optimize(poly: HyperbolicPolygon, tol: float = 1e-8) -> SteinerResul
         raise DomainError("tol must be positive and finite")
     trace, moves_rejected, sweeps = [], 0, 0
     n = poly.n
-    shape = _shape(poly)
-    worst = _max_residual(shape)
-    bound = tol * polygon_perimeter(shape) / n
+    worst = max_optimality_residual(poly)
+    bound = tol * polygon_perimeter(poly) / n
     while True:
         start = worst
         for i in range(n):
-            updated, rejected = _steiner_step(shape, i)
+            updated, rejected = _steiner_step(poly, i)
             moves_rejected += rejected
             if updated is not None:
-                before, shape, worst = shape, updated, _max_residual(updated)
+                poly, worst = updated, max_optimality_residual(updated)
                 trace.append(TraceStep(
-                    iteration=sweeps * n + i, vertex=i, area_before=before.area,
-                    area_after=shape.area, residual=worst, perimeter=polygon_perimeter(shape),
+                    iteration=sweeps * n + i, vertex=i, area_after=poly.area,
+                    residual=worst, perimeter=polygon_perimeter(poly),
                 ))
             if worst <= bound:
                 break
         sweeps += 1
         if not bound < worst < start:
             break
-    poly = _polygon(shape)
     return SteinerResult(poly, tuple(trace), worst <= bound, sweeps, worst, moves_rejected)
 
 

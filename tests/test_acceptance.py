@@ -110,9 +110,8 @@ def test_06_steiner_run():
     elapsed = time.perf_counter() - start
 
     drift = max((abs(s.perimeter - perim0) for s in result.trace), default=0.0)
-    monotone = all(s.area_after >= s.area_before - 1e-12 for s in result.trace)
-    areas = [s.area_after for s in result.trace]
-    monotone = monotone and all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
+    areas = [poly.area, *(s.area_after for s in result.trace)]
+    monotone = all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
     perim1, area1 = polygon_perimeter(result.polygon), polygon_area(result.polygon)
     deficit1 = isoperimetric_deficit(perim1, area1)
     bound = 1e-8 * perim0 / 8

@@ -186,22 +186,23 @@ class TestSteinerCommand:
         assert float(last.rsplit(",", 1)[1]) == report["final"]["residual"]
 
     def test_report_measures_each_polygon_once(self, tmp_path, monkeypatch, capsys):
-        # counted in process: the generator's polygon, the run's read of it
-        # and one polygon per move, so moves + 2 in all; the input's area is
-        # the first step's area before, the final area the last step's area
-        # after and the residual the run's, each equal to a fresh measurement
+        # counted in process: the generator's polygon and one polygon per
+        # move, so moves + 1 in all; the initial and final areas are the
+        # input's and the run's polygons' own, and the residual the run's,
+        # each equal to a fresh measurement
         from hyplobe import cli, polygon
 
         calls = []
         measure = polygon._measure
-        monkeypatch.setattr(polygon, "_measure", lambda zs: calls.append(zs) or measure(zs))
+        monkeypatch.setattr(polygon, "_measure", lambda vs: calls.append(vs) or measure(vs))
         argv = ["steiner", "--n", "8", "--seed", "42", "--trace-csv", str(tmp_path / "t.csv")]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["moves_accepted"] == 11 and len(calls) == 11 + 2
+        assert report["moves_accepted"] == 11 and len(calls) == 11 + 1
         monkeypatch.undo()
         poly = polygon.random_convex_polygon(8, 42)
-        final = polygon.steiner_optimize(poly).polygon
+        vertices = polygon.steiner_optimize(poly).polygon.vertices
+        final = polygon.HyperbolicPolygon.from_vertices(vertices)  # measured afresh
         area = polygon.polygon_area(final)
         spec = polygon.regular_polygon_for_perimeter(8, polygon.polygon_perimeter(final))
         regular = polygon.regular_polygon(spec).area

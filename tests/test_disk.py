@@ -297,6 +297,8 @@ class TestComplexHelpers:
         # signed zeros, which the chart maps must carry as the isometries do
         out += [(ORIGIN, DiskPoint(0.0, 0.5), DiskPoint(-0.0, -0.5)),
                 (DiskPoint(-0.0, 0.5), DiskPoint(0.0, -0.25), ORIGIN)]
+        # exact repeats, which angles and directions must refuse at any scale
+        out += [(v, v, q) for v, _, q in out[:12]]
         return out
 
     @staticmethod
@@ -371,9 +373,11 @@ class TestComplexHelpers:
         return self.OUTSIDE in self._refusals([_bits(lambda: tuple(m(p).x for p in points))])
 
     def test_angle(self, triples):
+        # coincidence is relative: the nearer image at most 1e-12 times the
+        # farther one's modulus
         def ref(v, p, q):
             u, w = self._chart(v, p), self._chart(v, q)
-            if abs(u) <= 1e-12 or abs(w) <= 1e-12:
+            if min(abs(u), abs(w)) <= 1e-12 * max(abs(u), abs(w)):
                 raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
             return abs(cmath.phase(u * w.conjugate()))
 
@@ -392,9 +396,10 @@ class TestComplexHelpers:
         assert far >= 10
 
     def test_direction(self, triples):
+        # only an exact repeat has no direction
         def ref(p, q):
             w = self._chart(p, q)
-            if abs(w) <= 1e-12:
+            if w == 0:
                 raise DegenerateInputError("direction undefined for coincident points")
             return cmath.phase(w)
 

@@ -43,7 +43,6 @@ from hyplobe.polygon import (
     _chain_ratios,
     _cyclic_cross_diagonal,
     _measure,
-    _shape,
     _steiner_step,
     _window_move,
     circle_radius_for_circumference,
@@ -229,22 +228,23 @@ class TestPolygonConstruction:
 
 class TestAreaAndPerimeter:
     def test_regular_polygons_at_every_scale(self):
-        # centred regular 3-, 8- and 64-gons, from the smallest circumradius
-        # whose sides _turn still tells from a point (1e-11; 1e-10 for the
-        # 64-gon, whose sides are shorter) up to 9: each builds, and its fan
-        # area is within 2e-15 relative of the closed form (9.4e-16 measured)
-        for n, floor in ((3, -11), (8, -11), (64, -10)):
-            for R in [10.0**e for e in range(floor, 1)] + [3.0, 9.0]:
+        # centred regular 3-, 8- and 64-gons from circumradius 1e-150 up to 9:
+        # _turn's coincidence guard is relative to the points' scale, so each
+        # builds, and its fan area is within 2e-15 relative of the closed form
+        # (9.4e-16 measured; 5.9e-16 below 1e-8)
+        for n in (3, 8, 64):
+            for R in [10.0**e for e in range(-150, 1)] + [3.0, 9.0]:
                 spec = RegularPolygonSpec(n, R)
                 area = regular_polygon(spec).area
                 poly = regular_polygon_vertices(spec)
                 assert abs(polygon_area(poly) - area) <= 2e-15 * area, (n, R)
 
     def test_matches_high_precision_reference(self):
-        # the regular polygons above at every other circumradius, centred and
-        # carried 4 and 8 out, and generator polygons: the area is within
-        # 2e-15 relative of (n - 2) pi minus the interior angles at 60 digits
-        # over the same doubles (8.8e-16 measured)
+        # the regular polygons above from circumradius 1e-11 (1e-10 for the
+        # 64-gon) at every other exponent, centred and carried 4 and 8 out,
+        # and generator polygons: the area is within 2e-15 relative of
+        # (n - 2) pi minus the interior angles at 60 digits over the same
+        # doubles (8.8e-16 measured); 60 digits resolve no smaller defect
         polygons = [random_convex_polygon(n, seed) for n in (3, 4, 7, 16, 64) for seed in range(4)]
         for n, floor in ((3, -11), (8, -11), (64, -10)):
             for R in [10.0**e for e in range(floor, 1, 2)] + [3.0, 9.0]:
@@ -303,9 +303,7 @@ class TestSteinerMove:
                     assert polygon_perimeter(mv.polygon) == pytest.approx(
                         perim, abs=1e-10
                     )
-                    gained = polygon_area(mv.polygon) - area
-                    assert gained > 0.0
-                    assert gained == pytest.approx(mv.delta_area, abs=1e-10)
+                    assert polygon_area(mv.polygon) - area > 0.0
 
     def test_triangle_window_matches_hinge_grid_argmax(self):
         # on a triangle the window is the hinge at V_i: the closed form
@@ -313,13 +311,12 @@ class TestSteinerMove:
         accepted = 0
         for seed in range(20):
             poly = random_convex_polygon(3, seed)
-            shape = _shape(poly)
             for i in range(poly.n):
                 f1, f2 = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
                 s = poly.side_lengths[i - 1] + poly.side_lengths[i]
                 grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
-                updates = _window_move(shape, i)
-                updated = None if updates is None else _steiner_step(shape, i)[0]
+                updates = _window_move(poly, i)
+                updated = None if updates is None else _steiner_step(poly, i)[0]
                 if updated is None:
                     continue
                 accepted += 1
@@ -339,19 +336,18 @@ class TestSteinerMove:
         accepted = 0
         for seed in range(10):
             poly = random_convex_polygon(4, seed)
-            shape = _shape(poly)
             n = poly.n
             for i in range(n):
                 a, d = poly.vertices[i - 1], poly.vertices[(i + 2) % n]
                 total = sum(poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
                 s = total / 3
                 diag = hyp_distance(a, d)
-                updates = _window_move(shape, i)
-                updated = None if updates is None else _steiner_step(shape, i)[0]
+                updates = _window_move(poly, i)
+                updated = None if updates is None else _steiner_step(poly, i)[0]
                 if updated is None:
                     continue
                 accepted += 1
-                phi = angle_at_vertex(a, d, DiskPoint.from_complex(updated.vertices[i]))
+                phi = angle_at_vertex(a, d, updated.vertices[i])
                 area = float(oracle.quadrilateral_area(s, s, s, diag, phi))
                 grid = oracle.grid_search_quadrilateral(s, s, s, diag, 100_000)
                 assert area >= grid.area_hat - 1e-13
@@ -430,7 +426,7 @@ class TestSteinerMove:
             lo, hi = (c, hi) if hyp_distance(*chain(c)[::5]) > closing else (lo, c)
         poly = HyperbolicPolygon.from_vertices(chain(lo))
         mv = steiner_move(poly, 1)
-        assert mv.accepted and mv.delta_area > 0.0
+        assert mv.accepted and mv.polygon.area > poly.area
         assert mv.polygon.vertices[0] == poly.vertices[0]
         assert mv.polygon.vertices[5] == poly.vertices[5]
         with mpmath.workdps(60):
@@ -554,10 +550,10 @@ class TestSteinerMove:
         jitter = ((1.0, 0.1), (1.1, 1.9), (0.9, 3.0), (1.05, 4.6))
         zs = tuple(1e-10 * r * cmath.exp(1j * t) for r, t in jitter)
         n = len(zs)
-        shape = _measure(zs)
-        sides = shape.side_lengths
+        poly = _measure(tuple(DiskPoint.from_complex(z) for z in zs))
+        sides = poly.side_lengths
         for i in range(n):
-            updates = _window_move(shape, i)
+            updates = _window_move(poly, i)
             assert updates is not None and set(updates) == {i, (i + 1) % n}
             moved = list(zs)
             for k, z in updates.items():
@@ -690,11 +686,11 @@ def refuse_once(monkeypatch):
 
     move, calls = polygon._window_move, []
 
-    def patched(shape, i):
+    def patched(poly, i):
         calls.append(i)
         if len(calls) > 1:
-            return move(shape, i)
-        zs = shape.vertices
+            return move(poly, i)
+        zs = [v.z for v in poly.vertices]
         return {i: zs[i - 1] + zs[(i + 1) % len(zs)] - zs[i]}
 
     monkeypatch.setattr(polygon, "_window_move", patched)
@@ -735,11 +731,10 @@ class TestSteinerOptimize:
         d0 = isoperimetric_deficit(perim0, polygon_area(poly))
         result = steiner_optimize(poly, tol=1e-8)
         assert result.converged
-        # trace invariants: conserved perimeter, monotone area
+        # trace invariants: conserved perimeter, monotone area from the input's
         for step in result.trace:
             assert abs(step.perimeter - perim0) < 1e-9
-            assert step.area_after >= step.area_before - 1e-12
-        areas = [s.area_after for s in result.trace]
+        areas = [poly.area, *(s.area_after for s in result.trace)]
         assert all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
         assert result.residual <= 1e-8 * perim0 / 8
         assert_regular_area(result)
@@ -904,25 +899,28 @@ class TestSteinerOptimize:
     def test_jittered_octagon_converges_at_every_scale(self):
         # the regular octagon's vertices pushed to radii R (1 + u), with u
         # uniform on [-0.15, 0.15] from random.Random(1): the run converges
-        # from R = 1 down to 1e-9, and no smaller copy takes more sweeps, as
-        # the step reads only lengths. The fan area keeps its relative
-        # accuracy at every R, so the final polygon never has more area than
-        # the regular octagon of its perimeter beyond 2 n ulps (4 measured)
+        # from R = 1 down to 1e-50, and no smaller copy takes more sweeps or
+        # moves, as the step reads only lengths and the guards are relative
+        # (10 moves at R = 1, 9 at every smaller R). The fan area keeps its
+        # relative accuracy at every R, so the final polygon never has more
+        # area than the regular octagon of its perimeter beyond 2 n ulps (5
+        # measured)
         rng = random.Random(1)
         jitter = [rng.uniform(-0.15, 0.15) for _ in range(8)]
-        sweeps = {}
-        for R in (1.0, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        sweeps, moves = {}, {}
+        for R in [10.0**e for e in range(0, -51, -1)]:
             poly = HyperbolicPolygon.from_vertices([
                 point_from_polar(R * (1.0 + u), 2.0 * math.pi * k / 8)
                 for k, u in enumerate(jitter)
             ])
             result = steiner_optimize(poly, tol=1e-8)
             assert result.converged, R
-            sweeps[R] = result.sweeps
+            sweeps[R], moves[R] = result.sweeps, len(result.trace)
             spec = regular_polygon_for_perimeter(8, polygon_perimeter(result.polygon))
             regular = regular_polygon(spec).area
             assert polygon_area(result.polygon) <= regular + 16 * math.ulp(regular), R
         assert max(sweeps.values()) == sweeps[1.0], sweeps
+        assert all(m == moves[1e-1] <= moves[1.0] for R, m in moves.items() if R < 1.0), moves
 
     def test_trace_never_loses_area(self):
         # on every generator polygon with n = 3-64, seeds 0-9, no step of a
@@ -930,8 +928,11 @@ class TestSteinerOptimize:
         # 5 ulps at n = 7)
         for n in range(3, 65):
             for seed in range(10):
-                for step in steiner_optimize(random_convex_polygon(n, seed)).trace:
-                    floor = step.area_before - 2 * n * math.ulp(step.area_before)
+                poly = random_convex_polygon(n, seed)
+                trace = steiner_optimize(poly).trace
+                areas = [poly.area, *(s.area_after for s in trace)]
+                for before, step in zip(areas, trace):
+                    floor = before - 2 * n * math.ulp(before)
                     assert step.area_after >= floor, (n, seed, step.iteration)
 
     def test_converged_is_the_residual_test(self):
@@ -1011,14 +1012,14 @@ class TestSteinerOptimize:
 
     def test_trace_matches_replayed_moves(self, monkeypatch):
         # replaying steiner_move up to the last trace step's iteration: every
-        # trace step is the full recomputation's bit for bit, the areas chain
-        # from the input's, and the refusals add up. The first step's move is
-        # patched to a reflex position, which both refuse and count
+        # trace step is the replayed move's bit for bit, each moved polygon
+        # is what measuring its vertices afresh gives (the constructor
+        # refuses any other), and the refusals add up. The first step's move
+        # is patched to a reflex position, which both refuse and count
         poly = random_convex_polygon(8, 0)
         refuse_once(monkeypatch)
         result = steiner_optimize(poly, tol=1e-8)
         assert result.converged
-        assert result.trace[0].area_before == polygon_area(poly)
         refuse_once(monkeypatch)
         steps = iter(result.trace)
         rejected = 0
@@ -1027,20 +1028,46 @@ class TestSteinerOptimize:
             rejected += mv.rejected
             if mv.accepted:
                 step = next(steps)
+                assert HyperbolicPolygon(*mv.polygon) == mv.polygon
                 assert step == (
                     it,
                     it % poly.n,
-                    polygon_area(poly),
                     polygon_area(mv.polygon),
                     max_optimality_residual(mv.polygon),
                     polygon_perimeter(mv.polygon),
                 )
                 poly = mv.polygon
             else:
-                assert mv.polygon is poly and mv.delta_area == 0.0
+                assert mv.polygon is poly
         assert next(steps, None) is None
-        assert poly.vertices == result.polygon.vertices
+        assert poly == result.polygon
         assert result.moves_rejected == rejected == 1
+
+    def test_each_polygon_is_measured_once(self, monkeypatch):
+        # a polygon is measured where it is made: by from_vertices, by the
+        # checked constructor once more, and by each planned move (11 in the
+        # run on the generator's octagon, seed 42); an unplanned move, the
+        # area and the residual read the record and measure nothing
+        from hyplobe import polygon
+
+        calls = []
+        measure = polygon._measure
+        monkeypatch.setattr(polygon, "_measure", lambda vs: calls.append(vs) or measure(vs))
+
+        def count(fn, *args):
+            calls.clear()
+            fn(*args)
+            return len(calls)
+
+        poly = random_convex_polygon(8, 42)
+        regular = regular_polygon_vertices(RegularPolygonSpec(8, 0.5))
+        assert count(HyperbolicPolygon.from_vertices, poly.vertices) == 1
+        assert count(HyperbolicPolygon, *poly) == 1
+        assert count(polygon_area, poly) == count(max_optimality_residual, poly) == 0
+        assert steiner_move(poly, 0).accepted and count(steiner_move, poly, 0) == 1
+        assert steiner_move(regular, 0) == (regular, False, 0)
+        assert count(steiner_move, regular, 0) == 0
+        assert len(steiner_optimize(poly).trace) == count(steiner_optimize, poly) == 11
 
     def test_deterministic(self):
         r1 = steiner_optimize(random_convex_polygon(6, 7), tol=1e-8)

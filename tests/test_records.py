@@ -11,6 +11,7 @@ from hyplobe import (
     DiskPoint,
     DomainError,
     EuclideanCircle,
+    HyperbolicPolygon,
     RegularPolygonSpec,
     TriangleSolution,
     build_figure1,
@@ -43,11 +44,9 @@ def _records():
         fig: ("A", "B", "C", "omega", "psi", "b_prime", "tau"),
         optimal_alpha(1.0, 1.5): ("alpha_star", "solution"),
         optimality_certificate(fig): ("acb_angle", "tangency_gap", "residual"),
-        poly: ("vertices", "side_lengths", "interior_angles"),
-        steiner_move(poly, 0): ("polygon", "delta_area", "accepted", "rejected"),
-        result.trace[0]: (
-            "iteration", "vertex", "area_before", "area_after", "residual", "perimeter"
-        ),
+        poly: ("vertices", "side_lengths", "interior_angles", "area"),
+        steiner_move(poly, 0): ("polygon", "accepted", "rejected"),
+        result.trace[0]: ("iteration", "vertex", "area_after", "residual", "perimeter"),
         result: ("polygon", "trace", "converged", "sweeps", "residual", "moves_rejected"),
         circumcircle_fit(poly): ("center", "radius", "spread"),
         spec: ("n", "circumradius"),
@@ -109,6 +108,14 @@ class TestRecords:
         for field, value in [("a", -1.0), ("beta", 0.0), ("gamma", 3.0), ("area", 0.5)]:
             values = {f: getattr(sol, f) for f in sol._fields} | {field: value}
             bad.append(lambda values=values: TriangleSolution(**values))
+        # a polygon's fields must be its vertices' measurements to the bit
+        poly = random_convex_polygon(5, 3)
+        for fields in [
+            poly._replace(area=math.nextafter(poly.area, math.inf)),
+            poly._replace(side_lengths=poly.side_lengths[1:] + poly.side_lengths[:1]),
+            poly._replace(vertices=poly.vertices[::-1]),
+        ]:
+            bad.append(lambda fields=fields: HyperbolicPolygon(*fields))
         for make in bad:
             with pytest.raises(DomainError):
                 make()

@@ -141,3 +141,25 @@ def test_no_run_calls_the_circumcircle_fit():
         ("polygon", "def", "CircumcircleFit"),
         ("polygon", "def", "circumcircle_fit"),
     ]
+
+
+def test_polygons_are_measured_where_they_are_made():
+    # a polygon is measured once, where it is made: from_vertices measures a
+    # new one (the checked constructor goes through it) and _steiner_step a
+    # move's; every other function reads the record's fields as they are
+    calls, callers = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += sum(
+            isinstance(node, ast.Call) and _spelled(node.func) == "_measure"
+            for node in ast.walk(tree)
+        )
+        callers += [
+            (path.stem, func.name)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and _spelled(node.func) == "_measure"
+        ]
+    assert sorted(callers) == [("polygon", "_steiner_step"), ("polygon", "from_vertices")]
+    assert calls == len(callers)
