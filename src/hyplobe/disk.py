@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DegenerateInputError, DomainError
@@ -26,6 +27,7 @@ D_MAX = 20.0
 
 _COLLINEAR_TOL = 1e-12
 _COINCIDENT_TOL = 1e-12
+_TINY = sys.float_info.min  # smallest normal float: below it, too few bits for a phase
 
 
 class DiskPoint(namedtuple("DiskPoint", "x y")):
@@ -227,11 +229,12 @@ def apply_isometry(m: DiskIsometry, p: DiskPoint) -> DiskPoint:
 
 def _turn(v: complex, p: complex, q: complex) -> float:
     """Signed angle at v from the geodesic vq counterclockwise to vp, in [-pi, pi].
-    Refused as coincident when the nearer endpoint's chart image is at most
-    _COINCIDENT_TOL times the farther one's modulus, a bound relative to the
-    points' scale, so polygons of any size are measured."""
+    Refused as coincident, at any scale, when the nearer chart image is at most
+    _COINCIDENT_TOL times the farther, or when their moduli's product is below
+    _TINY, where u conj(w) is subnormal: sides of about 3e-154 are the shortest."""
     u, w = _chart(v, p), _chart(v, q)
-    if min(abs(u), abs(w)) <= _COINCIDENT_TOL * max(abs(u), abs(w)):
+    a, b = abs(u), abs(w)
+    if min(a, b) <= _COINCIDENT_TOL * max(a, b) or a * b < _TINY:
         raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
     return cmath.phase(u * w.conjugate())
 
@@ -247,7 +250,7 @@ def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
 
 def _direction(p: complex, q: complex) -> complex:
     w = _chart(p, q)
-    if w == 0:  # any other image gives its direction to an ulp (see _chart)
+    if abs(w) < _TINY:  # a normal image gives its direction to an ulp (see _chart)
         raise DegenerateInputError("direction undefined for coincident points")
     return w
 

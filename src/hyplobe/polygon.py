@@ -45,10 +45,8 @@ import math
 import operator
 from collections import namedtuple
 
-from .disk import (
-    D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar,
-)
-from .errors import DomainError, NonConvexError
+from .disk import D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar
+from .errors import DegenerateInputError, DomainError, NonConvexError
 
 # Smallest first-order step, relative to the quantity it changes, for which a
 # move is planned: a smaller one moves the vertices by roundoff only.
@@ -72,9 +70,7 @@ class HyperbolicPolygon(
 
     __slots__ = ()
 
-    def __new__(
-        cls, vertices, side_lengths, interior_angles, area: float
-    ) -> "HyperbolicPolygon":
+    def __new__(cls, vertices, side_lengths, interior_angles, area) -> "HyperbolicPolygon":
         poly = cls.from_vertices(vertices)
         if poly[1:] != (tuple(side_lengths), tuple(interior_angles), area):
             raise DomainError("sides, angles or area disagree with the vertices")
@@ -109,6 +105,8 @@ def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
     2 atan2(u sin theta, (1 - u) + 2 u sin^2(theta / 2)), u = t_k t_{k+1},
     t_k = tanh(r_k / 2), 1 - u = (1 - t_k) + t_k (1 - t_{k+1}) and
     1 - t_k = 2 / (e^{r_k} + 1): no term cancels at any scale or offset.
+    A fan triangle's area below 2^-1022, subnormal and bits short, is refused:
+    regular 3-, 8- and 64-gons build from circumradius 1e-152, not 1e-155.
     """
     zs = [v.z for v in vs]
     n = len(zs)
@@ -124,12 +122,14 @@ def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
     radii = [sides[0], *(_distance(zs[0], z) for z in zs[2:-1]), sides[-1]]  # |V_0 V_k|
     ts = [math.tanh(0.5 * r) for r in radii]
     es = [2.0 / (math.exp(r) + 1.0) for r in radii]  # 1 - tanh(r / 2)
-    area = math.fsum(
+    fan = [
         2.0 * math.atan2(ts[k] * ts[k + 1] * math.sin(t), es[k] + ts[k] * es[k + 1]
                          + 2.0 * ts[k] * ts[k + 1] * math.sin(0.5 * t) ** 2)
         for k, t in enumerate(turns)
-    )
-    return HyperbolicPolygon._make((vs, sides, tuple(angles), area))
+    ]
+    if min(fan) < 2.0**-1022:  # the smallest normal float
+        raise DegenerateInputError("polygon too small: a fan triangle's area is subnormal")
+    return HyperbolicPolygon._make((vs, sides, tuple(angles), math.fsum(fan)))
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -301,6 +302,20 @@ class TestComplexHelpers:
         out += [(v, v, q) for v, _, q in out[:12]]
         return out
 
+    @pytest.fixture(scope="class")
+    def tiny_triples(self):
+        # points near the origin whose chart images' products (odd k) or
+        # the images themselves (even k) straddle the smallest normal float
+        rng = np.random.default_rng(2025)
+        out = []
+        for k in range(24):
+            r = 10.0 ** (rng.uniform(-160.0, -145.0) if k % 2 else rng.uniform(-318.0, -300.0))
+            r *= 10.0 ** rng.uniform(-1.0, 0.0, 3)
+            t = rng.uniform(-math.pi, math.pi, 3)
+            out.append(tuple(DiskPoint(r[j] * math.cos(t[j]), r[j] * math.sin(t[j]))
+                             for j in range(3)))
+        return out
+
     @staticmethod
     def _refusals(results):
         """How often each refusal occurs, with the numbers in its message as #."""
@@ -372,17 +387,19 @@ class TestComplexHelpers:
         m = isometry_to_origin(v)
         return self.OUTSIDE in self._refusals([_bits(lambda: tuple(m(p).x for p in points))])
 
-    def test_angle(self, triples):
+    def test_angle(self, triples, tiny_triples):
         # coincidence is relative: the nearer image at most 1e-12 times the
-        # farther one's modulus
+        # farther one's modulus; and a product of the moduli below the
+        # smallest normal float is refused too
         def ref(v, p, q):
             u, w = self._chart(v, p), self._chart(v, q)
-            if min(abs(u), abs(w)) <= 1e-12 * max(abs(u), abs(w)):
+            a, b = abs(u), abs(w)
+            if min(a, b) <= 1e-12 * max(a, b) or a * b < sys.float_info.min:
                 raise DegenerateInputError("angle undefined: vertex coincides with an endpoint")
             return abs(cmath.phase(u * w.conjugate()))
 
         wants, far = [], 0
-        for v, p, q in triples:
+        for v, p, q in [*triples, *tiny_triples]:
             wants.append(_bits(lambda: ref(v, p, q)))
             assert _bits(lambda: angle_at_vertex(v, p, q)) == wants[-1]
             assert _bits(lambda: abs(disk._turn(v.z, p.z, q.z))) == wants[-1]
@@ -394,17 +411,20 @@ class TestComplexHelpers:
         assert refusals[coincident] >= 10
         assert set(refusals) == {coincident}
         assert far >= 10
+        tiny = [w[0] == "!" for w in wants[len(triples):]]
+        assert 0 < sum(tiny) < len(tiny)
 
-    def test_direction(self, triples):
-        # only an exact repeat has no direction
+    def test_direction(self, triples, tiny_triples):
+        # only an exact repeat, or an image too small to be a normal
+        # float, has no direction
         def ref(p, q):
             w = self._chart(p, q)
-            if w == 0:
+            if abs(w) < sys.float_info.min:
                 raise DegenerateInputError("direction undefined for coincident points")
             return cmath.phase(w)
 
         wants, far = [], 0
-        for p, q, _ in triples:
+        for p, q, _ in [*triples, *tiny_triples]:
             wants.append(_bits(lambda: ref(p, q)))
             assert _bits(lambda: direction_toward(p, q)) == wants[-1]
             assert _bits(lambda: cmath.phase(disk._direction(p.z, q.z))) == wants[-1]
@@ -416,6 +436,8 @@ class TestComplexHelpers:
         assert refusals[coincident] >= 10
         assert set(refusals) == {coincident}
         assert far >= 10
+        tiny = [w[0] == "!" for w in wants[len(triples):]]
+        assert 0 < sum(tiny) < len(tiny)
 
     def test_step(self, triples):
         rng = np.random.default_rng(7)

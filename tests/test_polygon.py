@@ -231,13 +231,32 @@ class TestAreaAndPerimeter:
         # centred regular 3-, 8- and 64-gons from circumradius 1e-150 up to 9:
         # _turn's coincidence guard is relative to the points' scale, so each
         # builds, and its fan area is within 2e-15 relative of the closed form
-        # (9.4e-16 measured; 5.9e-16 below 1e-8)
+        # (9.4e-16 measured; 5.9e-16 below 1e-8). From 1e-155 down, where
+        # the area is subnormal, each is refused, not measured a few bits off
         for n in (3, 8, 64):
             for R in [10.0**e for e in range(-150, 1)] + [3.0, 9.0]:
                 spec = RegularPolygonSpec(n, R)
                 area = regular_polygon(spec).area
                 poly = regular_polygon_vertices(spec)
                 assert abs(polygon_area(poly) - area) <= 2e-15 * area, (n, R)
+            for e in range(-155, -324, -1):
+                spec = RegularPolygonSpec(n, 10.0**e)
+                assert regular_polygon(spec).area < sys.float_info.min
+                with pytest.raises(DegenerateInputError):
+                    regular_polygon_vertices(spec)
+
+    def test_subnormal_fan_triangle_refused(self):
+        # the triangle on the base from -1e-150 to 1e-150 with its apex h
+        # above has area 4e-150 h to 2 ulps while that is normal; below, its
+        # one fan triangle's area is subnormal, and it is refused although
+        # every angle is read to the bit
+        base = (DiskPoint(1e-150, 0.0), DiskPoint(-1e-150, 0.0))
+        for h in (1e-150, 1e-155, 1e-158):
+            poly = HyperbolicPolygon.from_vertices([base[0], DiskPoint(0.0, h), base[1]])
+            assert abs(poly.area - 4e-150 * h) <= 4.5e-16 * 4e-150 * h, h
+        for h in (1e-159, 1e-162, 1e-165):
+            with pytest.raises(DegenerateInputError, match="subnormal"):
+                HyperbolicPolygon.from_vertices([base[0], DiskPoint(0.0, h), base[1]])
 
     def test_matches_high_precision_reference(self):
         # the regular polygons above from circumradius 1e-11 (1e-10 for the
