@@ -26,8 +26,8 @@ from .errors import DegenerateInputError, DomainError
 D_MAX = 20.0
 
 _COLLINEAR_TOL = 1e-12
-_COINCIDENT_TOL = 1e-12
-_TINY = sys.float_info.min  # smallest normal float: below it, too few bits for a phase
+_COINCIDENT_TOL = 1e-12  # relative: coincident if one length is at most this times another
+_TINY = sys.float_info.min  # the one floor: below the smallest normal float, bits are lost
 
 
 class DiskPoint(namedtuple("DiskPoint", "x y")):
@@ -95,7 +95,7 @@ class Geodesic(namedtuple("Geodesic", "direction circle")):
     @classmethod
     def diameter(cls, direction: complex) -> "Geodesic":
         mod = abs(direction)
-        if not math.isfinite(mod) or mod < _COINCIDENT_TOL:
+        if not _TINY <= mod < math.inf:  # zero, subnormal, infinite or NaN
             raise DegenerateInputError("diameter direction must be a nonzero vector")
         return cls(direction / mod, None)
 
@@ -189,11 +189,14 @@ def _orthogonal_circle(
 ) -> tuple[float, float, float] | None:
     """(cx, cy, radius) of the circle through p and q orthogonal to the unit
     circle, or None when p, q and the origin are collinear (|sin pOq| <= 1e-12)."""
-    if math.hypot(qx - px, qy - py) <= _COINCIDENT_TOL:
+    np_, nq = math.hypot(px, py), math.hypot(qx, qy)
+    if math.hypot(qx - px, qy - py) <= _COINCIDENT_TOL * max(np_, nq):
         raise DegenerateInputError("cannot build a geodesic through coincident points")
     cross = px * qy - py * qx
-    if abs(cross) <= _COLLINEAR_TOL * math.hypot(px, py) * math.hypot(qx, qy):
+    if abs(cross) <= _COLLINEAR_TOL * np_ * nq:
         return None
+    if abs(cross) < _TINY:  # the center, |q - p| / (2 cross) or so, loses bits
+        raise DomainError("points too near the center: the circle's products underflow")
     # Orthogonality to the unit circle means the power of the origin is 1,
     # which linearizes to 2 c.p = 1 + |p|^2 and likewise for q.
     rp = 0.5 * (1.0 + px * px + py * py)

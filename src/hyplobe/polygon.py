@@ -45,7 +45,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .disk import D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar
+from .disk import _TINY, D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar
 from .errors import DegenerateInputError, DomainError, NonConvexError
 
 # Smallest first-order step, relative to the quantity it changes, for which a
@@ -63,9 +63,9 @@ class HyperbolicPolygon(
     from vertex i to vertex i + 1 and ``interior_angles[i]`` the angle at
     vertex i, both tuples of floats, and ``area`` is the sum of the fan
     triangles' areas, to 2e-15 relative. A polygon is measured once, where
-    it is made: from_vertices measures its vertices, and the constructor
-    measures them again and refuses fields that differ by a bit. _make and
-    _replace are unchecked, as for DiskPoint.
+    it is made: from_vertices measures its vertices (DiskPoints, or (x, y)
+    pairs it makes DiskPoints), and the constructor measures them again and
+    refuses fields that differ by a bit. _make and _replace are unchecked.
     """
 
     __slots__ = ()
@@ -82,7 +82,7 @@ class HyperbolicPolygon(
 
     @classmethod
     def from_vertices(cls, vertices) -> "HyperbolicPolygon":
-        vs = tuple(vertices)
+        vs = tuple(v if isinstance(v, DiskPoint) else DiskPoint(*v) for v in vertices)
         if len(vs) < 3:
             raise DomainError("a polygon needs at least three vertices")
         return _measure(vs)
@@ -105,7 +105,7 @@ def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
     2 atan2(u sin theta, (1 - u) + 2 u sin^2(theta / 2)), u = t_k t_{k+1},
     t_k = tanh(r_k / 2), 1 - u = (1 - t_k) + t_k (1 - t_{k+1}) and
     1 - t_k = 2 / (e^{r_k} + 1): no term cancels at any scale or offset.
-    A fan triangle's area below 2^-1022, subnormal and bits short, is refused:
+    A fan triangle's area below _TINY, subnormal and bits short, is refused:
     regular 3-, 8- and 64-gons build from circumradius 1e-152, not 1e-155.
     """
     zs = [v.z for v in vs]
@@ -127,7 +127,7 @@ def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
                          + 2.0 * ts[k] * ts[k + 1] * math.sin(0.5 * t) ** 2)
         for k, t in enumerate(turns)
     ]
-    if min(fan) < 2.0**-1022:  # the smallest normal float
+    if min(fan) < _TINY:
         raise DegenerateInputError("polygon too small: a fan triangle's area is subnormal")
     return HyperbolicPolygon._make((vs, sides, tuple(angles), math.fsum(fan)))
 
@@ -270,10 +270,14 @@ def _cyclic_cross_diagonal(s1: float, s2: float, s3: float, diag: float) -> floa
     collinear points. With a, b, c, d the half-sinhs of s1, s2, s3, diag,
     Ptolemy's theorems give pq = ac + bd and p / q = (ad + bc) / (ab + cd)
     for the diagonals p = |AC| and q = |BD|, hence
-    sinh^2(|BD| / 2) = (ab + cd)(ac + bd) / (ad + bc).
+    sinh^2(|BD| / 2) = (ab + cd)(ac + bd) / (ad + bc), formed with a, b, c, d
+    scaled exactly by a power of two near the largest, so no product underflows.
     """
     a, b, c, d = (math.sinh(0.5 * x) for x in (s1, s2, s3, diag))
-    return 2.0 * math.asinh(math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
+    e = math.frexp(max(a, b, c, d))[1]
+    a, b, c, d = (math.ldexp(x, -e) for x in (a, b, c, d))
+    q = math.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c))
+    return 2.0 * math.asinh(math.ldexp(q, e))
 
 
 def max_optimality_residual(poly: HyperbolicPolygon) -> float:

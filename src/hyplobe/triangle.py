@@ -17,28 +17,21 @@ once, in its final form, no value is computed twice, and each check is an
 inline comparison that calls its helper (_check_sas_domain, _check_solution,
 disk._check_circle) only on the failing path, so the order, class and
 message of every refusal are the helpers'. solve_sas and optimal_alpha share
-one core, _sas. build_figure1 evaluates the formulas of the public
-primitives (embed_triangle, omega_circle, b_prime_point, tau_angle, and
-disk.geodesic_through) for B on the positive x-axis, with the terms in B's
-exact-zero y-coordinate dropped, and without five primitive checks no
-domain input can trip (see build_figure1); the composed primitives, which
-take arbitrary points, keep them. Tests pin each kernel to the composition
-it replaces, bit for bit and refusal for refusal.
+one core, _sas; build_figure1 evaluates the public primitives' formulas for
+B on the positive x-axis (see build_figure1). Tests pin each kernel to the
+composition it replaces, bit for bit and refusal for refusal.
 
-On the SAS domain, corner probes find refusals of thin or tiny triangles
-only: from _sas when the angle sum reaches pi (the smaller side below
-~1.5e-5) or a underflows (both sides below ~1e-170); from build_figure1
-when |C - B| <= 1e-12 (both below ~2e-11), omega's center overflows (the
-smaller below ~1e-148), px * qy underflows to 0, collinear (below ~3e-306),
-or B' squared overflows (c below ~1e-154). The on-circle guard never fires,
-but comes within 0.71 of its bound.
-
-build_figure1's guards measure with math.hypot and bound the radius with a
-conditional, as disk._orthogonal_circle and b_prime_point measure, so both
-refuse the same inputs, and it makes no object it does not return. Records
-are built through _new, an alias of tuple.__new__. optimality_certificate
-alone keeps abs(complex), libm's hypot, whose bits its output tangency_gap
-reports; math.hypot differs from it in the last bit on some inputs.
+Degeneracy has one rule, shared with the polygon path: coincidence is
+relative (disk._COINCIDENT_TOL times the larger length), and a value below
+disk._TINY, the smallest normal float, has lost bits and is refused. The
+angle sum, which rounds to pi on tiny triangles, is not judged. Corner
+probes of the SAS domain find refusals of tiny triangles only: from _sas
+where the area, an angle or cosh a - 1 is below the floor (both sides below
+~2.5e-154, ~2e-148 at the smallest apex angles; one below ~6e-308 against
+1); from build_figure1 where omega's center or B' squared overflows (the
+smaller side below ~1.6e-148, c below ~1.6e-154), px * qy is below the
+floor (both below ~3e-151) or 0, collinear, or B and C round to one point.
+The on-circle guard never fires, but comes within 0.71 of its bound.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .disk import _COINCIDENT_TOL, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
+from .disk import _COINCIDENT_TOL, _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
 from .disk import _check_circle, _orthogonal_circle
 from .errors import DegenerateInputError, DomainError
 
@@ -78,15 +71,15 @@ def _check_solution(
     sides: tuple[float, ...], angles: tuple[float, ...], angle_sum: float, area: float
 ) -> None:
     """TriangleSolution's checks on the given sides and angles, the angle sum
-    and the stored area."""
+    and the stored area, a normal float (the angle sum may round to pi)."""
     for s in sides:
         if not (0.0 < s and math.isfinite(s)):
             raise DomainError(f"triangle side {s} must be positive and finite")
     for ang in angles:
         if not (0.0 < ang < math.pi):
             raise DomainError(f"triangle angle {ang} outside (0, pi)")
-    if angle_sum >= math.pi:
-        raise DomainError("angle sum must be below pi in the hyperbolic plane")
+    if not area >= _TINY:
+        raise DomainError(f"triangle area {area} below the smallest normal float")
     if abs(area - (math.pi - angle_sum)) > 1e-14:
         raise DomainError("stored area disagrees with the angle defect")
 
@@ -145,7 +138,8 @@ def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     the angle defect, but computed from the half-angle formula
     area = 2 atan2(u sin(alpha), (1 - u) + 2 u sin^2(alpha/2)) with
     u = tanh(b/2) tanh(c/2) rather than as pi minus the angle sum, which
-    loses every digit once the triangle is small or thin.
+    loses every digit once the triangle is small or thin. Below the smallest
+    normal float an area, angle or cosh a - 1 has lost bits: a DomainError.
     """
     return _sas(b, c, alpha, False)
 
@@ -180,18 +174,12 @@ def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolu
     sinh_cb = math.sinh(c - b)
     beta = math.atan2(sin_alpha * sinh_b, sinh_cb + math.cosh(c) * sinh_b * one_minus_cos)
     gamma = math.atan2(sin_alpha * sinh_c, math.cosh(b) * sinh_c * one_minus_cos - sinh_cb)
-    angle_sum = alpha + beta + gamma
-    if angle_sum >= math.pi:
-        raise DomainError(
-            "triangle is numerically degenerate: angle defect below roundoff"
-        )
     area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
-    # TriangleSolution's checks, less those of b, c and alpha, made above, and
-    # of the angle sum, which has just passed a stricter one
-    if not (
-        0.0 < a < math.inf and 0.0 < beta < math.pi and 0.0 < gamma < math.pi
-        and abs(area - (math.pi - angle_sum)) <= 1e-14
-    ):
+    if not (area >= _TINY and m >= _TINY and beta >= _TINY and gamma >= _TINY):
+        raise DomainError(f"triangle too small: its area, an angle or cosh a - 1 is below {_TINY}")
+    angle_sum = alpha + beta + gamma
+    # TriangleSolution's checks not made above, nor implied by the floor and domain
+    if not (beta < math.pi and gamma < math.pi and abs(area - (math.pi - angle_sum)) <= 1e-14):
         _check_solution((a,), (beta, gamma), angle_sum, area)
     return _new(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
 
@@ -288,11 +276,12 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
 
     Five primitive checks are dropped, as no domain input trips them. B and
     C lie inside the disk: px and rb are at most tanh(D_MAX / 2) < 1. psi's
-    radius rb is 0 only for b = 5e-324, refused first as collinear. omega's
-    r2 is at least 2.5e-13 (at b, c -> D_MAX, alpha -> ALPHA_EPS). B' lies
-    beyond B: t is 1 / px to a few ulps, so (t - px) / px >= sech^2(D_MAX / 2),
-    about 8.2e-9. The collinearity bound |cross| <= 1e-12 px |C| is tested as
-    cross == 0: a nonzero cross = px rb sin(alpha) is 1e6 times it or more.
+    radius rb is 0 only for b = 5e-324, refused first as coincident or
+    collinear. omega's r2 is at least 2.5e-13 (at b, c -> D_MAX, alpha ->
+    ALPHA_EPS). B' lies beyond B: t is 1 / px to a few ulps, so (t - px) / px
+    >= sech^2(D_MAX / 2), about 8.2e-9. The collinearity bound |cross| <=
+    1e-12 px |C| is tested as cross == 0: a nonzero cross = px rb sin(alpha)
+    is 1e6 times it or more, and a subnormal one is refused, as there.
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < _ALPHA_MAX):
         _check_sas_domain(b, c, alpha)
@@ -300,15 +289,18 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     rb = math.tanh(0.5 * b)
     qx = rb * math.cos(alpha)
     qy = rb * math.sin(alpha)
-    # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is
-    # px; its coincident-points guard measures with math.hypot, as here
-    if math.hypot(qx - px, qy) <= _COINCIDENT_TOL:
+    # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is px;
+    # its guards measure as here, relative to the larger of |B| and |C|
+    nq = math.hypot(qx, qy)
+    if math.hypot(qx - px, qy) <= _COINCIDENT_TOL * (px if px > nq else nq):
         raise DegenerateInputError("cannot build a geodesic through coincident points")
-    cross = px * qy  # a zero is collinear whatever its sign
-    if cross == 0.0:
-        raise DegenerateInputError(
-            "B, C and the center are collinear: the triangle is degenerate"
-        )
+    cross = px * qy  # px, qy >= 0; a zero is collinear whatever its sign
+    if cross < _TINY:
+        if cross == 0.0:
+            raise DegenerateInputError(
+                "B, C and the center are collinear: the triangle is degenerate"
+            )
+        raise DomainError("points too near the center: the circle's products underflow")
     rp = 0.5 * (1.0 + px * px)
     rq = 0.5 * (1.0 + qx * qx + qy * qy)
     cx = rp * qy / cross

@@ -73,6 +73,19 @@ class TestTriangleCommand:
         assert report["inputs"] == {"b": 1.0, "c": 2.0, "alpha": 1.0}
         assert all(type(x) is float for x in numbers(report))
 
+    def test_tiny_triangle_is_solved(self):
+        # its angle sum rounds to pi, which once refused it; the area and
+        # 2 tau are the half-angle area to a few ulps
+        mpmath = pytest.importorskip("mpmath")
+        res = run_cli("triangle", "--b", "1e-8", "--c", "1e-8", "--alpha", "1")
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        with mpmath.workdps(50):
+            u = mpmath.tanh(mpmath.mpf(1e-8) / 2) ** 2
+            area = 2 * mpmath.atan2(u * mpmath.sin(1), 1 - u * mpmath.cos(1))
+        for got in (report["area_defect"], report["area_two_tau"]):
+            assert abs(got - area) <= 4 * math.ulp(float(area)), got
+
     def test_bad_input_exit_2(self):
         res = run_cli("triangle", "--b", "1.0", "--c", "1.0", "--alpha", "3.5")
         assert res.returncode == 2
@@ -125,6 +138,19 @@ class TestOptimizeCommand:
         assert res.returncode == 0, res.stderr
         grid = json.loads(res.stdout)["grid_check"]
         assert grid["gap"] <= grid["grid_step"]
+
+    def test_tiny_triangle_is_optimized(self):
+        # at alpha* = acos(u), about pi/2, the largest area is pi - 2 alpha*,
+        # within a few ulps, and the certificates vanish
+        mpmath = pytest.importorskip("mpmath")
+        res = run_cli("optimize", "--b", "1e-8", "--c", "1e-8")
+        assert res.returncode == 0, res.stderr
+        report = json.loads(res.stdout)
+        with mpmath.workdps(50):
+            u = mpmath.tanh(mpmath.mpf(1e-8) / 2) ** 2
+            area = mpmath.pi - 2 * mpmath.acos(u)
+        assert abs(report["solution"]["area"] - area) <= 4 * math.ulp(float(area))
+        assert max(report["certificates"].values()) <= 1e-15
 
     def test_bad_input_exit_2(self):
         assert run_cli("optimize", "--b", "0", "--c", "1").returncode == 2

@@ -1,9 +1,11 @@
 """Tests for polygons, the perimeter-preserving improver and isoperimetry."""
 
 import cmath
+import json
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,28 @@ class TestPolygonConstruction:
         for pts in (dented, pentagram):
             with pytest.raises(NonConvexError):
                 HyperbolicPolygon.from_vertices(pts)
+
+    def test_vertices_may_be_plain_pairs(self):
+        # each vertex that is not a DiskPoint is made one, with its checks:
+        # pairs build the record DiskPoints build, bit for bit, and a pair
+        # outside the disk or not finite is a DomainError
+        pairs = [(0.1, 0.0), (0.0, 0.1), (-0.1, 0.0)]
+        poly = HyperbolicPolygon.from_vertices(pairs)
+        assert repr(poly) == repr(HyperbolicPolygon.from_vertices([DiskPoint(*p) for p in pairs]))
+        assert all(type(v) is DiskPoint for v in poly.vertices)
+        for bad in ((1.0, 0.0), (0.6, 0.9), (math.nan, 0.0), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                HyperbolicPolygon.from_vertices([*pairs[:2], bad])
+        # a steiner report's vertices, read back from its JSON, are the run's
+        # final polygon again, and measure to the area and perimeter it reports
+        path = Path(__file__).resolve().parent / "golden" / "cli" / "steiner_n8_seed42.json"
+        report = json.loads(path.read_text(encoding="utf-8"))
+        back = HyperbolicPolygon.from_vertices(report["vertices"])
+        final = steiner_optimize(random_convex_polygon(8, 42)).polygon
+        assert repr(back) == repr(final)
+        assert (back.area, polygon_perimeter(back)) == (
+            report["final"]["area"], report["final"]["perimeter"]
+        )
 
     def test_coincident_vertices_refused_as_degenerate(self):
         # a quadrilateral with one vertex repeated, exactly or 1e-13 away:
@@ -645,6 +669,22 @@ class TestCyclicCrossDiagonal:
             sides = dict(zip(("AB", "BC", "CD", "DA"), _quadrilateral_sides(*quad)))
             assert max(sides, key=sides.get) == spanning
 
+    def test_scales_by_powers_of_two_down_to_the_floor(self):
+        # below sides of about 1e-8 the half-sinhs are the half sides, so
+        # scaling the sides by 2^-k scales |BD| by 2^-k, bit for bit, as long
+        # as no product underflows: the scaled Ptolemy products never do,
+        # down to sides near the smallest normal float (their raw products
+        # underflowed below sides of about 1e-78)
+        sides = (3e-20, 4e-20, 5e-20, 6e-20)
+        bd = _cyclic_cross_diagonal(*sides)
+        for k in range(0, 950, 3):
+            scaled = (math.ldexp(s, -k) for s in sides)
+            assert _cyclic_cross_diagonal(*scaled) == math.ldexp(bd, -k), k
+        # the small square's diagonal, sqrt(2) sides, at every scale
+        for e in range(-8, -301, -1):
+            s = 10.0**e
+            assert _cyclic_cross_diagonal(s, s, s, s) == pytest.approx(math.sqrt(2) * s, rel=4e-16)
+
     def test_exact_on_inscribed_quadrilaterals(self):
         for _, (A, B, C, D) in self._regimes():
             bd = _cyclic_cross_diagonal(*_quadrilateral_sides(A, B, C, D))
@@ -918,20 +958,29 @@ class TestSteinerOptimize:
     def test_jittered_octagon_converges_at_every_scale(self):
         # the regular octagon's vertices pushed to radii R (1 + u), with u
         # uniform on [-0.15, 0.15] from random.Random(1): the run converges
-        # from R = 1 down to 1e-50, and no smaller copy takes more sweeps or
-        # moves, as the step reads only lengths and the guards are relative
-        # (10 moves at R = 1, 9 at every smaller R). The fan area keeps its
-        # relative accuracy at every R, so the final polygon never has more
-        # area than the regular octagon of its perimeter beyond 2 n ulps (5
-        # measured)
+        # from R = 1 down to 1e-153, and no smaller copy takes more sweeps or
+        # moves, as the step reads only lengths, the guards are relative and
+        # the Ptolemy products are scaled clear of underflow (10 moves at
+        # R = 1, 9 at every smaller R). The fan area keeps its relative
+        # accuracy at every R, so the final polygon never has more area than
+        # the regular octagon of its perimeter beyond 2 n ulps (5 measured).
+        # From R = 1e-154 down the chart images' product at a vertex is
+        # subnormal, and the polygon is refused as degenerate
         rng = random.Random(1)
         jitter = [rng.uniform(-0.15, 0.15) for _ in range(8)]
-        sweeps, moves = {}, {}
-        for R in [10.0**e for e in range(0, -51, -1)]:
-            poly = HyperbolicPolygon.from_vertices([
+
+        def octagon(R):
+            return HyperbolicPolygon.from_vertices([
                 point_from_polar(R * (1.0 + u), 2.0 * math.pi * k / 8)
                 for k, u in enumerate(jitter)
             ])
+
+        for R in [10.0**e for e in range(-154, -161, -1)]:
+            with pytest.raises(DegenerateInputError):
+                octagon(R)
+        sweeps, moves = {}, {}
+        for R in [10.0**e for e in range(0, -154, -1)]:
+            poly = octagon(R)
             result = steiner_optimize(poly, tol=1e-8)
             assert result.converged, R
             sweeps[R], moves[R] = result.sweeps, len(result.trace)

@@ -1,9 +1,11 @@
 """The package's own source, read with ast."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hyplobe
+from hyplobe.disk import _TINY
 
 PACKAGE = Path(hyplobe.__file__).resolve().parent
 
@@ -93,7 +95,8 @@ def test_every_private_module_name_is_used():
 def test_polygon_reads_four_private_disk_helpers():
     # the polygon core measures, walks and aims through these four alone;
     # the fan area takes its radii from _distance and its turns from _turn,
-    # and each walk goes to a chart image (_step) aimed by one (_direction)
+    # and each walk goes to a chart image (_step) aimed by one (_direction).
+    # _TINY is the floor the fan areas are held to, as every guard is
     tree = ast.parse((PACKAGE / "polygon.py").read_text())
     imported = {
         alias.name
@@ -102,7 +105,60 @@ def test_polygon_reads_four_private_disk_helpers():
         for alias in node.names
         if _is_private(alias.name)
     }
-    assert imported == {"_direction", "_distance", "_step", "_turn"}
+    assert imported == {"_TINY", "_direction", "_distance", "_step", "_turn"}
+
+
+def _parents(tree):
+    return {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
+def test_the_coincidence_bound_is_relative_everywhere():
+    # _COINCIDENT_TOL is read only as a factor of a product, the bound on one
+    # length relative to another, never compared on its own as an absolute
+    # distance or modulus
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = []
+    for module, tree in trees.items():
+        parents = _parents(tree)
+        for node, key in _uses(module, tree, trees):
+            if key == ("disk", "_COINCIDENT_TOL"):
+                parent = parents[id(node)]
+                relative = isinstance(parent, ast.BinOp) and isinstance(parent.op, ast.Mult)
+                reads.append((module, node.lineno, relative))
+    assert {module for module, _, _ in reads} == {"disk", "triangle"}
+    assert all(relative for _, _, relative in reads), reads
+
+
+def _constant_value(node):
+    """The value of an expression built from number literals alone, or None."""
+    for sub in ast.walk(node):
+        if not isinstance(sub, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)):
+            return None
+    value = eval(compile(ast.Expression(node), "<constant>", "eval"))  # literals only
+    return value if isinstance(value, (int, float)) else None
+
+
+def test_the_normal_float_floor_is_read_from_disk():
+    # disk._TINY, the smallest normal float, is the one floor: no module
+    # spells it as a literal such as 2.0**-1022, or reads sys.float_info,
+    # outside disk's definition of _TINY
+    assert _TINY == sys.float_info.min
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        body = tree.body
+        tree.body = [
+            node for node in body
+            if path.stem != "disk" or _spelled(getattr(node, "targets", [None])[0]) != "_TINY"
+        ]
+        found += [("disk", "_TINY")] * (len(body) - len(tree.body))  # the definition
+        found += [
+            (path.stem, node.lineno, ast.unparse(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.expr)
+            and (_constant_value(node) == sys.float_info.min or _spelled(node) == "float_info")
+        ]
+    assert found == [("disk", "_TINY")]
 
 
 def _spelled(node):

@@ -39,7 +39,6 @@ from hyplobe.triangle import (
     _check_solution,
     _euclidean_angle,
 )
-from hyplobe.disk import _COINCIDENT_TOL
 from hyplobe.oracle import (
     curvature_corrected_side,
     euclidean_limit_triangle,
@@ -173,7 +172,8 @@ class TestSolveSas:
 
 def _composed_sas(b, c, alpha, u, one_minus_u):
     """The SAS core as a composition of its steps: cosh(b - c) - 1 as
-    2 sinh^2((b - c) / 2), acosh(1 + m), then _check_solution."""
+    2 sinh^2((b - c) / 2), acosh(1 + m), the normal-float floor, then
+    _check_solution."""
     half_sin = math.sin(0.5 * alpha)
     one_minus_cos = 2.0 * half_sin * half_sin
     sin_alpha = math.sin(alpha)
@@ -188,11 +188,12 @@ def _composed_sas(b, c, alpha, u, one_minus_u):
     gamma = math.atan2(
         sin_alpha * sinh_c, math.sinh(b - c) + math.cosh(b) * sinh_c * one_minus_cos
     )
-    angle_sum = alpha + beta + gamma
-    if angle_sum >= math.pi:
-        raise DomainError("triangle is numerically degenerate: angle defect below roundoff")
     area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
-    _check_solution((a,), (beta, gamma), angle_sum, area)
+    if min(area, m, beta, gamma) < sys.float_info.min:
+        raise DomainError(
+            f"triangle too small: its area, an angle or cosh a - 1 is below {sys.float_info.min}"
+        )
+    _check_solution((a,), (beta, gamma), alpha + beta + gamma, area)
     return tuple.__new__(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
 
 
@@ -289,9 +290,9 @@ def _figure_outcome(build, *args):
     return repr(fig)
 
 
-def _coincident_threshold_scans(seed, count, steps):
-    """Apex angles stepped an ulp at a time across the coincident-points
-    threshold, |C - B| = _COINCIDENT_TOL, just above ALPHA_EPS.
+def _absolute_threshold_scans(seed, count, steps):
+    """Apex angles stepped an ulp at a time across |C - B| = 1e-12, just above
+    ALPHA_EPS: the absolute bound the coincident-points guard once had.
 
     Each scan has sides b and c of 6e-7 to 2e-6 and 2 * steps + 1 consecutive
     floats centred on the crossing. C - B leaves B at an angle phi to the
@@ -299,18 +300,19 @@ def _coincident_threshold_scans(seed, count, steps):
     C - B is nearly vertical; elsewhere phi is drawn, so that both of its
     components count in |C - B|.
     """
+    dist = 1e-12
     rng = np.random.default_rng(seed)
     for n in range(count):
         phi = math.pi / 2 if n % 2 else rng.uniform(0.3, 1.3)
         alpha = ALPHA_EPS * (1.0 + rng.uniform(1e-9, 1e-8))
-        rb = _COINCIDENT_TOL * math.sin(phi) / math.sin(alpha)
+        rb = dist * math.sin(phi) / math.sin(alpha)
         b = 2.0 * math.atanh(rb)
-        c = b if n % 2 else 2.0 * math.atanh(rb - _COINCIDENT_TOL * math.cos(phi))
+        c = b if n % 2 else 2.0 * math.atanh(rb - dist * math.cos(phi))
         # the crossing for B and C as rounded: |C - B|^2 = x^2 + (rb sin alpha)^2
         rb, px = math.tanh(0.5 * b), math.tanh(0.5 * c)
         for _ in range(2):
             x = rb * math.cos(alpha) - px
-            alpha = math.asin(math.sqrt(_COINCIDENT_TOL**2 - x * x) / rb)
+            alpha = math.asin(math.sqrt(dist**2 - x * x) / rb)
         for _ in range(steps):
             alpha = math.nextafter(alpha, 0.0)
         scan = []
@@ -318,6 +320,23 @@ def _coincident_threshold_scans(seed, count, steps):
             scan.append(alpha)
             alpha = math.nextafter(alpha, 1.0)
         yield b, c, scan
+
+
+def _subnormal_side_scans(steps):
+    """(b, c, alpha) with c subnormal and b the 2 * steps + 1 floats centred
+    on c, at apex angles at both bounds and between: where B and C round to
+    one point or onto one line through the center."""
+    alphas = [
+        math.nextafter(ALPHA_EPS, 1.0), 1e-3, 0.5, 1.0, math.pi / 2, 2.0, 3.0,
+        math.nextafter(math.pi - ALPHA_EPS, 0.0),
+    ]
+    for c in (5e-324, 1e-323, 2e-323, 1e-322, 1e-320, 1e-315, 1e-310):
+        b = c
+        for _ in range(steps):
+            b = math.nextafter(b, 0.0)
+        for _ in range(2 * steps + 1):
+            yield from ((b, c, alpha) for alpha in alphas)
+            b = math.nextafter(b, 1.0)
 
 
 def _sas_domain_corners():
@@ -369,21 +388,31 @@ class TestStraightLineKernels:
                 assert _outcome(optimality_certificate, fig) == _outcome(
                     _composed_certificate, fig
                 ), (b, c, a)
-        # every check of the core was reached
-        for message in ("sides must lie", "apex angle", "degenerate", "positive and finite"):
+        # every check of the core was reached: side a underflowing to 0, once
+        # refused as not positive, is now below the floor with m
+        for message in ("sides must lie", "apex angle", "triangle too small"):
             assert any(message in r for r in refusals), message
+        # and no refusal is the angle sum's, which rounds to pi on tiny triangles
+        assert not any("angle defect" in r or "angle sum" in r for r in refusals)
 
 
     def test_tiny_triangles_are_accurate_or_refused_as_domain_errors(self):
-        # sides log-uniform on [1e-12, 1e-6]: solve_sas and optimal_alpha are
-        # within 1e-14 of a 100-digit law-of-cosines reference or refuse the
-        # angle sum as a DomainError (a defect below roundoff); build_figure1
-        # is within 1e-14 of the exact construction, compared as points
+        # sides log-uniform on [1e-160, 1e-6], past the floor near sides of
+        # 2e-154 where the area leaves the normal floats: solve_sas and
+        # optimal_alpha are within 1e-15 of a law-of-cosines reference or
+        # refuse the floor, and then only where the reference's area, an
+        # angle or cosh a - 1 is below the smallest normal float, never the
+        # angle sum; build_figure1 is within 1e-15 of the exact construction,
+        # compared as points, or refuses as a DomainError below sides of 1e-147
         mpmath = pytest.importorskip("mpmath")
+        tiny = sys.float_info.min
+        floor = "is below 2.2250738585072014e-308"
+        beyond = ("points too near the center", "circle radius", "B' lies too far out")
 
         def reference(b, c, alpha):
             ch, sh = mpmath.cosh, mpmath.sinh
-            a = mpmath.acosh(ch(b) * ch(c) - sh(b) * sh(c) * mpmath.cos(alpha))
+            cosh_a = ch(b) * ch(c) - sh(b) * sh(c) * mpmath.cos(alpha)
+            a = mpmath.acosh(cosh_a)
 
             def opposite(x, y, z):
                 return mpmath.acos(
@@ -392,47 +421,52 @@ class TestStraightLineKernels:
                 )
 
             beta, gamma = opposite(b, a, c), opposite(c, a, b)
-            return a, beta, gamma, mpmath.pi - (alpha + beta + gamma)
+            return a, beta, gamma, mpmath.pi - (alpha + beta + gamma), cosh_a - 1
 
         def err(got, ref):
             return float(abs(got - ref) / abs(ref))
 
+        def refused(exc, ref):
+            # only by the floor, and only where the reference is below it
+            assert floor in str(exc) and min(ref[1:]) < tiny * (1.0 + 1e-15), ref
+
         rng = np.random.default_rng(34)
         worst = 0.0
         counts = {"solved": 0, "optimal": 0, "built": 0}
-        with mpmath.workdps(100):
-            for _ in range(1000):
-                b, c = (float(x) for x in np.exp(rng.uniform(math.log(1e-12), math.log(1e-6), 2)))
-                alpha = float(rng.uniform(0.01, math.pi - 0.01))
+        for _ in range(1000):
+            b, c = (float(x) for x in np.exp(rng.uniform(math.log(1e-160), math.log(1e-6), 2)))
+            alpha = float(rng.uniform(0.01, math.pi - 0.01))
+            # the cosines of the law cancel to O(b c), and pi minus the angle
+            # sum to the area, O(b c) again: keep 40 digits beyond both
+            with mpmath.workdps(40 - 2 * math.floor(math.log10(b) + math.log10(c))):
                 mb, mc, ma = (mpmath.mpf(x) for x in (b, c, alpha))
                 tb, tc = mpmath.tanh(mb / 2), mpmath.tanh(mc / 2)
+                ref = reference(mb, mc, ma)
                 try:
                     sol = solve_sas(b, c, alpha)
-                    ref = reference(mb, mc, ma)
-                    worst = max(worst, *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref))
+                except DomainError as exc:
+                    refused(exc, ref)
+                else:
+                    worst = max(worst, *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref[:4]))
                     counts["solved"] += 1
-                except DomainError:
-                    pass
                 try:
                     opt = optimal_alpha(b, c)
-                    ref = reference(mb, mc, mpmath.mpf(opt.alpha_star))
-                    sol = opt.solution
+                except DomainError as exc:
+                    refused(exc, reference(mb, mc, mpmath.acos(tb * tc)))  # at alpha* = acos(u)
+                else:
+                    sol, ref = opt.solution, reference(mb, mc, mpmath.mpf(opt.alpha_star))
                     worst = max(
                         worst,
                         err(opt.alpha_star, mpmath.acos(tb * tc)),
-                        *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref),
+                        *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref[:4]),
                     )
                     counts["optimal"] += 1
-                except DomainError:
-                    pass
                 C = tb * mpmath.expj(ma)
                 try:
                     fig = build_figure1(b, c, alpha)
-                except DegenerateInputError as exc:
-                    # the one refusal that is not a DomainError: an absolute
-                    # guard (disk._COINCIDENT_TOL) calls B and C coincident
-                    # when |BC| <= 1e-12, though the figure is well defined
-                    assert "coincident" in str(exc) and abs(C - tc) <= 1e-12
+                except DomainError as exc:
+                    assert any(m in str(exc) for m in beyond), (b, c, alpha)
+                    assert min(b, c) < 1e-147, (b, c, alpha)
                     continue
                 counts["built"] += 1
                 # omega's center from the exact orthogonal-circle formula
@@ -452,8 +486,8 @@ class TestStraightLineKernels:
                 ):
                     worst = max(worst, err(got, ref))
                 assert fig.B.y == 0.0 and fig.b_prime[1] == 0.0
-        assert worst <= 1e-14
-        assert min(counts.values()) >= 100, counts
+        assert worst <= 1e-15, worst
+        assert min(counts.values()) >= 900, counts
 
 
 class TestAreaDefect:
@@ -551,7 +585,7 @@ class TestConstruction:
         # until tanh(c/2) is subnormal and B, C and the center read collinear
         mpmath = pytest.importorskip("mpmath")
         cs = [2e-12, *(10.0**-k for k in range(12, 324)), 5e-324]
-        worst = {True: 0.0, False: 0.0}
+        worst = 0.0
         built = 0
         with mpmath.workdps(50):
             for b in (1.0, 5.0, 19.0):
@@ -570,19 +604,13 @@ class TestConstruction:
                         mb, mc, ma = (mpmath.mpf(x) for x in (b, c, alpha))
                         u = mpmath.tanh(mb / 2) * mpmath.tanh(mc / 2)
                         area = 2 * mpmath.atan2(u * mpmath.sin(ma), 1 - u * mpmath.cos(ma))
-                        try:
-                            solve_sas(b, c, alpha)
-                            solved = True
-                        except DomainError:
-                            solved = False
-                        err = float(abs(2.0 * fig.tau - area) / area)
-                        worst[solved] = max(worst[solved], err)
+                        # solve_sas solves it too: its area is far above the floor
+                        assert solve_sas(b, c, alpha).area >= 1e-160, (b, c, alpha)
+                        worst = max(worst, float(abs(2.0 * fig.tau - area) / area))
                         bp = fig.b_prime[0]
                         assert fig.B.x * bp == pytest.approx(1.0, rel=1e-15)
         assert built > 1000
-        # where solve_sas solves, and where it refuses the angle sum
-        assert worst[True] <= 4e-16
-        assert worst[False] <= 1e-15
+        assert worst <= 4e-16
 
     def test_b_prime_input_validation(self):
         fig = build_figure1(1.0, 1.0, 1.0)
@@ -637,11 +665,14 @@ class TestConstruction:
             B, C = fig.B, fig.C
             assert (B, C) == (point_from_polar(c, 0.0), point_from_polar(b, alpha))
             assert fig.omega == geodesic_through(B, C).circle
+        # B next to C (at subnormal sides), the center or its line, omega or B'
+        # beyond the floats, and the cross product below the normal floor
         assert {r for r in refusals if "sides" not in r and "apex angle" not in r} == {
             "DegenerateInputError: cannot build a geodesic through coincident points",
             "DegenerateInputError: B, C and the center are collinear: the triangle is degenerate",
             "DomainError: circle radius must be positive and finite",
             "DomainError: B' lies too far out: its products overflow",
+            "DomainError: points too near the center: the circle's products underflow",
         }
 
     def test_dropped_guards_keep_their_margins_at_the_domain_corners(self):
@@ -689,19 +720,33 @@ class TestConstruction:
 
     def test_kernel_and_primitives_agree_at_the_coincident_threshold(self):
         # build_figure1's coincident-points guard and disk._orthogonal_circle's
-        # must measure |C - B| with the same hypot: stepped across the
-        # threshold, the kernel and the composition give the same figure or
-        # the same refusal at every apex angle
-        coincident = "DegenerateInputError: cannot build a geodesic through coincident points"
-        for b, c, scan in _coincident_threshold_scans(18, 400, 16):
-            seen = set()
+        # are one relative bound, |C - B| <= _COINCIDENT_TOL max(|B|, |C|),
+        # measured with the same hypot, so the kernel and the composition give
+        # the same figure or the same refusal at every input. Stepped across
+        # the absolute 1e-12 the guard once had, every scan now builds
+        for b, c, scan in _absolute_threshold_scans(18, 400, 16):
             for alpha in scan:
                 assert alpha > ALPHA_EPS
                 got = _figure_outcome(build_figure1, b, c, alpha)
+                assert got.startswith("Figure1("), (b, c, alpha)
                 assert got == _figure_outcome(_composed_figure1, b, c, alpha), (b, c, alpha)
-                seen.add(got if got == coincident else got[:8])
-            # every scan crosses the threshold: refused below it, built above
-            assert seen == {coincident, "Figure1("}, (b, c)
+        # C - B is at least rb sin(ALPHA_EPS), 1e6 times the bound, until the
+        # sides are subnormal: there the guard is crossed where B and C round
+        # to one point, and both paths refuse alike on either side of it
+        coincident = "DegenerateInputError: cannot build a geodesic through coincident points"
+        collinear = (
+            "DegenerateInputError: B, C and the center are collinear: the triangle is degenerate"
+        )
+        seen = set()
+        for b, c, alpha in _subnormal_side_scans(40):
+            got = _figure_outcome(build_figure1, b, c, alpha)
+            assert got == _figure_outcome(_composed_figure1, b, c, alpha), (b, c, alpha)
+            seen.add(got)
+            if got == coincident:
+                _, B, C = embed_triangle(b, c, alpha)
+                assert B == C, (b, c, alpha)
+        assert coincident in seen and collinear in seen
+        assert seen <= {coincident, collinear, f"DomainError: sides must lie in (0, {D_MAX}]"}
 
     def test_psi_passes_through_c(self):
         for b, c, alpha in random_triangles(10, 50):
