@@ -5,7 +5,8 @@
 Three kinds of artifact live next to this script:
 
 * ``cli/``: the exact bytes of `python -m hyplobe` runs (stdout, and the
-  trace CSV of `steiner`), one fresh process per case;
+  trace CSV of a `steiner` run), one fresh process per case, including the
+  `--help` of the program and of each subcommand;
 * ``triangle_kernels.json``: a SHA-256 over the reprs of ``solve_sas``,
   ``build_figure1``, ``optimality_certificate`` and ``optimal_alpha`` on
   4,096 seeded inputs plus edge cases and refusals, with the reprs of the
@@ -37,7 +38,7 @@ CLI_DIR = GOLDEN / "cli"
 KERNELS = GOLDEN / "triangle_kernels.json"
 POLYGON_KERNELS = GOLDEN / "polygon_kernels.json"
 
-# name -> argv after `python -m hyplobe`; a steiner case also writes
+# name -> argv after `python -m hyplobe`; a steiner run also writes
 # <name>.trace.csv. The suffix of the name is the stdout's format.
 CLI_CASES = {
     "triangle_order_one.json": ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
@@ -58,6 +59,9 @@ CLI_CASES = {
     "verify_seed0.txt": ["verify", "--samples", "200", "--seed", "0"],
     "verify_seed1.txt": ["verify", "--samples", "200", "--seed", "1"],
     "verify_seed2.txt": ["verify", "--samples", "200", "--seed", "2"],
+    "help.txt": ["--help"],
+    **{f"help_{command}.txt": [command, "--help"]
+       for command in ("triangle", "optimize", "steiner", "isoperimetric", "verify")},
 }
 
 KERNEL_SEED = 11
@@ -70,15 +74,21 @@ POLYGON_SEEDS = range(12)
 POLYGON_OPTIMIZED_N = 12
 
 
+def writes_trace(argv: list[str]) -> bool:
+    """Whether a case is a steiner run, which writes a trace CSV."""
+    return argv[0] == "steiner" and "--help" not in argv
+
+
 def run_cli_case(name: str, outdir: Path) -> dict[str, bytes]:
     """Run one case in a fresh interpreter; return {file name: bytes}."""
     argv = list(CLI_CASES[name])
     trace = None
-    if argv[0] == "steiner":
+    if writes_trace(argv):
         trace = outdir / (name.rsplit(".", 1)[0] + ".trace.csv")
         argv += ["--trace-csv", str(trace)]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
     res = subprocess.run(
         [sys.executable, "-m", "hyplobe", *argv], capture_output=True, env=env, timeout=300
     )

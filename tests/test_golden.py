@@ -23,7 +23,7 @@ def test_golden_files_match_the_cases():
     expected = set(regen.CLI_CASES)
     expected |= {
         name.rsplit(".", 1)[0] + ".trace.csv"
-        for name, argv in regen.CLI_CASES.items() if argv[0] == "steiner"
+        for name, argv in regen.CLI_CASES.items() if regen.writes_trace(argv)
     }
     assert {p.name for p in regen.CLI_DIR.iterdir()} == expected
 
@@ -50,7 +50,7 @@ def test_cli_output_is_byte_identical(name, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", sorted(name for name, argv in regen.CLI_CASES.items() if argv[0] == "steiner")
+    "name", sorted(name for name, argv in regen.CLI_CASES.items() if regen.writes_trace(argv))
 )
 def test_steiner_goldens_end_at_the_regular_area(name):
     """final.area_gap_to_regular is A_reg - A for the regular polygon of the
