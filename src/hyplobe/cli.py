@@ -6,6 +6,14 @@ traces and sweeps are CSV with '.' decimals and '\n' newlines. Every float is
 printed as its repr, the shortest string that parses back to the same double,
 so repeated runs diff byte-for-byte.
 
+Each subcommand and its options are one entry of `_COMMANDS`. A well-formed
+command line, the subcommand and then `--option VALUE` pairs with each option
+spelled out once, is read straight from that table without argparse. Any
+other command line (-h, --version, an abbreviated, unknown, repeated or
+missing option, `--option=VALUE`, a value that begins with '-' or does not
+convert) goes to the argparse parser built from the same table, so help,
+--version and usage errors are argparse's own, and only they import it.
+
 Exit codes: 0 success, 1 verification failure, 2 bad input or an output path
 that cannot be written, 3 non-convergence (steiner only: the final residual
 is above tol times the mean side); a non-finite output value also exits 3.
@@ -13,9 +21,9 @@ is above tol times the mean side); a non-finite output value also exits 3.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import DomainError, HyplobeError
@@ -188,7 +196,51 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED = object()  # the default of an option that must be given
+_HIDDEN = object()  # the help of an option that --help does not list
+
+# command -> (handler, help, options); each option is (flag, kind, default,
+# help), where kind is the value's type (float or int), the list of values
+# allowed, or None for the string as given.
+_COMMANDS = {
+    "triangle": (cmd_triangle, "solve a SAS triangle and its disk construction", (
+        ("--b", float, _REQUIRED, "side |AC|"),
+        ("--c", float, _REQUIRED, "side |AB|"),
+        ("--alpha", float, _REQUIRED, "apex angle at A (radians)"),
+        ("--format", ["json", "svg"], "json", None),
+        ("--output", None, None, None),
+    )),
+    "optimize": (cmd_optimize, "maximal-area apex angle for two fixed sides", (
+        ("--b", float, _REQUIRED, None),
+        ("--c", float, _REQUIRED, None),
+        ("--output", None, None, None),
+    )),
+    "steiner": (cmd_steiner, "perimeter-preserving polygon improvement run", (
+        ("--n", int, _REQUIRED, "number of vertices"),
+        ("--seed", int, _REQUIRED, "non-negative integer seed (random.Random stream)"),
+        ("--tol", float, 1e-8, "converged once every residual <= tol * perimeter / n"),
+        ("--trace-csv", None, "steiner_trace.csv", "path for the per-move CSV trace"),
+        ("--output", None, None, None),
+    )),
+    "isoperimetric": (cmd_isoperimetric, "regular-polygon deficit sweep at fixed perimeter", (
+        ("--n-min", int, 3, None),
+        ("--n-max", int, 96, None),
+        ("--perimeter", float, _REQUIRED, None),
+        ("--output", None, None, None),
+    )),
+    "verify": (cmd_verify, "run the oracle/property suite", (
+        ("--samples", int, 200, None),
+        ("--seed", int, 0, None),
+        # verify.FAULT_TAU_SIGN, spelled out so that the table loads no verify
+        ("--inject-fault", ["tau-sign"], None, _HIDDEN),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of `_COMMANDS`, for help, --version and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hyplobe",
         description="Maximal-area hyperbolic triangles and Steiner-style "
@@ -196,51 +248,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"hyplobe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("triangle", help="solve a SAS triangle and its disk construction")
-    p.add_argument("--b", type=float, required=True, help="side |AC|")
-    p.add_argument("--c", type=float, required=True, help="side |AB|")
-    p.add_argument("--alpha", type=float, required=True, help="apex angle at A (radians)")
-    p.add_argument("--format", choices=["json", "svg"], default="json")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_triangle)
-
-    p = sub.add_parser("optimize", help="maximal-area apex angle for two fixed sides")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("steiner", help="perimeter-preserving polygon improvement run")
-    p.add_argument("--n", type=int, required=True, help="number of vertices")
-    p.add_argument("--seed", type=int, required=True,
-                   help="non-negative integer seed (random.Random stream)")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="converged once every residual <= tol * perimeter / n")
-    p.add_argument("--trace-csv", default="steiner_trace.csv",
-                   help="path for the per-move CSV trace")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_steiner)
-
-    p = sub.add_parser("isoperimetric", help="regular-polygon deficit sweep at fixed perimeter")
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=96)
-    p.add_argument("--perimeter", type=float, required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_isoperimetric)
-
-    p = sub.add_parser("verify", help="run the oracle/property suite")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    # verify.FAULT_TAU_SIGN, spelled out so that building the parser loads no verify
-    p.add_argument("--inject-fault", choices=["tau-sign"], default=None,
-                   help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify)
+    for command, (func, command_help, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for flag, kind, default, option_help in options:
+            choices = kind if isinstance(kind, list) else None
+            p.add_argument(
+                flag,
+                type=None if choices else kind,
+                choices=choices,
+                required=default is _REQUIRED,
+                default=None if default is _REQUIRED else default,
+                help=argparse.SUPPRESS if option_help is _HIDDEN else option_help,
+            )
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for `COMMAND (--option VALUE)*`, or None
+    for any command line outside that form or that argparse would refuse.
+
+    Every option must be the table's exact flag, given at most once, with a
+    value that is a bare '-' or does not begin with '-', and that converts
+    with the option's type or is one of its choices; every required option
+    must be given.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in kinds or flag in given or (value.startswith("-") and value != "-"):
+            return None
+        kind = kinds[flag]
+        if isinstance(kind, list):
+            if value not in kind:
+                return None
+        elif kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        given[flag] = value
+    args = {"command": argv[0], "func": func}
+    for flag, _, default, _ in options:
+        value = given.get(flag, default)
+        if value is _REQUIRED:
+            return None
+        args[flag[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -64,8 +64,9 @@ class HyperbolicPolygon(
     vertex i, both tuples of floats, and ``area`` is the sum of the fan
     triangles' areas, to 2e-15 relative. A polygon is measured once, where
     it is made: from_vertices measures its vertices (DiskPoints, or (x, y)
-    pairs it makes DiskPoints), and the constructor measures them again and
-    refuses fields that differ by a bit. _make and _replace are unchecked.
+    pairs of real numbers it makes DiskPoints of Python floats), and the
+    constructor measures them again and refuses fields that differ by a
+    bit. _make and _replace are unchecked.
     """
 
     __slots__ = ()
@@ -82,10 +83,17 @@ class HyperbolicPolygon(
 
     @classmethod
     def from_vertices(cls, vertices) -> "HyperbolicPolygon":
-        vs = tuple(v if isinstance(v, DiskPoint) else DiskPoint(*v) for v in vertices)
+        vs = tuple(
+            v if isinstance(v, DiskPoint) else DiskPoint(*map(_coordinate, v)) for v in vertices
+        )
         if len(vs) < 3:
             raise DomainError("a polygon needs at least three vertices")
         return _measure(vs)
+
+
+def _coordinate(x) -> float:
+    """x as a Python float, exactly; unlike float(x), a string is a TypeError."""
+    return math.ldexp(x, 0)
 
 
 def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:

@@ -2,7 +2,9 @@
 process where a test patches a fault into a library call."""
 
 import ast
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -10,6 +12,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyplobe import cli
 
 
 def run_cli(*args, cwd=None):
@@ -406,8 +412,8 @@ class TestOutputFailures:
 
 class TestImportBudget:
     """Each command loads only the modules it runs: polygon only for polygon
-    commands, json only for JSON reports, and never numpy, scipy,
-    dataclasses or inspect."""
+    commands, json only for JSON reports, argparse only for help, --version
+    and usage errors, and never numpy, scipy, dataclasses or inspect."""
 
     HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
 
@@ -417,23 +423,28 @@ class TestImportBudget:
 import contextlib, io, sys
 def loaded():
     return sorted(m for m in sys.modules
-                  if m in HEAVY or m == "json" or m.startswith("hyplobe."))
+                  if m in HEAVY or m in ("json", "argparse") or m.startswith("hyplobe."))
 import hyplobe
 stages = [loaded()]
 import hyplobe.cli
 stages.append(loaded())
 for argv in ARGVS:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = hyplobe.cli.main(argv)
-    assert code == 0, (argv, code)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = hyplobe.cli.main(argv)
+        except SystemExit as exc:  # help, --version and usage errors
+            code = exc.code
+    assert code == EXIT_CODE, (argv, code)
     stages.append(loaded())
 print(repr(stages))
 """
 
-    def modules_loaded(self, *argvs):
+    def modules_loaded(self, *argvs, exit_code=0):
         """Watched modules loaded after `import hyplobe`, after importing the
-        CLI, then after each command, all in one fresh interpreter."""
-        script = f"HEAVY = {self.HEAVY!r}\nARGVS = {list(argvs)!r}" + self.SCRIPT
+        CLI, then after each command, all in one fresh interpreter; each
+        command must end with exit_code."""
+        script = (f"HEAVY = {self.HEAVY!r}\nARGVS = {list(argvs)!r}\nEXIT_CODE = {exit_code!r}"
+                  + self.SCRIPT)
         res = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
         )
@@ -476,6 +487,27 @@ print(len(names), len(set(names)))
     def test_only_json_reports_load_json(self, argv, loads_json):
         loaded = self.modules_loaded(argv)
         assert ["json" in stage for stage in loaded] == [False, False, loads_json]
+
+    def test_well_formed_commands_load_no_argparse(self):
+        # the six request kinds of the cli-cold benchmark
+        loaded = self.modules_loaded(
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
+            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
+            ["optimize", "--b", "1.0", "--c", "1.5"],
+            ["isoperimetric", "--n-max", "96", "--perimeter", "7.0"],
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"],
+            ["verify", "--samples", "50", "--seed", "3"],
+        )
+        assert ["argparse" in stage for stage in loaded] == [False] * 8
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["-h"], 0),
+        (["--version"], 0),
+        (["triangle", "--b", "1.0", "--c", "1.2"], 2),
+    ], ids=["help", "version", "usage-error"])
+    def test_help_version_and_usage_errors_load_argparse(self, argv, exit_code):
+        loaded = self.modules_loaded(argv, exit_code=exit_code)
+        assert ["argparse" in stage for stage in loaded] == [False, False, True]
 
     def test_triangle_and_isoperimetric_load_neither(self):
         loaded = self.modules_loaded(
@@ -568,3 +600,156 @@ class TestTopLevel:
 
     def test_missing_subcommand_fails(self):
         assert run_cli().returncode != 0
+
+
+TRIANGLE = ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"]
+# argparse's usage lines at COLUMNS=80, which a usage error prints byte for
+# byte
+USAGE = {
+    "hyplobe": "usage: hyplobe [-h] [--version]\n"
+               "               {triangle,optimize,steiner,isoperimetric,verify} ...\n",
+    "triangle": "usage: hyplobe triangle [-h] --b B --c C --alpha ALPHA [--format {json,svg}]\n"
+                "                        [--output OUTPUT]\n",
+    "steiner": "usage: hyplobe steiner [-h] --n N --seed SEED [--tol TOL]\n"
+               "                       [--trace-csv TRACE_CSV] [--output OUTPUT]\n",
+    "isoperimetric":
+        "usage: hyplobe isoperimetric [-h] [--n-min N_MIN] [--n-max N_MAX] --perimeter\n"
+        "                             PERIMETER [--output OUTPUT]\n",
+}
+
+
+def run_main(argv, capsys):
+    """cli.main(argv) in process: (exit code, stdout, stderr)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _value_texts(kind):
+    """Strings the option of this kind takes as they are."""
+    if isinstance(kind, list):
+        return st.sampled_from(kind)
+    if kind is float:
+        return st.one_of(st.floats(min_value=0.0).map(lambda x: repr(abs(x))),
+                         st.sampled_from(["nan", "inf", "1e-6", " 2.5", "1_000.5", "20"]))
+    if kind is int:
+        return st.integers(min_value=0, max_value=10**30).map(str)
+    return st.text(max_size=12).filter(lambda v: v == "-" or not v.startswith("-"))
+
+
+# every flag and its abbreviations; then tokens that make a command line
+# ill-formed, or leave it well-formed by chance
+_OPTIONS = [option for _, _, options in cli._COMMANDS.values() for option in options]
+_FLAGS = st.sampled_from(sorted({flag[:k] for flag, *_ in _OPTIONS
+                                 for k in range(3, len(flag) + 1)}))
+_TOKENS = st.one_of(
+    _FLAGS,
+    st.sampled_from(["--b=1.0", "--max-sweeps", "-h", "--help", "--version", "--", "-",
+                     "-1", "-0.5", "3.0", "pdf", "nan", "", *cli._COMMANDS,
+                     *(value for _, kind, *_ in _OPTIONS if isinstance(kind, list)
+                       for value in kind)]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, well_formed): a command line drawn from the option table, with
+    every required option and some others in any order; then, unless it
+    stays well-formed, up to three edits: a token dropped or inserted, a
+    flag or a value replaced, or a pair inserted."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv = [command]
+    for flag, kind, default, _ in draw(st.permutations(cli._COMMANDS[command][2])):
+        if default is cli._REQUIRED or draw(st.booleans()):
+            argv += [flag, draw(_value_texts(kind))]
+    edits = draw(st.integers(0, 3))
+    for _ in range(edits):
+        edit = draw(st.sampled_from(["drop", "insert", "flag", "value", "pair"]))
+        k = draw(st.integers(0, len(argv)))
+        if edit == "drop":
+            del argv[k:k + 1]
+        elif edit == "insert":
+            argv.insert(k, draw(_TOKENS))
+        elif edit == "pair":
+            argv[k | 1:k | 1] = [draw(_FLAGS), draw(_TOKENS)]
+        elif edit == "flag" and k % 2:
+            argv[k:k + 1] = [draw(_FLAGS)]
+        elif edit == "value" and k and not k % 2:
+            argv[k:k + 1] = [draw(_TOKENS)]
+    return argv, edits == 0
+
+
+def _reprs(args):
+    # repr tells 1 from 1.0, and a NaN equals a NaN
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+class TestParsing:
+    """A command line the fast path reads gives exactly argparse's namespace;
+    every other one goes to argparse, with its exit codes and messages."""
+
+    @given(command_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_fast_path_agrees_with_argparse(self, case):
+        argv, well_formed = case
+        fast = cli._parse(argv)
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                slow = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                slow = None
+        if fast is not None:
+            assert slow is not None and _reprs(fast) == _reprs(slow), argv
+        if well_formed:
+            assert fast is not None, argv
+
+    @pytest.mark.parametrize("argv, exit_code, stderr", [
+        (["triangle", "--b", "1.0", "--c", "1.2", "--alp", "0.9"], 0, ""),
+        (["triangle", "--b=1.0", "--c", "1.2", "--alpha", "0.9"], 0, ""),
+        # argparse keeps the last of a repeated option
+        (["triangle", "--b", "2.0", "--c", "1.2", "--alpha", "0.9", "--b", "1.0"], 0, ""),
+        (["steiner", "--n", "6", "--seed", "-1", "--trace-csv", "-"], 2,
+         "error: the seed must be a non-negative integer\n"),
+        ([*TRIANGLE, "--format", "pdf"], 2, USAGE["triangle"]
+         + "hyplobe triangle: error: argument --format: invalid choice: 'pdf' "
+           "(choose from 'json', 'svg')\n"),
+        (["steiner", "--n", "3.0", "--seed", "0"], 2, USAGE["steiner"]
+         + "hyplobe steiner: error: argument --n: invalid int value: '3.0'\n"),
+        (["isoperimetric", "--n-max", "5"], 2, USAGE["isoperimetric"]
+         + "hyplobe isoperimetric: error: the following arguments are required: --perimeter\n"),
+        (["steiner", "--n", "6", "--seed", "3", "--max-sweeps", "500", "--trace-csv", "-"], 2,
+         USAGE["hyplobe"] + "hyplobe: error: unrecognized arguments: --max-sweeps 500\n"),
+        ([], 2, USAGE["hyplobe"]
+         + "hyplobe: error: the following arguments are required: command\n"),
+        (["--"], 2, USAGE["hyplobe"]
+         + "hyplobe: error: the following arguments are required: command\n"),
+    ], ids=["abbreviated", "equals", "repeated", "negative-seed", "bad-choice", "bad-int",
+            "missing", "unknown", "empty", "double-dash"])
+    def test_fallback_exit_codes_and_messages(self, argv, exit_code, stderr, capsys, monkeypatch):
+        # a run that succeeds prints what the spelled-out triangle command
+        # prints
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._parse(argv) is None
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (exit_code, stderr)
+        if exit_code == 0:
+            assert out == run_main(TRIANGLE, capsys)[1]
+
+    @pytest.mark.parametrize("argv, parsers_built", [
+        (TRIANGLE, 0),
+        (["triangle", "--b=1.0", *TRIANGLE[3:]], 1),
+    ], ids=["fast-path", "fallback"])
+    def test_console_script_reads_sys_argv(self, argv, parsers_built, capsys, monkeypatch):
+        # the `hyplobe` entry point calls main() with no argv
+        parsers = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: parsers.append(1) or build_parser())
+        monkeypatch.setattr(sys, "argv", ["hyplobe", *argv])
+        assert run_main(None, capsys) == run_main(TRIANGLE, capsys)
+        assert len(parsers) == parsers_built
+        monkeypatch.setattr(sys, "argv", ["hyplobe", "--version"])
+        assert run_main(None, capsys) == (0, f"hyplobe {cli.__version__}\n", "")

@@ -128,6 +128,14 @@ class TestPolygonConstruction:
         for bad in ((1.0, 0.0), (0.6, 0.9), (math.nan, 0.0), (0.0, math.inf)):
             with pytest.raises(DomainError):
                 HyperbolicPolygon.from_vertices([*pairs[:2], bad])
+        # a pair's coordinates are stored as Python floats, whatever real
+        # number type they come in, and a string is still refused
+        for same in (np.array(pairs), [(0.1, 0), (0, 0.1), (-0.1, 0)]):
+            built = HyperbolicPolygon.from_vertices(same)
+            assert repr(built) == repr(poly)
+            assert all(type(x) is float for v in built.vertices for x in v)
+        with pytest.raises(TypeError):
+            HyperbolicPolygon.from_vertices([*pairs[:2], ("-0.1", "0.0")])
         # a steiner report's vertices, read back from its JSON, are the run's
         # final polygon again, and measure to the area and perimeter it reports
         path = Path(__file__).resolve().parent / "golden" / "cli" / "steiner_n8_seed42.json"
