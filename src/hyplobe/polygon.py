@@ -32,7 +32,7 @@ areas sum to the polygon's area (see _measure).
 
 A polygon is one record, HyperbolicPolygon, which carries its DiskPoint
 vertices, sides, angles and area. It is measured once, where it is made:
-from_vertices measures a new polygon and _steiner_step each move's, and
+from_vertices measures a new polygon and steiner_move each move's, and
 every other function reads the record as it is. Inside, the walks take the
 vertices and their directions as complex numbers, so a quarter turn
 (x, y) -> (-y, x) of the input turns the run bit for bit.
@@ -153,21 +153,6 @@ class MoveResult(namedtuple("MoveResult", "polygon accepted rejected")):
     """``rejected`` counts planned moves refused because the result was not convex."""
 
     __slots__ = ()
-
-
-def _steiner_step(poly: HyperbolicPolygon, i: int) -> tuple[HyperbolicPolygon | None, int]:
-    """The Steiner step at vertex i (see steiner_move). Returns the new polygon
-    (None if nothing moved) and the moves refused as not convex (0 or 1)."""
-    updates = _window_move(poly, i)
-    if updates is None:
-        return None, 0
-    vs = list(poly.vertices)
-    for k, z in updates.items():
-        vs[k] = DiskPoint._make((z.real, z.imag))
-    try:
-        return _measure(tuple(vs)), 0
-    except DomainError:
-        return None, 1
 
 
 def _window_move(poly: HyperbolicPolygon, i: int) -> dict[int, complex] | None:
@@ -321,10 +306,16 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     i = operator.index(i)
     if not 0 <= i < poly.n:
         raise DomainError(f"vertex index {i} outside 0..{poly.n - 1}")
-    updated, rejected = _steiner_step(poly, i)
-    if updated is None:
-        return MoveResult(poly, False, rejected)
-    return MoveResult(updated, True, rejected)
+    updates = _window_move(poly, i)
+    if updates is None:
+        return MoveResult(poly, False, 0)
+    vs = list(poly.vertices)
+    for k, z in updates.items():
+        vs[k] = DiskPoint._make((z.real, z.imag))
+    try:
+        return MoveResult(_measure(tuple(vs)), True, 0)
+    except DomainError:
+        return MoveResult(poly, False, 1)
 
 
 class TraceStep(namedtuple("TraceStep", "iteration vertex area_after residual perimeter")):
@@ -365,9 +356,9 @@ def steiner_optimize(poly: HyperbolicPolygon, tol: float = 1e-8) -> SteinerResul
     while True:
         start = worst
         for i in range(n):
-            updated, rejected = _steiner_step(poly, i)
+            updated, accepted, rejected = steiner_move(poly, i)
             moves_rejected += rejected
-            if updated is not None:
+            if accepted:
                 poly, worst = updated, max_optimality_residual(updated)
                 trace.append(TraceStep(
                     iteration=sweeps * n + i, vertex=i, area_after=poly.area,

@@ -6,8 +6,9 @@ the triangle area, and the maximal-area apex angle characterized by
 alpha = beta + gamma.
 
 Everything on the triangle path is a closed form evaluated without
-cancelling subtractions. With u = tanh(b/2) tanh(c/2) the area satisfies
-tan(area/2) = u sin(alpha) / (1 - u cos(alpha)), the maximizing apex angle
+cancelling subtractions. Side a comes from the half-sinh law of cosines, a
+sum of squares, and with u = tanh(b/2) tanh(c/2) the area from
+tan(area/2) = u sin(alpha) / (1 - u cos(alpha)); the maximizing apex angle
 is arccos(u), the base angles come from the atan2 form of the four-part
 formula, and B' is the far root of a quadratic taken through Vieta's sum.
 
@@ -26,11 +27,12 @@ relative (disk._COINCIDENT_TOL times the larger length), and a value below
 disk._TINY, the smallest normal float, has lost bits and is refused. The
 angle sum, which rounds to pi on tiny triangles, is not judged. Corner
 probes of the SAS domain find refusals of tiny triangles only: from _sas
-where the area, an angle or cosh a - 1 is below the floor (both sides below
-~2.5e-154, ~2e-148 at the smallest apex angles; one below ~6e-308 against
-1); from build_figure1 where omega's center or B' squared overflows (the
-smaller side below ~1.6e-148, c below ~1.6e-154), px * qy is below the
-floor (both below ~3e-151) or 0, collinear, or B and C round to one point.
+where the area or an angle is below the floor (both sides below ~2.3e-154
+at alpha = 1, ~6.7e-153 at alpha = 1e-3 and ~2.1e-151 at the smallest apex
+angle; one below ~6e-308 against 1); from build_figure1 where omega's
+center or B' squared overflows (the smaller side below ~1.6e-148, c below
+~1.6e-154), px * qy is below the floor (both below ~3e-151) or 0,
+collinear, or B and C round to one point.
 The on-circle guard never fires, but comes within 0.71 of its bound.
 """
 
@@ -126,9 +128,11 @@ def _check_sas_domain(b: float, c: float, alpha: float) -> None:
 def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     """Solve the triangle with sides b = |AC|, c = |AB| and included angle alpha.
 
-    cosh a = cosh b cosh c - sinh b sinh c cos(alpha), evaluated through the
-    equivalent cancellation-free form
-    cosh a - 1 = (cosh(b - c) - 1) + sinh b sinh c (1 - cos(alpha)).
+    Side a comes from the half-sinh law of cosines as
+    a = 2 asinh(hypot(sinh((b - c)/2), sqrt(sinh b) sqrt(sinh c) sin(alpha/2))),
+    a sum of squares whose two roots keep tiny sides' product from
+    underflowing; at optimal_alpha's maximizer it reads
+    sinh^2(a/2) = sinh^2(b/2) + sinh^2(c/2), the paper's alpha = beta + gamma.
     The base angles use the four-part formula
     cot(gamma) sin(alpha) = sinh(b) coth(c) - cosh(b) cos(alpha), written as
     gamma = atan2(sin(alpha) sinh(c),
@@ -139,13 +143,13 @@ def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     area = 2 atan2(u sin(alpha), (1 - u) + 2 u sin^2(alpha/2)) with
     u = tanh(b/2) tanh(c/2) rather than as pi minus the angle sum, which
     loses every digit once the triangle is small or thin. Below the smallest
-    normal float an area, angle or cosh a - 1 has lost bits: a DomainError.
+    normal float an area or an angle has lost bits: a DomainError.
     """
-    return _sas(b, c, alpha, False)
+    return _sas(b, c, alpha)
 
 
-def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolution:
-    """solve_sas, or with optimal set the solution at optimal_alpha's maximizer.
+def _sas(b: float, c: float, alpha: float | None) -> TriangleSolution:
+    """solve_sas, or with alpha None the solution at optimal_alpha's maximizer.
 
     u = tanh(b/2) tanh(c/2) and 1 - u = (1 - t_b) + t_b (1 - t_c), with
     t_x = tanh(x/2) and 1 - tanh(x/2) = 2 / (e^x + 1), so 1 - u keeps its
@@ -157,7 +161,7 @@ def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolu
     tb = math.tanh(0.5 * b)
     u = tb * math.tanh(0.5 * c)
     one_minus_u = 2.0 / (math.exp(b) + 1.0) + tb * 2.0 / (math.exp(c) + 1.0)
-    if optimal:
+    if alpha is None:
         alpha = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
     if not (ALPHA_EPS < alpha < _ALPHA_MAX):
         _check_sas_domain(b, c, alpha)
@@ -166,17 +170,17 @@ def _sas(b: float, c: float, alpha: float | None, optimal: bool) -> TriangleSolu
     sin_alpha = math.sin(alpha)
     sinh_b = math.sinh(b)
     sinh_c = math.sinh(c)
-    # a = acosh(1 + m), m = (cosh(b - c) - 1) + sinh b sinh c (1 - cos(alpha))
-    s = math.sinh(0.5 * (b - c))
-    m = 2.0 * s * s + sinh_b * sinh_c * one_minus_cos
-    a = math.log1p(m + math.sqrt(m * (m + 2.0)))
+    # the half-sinh law of cosines (see solve_sas)
+    a = 2.0 * math.asinh(
+        math.hypot(math.sinh(0.5 * (b - c)), math.sqrt(sinh_b) * math.sqrt(sinh_c) * half_sin)
+    )
     # sinh(b - c) is -sinh(c - b) bit for bit, libm's sinh being odd
     sinh_cb = math.sinh(c - b)
     beta = math.atan2(sin_alpha * sinh_b, sinh_cb + math.cosh(c) * sinh_b * one_minus_cos)
     gamma = math.atan2(sin_alpha * sinh_c, math.cosh(b) * sinh_c * one_minus_cos - sinh_cb)
     area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
-    if not (area >= _TINY and m >= _TINY and beta >= _TINY and gamma >= _TINY):
-        raise DomainError(f"triangle too small: its area, an angle or cosh a - 1 is below {_TINY}")
+    if not (area >= _TINY and beta >= _TINY and gamma >= _TINY):
+        raise DomainError(f"triangle too small: its area or an angle is below {_TINY}")
     angle_sum = alpha + beta + gamma
     # TriangleSolution's checks not made above, nor implied by the floor and domain
     if not (beta < math.pi and gamma < math.pi and abs(area - (math.pi - angle_sum)) <= 1e-14):
@@ -338,7 +342,7 @@ def optimal_alpha(b: float, c: float) -> OptimalTriangle:
     It is evaluated as alpha* = 2 atan(sqrt((1 - u) / (1 + u))), with 1 - u
     formed without cancellation, which stays accurate as u approaches 1.
     """
-    sol = _sas(b, c, None, True)
+    sol = _sas(b, c, None)
     return _new(OptimalTriangle, (sol[3], sol))
 
 

@@ -45,7 +45,6 @@ from hyplobe.polygon import (
     _chain_ratios,
     _cyclic_cross_diagonal,
     _measure,
-    _steiner_step,
     _window_move,
     circle_radius_for_circumference,
     max_optimality_residual,
@@ -367,12 +366,12 @@ class TestSteinerMove:
                 s = poly.side_lengths[i - 1] + poly.side_lengths[i]
                 grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
                 updates = _window_move(poly, i)
-                updated = None if updates is None else _steiner_step(poly, i)[0]
-                if updated is None:
+                mv = steiner_move(poly, i)
+                if not mv.accepted:
                     continue
                 accepted += 1
                 assert set(updates) == {i}
-                p_new = updated.side_lengths[i - 1]
+                p_new = mv.polygon.side_lengths[i - 1]
                 assert abs(p_new - grid.alpha_hat) <= grid.grid_step
         assert accepted >= 30
 
@@ -393,12 +392,11 @@ class TestSteinerMove:
                 total = sum(poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
                 s = total / 3
                 diag = hyp_distance(a, d)
-                updates = _window_move(poly, i)
-                updated = None if updates is None else _steiner_step(poly, i)[0]
-                if updated is None:
+                mv = steiner_move(poly, i)
+                if not mv.accepted:
                     continue
                 accepted += 1
-                phi = angle_at_vertex(a, d, updated.vertices[i])
+                phi = angle_at_vertex(a, d, mv.polygon.vertices[i])
                 area = float(oracle.quadrilateral_area(s, s, s, diag, phi))
                 grid = oracle.grid_search_quadrilateral(s, s, s, diag, 100_000)
                 assert area >= grid.area_hat - 1e-13

@@ -201,7 +201,7 @@ def test_no_run_calls_the_circumcircle_fit():
 
 def test_polygons_are_measured_where_they_are_made():
     # a polygon is measured once, where it is made: from_vertices measures a
-    # new one (the checked constructor goes through it) and _steiner_step a
+    # new one (the checked constructor goes through it) and steiner_move a
     # move's; every other function reads the record's fields as they are
     calls, callers = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -217,5 +217,5 @@ def test_polygons_are_measured_where_they_are_made():
             for node in ast.walk(func)
             if isinstance(node, ast.Call) and _spelled(node.func) == "_measure"
         ]
-    assert sorted(callers) == [("polygon", "_steiner_step"), ("polygon", "from_vertices")]
+    assert sorted(callers) == [("polygon", "from_vertices"), ("polygon", "steiner_move")]
     assert calls == len(callers)

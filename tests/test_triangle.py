@@ -171,17 +171,18 @@ class TestSolveSas:
 
 
 def _composed_sas(b, c, alpha, u, one_minus_u):
-    """The SAS core as a composition of its steps: cosh(b - c) - 1 as
-    2 sinh^2((b - c) / 2), acosh(1 + m), the normal-float floor, then
-    _check_solution."""
+    """The SAS core as a composition of its steps: sinh(a / 2) as the hypot of
+    sinh((b - c) / 2) and sqrt(sinh b) sqrt(sinh c) sin(alpha / 2), the
+    normal-float floor on the area and the base angles, then _check_solution."""
     half_sin = math.sin(0.5 * alpha)
     one_minus_cos = 2.0 * half_sin * half_sin
     sin_alpha = math.sin(alpha)
     sinh_b = math.sinh(b)
     sinh_c = math.sinh(c)
-    s = math.sinh(0.5 * (b - c))
-    m = 2.0 * s * s + sinh_b * sinh_c * one_minus_cos
-    a = math.log1p(m + math.sqrt(m * (m + 2.0)))
+    half_sinh_a = math.hypot(
+        math.sinh(0.5 * (b - c)), math.sqrt(sinh_b) * math.sqrt(sinh_c) * half_sin
+    )
+    a = 2.0 * math.asinh(half_sinh_a)
     beta = math.atan2(
         sin_alpha * sinh_b, math.sinh(c - b) + math.cosh(c) * sinh_b * one_minus_cos
     )
@@ -189,9 +190,9 @@ def _composed_sas(b, c, alpha, u, one_minus_u):
         sin_alpha * sinh_c, math.sinh(b - c) + math.cosh(b) * sinh_c * one_minus_cos
     )
     area = 2.0 * math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
-    if min(area, m, beta, gamma) < sys.float_info.min:
+    if min(area, beta, gamma) < sys.float_info.min:
         raise DomainError(
-            f"triangle too small: its area, an angle or cosh a - 1 is below {sys.float_info.min}"
+            f"triangle too small: its area or an angle is below {sys.float_info.min}"
         )
     _check_solution((a,), (beta, gamma), alpha + beta + gamma, area)
     return tuple.__new__(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
@@ -361,6 +362,37 @@ def _sas_domain_corners():
     return [(b, c, alpha) for b, c in pairs for alpha in alphas]
 
 
+def _sas_reference(b, c, alpha):
+    """(a, beta, gamma, area) of the SAS triangle at mpmath's working precision:
+    a from the law of cosines, the base angles from the law of cosines on
+    (a, b, c), the area as the angle defect. It shares no formula with the
+    solver."""
+    import mpmath
+
+    ch, sh = mpmath.cosh, mpmath.sinh
+    a = mpmath.acosh(ch(b) * ch(c) - sh(b) * sh(c) * mpmath.cos(alpha))
+
+    def opposite(x, y, z):
+        return mpmath.acos((ch(y) * ch(z) - ch(x)) / (sh(y) * sh(z)))
+
+    beta, gamma = opposite(b, a, c), opposite(c, a, b)
+    return a, beta, gamma, mpmath.pi - (alpha + beta + gamma)
+
+
+def _tiny_dps(b, c):
+    """Digits for _sas_reference on sides b and c: the cosines of the law
+    cancel to O(b c), and pi minus the angle sum to the area, O(b c) again;
+    keep 40 digits beyond both."""
+    return 40 - 2 * math.floor(math.log10(b) + math.log10(c))
+
+
+def _assert_refused_by_the_floor(exc, ref):
+    """A refusal by the normal-float floor, where _sas_reference's area or an
+    angle is below it; never for side a, nor for the angle sum."""
+    assert f"its area or an angle is below {sys.float_info.min}" in str(exc), exc
+    assert min(ref[1:]) < sys.float_info.min * (1.0 + 1e-15), ref
+
+
 class TestStraightLineKernels:
     def test_kernels_match_their_composed_helpers_bit_for_bit(self):
         # solve_sas, optimal_alpha and optimality_certificate inline the work
@@ -388,8 +420,8 @@ class TestStraightLineKernels:
                 assert _outcome(optimality_certificate, fig) == _outcome(
                     _composed_certificate, fig
                 ), (b, c, a)
-        # every check of the core was reached: side a underflowing to 0, once
-        # refused as not positive, is now below the floor with m
+        # every check of the core was reached: side a underflows only where
+        # the area is below the floor, which refuses first
         for message in ("sides must lie", "apex angle", "triangle too small"):
             assert any(message in r for r in refusals), message
         # and no refusal is the angle sum's, which rounds to pi on tiny triangles
@@ -400,35 +432,15 @@ class TestStraightLineKernels:
         # sides log-uniform on [1e-160, 1e-6], past the floor near sides of
         # 2e-154 where the area leaves the normal floats: solve_sas and
         # optimal_alpha are within 1e-15 of a law-of-cosines reference or
-        # refuse the floor, and then only where the reference's area, an
-        # angle or cosh a - 1 is below the smallest normal float, never the
-        # angle sum; build_figure1 is within 1e-15 of the exact construction,
+        # refuse the floor, and then only where the reference's area or an
+        # angle is below the smallest normal float, never the angle sum;
+        # build_figure1 is within 1e-15 of the exact construction,
         # compared as points, or refuses as a DomainError below sides of 1e-147
         mpmath = pytest.importorskip("mpmath")
-        tiny = sys.float_info.min
-        floor = "is below 2.2250738585072014e-308"
         beyond = ("points too near the center", "circle radius", "B' lies too far out")
-
-        def reference(b, c, alpha):
-            ch, sh = mpmath.cosh, mpmath.sinh
-            cosh_a = ch(b) * ch(c) - sh(b) * sh(c) * mpmath.cos(alpha)
-            a = mpmath.acosh(cosh_a)
-
-            def opposite(x, y, z):
-                return mpmath.acos(
-                    (mpmath.cosh(y) * mpmath.cosh(z) - mpmath.cosh(x))
-                    / (mpmath.sinh(y) * mpmath.sinh(z))
-                )
-
-            beta, gamma = opposite(b, a, c), opposite(c, a, b)
-            return a, beta, gamma, mpmath.pi - (alpha + beta + gamma), cosh_a - 1
 
         def err(got, ref):
             return float(abs(got - ref) / abs(ref))
-
-        def refused(exc, ref):
-            # only by the floor, and only where the reference is below it
-            assert floor in str(exc) and min(ref[1:]) < tiny * (1.0 + 1e-15), ref
 
         rng = np.random.default_rng(34)
         worst = 0.0
@@ -436,29 +448,28 @@ class TestStraightLineKernels:
         for _ in range(1000):
             b, c = (float(x) for x in np.exp(rng.uniform(math.log(1e-160), math.log(1e-6), 2)))
             alpha = float(rng.uniform(0.01, math.pi - 0.01))
-            # the cosines of the law cancel to O(b c), and pi minus the angle
-            # sum to the area, O(b c) again: keep 40 digits beyond both
-            with mpmath.workdps(40 - 2 * math.floor(math.log10(b) + math.log10(c))):
+            with mpmath.workdps(_tiny_dps(b, c)):
                 mb, mc, ma = (mpmath.mpf(x) for x in (b, c, alpha))
                 tb, tc = mpmath.tanh(mb / 2), mpmath.tanh(mc / 2)
-                ref = reference(mb, mc, ma)
+                ref = _sas_reference(mb, mc, ma)
                 try:
                     sol = solve_sas(b, c, alpha)
                 except DomainError as exc:
-                    refused(exc, ref)
+                    _assert_refused_by_the_floor(exc, ref)
                 else:
-                    worst = max(worst, *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref[:4]))
+                    worst = max(worst, *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref))
                     counts["solved"] += 1
                 try:
                     opt = optimal_alpha(b, c)
                 except DomainError as exc:
-                    refused(exc, reference(mb, mc, mpmath.acos(tb * tc)))  # at alpha* = acos(u)
+                    # at alpha* = acos(u)
+                    _assert_refused_by_the_floor(exc, _sas_reference(mb, mc, mpmath.acos(tb * tc)))
                 else:
-                    sol, ref = opt.solution, reference(mb, mc, mpmath.mpf(opt.alpha_star))
+                    sol, ref = opt.solution, _sas_reference(mb, mc, mpmath.mpf(opt.alpha_star))
                     worst = max(
                         worst,
                         err(opt.alpha_star, mpmath.acos(tb * tc)),
-                        *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref[:4]),
+                        *map(err, (sol.a, sol.beta, sol.gamma, sol.area), ref),
                     )
                     counts["optimal"] += 1
                 C = tb * mpmath.expj(ma)
@@ -488,6 +499,48 @@ class TestStraightLineKernels:
                 assert fig.B.y == 0.0 and fig.b_prime[1] == 0.0
         assert worst <= 1e-15, worst
         assert min(counts.values()) >= 900, counts
+
+    def test_thin_tiny_triangle_is_solved(self):
+        # its area (5e-305) and angles are normal floats, but cosh a - 1
+        # (5e-311) is not, and a floor on it once refused the triangle
+        mpmath = pytest.importorskip("mpmath")
+        b = c = 1e-149
+        alpha = 1.000001e-6
+        sol = solve_sas(b, c, alpha)
+        with mpmath.workdps(_tiny_dps(b, c)):
+            ref = _sas_reference(*(mpmath.mpf(x) for x in (b, c, alpha)))
+        for got, want in zip((sol.a, sol.beta, sol.gamma, sol.area), ref):
+            assert abs(got - want) <= 4 * math.ulp(float(want)), (got, want)
+
+    def test_thin_tiny_isoceles_triangles_are_solved_down_to_the_floor(self):
+        # b = c on a log grid across the floor, apex angles from the smallest
+        # in the domain up, and alpha*: each triangle is solved within 1e-15
+        # of the reference, or refused where the reference's area or an
+        # angle is below the smallest normal float
+        mpmath = pytest.importorskip("mpmath")
+        alphas = [math.nextafter(ALPHA_EPS, 1.0), *(10.0 ** k for k in range(-5, 1)), 2.0, 3.0]
+        worst, counts = 0.0, {"solved": 0, "refused": 0}
+        for b in (float(x) for x in np.logspace(-155, -145, 21)):
+            with mpmath.workdps(_tiny_dps(b, b)):
+                mb = mpmath.mpf(b)
+                for alpha in [*alphas, None]:
+                    try:
+                        if alpha is None:
+                            sol = optimal_alpha(b, b).solution
+                        else:
+                            sol = solve_sas(b, b, alpha)
+                    except DomainError as exc:
+                        if alpha is None:  # alpha* = acos(tanh^2(b / 2))
+                            alpha = mpmath.acos(mpmath.tanh(mb / 2) ** 2)
+                        _assert_refused_by_the_floor(exc, _sas_reference(mb, mb, alpha))
+                        counts["refused"] += 1
+                        continue
+                    ref = _sas_reference(mb, mb, mpmath.mpf(sol.alpha))
+                    got = (sol.a, sol.beta, sol.gamma, sol.area)
+                    worst = max(worst, *(float(abs(g - r) / r) for g, r in zip(got, ref)))
+                    counts["solved"] += 1
+        assert worst <= 1e-15, worst
+        assert min(counts.values()) >= 50, counts
 
 
 class TestAreaDefect:
@@ -789,6 +842,24 @@ class TestOptimalAlpha:
         assert optimal_alpha(1e-3, 1e-3).alpha_star == pytest.approx(
             math.pi / 2, abs=1e-3
         )
+
+    def test_theorem_in_the_sides(self):
+        # the paper's alpha = beta + gamma reads
+        # sinh^2(a/2) = sinh^2(b/2) + sinh^2(c/2) in the sides; side a at
+        # alpha* against that identity at 60 digits, sides log-uniform, and b = c
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for lo, hi in ((1e-6, 20.0), (1e-150, 1e-100)):
+                for _ in range(500):
+                    b, c = (float(x) for x in np.exp(rng.uniform(math.log(lo), math.log(hi), 2)))
+                    for sides in ((b, c), (b, b)):
+                        half = (mpmath.sinh(mpmath.mpf(x) / 2) for x in sides)
+                        ref = 2 * mpmath.asinh(mpmath.hypot(*half))
+                        a = optimal_alpha(*sides).solution.a
+                        worst = max(worst, float(abs(a - ref) / ref))
+        assert worst <= 8e-16, worst
 
     def test_solution_is_solve_sas_at_the_maximizer(self):
         for b, c, _ in [*random_triangles(13, 200), (20.0, 20.0, 1.0), (1e-6, 20.0, 1.0)]:
