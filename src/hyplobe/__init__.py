@@ -14,15 +14,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "disk": (
         "D_MAX", "ORIGIN", "DiskIsometry", "DiskPoint", "EuclideanCircle", "Geodesic",
-        "angle_at_vertex", "apply_isometry", "geodesic_through", "hyp_distance",
-        "isometry_to_origin", "point_from_polar",
+        "angle_at_vertex", "geodesic_through", "hyp_distance", "point_from_polar",
     ),
     "errors": (
         "DegenerateInputError", "DomainError", "HyplobeError", "NonConvexError",
     ),
     "polygon": (
         "HyperbolicPolygon", "RegularPolygonSpec", "circle_geometry", "circumcircle_fit",
-        "isoperimetric_deficit", "polygon_area", "polygon_perimeter",
+        "isoperimetric_deficit", "polygon_perimeter",
         "random_convex_polygon", "regular_polygon", "regular_polygon_for_perimeter",
         "regular_polygon_vertices", "steiner_move", "steiner_optimize",
     ),

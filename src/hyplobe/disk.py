@@ -43,10 +43,6 @@ class DiskPoint(namedtuple("DiskPoint", "x y")):
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "DiskPoint":
-        return cls(z.real, z.imag)
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
@@ -98,14 +94,6 @@ class Geodesic(namedtuple("Geodesic", "direction circle")):
         if not _TINY <= mod < math.inf:  # zero, subnormal, infinite or NaN
             raise DegenerateInputError("diameter direction must be a nonzero vector")
         return cls(direction / mod, None)
-
-    @classmethod
-    def arc(cls, circle: EuclideanCircle) -> "Geodesic":
-        return cls(None, circle)
-
-    @property
-    def is_diameter(self) -> bool:
-        return self.circle is None
 
 
 class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
@@ -188,7 +176,9 @@ def _orthogonal_circle(
     px: float, py: float, qx: float, qy: float
 ) -> tuple[float, float, float] | None:
     """(cx, cy, radius) of the circle through p and q orthogonal to the unit
-    circle, or None when p, q and the origin are collinear (|sin pOq| <= 1e-12)."""
+    circle, or None when p, q and the origin are collinear (|sin pOq| <= 1e-12).
+    cy and the radius cancel where p and q lie far out near one ray: on the
+    triangle domain, 1.28e-3 relative off at worst (see triangle)."""
     np_, nq = math.hypot(px, py), math.hypot(qx, qy)
     if math.hypot(qx - px, qy - py) <= _COINCIDENT_TOL * max(np_, nq):
         raise DegenerateInputError("cannot build a geodesic through coincident points")
@@ -213,21 +203,13 @@ def geodesic_through(p: DiskPoint, q: DiskPoint) -> Geodesic:
     """The hyperbolic line through two distinct points.
 
     Returns the diameter when p, q, origin are collinear, otherwise the unique
-    Euclidean circle through p and q orthogonal to the unit circle.
+    Euclidean circle through p and q orthogonal to the unit circle, to
+    _orthogonal_circle's accuracy.
     """
     circle = _orthogonal_circle(*p, *q)
     if circle is None:
         return Geodesic.diameter(q.z - p.z)
-    return Geodesic.arc(EuclideanCircle(*circle))
-
-
-def isometry_to_origin(p: DiskPoint) -> DiskIsometry:
-    """The pure translation carrying p to the center of the model."""
-    return DiskIsometry(p, 0.0)
-
-
-def apply_isometry(m: DiskIsometry, p: DiskPoint) -> DiskPoint:
-    return m(p)
+    return Geodesic(None, EuclideanCircle(*circle))
 
 
 def _turn(v: complex, p: complex, q: complex) -> float:
@@ -261,8 +243,9 @@ def _direction(p: complex, q: complex) -> complex:
 def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
     """Initial direction (radians) of the geodesic from p to any other point q.
 
-    Directions at p are measured in the chart that translates p to the origin;
-    ``step_from`` uses the same chart, so the two compose consistently.
+    Directions at p are measured in the chart DiskIsometry(p), which translates
+    p to the origin; DiskIsometry(p).inverse() carries a chart image, such as
+    point_from_polar(d, theta), back, so the two compose consistently.
     """
     return cmath.phase(_direction(p.z, q.z))
 
@@ -274,8 +257,3 @@ def _step(a: complex, w: complex) -> complex:
     _check_inside(z.real, z.imag)
     return z
 
-
-def step_from(p: DiskPoint, theta: float, d: float) -> DiskPoint:
-    """Walk hyperbolic distance d from p in direction theta (chart of p)."""
-    z = _step(p.z, point_from_polar(d, theta).z)
-    return DiskPoint._make((z.real, z.imag))

@@ -144,11 +144,6 @@ def polygon_perimeter(poly: HyperbolicPolygon) -> float:
     return sum(poly.side_lengths)
 
 
-def polygon_area(poly: HyperbolicPolygon) -> float:
-    """Sum of the fan triangles' areas (see _measure), to 2e-15 relative."""
-    return poly.area
-
-
 class MoveResult(namedtuple("MoveResult", "polygon accepted rejected")):
     """``rejected`` counts planned moves refused because the result was not convex."""
 
@@ -191,7 +186,7 @@ def _window_move(poly: HyperbolicPolygon, i: int) -> dict[int, complex] | None:
     The move is planned only where a window side differs from s by more
     than STEP_TOL s, or some |V_k D| from its target by more than
     STEP_TOL |V_k D|. A window whose mean side s exceeds D_MAX, farther
-    than step_from walks, is refused.
+    than point_from_polar reaches, is refused.
     """
     zs, sides = [v.z for v in poly.vertices], poly.side_lengths
     n = len(zs)
@@ -451,20 +446,23 @@ def regular_polygon(spec: RegularPolygonSpec) -> RegularPolygonStats:
     tan(area / 2) = u sin(apex) / ((1 - u) + 2 u sin^2(apex / 2)) with
     u = tanh^2(R / 2); scaled by cosh^2(R / 2) it reads
     tan(area / 2) = h sin(apex) / (1 + 2 h sin^2(apex / 2)), h = sinh^2(R / 2).
-    No term cancels, so the area keeps its relative accuracy for any n.
+    No term cancels, so the area keeps its relative accuracy for any n. An
+    area below _TINY, subnormal and bits short, is refused, as in _measure.
     """
     n, R = spec.n, spec.circumradius
     sin_half, cos_half = math.sin(math.pi / n), math.cos(math.pi / n)
     h = math.sinh(0.5 * R) ** 2
     side = 2.0 * math.asinh(math.sinh(R) * sin_half)
-    central_area = 2.0 * math.atan2(
+    area = 2.0 * n * math.atan2(  # n central triangles
         2.0 * h * sin_half * cos_half, 1.0 + 2.0 * h * sin_half * sin_half
     )
+    if area < _TINY:
+        raise DegenerateInputError("regular polygon too small: its area is subnormal")
     return RegularPolygonStats(
         side=side,
         interior_angle=2.0 * math.atan2(cos_half, math.cosh(R) * sin_half),
         perimeter=n * side,
-        area=n * central_area,
+        area=area,
     )
 
 
@@ -498,11 +496,15 @@ def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygonSpe
 
 def circle_geometry(r: float) -> tuple[float, float]:
     """(circumference, area) of the hyperbolic circle of radius r; the area
-    2 pi (cosh r - 1) is taken as 4 pi sinh^2(r/2), which does not cancel."""
+    2 pi (cosh r - 1) is taken as 4 pi sinh^2(r/2), which does not cancel.
+    An area below _TINY, subnormal and bits short, is refused."""
     if not (0.0 < r <= D_MAX / 2):
         raise DomainError(f"radius outside (0, {D_MAX / 2}]")
     s = math.sinh(0.5 * r)
-    return 2.0 * math.pi * math.sinh(r), 4.0 * math.pi * (s * s)
+    area = 4.0 * math.pi * (s * s)
+    if area < _TINY:
+        raise DegenerateInputError("circle too small: its area is subnormal")
+    return 2.0 * math.pi * math.sinh(r), area
 
 
 def circle_radius_for_circumference(L: float) -> float:
@@ -551,6 +553,7 @@ def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
     for w in ws:  # one vertex per gap, mapped from Klein to the disk
         k = axis * complex(math.cos(t), q * math.sin(t))
         r = abs(k)
-        vertices.append(DiskPoint.from_complex(k / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))))
+        z = k / (1.0 + math.sqrt((1.0 - r) * (1.0 + r)))
+        vertices.append(DiskPoint(z.real, z.imag))
         t += floor + scale * w
     return HyperbolicPolygon.from_vertices(vertices)

@@ -195,9 +195,7 @@ def check_deficit_nonnegative(rng, samples: int) -> CheckResult:
     for k in range(count):
         n = _integer(rng, 4, 10)
         poly = polygon.random_convex_polygon(n, _integer(rng, 0, 2**32))
-        d = polygon.isoperimetric_deficit(
-            polygon.polygon_perimeter(poly), polygon.polygon_area(poly)
-        )
+        d = polygon.isoperimetric_deficit(polygon.polygon_perimeter(poly), poly.area)
         worst = min(worst, d)
     return CheckResult(
         "deficit-nonnegativity", worst > -1e-9, f"min polygon deficit = {worst:.3e}"

@@ -23,7 +23,6 @@ from hyplobe.oracle import curvature_corrected_side, euclidean_limit_triangle
 from hyplobe.polygon import (
     circle_geometry,
     circle_radius_for_circumference,
-    polygon_area,
     polygon_perimeter,
     random_convex_polygon,
     regular_polygon,
@@ -105,14 +104,14 @@ def test_06_steiner_run():
     start = time.perf_counter()
     poly = random_convex_polygon(8, 42)
     perim0 = polygon_perimeter(poly)
-    deficit0 = isoperimetric_deficit(perim0, polygon_area(poly))
+    deficit0 = isoperimetric_deficit(perim0, poly.area)
     result = steiner_optimize(poly, tol=1e-8)
     elapsed = time.perf_counter() - start
 
     drift = max((abs(s.perimeter - perim0) for s in result.trace), default=0.0)
     areas = [poly.area, *(s.area_after for s in result.trace)]
     monotone = all(a2 >= a1 - 1e-12 for a1, a2 in zip(areas, areas[1:]))
-    perim1, area1 = polygon_perimeter(result.polygon), polygon_area(result.polygon)
+    perim1, area1 = polygon_perimeter(result.polygon), result.polygon.area
     deficit1 = isoperimetric_deficit(perim1, area1)
     bound = 1e-8 * perim0 / 8
     regular = regular_polygon(regular_polygon_for_perimeter(8, perim1)).area

@@ -17,14 +17,12 @@ from hyplobe import (
     DiskPoint,
     DomainError,
     angle_at_vertex,
-    apply_isometry,
     geodesic_through,
     hyp_distance,
-    isometry_to_origin,
     point_from_polar,
 )
 from hyplobe import disk
-from hyplobe.disk import direction_toward, step_from
+from hyplobe.disk import direction_toward
 
 LN3 = 1.0986122886681098
 # tanh(1), frozen from a 50-digit mpmath evaluation
@@ -144,20 +142,20 @@ class TestHypDistance:
 
 
 class TestGeodesicThrough:
-    def test_through_origin_is_diameter(self):
+    def test_through_origin_gives_a_diameter(self):
         g = geodesic_through(ORIGIN, DiskPoint(0.5, 0.0))
-        assert g.is_diameter
+        assert g.circle is None
         assert g.direction.real == pytest.approx(1.0)
         assert g.direction.imag == pytest.approx(0.0)
 
-    def test_collinear_with_origin_is_diameter(self):
+    def test_collinear_with_origin_gives_a_diameter(self):
         g = geodesic_through(DiskPoint(0.3, 0.0), DiskPoint(0.7, 0.0))
-        assert g.is_diameter
+        assert g.circle is None
 
     def test_known_arc(self):
         # solving (c - p)^2 = r^2, |c|^2 = 1 + r^2 by hand gives c = (1.25, 1.25)
         g = geodesic_through(DiskPoint(0.5, 0.0), DiskPoint(0.0, 0.5))
-        assert not g.is_diameter
+        assert g.circle is not None
         assert g.circle.cx == pytest.approx(1.25, abs=1e-14)
         assert g.circle.cy == pytest.approx(1.25, abs=1e-14)
         assert g.circle.radius == pytest.approx(math.sqrt(2.125), abs=1e-14)
@@ -171,19 +169,19 @@ class TestGeodesicThrough:
         rng = np.random.default_rng(11)
         for _ in range(300):
             g = geodesic_through(random_point(rng), random_point(rng))
-            if not g.is_diameter:
+            if g.circle is not None:
                 assert abs(g.circle.orthogonality_residual()) < 1e-10
 
 
 class TestIsometries:
     def test_origin_gives_identity(self):
-        m = isometry_to_origin(ORIGIN)
+        m = DiskIsometry(ORIGIN)
         p = DiskPoint(0.3, 0.4)
-        assert apply_isometry(m, p) == p
+        assert m(p) == p
 
     def test_maps_target_to_origin(self):
         p = DiskPoint(0.4, 0.0)
-        q = apply_isometry(isometry_to_origin(p), p)
+        q = DiskIsometry(p)(p)
         assert abs(q.z) < 1e-14
 
     def test_inverse_round_trip(self):
@@ -230,7 +228,8 @@ class TestAngleAtVertex:
         for lo, hi in ((0.0, 3.0), (3.0, 8.0), (8.0, 12.0), (12.0, 16.0), (16.0, 19.0)):
             for _ in range(300):
                 v = point_from_polar(rng.uniform(lo, hi), rng.uniform(0.0, 7.0))
-                p, q = (step_from(v, rng.uniform(-3.0, 3.0), 1.0) for _ in range(2))
+                p, q = (DiskIsometry(v).inverse()(point_from_polar(1.0, rng.uniform(-3.0, 3.0)))
+                        for _ in range(2))
                 with mpmath.workdps(60):
                     a, u, w = (mpmath.mpc(*x) for x in (v, p, q))
                     u, w = ((x - a) / (1 - mpmath.conj(a) * x) for x in (u, w))
@@ -383,8 +382,8 @@ class TestComplexHelpers:
         return (z - a) / den
 
     def _outside(self, v, *points):
-        """Whether isometry_to_origin(v) refuses a point's image as outside the disk."""
-        m = isometry_to_origin(v)
+        """Whether DiskIsometry(v) refuses a point's image as outside the disk."""
+        m = DiskIsometry(v)
         return self.OUTSIDE in self._refusals([_bits(lambda: tuple(m(p).x for p in points))])
 
     def test_angle(self, triples, tiny_triples):
@@ -451,9 +450,8 @@ class TestComplexHelpers:
         cases += [(DiskPoint(-0.0, 0.0), -0.0, 0.7), (DiskPoint(-0.0, 0.0), -0.0, 0.0)]
         wants = []
         for p, theta, d in cases:
-            back = isometry_to_origin(p).inverse()
+            back = DiskIsometry(p).inverse()
             wants.append(_bits(lambda: back(point_from_polar(d, theta))))
-            assert _bits(lambda: step_from(p, theta, d)) == wants[-1]
             assert _bits(lambda: disk._step(p.z, point_from_polar(d, theta).z)) == wants[-1]
         refusals = self._refusals(wants)
         assert refusals["!DomainError: hyperbolic distance # outside [#, #]"] >= 10
@@ -461,7 +459,7 @@ class TestComplexHelpers:
 
     def test_far_steps_end_at_the_rounded_point(self):
         # a walk of 12-16 from 17-20 out, as the Steiner move takes on far
-        # polygons, ends near its start: _carry, which step_from calls,
+        # polygons, ends near its start: _carry, which _step calls,
         # returns the image of the same doubles rounded from 50 digits (300
         # of 300 measured; _chart's quotient, a few ulps off, 63 of 300)
         mpmath = pytest.importorskip("mpmath")

@@ -10,6 +10,7 @@ import test_polygon
 from hyplobe import (
     ALPHA_EPS,
     D_MAX,
+    DiskIsometry,
     DiskPoint,
     DomainError,
     geodesic_through,
@@ -20,7 +21,6 @@ from hyplobe import (
     solve_sas,
 )
 from hyplobe import oracle
-from hyplobe.disk import step_from
 from hyplobe.oracle import (
     count_local_maxima,
     curvature_corrected_side,
@@ -369,7 +369,7 @@ class TestGeodesicSampling:
         for _ in range(200):
             d1, t1, d, t = rng.uniform((12.0, 0.0, 0.1, 0.0), (19.5, 6.3, 3.0, 6.3)).tolist()
             p = point_from_polar(d1, t1)
-            q = step_from(p, t, d)
+            q = DiskIsometry(p).inverse()(point_from_polar(d, t))
             if q.norm() > math.tanh(0.5 * D_MAX):
                 continue
             ref = exact(p, q)
@@ -391,7 +391,7 @@ class TestGeodesicSampling:
 def _scalar_chord_sum(p: DiskPoint, q: DiskPoint, segments: int) -> float:
     """The polyline length one DiskPoint and one hyp_distance at a time."""
     g = geodesic_through(p, q)
-    if g.is_diameter:
+    if g.circle is None:
         pts = [
             DiskPoint(
                 p.x + (q.x - p.x) * k / segments, p.y + (q.y - p.y) * k / segments

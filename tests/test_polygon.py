@@ -20,7 +20,6 @@ from hyplobe import (
     circle_geometry,
     circumcircle_fit,
     isoperimetric_deficit,
-    polygon_area,
     polygon_perimeter,
     random_convex_polygon,
     regular_polygon,
@@ -39,7 +38,6 @@ from hyplobe.disk import (
     direction_toward,
     hyp_distance,
     point_from_polar,
-    step_from,
 )
 from hyplobe.polygon import (
     _chain_ratios,
@@ -176,7 +174,7 @@ class TestPolygonConstruction:
                     assert oracle.intrinsic_convex_ccw(vs), (n, R, d)
                     perimeter, area = high_precision_measures(vs)
                     assert abs(polygon_perimeter(poly) - perimeter) <= 4e-15 * perimeter
-                    assert abs(polygon_area(poly) - area) <= 2e-15 * area, (n, R, d)
+                    assert abs(poly.area - area) <= 2e-15 * area, (n, R, d)
 
     def test_polygons_wider_than_a_chart_build(self):
         # vertices 19 to 20 from the centre, so opposite ones lie so far apart
@@ -263,16 +261,18 @@ class TestAreaAndPerimeter:
         # _turn's coincidence guard is relative to the points' scale, so each
         # builds, and its fan area is within 2e-15 relative of the closed form
         # (9.4e-16 measured; 5.9e-16 below 1e-8). From 1e-155 down, where
-        # the area is subnormal, each is refused, not measured a few bits off
+        # the area is subnormal, each is refused, by the closed form as by
+        # the measured path, not given a few bits off
         for n in (3, 8, 64):
             for R in [10.0**e for e in range(-150, 1)] + [3.0, 9.0]:
                 spec = RegularPolygonSpec(n, R)
                 area = regular_polygon(spec).area
                 poly = regular_polygon_vertices(spec)
-                assert abs(polygon_area(poly) - area) <= 2e-15 * area, (n, R)
+                assert abs(poly.area - area) <= 2e-15 * area, (n, R)
             for e in range(-155, -324, -1):
                 spec = RegularPolygonSpec(n, 10.0**e)
-                assert regular_polygon(spec).area < sys.float_info.min
+                with pytest.raises(DegenerateInputError, match="area is subnormal"):
+                    regular_polygon(spec)
                 with pytest.raises(DegenerateInputError):
                     regular_polygon_vertices(spec)
 
@@ -304,14 +304,14 @@ class TestAreaAndPerimeter:
                     polygons.append(HyperbolicPolygon.from_vertices([move(v) for v in base]))
         for poly in polygons:
             area = high_precision_measures(poly.vertices)[1]
-            assert abs(polygon_area(poly) - area) <= 2e-15 * area, poly.vertices[:2]
+            assert abs(poly.area - area) <= 2e-15 * area, poly.vertices[:2]
 
     def test_triangle_reduces_to_defect(self):
         sol = solve_sas(1.0, 1.2, 0.9)
         from hyplobe.triangle import embed_triangle
 
         poly = HyperbolicPolygon.from_vertices(embed_triangle(1.0, 1.2, 0.9))
-        assert polygon_area(poly) == pytest.approx(sol.area, abs=1e-12)
+        assert poly.area == pytest.approx(sol.area, abs=1e-12)
         assert polygon_perimeter(poly) == pytest.approx(
             sol.a + sol.b + sol.c, abs=1e-12
         )
@@ -327,7 +327,7 @@ class TestAreaAndPerimeter:
                 rng.uniform(0.0, 2 * math.pi),
             )
             moved = HyperbolicPolygon.from_vertices([m(v) for v in poly.vertices])
-            assert polygon_area(moved) == pytest.approx(polygon_area(poly), abs=1e-10)
+            assert moved.area == pytest.approx(poly.area, abs=1e-10)
             assert polygon_perimeter(moved) == pytest.approx(
                 polygon_perimeter(poly), abs=1e-10
             )
@@ -337,7 +337,7 @@ class TestAreaAndPerimeter:
         n, R = 7, 1e-3
         poly = regular_polygon_vertices(RegularPolygonSpec(n, R))
         flat = 0.5 * n * R * R * math.sin(2.0 * math.pi / n)
-        assert polygon_area(poly) == pytest.approx(flat, rel=1e-5)
+        assert poly.area == pytest.approx(flat, rel=1e-5)
 
 
 class TestSteinerMove:
@@ -346,14 +346,14 @@ class TestSteinerMove:
         for _ in range(20):
             poly = random_convex_polygon(6, int(rng.integers(0, 2**32)))
             perim = polygon_perimeter(poly)
-            area = polygon_area(poly)
+            area = poly.area
             for i in range(poly.n):
                 mv = steiner_move(poly, i)
                 if mv.accepted:
                     assert polygon_perimeter(mv.polygon) == pytest.approx(
                         perim, abs=1e-10
                     )
-                    assert polygon_area(mv.polygon) - area > 0.0
+                    assert mv.polygon.area - area > 0.0
 
     def test_triangle_window_matches_hinge_grid_argmax(self):
         # on a triangle the window is the hinge at V_i: the closed form
@@ -463,10 +463,10 @@ class TestSteinerMove:
         mpmath = pytest.importorskip("mpmath")
 
         def chain(c):
-            vs = [ORIGIN, step_from(ORIGIN, 0.0, 1.0)]
+            vs = [ORIGIN, DiskIsometry(ORIGIN).inverse()(point_from_polar(1.0, 0.0))]
             for turn in (1.0, 3.0, 2.0, 1.0):
                 ahead = direction_toward(vs[-1], vs[-2]) + math.pi
-                vs.append(step_from(vs[-1], ahead + c * turn, 1.0))
+                vs.append(DiskIsometry(vs[-1]).inverse()(point_from_polar(1.0, ahead + c * turn)))
             return vs
 
         lo, hi = 0.0, 0.7  # the ends are 5 apart at c = 0, and 0.53 at 0.7
@@ -524,7 +524,10 @@ class TestSteinerMove:
         rng = random.Random(15)
 
         def slide(p, theta, d):
-            return step_from(p, theta, d) if d >= 0.0 else step_from(p, theta + math.pi, -d)
+            back = DiskIsometry(p).inverse()
+            if d >= 0.0:
+                return back(point_from_polar(d, theta))
+            return back(point_from_polar(-d, theta + math.pi))
 
         trials = 0
         for n in (5, 6, 8, 12):
@@ -532,14 +535,14 @@ class TestSteinerMove:
                 poly = random_convex_polygon(n, seed)
                 i = rng.randrange(n)
                 best = steiner_move(poly, i).polygon
-                perimeter, area = polygon_perimeter(best), polygon_area(best)
+                perimeter, area = polygon_perimeter(best), best.area
                 inner = [(i + k) % n for k in range(n - 2)]
                 j = inner[len(inner) // 2]
                 for _ in range(10):
                     vs = list(best.vertices)
                     for k in inner:
-                        vs[k] = step_from(vs[k], rng.uniform(0.0, 2.0 * math.pi),
-                                          rng.uniform(0.0, 1e-5))
+                        theta, d = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 1e-5)
+                        vs[k] = DiskIsometry(vs[k]).inverse()(point_from_polar(d, theta))
                     u = cmath.exp(1j * direction_toward(vs[j], vs[j - 1]))
                     u += cmath.exp(1j * direction_toward(vs[j], vs[(j + 1) % n]))
                     inward, base = cmath.phase(u), vs[j]
@@ -554,7 +557,7 @@ class TestSteinerMove:
                         lo, hi = (mid, hi) if polygon_perimeter(trial(mid)) > perimeter else (lo, mid)
                     moved = trial(lo)
                     assert abs(polygon_perimeter(moved) - perimeter) <= 1e-14 * perimeter
-                    assert polygon_area(moved) < area, (n, seed, i)
+                    assert moved.area < area, (n, seed, i)
                     trials += 1
         assert trials == 120
 
@@ -599,7 +602,7 @@ class TestSteinerMove:
         jitter = ((1.0, 0.1), (1.1, 1.9), (0.9, 3.0), (1.05, 4.6))
         zs = tuple(1e-10 * r * cmath.exp(1j * t) for r, t in jitter)
         n = len(zs)
-        poly = _measure(tuple(DiskPoint.from_complex(z) for z in zs))
+        poly = _measure(tuple(DiskPoint(z.real, z.imag) for z in zs))
         sides = poly.side_lengths
         for i in range(n):
             updates = _window_move(poly, i)
@@ -622,12 +625,13 @@ def _hypercycle_point(t: float, h: float) -> DiskPoint:
     """The point at distance h to the left of the real diameter, above the
     axis point at signed distance t from the origin."""
     foot = point_from_polar(abs(t), 0.0 if t >= 0.0 else math.pi)
-    return step_from(foot, 0.5 * math.pi, h)
+    return DiskIsometry(foot).inverse()(point_from_polar(h, 0.5 * math.pi))
 
 
 def _horocycle_point(r: float, psi: float) -> DiskPoint:
     """A point of the horocycle tangent to the unit circle at 1, radius r."""
-    return DiskPoint.from_complex((1.0 - r) + r * complex(math.cos(psi), math.sin(psi)))
+    z = (1.0 - r) + r * complex(math.cos(psi), math.sin(psi))
+    return DiskPoint(z.real, z.imag)
 
 
 def _hypercycle_quadrilateral(h: float, spanning: str) -> list[DiskPoint]:
@@ -786,14 +790,14 @@ def assert_regular_area(result):
     poly = result.polygon
     spec = regular_polygon_for_perimeter(poly.n, polygon_perimeter(poly))
     regular = regular_polygon(spec).area
-    assert abs(regular - polygon_area(poly)) <= 2 * poly.n * math.ulp(regular)
+    assert abs(regular - poly.area) <= 2 * poly.n * math.ulp(regular)
 
 
 class TestSteinerOptimize:
     def test_octagon_run(self):
         poly = random_convex_polygon(8, 42)
         perim0 = polygon_perimeter(poly)
-        d0 = isoperimetric_deficit(perim0, polygon_area(poly))
+        d0 = isoperimetric_deficit(perim0, poly.area)
         result = steiner_optimize(poly, tol=1e-8)
         assert result.converged
         # trace invariants: conserved perimeter, monotone area from the input's
@@ -804,7 +808,7 @@ class TestSteinerOptimize:
         assert result.residual <= 1e-8 * perim0 / 8
         assert_regular_area(result)
         perim1 = polygon_perimeter(result.polygon)
-        d1 = isoperimetric_deficit(perim1, polygon_area(result.polygon))
+        d1 = isoperimetric_deficit(perim1, result.polygon.area)
         assert -1e-9 <= d1 < d0
 
     def test_limit_is_regular_polygon(self):
@@ -812,7 +816,7 @@ class TestSteinerOptimize:
         perim = polygon_perimeter(poly)
         result = steiner_optimize(poly, tol=1e-8)
         ref = regular_polygon(regular_polygon_for_perimeter(8, perim))
-        assert polygon_area(result.polygon) == pytest.approx(ref.area, abs=1e-9)
+        assert result.polygon.area == pytest.approx(ref.area, abs=1e-9)
         for s in result.polygon.side_lengths:
             assert s == pytest.approx(ref.side, abs=1e-6)
 
@@ -861,7 +865,7 @@ class TestSteinerOptimize:
                 for step in result.trace:
                     assert abs(step.perimeter - perimeter) <= 1e-13 * perimeter, (n, seed)
                 ref = regular_polygon(regular_polygon_for_perimeter(n, perimeter))
-                assert polygon_area(result.polygon) == pytest.approx(ref.area, rel=1e-12)
+                assert result.polygon.area == pytest.approx(ref.area, rel=1e-12)
 
     def test_move_counts_do_not_regress(self):
         # counts moves, not seconds: every generator polygon with n = 3-12
@@ -992,7 +996,7 @@ class TestSteinerOptimize:
             sweeps[R], moves[R] = result.sweeps, len(result.trace)
             spec = regular_polygon_for_perimeter(8, polygon_perimeter(result.polygon))
             regular = regular_polygon(spec).area
-            assert polygon_area(result.polygon) <= regular + 16 * math.ulp(regular), R
+            assert result.polygon.area <= regular + 16 * math.ulp(regular), R
         assert max(sweeps.values()) == sweeps[1.0], sweeps
         assert all(m == moves[1e-1] <= moves[1.0] for R, m in moves.items() if R < 1.0), moves
 
@@ -1036,7 +1040,7 @@ class TestSteinerOptimize:
             result = steiner_optimize(poly, tol=1e-8)
             assert result.converged
             ref = regular_polygon(regular_polygon_for_perimeter(4, perim))
-            assert polygon_area(result.polygon) == pytest.approx(ref.area, abs=1e-9)
+            assert result.polygon.area == pytest.approx(ref.area, abs=1e-9)
 
     def test_polygon_without_circumcircle_is_reported(self):
         # the least-squares circle through this triangle leaves the disk
@@ -1080,7 +1084,7 @@ class TestSteinerOptimize:
         assert result.moves_rejected == 0
         assert len(result.trace) <= 6
         ref = regular_polygon(regular_polygon_for_perimeter(6, polygon_perimeter(poly)))
-        assert polygon_area(result.polygon) == pytest.approx(ref.area, rel=1e-13)
+        assert result.polygon.area == pytest.approx(ref.area, rel=1e-13)
         for side in result.polygon.side_lengths:
             assert side == pytest.approx(ref.side, rel=1e-8)
 
@@ -1106,7 +1110,7 @@ class TestSteinerOptimize:
                 assert step == (
                     it,
                     it % poly.n,
-                    polygon_area(mv.polygon),
+                    mv.polygon.area,
                     max_optimality_residual(mv.polygon),
                     polygon_perimeter(mv.polygon),
                 )
@@ -1120,8 +1124,8 @@ class TestSteinerOptimize:
     def test_each_polygon_is_measured_once(self, monkeypatch):
         # a polygon is measured where it is made: by from_vertices, by the
         # checked constructor once more, and by each planned move (11 in the
-        # run on the generator's octagon, seed 42); an unplanned move, the
-        # area and the residual read the record and measure nothing
+        # run on the generator's octagon, seed 42); an unplanned move and the
+        # residual read the record and measure nothing
         from hyplobe import polygon
 
         calls = []
@@ -1137,7 +1141,7 @@ class TestSteinerOptimize:
         regular = regular_polygon_vertices(RegularPolygonSpec(8, 0.5))
         assert count(HyperbolicPolygon.from_vertices, poly.vertices) == 1
         assert count(HyperbolicPolygon, *poly) == 1
-        assert count(polygon_area, poly) == count(max_optimality_residual, poly) == 0
+        assert count(max_optimality_residual, poly) == 0
         assert steiner_move(poly, 0).accepted and count(steiner_move, poly, 0) == 1
         assert steiner_move(regular, 0) == (regular, False, 0)
         assert count(steiner_move, regular, 0) == 0
@@ -1235,7 +1239,7 @@ class TestRegularPolygons:
         stats = regular_polygon(spec)
         poly = regular_polygon_vertices(spec)
         assert polygon_perimeter(poly) == pytest.approx(stats.perimeter, abs=1e-11)
-        assert polygon_area(poly) == pytest.approx(stats.area, abs=1e-10)
+        assert poly.area == pytest.approx(stats.area, abs=1e-10)
 
     def test_euclidean_angle_limit(self):
         # small polygons look flat: interior angle -> (n - 2) pi / n
@@ -1348,7 +1352,7 @@ class TestIsoperimetry:
     def test_random_polygon_deficit_positive(self):
         for seed in range(10):
             poly = random_convex_polygon(5, seed)
-            d = isoperimetric_deficit(polygon_perimeter(poly), polygon_area(poly))
+            d = isoperimetric_deficit(polygon_perimeter(poly), poly.area)
             assert d > 0.0
 
     def test_deficit_validation(self):
@@ -1358,6 +1362,10 @@ class TestIsoperimetry:
                 isoperimetric_deficit(L, A)
         for r in (0.0, -1.0, math.nextafter(10.0, math.inf), math.nan):
             with pytest.raises(DomainError, match="radius outside"):
+                circle_geometry(r)
+        # 4 pi sinh^2(r / 2) is subnormal, bits short, below r = 8.4e-155
+        for r in (1e-155, 1e-300, 5e-324):
+            with pytest.raises(DegenerateInputError, match="area is subnormal"):
                 circle_geometry(r)
         for L in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="circumference must be positive"):
