@@ -157,6 +157,8 @@ def point_from_polar(d: float, theta: float) -> DiskPoint:
     """Point at hyperbolic distance d from the origin in direction theta."""
     if not (0.0 <= d <= D_MAX):
         raise DomainError(f"hyperbolic distance {d} outside [0, {D_MAX}]")
+    if not math.isfinite(theta):
+        raise DomainError(f"direction angle {theta} is not finite")
     r = math.tanh(0.5 * d)
     return DiskPoint(r * math.cos(theta), r * math.sin(theta))
 

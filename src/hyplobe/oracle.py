@@ -5,8 +5,8 @@ No solver or certificate calls them: these routines re-derive quantities by
 grid search, chord sums along the geodesic, or Euclidean small-scale limits
 so that the primary implementations can be judged against them. The metric
 oracle samples each geodesic where it is straight, on its Klein-model chord,
-so a few dozen segments give the distance to about an ulp. The three grid
-searches share one coarse-to-fine scan, ``_scan``, over the points where
+so a few dozen segments give the distance to about an ulp. The apex-angle
+grid search scans coarse to fine, ``_scan``, over the points where
 ``numpy.linspace`` would put them. Everything here is pure Python and the
 standard library: nothing imports numpy.
 """
@@ -23,7 +23,7 @@ from .triangle import ALPHA_EPS
 
 
 class GridSearchResult(namedtuple("GridSearchResult", "alpha_hat area_hat grid_step samples")):
-    """alpha_hat is the argmax: apex angle, hinge side t or diagonal angle phi."""
+    """alpha_hat is the argmax apex angle."""
 
     __slots__ = ()
 
@@ -63,39 +63,33 @@ def _scan(score, points, samples: int, step: float) -> GridSearchResult:
 
     With s = isqrt(samples), it scores every s-th point and the last one,
     then every point strictly between the two coarse neighbours of the
-    coarse argmax, about 3 s evaluations in all; where every coarse score is
-    -inf, the whole grid. Ties resolve to the first point, as
-    ``numpy.argmax`` does. The result is exactly an exhaustive scan's
-    whenever the finite part of the sampled score rises strictly to one top
-    (a point or a run of equal values) and then falls strictly, with -inf
-    only at the ends: the first maximum then lies strictly between the
-    coarse argmax's neighbours.
+    coarse argmax, about 3 s evaluations in all. Ties resolve to the first
+    point, as ``numpy.argmax`` does. The result is exactly an exhaustive
+    scan's whenever the sampled score rises strictly to one top (a point or
+    a run of equal values) and then falls strictly: the first maximum then
+    lies strictly between the coarse argmax's neighbours.
     """
     if samples < 1000:
         raise DomainError("grid search needs at least 1000 samples")
     coarse = [*range(0, samples - 1, math.isqrt(samples)), samples - 1]
     values = list(map(score, points(coarse)))
-    best = max(values)
-    if best == -math.inf:  # the finite run lies between two coarse points
-        start, stop = 0, samples
-    else:
-        j = values.index(best)
-        start = coarse[j - 1] + 1 if j > 0 else 0
-        stop = coarse[j + 1] if j + 1 < len(coarse) else samples
+    j = values.index(max(values))
+    start = coarse[j - 1] + 1 if j > 0 else 0
+    stop = coarse[j + 1] if j + 1 < len(coarse) else samples
     args = points(range(start, stop))
     values = list(map(score, args))
     best = max(values)
     return GridSearchResult(args[values.index(best)], best, step, samples)
 
 
-def _linspace(lo: float, hi: float, num: int, skip: int):
-    """The step, and points(ks) listing ``numpy.linspace(lo, hi, num)[k + skip]``
-    for k in ks, bit for bit: (k + skip) * step + lo, the last point exactly hi."""
+def _linspace(lo: float, hi: float, num: int):
+    """The step, and points(ks) listing ``numpy.linspace(lo, hi, num)[k]``
+    for k in ks, bit for bit: k * step + lo, the last point exactly hi."""
     step = (hi - lo) / max(num - 1, 1)  # no grid of fewer than two points gets past _scan
-    last = num - 1 - skip
+    last = num - 1
 
     def points(indices) -> list[float]:
-        return [hi if k == last else (k + skip) * step + lo for k in indices]
+        return [hi if k == last else k * step + lo for k in indices]
 
     return points, step
 
@@ -111,114 +105,22 @@ def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
     then falls, since d/d alpha tan(area / 2) has the sign of cos alpha - u;
     the accurate area keeps that shape on the grid, which
     ``count_local_maxima`` and the tests witness, so ``_scan`` returns the
-    exhaustive argmax.
+    exhaustive argmax. Refuses sides outside (0, D_MAX], as ``solve_sas``
+    does.
     """
-    alpha, step = _linspace(_ALPHA_LO, _ALPHA_HI, samples, 0)
+    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
+        raise DomainError(f"sides must lie in (0, {D_MAX}]")
+    alpha, step = _linspace(_ALPHA_LO, _ALPHA_HI, samples)
     return _scan(_apex_area(b, c), alpha, samples, step)
 
 
 def count_local_maxima(b: float, c: float, samples: int) -> int:
     """Strict local maxima of the area on the grid (unimodality witness)."""
-    alpha, _ = _linspace(_ALPHA_LO, _ALPHA_HI, samples, 0)
+    alpha, _ = _linspace(_ALPHA_LO, _ALPHA_HI, samples)
     areas = list(map(_apex_area(b, c), alpha(range(samples))))
     return sum(
         1 for left, mid, right in zip(areas, areas[1:], areas[2:]) if left < mid > right
     )
-
-
-def _lhuilier(a: float, b: float, c: float) -> float:
-    """Area of the triangle with sides a, b, c, by L'Huilier's formula
-    tan^2(area / 4) = tanh(p / 2) tanh((p - a) / 2) tanh((p - b) / 2)
-    tanh((p - c) / 2), p the semi-perimeter. Each p - side is formed as
-    (the other two sides - side) / 2, not subtracted from p, and clamped at
-    0 where rounding leaves the triangle inequality.
-    """
-    tan2 = (
-        math.tanh(0.25 * (a + b + c)) * math.tanh(0.25 * max(0.0, b + c - a))
-        * math.tanh(0.25 * max(0.0, c + a - b)) * math.tanh(0.25 * max(0.0, a + b - c))
-    )
-    return 4.0 * math.atan(math.sqrt(tan2))
-
-
-def _hinge_area(s: float, base: float):
-    """The area of the triangle with sides t, s - t and base, as a function
-    of t on (lo, hi) = ((s - base) / 2, (s + base) / 2).
-
-    By L'Huilier's formula with p = hi the semi-perimeter, tan^2(area / 4) =
-    tanh(p / 2) tanh((p - t) / 2) tanh((p - (s - t)) / 2) tanh((p - base) / 2).
-    p - t = hi - t, p - (s - t) = t - lo and p - base = lo are formed from
-    the ends, not subtracted from p, so every factor keeps its relative
-    accuracy on tiny polygons.
-    """
-    lo, hi = 0.5 * (s - base), 0.5 * (s + base)
-    fixed = math.tanh(0.5 * hi) * math.tanh(0.5 * lo)
-
-    def area(t: float) -> float:
-        return 4.0 * math.atan(
-            math.sqrt(fixed * math.tanh(0.5 * (hi - t)) * math.tanh(0.5 * (t - lo)))
-        )
-
-    return area
-
-
-def grid_search_hinge(s: float, base: float, samples: int) -> GridSearchResult:
-    """Argmax of ``_hinge_area`` over ``samples`` interior points of the
-    range (lo, hi) the triangle inequality allows; it witnesses the
-    isosceles optimum t = s / 2 of the polygon move on a triangle. Refuses
-    a base longer than s, which no triangle with sides t and s - t can have."""
-    if base > s:
-        raise DomainError(
-            f"hinge base {base!r} exceeds s = {s!r}: no triangle with sides t, s - t "
-            "and this base meets the triangle inequality"
-        )
-    t, _ = _linspace(0.5 * (s - base), 0.5 * (s + base), samples + 2, 1)
-    t0, t1 = t((0, 1))
-    return _scan(_hinge_area(s, base), t, samples, t1 - t0)
-
-
-def _quadrilateral_area(s1: float, s2: float, s3: float, diag: float):
-    """The area of the quadrilateral ABCD with |AB| = s1, |BC| = s2,
-    |CD| = s3 and |DA| = diag, as a function of the angle phi at A; the sum
-    of triangles ABD and BCD, and -inf where the cross diagonal BD leaves no
-    triangle BCD.
-
-    BD comes from the law of cosines in its cancellation-free form
-    sinh^2(|BD| / 2) = sinh^2((s1 - diag) / 2) + sinh(s1) sinh(diag) sin^2(phi / 2)
-    and each triangle's area from L'Huilier's formula, so tiny quadrilaterals
-    keep their relative accuracy.
-    """
-    h = math.sinh(0.5 * (s1 - diag))
-    h2 = h * h
-    sinh_prod = math.sinh(s1) * math.sinh(diag)
-    bd_lo, bd_hi = abs(s2 - s3), s2 + s3
-
-    def area(phi: float) -> float:
-        k = math.sin(0.5 * phi)
-        bd = 2.0 * math.asinh(math.sqrt(h2 + sinh_prod * k * k))
-        if not bd_lo < bd < bd_hi:
-            return -math.inf
-        return _lhuilier(s1, diag, bd) + _lhuilier(s2, s3, bd)
-
-    return area
-
-
-def quadrilateral_area(s1: float, s2: float, s3: float, diag: float, phi: float) -> float:
-    """Area of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3,
-    |DA| = diag and angle phi at A, as the sum of triangles ABD and BCD;
-    -inf where the cross diagonal BD leaves no triangle BCD. The formulas
-    are ``_quadrilateral_area``'s."""
-    return _quadrilateral_area(s1, s2, s3, diag)(phi)
-
-
-def grid_search_quadrilateral(
-    s1: float, s2: float, s3: float, diag: float, samples: int
-) -> GridSearchResult:
-    """Argmax of quadrilateral_area over ``samples`` interior points of
-    phi in (0, pi). Witnesses the polygon move, which solves for the
-    concyclic position instead of searching."""
-    phi, _ = _linspace(0.0, math.pi, samples + 2, 1)
-    phi0, phi1 = phi((0, 1))
-    return _scan(_quadrilateral_area(s1, s2, s3, diag), phi, samples, phi1 - phi0)
 
 
 # |z| of a point D_MAX from the centre, with room for a few ulps of rounding:

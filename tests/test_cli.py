@@ -581,9 +581,6 @@ for name in names:
     importlib.import_module("hyplobe." + name)
 from hyplobe import oracle
 oracle.grid_search_max_area(1.0, 1.2, 1000)
-oracle.grid_search_hinge(2.0, 1.0, 1000)
-oracle.grid_search_quadrilateral(0.9, 1.1, 0.8, 1.6, 1000)
-oracle.quadrilateral_area(0.9, 1.1, 0.8, 1.6, 1.0)
 print(" ".join(sorted(names)))
 """
         res = subprocess.run([sys.executable, "-c", script],

@@ -83,6 +83,13 @@ class TestPointFromPolar:
         with pytest.raises(DomainError):
             point_from_polar(20.5, 0.0)
 
+    def test_refuses_a_non_finite_angle(self):
+        # unchecked, cos(inf) raises libm's bare ValueError and a NaN angle
+        # is refused for the point's coordinates, not for itself
+        for theta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="direction angle"):
+                point_from_polar(1.0, theta)
+
     def test_round_trip_moderate_range(self):
         rng = np.random.default_rng(7)
         for _ in range(500):

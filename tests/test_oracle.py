@@ -1,11 +1,9 @@
 """Tests for the brute-force reference implementations."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
-import test_polygon
 
 from hyplobe import (
     ALPHA_EPS,
@@ -17,7 +15,6 @@ from hyplobe import (
     hyp_distance,
     optimal_alpha,
     point_from_polar,
-    random_convex_polygon,
     solve_sas,
 )
 from hyplobe import oracle
@@ -32,14 +29,17 @@ from hyplobe.oracle import (
 
 class TestGridSearch:
     def test_needs_enough_samples(self):
-        for search, args in [
-            (grid_search_max_area, (1.0, 1.0)),
-            (oracle.grid_search_hinge, (2.0, 1.0)),
-            (oracle.grid_search_quadrilateral, (0.9, 1.1, 0.8, 1.6)),
-        ]:
-            for samples in (999, 1, 0, -1):
-                with pytest.raises(DomainError, match="at least 1000 samples"):
-                    search(*args, samples)
+        for samples in (999, 1, 0, -1):
+            with pytest.raises(DomainError, match="at least 1000 samples"):
+                grid_search_max_area(1.0, 1.0, samples)
+
+    def test_refuses_sides_outside_the_domain(self):
+        # as solve_sas does: unchecked, these give a negative, zero or NaN
+        # area, a triangle beyond D_MAX, or overflow in sinh
+        for side in (-1.0, 0.0, math.nan, 25.0, 800.0):
+            for b, c in ((side, 1.0), (1.0, side)):
+                with pytest.raises(DomainError, match=r"sides must lie in \(0, 20"):
+                    grid_search_max_area(b, c, 1000)
 
     def test_grid_step_is_the_spacing_of_the_grid(self):
         # the grid runs from lo to pi - lo in samples - 1 steps
@@ -120,67 +120,16 @@ def _log_uniform_pairs(seed, count):
     ]
 
 
-HINGE_CASES = [(2.0, 1.0), (2e-3, 1e-3), (2e-5, 1e-5), (2e-9, 1e-9), (2.0, 1e-9)]
-QUADRILATERAL_CASES = [tuple(x * scale for x in (0.9, 1.1, 0.8, 1.6)) for scale in (1e-5, 1e-9)]
-
-
-def _seeded_hexagons():
-    return [random_convex_polygon(6, seed) for seed in range(10)]
-
-
-def _hinge_cases():
-    """(s, base) of every hinge of the seeded hexagons, then the hinge
-    search tests' own cases."""
-    cases = []
-    for poly in _seeded_hexagons():
-        n, vs, sides = poly.n, poly.vertices, poly.side_lengths
-        for i in range(n):
-            cases.append((sides[i - 1] + sides[i], hyp_distance(vs[i - 1], vs[(i + 1) % n])))
-    return cases + HINGE_CASES
-
-
-def _quadrilateral_cases():
-    """(s1, s2, s3, diag) of every diagonal move of the seeded hexagons, the
-    quadrilateral search tests' own cases, and the circle, horocycle and
-    hypercycle quadrilaterals."""
-    cases = []
-    for poly in _seeded_hexagons():
-        n, vs, sides = poly.n, poly.vertices, poly.side_lengths
-        for i in range(n):
-            diag = hyp_distance(vs[i - 1], vs[(i + 2) % n])
-            cases.append((sides[i - 1], sides[i], sides[(i + 1) % n], diag))
-    return cases + QUADRILATERAL_CASES + [
-        test_polygon._quadrilateral_sides(*quad)
-        for _, quad in test_polygon.TestCyclicCrossDiagonal()._regimes()
-    ]
-
-
 def _one_top(values, case):
-    """Asserts that the finite values form one run, with -inf only at the
-    ends, that rises strictly to a single top (a point or a run of equal
-    values) and then falls strictly; returns the first maximum."""
+    """Asserts that the values rise strictly to a single top (a point or a
+    run of equal values) and then fall strictly."""
     v = np.array(values)
-    finite = np.flatnonzero(v > -np.inf)
-    first, last = int(finite[0]), int(finite[-1])
-    assert len(finite) == last - first + 1, case
     top = int(np.argmax(v))
     end = top
-    while end < last and v[end + 1] == v[top]:
+    while end + 1 < len(v) and v[end + 1] == v[top]:
         end += 1
-    assert np.all(v[first:top] < v[first + 1 : top + 1]), case
-    assert np.all(v[end:last] > v[end + 1 : last + 1]), case
-    return top
-
-
-def _assert_scan_premise(score, lo, hi, search, case, samples=100_000):
-    """The scan's premise holds for ``score`` on the interior points of
-    numpy's grid over (lo, hi), and the search returns the exhaustive scan's
-    first maximum."""
-    args = np.linspace(lo, hi, samples + 2)[1:-1].tolist()
-    values = list(map(score, args))
-    top = _one_top(values, case)
-    res = search(samples)
-    assert (res.alpha_hat, res.area_hat) == (args[top], values[top]), case
+    assert np.all(v[:top] < v[1 : top + 1]), case
+    assert np.all(v[end:-1] > v[end + 1 :]), case
 
 
 class TestCoarseToFinePremise:
@@ -206,99 +155,8 @@ class TestCoarseToFinePremise:
     def test_grids_are_numpys_linspace(self):
         samples = 100_000
         lo = ALPHA_EPS * (1.0 + 1e-9)
-        grids = [
-            (oracle._linspace(lo, math.pi - lo, samples, 0)[0],
-             np.linspace(lo, math.pi - lo, samples)),
-            (oracle._linspace(0.0, math.pi, samples + 2, 1)[0],
-             np.linspace(0.0, math.pi, samples + 2)[1:-1]),
-            (oracle._linspace(0.4, 1.7, samples + 2, 1)[0],
-             np.linspace(0.4, 1.7, samples + 2)[1:-1]),
-        ]
-        for points, expected in grids:
-            assert points(range(samples)) == expected.tolist()
-
-    def test_hinge_area_rises_to_one_top(self):
-        for s, base in _hinge_cases():
-            _assert_scan_premise(
-                oracle._hinge_area(s, base), 0.5 * (s - base), 0.5 * (s + base),
-                partial(oracle.grid_search_hinge, s, base), (s, base),
-            )
-
-    def test_quadrilateral_area_rises_to_one_top(self):
-        for quad in _quadrilateral_cases():
-            _assert_scan_premise(
-                oracle._quadrilateral_area(*quad), 0.0, math.pi,
-                partial(oracle.grid_search_quadrilateral, *quad), quad,
-            )
-
-
-class TestHingeSearch:
-    def test_small_hinges_peak_at_isosceles(self):
-        # the L'Huilier area keeps every factor's relative accuracy, so the
-        # argmax stays at t = s / 2 however small or thin the triangle
-        for s, base in HINGE_CASES:
-            res = oracle.grid_search_hinge(s, base, 100_000)
-            assert abs(res.alpha_hat - 0.5 * s) <= res.grid_step, (s, base)
-
-    def test_area_matches_flat_limit(self):
-        # sides 1e-9 are flat to ~1e-18 relative: Heron's equilateral area
-        res = oracle.grid_search_hinge(2e-9, 1e-9, 100_000)
-        assert res.area_hat == pytest.approx(math.sqrt(3.0) / 4.0 * 1e-18, rel=1e-9)
-
-    def test_refuses_a_base_longer_than_s(self):
-        # a nearly straight hinge whose measured base rounds above s
-        with pytest.raises(DomainError, match="triangle inequality"):
-            oracle.grid_search_hinge(1.0, 1.0 + 1e-15, 1000)
-
-
-class TestQuadrilateralSearch:
-    def test_small_quadrilaterals_peak_at_the_cyclic_angle(self):
-        # the cross diagonal from sinh^2(|BD| / 2) and L'Huilier's areas keep
-        # their relative accuracy, so the argmax stays one grid step from the
-        # concyclic angle phi* (Ptolemy on the half-sinhs, at 50 digits)
-        # however small the quadrilateral, and the area matches phi*'s
-        mpmath = pytest.importorskip("mpmath")
-        for scale, (s1, s2, s3, diag) in zip((1e-5, 1e-9), QUADRILATERAL_CASES):
-            res = oracle.grid_search_quadrilateral(s1, s2, s3, diag, 100_000)
-            with mpmath.workdps(50):
-                m1, m2, m3, md = (mpmath.mpf(x) for x in (s1, s2, s3, diag))
-                a, b, c, d = (mpmath.sinh(x / 2) for x in (m1, m2, m3, md))
-                ptolemy = (a * b + c * d) * (a * c + b * d) / (a * d + b * c)
-                bd = 2 * mpmath.asinh(mpmath.sqrt(ptolemy))
-                half = mpmath.sqrt(
-                    (mpmath.sinh(bd / 2) ** 2 - mpmath.sinh((m1 - md) / 2) ** 2)
-                    / (mpmath.sinh(m1) * mpmath.sinh(md))
-                )
-                phi_star = float(2 * mpmath.asin(half))
-
-                def area(x, y, z):
-                    p = (x + y + z) / 2
-                    return 4 * mpmath.atan(mpmath.sqrt(
-                        mpmath.tanh(p / 2) * mpmath.tanh((p - x) / 2)
-                        * mpmath.tanh((p - y) / 2) * mpmath.tanh((p - z) / 2)
-                    ))
-
-                best = float(area(m1, md, bd) + area(m2, m3, bd))
-            assert abs(res.alpha_hat - phi_star) <= res.grid_step, scale
-            assert res.area_hat == pytest.approx(best, rel=1e-8), scale
-            # no point of the grid scores above the maximum
-            assert res.area_hat <= best * (1.0 + 1e-12), scale
-
-    def test_feasible_range_narrower_than_a_stride(self):
-        # every coarse point leaves no triangle BCD, so the coarse scores are
-        # all -inf and the scan falls back to the whole grid
-        samples = 100_000
-        phis = np.linspace(0.0, math.pi, samples + 2)[1:-1].tolist()
-        for quad, alpha_hat in [
-            ((1.0, 3e-3, 1.0, 1.0), 0.9202261178283438),
-            ((1.0, 1e-3, 1.0, 1.0), 0.9192836494569506),
-            ((1.0, 1.0, 3e-3, 1.0), 0.9202261178283438),
-        ]:
-            feasible = sum(oracle.quadrilateral_area(*quad, phi) > -math.inf for phi in phis)
-            assert 0 < feasible < math.isqrt(samples), quad
-            res = oracle.grid_search_quadrilateral(*quad, samples)
-            assert res.alpha_hat == alpha_hat, quad
-            assert res.area_hat == oracle.quadrilateral_area(*quad, alpha_hat), quad
+        points, _ = oracle._linspace(lo, math.pi - lo, samples)
+        assert points(range(samples)) == np.linspace(lo, math.pi - lo, samples).tolist()
 
 
 def _verify_style_pairs(rng, count):

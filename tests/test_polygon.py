@@ -34,7 +34,6 @@ from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
     _distance,
-    angle_at_vertex,
     direction_toward,
     hyp_distance,
     point_from_polar,
@@ -340,6 +339,39 @@ class TestAreaAndPerimeter:
         assert poly.area == pytest.approx(flat, rel=1e-5)
 
 
+def lhuilier_60(a, b, c):
+    """Area of the triangle with sides a, b, c by L'Huilier's formula
+    tan^2(area / 4) = tanh(p / 2) tanh((p - a) / 2) tanh((p - b) / 2)
+    tanh((p - c) / 2), p the semi-perimeter, in mpmath's working precision;
+    None where the sides break the triangle inequality."""
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c = (mpmath.mpf(x) for x in (a, b, c))
+    p = (a + b + c) / 2
+    if min(p - a, p - b, p - c) <= 0:
+        return None
+    tanh = mpmath.tanh
+    tan2 = tanh(p / 2) * tanh((p - a) / 2) * tanh((p - b) / 2) * tanh((p - c) / 2)
+    return 4 * mpmath.atan(mpmath.sqrt(tan2))
+
+
+def cyclic_cross_diagonal_60(s1, s2, s3, diag):
+    """|BD| of the quadrilateral ABCD with |AB| = s1, |BC| = s2, |CD| = s3
+    and |DA| = diag whose vertices lie on one circle, horocycle or
+    hypercycle: Ptolemy's relation on the half-sinhs, in mpmath's working
+    precision."""
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c, d = (mpmath.sinh(mpmath.mpf(x) / 2) for x in (s1, s2, s3, diag))
+    return 2 * mpmath.asinh(mpmath.sqrt((a * b + c * d) * (a * c + b * d) / (a * d + b * c)))
+
+
+def cyclic_area_60(s1, s2, s3, diag):
+    """A_cyc: the area of the concyclic quadrilateral ABCD with these sides,
+    the largest of any ABCD with them, as the L'Huilier areas of ABD and
+    BCD on the Ptolemy diagonal BD."""
+    bd = cyclic_cross_diagonal_60(s1, s2, s3, diag)
+    return lhuilier_60(s1, diag, bd) + lhuilier_60(s2, s3, bd)
+
+
 class TestSteinerMove:
     def test_preserves_perimeter_and_gains_area(self):
         rng = np.random.default_rng(41)
@@ -356,32 +388,45 @@ class TestSteinerMove:
                     assert mv.polygon.area - area > 0.0
 
     def test_triangle_window_matches_hinge_grid_argmax(self):
-        # on a triangle the window is the hinge at V_i: the closed form
-        # p = q = s / 2 against a 10^5-point grid over p
+        # on a triangle the window is the hinge at V_i, whose sides t and
+        # s - t span the fixed base: the move makes both s / 2, where
+        # L'Huilier's area of (t, s - t, base) is stationary and tops a
+        # 400-point sweep of the t the triangle inequality allows, at 60 digits
+        mpmath = pytest.importorskip("mpmath")
         accepted = 0
         for seed in range(20):
             poly = random_convex_polygon(3, seed)
             for i in range(poly.n):
                 f1, f2 = poly.vertices[i - 1], poly.vertices[(i + 1) % poly.n]
-                s = poly.side_lengths[i - 1] + poly.side_lengths[i]
-                grid = oracle.grid_search_hinge(s, hyp_distance(f1, f2), 100_000)
                 updates = _window_move(poly, i)
                 mv = steiner_move(poly, i)
                 if not mv.accepted:
                     continue
                 accepted += 1
                 assert set(updates) == {i}
-                p_new = mv.polygon.side_lengths[i - 1]
-                assert abs(p_new - grid.alpha_hat) <= grid.grid_step
+                with mpmath.workdps(60):
+                    s = mpmath.mpf(poly.side_lengths[i - 1]) + poly.side_lengths[i]
+                    base = mpmath.mpf(hyp_distance(f1, f2))
+                    half = s / 2
+                    for k in (i - 1, i):
+                        assert abs(mv.polygon.side_lengths[k] - half) <= 4e-15 * half, (seed, i)
+
+                    def area(t):
+                        return lhuilier_60(t, s - t, base)
+
+                    assert abs(mpmath.diff(area, half)) < 1e-50, (seed, i)
+                    lo, width, top = (s - base) / 2, base, area(half)
+                    assert all(area(lo + width * k / 401) <= top for k in range(1, 401)), (seed, i)
         assert accepted >= 30
 
     def test_window_move_reaches_grid_maximum(self):
         # on a quadrilateral the window is three sides, from A = V_{i-1} to
-        # D = V_{i+2}: the closed-form position against 10^5-point grids over
-        # the angle at A, all scored with the oracle's quadrilateral area: it
-        # reaches the grid maximum of three equal sides s, and no split
-        # (3s u1, 3s u2, 3s (1 - u1 - u2)) of the same total, with u1 and u2
-        # multiples of 1/6 summing to at most 5/6, has a higher grid maximum
+        # D = V_{i+2}: the move reaches A_cyc of three equal sides s, the
+        # closed-form maximum over quadrilaterals with these sides and DA, and
+        # no split (3s u1, 3s u2, 3s (1 - u1 - u2)) of the same total, with
+        # u1 and u2 multiples of 1/6 summing to at most 5/6, has a larger
+        # A_cyc; A_cyc at 60 digits
+        mpmath = pytest.importorskip("mpmath")
         splits = [(k1 / 6, k2 / 6) for k1 in range(1, 5) for k2 in range(1, 6 - k1)]
         accepted = 0
         for seed in range(10):
@@ -390,22 +435,22 @@ class TestSteinerMove:
             for i in range(n):
                 a, d = poly.vertices[i - 1], poly.vertices[(i + 2) % n]
                 total = sum(poly.side_lengths[k % n] for k in (i - 1, i, i + 1))
-                s = total / 3
                 diag = hyp_distance(a, d)
                 mv = steiner_move(poly, i)
                 if not mv.accepted:
                     continue
                 accepted += 1
-                phi = angle_at_vertex(a, d, mv.polygon.vertices[i])
-                area = float(oracle.quadrilateral_area(s, s, s, diag, phi))
-                grid = oracle.grid_search_quadrilateral(s, s, s, diag, 100_000)
-                assert area >= grid.area_hat - 1e-13
-                for u1, u2 in splits:
-                    sides = (total * u1, total * u2, total * (1.0 - u1 - u2))
-                    if 2.0 * max(*sides, diag) >= total + diag:
-                        continue  # no quadrilateral has these sides
-                    grid = oracle.grid_search_quadrilateral(*sides, diag, 100_000)
-                    assert grid.area_hat <= area + 1e-13, (seed, i, u1, u2)
+                area = mv.polygon.area
+                with mpmath.workdps(60):
+                    s = mpmath.mpf(total) / 3
+                    best = cyclic_area_60(s, s, s, diag)
+                    assert abs(area - best) <= 4e-15 * best, (seed, i)
+                    for u1, u2 in splits:
+                        sides = (total * u1, total * u2, total * (1.0 - u1 - u2))
+                        if 2.0 * max(*sides, diag) >= total + diag:
+                            continue  # no quadrilateral has these sides
+                        split = cyclic_area_60(*sides, diag)
+                        assert split <= area * (1.0 + 4e-15), (seed, i, u1, u2)
         assert accepted >= 30
 
     def test_regular_polygon_is_fixed_point(self):
@@ -732,6 +777,13 @@ class TestCyclicCrossDiagonal:
                 assert abs(bd - ref) <= 1e-12 * ref
 
     def test_reaches_grid_maximum(self):
+        # the angle phi at A that the closed-form |BD| gives is the concyclic
+        # angle of 60-digit Ptolemy, where the area of ABCD, with its three
+        # sides and DA fixed, is stationary; on a 512-point sweep of (0, pi)
+        # the area rises strictly to one top and then falls strictly across
+        # the one run of phi that leaves a triangle BCD, and no point of it
+        # tops the concyclic area
+        mpmath = pytest.importorskip("mpmath")
         for _, quad in self._regimes():
             s1, s2, s3, diag = _quadrilateral_sides(*quad)
             bd = _cyclic_cross_diagonal(s1, s2, s3, diag)
@@ -740,10 +792,30 @@ class TestCyclicCrossDiagonal:
                 (math.cosh(s1) * math.cosh(diag) - math.cosh(bd))
                 / (math.sinh(s1) * math.sinh(diag))
             )
-            grid = oracle.grid_search_quadrilateral(s1, s2, s3, diag, 100_000)
-            area = float(oracle.quadrilateral_area(s1, s2, s3, diag, phi))
-            assert area >= grid.area_hat - 1e-13
-            assert abs(phi - grid.alpha_hat) <= 2.0 * grid.grid_step
+            with mpmath.workdps(60):
+                m1, md = mpmath.mpf(s1), mpmath.mpf(diag)
+                # the law of cosines: sinh^2(|BD| / 2) = h2 + k sin^2(phi / 2)
+                h2 = mpmath.sinh((m1 - md) / 2) ** 2
+                k = mpmath.sinh(m1) * mpmath.sinh(md)
+                bd_star = cyclic_cross_diagonal_60(s1, s2, s3, diag)
+                phi_star = 2 * mpmath.asin(mpmath.sqrt((mpmath.sinh(bd_star / 2) ** 2 - h2) / k))
+
+                def area(x):
+                    bd_x = 2 * mpmath.asinh(mpmath.sqrt(h2 + k * mpmath.sin(x / 2) ** 2))
+                    abd, bcd = lhuilier_60(s1, diag, bd_x), lhuilier_60(s2, s3, bd_x)
+                    return None if bcd is None else abd + bcd
+
+                assert abs(phi - phi_star) <= 4e-15, quad
+                assert abs(mpmath.diff(area, phi_star)) < 1e-50, quad
+                sweep = [area(mpmath.pi * j / 513) for j in range(1, 513)]
+                feasible = [j for j, a in enumerate(sweep) if a is not None]
+                first, last = feasible[0], feasible[-1]
+                assert len(feasible) == last - first + 1, quad
+                run = sweep[first : last + 1]
+                top = run.index(max(run))
+                assert all(x < y for x, y in zip(run[:top], run[1 : top + 1])), quad
+                assert all(x > y for x, y in zip(run[top:], run[top + 1 :])), quad
+                assert run[top] <= area(phi_star), quad
 
 
 def refuse_once(monkeypatch):

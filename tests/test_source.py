@@ -199,6 +199,23 @@ def test_no_run_calls_the_circumcircle_fit():
     ]
 
 
+def test_only_cli_and_verify_import_the_oracle():
+    # the oracles are references for judging the solvers, so no solver or
+    # certificate may call one: within the package, only the cli, for the
+    # grid cross-check that optimize prints, and verify import oracle
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {alias.name for alias in getattr(node, "names", [])}
+            if isinstance(node, ast.ImportFrom):
+                source = _package_module(node, {"oracle"})
+                if source == "oracle" or (source == "" and "oracle" in names):
+                    importers.add(path.stem)
+            elif isinstance(node, ast.Import) and "hyplobe.oracle" in names:
+                importers.add(path.stem)
+    assert sorted(importers) == ["cli", "verify"]
+
+
 def test_polygons_are_measured_where_they_are_made():
     # a polygon is measured once, where it is made: from_vertices measures a
     # new one (the checked constructor goes through it) and steiner_move a
