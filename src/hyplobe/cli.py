@@ -314,7 +314,3 @@ def main(argv: list[str] | None = None) -> int:
     except HyplobeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

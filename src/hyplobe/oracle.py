@@ -6,9 +6,9 @@ grid search, chord sums along the geodesic, or Euclidean small-scale limits
 so that the primary implementations can be judged against them. The metric
 oracle samples each geodesic where it is straight, on its Klein-model chord,
 so a few dozen segments give the distance to about an ulp. The apex-angle
-grid search scans coarse to fine, ``_scan``, over the points where
-``numpy.linspace`` would put them. Everything here is pure Python and the
-standard library: nothing imports numpy.
+grid search scans coarse to fine over the points where ``numpy.linspace``
+would put them. Everything here is pure Python and the standard library:
+nothing imports numpy.
 """
 
 from __future__ import annotations
@@ -57,35 +57,10 @@ _ALPHA_LO = ALPHA_EPS * (1.0 + 1e-9)
 _ALPHA_HI = math.pi - _ALPHA_LO
 
 
-def _scan(score, points, samples: int, step: float) -> GridSearchResult:
-    """Argmax of ``score`` over the grid points(range(samples)), coarse to
-    fine, with ``step`` as the result's grid_step.
-
-    With s = isqrt(samples), it scores every s-th point and the last one,
-    then every point strictly between the two coarse neighbours of the
-    coarse argmax, about 3 s evaluations in all. Ties resolve to the first
-    point, as ``numpy.argmax`` does. The result is exactly an exhaustive
-    scan's whenever the sampled score rises strictly to one top (a point or
-    a run of equal values) and then falls strictly: the first maximum then
-    lies strictly between the coarse argmax's neighbours.
-    """
-    if samples < 1000:
-        raise DomainError("grid search needs at least 1000 samples")
-    coarse = [*range(0, samples - 1, math.isqrt(samples)), samples - 1]
-    values = list(map(score, points(coarse)))
-    j = values.index(max(values))
-    start = coarse[j - 1] + 1 if j > 0 else 0
-    stop = coarse[j + 1] if j + 1 < len(coarse) else samples
-    args = points(range(start, stop))
-    values = list(map(score, args))
-    best = max(values)
-    return GridSearchResult(args[values.index(best)], best, step, samples)
-
-
 def _linspace(lo: float, hi: float, num: int):
     """The step, and points(ks) listing ``numpy.linspace(lo, hi, num)[k]``
     for k in ks, bit for bit: k * step + lo, the last point exactly hi."""
-    step = (hi - lo) / max(num - 1, 1)  # no grid of fewer than two points gets past _scan
+    step = (hi - lo) / (num - 1)
     last = num - 1
 
     def points(indices) -> list[float]:
@@ -97,30 +72,35 @@ def _linspace(lo: float, hi: float, num: int):
 def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
     """Argmax of the triangle area over an even grid of ``samples`` apex angles.
 
-    The area is ``_apex_area``'s triple-product form,
-    tan(area / 2) = sinh b sinh c sin alpha / (4 + m_a + m_b + m_c) with
-    m_x = cosh x - 1 formed without cancellation, accurate to a few ulps over
-    the whole domain and independent of the solver's formulas.
-    ``triangle.optimal_alpha`` shows that the true area rises to one top and
-    then falls, since d/d alpha tan(area / 2) has the sign of cos alpha - u;
-    the accurate area keeps that shape on the grid, which
-    ``count_local_maxima`` and the tests witness, so ``_scan`` returns the
-    exhaustive argmax. Refuses sides outside (0, D_MAX], as ``solve_sas``
-    does.
+    The area is ``_apex_area``'s triple-product form, accurate to a few ulps
+    over the whole domain and independent of the solver's formulas. With
+    s = isqrt(samples), it scores every s-th point and the last one, then
+    every point strictly between the coarse argmax's two neighbours, about
+    3 s evaluations in all; ties resolve to the first point, as
+    ``numpy.argmax`` does. That is the exhaustive argmax whenever the sampled
+    area rises strictly to one top (a point or a run of equal values) and
+    then falls strictly. The true area does, since d/d alpha tan(area / 2)
+    has the sign of cos alpha - u (``triangle.optimal_alpha``); that the
+    sampled area keeps the shape is witnessed by ``TestCoarseToFinePremise``
+    in tests/test_oracle.py on grids of 1000, 10,000 and 100,000 points.
+    Refuses sides outside (0, D_MAX], as ``solve_sas`` does, and fewer than
+    1000 samples.
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
         raise DomainError(f"sides must lie in (0, {D_MAX}]")
-    alpha, step = _linspace(_ALPHA_LO, _ALPHA_HI, samples)
-    return _scan(_apex_area(b, c), alpha, samples, step)
-
-
-def count_local_maxima(b: float, c: float, samples: int) -> int:
-    """Strict local maxima of the area on the grid (unimodality witness)."""
-    alpha, _ = _linspace(_ALPHA_LO, _ALPHA_HI, samples)
-    areas = list(map(_apex_area(b, c), alpha(range(samples))))
-    return sum(
-        1 for left, mid, right in zip(areas, areas[1:], areas[2:]) if left < mid > right
-    )
+    if samples < 1000:
+        raise DomainError("grid search needs at least 1000 samples")
+    area = _apex_area(b, c)
+    points, step = _linspace(_ALPHA_LO, _ALPHA_HI, samples)
+    coarse = [*range(0, samples - 1, math.isqrt(samples)), samples - 1]
+    values = list(map(area, points(coarse)))
+    j = values.index(max(values))
+    start = coarse[j - 1] + 1 if j > 0 else 0
+    stop = coarse[j + 1] if j + 1 < len(coarse) else samples
+    alphas = points(range(start, stop))
+    values = list(map(area, alphas))
+    best = max(values)
+    return GridSearchResult(alphas[values.index(best)], best, step, samples)
 
 
 # |z| of a point D_MAX from the centre, with room for a few ulps of rounding:

@@ -137,6 +137,12 @@ def check_inversion_identity(rng, samples: int) -> CheckResult:
 
 
 def check_metric_oracle(rng, samples: int) -> CheckResult:
+    """hyp_distance against the 64-segment Klein-chord sum of the oracle.
+
+    The oracle sums each chord by sinh(d / 2) = |u - w| / sqrt(g_u g_w),
+    which is hyp_distance's own identity, so this checks the Klein sampling,
+    the g's and additivity, not the identity itself.
+    """
     pairs = max(10, samples // 40)
     worst = 0.0
     for _ in range(pairs):
