@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from itertools import accumulate, repeat
 
-from .disk import D_MAX, DiskPoint, direction_toward
+from .disk import _TINY, D_MAX, DiskPoint, direction_toward
 from .errors import DomainError
 from .triangle import ALPHA_EPS
 
@@ -173,6 +173,8 @@ def intrinsic_convex_ccw(vertices) -> bool:
     """
     vs = list(vertices)
     n = len(vs)
+    if n < 3:
+        return False
     for i in range(n):
         base, ahead = vs[i], direction_toward(vs[i], vs[(i + 1) % n])
         for j in range(n):
@@ -188,13 +190,24 @@ class EuclideanTriangle(namedtuple("EuclideanTriangle", "a beta gamma area")):
 
 
 def euclidean_limit_triangle(b: float, c: float, alpha: float) -> EuclideanTriangle:
-    """Flat-plane SAS solution for comparison at small scales."""
-    if b > 0.01 or c > 0.01:
-        raise DomainError("Euclidean-limit reference is only valid for sides <= 0.01")
+    """Flat-plane SAS solution for comparison at small scales.
+
+    Sides must lie in (0, 0.01] and alpha in solve_sas's
+    (ALPHA_EPS, pi - ALPHA_EPS). Below the smallest normal float, a * c
+    (beta's denominator, 0 at sides of 1e-200) or the area has lost bits:
+    a DomainError.
+    """
+    if not (0.0 < b <= 0.01 and 0.0 < c <= 0.01):
+        raise DomainError("Euclidean-limit reference is only valid for sides in (0, 0.01]")
+    if not (ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
+        raise DomainError(f"apex angle {alpha} outside ({ALPHA_EPS}, pi - {ALPHA_EPS})")
     a = math.sqrt(b * b + c * c - 2.0 * b * c * math.cos(alpha))
+    area = 0.5 * b * c * math.sin(alpha)
+    if min(a * c, area) < _TINY:
+        raise DomainError("flat triangle too small: a * c or its area is subnormal")
     beta = math.acos(min(1.0, max(-1.0, (a * a + c * c - b * b) / (2.0 * a * c))))
     gamma = math.pi - alpha - beta
-    return EuclideanTriangle(a=a, beta=beta, gamma=gamma, area=0.5 * b * c * math.sin(alpha))
+    return EuclideanTriangle(a=a, beta=beta, gamma=gamma, area=area)
 
 
 def curvature_corrected_side(b: float, c: float, alpha: float) -> float:

@@ -145,7 +145,8 @@ def polygon_perimeter(poly: HyperbolicPolygon) -> float:
 
 
 class MoveResult(namedtuple("MoveResult", "polygon accepted rejected")):
-    """``rejected`` counts planned moves refused because the result was not convex."""
+    """``rejected`` counts planned moves whose result _measure refused: not
+    convex, or degenerate."""
 
     __slots__ = ()
 
@@ -292,11 +293,12 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     to V_{i-2} equal, and every vertex on one circle, horocycle or hypercycle
     (see _window_move). The input is used as it is, and comes back itself
     when the move is not planned, because it would change no side or
-    distance to V_{i-2} by more than STEP_TOL relative, or when its result is
-    not convex; ``rejected`` counts the latter. A planned move's polygon is
-    measured once, and its area less the input's is the move's gain; near a
-    fixed point that is roundoff, of either sign. A window whose mean side
-    exceeds D_MAX raises DomainError.
+    distance to V_{i-2} by more than STEP_TOL relative, or when _measure
+    refuses its result: not convex, or degenerate (coincident chart images or
+    a subnormal fan area); ``rejected`` counts the latter. A planned move's
+    polygon is measured once, and its area less the input's is the move's
+    gain; near a fixed point that is roundoff, of either sign. A window whose
+    mean side exceeds D_MAX raises DomainError.
     """
     i = operator.index(i)
     if not 0 <= i < poly.n:
@@ -321,8 +323,8 @@ class SteinerResult(
     namedtuple("SteinerResult", "polygon trace converged sweeps residual moves_rejected")
 ):
     """``trace`` is a tuple of TraceSteps, ``residual`` the largest residual
-    the run stopped on, and ``moves_rejected`` counts planned moves refused
-    because the result was not convex."""
+    the run stopped on, and ``moves_rejected`` counts planned moves whose
+    result _measure refused: not convex, or degenerate."""
 
     __slots__ = ()
 

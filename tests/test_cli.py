@@ -423,17 +423,20 @@ class TestOutputFailures:
 class TestImportBudget:
     """Each command loads only the modules it runs: polygon only for polygon
     commands, json only for JSON reports, argparse only for help, --version
-    and usage errors, and never numpy, scipy, dataclasses or inspect."""
+    and usage errors, random only for the seeded commands, and never numpy,
+    scipy, dataclasses or inspect."""
 
+    # besides hyplobe's own modules; the interpreter runs with site off (-S),
+    # as a site-packages .pth hook may import random before hyplobe does
     HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
+    WATCHED = ("json", "argparse", "random") + HEAVY
 
     # the harness itself loads no json: argvs go in as a literal, stages
     # come out as a repr
     SCRIPT = """
 import contextlib, io, sys
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m in HEAVY or m in ("json", "argparse") or m.startswith("hyplobe."))
+    return sorted(m for m in sys.modules if m in WATCHED or m.startswith("hyplobe."))
 import hyplobe
 stages = [loaded()]
 import hyplobe.cli
@@ -453,16 +456,13 @@ print(repr(stages))
         """Watched modules loaded after `import hyplobe`, after importing the
         CLI, then after each command, all in one fresh interpreter; each
         command must end with exit_code."""
-        script = (f"HEAVY = {self.HEAVY!r}\nARGVS = {list(argvs)!r}\nEXIT_CODE = {exit_code!r}"
-                  + self.SCRIPT)
+        script = (f"WATCHED = {self.WATCHED!r}\nARGVS = {list(argvs)!r}\n"
+                  f"EXIT_CODE = {exit_code!r}" + self.SCRIPT)
         res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
         )
         assert res.returncode == 0, res.stderr
         return ast.literal_eval(res.stdout)
-
-    def heavy(self, stage):
-        return [m for m in stage if m in self.HEAVY]
 
     def test_bare_import_loads_no_submodule(self):
         assert self.modules_loaded() == [[], ["hyplobe.cli", "hyplobe.errors"]]
@@ -486,6 +486,34 @@ print(len(names), len(set(names)))
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["38", "38"]
 
+    # the six request kinds of the cli-cold benchmark, help, --version and a
+    # usage error (no --alpha), each alone in a fresh interpreter
+    @pytest.mark.parametrize("argv, exit_code, loaded", [
+        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"], 0,
+         {"cli", "disk", "errors", "triangle", "json"}),
+        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"], 0,
+         {"cli", "disk", "errors", "svgfig", "triangle"}),
+        (["optimize", "--b", "1.0", "--c", "1.5"], 0,
+         {"cli", "disk", "errors", "oracle", "triangle", "json"}),
+        (["isoperimetric", "--perimeter", "7.0"], 0, {"cli", "disk", "errors", "polygon"}),
+        (["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"], 0,
+         {"cli", "disk", "errors", "polygon", "json", "random"}),
+        (["verify", "--samples", "10", "--seed", "0"], 0,
+         {"cli", "disk", "errors", "oracle", "polygon", "triangle", "verify", "random"}),
+        (["-h"], 0, {"cli", "errors", "argparse"}),
+        (["--version"], 0, {"cli", "errors", "argparse"}),
+        (["triangle", "--b", "1.0", "--c", "1.2"], 2, {"cli", "errors", "argparse"}),
+    ], ids=["triangle", "svg", "optimize", "isoperimetric", "steiner", "verify", "help",
+            "version", "usage-error"])
+    def test_command_loads_exactly(self, argv, exit_code, loaded):
+        stages = self.modules_loaded(argv, exit_code=exit_code)
+        assert {m.removeprefix("hyplobe.") for m in stages[-1]} == loaded
+
+    def heavy(self, stage):
+        return [m for m in stage if m in self.HEAVY]
+
+    # the tests below check one property each, at every stage: after the
+    # imports and after each of several commands run in one interpreter
     @pytest.mark.parametrize("argv, loads_json", [
         (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"], True),
         (["optimize", "--b", "1.0", "--c", "1.5"], True),
@@ -509,15 +537,6 @@ print(len(names), len(set(names)))
             ["verify", "--samples", "50", "--seed", "3"],
         )
         assert ["argparse" in stage for stage in loaded] == [False] * 8
-
-    @pytest.mark.parametrize("argv, exit_code", [
-        (["-h"], 0),
-        (["--version"], 0),
-        (["triangle", "--b", "1.0", "--c", "1.2"], 2),
-    ], ids=["help", "version", "usage-error"])
-    def test_help_version_and_usage_errors_load_argparse(self, argv, exit_code):
-        loaded = self.modules_loaded(argv, exit_code=exit_code)
-        assert ["argparse" in stage for stage in loaded] == [False, False, True]
 
     def test_triangle_and_isoperimetric_load_neither(self):
         loaded = self.modules_loaded(
@@ -570,6 +589,14 @@ print(len(names), len(set(names)))
         )
         assert [self.heavy(stage) for stage in loaded] == [[]] * 8
 
+    def test_no_command_loads_scipy(self, tmp_path):
+        loaded = self.modules_loaded(
+            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
+            ["optimize", "--b", "1.0", "--c", "1.5"],
+            ["verify", "--samples", "10", "--seed", "0"],
+        )
+        assert all("scipy" not in mods for mods in loaded)
+
     def test_no_module_needs_numpy(self):
         # numpy set to None in sys.modules makes every import of it fail
         script = """
@@ -589,14 +616,6 @@ print(" ".join(sorted(names)))
         assert res.stdout.split() == [
             "cli", "disk", "errors", "oracle", "polygon", "svgfig", "triangle", "verify"
         ]
-
-    def test_no_command_loads_scipy(self, tmp_path):
-        loaded = self.modules_loaded(
-            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
-            ["optimize", "--b", "1.0", "--c", "1.5"],
-            ["verify", "--samples", "10", "--seed", "0"],
-        )
-        assert all("scipy" not in mods for mods in loaded)
 
 
 class TestTopLevel:

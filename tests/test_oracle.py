@@ -297,12 +297,35 @@ class TestGeodesicSamplingReference:
             geodesic_length_by_sampling(p, q, 10_000)
 
 
+class TestConvexityWitness:
+    def test_fewer_than_three_vertices_bound_no_polygon(self):
+        vs = [point_from_polar(1.0, 0.0), point_from_polar(1.0, 2.0), point_from_polar(1.0, 4.0)]
+        assert oracle.intrinsic_convex_ccw(vs)
+        assert not any(oracle.intrinsic_convex_ccw(vs[:k]) for k in range(3))
+
+
 class TestEuclideanLimit:
     def test_rejects_large_sides(self):
-        with pytest.raises(DomainError):
-            euclidean_limit_triangle(0.5, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            curvature_corrected_side(0.5, 0.5, 1.0)
+        # and every other input it cannot solve: sides outside (0, 0.01],
+        # apex angles outside solve_sas's, and triangles so small that
+        # a * c, beta's denominator, or the area is subnormal
+        for b, c, alpha in [
+            (0.5, 0.5, 1.0),
+            (0.0, 0.0, 1.0),
+            (-1.0, 1e-3, 1.0),
+            (math.nan, 1e-3, 1.0),
+            (0.005, 0.005, 0.0),
+            (1e-3, 1e-3, ALPHA_EPS),
+            (1e-3, 1e-3, math.pi - ALPHA_EPS),
+            (1e-3, 1e-3, 4.0),
+            (1e-3, 1e-3, math.nan),
+            (1e-200, 1e-200, 1.0),
+            (1e-160, 1e-160, 1.0),
+        ]:
+            with pytest.raises(DomainError):
+                euclidean_limit_triangle(b, c, alpha)
+            with pytest.raises(DomainError):
+                curvature_corrected_side(b, c, alpha)
 
     def test_flat_triangle_identities(self):
         euc = euclidean_limit_triangle(3e-3, 4e-3, math.pi / 2)

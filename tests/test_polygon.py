@@ -837,6 +837,21 @@ def refuse_once(monkeypatch):
     monkeypatch.setattr(polygon, "_window_move", patched)
 
 
+def test_degenerate_move_is_counted_as_rejected(monkeypatch):
+    # rejected counts every result _measure refuses, not only non-convex
+    # ones: a move that puts V_2 on V_1 makes coincident chart images
+    from hyplobe import polygon
+
+    poly = random_convex_polygon(6, 3)
+    vs = list(poly.vertices)
+    monkeypatch.setattr(polygon, "_window_move", lambda p, i: {2: vs[1].z})
+    with pytest.raises(DegenerateInputError):
+        _measure(tuple(vs[:2] + vs[1:2] + vs[3:]))
+    mv = steiner_move(poly, 2)
+    assert mv == (poly, False, 1)
+    assert mv.polygon is poly
+
+
 # the vertices of a thin triangle far out, as (x, y) hex pairs; see
 # test_falls_back_to_vertex_mean_beyond_d_max
 FAR_THIN_TRIANGLE = [
