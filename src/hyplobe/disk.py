@@ -43,9 +43,6 @@ class DiskPoint(namedtuple("DiskPoint", "x y")):
     def z(self) -> complex:
         return complex(self.x, self.y)
 
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
 
 def _check_inside(x: float, y: float) -> None:
     if not x * x + y * y < 1.0:  # DiskPoint's checks; infinite or NaN coordinates land here
@@ -74,10 +71,6 @@ class EuclideanCircle(namedtuple("EuclideanCircle", "cx cy radius")):
         _check_circle(cx, cy, radius)
         return tuple.__new__(cls, (cx, cy, radius))
 
-    def orthogonality_residual(self) -> float:
-        """|center|^2 - 1 - radius^2; zero iff orthogonal to the unit circle."""
-        return self.cx * self.cx + self.cy * self.cy - 1.0 - self.radius * self.radius
-
 
 class Geodesic(namedtuple("Geodesic", "direction circle")):
     """A hyperbolic line: a diameter, or an arc of a circle orthogonal to the boundary.
@@ -96,14 +89,19 @@ class Geodesic(namedtuple("Geodesic", "direction circle")):
         return cls(direction / mod, None)
 
 
-class DiskIsometry(namedtuple("DiskIsometry", "target phi", defaults=(0.0,))):
+class DiskIsometry(namedtuple("DiskIsometry", "target phi")):
     """Orientation-preserving disk automorphism: z -> e^{i phi} (z - a)/(1 - conj(a) z).
 
     ``target`` is the DiskPoint a carried to the origin; ``phi`` is the
-    rotation applied afterwards.
+    rotation applied afterwards, a finite angle.
     """
 
     __slots__ = ()
+
+    def __new__(cls, target: DiskPoint, phi: float = 0.0) -> "DiskIsometry":
+        if not math.isfinite(phi):
+            raise DomainError(f"rotation angle {phi} is not finite")
+        return tuple.__new__(cls, (target, phi))
 
     def __call__(self, p: DiskPoint) -> DiskPoint:
         w = _carry(self.target.z, p.z)

@@ -137,7 +137,7 @@ def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> fl
     """
     if segments < 1:
         raise DomainError("use at least one segment")
-    rp, rq = p.norm(), q.norm()
+    rp, rq = math.hypot(*p), math.hypot(*q)
     if not max(rp, rq) <= _R_MAX:
         raise DomainError(f"an end lies more than D_MAX = {D_MAX} from the centre")
     if p == q:

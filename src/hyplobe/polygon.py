@@ -141,7 +141,9 @@ def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
 
 
 def polygon_perimeter(poly: HyperbolicPolygon) -> float:
-    return sum(poly.side_lengths)
+    """The sum of the sides, correctly rounded: a plain sum's error grows with
+    n, and the isoperimetric gap A_reg(n, P) - A inherits it."""
+    return math.fsum(poly.side_lengths)
 
 
 class MoveResult(namedtuple("MoveResult", "polygon accepted rejected")):
@@ -523,7 +525,10 @@ def isoperimetric_deficit(L: float, A: float) -> float:
     """L^2 - 4 pi A - A^2; nonnegative for admissible figures, zero for circles."""
     if not (0.0 < L < math.inf and 0.0 < A < math.inf):
         raise DomainError("perimeter and area must be positive and finite")
-    return L * L - 4.0 * math.pi * A - A * A
+    deficit = L * L - 4.0 * math.pi * A - A * A
+    if not math.isfinite(deficit):  # L^2 or A^2 overflows
+        raise DomainError(f"the deficit of perimeter {L} and area {A} overflows")
+    return deficit
 
 
 def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:

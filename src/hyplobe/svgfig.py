@@ -39,10 +39,6 @@ def figure1_svg(fig: Figure1) -> str:
                 f'<text x="{at[0] + 10.0:.3f}" y="{at[1] - 10.0:.3f}" '
                 f'font-family="serif" font-size="28">{label}</text>')
 
-    # Geodesic arcs between interior points always subtend less than pi, so
-    # the sign of the cross product of the two radii gives the sense; the
-    # y-flip inverts it in pixel coordinates.
-    ccw = (B.x - omega.cx) * (C.y - omega.cy) - (B.y - omega.cy) * (C.x - omega.cx) > 0.0
     rr = f"{omega.radius * scale:.3f}"
     dashed = ' stroke-dasharray="6,4"'
     elements = [
@@ -52,7 +48,8 @@ def figure1_svg(fig: Figure1) -> str:
         # triangle sides: AB and AC are diameters through the center, BC is an arc of omega
         line(a, b, "#00a"),
         line(a, c, "#00a"),
-        f'<path d="M {b[0]:.3f} {b[1]:.3f} A {rr} {rr} 0 0 {0 if ccw else 1} '
+        # sweep flag 1: in Figure1's frame, B -> C runs clockwise about omega's centre
+        f'<path d="M {b[0]:.3f} {b[1]:.3f} A {rr} {rr} 0 0 1 '
         f'{c[0]:.3f} {c[1]:.3f}" fill="none" stroke="#00a" stroke-width="1.5"/>',
         # the extension of AB to B' and the chord B'C
         line(b, bp, "#a00"),

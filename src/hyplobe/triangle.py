@@ -1,9 +1,14 @@
 """Hyperbolic triangle trigonometry and the maximal-area construction.
 
-Implements the SAS solver, the angle-defect area, the omega-circle / B'
-figure in the disk (with A at the center), the tau angle whose double equals
-the triangle area, and the maximal-area apex angle characterized by
-alpha = beta + gamma.
+Implements the SAS solver, the omega-circle / B' figure in the disk (with A
+at the center), the tau angle whose double equals the triangle area, and the
+maximal-area apex angle characterized by alpha = beta + gamma.
+
+The area is the angle defect pi - (alpha + beta + gamma), but it is only
+ever computed in half-angle form from the sides and the apex angle (see
+solve_sas): once the angles are rounded, the defect of a small or thin
+triangle is lost to cancellation, and no function of the angles alone can
+give it back.
 
 solve_sas and optimal_alpha are closed forms evaluated without cancelling
 subtractions. Side a comes from the half-sinh law of cosines, a sum of
@@ -98,6 +103,8 @@ def _check_solution(
 class Figure1(namedtuple("Figure1", "A B C omega psi b_prime tau")):
     """The full disk construction for a triangle with apex A at the center.
 
+    The frame: A is the origin, B lies on the positive x-axis, and C lies
+    above it, at the apex angle alpha = atan2(C.y, C.x) in (0, pi).
     A, B and C are DiskPoints; ``omega`` is the EuclideanCircle containing
     geodesic BC, ``psi`` the EuclideanCircle traced by C as the apex angle
     varies (center the origin, radius tanh(b/2)), ``b_prime`` the (x, y)
@@ -106,11 +113,6 @@ class Figure1(namedtuple("Figure1", "A B C omega psi b_prime tau")):
     """
 
     __slots__ = ()
-
-    @property
-    def alpha(self) -> float:
-        """Apex angle at A; B sits on the positive x-axis by construction."""
-        return abs(math.atan2(self.C.y, self.C.x))
 
 
 class OptimalTriangle(namedtuple("OptimalTriangle", "alpha_star solution")):
@@ -195,17 +197,6 @@ def _sas(b: float, c: float, alpha: float | None) -> TriangleSolution:
     if not (beta < math.pi and gamma < math.pi and abs(area - (math.pi - angle_sum)) <= 1e-14):
         _check_solution((a,), (beta, gamma), angle_sum, area)
     return _new(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
-
-
-def area_defect(alpha: float, beta: float, gamma: float) -> float:
-    """Area of a hyperbolic triangle: pi minus the angle sum."""
-    for ang in (alpha, beta, gamma):
-        if not (0.0 < ang < math.pi):
-            raise DomainError(f"angle {ang} outside (0, pi)")
-    s = alpha + beta + gamma
-    if s >= math.pi:
-        raise DomainError("angle sum >= pi: not a hyperbolic triangle")
-    return math.pi - s
 
 
 def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
@@ -373,5 +364,5 @@ def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
     return _new(OptimalityCertificate, (
         abs(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)),
         abs(dist - rb),
-        abs(abs(math.atan2(cy, cx)) + tau - 0.5 * math.pi),  # Figure1.alpha
+        abs(abs(math.atan2(cy, cx)) + tau - 0.5 * math.pi),  # alpha: Figure1's frame
     ))

@@ -428,8 +428,7 @@ class TestImportBudget:
 
     # besides hyplobe's own modules; the interpreter runs with site off (-S),
     # as a site-packages .pth hook may import random before hyplobe does
-    HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
-    WATCHED = ("json", "argparse", "random") + HEAVY
+    WATCHED = ("json", "argparse", "random", "numpy", "scipy", "dataclasses", "inspect")
 
     # the harness itself loads no json: argvs go in as a literal, stages
     # come out as a repr
@@ -453,19 +452,21 @@ print(repr(stages))
 """
 
     def modules_loaded(self, *argvs, exit_code=0):
-        """Watched modules loaded after `import hyplobe`, after importing the
-        CLI, then after each command, all in one fresh interpreter; each
-        command must end with exit_code."""
+        """Sets of the watched modules loaded, hyplobe's without the package
+        prefix, after `import hyplobe`, after importing the CLI, then after
+        each command, all in one fresh interpreter; each command must end
+        with exit_code."""
         script = (f"WATCHED = {self.WATCHED!r}\nARGVS = {list(argvs)!r}\n"
                   f"EXIT_CODE = {exit_code!r}" + self.SCRIPT)
         res = subprocess.run(
             [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120
         )
         assert res.returncode == 0, res.stderr
-        return ast.literal_eval(res.stdout)
+        return [{m.removeprefix("hyplobe.") for m in stage}
+                for stage in ast.literal_eval(res.stdout)]
 
     def test_bare_import_loads_no_submodule(self):
-        assert self.modules_loaded() == [[], ["hyplobe.cli", "hyplobe.errors"]]
+        assert self.modules_loaded() == [set(), {"cli", "errors"}]
 
     def test_every_public_name_resolves(self):
         script = """
@@ -479,123 +480,68 @@ assert set(names) <= set(dir(hyplobe))
 assert hyplobe.DiskPoint is hyplobe.disk.DiskPoint
 assert hyplobe.steiner_optimize is hyplobe.polygon.steiner_optimize
 assert not hasattr(hyplobe, "no_such_name")
-print(len(names), len(set(names)))
+print(" ".join(names))
 """
         res = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["38", "38"]
+        # sorted, so a name added or deleted shows here by name
+        assert res.stdout.split() == [
+            "ALPHA_EPS", "D_MAX", "DegenerateInputError", "DiskIsometry", "DiskPoint",
+            "DomainError", "EuclideanCircle", "Figure1", "Geodesic", "HyperbolicPolygon",
+            "HyplobeError", "NonConvexError", "ORIGIN", "RegularPolygonSpec",
+            "TriangleSolution", "angle_at_vertex", "b_prime_point", "build_figure1",
+            "circle_geometry", "circumcircle_fit", "embed_triangle", "geodesic_through",
+            "hyp_distance", "isoperimetric_deficit", "omega_circle", "optimal_alpha",
+            "optimality_certificate", "point_from_polar", "polygon_perimeter",
+            "random_convex_polygon", "regular_polygon", "regular_polygon_for_perimeter",
+            "regular_polygon_vertices", "solve_sas", "steiner_move", "steiner_optimize",
+            "tau_angle",
+        ]
 
-    # the six request kinds of the cli-cold benchmark, help, --version and a
-    # usage error (no --alpha), each alone in a fresh interpreter
-    @pytest.mark.parametrize("argv, exit_code, loaded", [
-        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"], 0,
-         {"cli", "disk", "errors", "triangle", "json"}),
-        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"], 0,
-         {"cli", "disk", "errors", "svgfig", "triangle"}),
-        (["optimize", "--b", "1.0", "--c", "1.5"], 0,
-         {"cli", "disk", "errors", "oracle", "triangle", "json"}),
-        (["isoperimetric", "--perimeter", "7.0"], 0, {"cli", "disk", "errors", "polygon"}),
-        (["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"], 0,
-         {"cli", "disk", "errors", "polygon", "json", "random"}),
-        (["verify", "--samples", "10", "--seed", "0"], 0,
-         {"cli", "disk", "errors", "oracle", "polygon", "triangle", "verify", "random"}),
-        (["-h"], 0, {"cli", "errors", "argparse"}),
-        (["--version"], 0, {"cli", "errors", "argparse"}),
-        (["triangle", "--b", "1.0", "--c", "1.2"], 2, {"cli", "errors", "argparse"}),
-    ], ids=["triangle", "svg", "optimize", "isoperimetric", "steiner", "verify", "help",
-            "version", "usage-error"])
-    def test_command_loads_exactly(self, argv, exit_code, loaded):
+    # kind: (argv, exit code, the watched modules it loads) for the six request
+    # kinds of the cli-cold benchmark, help, --version and a usage error (no --alpha)
+    COMMANDS = {
+        "triangle": (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"], 0,
+                     {"cli", "disk", "errors", "triangle", "json"}),
+        "svg": (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
+                0, {"cli", "disk", "errors", "svgfig", "triangle"}),
+        "optimize": (["optimize", "--b", "1.0", "--c", "1.5"], 0,
+                     {"cli", "disk", "errors", "oracle", "triangle", "json"}),
+        "isoperimetric": (["isoperimetric", "--perimeter", "7.0"], 0,
+                          {"cli", "disk", "errors", "polygon"}),
+        "steiner": (["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"], 0,
+                    {"cli", "disk", "errors", "polygon", "json", "random"}),
+        "verify": (["verify", "--samples", "10", "--seed", "0"], 0, {
+            "cli", "disk", "errors", "oracle", "polygon", "triangle", "verify", "random"}),
+        "help": (["-h"], 0, {"cli", "errors", "argparse"}),
+        "version": (["--version"], 0, {"cli", "errors", "argparse"}),
+        "usage-error": (["triangle", "--b", "1.0", "--c", "1.2"], 2,
+                        {"cli", "errors", "argparse"}),
+    }
+
+    @pytest.mark.parametrize("kind", list(COMMANDS))
+    def test_command_loads_exactly(self, kind):
+        # alone in a fresh interpreter: nothing after `import hyplobe`, the CLI
+        # and its errors after importing the CLI, then exactly the table's set
+        argv, exit_code, loaded = self.COMMANDS[kind]
         stages = self.modules_loaded(argv, exit_code=exit_code)
-        assert {m.removeprefix("hyplobe.") for m in stages[-1]} == loaded
+        assert stages == [set(), {"cli", "errors"}, loaded]
 
-    def heavy(self, stage):
-        return [m for m in stage if m in self.HEAVY]
-
-    # the tests below check one property each, at every stage: after the
-    # imports and after each of several commands run in one interpreter
-    @pytest.mark.parametrize("argv, loads_json", [
-        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"], True),
-        (["optimize", "--b", "1.0", "--c", "1.5"], True),
-        (["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"], True),
-        (["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"], False),
-        (["isoperimetric", "--perimeter", "7.0"], False),
-        (["verify", "--samples", "10", "--seed", "0"], False),
-    ], ids=["triangle", "optimize", "steiner", "svg", "isoperimetric", "verify"])
-    def test_only_json_reports_load_json(self, argv, loads_json):
-        loaded = self.modules_loaded(argv)
-        assert ["json" in stage for stage in loaded] == [False, False, loads_json]
-
-    def test_well_formed_commands_load_no_argparse(self):
-        # the six request kinds of the cli-cold benchmark
-        loaded = self.modules_loaded(
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
-            ["optimize", "--b", "1.0", "--c", "1.5"],
-            ["isoperimetric", "--n-max", "96", "--perimeter", "7.0"],
-            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"],
-            ["verify", "--samples", "50", "--seed", "3"],
-        )
-        assert ["argparse" in stage for stage in loaded] == [False] * 8
-
-    def test_triangle_and_isoperimetric_load_neither(self):
-        loaded = self.modules_loaded(
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
-            ["isoperimetric", "--perimeter", "7.0"],
-        )
-        # after the imports, then each command
-        assert [self.heavy(stage) for stage in loaded] == [[]] * 5
-
-    def test_triangle_and_optimize_leave_polygon_unloaded(self):
-        loaded = self.modules_loaded(
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
-            ["optimize", "--b", "1.0", "--c", "1.5"],
-        )
-        assert all("hyplobe.polygon" not in stage for stage in loaded)
-        assert "hyplobe.verify" not in loaded[-1]
-
-    def test_steiner_leaves_numpy_unloaded(self, tmp_path):
-        loaded = self.modules_loaded(
-            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
-        )
-        assert "hyplobe.polygon" in loaded[-1]
-        assert "hyplobe.triangle" not in loaded[-1]
-        assert self.heavy(loaded[-1]) == []
-
-    def test_isoperimetric_loads_neither_triangle_nor_the_rng(self):
-        loaded = self.modules_loaded(["isoperimetric", "--perimeter", "7.0"])
-        assert loaded[-1] == ["hyplobe.cli", "hyplobe.disk", "hyplobe.errors", "hyplobe.polygon"]
-
-    def test_optimize_leaves_numpy_unloaded(self):
-        loaded = self.modules_loaded(["optimize", "--b", "0.8", "--c", "1.7"])
-        assert "hyplobe.oracle" in loaded[-1]
-        assert self.heavy(loaded[-1]) == []
-
-    def test_verify_leaves_numpy_unloaded(self):
-        loaded = self.modules_loaded(["verify", "--samples", "10", "--seed", "3"])
-        assert "hyplobe.verify" in loaded[-1]
-        assert self.heavy(loaded[-1]) == []
-
-    def test_no_command_loads_dataclasses(self, tmp_path):
-        loaded = self.modules_loaded(
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9"],
-            ["triangle", "--b", "1.0", "--c", "1.2", "--alpha", "0.9", "--format", "svg"],
-            ["optimize", "--b", "1.0", "--c", "1.5"],
-            ["isoperimetric", "--perimeter", "7.0"],
-            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
-            ["verify", "--samples", "10", "--seed", "0"],
-        )
-        assert [self.heavy(stage) for stage in loaded] == [[]] * 8
-
-    def test_no_command_loads_scipy(self, tmp_path):
-        loaded = self.modules_loaded(
-            ["steiner", "--n", "6", "--seed", "3", "--trace-csv", str(tmp_path / "t.csv")],
-            ["optimize", "--b", "1.0", "--c", "1.5"],
-            ["verify", "--samples", "10", "--seed", "0"],
-        )
-        assert all("scipy" not in mods for mods in loaded)
+    def test_cli_cold_requests_in_one_interpreter(self, tmp_path):
+        # the six request kinds one after another, in the shapes the cli-cold
+        # benchmark sends: each stage loads exactly the union of the table's
+        # sets so far
+        argvs = {kind: self.COMMANDS[kind][0] for kind in ("triangle", "svg", "optimize")} | {
+            "isoperimetric": ["isoperimetric", "--n-max", "96", "--perimeter", "7.0"],
+            "steiner": ["steiner", "--n", "6", "--seed", "3",
+                        "--trace-csv", str(tmp_path / "t.csv")],
+            "verify": ["verify", "--samples", "50", "--seed", "3"],
+        }
+        expected = [set(), {"cli", "errors"}]
+        for kind in argvs:
+            expected.append(expected[-1] | self.COMMANDS[kind][2])
+        assert self.modules_loaded(*argvs.values()) == expected
 
     def test_no_module_needs_numpy(self):
         # numpy set to None in sys.modules makes every import of it fail

@@ -177,7 +177,8 @@ class TestGeodesicThrough:
         for _ in range(300):
             g = geodesic_through(random_point(rng), random_point(rng))
             if g.circle is not None:
-                assert abs(g.circle.orthogonality_residual()) < 1e-10
+                cx, cy, r = g.circle
+                assert abs(cx * cx + cy * cy - 1.0 - r * r) < 1e-10
 
 
 class TestIsometries:

@@ -101,6 +101,8 @@ class TestRecords:
             lambda: DiskPoint(x=math.inf, y=0.0),
             lambda: EuclideanCircle(0.0, 0.0, 0.0),
             lambda: EuclideanCircle(math.inf, 0.0, 1.0),
+            lambda: DiskIsometry(DiskPoint(0.1, 0.2), math.nan),
+            lambda: DiskIsometry(DiskPoint(0.1, 0.2), phi=-math.inf),
             lambda: RegularPolygonSpec(2, 0.5),
             lambda: RegularPolygonSpec(5, 11.0),
         ]
