@@ -20,7 +20,7 @@ _EXPORTS = {
         "DegenerateInputError", "DomainError", "HyplobeError", "NonConvexError",
     ),
     "polygon": (
-        "HyperbolicPolygon", "RegularPolygonSpec", "circle_geometry", "circumcircle_fit",
+        "HyperbolicPolygon", "circle_for_circumference", "circumcircle_fit",
         "isoperimetric_deficit", "polygon_perimeter",
         "random_convex_polygon", "regular_polygon", "regular_polygon_for_perimeter",
         "regular_polygon_vertices", "steiner_move", "steiner_optimize",

@@ -121,13 +121,16 @@ def _trace_csv(trace) -> str:
 
 
 def cmd_steiner(args) -> int:
+    # on stdout the CSV and the JSON run together; in one file the report overwrites the trace
+    if args.trace_csv == args.output or {args.trace_csv, args.output} <= {None, "-"}:
+        raise DomainError("--trace-csv and --output must name different destinations")
     from . import polygon
 
     poly = polygon.random_convex_polygon(args.n, args.seed)
     result = polygon.steiner_optimize(poly, tol=args.tol)
     area0, perim0 = poly.area, polygon.polygon_perimeter(poly)
     area1, perim1 = result.polygon.area, polygon.polygon_perimeter(result.polygon)
-    regular = polygon.regular_polygon(polygon.regular_polygon_for_perimeter(args.n, perim1))
+    regular = polygon.regular_polygon_for_perimeter(args.n, perim1)
     _write(_trace_csv(result.trace), args.trace_csv)
     report = {
         "n": args.n,
@@ -162,16 +165,13 @@ def cmd_isoperimetric(args) -> int:
         raise DomainError("need 3 <= n-min <= n-max")
     lines = ["n,area,deficit"]
     for n in range(args.n_min, args.n_max + 1):
-        spec = polygon.regular_polygon_for_perimeter(n, args.perimeter)
-        stats = polygon.regular_polygon(spec)
+        regular = polygon.regular_polygon_for_perimeter(n, args.perimeter)
         # a non-finite area is an internal fault (exit 3), checked before
         # isoperimetric_deficit refuses it as input
-        area = _fmt_float(stats.area)
-        deficit = polygon.isoperimetric_deficit(stats.perimeter, stats.area)
+        area = _fmt_float(regular.area)
+        deficit = polygon.isoperimetric_deficit(regular.perimeter, regular.area)
         lines.append(f"{n},{area},{_fmt_float(deficit)}")
-    circumference, area = polygon.circle_geometry(
-        polygon.circle_radius_for_circumference(args.perimeter)
-    )
+    _, circumference, area = polygon.circle_for_circumference(args.perimeter)
     deficit = polygon.isoperimetric_deficit(circumference, area)
     lines.append(f"circle,{_fmt_float(area)},{_fmt_float(deficit)}")
     _write("\n".join(lines) + "\n", args.output)

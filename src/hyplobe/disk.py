@@ -92,13 +92,15 @@ class Geodesic(namedtuple("Geodesic", "direction circle")):
 class DiskIsometry(namedtuple("DiskIsometry", "target phi")):
     """Orientation-preserving disk automorphism: z -> e^{i phi} (z - a)/(1 - conj(a) z).
 
-    ``target`` is the DiskPoint a carried to the origin; ``phi`` is the
-    rotation applied afterwards, a finite angle.
+    ``target`` is the DiskPoint a carried to the origin and ``phi`` the rotation
+    applied afterwards, a finite angle; the constructor raises DomainError on others.
     """
 
     __slots__ = ()
 
     def __new__(cls, target: DiskPoint, phi: float = 0.0) -> "DiskIsometry":
+        if not isinstance(target, DiskPoint):
+            raise DomainError(f"isometry target {target!r} is not a DiskPoint")
         if not math.isfinite(phi):
             raise DomainError(f"rotation angle {phi} is not finite")
         return tuple.__new__(cls, (target, phi))

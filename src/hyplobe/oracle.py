@@ -22,7 +22,7 @@ from .errors import DomainError
 from .triangle import ALPHA_EPS
 
 
-class GridSearchResult(namedtuple("GridSearchResult", "alpha_hat area_hat grid_step samples")):
+class GridSearchResult(namedtuple("GridSearchResult", "alpha_hat area_hat grid_step")):
     """alpha_hat is the argmax apex angle."""
 
     __slots__ = ()
@@ -100,7 +100,7 @@ def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
     alphas = points(range(start, stop))
     values = list(map(area, alphas))
     best = max(values)
-    return GridSearchResult(alphas[values.index(best)], best, step, samples)
+    return GridSearchResult(alphas[values.index(best)], best, step)
 
 
 # |z| of a point D_MAX from the centre, with room for a few ulps of rounding:

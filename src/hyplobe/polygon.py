@@ -422,27 +422,26 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
     )
 
 
-class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n circumradius")):
-    __slots__ = ()
-
-    def __new__(cls, n: int, circumradius: float) -> "RegularPolygonSpec":
-        n = operator.index(n)
-        if n < 3:
-            raise DomainError("a regular polygon needs n >= 3")
-        if not (0.0 < circumradius <= D_MAX / 2):
-            raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
-        return tuple.__new__(cls, (n, circumradius))
-
-
-class RegularPolygonStats(
-    namedtuple("RegularPolygonStats", "side interior_angle perimeter area")
+class RegularPolygon(
+    namedtuple("RegularPolygon", "circumradius side interior_angle perimeter area")
 ):
     __slots__ = ()
 
 
-def regular_polygon(spec: RegularPolygonSpec) -> RegularPolygonStats:
-    """Side, interior angle, perimeter and area of the regular n-gon.
+def _regular_n(n: int) -> int:
+    """n as an int: a float is a TypeError, as for seeds, and n < 3 a DomainError."""
+    n = operator.index(n)
+    if n < 3:
+        raise DomainError("a regular polygon needs n >= 3")
+    return n
 
+
+def regular_polygon(n: int, circumradius: float) -> RegularPolygon:
+    """Circumradius R, side, interior angle, perimeter and area of the regular n-gon.
+
+    Raises TypeError on an n that is not an int, DomainError on n < 3 and
+    then on R outside (0, D_MAX / 2], and DegenerateInputError on an area
+    below _TINY, subnormal and bits short, as _measure does.
     The apothem cuts the central isosceles triangle (legs R, apex 2 pi / n)
     into two right triangles, so sinh(side / 2) = sinh(R) sin(pi / n) and the
     base angle beta satisfies cot(beta) = cosh(R) tan(pi / n). The polygon
@@ -450,10 +449,11 @@ def regular_polygon(spec: RegularPolygonSpec) -> RegularPolygonStats:
     tan(area / 2) = u sin(apex) / ((1 - u) + 2 u sin^2(apex / 2)) with
     u = tanh^2(R / 2); scaled by cosh^2(R / 2) it reads
     tan(area / 2) = h sin(apex) / (1 + 2 h sin^2(apex / 2)), h = sinh^2(R / 2).
-    No term cancels, so the area keeps its relative accuracy for any n. An
-    area below _TINY, subnormal and bits short, is refused, as in _measure.
+    No term cancels, so the area keeps its relative accuracy for any n.
     """
-    n, R = spec.n, spec.circumradius
+    n, R = _regular_n(n), circumradius
+    if not (0.0 < R <= D_MAX / 2):
+        raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
     sin_half, cos_half = math.sin(math.pi / n), math.cos(math.pi / n)
     h = math.sinh(0.5 * R) ** 2
     side = 2.0 * math.asinh(math.sinh(R) * sin_half)
@@ -462,7 +462,8 @@ def regular_polygon(spec: RegularPolygonSpec) -> RegularPolygonStats:
     )
     if area < _TINY:
         raise DegenerateInputError("regular polygon too small: its area is subnormal")
-    return RegularPolygonStats(
+    return RegularPolygon(
+        circumradius=R,
         side=side,
         interior_angle=2.0 * math.atan2(cos_half, math.cosh(R) * sin_half),
         perimeter=n * side,
@@ -470,55 +471,52 @@ def regular_polygon(spec: RegularPolygonSpec) -> RegularPolygonStats:
     )
 
 
-def regular_polygon_vertices(spec: RegularPolygonSpec) -> HyperbolicPolygon:
-    """Explicit embedding of the regular polygon, centered at the origin."""
-    pts = [
-        point_from_polar(spec.circumradius, 2.0 * math.pi * k / spec.n)
-        for k in range(spec.n)
-    ]
-    return HyperbolicPolygon.from_vertices(pts)
+def regular_polygon_vertices(n: int, circumradius: float) -> HyperbolicPolygon:
+    """Explicit embedding of the regular polygon, centered at the origin; n and
+    the circumradius are checked as in regular_polygon."""
+    n, R = _regular_n(n), circumradius
+    if not (0.0 < R <= D_MAX / 2):
+        raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
+    return HyperbolicPolygon.from_vertices(
+        [point_from_polar(R, 2.0 * math.pi * k / n) for k in range(n)]
+    )
 
 
-def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygonSpec:
-    """Circumradius of the regular n-gon with the given perimeter.
+def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygon:
+    """The regular n-gon with the given perimeter, as regular_polygon returns it.
 
     Inverts sinh(side / 2) = sinh(R) sin(pi / n) in closed form:
-    R = asinh(sinh(perimeter / 2n) / sin(pi / n)).
+    R = asinh(sinh(perimeter / 2n) / sin(pi / n)). Checks n as
+    regular_polygon does, then raises DomainError on a perimeter that is not
+    positive or whose half side exceeds D_MAX / 2; regular_polygon checks R.
     """
-    n = operator.index(n)
-    if n < 3:
-        raise DomainError("a regular polygon needs n >= 3")
+    n = _regular_n(n)
     if perimeter <= 0.0:
         raise DomainError("perimeter must be positive")
     half_side = perimeter / (2 * n)
     # R >= side / 2, so this refuses every out-of-range case before sinh overflows
     if not half_side <= D_MAX / 2:
         raise DomainError("perimeter outside the representable range")
-    R = math.asinh(math.sinh(half_side) / math.sin(math.pi / n))
-    return RegularPolygonSpec(n=n, circumradius=R)
+    return regular_polygon(n, math.asinh(math.sinh(half_side) / math.sin(math.pi / n)))
 
 
-def circle_geometry(r: float) -> tuple[float, float]:
-    """(circumference, area) of the hyperbolic circle of radius r; the area
-    2 pi (cosh r - 1) is taken as 4 pi sinh^2(r/2), which does not cancel.
-    An area below _TINY, subnormal and bits short, is refused."""
+def circle_for_circumference(L: float) -> tuple[float, float, float]:
+    """(radius, circumference, area) of the hyperbolic circle of circumference L.
+
+    The radius is r = asinh(L / 2 pi), and the area 2 pi (cosh r - 1) is
+    taken as 4 pi sinh^2(r / 2), which does not cancel. Raises DomainError
+    on an L that is not positive and finite, then on an r outside
+    (0, D_MAX / 2], and DegenerateInputError on an area below _TINY."""
+    if not 0.0 < L < math.inf:
+        raise DomainError("circumference must be positive and finite")
+    r = math.asinh(L / (2.0 * math.pi))
     if not (0.0 < r <= D_MAX / 2):
         raise DomainError(f"radius outside (0, {D_MAX / 2}]")
     s = math.sinh(0.5 * r)
     area = 4.0 * math.pi * (s * s)
     if area < _TINY:
         raise DegenerateInputError("circle too small: its area is subnormal")
-    return 2.0 * math.pi * math.sinh(r), area
-
-
-def circle_radius_for_circumference(L: float) -> float:
-    """Radius of the hyperbolic circle of circumference L, at most D_MAX / 2."""
-    if not 0.0 < L < math.inf:
-        raise DomainError("circumference must be positive and finite")
-    r = math.asinh(L / (2.0 * math.pi))
-    if r > D_MAX / 2:
-        raise DomainError(f"radius outside (0, {D_MAX / 2}]")
-    return r
+    return r, 2.0 * math.pi * math.sinh(r), area
 
 
 def isoperimetric_deficit(L: float, A: float) -> float:

@@ -56,7 +56,7 @@ import math
 from collections import namedtuple
 
 from .disk import _COINCIDENT_TOL, _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
-from .disk import _check_circle, _orthogonal_circle
+from .disk import _check_circle, _orthogonal_circle, point_from_polar
 from .errors import DegenerateInputError, DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
@@ -202,11 +202,7 @@ def _sas(b: float, c: float, alpha: float | None) -> TriangleSolution:
 def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
     """Place the triangle with A at the center, B on the positive x-axis."""
     _check_sas_domain(b, c, alpha)
-    # point_from_polar(c, 0) and point_from_polar(b, alpha), whose distance
-    # checks the SAS domain implies; r cos 0 and r sin 0 are exactly r and 0
-    B = DiskPoint(math.tanh(0.5 * c), 0.0)
-    rb = math.tanh(0.5 * b)
-    return ORIGIN, B, DiskPoint(rb * math.cos(alpha), rb * math.sin(alpha))
+    return ORIGIN, point_from_polar(c, 0.0), point_from_polar(b, alpha)
 
 
 def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:

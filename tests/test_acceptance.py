@@ -21,11 +21,9 @@ import pytest
 from hyplobe import isoperimetric_deficit, optimal_alpha, solve_sas, verify
 from hyplobe.oracle import curvature_corrected_side, euclidean_limit_triangle
 from hyplobe.polygon import (
-    circle_geometry,
-    circle_radius_for_circumference,
+    circle_for_circumference,
     polygon_perimeter,
     random_convex_polygon,
-    regular_polygon,
     regular_polygon_for_perimeter,
     steiner_optimize,
 )
@@ -114,7 +112,7 @@ def test_06_steiner_run():
     perim1, area1 = polygon_perimeter(result.polygon), result.polygon.area
     deficit1 = isoperimetric_deficit(perim1, area1)
     bound = 1e-8 * perim0 / 8
-    regular = regular_polygon(regular_polygon_for_perimeter(8, perim1)).area
+    regular = regular_polygon_for_perimeter(8, perim1).area
     gap_ulps = abs(regular - area1) / math.ulp(regular)
     ok = (
         drift < 1e-9
@@ -143,11 +141,11 @@ def test_07_regular_polygon_sweep():
     deficits = []
     area96 = 0.0
     for n in range(3, 97):
-        stats = regular_polygon(regular_polygon_for_perimeter(n, perimeter))
+        stats = regular_polygon_for_perimeter(n, perimeter)
         deficits.append(isoperimetric_deficit(stats.perimeter, stats.area))
         area96 = stats.area
     decreasing = all(d2 < d1 for d1, d2 in zip(deficits, deficits[1:]))
-    L, circle_area = circle_geometry(circle_radius_for_circumference(perimeter))
+    _, L, circle_area = circle_for_circumference(perimeter)
     circle_deficit = abs(isoperimetric_deficit(L, circle_area))
     rel_gap = abs(area96 - circle_area) / circle_area
     ok = decreasing and circle_deficit < 1e-9 and rel_gap < 0.002

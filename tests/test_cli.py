@@ -236,8 +236,7 @@ class TestSteinerCommand:
         vertices = polygon.steiner_optimize(poly).polygon.vertices
         final = polygon.HyperbolicPolygon.from_vertices(vertices)  # measured afresh
         area = final.area
-        spec = polygon.regular_polygon_for_perimeter(8, polygon.polygon_perimeter(final))
-        regular = polygon.regular_polygon(spec).area
+        regular = polygon.regular_polygon_for_perimeter(8, polygon.polygon_perimeter(final)).area
         assert report["initial"]["area"] == poly.area
         assert report["final"]["area"] == area
         assert report["final"]["residual"] == polygon.max_optimality_residual(final)
@@ -261,6 +260,21 @@ class TestSteinerCommand:
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout)
         assert report["converged"] is True and report["moves_rejected"] == 0
+
+    @pytest.mark.parametrize("destinations", [
+        ["--trace-csv", "-"],
+        ["--trace-csv", "-", "--output", "-"],
+        ["--trace-csv", "SAME", "--output", "SAME"],
+    ])
+    def test_trace_and_report_to_one_destination_exit_2(self, tmp_path, destinations):
+        # refused before the run: the report (stdout by default) and the trace
+        # would run together on stdout, or the report would overwrite the trace
+        argv = ["steiner", "--n", "4", "--seed", "1"]
+        argv += [str(tmp_path / "out") if d == "SAME" else d for d in destinations]
+        res = run_cli(*argv, cwd=tmp_path)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: --trace-csv and --output must name different destinations\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_input_exit_2(self, tmp_path):
         res = run_cli("steiner", "--n", "2", "--seed", "0",
@@ -412,7 +426,7 @@ class TestOutputFailures:
 
         regular_polygon = polygon.regular_polygon
         monkeypatch.setattr(
-            polygon, "regular_polygon", lambda spec: regular_polygon(spec)._replace(area=math.nan)
+            polygon, "regular_polygon", lambda n, R: regular_polygon(n, R)._replace(area=math.nan)
         )
         assert cli.main(["isoperimetric", "--perimeter", "6.0", "--n-max", "5"]) == 3
         out, err = capsys.readouterr()
@@ -489,9 +503,9 @@ print(" ".join(names))
         assert res.stdout.split() == [
             "ALPHA_EPS", "D_MAX", "DegenerateInputError", "DiskIsometry", "DiskPoint",
             "DomainError", "EuclideanCircle", "Figure1", "Geodesic", "HyperbolicPolygon",
-            "HyplobeError", "NonConvexError", "ORIGIN", "RegularPolygonSpec",
-            "TriangleSolution", "angle_at_vertex", "b_prime_point", "build_figure1",
-            "circle_geometry", "circumcircle_fit", "embed_triangle", "geodesic_through",
+            "HyplobeError", "NonConvexError", "ORIGIN", "TriangleSolution",
+            "angle_at_vertex", "b_prime_point", "build_figure1", "circle_for_circumference",
+            "circumcircle_fit", "embed_triangle", "geodesic_through",
             "hyp_distance", "isoperimetric_deficit", "omega_circle", "optimal_alpha",
             "optimality_certificate", "point_from_polar", "polygon_perimeter",
             "random_convex_polygon", "regular_polygon", "regular_polygon_for_perimeter",
@@ -510,7 +524,7 @@ print(" ".join(names))
                      {"cli", "disk", "errors", "oracle", "triangle", "json"}),
         "isoperimetric": (["isoperimetric", "--perimeter", "7.0"], 0,
                           {"cli", "disk", "errors", "polygon"}),
-        "steiner": (["steiner", "--n", "6", "--seed", "3", "--trace-csv", "-"], 0,
+        "steiner": (["steiner", "--n", "6", "--seed", "3", "--trace-csv", os.devnull], 0,
                     {"cli", "disk", "errors", "polygon", "json", "random"}),
         "verify": (["verify", "--samples", "10", "--seed", "0"], 0, {
             "cli", "disk", "errors", "oracle", "polygon", "triangle", "verify", "random"}),
@@ -684,7 +698,7 @@ class TestParsing:
         (["triangle", "--b=1.0", "--c", "1.2", "--alpha", "0.9"], 0, ""),
         # argparse keeps the last of a repeated option
         (["triangle", "--b", "2.0", "--c", "1.2", "--alpha", "0.9", "--b", "1.0"], 0, ""),
-        (["steiner", "--n", "6", "--seed", "-1", "--trace-csv", "-"], 2,
+        (["steiner", "--n", "6", "--seed", "-1", "--trace-csv", os.devnull], 2,
          "error: the seed must be a non-negative integer\n"),
         ([*TRIANGLE, "--format", "pdf"], 2, USAGE["triangle"]
          + "hyplobe triangle: error: argument --format: invalid choice: 'pdf' "

@@ -55,11 +55,11 @@ def test_cli_output_is_byte_identical(name, tmp_path):
 def test_steiner_goldens_end_at_the_regular_area(name):
     """final.area_gap_to_regular is A_reg - A for the regular polygon of the
     final perimeter, within 2 n ulps of A_reg (2 and 5 measured)."""
-    from hyplobe.polygon import regular_polygon, regular_polygon_for_perimeter
+    from hyplobe.polygon import regular_polygon_for_perimeter
 
     report = json.loads((regen.CLI_DIR / name).read_text(encoding="utf-8"))
     final, n = report["final"], report["n"]
-    regular = regular_polygon(regular_polygon_for_perimeter(n, final["perimeter"])).area
+    regular = regular_polygon_for_perimeter(n, final["perimeter"]).area
     assert final["area_gap_to_regular"] == regular - final["area"]
     assert abs(final["area_gap_to_regular"]) <= 2 * n * math.ulp(regular)
 

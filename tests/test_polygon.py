@@ -16,8 +16,7 @@ from hyplobe import (
     DomainError,
     HyperbolicPolygon,
     NonConvexError,
-    RegularPolygonSpec,
-    circle_geometry,
+    circle_for_circumference,
     circumcircle_fit,
     isoperimetric_deficit,
     polygon_perimeter,
@@ -43,7 +42,6 @@ from hyplobe.polygon import (
     _cyclic_cross_diagonal,
     _measure,
     _window_move,
-    circle_radius_for_circumference,
     max_optimality_residual,
 )
 
@@ -165,7 +163,7 @@ class TestPolygonConstruction:
         # (7.9e-16 measured), and the area within 2e-15 (3.8e-16 measured)
         for n in (8, 64):
             for R in (0.01, 1.0, 3.0):
-                base = regular_polygon_vertices(RegularPolygonSpec(n, R)).vertices
+                base = regular_polygon_vertices(n, R).vertices
                 for d in (0.0, 8.0, 12.0, 16.0):
                     move = DiskIsometry(point_from_polar(d, 0.7), 0.0).inverse()
                     vs = [move(v) for v in base]
@@ -246,8 +244,8 @@ class TestPolygonConstruction:
         assert misoriented >= 20
 
     def test_sides_and_angles_measured(self):
-        poly = regular_polygon_vertices(RegularPolygonSpec(5, 1.0))
-        stats = regular_polygon(RegularPolygonSpec(5, 1.0))
+        poly = regular_polygon_vertices(5, 1.0)
+        stats = regular_polygon(5, 1.0)
         for s in poly.side_lengths:
             assert s == pytest.approx(stats.side, abs=1e-12)
         for a in poly.interior_angles:
@@ -264,16 +262,14 @@ class TestAreaAndPerimeter:
         # the measured path, not given a few bits off
         for n in (3, 8, 64):
             for R in [10.0**e for e in range(-150, 1)] + [3.0, 9.0]:
-                spec = RegularPolygonSpec(n, R)
-                area = regular_polygon(spec).area
-                poly = regular_polygon_vertices(spec)
+                area = regular_polygon(n, R).area
+                poly = regular_polygon_vertices(n, R)
                 assert abs(poly.area - area) <= 2e-15 * area, (n, R)
             for e in range(-155, -324, -1):
-                spec = RegularPolygonSpec(n, 10.0**e)
                 with pytest.raises(DegenerateInputError, match="area is subnormal"):
-                    regular_polygon(spec)
+                    regular_polygon(n, 10.0**e)
                 with pytest.raises(DegenerateInputError):
-                    regular_polygon_vertices(spec)
+                    regular_polygon_vertices(n, 10.0**e)
 
     def test_subnormal_fan_triangle_refused(self):
         # the triangle on the base from -1e-150 to 1e-150 with its apex h
@@ -297,7 +293,7 @@ class TestAreaAndPerimeter:
         polygons = [random_convex_polygon(n, seed) for n in (3, 4, 7, 16, 64) for seed in range(4)]
         for n, floor in ((3, -11), (8, -11), (64, -10)):
             for R in [10.0**e for e in range(floor, 1, 2)] + [3.0, 9.0]:
-                base = regular_polygon_vertices(RegularPolygonSpec(n, R)).vertices
+                base = regular_polygon_vertices(n, R).vertices
                 for d in (0.0, 4.0, 8.0):
                     move = DiskIsometry(point_from_polar(d, 0.7), 0.0).inverse()
                     polygons.append(HyperbolicPolygon.from_vertices([move(v) for v in base]))
@@ -334,7 +330,7 @@ class TestAreaAndPerimeter:
     def test_euclidean_limit_area(self):
         # circumradius 1e-3: area -> (n/2) R^2 sin(2 pi / n)
         n, R = 7, 1e-3
-        poly = regular_polygon_vertices(RegularPolygonSpec(n, R))
+        poly = regular_polygon_vertices(n, R)
         flat = 0.5 * n * R * R * math.sin(2.0 * math.pi / n)
         assert poly.area == pytest.approx(flat, rel=1e-5)
 
@@ -454,7 +450,7 @@ class TestSteinerMove:
         assert accepted >= 30
 
     def test_regular_polygon_is_fixed_point(self):
-        poly = regular_polygon_vertices(RegularPolygonSpec(8, 0.9))
+        poly = regular_polygon_vertices(8, 0.9)
         for i in range(poly.n):
             mv = steiner_move(poly, i)
             assert not mv.accepted
@@ -464,7 +460,7 @@ class TestSteinerMove:
         # the diagonal V_{i-1} V_{i+2} of a 4-gon is a side, so the cross
         # diagonal's feasible range starts at about 0
         for R in (1e-3, 0.1, 0.5, 1.0, 2.0, 3.0):
-            poly = regular_polygon_vertices(RegularPolygonSpec(4, R))
+            poly = regular_polygon_vertices(4, R)
             for i in range(poly.n):
                 mv = steiner_move(poly, i)
                 assert not mv.accepted
@@ -875,8 +871,7 @@ def assert_regular_area(result):
     """A converged run's area is the regular polygon's of its perimeter to
     2 n ulps: A_reg - A is the report's area_gap_to_regular."""
     poly = result.polygon
-    spec = regular_polygon_for_perimeter(poly.n, polygon_perimeter(poly))
-    regular = regular_polygon(spec).area
+    regular = regular_polygon_for_perimeter(poly.n, polygon_perimeter(poly)).area
     assert abs(regular - poly.area) <= 2 * poly.n * math.ulp(regular)
 
 
@@ -902,13 +897,13 @@ class TestSteinerOptimize:
         poly = random_convex_polygon(8, 42)
         perim = polygon_perimeter(poly)
         result = steiner_optimize(poly, tol=1e-8)
-        ref = regular_polygon(regular_polygon_for_perimeter(8, perim))
+        ref = regular_polygon_for_perimeter(8, perim)
         assert result.polygon.area == pytest.approx(ref.area, abs=1e-9)
         for s in result.polygon.side_lengths:
             assert s == pytest.approx(ref.side, abs=1e-6)
 
     def test_regular_input_stops_immediately(self):
-        poly = regular_polygon_vertices(RegularPolygonSpec(6, 0.8))
+        poly = regular_polygon_vertices(6, 0.8)
         result = steiner_optimize(poly, tol=1e-8)
         assert result.converged
         assert result.sweeps == 1
@@ -951,7 +946,7 @@ class TestSteinerOptimize:
                 assert result.converged and result.moves_rejected == 0, (n, seed)
                 for step in result.trace:
                     assert abs(step.perimeter - perimeter) <= 1e-13 * perimeter, (n, seed)
-                ref = regular_polygon(regular_polygon_for_perimeter(n, perimeter))
+                ref = regular_polygon_for_perimeter(n, perimeter)
                 assert result.polygon.area == pytest.approx(ref.area, rel=1e-12)
 
     def test_large_polygons_keep_the_isoperimetric_inequality(self):
@@ -962,8 +957,8 @@ class TestSteinerOptimize:
         for seed in (0, 1):
             result = steiner_optimize(random_convex_polygon(2048, seed))
             area = result.polygon.area
-            spec = regular_polygon_for_perimeter(2048, polygon_perimeter(result.polygon))
-            gap = regular_polygon(spec).area - area
+            regular = regular_polygon_for_perimeter(2048, polygon_perimeter(result.polygon))
+            gap = regular.area - area
             assert result.converged, seed
             assert gap >= -4 * math.ulp(area), (seed, gap / math.ulp(area))
 
@@ -1047,7 +1042,7 @@ class TestSteinerOptimize:
     def test_residual_vanishes_on_regular_polygons(self):
         for n in (3, 4, 8, 64):
             for R in (0.1, 1.0, 3.0):
-                poly = regular_polygon_vertices(RegularPolygonSpec(n, R))
+                poly = regular_polygon_vertices(n, R)
                 assert max_optimality_residual(poly) <= 1e-12, (n, R)
 
     def test_converged_runs_end_near_a_fixed_point(self):
@@ -1094,8 +1089,7 @@ class TestSteinerOptimize:
             result = steiner_optimize(poly, tol=1e-8)
             assert result.converged, R
             sweeps[R], moves[R] = result.sweeps, len(result.trace)
-            spec = regular_polygon_for_perimeter(8, polygon_perimeter(result.polygon))
-            regular = regular_polygon(spec).area
+            regular = regular_polygon_for_perimeter(8, polygon_perimeter(result.polygon)).area
             assert result.polygon.area <= regular + 16 * math.ulp(regular), R
         assert max(sweeps.values()) == sweeps[1.0], sweeps
         assert all(m == moves[1e-1] <= moves[1.0] for R, m in moves.items() if R < 1.0), moves
@@ -1139,7 +1133,7 @@ class TestSteinerOptimize:
             perim = polygon_perimeter(poly)
             result = steiner_optimize(poly, tol=1e-8)
             assert result.converged
-            ref = regular_polygon(regular_polygon_for_perimeter(4, perim))
+            ref = regular_polygon_for_perimeter(4, perim)
             assert result.polygon.area == pytest.approx(ref.area, abs=1e-9)
 
     def test_polygon_without_circumcircle_is_reported(self):
@@ -1183,7 +1177,7 @@ class TestSteinerOptimize:
         assert result.converged
         assert result.moves_rejected == 0
         assert len(result.trace) <= 6
-        ref = regular_polygon(regular_polygon_for_perimeter(6, polygon_perimeter(poly)))
+        ref = regular_polygon_for_perimeter(6, polygon_perimeter(poly))
         assert result.polygon.area == pytest.approx(ref.area, rel=1e-13)
         for side in result.polygon.side_lengths:
             assert side == pytest.approx(ref.side, rel=1e-8)
@@ -1238,7 +1232,7 @@ class TestSteinerOptimize:
             return len(calls)
 
         poly = random_convex_polygon(8, 42)
-        regular = regular_polygon_vertices(RegularPolygonSpec(8, 0.5))
+        regular = regular_polygon_vertices(8, 0.5)
         assert count(HyperbolicPolygon.from_vertices, poly.vertices) == 1
         assert count(HyperbolicPolygon, *poly) == 1
         assert count(max_optimality_residual, poly) == 0
@@ -1276,7 +1270,7 @@ class TestSteinerOptimize:
 
 class TestCircumcircleFit:
     def test_exact_on_regular_polygon(self):
-        poly = regular_polygon_vertices(RegularPolygonSpec(7, 1.1))
+        poly = regular_polygon_vertices(7, 1.1)
         fit = circumcircle_fit(poly)
         assert fit.spread < 1e-8
         assert fit.radius == pytest.approx(1.1, abs=1e-8)
@@ -1292,7 +1286,7 @@ class TestCircumcircleFit:
                     DiskPoint(r * math.cos(t), r * math.sin(t)),
                     rng.uniform(0.0, 2 * math.pi),
                 )
-                poly = regular_polygon_vertices(RegularPolygonSpec(n, R))
+                poly = regular_polygon_vertices(n, R)
                 fit = circumcircle_fit(
                     HyperbolicPolygon.from_vertices([m(v) for v in poly.vertices])
                 )
@@ -1335,21 +1329,21 @@ class TestCircumcircleFit:
 
 class TestRegularPolygons:
     def test_embedding_matches_formulas(self):
-        spec = RegularPolygonSpec(5, 1.0)
-        stats = regular_polygon(spec)
-        poly = regular_polygon_vertices(spec)
+        stats = regular_polygon(5, 1.0)
+        poly = regular_polygon_vertices(5, 1.0)
         assert polygon_perimeter(poly) == pytest.approx(stats.perimeter, abs=1e-11)
         assert poly.area == pytest.approx(stats.area, abs=1e-10)
 
     def test_euclidean_angle_limit(self):
         # small polygons look flat: interior angle -> (n - 2) pi / n
-        stats = regular_polygon(RegularPolygonSpec(6, 1e-3))
+        stats = regular_polygon(6, 1e-3)
         assert stats.interior_angle == pytest.approx(4.0 * math.pi / 6.0, abs=1e-6)
 
     def test_perimeter_root_find(self):
         for n in (3, 8, 96):
-            spec = regular_polygon_for_perimeter(n, 5.0)
-            assert regular_polygon(spec).perimeter == pytest.approx(5.0, abs=1e-12)
+            regular = regular_polygon_for_perimeter(n, 5.0)
+            assert regular.perimeter == pytest.approx(5.0, abs=1e-12)
+            assert regular == regular_polygon(n, regular.circumradius)
 
     def test_perimeter_matches_high_precision_root(self):
         mpmath = pytest.importorskip("mpmath")
@@ -1377,7 +1371,7 @@ class TestRegularPolygons:
             for R in (1e-3, 0.3, 1.0, 4.0, 10.0):
                 mR = mpmath.mpf(R)
                 for n in [*range(3, 97), 10**3, 10**5]:
-                    stats = regular_polygon(RegularPolygonSpec(n, R))
+                    stats = regular_polygon(n, R)
                     side = mpmath.acosh(
                         mpmath.cosh(mR) ** 2
                         - mpmath.sinh(mR) ** 2 * mpmath.cos(2 * mpmath.pi / n)
@@ -1391,11 +1385,13 @@ class TestRegularPolygons:
                     assert abs(stats.side - side) <= 1e-14 * side
                     assert abs(stats.interior_angle - 2 * base) <= 1e-14
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            RegularPolygonSpec(2, 1.0)
-        with pytest.raises(DomainError):
-            RegularPolygonSpec(5, 11.0)
+    def test_argument_validation(self):
+        for make in (regular_polygon, regular_polygon_vertices):
+            with pytest.raises(DomainError, match="needs n >= 3"):
+                make(2, 1.0)
+            for R in (0.0, -1.0, 11.0, math.nan):
+                with pytest.raises(DomainError, match="circumradius outside"):
+                    make(5, R)
         with pytest.raises(DomainError):
             regular_polygon_for_perimeter(4, -1.0)
         for perimeter in (61.0, 1e9, math.inf):
@@ -1404,26 +1400,33 @@ class TestRegularPolygons:
         for n in (0, 1, 2, -3):
             with pytest.raises(DomainError):
                 regular_polygon_for_perimeter(n, 5.0)
+        # the half side is in range, the circumradius it gives is not: above
+        # D_MAX / 2, or 0 where the half side underflows
+        for perimeter in (60.0, 5e-324):
+            with pytest.raises(DomainError, match="circumradius outside"):
+                regular_polygon_for_perimeter(3, perimeter)
         # a whole-number float is refused too, as for seeds
         for n in (3.5, 4.0):
-            with pytest.raises(TypeError):
-                RegularPolygonSpec(n, 1.0)
-            with pytest.raises(TypeError):
-                regular_polygon_for_perimeter(n, 3.0)
+            for make in (regular_polygon, regular_polygon_vertices, regular_polygon_for_perimeter):
+                with pytest.raises(TypeError):
+                    make(n, 1.0)
 
 
 class TestIsoperimetry:
     def test_circle_has_zero_deficit(self):
         for r in (0.1, 1.0, 5.0):
-            L, A = circle_geometry(r)
+            _, L, A = circle_for_circumference(2.0 * math.pi * math.sinh(r))
             assert abs(isoperimetric_deficit(L, A)) < 1e-9 * max(1.0, L * L)
 
     def test_circle_radius_round_trip(self):
-        L, _ = circle_geometry(1.3)
-        assert circle_radius_for_circumference(L) == pytest.approx(1.3, abs=1e-14)
+        L = 2.0 * math.pi * math.sinh(1.3)
+        r, circumference, _ = circle_for_circumference(L)
+        assert r == pytest.approx(1.3, abs=1e-14)
+        assert circumference == pytest.approx(L, rel=1e-15)
 
     def test_small_circle_matches_flat_values(self):
-        L, A = circle_geometry(1e-4)
+        r, L, A = circle_for_circumference(2.0 * math.pi * 1e-4)
+        assert r == pytest.approx(1e-4, rel=1e-8)
         assert L == pytest.approx(2.0 * math.pi * 1e-4, rel=1e-8)
         assert A == pytest.approx(math.pi * 1e-8, rel=1e-8)
 
@@ -1433,8 +1436,7 @@ class TestIsoperimetry:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(60):
             for L in np.geomspace(1e-12, 6e4, 400):
-                r = circle_radius_for_circumference(float(L))
-                circumference, A = circle_geometry(r)
+                r, circumference, A = circle_for_circumference(float(L))
                 ref = 4 * mpmath.pi * mpmath.sinh(mpmath.mpf(r) / 2) ** 2
                 assert abs(A - ref) <= 1e-15 * ref, L
                 deficit = isoperimetric_deficit(circumference, A)
@@ -1444,7 +1446,7 @@ class TestIsoperimetry:
         perimeter = 7.0
         deficits = []
         for n in range(3, 20):
-            stats = regular_polygon(regular_polygon_for_perimeter(n, perimeter))
+            stats = regular_polygon_for_perimeter(n, perimeter)
             deficits.append(isoperimetric_deficit(stats.perimeter, stats.area))
         assert all(d > 0.0 for d in deficits)
         assert all(d2 < d1 for d1, d2 in zip(deficits, deficits[1:]))
@@ -1464,20 +1466,18 @@ class TestIsoperimetry:
         for L, A in ((5e-324, 1e308), (1e200, 1e200)):
             with pytest.raises(DomainError, match="overflows"):
                 isoperimetric_deficit(L, A)
-        for r in (0.0, -1.0, math.nextafter(10.0, math.inf), math.nan):
-            with pytest.raises(DomainError, match="radius outside"):
-                circle_geometry(r)
-        # 4 pi sinh^2(r / 2) is subnormal, bits short, below r = 8.4e-155
-        for r in (1e-155, 1e-300, 5e-324):
-            with pytest.raises(DegenerateInputError, match="area is subnormal"):
-                circle_geometry(r)
         for L in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="circumference must be positive"):
-                circle_radius_for_circumference(L)
-        # 2 pi sinh(10) = 69198.18... is the circumference at radius D_MAX / 2
-        for L in (7e4, 1e10):
+                circle_for_circumference(L)
+        # 2 pi sinh(10) = 69198.18... is the circumference at radius D_MAX / 2;
+        # below 2 pi 5e-324 the radius L / 2 pi underflows to 0
+        for L in (7e4, 1e10, 5e-324):
             with pytest.raises(DomainError, match="radius outside"):
-                circle_radius_for_circumference(L)
+                circle_for_circumference(L)
+        # 4 pi sinh^2(r / 2) is subnormal, bits short, below r = 8.4e-155
+        for r in (1e-155, 1e-300, 1e-320):
+            with pytest.raises(DegenerateInputError, match="area is subnormal"):
+                circle_for_circumference(2.0 * math.pi * r)
 
 
 class TestRandomPolygon:

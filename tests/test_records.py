@@ -12,7 +12,6 @@ from hyplobe import (
     DomainError,
     EuclideanCircle,
     HyperbolicPolygon,
-    RegularPolygonSpec,
     TriangleSolution,
     build_figure1,
     circumcircle_fit,
@@ -34,7 +33,6 @@ def _records():
     fig = build_figure1(1.0, 1.2, 0.9)
     poly = random_convex_polygon(5, 3)
     result = steiner_optimize(poly)
-    spec = RegularPolygonSpec(5, 0.5)
     return {
         fig.B: ("x", "y"),
         fig.omega: ("cx", "cy", "radius"),
@@ -49,9 +47,8 @@ def _records():
         result.trace[0]: ("iteration", "vertex", "area_after", "residual", "perimeter"),
         result: ("polygon", "trace", "converged", "sweeps", "residual", "moves_rejected"),
         circumcircle_fit(poly): ("center", "radius", "spread"),
-        spec: ("n", "circumradius"),
-        regular_polygon(spec): ("side", "interior_angle", "perimeter", "area"),
-        grid_search_max_area(1.0, 1.2, 1000): ("alpha_hat", "area_hat", "grid_step", "samples"),
+        regular_polygon(5, 0.5): ("circumradius", "side", "interior_angle", "perimeter", "area"),
+        grid_search_max_area(1.0, 1.2, 1000): ("alpha_hat", "area_hat", "grid_step"),
         euclidean_limit_triangle(1e-3, 2e-3, 1.0): ("a", "beta", "gamma", "area"),
         verify.check_polar_round_trip(Random(8), 5): ("name", "passed", "detail"),
     }
@@ -59,7 +56,7 @@ def _records():
 
 class TestRecords:
     def test_every_record_class_is_covered(self):
-        assert len({type(r) for r in _records()}) == 18
+        assert len({type(r) for r in _records()}) == 17
 
     def test_fields_in_declared_order(self):
         for record, fields in _records().items():
@@ -90,9 +87,6 @@ class TestRecords:
         assert repr(DiskIsometry(DiskPoint(0.25, -0.5))) == (
             "DiskIsometry(target=DiskPoint(x=0.25, y=-0.5), phi=0.0)"
         )
-        assert repr(RegularPolygonSpec(n=5, circumradius=0.5)) == (
-            "RegularPolygonSpec(n=5, circumradius=0.5)"
-        )
 
     def test_validated_records_refuse_bad_values(self):
         bad = [
@@ -103,8 +97,9 @@ class TestRecords:
             lambda: EuclideanCircle(math.inf, 0.0, 1.0),
             lambda: DiskIsometry(DiskPoint(0.1, 0.2), math.nan),
             lambda: DiskIsometry(DiskPoint(0.1, 0.2), phi=-math.inf),
-            lambda: RegularPolygonSpec(2, 0.5),
-            lambda: RegularPolygonSpec(5, 11.0),
+            # a target that is not a DiskPoint, inside the disk or not
+            lambda: DiskIsometry((0.5, 0.5), 0.1),
+            lambda: DiskIsometry((0.9, 0.9)),
         ]
         sol = solve_sas(1.0, 1.2, 0.9)
         for field, value in [("a", -1.0), ("beta", 0.0), ("gamma", 3.0), ("area", 0.5)]:
