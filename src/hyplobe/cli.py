@@ -22,6 +22,7 @@ is above tol times the mean side); a non-finite output value also exits 3.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from types import SimpleNamespace
 
@@ -120,9 +121,14 @@ def _trace_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _destination(path: str | None) -> str | None:
+    """None for stdout (no path or -), else the file's resolved path."""
+    return None if path in (None, "-") else os.path.realpath(path)
+
+
 def cmd_steiner(args) -> int:
     # on stdout the CSV and the JSON run together; in one file the report overwrites the trace
-    if args.trace_csv == args.output or {args.trace_csv, args.output} <= {None, "-"}:
+    if _destination(args.trace_csv) == _destination(args.output):
         raise DomainError("--trace-csv and --output must name different destinations")
     from . import polygon
 

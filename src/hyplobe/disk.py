@@ -81,13 +81,6 @@ class Geodesic(namedtuple("Geodesic", "direction circle")):
 
     __slots__ = ()
 
-    @classmethod
-    def diameter(cls, direction: complex) -> "Geodesic":
-        mod = abs(direction)
-        if not _TINY <= mod < math.inf:  # zero, subnormal, infinite or NaN
-            raise DegenerateInputError("diameter direction must be a nonzero vector")
-        return cls(direction / mod, None)
-
 
 class DiskIsometry(namedtuple("DiskIsometry", "target phi")):
     """Orientation-preserving disk automorphism: z -> e^{i phi} (z - a)/(1 - conj(a) z).
@@ -174,13 +167,14 @@ def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     return _distance(p.z, q.z)
 
 
-def _orthogonal_circle(
-    px: float, py: float, qx: float, qy: float
-) -> tuple[float, float, float] | None:
-    """(cx, cy, radius) of the circle through p and q orthogonal to the unit
-    circle, or None when p, q and the origin are collinear (|sin pOq| <= 1e-12).
+def _orthogonal_circle(p: DiskPoint, q: DiskPoint) -> EuclideanCircle | None:
+    """The circle through p and q orthogonal to the unit circle, or None when
+    p, q and the origin are collinear (|sin pOq| <= 1e-12).
     cy and the radius cancel where p and q lie far out near one ray: on the
     triangle domain, 1.28e-3 relative off at worst (see triangle)."""
+    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
+        raise DomainError(f"geodesic endpoints {p!r} and {q!r} are not both DiskPoints")
+    (px, py), (qx, qy) = p, q
     np_, nq = math.hypot(px, py), math.hypot(qx, qy)
     if math.hypot(qx - px, qy - py) <= _COINCIDENT_TOL * max(np_, nq):
         raise DegenerateInputError("cannot build a geodesic through coincident points")
@@ -198,7 +192,7 @@ def _orthogonal_circle(
     r2 = cx * cx + cy * cy - 1.0
     if r2 <= 0.0:
         raise DegenerateInputError("orthogonal-circle construction collapsed")
-    return cx, cy, math.sqrt(r2)
+    return EuclideanCircle(cx, cy, math.sqrt(r2))
 
 
 def geodesic_through(p: DiskPoint, q: DiskPoint) -> Geodesic:
@@ -206,12 +200,17 @@ def geodesic_through(p: DiskPoint, q: DiskPoint) -> Geodesic:
 
     Returns the diameter when p, q, origin are collinear, otherwise the unique
     Euclidean circle through p and q orthogonal to the unit circle, to
-    _orthogonal_circle's accuracy.
+    _orthogonal_circle's accuracy and with its refusals. The one refusal of
+    its own is a diameter whose direction q - p is subnormal or zero.
     """
-    circle = _orthogonal_circle(*p, *q)
-    if circle is None:
-        return Geodesic.diameter(q.z - p.z)
-    return Geodesic(None, EuclideanCircle(*circle))
+    circle = _orthogonal_circle(p, q)
+    if circle is not None:
+        return Geodesic(None, circle)
+    direction = q.z - p.z
+    mod = abs(direction)  # finite: both points lie inside the disk
+    if mod < _TINY:
+        raise DegenerateInputError("diameter direction must be a nonzero vector")
+    return Geodesic(direction / mod, None)
 
 
 def _turn(v: complex, p: complex, q: complex) -> float:

@@ -207,12 +207,12 @@ def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoi
 
 def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
     """The Euclidean circle containing the geodesic BC (A at the center)."""
-    circle = _orthogonal_circle(*B, *C)
+    circle = _orthogonal_circle(B, C)
     if circle is None:
         raise DegenerateInputError(
             "B, C and the center are collinear: the triangle is degenerate"
         )
-    return EuclideanCircle(*circle)
+    return circle
 
 
 def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
@@ -289,7 +289,7 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     rb = math.tanh(0.5 * b)
     qx = rb * math.cos(alpha)
     qy = rb * math.sin(alpha)
-    # omega: disk._orthogonal_circle(px, 0.0, qx, qy), where hypot(px, 0.0) is px;
+    # omega: disk._orthogonal_circle(B, C) with B = (px, 0.0), where hypot(px, 0.0) is px;
     # its guards measure as here, relative to the larger of |B| and |C|
     nq = math.hypot(qx, qy)
     if math.hypot(qx - px, qy) <= _COINCIDENT_TOL * (px if px > nq else nq):

@@ -2,11 +2,15 @@
 
 bench/ is kept unchanged while the library it times changes, so a name the
 library drops, or an option the CLI drops, would break only the benchmark
-run. These checks read the benchmark's files with ast and change nothing.
+run. The first check reads the benchmark's files with ast and changes
+nothing; the second runs the benchmark's self-test outside the checkout.
 """
 
 import ast
 import importlib
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from hyplobe import cli
@@ -114,3 +118,16 @@ def test_the_benchmark_reaches_only_names_and_options_that_exist():
         argvs["selftest.py"]
     )
     assert {argv[0] for argv in argvs["inputs.py"]} == set(options)
+
+
+def test_the_benchmark_self_test_passes(tmp_path):
+    # every workload emits its declared metrics, traced and untraced, and the
+    # checkers fail a wrong answer (verify --inject-fault tau-sign among them).
+    # The self-test runs from a root holding this checkout's src and
+    # BENCHMARK.json, so its output directory lands there, not in the checkout
+    (tmp_path / "src").symlink_to(BENCH.parent / "src")
+    shutil.copy(BENCH.parent / "BENCHMARK.json", tmp_path)
+    res = subprocess.run([sys.executable, str(BENCH / "selftest.py")], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.endswith("selftest: all checks passed\n")

@@ -265,10 +265,13 @@ class TestSteinerCommand:
         ["--trace-csv", "-"],
         ["--trace-csv", "-", "--output", "-"],
         ["--trace-csv", "SAME", "--output", "SAME"],
+        ["--trace-csv", "./out", "--output", "out"],
+        ["--trace-csv", "SAME", "--output", "out"],
     ])
     def test_trace_and_report_to_one_destination_exit_2(self, tmp_path, destinations):
         # refused before the run: the report (stdout by default) and the trace
-        # would run together on stdout, or the report would overwrite the trace
+        # would run together on stdout, or the report would overwrite the trace,
+        # however the one file is spelled (SAME is its absolute path, out relative)
         argv = ["steiner", "--n", "4", "--seed", "1"]
         argv += [str(tmp_path / "out") if d == "SAME" else d for d in destinations]
         res = run_cli(*argv, cwd=tmp_path)
