@@ -99,6 +99,8 @@ class DiskIsometry(namedtuple("DiskIsometry", "target phi")):
         return tuple.__new__(cls, (target, phi))
 
     def __call__(self, p: DiskPoint) -> DiskPoint:
+        if not isinstance(p, DiskPoint):
+            raise DomainError(f"isometry argument {p!r} is not a DiskPoint")
         w = _carry(self.target.z, p.z)
         if self.phi != 0.0:
             w *= cmath.exp(1j * self.phi)
@@ -164,6 +166,8 @@ def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     """Hyperbolic distance 2 asinh(|p - q| / sqrt((1 - |p|^2)(1 - |q|^2))), each
     factor correctly rounded: within 4e-16 relative of 80-digit mpmath on the
     same doubles out to D_MAX from the centre; any two points get their length."""
+    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
+        raise DomainError(f"distance ends {p!r} and {q!r} are not both DiskPoints")
     return _distance(p.z, q.z)
 
 
@@ -231,6 +235,8 @@ def angle_at_vertex(v: DiskPoint, p: DiskPoint, q: DiskPoint) -> float:
     The model is conformal, so after translating v to the center both
     geodesics become straight rays; the angle is read off however far p and q lie.
     """
+    if not all(isinstance(point, DiskPoint) for point in (v, p, q)):
+        raise DomainError(f"angle vertex {v!r} and ends {p!r}, {q!r} are not all DiskPoints")
     return abs(_turn(v.z, p.z, q.z))
 
 
@@ -248,6 +254,8 @@ def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
     p to the origin; DiskIsometry(p).inverse() carries a chart image, such as
     point_from_polar(d, theta), back, so the two compose consistently.
     """
+    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
+        raise DomainError(f"direction ends {p!r} and {q!r} are not both DiskPoints")
     return cmath.phase(_direction(p.z, q.z))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
+from functools import partial
 from random import Random
 
 from . import disk, oracle, polygon, triangle
@@ -228,14 +229,9 @@ def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list
         raise DomainError("samples must be at least 1")
     seed = operator.index(seed)  # Random would hash a float seed
     checks = [
-        lambda r: check_area_equivalence(r, samples, fault),
-        lambda r: check_theorem1_grid(r, samples),
-        lambda r: check_certificates(r, samples),
-        lambda r: check_euclidean_limit(r, samples),
-        lambda r: check_inversion_identity(r, samples),
-        lambda r: check_metric_oracle(r, samples),
-        lambda r: check_isometry_invariance(r, samples),
-        lambda r: check_deficit_nonnegative(r, samples),
-        lambda r: check_polar_round_trip(r, samples),
+        partial(check_area_equivalence, fault=fault), check_theorem1_grid,
+        check_certificates, check_euclidean_limit, check_inversion_identity,
+        check_metric_oracle, check_isometry_invariance, check_deficit_nonnegative,
+        check_polar_round_trip,
     ]
-    return [fn(Random(seed << 8 | k)) for k, fn in enumerate(checks)]
+    return [fn(Random(seed << 8 | k), samples) for k, fn in enumerate(checks)]

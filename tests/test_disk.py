@@ -62,6 +62,20 @@ class TestDiskPoint:
         with pytest.raises(DomainError):
             DiskPoint(math.inf, 0.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, q: hyp_distance(p, q), "distance ends {p} and {q} are not both DiskPoints"),
+        (lambda p, q: angle_at_vertex(ORIGIN, p, q),
+         "angle vertex DiskPoint(x=0.0, y=0.0) and ends {p}, {q} are not all DiskPoints"),
+        (lambda p, q: direction_toward(p, q), "direction ends {p} and {q} are not both DiskPoints"),
+        (lambda p, q: DiskIsometry(DiskPoint(0.1, 0.2))(q), "isometry argument {q} is not a DiskPoint"),
+    ], ids=["hyp_distance", "angle_at_vertex", "direction_toward", "DiskIsometry"])
+    def test_functions_of_points_refuse_other_values(self, call, message):
+        # a tuple is not checked inside the disk and has no complex form
+        p, q = (0.1, 0.2), (0.3, 0.1)
+        with pytest.raises(DomainError) as exc:
+            call(p, q)
+        assert str(exc.value) == message.format(p=p, q=q)
+
 
 class TestPointFromPolar:
     def test_zero_distance_is_origin(self):

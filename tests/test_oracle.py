@@ -32,6 +32,32 @@ class TestGridSearch:
             with pytest.raises(DomainError, match="at least 1000 samples"):
                 grid_search_max_area(1.0, 1.0, samples)
 
+    def test_refuses_a_sample_count_that_is_not_an_integer(self):
+        for samples in (1000.0, 100_000.5):
+            with pytest.raises(TypeError):
+                grid_search_max_area(1.0, 1.0, samples)
+
+    def test_bisects_the_grid(self, monkeypatch):
+        calls = 0
+        apex_area = oracle._apex_area
+
+        def counting_apex_area(b, c):
+            area = apex_area(b, c)
+
+            def counted(alpha):
+                nonlocal calls
+                calls += 1
+                return area(alpha)
+
+            return counted
+
+        monkeypatch.setattr(oracle, "_apex_area", counting_apex_area)
+        for samples in (1000, 10_000, 100_000):
+            for b, c in ((0.9, 1.4), (1e-6, 20.0), (20.0, 20.0), (1e-6, 1e-6)):
+                calls = 0
+                grid_search_max_area(b, c, samples)
+                assert calls <= 2 * math.ceil(math.log2(samples - 1)) + 1, (b, c, samples)
+
     def test_refuses_sides_outside_the_domain(self):
         # as solve_sas does: unchecked, these give a negative, zero or NaN
         # area, a triangle beyond D_MAX, or overflow in sinh
@@ -124,8 +150,8 @@ def _one_top(values, case):
     assert np.all(v[end:-1] > v[end + 1 :]), case
 
 
-class TestCoarseToFinePremise:
-    """The coarse-to-fine scan equals the exhaustive argmax when the sampled
+class TestOneTopPremise:
+    """The bisection equals the exhaustive first maximum when the sampled
     area rises strictly to one top run and then falls strictly."""
 
     def test_equals_exhaustive_first_max(self):
@@ -149,12 +175,6 @@ class TestCoarseToFinePremise:
         for b, c, samples in cases:
             _, areas = _areas_on_linspace(b, c, samples)
             _one_top(areas, (b, c, samples))
-
-    def test_grids_are_numpys_linspace(self):
-        samples = 100_000
-        lo = ALPHA_EPS * (1.0 + 1e-9)
-        points, _ = oracle._linspace(lo, math.pi - lo, samples)
-        assert points(range(samples)) == np.linspace(lo, math.pi - lo, samples).tolist()
 
 
 def _verify_style_pairs(rng, count):
