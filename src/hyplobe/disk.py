@@ -72,14 +72,13 @@ class EuclideanCircle(namedtuple("EuclideanCircle", "cx cy radius")):
         return tuple.__new__(cls, (cx, cy, radius))
 
 
-class Geodesic(namedtuple("Geodesic", "direction circle")):
-    """A hyperbolic line: a diameter, or an arc of a circle orthogonal to the boundary.
+Geodesic = namedtuple("Geodesic", "direction circle")
+Geodesic.__doc__ = """A hyperbolic line: a diameter, or an arc of a circle orthogonal
+to the boundary.
 
-    ``direction`` is the unit complex direction of a diameter and ``circle``
-    the EuclideanCircle of an arc; the other one is None.
-    """
-
-    __slots__ = ()
+``direction`` is the unit complex direction of a diameter and ``circle``
+the EuclideanCircle of an arc; the other one is None.
+"""
 
 
 class DiskIsometry(namedtuple("DiskIsometry", "target phi")):

@@ -23,10 +23,8 @@ from .errors import DomainError
 from .triangle import ALPHA_EPS
 
 
-class GridSearchResult(namedtuple("GridSearchResult", "alpha_hat area_hat grid_step")):
-    """alpha_hat is the argmax apex angle."""
-
-    __slots__ = ()
+GridSearchResult = namedtuple("GridSearchResult", "alpha_hat area_hat grid_step")
+GridSearchResult.__doc__ = "alpha_hat is the argmax apex angle."
 
 
 def _apex_area(b: float, c: float):
@@ -128,11 +126,13 @@ def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> fl
     identity, on its two ends. On verify's pairs (|z| <= 0.9) it is within
     about 1e-15 of a 60-digit mpmath distance; with both ends up to 12 from
     the centre, within about 3e-13 relative. Raises DomainError for fewer
-    than one segment, or for an end more than D_MAX from the centre, where
-    |z| is too close to 1 to carry the distance.
+    than one segment, an end that is not a DiskPoint, or an end more than
+    D_MAX from the centre, where |z| is too close to 1 to carry the distance.
     """
     if segments < 1:
         raise DomainError("use at least one segment")
+    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
+        raise DomainError(f"distance ends {p!r} and {q!r} are not both DiskPoints")
     rp, rq = math.hypot(*p), math.hypot(*q)
     if not max(rp, rq) <= _R_MAX:
         raise DomainError(f"an end lies more than D_MAX = {D_MAX} from the centre")
@@ -181,8 +181,7 @@ def intrinsic_convex_ccw(vertices) -> bool:
     return True
 
 
-class EuclideanTriangle(namedtuple("EuclideanTriangle", "a beta gamma area")):
-    __slots__ = ()
+EuclideanTriangle = namedtuple("EuclideanTriangle", "a beta gamma area")
 
 
 def euclidean_limit_triangle(b: float, c: float, alpha: float) -> EuclideanTriangle:

@@ -100,31 +100,22 @@ def _check_solution(
         raise DomainError("stored area disagrees with the angle defect")
 
 
-class Figure1(namedtuple("Figure1", "A B C omega psi b_prime tau")):
-    """The full disk construction for a triangle with apex A at the center.
+Figure1 = namedtuple("Figure1", "A B C omega psi b_prime tau")
+Figure1.__doc__ = """The full disk construction for a triangle with apex A at the center.
 
-    The frame: A is the origin, B lies on the positive x-axis, and C lies
-    above it, at the apex angle alpha = atan2(C.y, C.x) in (0, pi).
-    A, B and C are DiskPoints; ``omega`` is the EuclideanCircle containing
-    geodesic BC, ``psi`` the EuclideanCircle traced by C as the apex angle
-    varies (center the origin, radius tanh(b/2)), ``b_prime`` the (x, y)
-    second intersection of line AB with omega, and ``tau`` the Euclidean
-    angle at b_prime in triangle A-b_prime-C.
-    """
+The frame: A is the origin, B lies on the positive x-axis, and C lies
+above it, at the apex angle alpha = atan2(C.y, C.x) in (0, pi).
+A, B and C are DiskPoints; ``omega`` is the EuclideanCircle containing
+geodesic BC, ``psi`` the EuclideanCircle traced by C as the apex angle
+varies (center the origin, radius tanh(b/2)), ``b_prime`` the (x, y)
+second intersection of line AB with omega, and ``tau`` the Euclidean
+angle at b_prime in triangle A-b_prime-C.
+"""
 
-    __slots__ = ()
+OptimalTriangle = namedtuple("OptimalTriangle", "alpha_star solution")
 
-
-class OptimalTriangle(namedtuple("OptimalTriangle", "alpha_star solution")):
-    __slots__ = ()
-
-
-class OptimalityCertificate(
-    namedtuple("OptimalityCertificate", "acb_angle tangency_gap residual")
-):
-    """Three equivalent witnesses that the apex angle is the maximizer."""
-
-    __slots__ = ()
+OptimalityCertificate = namedtuple("OptimalityCertificate", "acb_angle tangency_gap residual")
+OptimalityCertificate.__doc__ = "Three equivalent witnesses that the apex angle is the maximizer."
 
 
 def _check_sas_domain(b: float, c: float, alpha: float) -> None:

@@ -25,8 +25,7 @@ from .errors import DomainError
 FAULT_TAU_SIGN = "tau-sign"
 
 
-class CheckResult(namedtuple("CheckResult", "name passed detail")):
-    __slots__ = ()
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 def _integer(rng, lo: int, hi: int) -> int:

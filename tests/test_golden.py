@@ -54,14 +54,16 @@ def test_cli_output_is_byte_identical(name, tmp_path):
 )
 def test_steiner_goldens_end_at_the_regular_area(name):
     """final.area_gap_to_regular is A_reg - A for the regular polygon of the
-    final perimeter, within 2 n ulps of A_reg (2 and 5 measured)."""
+    final perimeter, within min(2 n, 10) ulps of A_reg, a bound that does not
+    grow with n (2 and 3 ulps measured at n = 8 and 12; 8 at most on every
+    run of tests/test_polygon.py and at most 5 from n = 8 to 2,048)."""
     from hyplobe.polygon import regular_polygon_for_perimeter
 
     report = json.loads((regen.CLI_DIR / name).read_text(encoding="utf-8"))
     final, n = report["final"], report["n"]
     regular = regular_polygon_for_perimeter(n, final["perimeter"]).area
     assert final["area_gap_to_regular"] == regular - final["area"]
-    assert abs(final["area_gap_to_regular"]) <= 2 * n * math.ulp(regular)
+    assert abs(final["area_gap_to_regular"]) <= min(2 * n, 10) * math.ulp(regular)
 
 
 class _KernelGolden:

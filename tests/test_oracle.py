@@ -263,6 +263,16 @@ class TestGeodesicSampling:
         with pytest.raises(DomainError):
             geodesic_length_by_sampling(beyond, DiskPoint(0.1, 0.2), 64)
 
+    def test_refuses_ends_that_are_not_disk_points(self):
+        # a tuple is not checked inside the disk, as hyp_distance refuses it
+        p, q = (0.1, 0.2), (0.3, 0.1)
+        for ends in ((p, q), (DiskPoint(*p), q), (p, DiskPoint(*q))):
+            with pytest.raises(DomainError) as exc:
+                geodesic_length_by_sampling(*ends, 8)
+            assert str(exc.value) == (
+                f"distance ends {ends[0]!r} and {ends[1]!r} are not both DiskPoints"
+            )
+
 
 def _scalar_chord_sum(p: DiskPoint, q: DiskPoint, segments: int) -> float:
     """The polyline length one DiskPoint and one hyp_distance at a time."""

@@ -869,10 +869,13 @@ TRAPPED_HEXAGON = [
 
 def assert_regular_area(result):
     """A converged run's area is the regular polygon's of its perimeter to
-    2 n ulps: A_reg - A is the report's area_gap_to_regular."""
+    min(2 n, 10) ulps, a bound that does not grow with n: A_reg - A is the
+    report's area_gap_to_regular. Measured on the 95 runs of this module that
+    call it, |A_reg - A| is at most 8 ulps (n = 6), and at most 5 on
+    generator runs from n = 8 to 2,048."""
     poly = result.polygon
     regular = regular_polygon_for_perimeter(poly.n, polygon_perimeter(poly)).area
-    assert abs(regular - poly.area) <= 2 * poly.n * math.ulp(regular)
+    assert abs(regular - poly.area) <= min(2 * poly.n, 10) * math.ulp(regular)
 
 
 class TestSteinerOptimize:
@@ -935,25 +938,30 @@ class TestSteinerOptimize:
         assert steiner_optimize(poly).converged
 
     def test_large_polygons_converge_without_drift(self):
-        # every move moves n - 2 vertices by walks of one side: the perimeter
-        # drifts by at most 1e-13 relative, and the run ends at the regular
-        # polygon of its perimeter
-        for n, seeds in ((64, range(3)), (128, range(2))):
+        # every move moves n - 2 vertices by walks of one side, and takes its
+        # window's mean side by fsum, so no trace step's perimeter leaves the
+        # input's by more than 8 ulps at any n (at most 4 measured from n = 8
+        # to 2,048; 98 and 210 at n = 512 and 2,048 with a plain sum, whose
+        # rounding grows with n), and the run ends at the regular polygon of
+        # its perimeter
+        for n, seeds in ((64, range(3)), (128, range(2)), (512, range(2)), (2048, range(2))):
             for seed in seeds:
                 poly = random_convex_polygon(n, seed)
                 perimeter = polygon_perimeter(poly)
                 result = steiner_optimize(poly)
                 assert result.converged and result.moves_rejected == 0, (n, seed)
                 for step in result.trace:
-                    assert abs(step.perimeter - perimeter) <= 1e-13 * perimeter, (n, seed)
+                    drift = abs(step.perimeter - perimeter) / math.ulp(perimeter)
+                    assert drift <= 8, (n, seed, step.iteration, drift)
                 ref = regular_polygon_for_perimeter(n, perimeter)
                 assert result.polygon.area == pytest.approx(ref.area, rel=1e-12)
 
     def test_large_polygons_keep_the_isoperimetric_inequality(self):
         # A_reg(n, P) - A >= 0 by the polygon isoperimetric theorem. With the
-        # perimeter summed by fsum the converged gap at n = 2,048 is +1 and
-        # -2 ulps of A for seeds 0 and 1 (measured; +270 and -210 with a
-        # plain sum, whose rounding grows with n); the bound does not grow with n
+        # perimeter and each window's mean side summed by fsum the converged
+        # gap at n = 2,048 is -4 and +5 ulps of A for seeds 0 and 1 (measured;
+        # +270 and -210 with a plain perimeter sum, whose rounding grows with
+        # n); the bound does not grow with n
         for seed in (0, 1):
             result = steiner_optimize(random_convex_polygon(2048, seed))
             area = result.polygon.area

@@ -58,6 +58,24 @@ class TestRecords:
     def test_every_record_class_is_covered(self):
         assert len({type(r) for r in _records()}) == 17
 
+    def test_a_record_without_checks_or_methods_is_its_named_tuple(self):
+        # five records check their fields or have methods, so they subclass
+        # their named tuple, as CircumcircleFit still does until the fit is
+        # deleted; the other eleven are the named tuple itself, with no empty
+        # subclass
+        subclassed = {
+            "DiskPoint", "EuclideanCircle", "DiskIsometry", "TriangleSolution",
+            "HyperbolicPolygon", "CircumcircleFit",
+        }
+        classes = {type(r) for r in _records()}
+        assert subclassed <= {cls.__name__ for cls in classes}
+        for cls in classes:
+            if cls.__name__ in subclassed:
+                (base,) = cls.__bases__
+                assert base.__bases__ == (tuple,) and base._fields == cls._fields, cls
+            else:
+                assert cls.__bases__ == (tuple,), cls
+
     def test_fields_in_declared_order(self):
         for record, fields in _records().items():
             assert type(record)._fields == fields
