@@ -62,7 +62,13 @@ class HyperbolicPolygon(
     ``vertices`` is a tuple of DiskPoints; ``side_lengths[i]`` is the side
     from vertex i to vertex i + 1 and ``interior_angles[i]`` the angle at
     vertex i, both tuples of floats, and ``area`` is the sum of the fan
-    triangles' areas, to 2e-15 relative. A polygon is measured once, where
+    triangles' areas, to 2e-15 relative on regular and generator polygons
+    (measured). Each fan turn is about the polygon's aspect (width over
+    diameter) and is read from chart images an ulp off, so a thinner
+    polygon's area is off by about an ulp over its aspect: at most
+    1.6 * 2**-52 / q relative, measured on Klein ellipses of hyperbolic
+    radius 1 and axis ratio q = 0.1, 1e-3 and 1e-5 (3.5e-15, 3.4e-13 and
+    2.3e-11; n = 4, 8 and 32, seeds 0-99). A polygon is measured once, where
     it is made: from_vertices measures its vertices (DiskPoints, or (x, y)
     pairs of real numbers it makes DiskPoints of Python floats), and the
     constructor measures them again and refuses fields that differ by a
@@ -190,7 +196,8 @@ def _window_move(poly: HyperbolicPolygon, i: int) -> dict[int, complex] | None:
     than point_from_polar reaches, is refused. s is the window's fsum over
     m: a plain sum's rounding grows with n, and a run's perimeter drifted
     from the input's by up to 210 ulps at n = 2,048; with fsum every traced
-    perimeter is within 4 ulps of the input's from n = 8 to 2,048 (measured).
+    perimeter of a centred polygon is within 4 ulps of the input's from n = 8
+    to 2,048 (measured). Far from the centre see steiner_optimize.
     """
     zs, sides = [v.z for v in poly.vertices], poly.side_lengths
     n = len(zs)
@@ -301,7 +308,10 @@ def steiner_move(poly: HyperbolicPolygon, i: int) -> MoveResult:
     a subnormal fan area); ``rejected`` counts the latter. A planned move's
     polygon is measured once, and its area less the input's is the move's
     gain; near a fixed point that is roundoff, of either sign. A window whose
-    mean side exceeds D_MAX raises DomainError.
+    mean side exceeds D_MAX raises DomainError. The move works in the global
+    chart: it writes its vertices as disk coordinates, whose float grid is
+    coarse in hyperbolic terms far from the centre, so there a small polygon
+    loses area and perimeter on every move (see steiner_optimize).
     """
     i = operator.index(i)
     if not 0 <= i < poly.n:
@@ -339,9 +349,13 @@ def steiner_optimize(poly: HyperbolicPolygon, tol: float = 1e-8) -> SteinerResul
     divides the residual by n - 1: a move leaves n - 1 equal sides s on one
     curve and the kept side d, and the next keeps one s and sets the other
     n - 1 to ((n - 2) s + d) / (n - 1), so s - d becomes -(s - d) / (n - 1).
-    Along the trace the perimeter stays within a few ulps of the input's at
-    any n (at most 4 measured from n = 8 to 2,048; see _window_move) and the
-    area falls by a few ulps at most. tol must be positive and finite. A
+    On centred polygons the perimeter stays within a few ulps of the input's
+    along the trace at any n (at most 4 measured from n = 8 to 2,048; see
+    _window_move) and the area falls by a few ulps at most. Far from the
+    centre a small polygon loses both on every move (see steiner_move): on
+    octagons of circumradius 1e-6 carried 8 out, one move lost up to 1.3e-7
+    of the area and drifted the perimeter 3.0e-7 (relative), and 0 of 5 runs
+    converged. tol must be positive and finite. A
     window whose mean side exceeds D_MAX raises DomainError, as in
     steiner_move.
     """

@@ -252,6 +252,42 @@ class TestPolygonConstruction:
             assert a == pytest.approx(stats.interior_angle, abs=1e-12)
 
 
+def klein_ellipse_polygon(n, q, seed):
+    """The generator's polygon with its size and shape fixed: n vertices on
+    an ellipse of Klein semi-axes tanh(1) and q tanh(1), hyperbolic radius 1
+    and axis ratio q, turned and spaced by random.Random(seed) as
+    random_convex_polygon spaces its vertices."""
+    rng = random.Random(seed)
+    axis = cmath.rect(math.tanh(1.0), rng.uniform(0.0, 2.0 * math.pi))
+    floor = 0.5 * math.pi / n
+    ws = [-math.log(1.0 - rng.random()) for _ in range(n)]
+    scale = (2.0 * math.pi - n * floor) / sum(ws)
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    vertices = []
+    for w in ws:
+        t += floor + scale * w
+        k = axis * complex(math.cos(t), q * math.sin(t))
+        z = k / (1.0 + math.sqrt((1.0 - abs(k)) * (1.0 + abs(k))))
+        vertices.append(DiskPoint(z.real, z.imag))
+    return HyperbolicPolygon.from_vertices(vertices)
+
+
+def fan_area_60(vertices):
+    """The area of the fan from V_0 over these DiskPoints at 60 digits: the
+    sides of each fan triangle from the disk metric, its area by L'Huilier."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        zs = [mpmath.mpc(*v) for v in vertices]
+
+        def d(z, w):
+            return 2 * mpmath.atanh(abs(z - w) / abs(1 - mpmath.conj(z) * w))
+
+        return sum(
+            lhuilier_60(d(zs[0], zs[k]), d(zs[k], zs[k + 1]), d(zs[0], zs[k + 1]))
+            for k in range(1, len(zs) - 1)
+        )
+
+
 class TestAreaAndPerimeter:
     def test_regular_polygons_at_every_scale(self):
         # centred regular 3-, 8- and 64-gons from circumradius 1e-150 up to 9:
@@ -300,6 +336,20 @@ class TestAreaAndPerimeter:
         for poly in polygons:
             area = high_precision_measures(poly.vertices)[1]
             assert abs(poly.area - area) <= 2e-15 * area, poly.vertices[:2]
+
+    def test_thin_polygons_are_off_by_ulps_over_the_aspect(self):
+        # a fan turn is about the polygon's aspect q (width over diameter),
+        # read from chart images an ulp off, so a thin polygon's area is off
+        # by about an ulp over q, not 2e-15: on Klein ellipses of hyperbolic
+        # radius 1 and axis ratio q, seeds 0-9 and n = 4, 8 and 32, against
+        # the 60-digit fan of the same doubles, at most 0.39, 0.52 and 1.03
+        # ulp / q measured at q = 0.1, 1e-3 and 1e-5 (1.57 over seeds 0-99)
+        for q in (0.1, 1e-3, 1e-5):
+            for n in (4, 8, 32):
+                for seed in range(10):
+                    poly = klein_ellipse_polygon(n, q, seed)
+                    area = fan_area_60(poly.vertices)
+                    assert abs(poly.area - area) <= 2.0 * 2.0**-52 / q * area, (q, n, seed)
 
     def test_triangle_reduces_to_defect(self):
         sol = solve_sas(1.0, 1.2, 0.9)

@@ -236,3 +236,30 @@ def test_polygons_are_measured_where_they_are_made():
         ]
     assert sorted(callers) == [("polygon", "from_vertices"), ("polygon", "steiner_move")]
     assert calls == len(callers)
+
+
+def test_every_verify_line_is_judged_by_one_function():
+    # each check_* returns _judge's line, made from its (label, value, side,
+    # bound) terms, and only _judge builds a CheckResult: a new line is one
+    # more check of that form, so every line shows its bound
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    checks = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    ]
+    returns = [
+        (check.name, _spelled(node.value.func) if isinstance(node.value, ast.Call) else None)
+        for check in checks
+        for node in ast.walk(check)
+        if isinstance(node, ast.Return)
+    ]
+    assert returns == [(check.name, "_judge") for check in checks]
+    makers = {"CheckResult", "_make", "_replace"}
+    builders = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and _spelled(node.func) in makers
+    }
+    assert builders == {"_judge"}

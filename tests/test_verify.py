@@ -1,10 +1,11 @@
-"""The verify suite's random streams: one random.Random per check."""
+"""The verify suite's random streams, one random.Random per check, and the
+faults its lines catch."""
 
 from random import Random
 
 import pytest
 
-from hyplobe import DomainError, verify
+from hyplobe import DomainError, disk, polygon, triangle, verify
 
 
 def _checks(samples):
@@ -56,3 +57,44 @@ class TestChecksOnEitherStream:
         for seed in range(100):
             failed = [r for r in verify.run_all(samples=50, seed=seed) if not r.passed]
             assert not failed, (seed, failed)
+
+
+# The fault table: one library quantity scaled by 1 + eps, on a grid of eps,
+# and the smallest eps that verify.run_all(samples=200, seed=0) catches, with
+# the lines that catch it. Each row is (module, the function patched, the
+# field of its result that is scaled, or None for a float result, the
+# smallest eps caught, the failing lines there). A bound loosened, or a line
+# dropped, raises a row's eps or empties its lines; a new line may only lower
+# a row.
+FAULTS = {
+    "side-a": (triangle, "_sas", "a", 1e-8, ["euclidean-limit"]),
+    "beta": (triangle, "_sas", "beta", 1e-12, ["theorem1-grid-cross-check"]),
+    "area": (triangle, "_sas", "area", 1e-12, ["theorem1-grid-cross-check"]),
+    "alpha-star": (
+        triangle, "optimal_alpha", "alpha_star", 1e-12, ["theorem1-grid-cross-check"]
+    ),
+    "hyp-distance": (disk, "hyp_distance", None, 1e-13, ["metric-oracle", "polar-round-trip"]),
+    "polygon-area": (polygon, "random_convex_polygon", "area", 0.5, ["deficit-nonnegativity"]),
+}
+FAULT_EPSILONS = [10.0**e for e in range(-15, -4)] + [1e-3, 1e-1, 0.5]
+
+
+@pytest.mark.parametrize("quantity", FAULTS)
+def test_fault_table(monkeypatch, quantity):
+    # the grid is walked upward to the first eps that fails, so every grid
+    # point below the pinned one passes every line
+    module, attr, field, pinned, lines = FAULTS[quantity]
+    original = getattr(module, attr)
+
+    def faulty(*args):
+        out = original(*args)
+        if field is None:
+            return out * (1.0 + eps)
+        return out._replace(**{field: getattr(out, field) * (1.0 + eps)})
+
+    monkeypatch.setattr(module, attr, faulty)
+    for eps in FAULT_EPSILONS:
+        failed = [r.name for r in verify.run_all(samples=200, seed=0) if not r.passed]
+        if failed:
+            break
+    assert (eps, failed) == (pinned, lines)
