@@ -51,14 +51,6 @@ def _check_inside(x: float, y: float) -> None:
         raise DomainError(f"point ({x}, {y}) is not strictly inside the unit disk")
 
 
-def _check_circle(cx: float, cy: float, radius: float) -> None:
-    """EuclideanCircle's checks: the radius, then the center."""
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise DomainError("circle radius must be positive and finite")
-    if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise DomainError("circle center must be finite")
-
-
 ORIGIN = DiskPoint(0.0, 0.0)
 
 
@@ -68,7 +60,10 @@ class EuclideanCircle(namedtuple("EuclideanCircle", "cx cy radius")):
     __slots__ = ()
 
     def __new__(cls, cx: float, cy: float, radius: float) -> "EuclideanCircle":
-        _check_circle(cx, cy, radius)
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise DomainError("circle radius must be positive and finite")
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise DomainError("circle center must be finite")
         return tuple.__new__(cls, (cx, cy, radius))
 
 
@@ -111,27 +106,29 @@ class DiskIsometry(namedtuple("DiskIsometry", "target phi")):
         return DiskIsometry(DiskPoint(b.real, b.imag), -self.phi)
 
 
-def _dot(c: float, *pairs: tuple[float, float]) -> float:
-    """c + sum of x y over the pairs, correctly rounded: Veltkamp's split makes
-    each product four exact parts (Dekker, Numer. Math. 18, 1971) for fsum."""
-    parts = [c]
-    for x, y in pairs:
-        cx, cy = 134217729.0 * x, 134217729.0 * y  # 2^27 + 1
-        xh, yh = cx - (cx - x), cy - (cy - y)
-        xl, yl = x - xh, y - yh
-        parts += (xh * yh, xh * yl, xl * yh, xl * yl)
-    return math.fsum(parts)
+def _split(x: float) -> tuple[float, float]:
+    """x as hi + lo, each of 26 bits or fewer, so that a product of two parts is
+    exact (Veltkamp's split; Dekker, Numer. Math. 18, 1971)."""
+    cx = 134217729.0 * x  # 2^27 + 1
+    hi = cx - (cx - x)
+    return hi, x - hi
 
 
 def _g(z: complex) -> float:
     """1 - |z|^2, correctly rounded however close to 1 |z| is."""
-    return _dot(1.0, (z.real, -z.real), (z.imag, -z.imag))
+    (xh, xl), (yh, yl) = _split(z.real), _split(z.imag)
+    return math.fsum((1.0, -xh * xh, -2.0 * xh * xl, -xl * xl,
+                      -yh * yh, -2.0 * yh * yl, -yl * yl))
 
 
 def _den(a: complex, z: complex) -> complex:
     """1 - conj(a) z, each part correctly rounded, so nothing cancels."""
-    return complex(_dot(1.0, (a.real, -z.real), (a.imag, -z.imag)),
-                   _dot(0.0, (a.imag, z.real), (a.real, -z.imag)))
+    (ah, al), (bh, bl) = _split(a.real), _split(a.imag)
+    (xh, xl), (yh, yl) = _split(z.real), _split(z.imag)
+    return complex(math.fsum((1.0, -ah * xh, -ah * xl, -al * xh, -al * xl,
+                              -bh * yh, -bh * yl, -bl * yh, -bl * yl)),
+                   math.fsum((0.0, bh * xh, bh * xl, bl * xh, bl * xl,
+                              -ah * yh, -ah * yl, -al * yh, -al * yl)))
 
 
 def _chart(a: complex, z: complex) -> complex:
@@ -165,9 +162,14 @@ def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     """Hyperbolic distance 2 asinh(|p - q| / sqrt((1 - |p|^2)(1 - |q|^2))), each
     factor correctly rounded: within 4e-16 relative of 80-digit mpmath on the
     same doubles out to D_MAX from the centre; any two points get their length."""
-    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
-        raise DomainError(f"distance ends {p!r} and {q!r} are not both DiskPoints")
+    _check_ends("distance ends", p, q)
     return _distance(p.z, q.z)
+
+
+def _check_ends(role: str, p: DiskPoint, q: DiskPoint) -> None:
+    """The two-point functions' check: both ends, named by role, are DiskPoints."""
+    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
+        raise DomainError(f"{role} {p!r} and {q!r} are not both DiskPoints")
 
 
 def _orthogonal_circle(p: DiskPoint, q: DiskPoint) -> EuclideanCircle | None:
@@ -175,8 +177,7 @@ def _orthogonal_circle(p: DiskPoint, q: DiskPoint) -> EuclideanCircle | None:
     p, q and the origin are collinear (|sin pOq| <= 1e-12).
     cy and the radius cancel where p and q lie far out near one ray: on the
     triangle domain, 1.28e-3 relative off at worst (see triangle)."""
-    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
-        raise DomainError(f"geodesic endpoints {p!r} and {q!r} are not both DiskPoints")
+    _check_ends("geodesic endpoints", p, q)
     (px, py), (qx, qy) = p, q
     np_, nq = math.hypot(px, py), math.hypot(qx, qy)
     if math.hypot(qx - px, qy - py) <= _COINCIDENT_TOL * max(np_, nq):
@@ -253,8 +254,7 @@ def direction_toward(p: DiskPoint, q: DiskPoint) -> float:
     p to the origin; DiskIsometry(p).inverse() carries a chart image, such as
     point_from_polar(d, theta), back, so the two compose consistently.
     """
-    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
-        raise DomainError(f"direction ends {p!r} and {q!r} are not both DiskPoints")
+    _check_ends("direction ends", p, q)
     return cmath.phase(_direction(p.z, q.z))
 
 

@@ -18,9 +18,9 @@ import operator
 from collections import namedtuple
 from itertools import accumulate, repeat
 
-from .disk import _TINY, D_MAX, DiskPoint, direction_toward
+from .disk import _TINY, D_MAX, DiskPoint, _check_ends, direction_toward
 from .errors import DomainError
-from .triangle import ALPHA_EPS
+from .triangle import ALPHA_EPS, _check_sas_domain
 
 
 GridSearchResult = namedtuple("GridSearchResult", "alpha_hat area_hat grid_step")
@@ -75,8 +75,7 @@ def grid_search_max_area(b: float, c: float, samples: int) -> GridSearchResult:
     ``solve_sas`` does, and fewer than 1000 samples; a count that is not an
     integer raises TypeError.
     """
-    if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
-        raise DomainError(f"sides must lie in (0, {D_MAX}]")
+    _check_sas_domain(b, c, None)
     if samples < 1000:
         raise DomainError("grid search needs at least 1000 samples")
     last = operator.index(samples) - 1
@@ -131,8 +130,7 @@ def geodesic_length_by_sampling(p: DiskPoint, q: DiskPoint, segments: int) -> fl
     """
     if segments < 1:
         raise DomainError("use at least one segment")
-    if not (isinstance(p, DiskPoint) and isinstance(q, DiskPoint)):
-        raise DomainError(f"distance ends {p!r} and {q!r} are not both DiskPoints")
+    _check_ends("distance ends", p, q)
     rp, rq = math.hypot(*p), math.hypot(*q)
     if not max(rp, rq) <= _R_MAX:
         raise DomainError(f"an end lies more than D_MAX = {D_MAX} from the centre")
@@ -194,8 +192,7 @@ def euclidean_limit_triangle(b: float, c: float, alpha: float) -> EuclideanTrian
     """
     if not (0.0 < b <= 0.01 and 0.0 < c <= 0.01):
         raise DomainError("Euclidean-limit reference is only valid for sides in (0, 0.01]")
-    if not (ALPHA_EPS < alpha < math.pi - ALPHA_EPS):
-        raise DomainError(f"apex angle {alpha} outside ({ALPHA_EPS}, pi - {ALPHA_EPS})")
+    _check_sas_domain(b, c, alpha)
     a = math.sqrt(b * b + c * c - 2.0 * b * c * math.cos(alpha))
     area = 0.5 * b * c * math.sin(alpha)
     if min(a * c, area) < _TINY:

@@ -446,6 +446,14 @@ def _regular_n(n: int) -> int:
     return n
 
 
+def _regular_args(n: int, circumradius: float) -> tuple[int, float]:
+    """n as _regular_n checks it, then the circumradius, refused outside (0, D_MAX / 2]."""
+    n = _regular_n(n)
+    if not (0.0 < circumradius <= D_MAX / 2):
+        raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
+    return n, circumradius
+
+
 def regular_polygon(n: int, circumradius: float) -> RegularPolygon:
     """Circumradius R, side, interior angle, perimeter and area of the regular n-gon.
 
@@ -461,9 +469,7 @@ def regular_polygon(n: int, circumradius: float) -> RegularPolygon:
     tan(area / 2) = h sin(apex) / (1 + 2 h sin^2(apex / 2)), h = sinh^2(R / 2).
     No term cancels, so the area keeps its relative accuracy for any n.
     """
-    n, R = _regular_n(n), circumradius
-    if not (0.0 < R <= D_MAX / 2):
-        raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
+    n, R = _regular_args(n, circumradius)
     sin_half, cos_half = math.sin(math.pi / n), math.cos(math.pi / n)
     h = math.sinh(0.5 * R) ** 2
     side = 2.0 * math.asinh(math.sinh(R) * sin_half)
@@ -484,9 +490,7 @@ def regular_polygon(n: int, circumradius: float) -> RegularPolygon:
 def regular_polygon_vertices(n: int, circumradius: float) -> HyperbolicPolygon:
     """Explicit embedding of the regular polygon, centered at the origin; n and
     the circumradius are checked as in regular_polygon."""
-    n, R = _regular_n(n), circumradius
-    if not (0.0 < R <= D_MAX / 2):
-        raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
+    n, R = _regular_args(n, circumradius)
     return HyperbolicPolygon.from_vertices(
         [point_from_polar(R, 2.0 * math.pi * k / n) for k in range(n)]
     )
@@ -539,6 +543,12 @@ def isoperimetric_deficit(L: float, A: float) -> float:
     return deficit
 
 
+def _check_seed(seed: int) -> None:
+    """The rule for a seed of random.Random: it must not be negative."""
+    if seed < 0:
+        raise DomainError("the seed must be a non-negative integer")
+
+
 def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
     """Seeded random convex polygon: n vertices on an ellipse in the Klein model.
 
@@ -551,8 +561,7 @@ def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
     """
     if n < 3:
         raise DomainError("need n >= 3")
-    if seed < 0:
-        raise DomainError("the seed must be a non-negative integer")
+    _check_seed(seed)
     seed = operator.index(seed)  # Random would hash a float seed
     from random import Random  # loaded only by the commands that draw
 

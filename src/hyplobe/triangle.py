@@ -28,12 +28,12 @@ of the certificate's 7.02e-13 residual.
 The four kernels, solve_sas, build_figure1, optimal_alpha and
 optimality_certificate, are straight-line float code: each record is built
 once, in its final form, no value is computed twice, and each check is an
-inline comparison that calls its helper (_check_sas_domain, _check_solution,
-disk._check_circle) only on the failing path, so the order, class and
-message of every refusal are the helpers'. solve_sas and optimal_alpha share
-one core, _sas; build_figure1 evaluates the public primitives' formulas for
-B on the positive x-axis (see build_figure1). Tests pin each kernel to the
-composition it replaces, bit for bit and refusal for refusal.
+inline comparison that calls its helper only on the failing path, so the
+order, class and message of every refusal are the helper's: for _sas, which
+solve_sas and optimal_alpha share, _check_sas_domain and _check_solution;
+for build_figure1, which evaluates the public primitives' formulas for B on
+the positive x-axis, that composition itself (_check_figure1). Tests pin
+each kernel to its composition, bit for bit and refusal for refusal.
 
 Degeneracy has one rule, shared with the polygon path: coincidence is
 relative (disk._COINCIDENT_TOL times the larger length), and a value below
@@ -56,7 +56,7 @@ import math
 from collections import namedtuple
 
 from .disk import _COINCIDENT_TOL, _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
-from .disk import _check_circle, _orthogonal_circle, point_from_polar
+from .disk import _orthogonal_circle, point_from_polar
 from .errors import DegenerateInputError, DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
@@ -118,13 +118,12 @@ OptimalityCertificate = namedtuple("OptimalityCertificate", "acb_angle tangency_
 OptimalityCertificate.__doc__ = "Three equivalent witnesses that the apex angle is the maximizer."
 
 
-def _check_sas_domain(b: float, c: float, alpha: float) -> None:
+def _check_sas_domain(b: float, c: float, alpha: float | None) -> None:
+    """The SAS domain's checks: the sides, then the apex angle unless it is None."""
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX):
         raise DomainError(f"sides must lie in (0, {D_MAX}]")
-    if not (ALPHA_EPS < alpha < _ALPHA_MAX):
-        raise DomainError(
-            f"apex angle {alpha} outside ({ALPHA_EPS}, pi - {ALPHA_EPS})"
-        )
+    if alpha is not None and not (ALPHA_EPS < alpha < _ALPHA_MAX):
+        raise DomainError(f"apex angle {alpha} outside ({ALPHA_EPS}, pi - {ALPHA_EPS})")
 
 
 def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
@@ -200,9 +199,7 @@ def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
     """The Euclidean circle containing the geodesic BC (A at the center)."""
     circle = _orthogonal_circle(B, C)
     if circle is None:
-        raise DegenerateInputError(
-            "B, C and the center are collinear: the triangle is degenerate"
-        )
+        raise DegenerateInputError("B, C and the center are collinear: the triangle is degenerate")
     return circle
 
 
@@ -256,14 +253,20 @@ def tau_angle(fig: Figure1) -> float:
     return _euclidean_angle(*fig.b_prime, *fig.A, *fig.C)
 
 
+def _check_figure1(b: float, c: float, alpha: float) -> None:
+    """build_figure1's refusals: the composition's checks, up to B', in order."""
+    _, B, C = embed_triangle(b, c, alpha)
+    b_prime_point(B, omega_circle(B, C))
+
+
 def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     """Assemble the whole construction for the triangle (b, c, alpha).
 
     The composition of embed_triangle, omega_circle, b_prime_point and
-    tau_angle for B = (px, 0.0), with every check in the same order, class
-    and message. A product with B's zero y-coordinate is a signed zero, and
-    adding or subtracting one leaves a nonzero value unchanged, so those
-    terms are dropped; the comments say why a zero result is safe as well.
+    tau_angle for B = (px, 0.0); its refusals are the composition's, run when
+    a check fails. A product with B's zero y-coordinate is a signed zero, and
+    adding or subtracting one leaves a nonzero value unchanged, so those terms
+    are dropped; the comments say why a zero result is safe too.
 
     Five primitive checks are dropped, as no domain input trips them. B and
     C lie inside the disk: px and rb are at most tanh(D_MAX / 2) < 1. psi's
@@ -271,11 +274,11 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     collinear. omega's r2 is at least 2.5e-13 (at b, c -> D_MAX, alpha ->
     ALPHA_EPS). B' lies beyond B: t is 1 / px to a few ulps, so (t - px) / px
     >= sech^2(D_MAX / 2), about 8.2e-9. The collinearity bound |cross| <=
-    1e-12 px |C| is tested as cross == 0: a nonzero cross = px rb sin(alpha)
-    is 1e6 times it or more, and a subnormal one is refused, as there.
+    1e-12 px |C| is tested with the underflow guard as cross < _TINY: a
+    nonzero cross = px rb sin(alpha) is 1e6 times the bound or more.
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < _ALPHA_MAX):
-        _check_sas_domain(b, c, alpha)
+        _check_figure1(b, c, alpha)
     px = math.tanh(0.5 * c)
     rb = math.tanh(0.5 * b)
     qx = rb * math.cos(alpha)
@@ -283,31 +286,22 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     # omega: disk._orthogonal_circle(B, C) with B = (px, 0.0), where hypot(px, 0.0) is px;
     # its guards measure as here, relative to the larger of |B| and |C|
     nq = math.hypot(qx, qy)
-    if math.hypot(qx - px, qy) <= _COINCIDENT_TOL * (px if px > nq else nq):
-        raise DegenerateInputError("cannot build a geodesic through coincident points")
     cross = px * qy  # px, qy >= 0; a zero is collinear whatever its sign
-    if cross < _TINY:
-        if cross == 0.0:
-            raise DegenerateInputError(
-                "B, C and the center are collinear: the triangle is degenerate"
-            )
-        raise DomainError("points too near the center: the circle's products underflow")
+    if math.hypot(qx - px, qy) <= _COINCIDENT_TOL * (px if px > nq else nq) or cross < _TINY:
+        _check_figure1(b, c, alpha)
     rp = 0.5 * (1.0 + px * px)
     rq = 0.5 * (1.0 + qx * qx + qy * qy)
     cx = rp * qy / cross
     cy = (px * rq - qx * rp) / cross
-    # r2 is +inf or at least 2.5e-13; a sum is finite only if every term is
     radius = math.sqrt(cx * cx + cy * cy - 1.0)
-    if not math.isfinite(cx + cy + radius):
-        _check_circle(cx, cy, radius)
     # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j;
-    # px > 0, since px = 0 fails the collinearity check. Its on-circle guard
-    # measures with math.hypot too; its max(1.0, radius) is the conditional
-    if abs(math.hypot(px - cx, cy) - radius) > 1e-9 * (radius if radius > 1.0 else 1.0):
-        raise DomainError("B does not lie on the given circle")
+    # px > 0, since px = 0 fails the collinearity check
     t = 2.0 * cx - px
-    if t * t == math.inf:
-        raise DomainError("B' lies too far out: its products overflow")
+    # the checks of omega and of b_prime_point: r2 is +inf or at least 2.5e-13, so a
+    # sum is finite only if every term is; the on-circle max(1.0, radius) is the conditional
+    if not (abs(math.hypot(px - cx, cy) - radius) <= 1e-9 * (radius if radius > 1.0 else 1.0)
+            and math.isfinite(cx + cy + radius) and t * t != math.inf):
+        _check_figure1(b, c, alpha)
     # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and
     # qx - t is nonzero, C being inside the disk and B' outside it
     tau = abs(math.atan2(-t * qy, -t * (qx - t)))

@@ -220,8 +220,7 @@ def check_polar_round_trip(rng, samples: int) -> CheckResult:
 
 def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list[CheckResult]:
     """Run every check with independent seeded streams; deterministic per seed."""
-    if seed < 0:
-        raise DomainError("the seed must be a non-negative integer")
+    polygon._check_seed(seed)
     if samples < 1:
         raise DomainError("samples must be at least 1")
     seed = operator.index(seed)  # Random would hash a float seed

@@ -401,6 +401,27 @@ class TestComplexHelpers:
                 ref = 1 - mpmath.mpf(z.real) ** 2 - mpmath.mpf(z.imag) ** 2
                 assert abs(disk._g(z) - ref) <= 2.0**-53 * ref, z
 
+    def test_den(self):
+        # each part correctly rounded, so within half an ulp of the 60-digit
+        # 1 - conj(a) z: on 10,000 seeded pairs up to 21 from the centre,
+        # every fourth a near repeat, where the real part cancels most
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(34)
+
+        def point():
+            return cmath.rect(math.tanh(0.5 * rng.uniform(0.0, 21.0)), rng.uniform(0.0, 7.0))
+
+        for k in range(10000):
+            a = point()
+            z = a + 10.0 ** rng.uniform(-16.0, -8.0) * cmath.exp(1j * rng.uniform(0.0, 7.0))
+            if k % 4 or not abs(z) < 1.0:
+                z = point()
+            den = disk._den(a, z)
+            with mpmath.workdps(60):
+                exact = 1 - mpmath.mpc(a.real, -a.imag) * mpmath.mpc(z.real, z.imag)
+                for part, ref in ((den.real, exact.real), (den.imag, exact.imag)):
+                    assert abs(part - ref) <= 0.5 * math.ulp(part), (a, z)
+
     def test_distance(self, triples):
         # within 4.5e-16 relative of a 60-digit distance between the same
         # doubles (3.9e-16 measured)

@@ -24,6 +24,7 @@ from hyplobe.oracle import (
     geodesic_length_by_sampling,
     grid_search_max_area,
 )
+from hyplobe.triangle import _check_sas_domain
 
 
 class TestGridSearch:
@@ -325,6 +326,30 @@ class TestGeodesicSamplingReference:
             _scalar_chord_sum(p, q, 10_000)
         with pytest.raises(DomainError):
             geodesic_length_by_sampling(p, q, 10_000)
+
+
+def _refusal(call, *args):
+    """The class and message of the DomainError a call raises, or None."""
+    try:
+        call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_sas_domain_refusals_are_the_solvers_word_for_word():
+    # the grid search's sides and the Euclidean limit's apex angles are
+    # refused by solve_sas's own check, in its class and its exact words
+    outside = (0.0, -1.0, math.nan, math.inf, -math.inf, D_MAX * (1.0 + 2.0**-52))
+    for side in outside:
+        for b, c in ((side, 1.0), (1.0, side)):
+            want = _refusal(_check_sas_domain, b, c, 1.0)
+            assert want is not None
+            assert _refusal(grid_search_max_area, b, c, 1000) == want
+    for alpha in (*outside, ALPHA_EPS, math.pi - ALPHA_EPS):
+        want = _refusal(_check_sas_domain, 1e-3, 1e-3, alpha)
+        assert want is not None
+        assert _refusal(euclidean_limit_triangle, 1e-3, 1e-3, alpha) == want
 
 
 class TestConvexityWitness:

@@ -263,3 +263,37 @@ def test_every_verify_line_is_judged_by_one_function():
         if isinstance(node, ast.Call) and _spelled(node.func) in makers
     }
     assert builders == {"_judge"}
+
+
+def _raise_sites():
+    """(module, line, message) for each raise in the package whose exception
+    is a call with a str or f-string message, the message as ast.unparse
+    spells it."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = node.exc.args[0]
+                str_constant = isinstance(message, ast.Constant) and isinstance(message.value, str)
+                if str_constant or isinstance(message, ast.JoinedStr):
+                    yield path.stem, node.lineno, ast.unparse(message)
+
+
+def test_every_refusal_message_has_one_owner():
+    # a refusal is written once, in the function that owns its rule: every
+    # other caller of the rule calls that function, so class, message and
+    # order cannot drift apart between copies
+    sites = {}
+    for module, line, message in _raise_sites():
+        sites.setdefault(message, []).append(f"{module}:{line}")
+    assert {m: where for m, where in sites.items() if len(where) > 1} == {}
+
+
+def test_build_figure1_refuses_through_the_composition():
+    # the kernel checks inline, but a failing check hands its input to the
+    # composition it mirrors, whose refusal is raised: the kernel raises nothing
+    tree = ast.parse((PACKAGE / "triangle.py").read_text())
+    (kernel,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_figure1"
+    ]
+    assert [node.lineno for node in ast.walk(kernel) if isinstance(node, ast.Raise)] == []
