@@ -154,8 +154,8 @@ def point_from_polar(d: float, theta: float) -> DiskPoint:
     return DiskPoint(r * math.cos(theta), r * math.sin(theta))
 
 
-def _distance(p: complex, q: complex) -> float:
-    return 2.0 * math.asinh(abs(p - q) / math.sqrt(_g(p) * _g(q)))
+def _distance(p: complex, q: complex, gp: float, gq: float) -> float:
+    return 2.0 * math.asinh(abs(p - q) / math.sqrt(gp * gq))
 
 
 def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
@@ -163,7 +163,8 @@ def hyp_distance(p: DiskPoint, q: DiskPoint) -> float:
     factor correctly rounded: within 4e-16 relative of 80-digit mpmath on the
     same doubles out to D_MAX from the centre; any two points get their length."""
     _check_ends("distance ends", p, q)
-    return _distance(p.z, q.z)
+    p, q = p.z, q.z
+    return _distance(p, q, _g(p), _g(q))
 
 
 def _check_ends(role: str, p: DiskPoint, q: DiskPoint) -> None:
@@ -174,9 +175,9 @@ def _check_ends(role: str, p: DiskPoint, q: DiskPoint) -> None:
 
 def _orthogonal_circle(p: DiskPoint, q: DiskPoint) -> EuclideanCircle | None:
     """The circle through p and q orthogonal to the unit circle, or None when
-    p, q and the origin are collinear (|sin pOq| <= 1e-12).
-    cy and the radius cancel where p and q lie far out near one ray: on the
-    triangle domain, 1.28e-3 relative off at worst (see triangle)."""
+    p, q and the origin are collinear (|sin pOq| <= 1e-12). The radius, the
+    center's distance from p, is off by the center's error and an ulp; cy cancels
+    where p and q lie far out near one ray: 4.7e-4 off on the triangle domain."""
     _check_ends("geodesic endpoints", p, q)
     (px, py), (qx, qy) = p, q
     np_, nq = math.hypot(px, py), math.hypot(qx, qy)
@@ -193,10 +194,9 @@ def _orthogonal_circle(p: DiskPoint, q: DiskPoint) -> EuclideanCircle | None:
     rq = 0.5 * (1.0 + qx * qx + qy * qy)
     cx = (rp * qy - rq * py) / cross
     cy = (px * rq - qx * rp) / cross
-    r2 = cx * cx + cy * cy - 1.0
-    if r2 <= 0.0:
+    if cx * cx + cy * cy <= 1.0:  # the center of an orthogonal circle lies outside the disk
         raise DegenerateInputError("orthogonal-circle construction collapsed")
-    return EuclideanCircle(cx, cy, math.sqrt(r2))
+    return EuclideanCircle(cx, cy, math.hypot(cx - px, cy - py))
 
 
 def geodesic_through(p: DiskPoint, q: DiskPoint) -> Geodesic:

@@ -45,7 +45,8 @@ import math
 import operator
 from collections import namedtuple
 
-from .disk import _TINY, D_MAX, DiskPoint, _direction, _distance, _step, _turn, point_from_polar
+from .disk import _TINY, D_MAX, DiskPoint, _direction, _distance, _g, _step, _turn
+from .disk import point_from_polar
 from .errors import DegenerateInputError, DomainError, NonConvexError
 
 # Smallest first-order step, relative to the quantity it changes, for which a
@@ -123,8 +124,9 @@ def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
     regular 3-, 8- and 64-gons build from circumradius 1e-152, not 1e-155.
     """
     zs = [v.z for v in vs]
+    gs = [_g(z) for z in zs]
     n = len(zs)
-    sides = tuple(_distance(zs[i], zs[(i + 1) % n]) for i in range(n))
+    sides = tuple(_distance(zs[i], zs[(i + 1) % n], gs[i], gs[(i + 1) % n]) for i in range(n))
     angles = []
     for i in range(n):
         angles.append(_turn(zs[i], zs[i - 1], zs[(i + 1) % n]))
@@ -133,7 +135,8 @@ def _measure(vs: tuple[DiskPoint, ...]) -> HyperbolicPolygon:
     turns = [_turn(zs[0], zs[k + 1], zs[k]) for k in range(1, n - 1)]
     if not all(0.0 < t < math.pi for t in turns) or sum(turns) > angles[0] + math.pi:
         raise NonConvexError("polygon winds around more than once")
-    radii = [sides[0], *(_distance(zs[0], z) for z in zs[2:-1]), sides[-1]]  # |V_0 V_k|
+    inner = (_distance(zs[0], z, gs[0], g) for z, g in zip(zs[2:-1], gs[2:-1]))
+    radii = [sides[0], *inner, sides[-1]]  # |V_0 V_k|
     ts = [math.tanh(0.5 * r) for r in radii]
     es = [2.0 / (math.exp(r) + 1.0) for r in radii]  # 1 - tanh(r / 2)
     fan = [
@@ -208,12 +211,13 @@ def _window_move(poly: HyperbolicPolygon, i: int) -> dict[int, complex] | None:
         raise DomainError(f"window mean side {s} exceeds D_MAX = {D_MAX}: no step can walk it")
     chain = [zs[(i - 1 + k) % n] for k in range(n)]  # A = V_0, ..., V_m = D
     d, diag = chain[m], sides[i - 2]  # DA, the side the move keeps
+    gd = _g(d)
     h = math.sinh(0.5 * s)
     ratios = _chain_ratios(m, math.sinh(0.5 * diag) / h)
     reach = [0.0, s, *(2.0 * math.asinh(h * u) for u in ratios), diag]  # j sides apart
     if all(abs(x - s) <= STEP_TOL * s for x in window) and all(
         abs(reach[m - k] - e) <= STEP_TOL * e
-        for k, e in enumerate((_distance(z, d) for z in chain[1:m]), 1)
+        for k, e in enumerate((_distance(z, d, _g(z), gd) for z in chain[1:m]), 1)
     ):
         return None
     updates, z, t = {}, chain[0], math.tanh(0.5 * s)
@@ -288,10 +292,12 @@ def max_optimality_residual(poly: HyperbolicPolygon) -> float:
     worst = max(abs(sides[k - 1] - sides[k]) for k in range(n))
     if n == 3:
         return worst
+    gs = [_g(z) for z in zs]
     for k in range(n):
-        diag = _distance(zs[k - 1], zs[(k + 2) % n])
+        j = (k + 2) % n
+        diag = _distance(zs[k - 1], zs[j], gs[k - 1], gs[j])
         bd_star = _cyclic_cross_diagonal(sides[k - 1], sides[k], sides[(k + 1) % n], diag)
-        worst = max(worst, abs(bd_star - _distance(zs[k], zs[(k + 2) % n])))
+        worst = max(worst, abs(bd_star - _distance(zs[k], zs[j], gs[k], gs[j])))
     return worst
 
 
@@ -427,7 +433,8 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
             h = math.atanh(dist - r) + math.atanh(dist + r)
             if h <= D_MAX:
                 center = point_from_polar(h, math.atan2(cy, cx))
-    radii = [_distance(center.z, v.z) for v in poly.vertices]
+    gc = _g(center.z)
+    radii = [_distance(center.z, v.z, gc, _g(v.z)) for v in poly.vertices]
     return CircumcircleFit(
         center=center,
         radius=0.5 * (max(radii) + min(radii)),

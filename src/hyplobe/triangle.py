@@ -17,13 +17,14 @@ tan(area/2) = u sin(alpha) / (1 - u cos(alpha)); the maximizing apex angle
 is arccos(u), and the base angles come from the atan2 form of the four-part
 formula. build_figure1's B, C, omega's cx and B', the far root of a
 quadratic taken through Vieta's sum, hold to 6.4e-16 relative, but near the
-far corner (b, c toward D_MAX, alpha small) px rq - qx rp, cx^2 + cy^2 - 1
-and t - qx cancel, with cx, t and qx near 1. Against 60-digit mpmath on
-1,000 draws with b, c in [10, 20] and alpha log-uniform in [1e-6, 1],
-omega's radius is off by up to 1.28e-3 relative, cy by 4.7e-4 and tau by
-4.4e-10, worst at (17.75151285041243, 17.602277432969405, 1.0062372029023055e-06);
-at b = 18, c = 20 and alpha*, tau's 4.5e-13 relative error is the whole
-of the certificate's 7.02e-13 residual.
+far corner (b, c toward D_MAX, alpha small) px rq - qx rp and t - qx
+cancel, with t and qx near 1. Against 60-digit mpmath on 1,000 draws with
+b, c in [10, 20] and alpha log-uniform in [1e-6, 1], cy is off by up to
+4.7e-4 relative and tau by 4.4e-10. omega's radius, the center's distance
+from B, is off by the center's error and at most an ulp more: 1.23e-4
+relative at (17.75151285041243, 17.602277432969405, 1.0062372029023055e-06),
+where cy is 1.24e-4 off; at b = 18, c = 20 and alpha*, tau's 4.5e-13
+relative error is the whole of the certificate's 7.02e-13 residual.
 
 The four kernels, solve_sas, build_figure1, optimal_alpha and
 optimality_certificate, are straight-line float code: each record is built
@@ -42,12 +43,9 @@ angle sum, which rounds to pi on tiny triangles, is not judged. Corner
 probes of the SAS domain find refusals of tiny triangles only: from _sas
 where the area or an angle is below the floor (both sides below ~2.3e-154
 at alpha = 1, ~6.7e-153 at alpha = 1e-3 and ~2.1e-151 at the smallest apex
-angle; one below ~6e-308 against 1); from build_figure1 where omega's
-center or B' squared overflows (the smaller side below ~1.6e-148, c below
-~1.6e-154), px * qy is below the floor (both below ~3e-151) or 0,
-collinear, or B and C round to one point.
-The on-circle guard never fires, but comes within 0.71 of its bound at the
-worst input above: the margin it measures is omega's radius error.
+angle; one below ~6e-308 against 1); from build_figure1 where B' squared
+overflows (c below ~1.6e-154), px * qy is below the floor (both below
+~3e-151) or 0, collinear, or B and C round to one point.
 """
 
 from __future__ import annotations
@@ -63,6 +61,7 @@ from .errors import DegenerateInputError, DomainError
 # is numerically degenerate.
 ALPHA_EPS = 1e-6
 _ALPHA_MAX = math.pi - ALPHA_EPS
+_AT_MAXIMUM = object()  # _sas's apex angle for optimal_alpha's maximizer
 
 # The kernels build their records through this alias, which saves a lookup
 # of tuple.__new__ per record.
@@ -149,8 +148,8 @@ def solve_sas(b: float, c: float, alpha: float) -> TriangleSolution:
     return _sas(b, c, alpha)
 
 
-def _sas(b: float, c: float, alpha: float | None) -> TriangleSolution:
-    """solve_sas, or with alpha None the solution at optimal_alpha's maximizer.
+def _sas(b: float, c: float, alpha: float | object) -> TriangleSolution:
+    """solve_sas, or with alpha _AT_MAXIMUM the solution at optimal_alpha's maximizer.
 
     u = tanh(b/2) tanh(c/2) and 1 - u = (1 - t_b) + t_b (1 - t_c), with
     t_x = tanh(x/2) and 1 - tanh(x/2) = 2 / (e^x + 1), so 1 - u keeps its
@@ -162,7 +161,7 @@ def _sas(b: float, c: float, alpha: float | None) -> TriangleSolution:
     tb = math.tanh(0.5 * b)
     u = tb * math.tanh(0.5 * c)
     one_minus_u = 2.0 / (math.exp(b) + 1.0) + tb * 2.0 / (math.exp(c) + 1.0)
-    if alpha is None:
+    if alpha is _AT_MAXIMUM:
         alpha = 2.0 * math.atan(math.sqrt(one_minus_u / (1.0 + u)))
     if not (ALPHA_EPS < alpha < _ALPHA_MAX):
         _check_sas_domain(b, c, alpha)
@@ -268,14 +267,18 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     adding or subtracting one leaves a nonzero value unchanged, so those terms
     are dropped; the comments say why a zero result is safe too.
 
-    Five primitive checks are dropped, as no domain input trips them. B and
-    C lie inside the disk: px and rb are at most tanh(D_MAX / 2) < 1. psi's
+    The primitives' checks that no domain input trips are dropped. B and C
+    lie inside the disk: px and rb are at most tanh(D_MAX / 2) < 1. psi's
     radius rb is 0 only for b = 5e-324, refused first as coincident or
-    collinear. omega's r2 is at least 2.5e-13 (at b, c -> D_MAX, alpha ->
-    ALPHA_EPS). B' lies beyond B: t is 1 / px to a few ulps, so (t - px) / px
-    >= sech^2(D_MAX / 2), about 8.2e-9. The collinearity bound |cross| <=
-    1e-12 px |C| is tested with the underflow guard as cross < _TINY: a
-    nonzero cross = px rb sin(alpha) is 1e6 times the bound or more.
+    collinear. omega's cx^2 + cy^2 - 1 is at least 2.5e-13 (at b, c -> D_MAX,
+    alpha -> ALPHA_EPS). As cross >= _TINY and cx's and cy's numerators are
+    below 1 and 2, |cx| < 4.5e307, |cy| < 9e307 and the radius, positive as
+    cx > px, is below 1.1e308; b_prime_point measures |B - center| as
+    hypot(px - cx, -cy), which is the radius bit for bit. B' lies beyond B:
+    t is 1 / px to a few ulps, so (t - px) / px >= sech^2(D_MAX / 2), about
+    8.2e-9. The collinearity bound |cross| <= 1e-12 px |C| is tested with the
+    underflow guard as cross < _TINY: a nonzero cross = px rb sin(alpha) is
+    1e6 times the bound or more.
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < _ALPHA_MAX):
         _check_figure1(b, c, alpha)
@@ -293,14 +296,11 @@ def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     rq = 0.5 * (1.0 + qx * qx + qy * qy)
     cx = rp * qy / cross
     cy = (px * rq - qx * rp) / cross
-    radius = math.sqrt(cx * cx + cy * cy - 1.0)
+    radius = math.hypot(cx - px, cy)
     # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j;
     # px > 0, since px = 0 fails the collinearity check
     t = 2.0 * cx - px
-    # the checks of omega and of b_prime_point: r2 is +inf or at least 2.5e-13, so a
-    # sum is finite only if every term is; the on-circle max(1.0, radius) is the conditional
-    if not (abs(math.hypot(px - cx, cy) - radius) <= 1e-9 * (radius if radius > 1.0 else 1.0)
-            and math.isfinite(cx + cy + radius) and t * t != math.inf):
+    if t * t == math.inf:
         _check_figure1(b, c, alpha)
     # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and
     # qx - t is nonzero, C being inside the disk and B' outside it
@@ -323,7 +323,7 @@ def optimal_alpha(b: float, c: float) -> OptimalTriangle:
     It is evaluated as alpha* = 2 atan(sqrt((1 - u) / (1 + u))), with 1 - u
     formed without cancellation, which stays accurate as u approaches 1.
     """
-    sol = _sas(b, c, None)
+    sol = _sas(b, c, _AT_MAXIMUM)
     return _new(OptimalTriangle, (sol[3], sol))
 
 

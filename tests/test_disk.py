@@ -433,7 +433,7 @@ class TestComplexHelpers:
         for v, p, _ in triples:
             want = _bits(lambda: ref(v, p))
             assert _bits(lambda: hyp_distance(v, p)) == want
-            assert _bits(lambda: disk._distance(v.z, p.z)) == want
+            assert _bits(lambda: disk._distance(v.z, p.z, disk._g(v.z), disk._g(p.z))) == want
             with mpmath.workdps(60):
                 vx, vy, px, py = (mpmath.mpf(x) for x in (*v, *p))
                 exact = 2 * mpmath.asinh(mpmath.sqrt(

@@ -33,6 +33,7 @@ from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
     _distance,
+    _g,
     direction_toward,
     hyp_distance,
     point_from_polar,
@@ -693,6 +694,10 @@ class TestSteinerMove:
         jitter = ((1.0, 0.1), (1.1, 1.9), (0.9, 3.0), (1.05, 4.6))
         zs = tuple(1e-10 * r * cmath.exp(1j * t) for r, t in jitter)
         n = len(zs)
+
+        def dist(p, q):
+            return _distance(p, q, _g(p), _g(q))
+
         poly = _measure(tuple(DiskPoint(z.real, z.imag) for z in zs))
         sides = poly.side_lengths
         for i in range(n):
@@ -703,12 +708,12 @@ class TestSteinerMove:
                 moved[k] = z
             s = sum(sides[k % n] for k in (i - 1, i, i + 1)) / 3
             for k in (i - 1, i, i + 1):
-                side = _distance(moved[k % n], moved[(k + 1) % n])
+                side = dist(moved[k % n], moved[(k + 1) % n])
                 assert abs(side - s) <= 4.5 * sys.float_info.epsilon * s
-            assert _distance(moved[(i + 2) % n], moved[i - 1]) == sides[(i + 2) % n]
-            diag = _distance(zs[i - 1], zs[(i + 2) % n])
+            assert dist(moved[(i + 2) % n], moved[i - 1]) == sides[(i + 2) % n]
+            diag = dist(zs[i - 1], zs[(i + 2) % n])
             bd_star = _cyclic_cross_diagonal(s, s, s, diag)
-            bd = _distance(moved[i], moved[(i + 2) % n])
+            bd = dist(moved[i], moved[(i + 2) % n])
             assert abs(bd - bd_star) <= 1e-12 * bd_star
 
 

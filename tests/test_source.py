@@ -96,6 +96,7 @@ def test_polygon_reads_four_private_disk_helpers():
     # the polygon core measures, walks and aims through these four alone;
     # the fan area takes its radii from _distance and its turns from _turn,
     # and each walk goes to a chart image (_step) aimed by one (_direction).
+    # _distance is handed each vertex's _g, formed once per function, and
     # _TINY is the floor the fan areas are held to, as every guard is
     tree = ast.parse((PACKAGE / "polygon.py").read_text())
     imported = {
@@ -105,7 +106,7 @@ def test_polygon_reads_four_private_disk_helpers():
         for alias in node.names
         if _is_private(alias.name)
     }
-    assert imported == {"_TINY", "_direction", "_distance", "_step", "_turn"}
+    assert imported == {"_TINY", "_direction", "_distance", "_g", "_step", "_turn"}
 
 
 def _parents(tree):

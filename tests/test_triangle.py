@@ -162,6 +162,13 @@ class TestSolveSas:
         with pytest.raises(DomainError):
             solve_sas(1.0, 1.0, math.pi)
 
+    def test_a_missing_apex_angle_is_refused_as_build_figure1_refuses_it(self):
+        # optimal_alpha selects its maximizer with a private sentinel, so None
+        # is an apex angle like any other and fails the comparison with floats
+        for kernel in (solve_sas, build_figure1):
+            with pytest.raises(TypeError):
+                kernel(1.0, 1.2, None)
+
     def test_solution_validation(self):
         with pytest.raises(DomainError):
             TriangleSolution(a=1, b=1, c=1, alpha=1.2, beta=1.2, gamma=1.2, area=0.1)
@@ -622,8 +629,9 @@ class TestConstruction:
     def test_b_next_to_the_center_builds_or_refuses_as_a_domain_error(self):
         # B = (tanh(c/2), 0) is never refused for being near the center: down
         # to |B| ~ 1e-154 the figure is built and 2 tau is the area to 50
-        # digits; below that B' or omega's radius overflows, a DomainError,
-        # until tanh(c/2) is subnormal and B, C and the center read collinear
+        # digits; below that B' squared overflows, or smaller still omega's
+        # cross product underflows, a DomainError, until tanh(c/2) is
+        # subnormal and B, C and the center read collinear
         mpmath = pytest.importorskip("mpmath")
         cs = [2e-12, *(10.0**-k for k in range(12, 324)), 5e-324]
         worst = 0.0
@@ -639,7 +647,7 @@ class TestConstruction:
                             assert "collinear" in str(exc)
                             continue
                         except DomainError:
-                            assert c < 1e-150, (b, c, alpha)
+                            assert c < 2e-154, (b, c, alpha)
                             continue
                         built += 1
                         mb, mc, ma = (mpmath.mpf(x) for x in (b, c, alpha))
@@ -711,7 +719,6 @@ class TestConstruction:
         assert {r for r in refusals if "sides" not in r and "apex angle" not in r} == {
             "DegenerateInputError: cannot build a geodesic through coincident points",
             "DegenerateInputError: B, C and the center are collinear: the triangle is degenerate",
-            "DomainError: circle radius must be positive and finite",
             "DomainError: B' lies too far out: its products overflow",
             "DomainError: points too near the center: the circle's products underflow",
         }
@@ -723,9 +730,11 @@ class TestConstruction:
         # bound: the corners keep r2 and (t - |B|) / |B| well above 0, and
         # refuse as collinear only at an exact zero
         inputs = _sas_domain_corners()
-        # the kept on-circle guard, a 1e-9 bound, comes closest to refusing
-        # with b and c in [8, 20] and alpha near either end; the last input
-        # is the closest of 2M such draws, at 0.710 of the bound
+        # b_prime_point's on-circle check, a 1e-9 bound, which the kernel no
+        # longer makes: omega's radius is hypot(cx - px, cy), the very value
+        # the check measures |B - center| as, so B lies on omega exactly. The
+        # draws take b and c in [8, 20] and alpha near either end; the last
+        # input read 0.710 of the bound when the radius was sqrt(cx^2 + cy^2 - 1)
         rng = np.random.default_rng(37)
         for _ in range(2000):
             b, c = rng.uniform(8.0, D_MAX, 2)
@@ -757,7 +766,81 @@ class TestConstruction:
         # t is 1 / px to a few ulps, so the gap is at least sech^2(D_MAX / 2)
         assert r2_min >= 1e-13
         assert gap_min >= 8e-9
-        assert on_circle_max <= 0.75
+        assert on_circle_max == 0.0
+
+    def test_tiny_figures_are_built_wherever_solve_sas_solves(self):
+        # omega's radius is its center's distance from B, which overflows for
+        # no triangle, so a figure is refused where solve_sas solves only when
+        # B' squared overflows (c below ~1.6e-154). Every built figure holds
+        # to 3 eps of 80 digits on the same B and C (2.4 measured): cx, the
+        # radius, B' (1 / |B|, the inversion of B) and tau, and cy relative to
+        # the terms of its numerator px rq - qx rp, which cancel at b = c with
+        # alpha small (ROADMAP item 25); 2 tau is the area to 3 eps (1.8)
+        mpmath = pytest.importorskip("mpmath")
+        eps = sys.float_info.epsilon
+        built = 0
+        for b in (1e-300, 1e-200, 1e-160, 1e-154, 1e-150, 1e-20, 1e-6, 1.0):
+            for c in (5e-324, 1e-310, 1e-300, 1e-160, 1e-154, 1e-150, 1e-12, 1.0):
+                for alpha in (1e-5, 1.0, 3.0):
+                    try:
+                        solve_sas(b, c, alpha)
+                    except DomainError:
+                        continue
+                    try:
+                        fig = build_figure1(b, c, alpha)
+                    except DomainError as exc:
+                        assert str(exc) == "B' lies too far out: its products overflow"
+                        assert c < 2e-154, (b, c, alpha)
+                        continue
+                    built += 1
+                    (cx, cy, radius), (t, _), tau = fig.omega, fig.b_prime, fig.tau
+                    with mpmath.workdps(80):
+                        px, qx, qy = (mpmath.mpf(x) for x in (fig.B.x, *fig.C))
+                        rp, rq = (1 + px * px) / 2, (1 + qx * qx + qy * qy) / 2
+                        want_cx = rp / px
+                        want_cy = (px * rq - qx * rp) / (px * qy)
+                        cy_scale = (px * rq + abs(qx) * rp) / (px * qy)
+                        want_radius = mpmath.hypot(want_cx - px, want_cy)
+                        bp = 1 / px
+                        want_tau = abs(mpmath.arg((mpmath.mpc(qx, qy) - bp) / -bp))
+                        mb, mc, ma = (mpmath.mpf(x) for x in (b, c, alpha))
+                        u = mpmath.tanh(mb / 2) * mpmath.tanh(mc / 2)
+                        area = 2 * mpmath.atan2(u * mpmath.sin(ma), 1 - u * mpmath.cos(ma))
+                        errors = (
+                            abs(cx - want_cx) / want_cx,
+                            abs(cy - want_cy) / cy_scale,
+                            abs(radius - want_radius) / want_radius,
+                            abs(t - bp) / bp,
+                            abs(tau - want_tau) / want_tau,
+                            abs(2 * tau - area) / area,
+                        )
+                    assert max(errors) <= 3 * eps, (b, c, alpha, errors)
+        # 25 of the 84 triangles solve_sas solves have B' overflow
+        assert built == 59
+
+    def test_omega_radius_at_the_far_corner(self):
+        # With b and c far out and alpha small, omega's cy cancels (ROADMAP
+        # item 25), and sqrt(cx^2 + cy^2 - 1), cancelling again as cx nears 1,
+        # left the radius 3.9e-4 relative off on these draws. As the center's
+        # distance from B it is off by the center's error and at most an ulp
+        # more (0.46 ulp measured), and by 9.3e-5 relative at worst
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(1000):
+            b, c = (float(x) for x in rng.uniform(10.0, D_MAX, 2))
+            alpha = float(10.0 ** rng.uniform(-6.0, 0.0))
+            fig = build_figure1(b, c, alpha)
+            cx, cy, radius = fig.omega
+            with mpmath.workdps(80):
+                px, qx, qy = (mpmath.mpf(x) for x in (fig.B.x, *fig.C))
+                rp, rq = (1 + px * px) / 2, (1 + qx * qx + qy * qy) / 2
+                want_cx, want_cy = rp / px, (px * rq - qx * rp) / (px * qy)
+                want = mpmath.hypot(want_cx - px, want_cy)
+                center_error = mpmath.hypot(cx - want_cx, cy - want_cy)
+                assert abs(radius - want) <= center_error + math.ulp(radius), (b, c, alpha)
+                worst = max(worst, float(abs(radius - want) / want))
+        assert worst <= 1.2e-4
 
     def test_kernel_and_primitives_agree_at_the_coincident_threshold(self):
         # build_figure1's coincident-points guard and disk._orthogonal_circle's
