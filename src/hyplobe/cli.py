@@ -167,8 +167,8 @@ def cmd_steiner(args) -> int:
 def cmd_isoperimetric(args) -> int:
     from . import polygon
 
-    if args.n_min < 3 or args.n_max < args.n_min:
-        raise DomainError("need 3 <= n-min <= n-max")
+    if args.n_max < args.n_min:  # an n-min below 3 is refused by the first row
+        raise DomainError("need n-min <= n-max")
     lines = ["n,area,deficit"]
     for n in range(args.n_min, args.n_max + 1):
         regular = polygon.regular_polygon_for_perimeter(n, args.perimeter)

@@ -54,6 +54,38 @@ from .errors import DegenerateInputError, DomainError, NonConvexError
 STEP_TOL = 1e-13
 
 
+# Each input rule has one owner, which every entry that takes such an input
+# calls, so a refusal reads the same wherever the input enters.
+def _vertex_count(n: int) -> int:
+    """n as an int: one that is not an int is a TypeError, and below 3 a DomainError."""
+    n = operator.index(n)
+    if n < 3:
+        raise DomainError("a polygon needs at least three vertices")
+    return n
+
+
+def _seed(seed: int) -> int:
+    """A seed of random.Random as an int: a negative one is a DomainError, and
+    then one that is not an int a TypeError, since Random would hash a float."""
+    if seed < 0:
+        raise DomainError("the seed must be a non-negative integer")
+    return operator.index(seed)
+
+
+def _positive(name: str, x: float) -> float:
+    """x, refused unless it is positive and finite."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite")
+    return x
+
+
+def _radius(name: str, r: float) -> float:
+    """r, refused outside (0, D_MAX / 2]."""
+    if not 0.0 < r <= D_MAX / 2:
+        raise DomainError(f"{name} outside (0, {D_MAX / 2}]")
+    return r
+
+
 class HyperbolicPolygon(
     namedtuple("HyperbolicPolygon", "vertices side_lengths interior_angles area")
 ):
@@ -93,8 +125,7 @@ class HyperbolicPolygon(
         vs = tuple(
             v if isinstance(v, DiskPoint) else DiskPoint(*map(_coordinate, v)) for v in vertices
         )
-        if len(vs) < 3:
-            raise DomainError("a polygon needs at least three vertices")
+        _vertex_count(len(vs))
         return _measure(vs)
 
 
@@ -361,12 +392,11 @@ def steiner_optimize(poly: HyperbolicPolygon, tol: float = 1e-8) -> SteinerResul
     centre a small polygon loses both on every move (see steiner_move): on
     octagons of circumradius 1e-6 carried 8 out, one move lost up to 1.3e-7
     of the area and drifted the perimeter 3.0e-7 (relative), and 0 of 5 runs
-    converged. tol must be positive and finite. A
-    window whose mean side exceeds D_MAX raises DomainError, as in
-    steiner_move.
+    converged. A tol that is not positive and finite is refused by
+    _positive, and a window whose mean side exceeds D_MAX raises DomainError,
+    as in steiner_move.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
+    _positive("tol", tol)
     trace, moves_rejected, sweeps = [], 0, 0
     n = poly.n
     worst = max_optimality_residual(poly)
@@ -445,28 +475,12 @@ def circumcircle_fit(poly: HyperbolicPolygon) -> CircumcircleFit:
 RegularPolygon = namedtuple("RegularPolygon", "circumradius side interior_angle perimeter area")
 
 
-def _regular_n(n: int) -> int:
-    """n as an int: a float is a TypeError, as for seeds, and n < 3 a DomainError."""
-    n = operator.index(n)
-    if n < 3:
-        raise DomainError("a regular polygon needs n >= 3")
-    return n
-
-
-def _regular_args(n: int, circumradius: float) -> tuple[int, float]:
-    """n as _regular_n checks it, then the circumradius, refused outside (0, D_MAX / 2]."""
-    n = _regular_n(n)
-    if not (0.0 < circumradius <= D_MAX / 2):
-        raise DomainError(f"circumradius outside (0, {D_MAX / 2}]")
-    return n, circumradius
-
-
 def regular_polygon(n: int, circumradius: float) -> RegularPolygon:
     """Circumradius R, side, interior angle, perimeter and area of the regular n-gon.
 
-    Raises TypeError on an n that is not an int, DomainError on n < 3 and
-    then on R outside (0, D_MAX / 2], and DegenerateInputError on an area
-    below _TINY, subnormal and bits short, as _measure does.
+    Refuses n through _vertex_count, then R through _radius, outside
+    (0, D_MAX / 2], and raises DegenerateInputError on an area below _TINY,
+    subnormal and bits short, as _measure does.
     The apothem cuts the central isosceles triangle (legs R, apex 2 pi / n)
     into two right triangles, so sinh(side / 2) = sinh(R) sin(pi / n) and the
     base angle beta satisfies cot(beta) = cosh(R) tan(pi / n). The polygon
@@ -476,7 +490,7 @@ def regular_polygon(n: int, circumradius: float) -> RegularPolygon:
     tan(area / 2) = h sin(apex) / (1 + 2 h sin^2(apex / 2)), h = sinh^2(R / 2).
     No term cancels, so the area keeps its relative accuracy for any n.
     """
-    n, R = _regular_args(n, circumradius)
+    n, R = _vertex_count(n), _radius("circumradius", circumradius)
     sin_half, cos_half = math.sin(math.pi / n), math.cos(math.pi / n)
     h = math.sinh(0.5 * R) ** 2
     side = 2.0 * math.asinh(math.sinh(R) * sin_half)
@@ -496,8 +510,8 @@ def regular_polygon(n: int, circumradius: float) -> RegularPolygon:
 
 def regular_polygon_vertices(n: int, circumradius: float) -> HyperbolicPolygon:
     """Explicit embedding of the regular polygon, centered at the origin; n and
-    the circumradius are checked as in regular_polygon."""
-    n, R = _regular_args(n, circumradius)
+    the circumradius are refused as in regular_polygon."""
+    n, R = _vertex_count(n), _radius("circumradius", circumradius)
     return HyperbolicPolygon.from_vertices(
         [point_from_polar(R, 2.0 * math.pi * k / n) for k in range(n)]
     )
@@ -507,17 +521,14 @@ def regular_polygon_for_perimeter(n: int, perimeter: float) -> RegularPolygon:
     """The regular n-gon with the given perimeter, as regular_polygon returns it.
 
     Inverts sinh(side / 2) = sinh(R) sin(pi / n) in closed form:
-    R = asinh(sinh(perimeter / 2n) / sin(pi / n)). Checks n as
-    regular_polygon does, then raises DomainError on a perimeter that is not
-    positive or whose half side exceeds D_MAX / 2; regular_polygon checks R.
+    R = asinh(sinh(perimeter / 2n) / sin(pi / n)). Refuses n through
+    _vertex_count, then a perimeter that is not positive and finite through
+    _positive, then the half side through _radius as a circumradius: R is at
+    least the half side, so an R the half side puts outside (0, D_MAX / 2]
+    is refused before sinh overflows; regular_polygon refuses the others.
     """
-    n = _regular_n(n)
-    if perimeter <= 0.0:
-        raise DomainError("perimeter must be positive")
-    half_side = perimeter / (2 * n)
-    # R >= side / 2, so this refuses every out-of-range case before sinh overflows
-    if not half_side <= D_MAX / 2:
-        raise DomainError("perimeter outside the representable range")
+    n = _vertex_count(n)
+    half_side = _radius("circumradius", _positive("perimeter", perimeter) / (2 * n))
     return regular_polygon(n, math.asinh(math.sinh(half_side) / math.sin(math.pi / n)))
 
 
@@ -525,14 +536,11 @@ def circle_for_circumference(L: float) -> tuple[float, float, float]:
     """(radius, circumference, area) of the hyperbolic circle of circumference L.
 
     The radius is r = asinh(L / 2 pi), and the area 2 pi (cosh r - 1) is
-    taken as 4 pi sinh^2(r / 2), which does not cancel. Raises DomainError
-    on an L that is not positive and finite, then on an r outside
-    (0, D_MAX / 2], and DegenerateInputError on an area below _TINY."""
-    if not 0.0 < L < math.inf:
-        raise DomainError("circumference must be positive and finite")
-    r = math.asinh(L / (2.0 * math.pi))
-    if not (0.0 < r <= D_MAX / 2):
-        raise DomainError(f"radius outside (0, {D_MAX / 2}]")
+    taken as 4 pi sinh^2(r / 2), which does not cancel. Refuses an L that is
+    not positive and finite through _positive, then an r outside
+    (0, D_MAX / 2] through _radius, and raises DegenerateInputError on an
+    area below _TINY."""
+    r = _radius("radius", math.asinh(_positive("circumference", L) / (2.0 * math.pi)))
     s = math.sinh(0.5 * r)
     area = 4.0 * math.pi * (s * s)
     if area < _TINY:
@@ -541,19 +549,13 @@ def circle_for_circumference(L: float) -> tuple[float, float, float]:
 
 
 def isoperimetric_deficit(L: float, A: float) -> float:
-    """L^2 - 4 pi A - A^2; nonnegative for admissible figures, zero for circles."""
-    if not (0.0 < L < math.inf and 0.0 < A < math.inf):
-        raise DomainError("perimeter and area must be positive and finite")
+    """L^2 - 4 pi A - A^2; nonnegative for admissible figures, zero for circles.
+    L, then A, is refused through _positive unless positive and finite."""
+    L, A = (_positive("perimeter and area", x) for x in (L, A))
     deficit = L * L - 4.0 * math.pi * A - A * A
     if not math.isfinite(deficit):  # L^2 or A^2 overflows
         raise DomainError(f"the deficit of perimeter {L} and area {A} overflows")
     return deficit
-
-
-def _check_seed(seed: int) -> None:
-    """The rule for a seed of random.Random: it must not be negative."""
-    if seed < 0:
-        raise DomainError("the seed must be a non-negative integer")
 
 
 def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
@@ -562,14 +564,12 @@ def random_convex_polygon(n: int, seed: int) -> HyperbolicPolygon:
     Klein convexity is Euclidean, and distinct points of an ellipse in
     parameter order are a convex counterclockwise polygon, so no draw is
     refused. The parameter gaps are exponential spacings above pi / (2n).
-    The seed is a non-negative integer; every number is drawn through
-    ``random()`` of ``random.Random(seed)``, whose stream Python keeps the
-    same across versions and platforms, so a seed always gives the same polygon.
+    n is refused through _vertex_count, then the seed through _seed. Every
+    number is drawn through ``random()`` of ``random.Random(seed)``, whose
+    stream Python keeps the same across versions and platforms, so a seed
+    always gives the same polygon.
     """
-    if n < 3:
-        raise DomainError("need n >= 3")
-    _check_seed(seed)
-    seed = operator.index(seed)  # Random would hash a float seed
+    n, seed = _vertex_count(n), _seed(seed)
     from random import Random  # loaded only by the commands that draw
 
     rng = Random(seed)

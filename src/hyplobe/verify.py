@@ -163,6 +163,19 @@ def check_metric_oracle(rng, samples: int) -> CheckResult:
     return _judge("metric-oracle", ("max |closed form - polyline|", worst, "<", 1e-13))
 
 
+def _measures(A, B, C) -> tuple[float, ...]:
+    """|AB|, |AC|, |BC|, the angles at A, B and C, and the area, pi minus
+    the angle sum."""
+    angles = (
+        disk.angle_at_vertex(A, B, C), disk.angle_at_vertex(B, A, C),
+        disk.angle_at_vertex(C, A, B),
+    )
+    return (
+        disk.hyp_distance(A, B), disk.hyp_distance(A, C), disk.hyp_distance(B, C),
+        *angles, math.pi - sum(angles),
+    )
+
+
 def check_isometry_invariance(rng, samples: int) -> CheckResult:
     count = max(10, samples // 2)
     worst = 0.0
@@ -176,24 +189,9 @@ def check_isometry_invariance(rng, samples: int) -> CheckResult:
         m = disk.DiskIsometry(
             disk.DiskPoint(r * math.cos(t), r * math.sin(t)), rng.uniform(0.0, 2.0 * math.pi)
         )
-        A2, B2, C2 = m(A), m(B), m(C)
-        angles = (
-            disk.angle_at_vertex(A, B, C), disk.angle_at_vertex(B, A, C),
-            disk.angle_at_vertex(C, A, B),
-        )
-        angles2 = (
-            disk.angle_at_vertex(A2, B2, C2), disk.angle_at_vertex(B2, A2, C2),
-            disk.angle_at_vertex(C2, A2, B2),
-        )
         # the triangle's area, pi minus its angle sum, must not drift either
-        worst = max(
-            worst,
-            abs(disk.hyp_distance(A, B) - disk.hyp_distance(A2, B2)),
-            abs(disk.hyp_distance(A, C) - disk.hyp_distance(A2, C2)),
-            abs(disk.hyp_distance(B, C) - disk.hyp_distance(B2, C2)),
-            *(abs(x - y) for x, y in zip(angles, angles2)),
-            abs((math.pi - sum(angles)) - (math.pi - sum(angles2))),
-        )
+        moved = _measures(m(A), m(B), m(C))
+        worst = max(worst, *(abs(x - y) for x, y in zip(_measures(A, B, C), moved)))
     return _judge("isometry-invariance", ("max measurement drift", worst, "<", 1e-10))
 
 
@@ -220,10 +218,9 @@ def check_polar_round_trip(rng, samples: int) -> CheckResult:
 
 def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list[CheckResult]:
     """Run every check with independent seeded streams; deterministic per seed."""
-    polygon._check_seed(seed)
+    seed = polygon._seed(seed)
     if samples < 1:
         raise DomainError("samples must be at least 1")
-    seed = operator.index(seed)  # Random would hash a float seed
     checks = [
         partial(check_area_equivalence, fault=fault), check_theorem1_grid,
         check_certificates, check_euclidean_limit, check_inversion_identity,

@@ -280,9 +280,12 @@ class TestSteinerCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_input_exit_2(self, tmp_path):
+        # refused by the vertex-count owner before the run writes anything
         res = run_cli("steiner", "--n", "2", "--seed", "0",
                       "--trace-csv", str(tmp_path / "t.csv"))
-        assert res.returncode == 2
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: a polygon needs at least three vertices\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_exit_2(self, tmp_path):
         res = run_cli("steiner", "--n", "6", "--seed", "-1",
@@ -290,15 +293,12 @@ class TestSteinerCommand:
         assert res.returncode == 2
         assert res.stderr == "error: the seed must be a non-negative integer\n"
 
-    @pytest.mark.parametrize("option, value, message", [
-        ("--tol", "nan", "tol must be positive and finite"),
-        ("--tol", "inf", "tol must be positive and finite"),
-    ])
-    def test_bad_tol_and_sweeps_exit_2(self, tmp_path, option, value, message):
-        res = run_cli("steiner", "--n", "6", "--seed", "3", option, value,
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_tol_exit_2(self, tmp_path, value):
+        res = run_cli("steiner", "--n", "6", "--seed", "3", "--tol", value,
                       "--trace-csv", str(tmp_path / "t.csv"))
-        assert res.returncode == 2
-        assert res.stderr == f"error: {message}\n"
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == "error: tol must be positive and finite\n"
 
     def test_max_sweeps_is_an_unknown_option(self, tmp_path):
         # a run stops on its residual alone, so there is no sweep cap to set
@@ -349,8 +349,16 @@ class TestIsoperimetricCommand:
         assert "area is subnormal" in res.stderr
 
     def test_bad_range_exit_2(self):
-        assert run_cli("isoperimetric", "--n-min", "2", "--perimeter", "5").returncode == 2
-        assert run_cli("isoperimetric", "--perimeter", "1e9").returncode == 2
+        for argv, message in [
+            # an n-min below 3 is refused by the vertex-count owner in the first row
+            (["--n-min", "2", "--perimeter", "5"], "a polygon needs at least three vertices"),
+            # R is at least the half side 1e9 / 6
+            (["--perimeter", "1e9"], "circumradius outside (0, 10.0]"),
+            (["--n-min", "5", "--n-max", "4", "--perimeter", "5"], "need n-min <= n-max"),
+        ]:
+            res = run_cli("isoperimetric", *argv)
+            assert (res.returncode, res.stdout) == (2, ""), argv
+            assert res.stderr == f"error: {message}\n", argv
 
 
 class TestVerifyCommand:

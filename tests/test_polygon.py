@@ -28,7 +28,7 @@ from hyplobe import (
     steiner_move,
     steiner_optimize,
 )
-from hyplobe import oracle
+from hyplobe import oracle, verify
 from hyplobe.disk import (
     ORIGIN,
     DiskIsometry,
@@ -1450,7 +1450,7 @@ class TestRegularPolygons:
 
     def test_argument_validation(self):
         for make in (regular_polygon, regular_polygon_vertices):
-            with pytest.raises(DomainError, match="needs n >= 3"):
+            with pytest.raises(DomainError, match="a polygon needs at least three vertices"):
                 make(2, 1.0)
             for R in (0.0, -1.0, 11.0, math.nan):
                 with pytest.raises(DomainError, match="circumradius outside"):
@@ -1588,3 +1588,67 @@ class TestRandomPolygon:
             for seed in [*range(50), *drawn]:
                 result = steiner_optimize(random_convex_polygon(n, seed))
                 assert result.converged, (n, seed)
+
+
+def _refusals():
+    """(entry, arguments, class, message) for every public entry that takes a
+    vertex count, a seed, a positive quantity or a radius, fed the same bad
+    values: each rule has one owner in polygon, so the refusal is the same
+    wherever the input enters."""
+    count = (DomainError, "a polygon needs at least three vertices")
+    not_an_int = (TypeError, "'float' object cannot be interpreted as an integer")
+    seed = (DomainError, "the seed must be a non-negative integer")
+
+    def positive(name):
+        return DomainError, f"{name} must be positive and finite"
+
+    def radius(name):
+        return DomainError, f"{name} outside (0, 10.0]"
+
+    poly = random_convex_polygon(5, 1)
+    rows = [(HyperbolicPolygon.from_vertices, ([DiskPoint(0.1, 0.0), DiskPoint(0.0, 0.1)],),
+             *count)]
+    for n, refusal in ((2, count), (2.5, not_an_int), (3.0, not_an_int)):
+        rows += [
+            (random_convex_polygon, (n, 0), *refusal),
+            (regular_polygon, (n, 1.0), *refusal),
+            (regular_polygon_vertices, (n, 1.0), *refusal),
+            (regular_polygon_for_perimeter, (n, 5.0), *refusal),
+        ]
+    for bad_seed, refusal in ((-1, seed), (0.5, not_an_int)):
+        rows += [
+            (random_convex_polygon, (6, bad_seed), *refusal),
+            (verify.run_all, (1, bad_seed), *refusal),
+        ]
+    for x in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        rows += [
+            (regular_polygon_for_perimeter, (4, x), *positive("perimeter")),
+            (circle_for_circumference, (x,), *positive("circumference")),
+            (isoperimetric_deficit, (x, 1.0), *positive("perimeter and area")),
+            (isoperimetric_deficit, (1.0, x), *positive("perimeter and area")),
+            (steiner_optimize, (poly, x), *positive("tol")),
+        ]
+    # radii 0 and 11, given or reached: a perimeter whose half side, which R is
+    # at least, underflows to 0 or is 11, and a circumference 2 pi sinh(r)
+    for r, perimeter, circumference in ((0.0, 5e-324, 5e-324),
+                                        (11.0, 88.0, 2.0 * math.pi * math.sinh(11.0))):
+        rows += [
+            (regular_polygon, (5, r), *radius("circumradius")),
+            (regular_polygon_vertices, (5, r), *radius("circumradius")),
+            (regular_polygon_for_perimeter, (4, perimeter), *radius("circumradius")),
+            (circle_for_circumference, (circumference,), *radius("radius")),
+        ]
+    return [
+        pytest.param(entry, args, cls, message, id=f"{entry.__name__}({labels})")
+        for entry, args, cls, message in rows
+        for labels in [",".join(
+            repr(a) if isinstance(a, (int, float)) else type(a).__name__ for a in args
+        )]
+    ]
+
+
+@pytest.mark.parametrize("entry, args, cls, message", _refusals())
+def test_each_input_rule_refuses_alike_at_every_entry(entry, args, cls, message):
+    with pytest.raises(cls) as info:
+        entry(*args)
+    assert (type(info.value), str(info.value)) == (cls, message)

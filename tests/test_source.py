@@ -298,3 +298,42 @@ def test_build_figure1_refuses_through_the_composition():
         if isinstance(node, ast.FunctionDef) and node.name == "build_figure1"
     ]
     assert [node.lineno for node in ast.walk(kernel) if isinstance(node, ast.Raise)] == []
+
+
+def _enclosing_function(node, parents):
+    """The name of the innermost function around node, or None at module level."""
+    while id(node) in parents:
+        node = parents[id(node)]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name
+    return None
+
+
+def test_each_input_rule_is_decided_by_its_owner():
+    # a vertex count (at least 3), a positive and finite quantity (below
+    # math.inf) and a radius (at most D_MAX / 2) are each decided by one
+    # comparison in polygon, in the rule's owner, which every entry calls; and
+    # only the seed owner turns a seed into an int, after refusing a negative one
+    orderings = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    bounds = {"3", "math.inf", "D_MAX / 2"}
+    compares, seeds = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = _parents(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare) and path.stem in ("polygon", "cli")
+                    and any(isinstance(op, orderings) for op in node.ops)):
+                compares += [
+                    (path.stem, _enclosing_function(node, parents), ast.unparse(operand))
+                    for operand in [node.left, *node.comparators]
+                    if ast.unparse(operand) in bounds
+                ]
+            elif (isinstance(node, ast.Call) and _spelled(node.func) == "index"
+                  and any("seed" in ast.unparse(arg) for arg in node.args)):
+                seeds.append((path.stem, _enclosing_function(node, parents)))
+    assert sorted(compares) == [
+        ("polygon", "_positive", "math.inf"),
+        ("polygon", "_radius", "D_MAX / 2"),
+        ("polygon", "_vertex_count", "3"),
+    ]
+    assert seeds == [("polygon", "_seed")]
