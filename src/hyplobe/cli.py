@@ -76,8 +76,6 @@ def cmd_triangle(args) -> int:
         "solution": sol._asdict(),
         "figure": {**fig._asdict(), "omega": fig.omega._asdict(), "psi": fig.psi._asdict()},
         "area_defect": sol.area,
-        "area_two_tau": 2.0 * fig.tau,
-        "defect_minus_two_tau": sol.area - 2.0 * fig.tau,
     }
     _write_json(report, args.output)
     return 0

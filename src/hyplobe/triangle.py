@@ -15,16 +15,12 @@ subtractions. Side a comes from the half-sinh law of cosines, a sum of
 squares, and with u = tanh(b/2) tanh(c/2) the area from
 tan(area/2) = u sin(alpha) / (1 - u cos(alpha)); the maximizing apex angle
 is arccos(u), and the base angles come from the atan2 form of the four-part
-formula. build_figure1's B, C, omega's cx and B', the far root of a
-quadratic taken through Vieta's sum, hold to 6.4e-16 relative, but near the
-far corner (b, c toward D_MAX, alpha small) px rq - qx rp and t - qx
-cancel, with t and qx near 1. Against 60-digit mpmath on 1,000 draws with
-b, c in [10, 20] and alpha log-uniform in [1e-6, 1], cy is off by up to
-4.7e-4 relative and tau by 4.4e-10. omega's radius, the center's distance
-from B, is off by the center's error and at most an ulp more: 1.23e-4
-relative at (17.75151285041243, 17.602277432969405, 1.0062372029023055e-06),
-where cy is 1.24e-4 off; at b = 18, c = 20 and alpha*, tau's 4.5e-13
-relative error is the whole of the certificate's 7.02e-13 residual.
+formula. build_figure1 takes Figure 1 from closed forms in the same u (see
+build_figure1), and 2 tau is solve_sas's area bit for bit. Against 80-digit
+mpmath of the exact construction from (b, c, alpha), every field holds to
+5 eps, cy relative to the sum of its two terms: on 2,000 draws with sides
+log-uniform on [1e-6, 20], on 1,000 at the far corner (b, c in [10, 20],
+alpha log-uniform in [1e-6, 1]) and on 1,000 with b = c or nearly.
 
 The four kernels, solve_sas, build_figure1, optimal_alpha and
 optimality_certificate, are straight-line float code: each record is built
@@ -32,9 +28,10 @@ once, in its final form, no value is computed twice, and each check is an
 inline comparison that calls its helper only on the failing path, so the
 order, class and message of every refusal are the helper's: for _sas, which
 solve_sas and optimal_alpha share, _check_sas_domain and _check_solution;
-for build_figure1, which evaluates the public primitives' formulas for B on
-the positive x-axis, that composition itself (_check_figure1). Tests pin
-each kernel to its composition, bit for bit and refusal for refusal.
+for build_figure1, _check_sas_domain, _sas's floor and _check_b_prime.
+Tests pin the other three to their compositions, bit for bit and refusal for
+refusal; verify reads the public composition (embed_triangle, omega_circle,
+b_prime_point, tau_angle) as build_figure1's independent witness.
 
 Degeneracy has one rule, shared with the polygon path: coincidence is
 relative (disk._COINCIDENT_TOL times the larger length), and a value below
@@ -43,9 +40,8 @@ angle sum, which rounds to pi on tiny triangles, is not judged. Corner
 probes of the SAS domain find refusals of tiny triangles only: from _sas
 where the area or an angle is below the floor (both sides below ~2.3e-154
 at alpha = 1, ~6.7e-153 at alpha = 1e-3 and ~2.1e-151 at the smallest apex
-angle; one below ~6e-308 against 1); from build_figure1 where B' squared
-overflows (c below ~1.6e-154), px * qy is below the floor (both below
-~3e-151) or 0, collinear, or B and C round to one point.
+angle; one below ~6e-308 against 1); from build_figure1 where the area is
+below it, or where B' squared overflows (c below ~1.6e-154).
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .disk import _COINCIDENT_TOL, _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
+from .disk import _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
 from .disk import _orthogonal_circle, point_from_polar
 from .errors import DegenerateInputError, DomainError
 
@@ -213,8 +209,7 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     near the center, or BC nearly through it); the textbook root
     m + sqrt(m^2 - power) also cancels as B approaches the boundary. Since
     omega is orthogonal to the unit circle, power is 1 and the result
-    coincides with the inversion of B in the unit circle (checked by tests,
-    not used here).
+    coincides with the inversion of B in the unit circle, build_figure1's B'.
     """
     bx, by = B
     cx, cy, radius = omega
@@ -232,12 +227,16 @@ def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
     t = 2.0 * m - nb  # the root beyond B
     if t <= nb:
         raise DegenerateInputError("line AB does not meet the circle twice")
-    # t, about 1/|B|, is finite for every |B| > 0, but below |B| ~ 1e-154 its
-    # square overflows, and tau with it (to a tau of 0)
-    if t * t == math.inf:
-        raise DomainError("B' lies too far out: its products overflow")
+    _check_b_prime(t)
     w = t * direction
     return (w.real, w.imag)
+
+
+def _check_b_prime(t: float) -> None:
+    """B' at t from the center: t, about 1/|B|, is finite for every |B| > 0,
+    but below |B| ~ 1e-154 its square overflows, and tau_angle with it (to 0)."""
+    if t * t == math.inf:
+        raise DomainError("B' lies too far out: its products overflow")
 
 
 def _euclidean_angle(vx: float, vy: float, px: float, py: float, qx: float, qy: float) -> float:
@@ -252,62 +251,53 @@ def tau_angle(fig: Figure1) -> float:
     return _euclidean_angle(*fig.b_prime, *fig.A, *fig.C)
 
 
-def _check_figure1(b: float, c: float, alpha: float) -> None:
-    """build_figure1's refusals: the composition's checks, up to B', in order."""
-    _, B, C = embed_triangle(b, c, alpha)
-    b_prime_point(B, omega_circle(B, C))
-
-
 def build_figure1(b: float, c: float, alpha: float) -> Figure1:
-    """Assemble the whole construction for the triangle (b, c, alpha).
+    """Assemble the whole construction for the triangle (b, c, alpha), in closed form.
 
-    The composition of embed_triangle, omega_circle, b_prime_point and
-    tau_angle for B = (px, 0.0); its refusals are the composition's, run when
-    a check fails. A product with B's zero y-coordinate is a signed zero, and
-    adding or subtracting one leaves a nonzero value unchanged, so those terms
-    are dropped; the comments say why a zero result is safe too.
+    With px = tanh(c/2), rb = tanh(b/2) and u = px rb: B = (px, 0) and
+    C = rb e^{i alpha}, as embed_triangle places them; B' = (1/px, 0), the
+    inversion of B; omega's center solves 2 center.P = 1 + |P|^2 at P = B
+    and P = C, so cx = (px + 1/px)/2 and
+    cy = ((px - rb)(1 - u)/(2u) + 2 cx sin^2(alpha/2)) / sin(alpha), with
+    px - rb = sinh((c - b)/2) sech(b/2) sech(c/2), which does not cancel at
+    b = c; the radius is hypot(cx - px, cy), cx - px = (1 - px)(1 + px)/(2 px)
+    with 1 - px = 2/(e^c + 1), as _sas forms 1 - u; and
+    tau = atan2(u sin(alpha), (1 - u) + 2 u sin^2(alpha/2)), formed as _sas
+    forms the half area, so that 2 tau is solve_sas's area bit for bit.
 
-    The primitives' checks that no domain input trips are dropped. B and C
-    lie inside the disk: px and rb are at most tanh(D_MAX / 2) < 1. psi's
-    radius rb is 0 only for b = 5e-324, refused first as coincident or
-    collinear. omega's cx^2 + cy^2 - 1 is at least 2.5e-13 (at b, c -> D_MAX,
-    alpha -> ALPHA_EPS). As cross >= _TINY and cx's and cy's numerators are
-    below 1 and 2, |cx| < 4.5e307, |cy| < 9e307 and the radius, positive as
-    cx > px, is below 1.1e308; b_prime_point measures |B - center| as
-    hypot(px - cx, -cy), which is the radius bit for bit. B' lies beyond B:
-    t is 1 / px to a few ulps, so (t - px) / px >= sech^2(D_MAX / 2), about
-    8.2e-9. The collinearity bound |cross| <= 1e-12 px |C| is tested with the
-    underflow guard as cross < _TINY: a nonzero cross = px rb sin(alpha) is
-    1e6 times the bound or more.
+    It refuses through the owners of the rules: the SAS domain, an area below
+    the normal floor (before 1/px and 1/u, which a subnormal side makes
+    infinite) and B' squared overflowing, where c is below ~1.6e-154.
     """
     if not (0.0 < b <= D_MAX and 0.0 < c <= D_MAX and ALPHA_EPS < alpha < _ALPHA_MAX):
-        _check_figure1(b, c, alpha)
+        _check_sas_domain(b, c, alpha)
     px = math.tanh(0.5 * c)
     rb = math.tanh(0.5 * b)
-    qx = rb * math.cos(alpha)
-    qy = rb * math.sin(alpha)
-    # omega: disk._orthogonal_circle(B, C) with B = (px, 0.0), where hypot(px, 0.0) is px;
-    # its guards measure as here, relative to the larger of |B| and |C|
-    nq = math.hypot(qx, qy)
-    cross = px * qy  # px, qy >= 0; a zero is collinear whatever its sign
-    if math.hypot(qx - px, qy) <= _COINCIDENT_TOL * (px if px > nq else nq) or cross < _TINY:
-        _check_figure1(b, c, alpha)
-    rp = 0.5 * (1.0 + px * px)
-    rq = 0.5 * (1.0 + qx * qx + qy * qy)
-    cx = rp * qy / cross
-    cy = (px * rq - qx * rp) / cross
-    radius = math.hypot(cx - px, cy)
-    # B': b_prime_point(B, omega), where |B| = px and AB's direction is 1 + 0j;
-    # px > 0, since px = 0 fails the collinearity check
-    t = 2.0 * cx - px
+    u = rb * px
+    ec = math.exp(c) + 1.0
+    one_minus_rb = 2.0 / (math.exp(b) + 1.0)
+    one_minus_u = one_minus_rb + rb * 2.0 / ec
+    half_sin = math.sin(0.5 * alpha)
+    one_minus_cos = 2.0 * half_sin * half_sin
+    sin_alpha = math.sin(alpha)
+    tau = math.atan2(u * sin_alpha, one_minus_u + u * one_minus_cos)
+    if not 2.0 * tau >= _TINY:
+        _sas(b, c, alpha)  # refused by its floor: its area is 2 tau
+    t = 1.0 / px
     if t * t == math.inf:
-        _check_figure1(b, c, alpha)
-    # tau_angle at (t, 0.0): abs loses the sign of a zero numerator, and
-    # qx - t is nonzero, C being inside the disk and B' outside it
-    tau = abs(math.atan2(-t * qy, -t * (qx - t)))
+        _check_b_prime(t)
+    cx = 0.5 * (px + t)
+    sech2_c = 2.0 / ec * (1.0 + px)
+    # px - rb from sinh((c - b)/2), c - b = d + e exactly (Knuth's TwoSum); e enters
+    # to first order, as cosh(d/2) sech(b/2) sech(c/2) e/2 = (1 - u) e/2
+    d = c - b
+    e = (c - (d + (c - d))) - (b - (c - d))
+    sech_bc = math.sqrt(one_minus_rb * (1.0 + rb) * sech2_c)
+    px_minus_rb = math.sinh(0.5 * d) * sech_bc + 0.5 * e * one_minus_u
+    cy = (px_minus_rb * one_minus_u / (2.0 * u) + cx * one_minus_cos) / sin_alpha
     B = _new(DiskPoint, (px, 0.0))
-    C = _new(DiskPoint, (qx, qy))
-    omega = _new(EuclideanCircle, (cx, cy, radius))
+    C = _new(DiskPoint, (rb * math.cos(alpha), rb * sin_alpha))
+    omega = _new(EuclideanCircle, (cx, cy, math.hypot(sech2_c / (2.0 * px), cy)))
     psi = _new(EuclideanCircle, (0.0, 0.0, rb))
     return _new(Figure1, (ORIGIN, B, C, omega, psi, (t, 0.0), tau))
 

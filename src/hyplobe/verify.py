@@ -56,14 +56,22 @@ def _random_sides_angles(rng, count: int):
     return bs, cs, alphas
 
 
+def _composed_figure1(b: float, c: float, alpha: float) -> triangle.Figure1:
+    """Figure 1 but psi and tau from the public primitives, build_figure1's witness."""
+    A, B, C = triangle.embed_triangle(b, c, alpha)
+    omega = triangle.omega_circle(B, C)
+    return triangle.Figure1(A, B, C, omega, None, triangle.b_prime_point(B, omega), None)
+
+
 def check_area_equivalence(rng, samples: int, fault: str | None = None) -> CheckResult:
-    """Defect area equals twice the Euclidean tau angle of the construction."""
+    """Defect area equals twice the Euclidean tau angle, the kernel's and the composition's."""
     worst = 0.0
     for b, c, alpha in zip(*_random_sides_angles(rng, samples)):
-        sol = triangle.solve_sas(b, c, alpha)
-        fig = triangle.build_figure1(b, c, alpha)
-        tau = -fig.tau if fault == FAULT_TAU_SIGN else fig.tau
-        worst = max(worst, abs(sol.area - 2.0 * tau))
+        area = triangle.solve_sas(b, c, alpha).area
+        tau = triangle.build_figure1(b, c, alpha).tau
+        tau = -tau if fault == FAULT_TAU_SIGN else tau
+        for t in (tau, triangle.tau_angle(_composed_figure1(b, c, alpha))):
+            worst = max(worst, abs(area - 2.0 * t))
     return _judge("area-equivalence", ("max |defect - 2 tau|", worst, "<", 1e-9))
 
 
@@ -134,11 +142,12 @@ def check_euclidean_limit(rng, samples: int) -> CheckResult:
 
 
 def check_inversion_identity(rng, samples: int) -> CheckResult:
-    """|B| |B'| = 1: the power of the center with respect to omega."""
+    """|B| |B'| = 1, the power of the center with respect to omega, on both figures."""
     worst = 0.0
     for b, c, alpha in zip(*_random_sides_angles(rng, samples)):
         fig = triangle.build_figure1(b, c, alpha)
-        worst = max(worst, abs(math.hypot(*fig.B) * math.hypot(*fig.b_prime) - 1.0))
+        for b_prime in (fig.b_prime, _composed_figure1(b, c, alpha).b_prime):
+            worst = max(worst, abs(math.hypot(*fig.B) * math.hypot(*b_prime) - 1.0))
     return _judge("inversion-identity", ("max | |B||B'| - 1 |", worst, "<", 1e-10))
 
 
@@ -219,6 +228,7 @@ def check_polar_round_trip(rng, samples: int) -> CheckResult:
 def run_all(samples: int = 200, seed: int = 0, fault: str | None = None) -> list[CheckResult]:
     """Run every check with independent seeded streams; deterministic per seed."""
     seed = polygon._seed(seed)
+    samples = operator.index(samples)
     if samples < 1:
         raise DomainError("samples must be at least 1")
     checks = [

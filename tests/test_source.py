@@ -126,7 +126,7 @@ def test_the_coincidence_bound_is_relative_everywhere():
                 parent = parents[id(node)]
                 relative = isinstance(parent, ast.BinOp) and isinstance(parent.op, ast.Mult)
                 reads.append((module, node.lineno, relative))
-    assert {module for module, _, _ in reads} == {"disk", "triangle"}
+    assert {module for module, _, _ in reads} == {"disk"}
     assert all(relative for _, _, relative in reads), reads
 
 
@@ -289,9 +289,10 @@ def test_every_refusal_message_has_one_owner():
     assert {m: where for m, where in sites.items() if len(where) > 1} == {}
 
 
-def test_build_figure1_refuses_through_the_composition():
+def test_build_figure1_refuses_through_the_owners_of_its_rules():
     # the kernel checks inline, but a failing check hands its input to the
-    # composition it mirrors, whose refusal is raised: the kernel raises nothing
+    # function that owns the rule (_check_sas_domain, _sas's floor,
+    # _check_b_prime), whose refusal is raised: the kernel raises nothing
     tree = ast.parse((PACKAGE / "triangle.py").read_text())
     (kernel,) = [
         node for node in tree.body

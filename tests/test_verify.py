@@ -50,6 +50,18 @@ class TestChecksOnEitherStream:
             with pytest.raises(DomainError, match="samples"):
                 verify.run_all(samples=samples, seed=0)
 
+    def test_run_all_refuses_a_non_integer_sample_count_before_any_check(self, monkeypatch):
+        # range(1.5) would raise only in a later check, after the first ran
+        def check(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in dir(verify):
+            if name.startswith("check_"):
+                monkeypatch.setattr(verify, name, check)
+        for samples in (1.5, 1.0, "2"):
+            with pytest.raises(TypeError):
+                verify.run_all(samples=samples, seed=0)
+
     def test_every_seed_passes_at_the_benchmark_size(self):
         # bench/inputs.py's cli-cold requests run verify with 50 samples at
         # a random seed, and a seed that tips one check over its bound reads
@@ -73,6 +85,7 @@ FAULTS = {
     "alpha-star": (
         triangle, "optimal_alpha", "alpha_star", 1e-12, ["theorem1-grid-cross-check"]
     ),
+    "figure1-tau": (triangle, "build_figure1", "tau", 1e-9, ["area-equivalence"]),
     "hyp-distance": (disk, "hyp_distance", None, 1e-13, ["metric-oracle", "polar-round-trip"]),
     "polygon-area": (polygon, "random_convex_polygon", "area", 0.5, ["deficit-nonnegativity"]),
 }
