@@ -26,9 +26,8 @@ _EXPORTS = {
         "regular_polygon_vertices", "steiner_move", "steiner_optimize",
     ),
     "triangle": (
-        "ALPHA_EPS", "Figure1", "TriangleSolution", "b_prime_point", "build_figure1",
-        "embed_triangle", "omega_circle", "optimal_alpha", "optimality_certificate",
-        "solve_sas", "tau_angle",
+        "ALPHA_EPS", "Figure1", "TriangleSolution", "build_figure1", "optimal_alpha",
+        "optimality_certificate", "solve_sas",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -2,13 +2,13 @@
 the grid cross-check that ``optimize`` prints.
 
 No solver or certificate calls them: these routines re-derive quantities by
-grid search, chord sums along the geodesic, or Euclidean small-scale limits
-so that the primary implementations can be judged against them. The metric
-oracle samples each geodesic where it is straight, on its Klein-model chord,
-so a few dozen segments give the distance to about an ulp. The apex-angle
-grid search bisects the grid for the first point not below its successor,
-on the points where ``numpy.linspace`` would put them. Everything here is
-pure Python and the standard library: nothing imports numpy.
+grid search, chord sums along the geodesic, Euclidean small-scale limits or
+Figure 1 step by step, so the primary implementations can be judged against
+them. The metric oracle samples each geodesic where it is straight, on its
+Klein-model chord, so a few dozen segments give the distance to about an ulp.
+The apex-angle grid search bisects the grid for the first point not below its
+successor, on the points where ``numpy.linspace`` would put them. Everything
+here is pure Python and the standard library: nothing imports numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import operator
 from collections import namedtuple
 from itertools import accumulate, repeat
 
-from .disk import _TINY, D_MAX, DiskPoint, _check_ends, direction_toward
-from .errors import DomainError
-from .triangle import ALPHA_EPS, _check_sas_domain
+from .disk import _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle, _check_ends
+from .disk import _orthogonal_circle, direction_toward, point_from_polar
+from .errors import DegenerateInputError, DomainError
+from .triangle import ALPHA_EPS, Figure1, _check_b_prime, _check_sas_domain
 
 
 GridSearchResult = namedtuple("GridSearchResult", "alpha_hat area_hat grid_step")
@@ -213,3 +214,72 @@ def curvature_corrected_side(b: float, c: float, alpha: float) -> float:
     """
     a_flat = euclidean_limit_triangle(b, c, alpha).a
     return math.sqrt(a_flat * a_flat + (b * c * math.sin(alpha)) ** 2 / 3.0)
+
+
+def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
+    """Place the triangle with A at the center, B on the positive x-axis."""
+    _check_sas_domain(b, c, alpha)
+    return ORIGIN, point_from_polar(c, 0.0), point_from_polar(b, alpha)
+
+
+def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
+    """The Euclidean circle containing the geodesic BC (A at the center)."""
+    circle = _orthogonal_circle(B, C)
+    if circle is None:
+        raise DegenerateInputError("B, C and the center are collinear: the triangle is degenerate")
+    return circle
+
+
+def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
+    """Second intersection of the Euclidean line through the center and B with omega.
+
+    Points of the line are t * B / |B|; they lie on omega where
+    t^2 - 2 m t + power = 0, with m the projection of omega's center on the
+    line and power = |center|^2 - radius^2. B itself is the root t = |B|, so
+    by Vieta's sum the far root is 2 m - |B|. This needs neither a square
+    root nor the power, which cancels when omega's center lies far out (B
+    near the center, or BC nearly through it); the textbook root
+    m + sqrt(m^2 - power) also cancels as B approaches the boundary. Since
+    omega is orthogonal to the unit circle, power is 1 and the result
+    coincides with the inversion of B in the unit circle, build_figure1's B'.
+    """
+    bx, by = B
+    cx, cy, radius = omega
+    nb = math.hypot(bx, by)
+    if nb == 0.0:
+        raise DegenerateInputError("B at the center: the line AB is undefined")
+    # rounding in |B - center| grows like eps * radius, and omega's radius
+    # grows without bound as B nears the center or BC nears a diameter
+    if abs(math.hypot(bx - cx, by - cy) - radius) > 1e-9 * max(1.0, radius):
+        raise DomainError("B does not lie on the given circle")
+    direction = complex(bx, by) / nb
+    m = (direction.conjugate() * complex(cx, cy)).real
+    t = 2.0 * m - nb  # the root beyond B
+    if t <= nb:
+        raise DegenerateInputError("line AB does not meet the circle twice")
+    _check_b_prime(t)
+    w = t * direction
+    return (w.real, w.imag)
+
+
+def _euclidean_angle(vx: float, vy: float, px: float, py: float, qx: float, qy: float) -> float:
+    """Unsigned Euclidean angle at (vx, vy) between the rays to (px, py) and (qx, qy)."""
+    x1, y1 = px - vx, py - vy
+    x2, y2 = qx - vx, qy - vy
+    return abs(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2))
+
+
+def tau_angle(fig: Figure1) -> float:
+    """Euclidean angle at B' in the Euclidean triangle A-B'-C."""
+    return _euclidean_angle(*fig.b_prime, *fig.A, *fig.C)
+
+
+def figure1_by_construction(b: float, c: float, alpha: float) -> Figure1:
+    """``triangle.build_figure1``'s witness, Figure 1 step by step: embed_triangle,
+    omega_circle (disk's Cramer solve), b_prime_point and tau_angle, each refusing
+    as it does alone; psi, the circle C traces, has radius tanh(b/2)."""
+    A, B, C = embed_triangle(b, c, alpha)
+    omega = omega_circle(B, C)
+    psi = EuclideanCircle(0.0, 0.0, math.tanh(0.5 * b))
+    fig = Figure1(A, B, C, omega, psi, b_prime_point(B, omega), None)
+    return fig._replace(tau=tau_angle(fig))

@@ -1,7 +1,7 @@
 """Hyperbolic triangle trigonometry and the maximal-area construction.
 
-Implements the SAS solver, the omega-circle / B' figure in the disk (with A
-at the center), the tau angle whose double equals the triangle area, and the
+Implements the SAS solver, the omega-circle / B' figure in the disk (with A at
+the center), the tau angle whose double equals the triangle area, and the
 maximal-area apex angle characterized by alpha = beta + gamma.
 
 The area is the angle defect pi - (alpha + beta + gamma), but it is only
@@ -25,23 +25,20 @@ alpha log-uniform in [1e-6, 1]) and on 1,000 with b = c or nearly.
 The four kernels, solve_sas, build_figure1, optimal_alpha and
 optimality_certificate, are straight-line float code: each record is built
 once, in its final form, no value is computed twice, and each check is an
-inline comparison that calls its helper only on the failing path, so the
-order, class and message of every refusal are the helper's: for _sas, which
-solve_sas and optimal_alpha share, _check_sas_domain and _check_solution;
-for build_figure1, _check_sas_domain, _sas's floor and _check_b_prime.
-Tests pin the other three to their compositions, bit for bit and refusal for
-refusal; verify reads the public composition (embed_triangle, omega_circle,
-b_prime_point, tau_angle) as build_figure1's independent witness.
+inline comparison that calls its helper only on the failing path, so the order,
+class and message of every refusal are the helper's: for _sas, which solve_sas
+and optimal_alpha share, _check_sas_domain and _check_solution; for
+build_figure1, _check_sas_domain, _sas's floor and _check_b_prime. Tests pin
+the other three to their compositions, bit for bit and refusal for refusal;
+build_figure1's witness is oracle.figure1_by_construction.
 
-Degeneracy has one rule, shared with the polygon path: coincidence is
-relative (disk._COINCIDENT_TOL times the larger length), and a value below
-disk._TINY, the smallest normal float, has lost bits and is refused. The
-angle sum, which rounds to pi on tiny triangles, is not judged. Corner
-probes of the SAS domain find refusals of tiny triangles only: from _sas
-where the area or an angle is below the floor (both sides below ~2.3e-154
-at alpha = 1, ~6.7e-153 at alpha = 1e-3 and ~2.1e-151 at the smallest apex
-angle; one below ~6e-308 against 1); from build_figure1 where the area is
-below it, or where B' squared overflows (c below ~1.6e-154).
+A value below disk._TINY, the smallest normal float, has lost bits and is
+refused, as on the polygon path. The angle sum, which rounds to pi on tiny
+triangles, is not judged. Corner probes of the SAS domain find refusals of tiny
+triangles only: from _sas where the area or an angle is below the floor (both
+sides below ~2.3e-154 at alpha = 1, ~6.7e-153 at alpha = 1e-3 and ~2.1e-151 at
+the smallest apex angle; one below ~6e-308 against 1); from build_figure1 where
+the area is below it, or where B' squared overflows (c below ~1.6e-154).
 """
 
 from __future__ import annotations
@@ -50,8 +47,7 @@ import math
 from collections import namedtuple
 
 from .disk import _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle
-from .disk import _orthogonal_circle, point_from_polar
-from .errors import DegenerateInputError, DomainError
+from .errors import DomainError
 
 # Apex angles are kept this far away from 0 and pi; closer in, the triangle
 # is numerically degenerate.
@@ -184,78 +180,18 @@ def _sas(b: float, c: float, alpha: float | object) -> TriangleSolution:
     return _new(TriangleSolution, (a, b, c, alpha, beta, gamma, area))
 
 
-def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:
-    """Place the triangle with A at the center, B on the positive x-axis."""
-    _check_sas_domain(b, c, alpha)
-    return ORIGIN, point_from_polar(c, 0.0), point_from_polar(b, alpha)
-
-
-def omega_circle(B: DiskPoint, C: DiskPoint) -> EuclideanCircle:
-    """The Euclidean circle containing the geodesic BC (A at the center)."""
-    circle = _orthogonal_circle(B, C)
-    if circle is None:
-        raise DegenerateInputError("B, C and the center are collinear: the triangle is degenerate")
-    return circle
-
-
-def b_prime_point(B: DiskPoint, omega: EuclideanCircle) -> tuple[float, float]:
-    """Second intersection of the Euclidean line through the center and B with omega.
-
-    Points of the line are t * B / |B|; they lie on omega where
-    t^2 - 2 m t + power = 0, with m the projection of omega's center on the
-    line and power = |center|^2 - radius^2. B itself is the root t = |B|, so
-    by Vieta's sum the far root is 2 m - |B|. This needs neither a square
-    root nor the power, which cancels when omega's center lies far out (B
-    near the center, or BC nearly through it); the textbook root
-    m + sqrt(m^2 - power) also cancels as B approaches the boundary. Since
-    omega is orthogonal to the unit circle, power is 1 and the result
-    coincides with the inversion of B in the unit circle, build_figure1's B'.
-    """
-    bx, by = B
-    cx, cy, radius = omega
-    nb = math.hypot(bx, by)
-    if nb == 0.0:
-        raise DegenerateInputError("B at the center: the line AB is undefined")
-    bz = complex(bx, by)
-    center = complex(cx, cy)
-    # rounding in |B - center| grows like eps * radius, and omega's radius
-    # grows without bound as B nears the center or BC nears a diameter
-    if abs(math.hypot(bx - cx, by - cy) - radius) > 1e-9 * max(1.0, radius):
-        raise DomainError("B does not lie on the given circle")
-    direction = bz / nb
-    m = (direction.conjugate() * center).real
-    t = 2.0 * m - nb  # the root beyond B
-    if t <= nb:
-        raise DegenerateInputError("line AB does not meet the circle twice")
-    _check_b_prime(t)
-    w = t * direction
-    return (w.real, w.imag)
-
-
 def _check_b_prime(t: float) -> None:
-    """B' at t from the center: t, about 1/|B|, is finite for every |B| > 0,
-    but below |B| ~ 1e-154 its square overflows, and tau_angle with it (to 0)."""
+    """B' at t from the center: t, about 1/|B|, is finite for every |B| > 0, but
+    below |B| ~ 1e-154 its square overflows, and tau, the angle at B', with it."""
     if t * t == math.inf:
         raise DomainError("B' lies too far out: its products overflow")
-
-
-def _euclidean_angle(vx: float, vy: float, px: float, py: float, qx: float, qy: float) -> float:
-    """Unsigned Euclidean angle at (vx, vy) between the rays to (px, py) and (qx, qy)."""
-    x1, y1 = px - vx, py - vy
-    x2, y2 = qx - vx, qy - vy
-    return abs(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2))
-
-
-def tau_angle(fig: Figure1) -> float:
-    """Euclidean angle at B' in the Euclidean triangle A-B'-C."""
-    return _euclidean_angle(*fig.b_prime, *fig.A, *fig.C)
 
 
 def build_figure1(b: float, c: float, alpha: float) -> Figure1:
     """Assemble the whole construction for the triangle (b, c, alpha), in closed form.
 
     With px = tanh(c/2), rb = tanh(b/2) and u = px rb: B = (px, 0) and
-    C = rb e^{i alpha}, as embed_triangle places them; B' = (1/px, 0), the
+    C = rb e^{i alpha}, as oracle.embed_triangle places them; B' = (1/px, 0), the
     inversion of B; omega's center solves 2 center.P = 1 + |P|^2 at P = B
     and P = C, so cx = (px + 1/px)/2 and
     cy = ((px - rb)(1 - u)/(2u) + 2 cx sin^2(alpha/2)) / sin(alpha), with
@@ -329,7 +265,7 @@ def optimality_certificate(fig: Figure1) -> OptimalityCertificate:
     # distance from the origin to the line through b_prime and C; abs(complex)
     # is libm's hypot, whose bits tangency_gap reports
     dist = abs(bx * hy - by * hx) / abs(complex(hx, hy))
-    # _euclidean_angle at C between the rays to A and to b_prime
+    # the unsigned Euclidean angle at C between the rays to A and to b_prime
     x1, y1 = ax - cx, ay - cy
     x2, y2 = bx - cx, by - cy
     return _new(OptimalityCertificate, (

@@ -56,21 +56,14 @@ def _random_sides_angles(rng, count: int):
     return bs, cs, alphas
 
 
-def _composed_figure1(b: float, c: float, alpha: float) -> triangle.Figure1:
-    """Figure 1 but psi and tau from the public primitives, build_figure1's witness."""
-    A, B, C = triangle.embed_triangle(b, c, alpha)
-    omega = triangle.omega_circle(B, C)
-    return triangle.Figure1(A, B, C, omega, None, triangle.b_prime_point(B, omega), None)
-
-
 def check_area_equivalence(rng, samples: int, fault: str | None = None) -> CheckResult:
-    """Defect area equals twice the Euclidean tau angle, the kernel's and the composition's."""
+    """Defect area equals twice the Euclidean tau angle, the kernel's and the oracle's."""
     worst = 0.0
     for b, c, alpha in zip(*_random_sides_angles(rng, samples)):
         area = triangle.solve_sas(b, c, alpha).area
         tau = triangle.build_figure1(b, c, alpha).tau
         tau = -tau if fault == FAULT_TAU_SIGN else tau
-        for t in (tau, triangle.tau_angle(_composed_figure1(b, c, alpha))):
+        for t in (tau, oracle.figure1_by_construction(b, c, alpha).tau):
             worst = max(worst, abs(area - 2.0 * t))
     return _judge("area-equivalence", ("max |defect - 2 tau|", worst, "<", 1e-9))
 
@@ -146,7 +139,7 @@ def check_inversion_identity(rng, samples: int) -> CheckResult:
     worst = 0.0
     for b, c, alpha in zip(*_random_sides_angles(rng, samples)):
         fig = triangle.build_figure1(b, c, alpha)
-        for b_prime in (fig.b_prime, _composed_figure1(b, c, alpha).b_prime):
+        for b_prime in (fig.b_prime, oracle.figure1_by_construction(b, c, alpha).b_prime):
             worst = max(worst, abs(math.hypot(*fig.B) * math.hypot(*b_prime) - 1.0))
     return _judge("inversion-identity", ("max | |B||B'| - 1 |", worst, "<", 1e-10))
 
@@ -186,25 +179,26 @@ def _measures(A, B, C) -> tuple[float, ...]:
 
 
 def check_isometry_invariance(rng, samples: int) -> CheckResult:
+    """Sides, angles and area against those of a random isometry's image; absolute bound."""
     count = max(10, samples // 2)
     worst = 0.0
     for _ in range(count):
         b = rng.uniform(0.1, 3.0)
         c = rng.uniform(0.1, 3.0)
         alpha = rng.uniform(0.05, math.pi - 0.05)
-        A, B, C = triangle.embed_triangle(b, c, alpha)
+        A, B, C = oracle.embed_triangle(b, c, alpha)
         r = 0.9 * math.sqrt(rng.uniform(0.0, 1.0))
         t = rng.uniform(0.0, 2.0 * math.pi)
         m = disk.DiskIsometry(
             disk.DiskPoint(r * math.cos(t), r * math.sin(t)), rng.uniform(0.0, 2.0 * math.pi)
         )
-        # the triangle's area, pi minus its angle sum, must not drift either
         moved = _measures(m(A), m(B), m(C))
         worst = max(worst, *(abs(x - y) for x, y in zip(_measures(A, B, C), moved)))
     return _judge("isometry-invariance", ("max measurement drift", worst, "<", 1e-10))
 
 
 def check_deficit_nonnegative(rng, samples: int) -> CheckResult:
+    """Isoperimetric deficit of random convex polygons against zero; absolute bound."""
     count = max(5, samples // 40)
     worst = math.inf
     for k in range(count):
@@ -216,6 +210,7 @@ def check_deficit_nonnegative(rng, samples: int) -> CheckResult:
 
 
 def check_polar_round_trip(rng, samples: int) -> CheckResult:
+    """hyp_distance from the centre to point_from_polar(d, theta) against d; absolute bound."""
     worst = 0.0
     for _ in range(samples):
         d = rng.uniform(0.0, 9.0)

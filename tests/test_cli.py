@@ -517,13 +517,12 @@ print(" ".join(names))
             "ALPHA_EPS", "D_MAX", "DegenerateInputError", "DiskIsometry", "DiskPoint",
             "DomainError", "EuclideanCircle", "Figure1", "Geodesic", "HyperbolicPolygon",
             "HyplobeError", "NonConvexError", "ORIGIN", "TriangleSolution",
-            "angle_at_vertex", "b_prime_point", "build_figure1", "circle_for_circumference",
-            "circumcircle_fit", "embed_triangle", "geodesic_through",
-            "hyp_distance", "isoperimetric_deficit", "omega_circle", "optimal_alpha",
+            "angle_at_vertex", "build_figure1", "circle_for_circumference",
+            "circumcircle_fit", "geodesic_through",
+            "hyp_distance", "isoperimetric_deficit", "optimal_alpha",
             "optimality_certificate", "point_from_polar", "polygon_perimeter",
             "random_convex_polygon", "regular_polygon", "regular_polygon_for_perimeter",
             "regular_polygon_vertices", "solve_sas", "steiner_move", "steiner_optimize",
-            "tau_angle",
         ]
 
     # kind: (argv, exit code, the watched modules it loads) for the six request

@@ -8,9 +8,12 @@ import pytest
 from hyplobe import (
     ALPHA_EPS,
     D_MAX,
+    DegenerateInputError,
     DiskIsometry,
     DiskPoint,
     DomainError,
+    angle_at_vertex,
+    build_figure1,
     geodesic_through,
     hyp_distance,
     optimal_alpha,
@@ -19,10 +22,13 @@ from hyplobe import (
 )
 from hyplobe import oracle
 from hyplobe.oracle import (
+    b_prime_point,
     curvature_corrected_side,
+    embed_triangle,
     euclidean_limit_triangle,
     geodesic_length_by_sampling,
     grid_search_max_area,
+    omega_circle,
 )
 from hyplobe.triangle import _check_sas_domain
 
@@ -408,3 +414,77 @@ class TestEuclideanLimit:
                 # truncation error is O(sides^4) relative: ~1e-14 at 1e-3
                 rel = abs(curvature_corrected_side(b, c, alpha) - exact) / exact
                 assert rel < 5e-14
+
+
+def random_triangles(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (
+            rng.uniform(0.1, 3.0),
+            rng.uniform(0.1, 3.0),
+            rng.uniform(0.05, math.pi - 0.05),
+        )
+
+
+class TestEmbedding:
+    def test_canonical_placement(self):
+        A, B, C = embed_triangle(1.0, 1.0, math.pi / 2)
+        t = math.tanh(0.5)
+        assert A.x == 0.0 and A.y == 0.0
+        assert B.x == pytest.approx(t, abs=1e-15) and B.y == 0.0
+        assert C.x == pytest.approx(0.0, abs=1e-16)
+        assert C.y == pytest.approx(t, abs=1e-15)
+
+    def test_embedding_realizes_solution(self):
+        for b, c, alpha in random_triangles(5, 100):
+            sol = solve_sas(b, c, alpha)
+            A, B, C = embed_triangle(b, c, alpha)
+            assert hyp_distance(A, B) == pytest.approx(c, abs=1e-12)
+            assert hyp_distance(A, C) == pytest.approx(b, abs=1e-12)
+            assert hyp_distance(B, C) == pytest.approx(sol.a, abs=1e-12)
+            assert angle_at_vertex(A, B, C) == pytest.approx(alpha, abs=1e-12)
+            assert angle_at_vertex(B, A, C) == pytest.approx(sol.beta, abs=1e-9)
+            assert angle_at_vertex(C, A, B) == pytest.approx(sol.gamma, abs=1e-9)
+
+
+class TestConstruction:
+    def test_omega_contains_both_vertices(self):
+        for b, c, alpha in random_triangles(6, 100):
+            _, B, C = embed_triangle(b, c, alpha)
+            omega = omega_circle(B, C)
+            for p in (B, C):
+                on = math.hypot(p.x - omega.cx, p.y - omega.cy)
+                assert on == pytest.approx(omega.radius, abs=1e-12)
+            cx, cy, r = omega
+            assert abs(cx * cx + cy * cy - 1.0 - r * r) < 1e-10
+
+    def test_omega_rejects_collinear(self):
+        with pytest.raises(DegenerateInputError):
+            omega_circle(DiskPoint(0.2, 0.0), DiskPoint(0.6, 0.0))
+
+    def test_omega_refuses_a_subnormal_diameter_pair_as_collinear(self):
+        # p, q and the center are collinear and q - p is subnormal:
+        # geodesic_through refuses the diameter's direction (tests/test_disk.py),
+        # and omega_circle, which has no diameter to return, refuses the pair
+        # as collinear first, so the two stay apart
+        p, q = DiskPoint(0.0, 1.49252020513e-312), DiskPoint(0.0, 7.3588586708e-313)
+        with pytest.raises(DegenerateInputError) as exc:
+            omega_circle(p, q)
+        assert str(exc.value) == "B, C and the center are collinear: the triangle is degenerate"
+
+    @pytest.mark.parametrize("p, q", [
+        ((2.0, 0.5), (0.3, 0.1)),
+        ((0.2, 0.0), (0.6, 0.0)),
+        (DiskPoint(0.2, 0.0), (0.6, 0.0)),
+        (DiskPoint(0.1, 0.2), 0.5 + 0.5j),
+    ])
+    def test_omega_refuses_endpoints_that_are_not_disk_points(self, p, q):
+        # a tuple is not checked inside the disk, and (2.0, 0.5) lies outside it
+        with pytest.raises(DomainError) as exc:
+            omega_circle(p, q)
+        assert str(exc.value) == f"geodesic endpoints {p!r} and {q!r} are not both DiskPoints"
+
+    def test_b_prime_input_validation(self):
+        fig = build_figure1(1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            b_prime_point(DiskPoint(0.01, 0.01), fig.omega)

@@ -354,7 +354,7 @@ class TestAreaAndPerimeter:
 
     def test_triangle_reduces_to_defect(self):
         sol = solve_sas(1.0, 1.2, 0.9)
-        from hyplobe.triangle import embed_triangle
+        from hyplobe.oracle import embed_triangle
 
         poly = HyperbolicPolygon.from_vertices(embed_triangle(1.0, 1.2, 0.9))
         assert poly.area == pytest.approx(sol.area, abs=1e-12)

@@ -1,6 +1,7 @@
 """The package's own source, read with ast."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -264,6 +265,42 @@ def test_every_verify_line_is_judged_by_one_function():
         if isinstance(node, ast.Call) and _spelled(node.func) in makers
     }
     assert builders == {"_judge"}
+
+
+def test_every_verify_check_has_a_docstring():
+    # each check_* says in its docstring what it compares against what, and
+    # whether its bound is absolute
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    bare = [
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+        and not ast.get_docstring(node)
+    ]
+    assert bare == []
+
+
+def test_triangle_keeps_only_the_kernels():
+    # triangle takes from disk only the records and constants its kernels
+    # build, and defines the kernels, their helpers and records alone: Figure 1
+    # step by step is the oracle's witness, and no public name resolves to an
+    # oracle function, so no kernel can quietly go back to calling it
+    tree = ast.parse((PACKAGE / "triangle.py").read_text())
+    from_disk = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and _package_module(node, {"disk"}) == "disk"
+        for alias in node.names
+    }
+    assert from_disk == {"_TINY", "D_MAX", "ORIGIN", "DiskPoint", "EuclideanCircle"}
+    assert {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} == {
+        "_check_b_prime", "_check_sas_domain", "_check_solution", "_sas",
+        "build_figure1", "optimal_alpha", "optimality_certificate", "solve_sas",
+    }
+    public = {name: getattr(hyplobe, name) for name in hyplobe.__all__}
+    assert [
+        name for name, value in public.items()
+        if inspect.isfunction(value) and value.__module__ == "hyplobe.oracle"
+    ] == []
 
 
 def _raise_sites():

@@ -10,24 +10,17 @@ import pytest
 
 from hyplobe import (
     ALPHA_EPS,
-    DegenerateInputError,
     DiskPoint,
     DomainError,
     EuclideanCircle,
     Figure1,
     HyplobeError,
     TriangleSolution,
-    angle_at_vertex,
-    b_prime_point,
     build_figure1,
-    embed_triangle,
-    hyp_distance,
-    omega_circle,
     optimal_alpha,
     optimality_certificate,
     point_from_polar,
     solve_sas,
-    tau_angle,
 )
 from hyplobe.triangle import (
     D_MAX,
@@ -35,12 +28,15 @@ from hyplobe.triangle import (
     OptimalTriangle,
     _check_sas_domain,
     _check_solution,
-    _euclidean_angle,
 )
 from hyplobe.oracle import (
+    _euclidean_angle,
     curvature_corrected_side,
+    embed_triangle,
     euclidean_limit_triangle,
+    figure1_by_construction,
     grid_search_max_area,
+    tau_angle,
 )
 
 # acosh(cosh(1)^2), frozen from a 50-digit mpmath evaluation: the hypotenuse
@@ -274,15 +270,6 @@ def _edge_sweep(seed, count):
             x = odd[rng.integers(3)]
             b, c, alpha = (x if k == which else v for k, v in enumerate((b, c, alpha)))
         yield b, c, alpha
-
-
-def _composed_figure1(b, c, alpha):
-    """build_figure1 as the composition of the public primitives."""
-    A, B, C = embed_triangle(b, c, alpha)
-    omega = omega_circle(B, C)
-    psi = EuclideanCircle(0.0, 0.0, point_from_polar(b, 0.0).x)
-    fig = Figure1(A, B, C, omega, psi, b_prime_point(B, omega), None)
-    return fig._replace(tau=tau_angle(fig))
 
 
 def _figure_outcome(build, *args):
@@ -579,42 +566,7 @@ class TestStraightLineKernels:
         assert min(counts.values()) >= 50, counts
 
 
-class TestEmbedding:
-    def test_canonical_placement(self):
-        A, B, C = embed_triangle(1.0, 1.0, math.pi / 2)
-        t = math.tanh(0.5)
-        assert A.x == 0.0 and A.y == 0.0
-        assert B.x == pytest.approx(t, abs=1e-15) and B.y == 0.0
-        assert C.x == pytest.approx(0.0, abs=1e-16)
-        assert C.y == pytest.approx(t, abs=1e-15)
-
-    def test_embedding_realizes_solution(self):
-        for b, c, alpha in random_triangles(5, 100):
-            sol = solve_sas(b, c, alpha)
-            A, B, C = embed_triangle(b, c, alpha)
-            assert hyp_distance(A, B) == pytest.approx(c, abs=1e-12)
-            assert hyp_distance(A, C) == pytest.approx(b, abs=1e-12)
-            assert hyp_distance(B, C) == pytest.approx(sol.a, abs=1e-12)
-            assert angle_at_vertex(A, B, C) == pytest.approx(alpha, abs=1e-12)
-            assert angle_at_vertex(B, A, C) == pytest.approx(sol.beta, abs=1e-9)
-            assert angle_at_vertex(C, A, B) == pytest.approx(sol.gamma, abs=1e-9)
-
-
 class TestConstruction:
-    def test_omega_contains_both_vertices(self):
-        for b, c, alpha in random_triangles(6, 100):
-            _, B, C = embed_triangle(b, c, alpha)
-            omega = omega_circle(B, C)
-            for p in (B, C):
-                on = math.hypot(p.x - omega.cx, p.y - omega.cy)
-                assert on == pytest.approx(omega.radius, abs=1e-12)
-            cx, cy, r = omega
-            assert abs(cx * cx + cy * cy - 1.0 - r * r) < 1e-10
-
-    def test_omega_rejects_collinear(self):
-        with pytest.raises(DegenerateInputError):
-            omega_circle(DiskPoint(0.2, 0.0), DiskPoint(0.6, 0.0))
-
     def test_b_prime_is_unit_inversion(self):
         for b, c, alpha in random_triangles(7, 200):
             fig = build_figure1(b, c, alpha)
@@ -686,11 +638,6 @@ class TestConstruction:
         assert built > 1000
         assert worst <= 4e-16
 
-    def test_b_prime_input_validation(self):
-        fig = build_figure1(1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            b_prime_point(DiskPoint(0.01, 0.01), fig.omega)
-
     def test_pinned_right_isoceles_figure(self):
         # all values frozen from the verified implementation (regression pins)
         fig = build_figure1(1.0, 1.0, math.pi / 2)
@@ -718,7 +665,7 @@ class TestConstruction:
         # B and C are embed_triangle's, bit for bit; omega, B' and tau are
         # within 5 eps of the exact construction from (b, c, alpha) (cy of
         # its terms; 3.95 measured), and the kernel refuses no input that the
-        # composition of the public primitives builds
+        # oracle's step-by-step construction builds
         pytest.importorskip("mpmath")
         inputs = [*golden_kernel_inputs(), *random_triangles(12, 200), *_sas_domain_corners()]
         # B next to the center: built down to |B| ~ 1e-154, refused below
@@ -738,7 +685,7 @@ class TestConstruction:
         for b, c, alpha in inputs:
             got = _figure_outcome(build_figure1, b, c, alpha)
             if not got.startswith("Figure1("):
-                assert not _figure_outcome(_composed_figure1, b, c, alpha).startswith(
+                assert not _figure_outcome(figure1_by_construction, b, c, alpha).startswith(
                     "Figure1("
                 ), (b, c, alpha)
                 refusals.add(got)
@@ -878,16 +825,16 @@ class TestConstruction:
 
     def test_kernel_builds_across_the_coincident_threshold(self):
         # Stepped across the absolute 1e-12 the coincident-points guard once
-        # had, every scan builds, by the kernel and by the composition of
-        # the primitives, whose relative guard reads |C - B| <= 1e-12 of the
+        # had, every scan builds, by the kernel and by the oracle's
+        # construction, whose relative guard reads |C - B| <= 1e-12 of the
         # larger of |B| and |C|
         for b, c, scan in _absolute_threshold_scans(18, 400, 16):
             for alpha in scan:
                 assert alpha > ALPHA_EPS
                 assert _figure_outcome(build_figure1, b, c, alpha).startswith("Figure1(")
-                assert _figure_outcome(_composed_figure1, b, c, alpha).startswith("Figure1(")
+                assert _figure_outcome(figure1_by_construction, b, c, alpha).startswith("Figure1(")
         # C - B is at least rb sin(ALPHA_EPS), 1e6 times the bound, until the
-        # sides are subnormal: there the composition crosses the guard where
+        # sides are subnormal: there the construction crosses the guard where
         # B and C round to one point, or reads them collinear, and the
         # kernel refuses every such triangle by the normal floor on its area
         coincident = "DegenerateInputError: cannot build a geodesic through coincident points"
@@ -898,7 +845,7 @@ class TestConstruction:
         floor = f"DomainError: triangle too small: its area or an angle is below {sys.float_info.min}"
         seen = set()
         for b, c, alpha in _subnormal_side_scans(40):
-            composed = _figure_outcome(_composed_figure1, b, c, alpha)
+            composed = _figure_outcome(figure1_by_construction, b, c, alpha)
             seen.add(composed)
             if composed == coincident:
                 _, B, C = embed_triangle(b, c, alpha)
