@@ -276,8 +276,8 @@ def tau_angle(fig: Figure1) -> float:
 
 def figure1_by_construction(b: float, c: float, alpha: float) -> Figure1:
     """``triangle.build_figure1``'s witness, Figure 1 step by step: embed_triangle,
-    omega_circle (disk's Cramer solve), b_prime_point and tau_angle, each refusing
-    as it does alone; psi, the circle C traces, has radius tanh(b/2)."""
+    omega_circle (geodesic_through's circle solve), b_prime_point and tau_angle,
+    each refusing as it does alone; psi, the circle C traces, has radius tanh(b/2)."""
     A, B, C = embed_triangle(b, c, alpha)
     omega = omega_circle(B, C)
     psi = EuclideanCircle(0.0, 0.0, math.tanh(0.5 * b))

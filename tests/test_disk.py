@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import re
 import sys
 
@@ -37,6 +38,55 @@ def random_point(rng, rmax=0.95):
 
 def random_isometry(rng, rmax=0.9):
     return DiskIsometry(random_point(rng, rmax), rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _far_pair(rng):
+    """Ends 10-20 out along one direction, 1e-9 to 1e-1 rad apart."""
+    t = rng.uniform(0.0, math.tau)
+    return (point_from_polar(rng.uniform(10.0, 20.0), t),
+            point_from_polar(rng.uniform(10.0, 20.0), t + 10.0 ** rng.uniform(-9.0, -1.0)))
+
+
+def _near_pair(rng):
+    """Ends 1e-3 to 3 out, in any directions."""
+    return tuple(point_from_polar(rng.uniform(1e-3, 3.0), rng.uniform(0.0, math.tau))
+                 for _ in range(2))
+
+
+def _mixed_pair(rng):
+    """Ends log-uniform 1e-6 to 20 out; half the pairs 1e-9 to 1 rad apart,
+    the others in any directions."""
+    d1, d2 = (math.exp(rng.uniform(math.log(1e-6), math.log(20.0))) for _ in range(2))
+    t = rng.uniform(0.0, math.tau)
+    u = t + 10.0 ** rng.uniform(-9.0, 0.0) if rng.random() < 0.5 else rng.uniform(0.0, math.tau)
+    return point_from_polar(d1, t), point_from_polar(d2, u)
+
+
+def _exact_circle(mp, x):
+    """Centre and radius of the circle orthogonal to the unit circle through
+    (x[0], x[1]) and (x[2], x[3]), by Cramer's rule at mp's precision."""
+    px, py, qx, qy = (mp.mpf(v) for v in x)
+    rp, rq = (1 + px * px + py * py) / 2, (1 + qx * qx + qy * qy) / 2
+    c = mp.mpc(rp * qy - rq * py, px * rq - qx * rp) / (px * qy - py * qx)
+    return c, abs(c - mp.mpc(px, py))
+
+
+def _error_over_conditioning(mp, p, q, circle):
+    """The circle's worst relative error in centre and radius against the exact
+    circle through the same doubles, over the largest such change of the exact
+    circle as one of the four coordinates moves an ulp."""
+    x = (*p, *q)
+    with mp.workdps(80):
+        c, r = _exact_circle(mp, x)
+
+        def change(c2, r2):
+            return max(abs(c2 - c) / abs(c), abs(r2 - r) / r)
+
+        conditioning = max(
+            change(*_exact_circle(mp, x[:i] + (math.nextafter(x[i], to),) + x[i + 1:]))
+            for i in range(4) for to in (-math.inf, math.inf)
+        )
+        return float(change(mp.mpc(circle.cx, circle.cy), mp.mpf(circle.radius)) / conditioning)
 
 
 disk_points = st.builds(
@@ -208,13 +258,53 @@ class TestGeodesicThrough:
             geodesic_through(p, q)
         assert str(exc.value) == f"geodesic endpoints {p!r} and {q!r} are not both DiskPoints"
 
+    @pytest.mark.parametrize("s, builds", [
+        (1e-150, True), (1e-160, False), (1e-170, False), (1e-200, False),
+    ])
+    def test_collinearity_is_read_at_any_scale(self, s, builds):
+        # (s, 0) and (0, s) lie a right angle apart at the center however
+        # small s is: they get their circle or, where s * s underflows, the
+        # underflow refusal, never a diameter; (s, 0) and (2 s, 0) are collinear
+        if builds:
+            assert geodesic_through(DiskPoint(s, 0.0), DiskPoint(0.0, s)).direction is None
+        else:
+            with pytest.raises(DomainError) as exc:
+                geodesic_through(DiskPoint(s, 0.0), DiskPoint(0.0, s))
+            assert str(exc.value) == "points too near the center: the circle's products underflow"
+        assert geodesic_through(DiskPoint(s, 0.0), DiskPoint(2.0 * s, 0.0)) == (1.0, None)
+
+    @pytest.mark.parametrize("sampler, seed", [(_far_pair, 3), (_near_pair, 4), (_mixed_pair, 5)])
+    def test_circle_holds_to_its_inputs_conditioning(self, sampler, seed):
+        # 1,000 pairs against 80-digit mpmath of the circle through the same
+        # doubles, none refused: at most 6.4, 8.9 and 4.3 times the circle's
+        # own one-ulp conditioning (far, near, mixed). Cramer's rule on p and q
+        # read 4.7e8 on the far pairs and refused 277 of 3,000 as collapsed
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(seed)
+        worst = max(
+            _error_over_conditioning(mpmath, p, q, geodesic_through(p, q).circle)
+            for p, q in (sampler(rng) for _ in range(1000))
+        )
+        assert worst <= 16.0, worst
+
+    @pytest.mark.parametrize("d, apart", [(20.0, 1e-8), (20.0, 1e-9), (18.0, 1e-7)])
+    def test_tiny_far_circles_are_built(self, d, apart):
+        # Cramer's rule on p and q gave (20, 1e-9) a radius of 6.5e-8, not
+        # 4.15e-9, and refused (18, 1e-7) as collapsed
+        mpmath = pytest.importorskip("mpmath")
+        p, q = point_from_polar(d, 0.3), point_from_polar(d, 0.3 + apart)
+        assert _error_over_conditioning(mpmath, p, q, geodesic_through(p, q).circle) <= 16.0
+
     def test_orthogonality_invariant(self):
+        # the relative residual measured 2.2 eps (2.5 with Cramer's rule on p and q)
+        eps = sys.float_info.epsilon
         rng = np.random.default_rng(11)
         for _ in range(300):
             g = geodesic_through(random_point(rng), random_point(rng))
             if g.circle is not None:
                 cx, cy, r = g.circle
                 assert abs(cx * cx + cy * cy - 1.0 - r * r) < 1e-10
+                assert abs(cx * cx + cy * cy - 1.0 - r * r) <= 3.0 * eps * (cx * cx + cy * cy)
 
 
 class TestIsometries:
