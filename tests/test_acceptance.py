@@ -75,8 +75,9 @@ def test_04b_euclidean_limit_sides():
     # order gives a^2 = a_E^2 + (b c sin alpha)^2 / 3 + O(s^6). The flat side
     # a_E therefore misses by (b c sin alpha)^2 / (6 a_E^2) relative, up to
     # b^2 cos^2(alpha/2) / 6 ~ 1.6e-7 at b = c = 1e-3: that is curvature, not
-    # solver error. The 1e-8 bound applies to the curvature-corrected side,
-    # whose own truncation error is O(s^4) ~ 1e-14; the flat gap is reported.
+    # solver error. verify's euclidean-limit bound applies to the
+    # curvature-corrected side, whose own truncation error is O(s^4) ~ 1e-14;
+    # the flat gap is reported.
     rng = np.random.default_rng(104)
     worst_flat = 0.0
     worst = 0.0
@@ -89,13 +90,13 @@ def test_04b_euclidean_limit_sides():
         a_ref = curvature_corrected_side(b, c, alpha)
         worst_flat = max(worst_flat, abs(a - a_flat) / a_flat)
         worst = max(worst, abs(a - a_ref) / a_ref)
-    ok = worst < 1e-8
+    ok = worst < verify._EUCLIDEAN_LIMIT_REL
     report(
         4, "euclidean-limit-sides", ok,
         f"max relative flat side gap = {worst_flat:.3e}, "
         f"max relative corrected side residual = {worst:.3e}",
     )
-    assert worst < 1e-8
+    assert worst < verify._EUCLIDEAN_LIMIT_REL
 
 
 def test_06_steiner_run():
