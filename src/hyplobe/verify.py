@@ -178,22 +178,12 @@ def check_metric_oracle(rng, samples: int) -> CheckResult:
     return _judge("metric-oracle", _ulps("max |closed form - polyline| in ulps of d", worst))
 
 
-def _measures(A, B, C) -> tuple[float, ...]:
-    """|AB|, |AC|, |BC|, the angles at A, B and C, and the area, pi minus
-    the angle sum."""
-    angles = (
-        disk.angle_at_vertex(A, B, C), disk.angle_at_vertex(B, A, C),
-        disk.angle_at_vertex(C, A, B),
-    )
-    return (
-        disk.hyp_distance(A, B), disk.hyp_distance(A, C), disk.hyp_distance(B, C),
-        *angles, math.pi - sum(angles),
-    )
-
-
 def check_isometry_invariance(rng, samples: int) -> CheckResult:
-    """Sides, angles and area against those of a random isometry's image, in ulps of
-    the largest 1/(1 - |z|^2) over the six vertices over min(1, shortest side)."""
+    """A random isometry's image of the embedded triangle, measured as a polygon, as
+    every Steiner move measures, against solve_sas: sides against (c, a, b), angles
+    against (alpha, beta, gamma), and the area, in ulps of the largest 1/(1 - |z|^2)
+    over the six vertices over min(1, shortest side). So the chart, distance and
+    fan-area primitives meet the half-sinh, four-part and half-angle closed forms."""
     count = max(10, samples // 2)
     worst = 0.0
     for _ in range(count):
@@ -207,9 +197,12 @@ def check_isometry_invariance(rng, samples: int) -> CheckResult:
             disk.DiskPoint(r * math.cos(t), r * math.sin(t)), rng.uniform(0.0, 2.0 * math.pi)
         )
         images = (m(A), m(B), m(C))
-        here = _measures(A, B, C)
-        weight = min(1.0 - x * x - y * y for x, y in (A, B, C, *images)) * min(1.0, *here[:3])
-        worst = max(worst, *(abs(u - v) * weight for u, v in zip(here, _measures(*images))))
+        _, sides, angles, area = polygon.HyperbolicPolygon.from_vertices(images)
+        sol = triangle.solve_sas(b, c, alpha)
+        weight = min(1.0 - x * x - y * y for x, y in (A, B, C, *images)) * min(1.0, b, c, sol.a)
+        worst = max(worst, *(abs(u - v) * weight for u, v in zip(
+            (*sides, *angles, area), (c, sol.a, b, alpha, sol.beta, sol.gamma, sol.area)
+        )))
     return _judge("isometry-invariance", _ulps("max drift in ulps of the chart's scale", worst))
 
 

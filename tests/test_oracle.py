@@ -12,6 +12,7 @@ from hyplobe import (
     DiskIsometry,
     DiskPoint,
     DomainError,
+    EuclideanCircle,
     angle_at_vertex,
     build_figure1,
     geodesic_through,
@@ -491,6 +492,15 @@ class TestConstruction:
         assert str(exc.value) == f"geodesic endpoints {p!r} and {q!r} are not both DiskPoints"
 
     def test_b_prime_input_validation(self):
-        fig = build_figure1(1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            b_prime_point(DiskPoint(0.01, 0.01), fig.omega)
+        omega = build_figure1(1.0, 1.0, 1.0).omega
+        for B, circle, error, message in [
+            (DiskPoint(0.01, 0.01), omega, DomainError, "B does not lie on the given circle"),
+            (DiskPoint(0.0, 0.0), EuclideanCircle(0.5, 0.0, 0.5), DegenerateInputError,
+             "B at the center: the line AB is undefined"),
+            # the circle passes through the center, so the other root is t = 0, short of B
+            (DiskPoint(0.5, 0.0), EuclideanCircle(0.25, 0.0, 0.25), DegenerateInputError,
+             "line AB does not meet the circle twice"),
+        ]:
+            with pytest.raises(error) as exc:
+                b_prime_point(B, circle)
+            assert str(exc.value) == message

@@ -120,7 +120,10 @@ class TestRecords:
             lambda: DiskIsometry((0.9, 0.9)),
         ]
         sol = solve_sas(1.0, 1.2, 0.9)
-        for field, value in [("a", -1.0), ("beta", 0.0), ("gamma", 3.0), ("area", 0.5)]:
+        # an area that disagrees with the defect, and one below the normal floor
+        for field, value in [
+            ("a", -1.0), ("beta", 0.0), ("gamma", 3.0), ("area", 0.5), ("area", 1e-310),
+        ]:
             values = {f: getattr(sol, f) for f in sol._fields} | {field: value}
             bad.append(lambda values=values: TriangleSolution(**values))
         # a polygon's fields must be its vertices' measurements to the bit

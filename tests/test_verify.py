@@ -93,8 +93,13 @@ class TestChecksOnEitherStream:
 # dropped, raises a row's eps or empties its lines; a new line may only lower
 # a row.
 FAULTS = {
-    "side-a": (triangle, "_sas", "a", 1e-12, ["euclidean-limit"]),
-    "beta": (triangle, "_sas", "beta", 1e-14, ["theorem1-grid-cross-check"]),
+    "side-a": (triangle, "_sas", "a", 1e-14, ["isometry-invariance"]),
+    "beta": (
+        triangle, "_sas", "beta", 1e-14, ["theorem1-grid-cross-check", "isometry-invariance"],
+    ),
+    "gamma": (
+        triangle, "_sas", "gamma", 1e-14, ["theorem1-grid-cross-check", "isometry-invariance"],
+    ),
     "area": (triangle, "_sas", "area", 1e-14, ["area-equivalence"]),
     "alpha-star": (
         triangle, "optimal_alpha", "alpha_star", 1e-14,
@@ -108,6 +113,9 @@ FAULTS = {
     ),
     "hyp-distance": (disk, "hyp_distance", None, 1e-14, ["metric-oracle", "polar-round-trip"]),
     "polygon-area": (polygon, "random_convex_polygon", "area", 0.5, ["deficit-nonnegativity"]),
+    "measure-sides": (polygon, "_measure", "side_lengths", 1e-14, ["isometry-invariance"]),
+    "measure-angles": (polygon, "_measure", "interior_angles", 1e-14, ["isometry-invariance"]),
+    "measure-area": (polygon, "_measure", "area", 1e-13, ["isometry-invariance"]),
 }
 FAULT_EPSILONS = [10.0**e for e in range(-15, -4)] + [1e-3, 1e-1, 0.5]
 
