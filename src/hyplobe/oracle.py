@@ -2,13 +2,13 @@
 the grid cross-check that ``optimize`` prints.
 
 No solver or certificate calls them: these routines re-derive quantities by
-grid search, chord sums along the geodesic, Euclidean small-scale limits or
-Figure 1 step by step, so the primary implementations can be judged against
-them. The metric oracle samples each geodesic where it is straight, on its
-Klein-model chord, so a few dozen segments give the distance to about an ulp.
-The apex-angle grid search bisects the grid for the first point not below its
-successor, on the points where ``numpy.linspace`` would put them. Everything
-here is pure Python and the standard library: nothing imports numpy.
+grid search, chord sums along the geodesic or Figure 1 step by step, so the
+primary implementations can be judged against them. The metric oracle
+samples each geodesic where it is straight, on its Klein-model chord, so a
+few dozen segments give the distance to about an ulp. The apex-angle grid
+search bisects the grid for the first point not below its successor, on the
+points where ``numpy.linspace`` would put them. Everything here is pure
+Python and the standard library: nothing imports numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import operator
 from collections import namedtuple
 from itertools import accumulate, repeat
 
-from .disk import _TINY, D_MAX, ORIGIN, DiskPoint, EuclideanCircle, _check_ends
+from .disk import D_MAX, ORIGIN, DiskPoint, EuclideanCircle, _check_ends
 from .disk import _orthogonal_circle, direction_toward, point_from_polar
 from .errors import DegenerateInputError, DomainError
 from .triangle import ALPHA_EPS, Figure1, _check_b_prime, _check_sas_domain
@@ -178,42 +178,6 @@ def intrinsic_convex_ccw(vertices) -> bool:
                 if not 0.0 < turn < math.pi:
                     return False
     return True
-
-
-EuclideanTriangle = namedtuple("EuclideanTriangle", "a beta gamma area")
-
-
-def euclidean_limit_triangle(b: float, c: float, alpha: float) -> EuclideanTriangle:
-    """Flat-plane SAS solution for comparison at small scales.
-
-    Sides must lie in (0, 0.01] and alpha in solve_sas's
-    (ALPHA_EPS, pi - ALPHA_EPS). Below the smallest normal float, a * c
-    (beta's denominator, 0 at sides of 1e-200) or the area has lost bits:
-    a DomainError.
-    """
-    if not (0.0 < b <= 0.01 and 0.0 < c <= 0.01):
-        raise DomainError("Euclidean-limit reference is only valid for sides in (0, 0.01]")
-    _check_sas_domain(b, c, alpha)
-    a = math.sqrt(b * b + c * c - 2.0 * b * c * math.cos(alpha))
-    area = 0.5 * b * c * math.sin(alpha)
-    if min(a * c, area) < _TINY:
-        raise DomainError("flat triangle too small: a * c or its area is subnormal")
-    beta = math.acos(min(1.0, max(-1.0, (a * a + c * c - b * b) / (2.0 * a * c))))
-    gamma = math.pi - alpha - beta
-    return EuclideanTriangle(a=a, beta=beta, gamma=gamma, area=area)
-
-
-def curvature_corrected_side(b: float, c: float, alpha: float) -> float:
-    """SAS side a at small scales, with the leading curvature term restored.
-
-    Expanding cosh a = cosh b cosh c - sinh b sinh c cos alpha to fourth order
-    gives a^2 = a_E^2 + (b c sin alpha)^2 / 3 + O(s^6), where a_E is the flat
-    side. The flat side alone is short by about (b c sin alpha)^2 / (6 a_E^2)
-    relative (~1.6e-7 at sides 1e-3); this form is off by O(s^4) relative
-    (~1e-14 at sides 1e-3), so it can judge the solver to well below 1e-8.
-    """
-    a_flat = euclidean_limit_triangle(b, c, alpha).a
-    return math.sqrt(a_flat * a_flat + (b * c * math.sin(alpha)) ** 2 / 3.0)
 
 
 def embed_triangle(b: float, c: float, alpha: float) -> tuple[DiskPoint, DiskPoint, DiskPoint]:

@@ -25,11 +25,10 @@ from . import disk, oracle, polygon, triangle
 from .errors import DomainError
 
 FAULT_TAU_SIGN = "tau-sign"
-# Every accuracy term but euclidean-limit's is an error relative to a scale its
-# label names, in ulps, under one budget: the smallest power of two at least
-# twice the worst on seeds 0-1999 at 50 samples, 0-299 at 200 and 0-99 at 400.
+# Every accuracy term is an error relative to a scale its label names, in
+# ulps, under one budget: the smallest power of two at least twice the worst
+# on seeds 0-1999 at 50 samples, 0-299 at 200 and 0-99 at 400.
 _ULP_BUDGET = 32
-_EUCLIDEAN_LIMIT_REL = 2.5e-13
 
 
 def _ulps(label: str, worst: float) -> tuple:
@@ -125,22 +124,24 @@ def check_certificates(rng, samples: int) -> CheckResult:
 
 
 def check_euclidean_limit(rng, samples: int) -> CheckResult:
-    """Side a at small scales against the flat side with its curvature term restored,
-    relative, not in ulps: the residual is the reference's O(s^4) truncation."""
+    """alpha* near Thales' right angle at small sides, and side a at sides
+    1e-4..1.5e-3 against the disk distance d(B, C) of the embedded triangle,
+    2 asinh(|B - C| / sqrt(g_B g_C)), which shares no formula with solve_sas's
+    half-sinh law of cosines."""
     opt = triangle.optimal_alpha(1e-3, 1e-3)
     gap_alpha = abs(opt.alpha_star - math.pi / 2)
-    worst_rel = 0.0
+    worst = 0.0
     for _ in range(max(10, samples // 10)):
         b = rng.uniform(1e-4, 1.5e-3)
         c = rng.uniform(1e-4, 1.5e-3)
         alpha = rng.uniform(0.1, math.pi - 0.1)
         a = triangle.solve_sas(b, c, alpha).a
-        a_ref = oracle.curvature_corrected_side(b, c, alpha)
-        worst_rel = max(worst_rel, abs(a - a_ref) / a_ref)
+        _, B, C = oracle.embed_triangle(b, c, alpha)
+        worst = max(worst, abs(a - disk.hyp_distance(B, C)) / a)
     return _judge(
         "euclidean-limit",
         ("|alpha* - pi/2| at sides 1e-3", gap_alpha, "<", 1e-3),
-        ("max relative corrected side residual", worst_rel, "<", _EUCLIDEAN_LIMIT_REL),
+        _ulps("max |a - d(B, C)| in ulps of a", worst),
     )
 
 

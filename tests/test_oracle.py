@@ -24,9 +24,7 @@ from hyplobe import (
 from hyplobe import oracle
 from hyplobe.oracle import (
     b_prime_point,
-    curvature_corrected_side,
     embed_triangle,
-    euclidean_limit_triangle,
     geodesic_length_by_sampling,
     grid_search_max_area,
     omega_circle,
@@ -351,18 +349,14 @@ def _refusal(call, *args):
 
 
 def test_sas_domain_refusals_are_the_solvers_word_for_word():
-    # the grid search's sides and the Euclidean limit's apex angles are
-    # refused by solve_sas's own check, in its class and its exact words
+    # the grid search's sides are refused by solve_sas's own check, in its
+    # class and its exact words
     outside = (0.0, -1.0, math.nan, math.inf, -math.inf, D_MAX * (1.0 + 2.0**-52))
     for side in outside:
         for b, c in ((side, 1.0), (1.0, side)):
             want = _refusal(_check_sas_domain, b, c, 1.0)
             assert want is not None
             assert _refusal(grid_search_max_area, b, c, 1000) == want
-    for alpha in (*outside, ALPHA_EPS, math.pi - ALPHA_EPS):
-        want = _refusal(_check_sas_domain, 1e-3, 1e-3, alpha)
-        assert want is not None
-        assert _refusal(euclidean_limit_triangle, 1e-3, 1e-3, alpha) == want
 
 
 class TestConvexityWitness:
@@ -370,57 +364,6 @@ class TestConvexityWitness:
         vs = [point_from_polar(1.0, 0.0), point_from_polar(1.0, 2.0), point_from_polar(1.0, 4.0)]
         assert oracle.intrinsic_convex_ccw(vs)
         assert not any(oracle.intrinsic_convex_ccw(vs[:k]) for k in range(3))
-
-
-class TestEuclideanLimit:
-    def test_rejects_large_sides(self):
-        # and every other input it cannot solve: sides outside (0, 0.01],
-        # apex angles outside solve_sas's, and triangles so small that
-        # a * c, beta's denominator, or the area is subnormal
-        for b, c, alpha in [
-            (0.5, 0.5, 1.0),
-            (0.0, 0.0, 1.0),
-            (-1.0, 1e-3, 1.0),
-            (math.nan, 1e-3, 1.0),
-            (0.005, 0.005, 0.0),
-            (1e-3, 1e-3, ALPHA_EPS),
-            (1e-3, 1e-3, math.pi - ALPHA_EPS),
-            (1e-3, 1e-3, 4.0),
-            (1e-3, 1e-3, math.nan),
-            (1e-200, 1e-200, 1.0),
-            (1e-160, 1e-160, 1.0),
-        ]:
-            with pytest.raises(DomainError):
-                euclidean_limit_triangle(b, c, alpha)
-            with pytest.raises(DomainError):
-                curvature_corrected_side(b, c, alpha)
-
-    def test_flat_triangle_identities(self):
-        euc = euclidean_limit_triangle(3e-3, 4e-3, math.pi / 2)
-        assert euc.a == pytest.approx(5e-3, rel=1e-14)
-        assert euc.beta + euc.gamma == pytest.approx(math.pi / 2, abs=1e-14)
-        assert euc.area == pytest.approx(6e-6, rel=1e-14)
-
-    def test_defect_vanishes_at_small_scale(self):
-        hyp = solve_sas(1e-3, 1e-3, 1.0)
-        assert hyp.area < 1e-6  # defect of order sides^2
-
-    def test_corrected_side_matches_high_precision_law_of_cosines(self):
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(52)
-        with mpmath.workdps(50):
-            for _ in range(50):
-                b = rng.uniform(5e-4, 1e-3)
-                c = rng.uniform(5e-4, 1e-3)
-                alpha = rng.uniform(0.1, math.pi - 0.1)
-                mb, mc, ma = mpmath.mpf(b), mpmath.mpf(c), mpmath.mpf(alpha)
-                exact = mpmath.acosh(
-                    mpmath.cosh(mb) * mpmath.cosh(mc)
-                    - mpmath.sinh(mb) * mpmath.sinh(mc) * mpmath.cos(ma)
-                )
-                # truncation error is O(sides^4) relative: ~1e-14 at 1e-3
-                rel = abs(curvature_corrected_side(b, c, alpha) - exact) / exact
-                assert rel < 5e-14
 
 
 def random_triangles(seed, count):

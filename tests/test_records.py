@@ -25,7 +25,7 @@ from hyplobe import (
     steiner_optimize,
     verify,
 )
-from hyplobe.oracle import euclidean_limit_triangle, grid_search_max_area
+from hyplobe.oracle import grid_search_max_area
 
 
 def _records():
@@ -49,19 +49,18 @@ def _records():
         circumcircle_fit(poly): ("center", "radius", "spread"),
         regular_polygon(5, 0.5): ("circumradius", "side", "interior_angle", "perimeter", "area"),
         grid_search_max_area(1.0, 1.2, 1000): ("alpha_hat", "area_hat", "grid_step"),
-        euclidean_limit_triangle(1e-3, 2e-3, 1.0): ("a", "beta", "gamma", "area"),
         verify.check_polar_round_trip(Random(8), 5): ("name", "passed", "detail"),
     }
 
 
 class TestRecords:
     def test_every_record_class_is_covered(self):
-        assert len({type(r) for r in _records()}) == 17
+        assert len({type(r) for r in _records()}) == 16
 
     def test_a_record_without_checks_or_methods_is_its_named_tuple(self):
         # five records check their fields or have methods, so they subclass
         # their named tuple, as CircumcircleFit still does until the fit is
-        # deleted; the other eleven are the named tuple itself, with no empty
+        # deleted; the other ten are the named tuple itself, with no empty
         # subclass
         subclassed = {
             "DiskPoint", "EuclideanCircle", "DiskIsometry", "TriangleSolution",

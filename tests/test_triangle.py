@@ -31,9 +31,7 @@ from hyplobe.triangle import (
 )
 from hyplobe.oracle import (
     _euclidean_angle,
-    curvature_corrected_side,
     embed_triangle,
-    euclidean_limit_triangle,
     figure1_by_construction,
     grid_search_max_area,
     tau_angle,
@@ -134,18 +132,25 @@ class TestSolveSas:
         assert worst <= 1e-14
 
     def test_tiny_triangle_matches_euclidean(self):
-        # the side is judged against the curvature-corrected side, whose own
-        # error is O(s^4); the angle only against the flat triangle, where the
-        # genuine hyperbolic/Euclidean gap scales as sides^2
+        # the side against the 50-digit law of cosines, to 4 ulps of a; beta
+        # only against the flat triangle's, atan2(b sin alpha, c - b cos alpha),
+        # where the genuine hyperbolic/Euclidean gap scales as sides^2
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            b = rng.uniform(1e-4, 1e-3)
-            c = rng.uniform(1e-4, 1e-3)
-            alpha = rng.uniform(0.1, math.pi - 0.1)
-            hyp = solve_sas(b, c, alpha)
-            euc = euclidean_limit_triangle(b, c, alpha)
-            assert hyp.a == pytest.approx(curvature_corrected_side(b, c, alpha), rel=1e-8)
-            assert hyp.beta == pytest.approx(euc.beta, rel=1e-5)
+        with mpmath.workdps(50):
+            for _ in range(100):
+                b = rng.uniform(1e-4, 1e-3)
+                c = rng.uniform(1e-4, 1e-3)
+                alpha = rng.uniform(0.1, math.pi - 0.1)
+                hyp = solve_sas(b, c, alpha)
+                a = _sas_reference(b, c, alpha)[0]
+                assert abs(hyp.a - a) <= 4 * math.ulp(hyp.a)
+                flat_beta = math.atan2(b * math.sin(alpha), c - b * math.cos(alpha))
+                assert hyp.beta == pytest.approx(flat_beta, rel=1e-5)
+
+    def test_defect_vanishes_at_small_scale(self):
+        hyp = solve_sas(1e-3, 1e-3, 1.0)
+        assert hyp.area < 1e-6  # defect of order sides^2
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
