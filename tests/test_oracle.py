@@ -396,6 +396,39 @@ class TestEmbedding:
             assert angle_at_vertex(B, A, C) == pytest.approx(sol.beta, abs=1e-9)
             assert angle_at_vertex(C, A, B) == pytest.approx(sol.gamma, abs=1e-9)
 
+    def test_refusals_are_the_solvers_word_for_word(self):
+        # sides and apex angles are refused by solve_sas's own check, in its
+        # class and its exact words
+        outside = (0.0, -1.0, math.nan, math.inf, -math.inf, D_MAX * (1.0 + 2.0**-52))
+        for side in outside:
+            for b, c in ((side, 1.0), (1.0, side)):
+                want = _refusal(_check_sas_domain, b, c, 1.0)
+                assert want is not None
+                assert _refusal(embed_triangle, b, c, 1.0) == want
+        for alpha in (*outside, ALPHA_EPS, math.pi - ALPHA_EPS):
+            want = _refusal(_check_sas_domain, 1e-3, 1e-3, alpha)
+            assert want is not None
+            assert _refusal(embed_triangle, 1e-3, 1e-3, alpha) == want
+
+    def test_small_side_matches_high_precision_law_of_cosines(self):
+        # verify's euclidean-limit reference, d(B, C) of the embedded triangle
+        # on its side range 1e-4..1.5e-3; worst 3.94 ulps of d
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(52)
+        with mpmath.workdps(50):
+            for _ in range(50):
+                b = rng.uniform(1e-4, 1.5e-3)
+                c = rng.uniform(1e-4, 1.5e-3)
+                alpha = rng.uniform(0.1, math.pi - 0.1)
+                mb, mc, ma = mpmath.mpf(b), mpmath.mpf(c), mpmath.mpf(alpha)
+                exact = mpmath.acosh(
+                    mpmath.cosh(mb) * mpmath.cosh(mc)
+                    - mpmath.sinh(mb) * mpmath.sinh(mc) * mpmath.cos(ma)
+                )
+                _, B, C = embed_triangle(b, c, alpha)
+                d = hyp_distance(B, C)
+                assert float(abs(d - exact)) <= 8 * math.ulp(d)
+
 
 class TestConstruction:
     def test_omega_contains_both_vertices(self):

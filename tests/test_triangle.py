@@ -152,6 +152,15 @@ class TestSolveSas:
         hyp = solve_sas(1e-3, 1e-3, 1.0)
         assert hyp.area < 1e-6  # defect of order sides^2
 
+    def test_small_right_triangle_is_nearly_flat(self):
+        # the 3-4-5 right triangle at scale 1e-3: the hypotenuse is long by
+        # (b c)^2 / (6 a_E^2) ~ 9.6e-7 relative, the area short by ~2.1e-6,
+        # and beta + gamma falls short of pi/2 by the area
+        hyp = solve_sas(3e-3, 4e-3, math.pi / 2)
+        assert hyp.a == pytest.approx(5e-3, rel=2e-6)
+        assert hyp.area == pytest.approx(6e-6, rel=5e-6)
+        assert hyp.beta + hyp.gamma == pytest.approx(math.pi / 2, abs=1e-5)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             solve_sas(0.0, 1.0, 1.0)
